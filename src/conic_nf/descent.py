@@ -10,7 +10,7 @@ bounded search.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -34,16 +34,6 @@ from .solvability import ConicEquation, check_solvable
 
 DEFAULT_PELL_BOUND = 200
 MAX_DEPTH = 80
-
-
-def pell_bound_default() -> int:
-    env = os.environ.get("CONIC_NF_PELL_BOUND")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_PELL_BOUND
 
 
 @dataclass(frozen=True)
@@ -117,13 +107,15 @@ def _enumerate_small(field: FieldDescriptor, bound: int):
         for n in range(0, bound + 1):
             yield field.element(n)
         return
-    coords = []
-    for u in range(-bound, bound + 1):
-        for v in range(-bound, bound + 1):
-            coords.append((u, v))
-    coords.sort(key=lambda t: (abs(t[0]) + abs(t[1]), t))
-    for u, v in coords:
-        yield field.element(u, v)
+    # Shell by shell (|u| + |v| = W), each shell in (u, v) order.
+    for W in range(2 * bound + 1):
+        for u in range(-min(W, bound), min(W, bound) + 1):
+            r = W - abs(u)
+            if r > bound:
+                continue
+            yield field.element(u, -r)
+            if r:
+                yield field.element(u, r)
 
 
 def _enumerate_pairs(field: FieldDescriptor, bound: int, budget: int = 400_000):
@@ -178,7 +170,7 @@ def solve_pell(
 ) -> tuple[FieldElement, FieldElement]:
     """A solution (x, y) of x^2 - A*y^2 = B by bounded exact search."""
     if bound is None:
-        bound = pell_bound_default()
+        bound = DEFAULT_PELL_BOUND
     field = A.field
     require_integral(A)
     require_integral(B)
@@ -221,16 +213,11 @@ def _try_rational_subfield(
     if field.is_rational or A.v != 0 or B.v != 0:
         return None
     Qf = make_field()
-    Aq, Bq = Qf.element(Fraction(A.u)), Qf.element(Fraction(B.u))
     try:
-        eq = ConicEquation.from_coefficients(Qf.one(), -Aq, -Bq)
-    except Exception:
+        x, y, z = legendre_descent(Qf.element(A.u), Qf.element(B.u))
+    except NotSolvable:
         return None
-    if not check_solvable(eq).solvable:
-        return None
-    x, y, z = legendre_descent(Aq, Bq)
-    lift = lambda t: field.element(Fraction(t.u))
-    return (lift(x), lift(y), lift(z))
+    return (field.element(x.u), field.element(y.u), field.element(z.u))
 
 
 def _fallback_solve(
@@ -263,10 +250,10 @@ def _fallback_solve(
             assert sol[0] * sol[0] - A * sol[1] * sol[1] == B * sol[2] * sol[2]
             if not (sol[1].is_zero and sol[2].is_zero):
                 return sol
-        except (PellSearchExhausted, NotSolvable):
+        except PellSearchExhausted:
             pass
     trace.add("norm_search", A=format_element(A), B=format_element(B))
-    return _norm_search(A, B, pell_bound or pell_bound_default())
+    return _norm_search(A, B, pell_bound or DEFAULT_PELL_BOUND)
 
 
 def legendre_descent(
@@ -277,7 +264,11 @@ def legendre_descent(
     _depth: int = 0,
     _allow_transform: bool = True,
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent."""
+    """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
+
+    The top-level call decides the local conditions once and raises
+    NotSolvable when they fail; the recursive calls do not check again.
+    """
     field = A.field
     require_integral(A)
     require_integral(B)
@@ -372,26 +363,13 @@ def verify(eq: ConicEquation, sol: SolutionTriple) -> bool:
 
 
 def _clear_denominators(field, triple):
-    m = 1
-    for t in triple:
-        for co in (t.u, t.v):
-            d = Fraction(co).denominator
-            m = m * d // _igcd(m, d)
+    m = math.lcm(*(Fraction(co).denominator for t in triple for co in (t.u, t.v)))
     scaled = [t * m for t in triple]
     # Remove the rational integer content.
-    g = 0
-    for t in scaled:
-        for co in (t.u, t.v):
-            g = _igcd(g, int(co))
+    g = math.gcd(*(int(co) for t in scaled for co in (t.u, t.v)))
     if g > 1:
         scaled = [t / g for t in scaled]
     return scaled
-
-
-def _igcd(a, b):
-    import math
-
-    return math.gcd(int(a), int(b))
 
 
 def solve_conic(
@@ -399,10 +377,11 @@ def solve_conic(
     pell_bound: Optional[int] = None,
     trace: Optional[DescentTrace] = None,
 ) -> SolutionTriple:
-    """A nonzero integral solution of a*x^2 + b*y^2 + c*z^2 = 0."""
-    cert = check_solvable(eq)
-    if not cert.solvable:
-        raise NotSolvable(f"equation is not solvable: {cert.reason}")
+    """A nonzero integral solution of a*x^2 + b*y^2 + c*z^2 = 0.
+
+    Raises NotSolvable when the equation fails the local conditions: its
+    norm form has the same local conditions, and the descent checks them.
+    """
     nf, back = to_norm_form(eq)
     if trace is not None:
         trace.add(

@@ -42,7 +42,7 @@ class PellSearchExhausted(ConicError):
 
 
 class NotSolvable(ConicError):
-    """Descent was invoked on an equation whose solvability re-check failed."""
+    """The equation fails the local conditions, so it has no nonzero solution."""
 
 
 class UnsupportedField(ConicError):
@@ -51,10 +51,6 @@ class UnsupportedField(ConicError):
 
 class BezoutFailed(ConicError):
     """gcd(alpha0, beta0) does not divide c in the reduction Bezout step."""
-
-
-class NotASolution(ConicError):
-    """A triple claimed as a solution does not satisfy its equation."""
 
 
 class BaseDegenerate(ConicError):

@@ -272,10 +272,6 @@ class FieldElement:
     def is_integral(self) -> bool:
         return self.u.denominator == 1 and self.v.denominator == 1
 
-    @property
-    def is_rational_value(self) -> bool:
-        return self.v == 0
-
     def s_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (p, q) with self = p + q*sqrt(d)."""
         if self.field.is_rational or self.field.omega_kind == "sqrt_d":
@@ -346,11 +342,6 @@ class FieldElement:
         if self.field.omega_kind == "sqrt_d":
             return 2 * self.u
         return 2 * self.u + self.v
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.field.one() / self
 
     def __truediv__(self, other):
         other = self.coerce(other)
@@ -502,16 +493,10 @@ def nearest_integer(x: FieldElement) -> FieldElement:
         z = f.element(m, n)
         d = size_sq(x - z)
         key = (d, Fraction(m), Fraction(n))
-        if best_key is None or _lex_lt(key, best_key):
+        if best_key is None or key < best_key:
             best, best_key = z, key
     assert best is not None and best_key[0] <= best_d
     return best
-
-
-def _lex_lt(a, b) -> bool:
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return (a[1], a[2]) < (b[1], b[2])
 
 
 def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -669,13 +654,6 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
         return field.element(rat)
     from_s = FieldElement.from_s_coords(field, rat, s_part)
     return from_s + field.element(0, w_part)
-
-
-def parse_integral_element(field: FieldDescriptor, text: str) -> FieldElement:
-    x = parse_element(field, text)
-    if not x.is_integral:
-        raise ParseError(f"{text!r} is not integral over {field}")
-    return x
 
 
 def _fmt_rat(x: Fraction) -> str:

@@ -302,10 +302,6 @@ class Ideal:
     def norm(self) -> int:
         return self.a * self.c
 
-    @property
-    def hnf(self) -> list[list[int]]:
-        return [[self.a, 0], [self.b, self.c]]
-
     def basis_elements(self) -> list[FieldElement]:
         if self.field.is_rational:
             return [self.field.element(self.a)]
@@ -426,9 +422,6 @@ class PrimeIdeal:
 
     def ideal(self) -> Ideal:
         return _prime_ideal_cache(self)
-
-    def conjugate(self) -> "PrimeIdeal":
-        return PrimeIdeal(self.field, self.p, self.e, self.f, self.second_gen.conj())
 
     def __repr__(self):
         from .fields import format_element

@@ -174,7 +174,7 @@ def short_congruence_pair(
             continue
         m = pair_measure(x, y, max(1, norm_a))
         key = (m, x.u, x.v, y.u, y.v)
-        if best_key is None or _key_lt(key, best_key):
+        if best_key is None or key < best_key:
             best, best_key = (x, y), key
     assert best is not None
     x, y = best
@@ -183,9 +183,3 @@ def short_congruence_pair(
     q = diff / mod
     assert q.is_integral, "pair left the congruence lattice"
     return best
-
-
-def _key_lt(a, b) -> bool:
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return a[1:] < b[1:]

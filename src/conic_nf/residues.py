@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,18 +25,9 @@ from .ideals import (
     unit_ideal,
     _sqrt_mod_p,
 )
+from .lattice import _dot
 
 _ENUM_GUARD = 10**5
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    modulus: Ideal
-    representative: FieldElement
-
-    @staticmethod
-    def of(x: FieldElement, modulus: Ideal) -> "ResidueClass":
-        return ResidueClass(modulus, modulus.reduce(x))
 
 
 # -- coordinate arithmetic in (Z/N)[omega] ----------------------------------
@@ -395,24 +385,16 @@ def crt_coefficients(field: FieldDescriptor, ideals: list[Ideal]) -> list[FieldE
     return out
 
 
-def _embed_dot(x: FieldElement, y: FieldElement) -> Fraction:
-    """Euclidean inner product of the archimedean embedding vectors."""
-    field = x.field
-    if field.totally_imaginary:
-        return Fraction((x * y.conj()).trace(), 2)
-    return Fraction((x * y).trace())
-
-
 def _lagrange_reduce(m1: FieldElement, m2: FieldElement):
     """Gauss-Lagrange reduction of a rank-2 lattice basis of field elements."""
-    if _embed_dot(m1, m1) > _embed_dot(m2, m2):
+    if _dot(m1, m1) > _dot(m2, m2):
         m1, m2 = m2, m1
     while True:
-        n1 = _embed_dot(m1, m1)
-        q = round(_embed_dot(m1, m2) / n1)
+        n1 = _dot(m1, m1)
+        q = round(_dot(m1, m2) / n1)
         if q:
             m2 = m2 - m1 * q
-        if _embed_dot(m2, m2) >= n1:
+        if _dot(m2, m2) >= n1:
             return m1, m2
         m1, m2 = m2, m1
 
@@ -465,15 +447,9 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
         for k1 in range(k1lo, k1hi + 1):
             cand = rem - m1 * k1
             key = (size_sq(cand), cand.u, cand.v)
-            if _key_lt(key, best_key):
+            if key < best_key:
                 best, best_key = cand, key
     return best
-
-
-def _key_lt(a, b) -> bool:
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return (a[1], a[2]) < (b[1], b[2])
 
 
 def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
@@ -509,7 +485,7 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
         seen.add(w)
         cand = closest_in_coset(w, M)
         key = (size_sq(cand), cand.u, cand.v)
-        if best_key is None or _key_lt(key, best_key):
+        if best_key is None or key < best_key:
             best, best_key = cand, key
     assert best is not None
     assert M.contains(best * best - a)

@@ -8,6 +8,7 @@ the per-place verdicts and witnesses so it can be re-verified externally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
@@ -51,23 +52,13 @@ class ConicEquation:
     @staticmethod
     def from_coefficients(a: FieldElement, b: FieldElement, c: FieldElement):
         """Scale a rational-coefficient triple to an integral one."""
-        dens = []
-        for x in (a, b, c):
-            for co in (x.u, x.v):
-                dens.append(Fraction(co).denominator)
-        m = 1
-        for d in dens:
-            m = m * d // _gcd(m, d)
+        m = math.lcm(
+            *(Fraction(co).denominator for x in (a, b, c) for co in (x.u, x.v))
+        )
         return ConicEquation(a * m, b * m, c * m)
 
     def evaluate(self, x: FieldElement, y: FieldElement, z: FieldElement):
         return self.a * x * x + self.b * y * y + self.c * z * z
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 @dataclass

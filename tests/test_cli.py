@@ -1,6 +1,7 @@
 import io
 import json
 
+import conic_nf.cli
 from conic_nf.cli import run
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import make_field, parse_element
@@ -150,3 +151,35 @@ def test_corpus_mismatch_exit(tmp_path):
     code, text = _run(["corpus", str(bad)])
     assert code == 1
     assert "mismatch" in text
+
+
+def test_triple_option_values_may_start_with_minus():
+    code, separated = _run(["check", "--eq", "-1;-1;2"])
+    assert code == 0
+    assert (code, separated) == _run(["check", "--eq=-1;-1;2"])
+    code, _ = _run(["verify", "--eq", "-1;-1;2", "--solution", "-1;1;1"])
+    assert code == 0
+
+
+def test_corpus_checks_each_line_once(check_calls):
+    corpus = os.path.join(FIXTURES, "table1.corpus")
+    code, _ = _run(["corpus", corpus, "--json"])
+    assert code == 0
+    # One check per line; the field lines over -6, -7 and -1 have a
+    # rational norm form with no solution over Q, checked over Q first.
+    assert len(check_calls) == 14
+
+
+def test_corpus_unsolvable_expectation_only_checks(tmp_path, monkeypatch):
+    solves = []
+    monkeypatch.setattr(
+        conic_nf.cli, "solve_conic", lambda *a, **k: solves.append(a)
+    )
+    bad = tmp_path / "bad.corpus"
+    bad.write_text("Q ; 1 ; 1 ; -2 ; unsolvable\n")
+    code, text = _run(["corpus", str(bad), "--json"])
+    assert code == 1
+    rec = json.loads(text)
+    assert rec["status"] == "mismatch"
+    assert rec["detail"] == "expected unsolvable, got solvable"
+    assert solves == []

@@ -6,6 +6,7 @@ from conic_nf.errors import NotSolvable, PellSearchExhausted
 from conic_nf.fields import make_field
 from conic_nf.descent import (
     DescentTrace,
+    _enumerate_small,
     SolutionTriple,
     compose_solution,
     legendre_descent,
@@ -146,3 +147,26 @@ def test_solve_conic_random_over_imaginary_fields():
             assert verify(e, sol)
             solved += 1
     assert solved >= 20
+
+
+def test_enumerate_small_shell_order():
+    bound = 6
+    box = range(-bound, bound + 1)
+    coords = [(u, v) for u in box for v in box]
+    coords.sort(key=lambda t: (abs(t[0]) + abs(t[1]), t))
+    assert list(_enumerate_small(Q7, bound)) == [Q7.element(u, v) for u, v in coords]
+
+
+def test_solve_conic_checks_once(check_calls):
+    for field, coeffs in ((Q, (1, 1, -2)), (Q14, (1, -2, -3))):
+        check_calls.clear()
+        e = eq_of(field, *coeffs)
+        assert verify(e, solve_conic(e))
+        assert len(check_calls) == 1
+
+
+def test_rational_subfield_checks_once(check_calls):
+    K = make_field(6)
+    x, y, z = legendre_descent(K.element(2), K.element(7))
+    assert x * x - K.element(2) * y * y == K.element(7) * z * z
+    assert len(check_calls) == 1
