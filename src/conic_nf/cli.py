@@ -80,7 +80,7 @@ def _cmd_check(args, out) -> int:
     field = _parse_field(args.field)
     eq = _parse_equation(field, args.eq)
     try:
-        cert = check_solvable(eq, v_max=args.v_max)
+        cert = check_solvable(eq)
     except UndecidedError as exc:
         _emit({"undecided": str(exc)}, args.json, out)
         return EXIT_UNDECIDED
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="local solvability certificate")
     common(p)
-    p.add_argument("--v-max", type=int, default=None, help="dyadic search depth")
 
     p = sub.add_parser("solve", help="find one solution")
     common(p)

@@ -54,9 +54,6 @@ class SolutionTriple:
     def is_trivial(self) -> bool:
         return self.x.is_zero and self.y.is_zero and self.z.is_zero
 
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
-
     def __repr__(self):
         return (
             f"({format_element(self.x)}, {format_element(self.y)}, "

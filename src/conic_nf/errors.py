@@ -22,7 +22,9 @@ class AllZero(ConicError):
 
 
 class EvenPrime(ConicError):
-    """Operation is restricted to odd prime ideals."""
+    """Operation is not defined at this prime: an odd-prime operation at a
+    prime over 2, or the 2-adic Hilbert symbol at a prime over 2 whose
+    completion is not Q_2."""
 
 
 class FactorizationFailed(ConicError):

@@ -412,11 +412,6 @@ def size_value(x: FieldElement) -> Surd:
     return max(a, -a, b, -b)
 
 
-def size_lt(x: FieldElement, y: FieldElement) -> bool:
-    """Exact |x| < |y|."""
-    return size_sq(x) < size_sq(y)
-
-
 def size_lt_size_minus_one(w: FieldElement, b: FieldElement) -> bool:
     """Exact |w| < |b| - 1 (the descent step-6 test)."""
     f = w.field

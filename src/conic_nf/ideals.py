@@ -322,8 +322,7 @@ class Ideal:
         if self.field.is_rational:
             return self.field.element(int(x.u) % self.a)
         u, v = int(x.u), int(x.v)
-        k = v // self.c  # floor for canonicality; remainder in [0, c)
-        q, v2 = divmod(v, self.c)
+        q, v2 = divmod(v, self.c)  # floor for canonicality; v2 in [0, c)
         u2 = (u - q * self.b) % self.a
         return self.field.element(u2, v2)
 

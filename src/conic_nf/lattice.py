@@ -111,7 +111,6 @@ def _sqrt_weight(n: int) -> Fraction:
 
 def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:
     """Exact weighted size |x|^2 + sqrt(|N(A)|)*|y|^2 as a quadratic surd."""
-    field = x.field
     rad = norm_a
     s = math.isqrt(rad)
     if s * s == rad:

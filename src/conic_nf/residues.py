@@ -1,5 +1,5 @@
 """Square roots modulo prime ideals and their powers, CRT recombination,
-and the dyadic local solvability search.
+and the 2-adic Hilbert symbol at the primes over 2 whose completion is Q_2.
 
 Residue rings with a rational integer modulus N are (Z/N)[omega] and are
 handled with coordinate arithmetic mod N.  Split primes are handled through
@@ -202,7 +202,11 @@ def _int_sqrt_mod_odd_prime_power(A: int, p: int, e: int) -> Optional[list[int]]
 
 
 def _split_int_params(P: PrimeIdeal, e: int) -> int:
-    """Integer r_e with omega = r_e (mod P^e), for a degree-1 odd prime."""
+    """Integer r_e with omega = r_e (mod P^e), for an unramified degree-1 prime.
+
+    The Hensel lift also works at 2: 2 splits only when omega = (1 + sqrt(d))/2,
+    and the derivative 2*omega - 1 of its minimal polynomial is odd.
+    """
     field = P.field
     p = P.p
     r = _residue_image(field.omega(), P)
@@ -492,97 +496,40 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
     return best
 
 
-# -- dyadic local solvability ------------------------------------------------
+# -- the 2-adic Hilbert symbol -----------------------------------------------
 
 
-def _uniformiser(P: PrimeIdeal) -> FieldElement:
-    """An element of P-valuation exactly 1 (other primes unconstrained)."""
-    field = P.field
-    if field.is_rational or P.f == 2:
-        return field.element(P.p)
-    g = P.second_gen
-    if element_valuation(g, P) == 1:
-        return g
-    return g + field.element(P.p)
+def _two_adic_parts(x: FieldElement, P: PrimeIdeal) -> tuple[int, int]:
+    """(s, u mod 8) with x = 2^s * u in K_P = Q_2, u odd.
 
-
-def _residue_reps(P: PrimeIdeal) -> list[FieldElement]:
-    field = P.field
-    if field.is_rational or P.f == 1:
-        return [field.element(r) for r in range(P.p)]
-    return [
-        field.element(u, v) for u in range(P.p) for v in range(P.p)
-    ]
+    v_P(x) <= v_2(N(x)), so the image of x mod 2^k with
+    k = v_2(N(x)) + 3 holds the odd part mod 8.
+    """
+    n = abs(int(x.norm()))
+    k = (n & -n).bit_length() + 2
+    if x.field.is_rational:
+        image = int(x.u) % (1 << k)
+    else:
+        image = (int(x.u) + int(x.v) * _split_int_params(P, k)) % (1 << k)
+    s = (image & -image).bit_length() - 1
+    return s, (image >> s) % 8
 
 
 def local_solvable_at_two(
-    a: FieldElement,
-    b: FieldElement,
-    c: FieldElement,
-    P: PrimeIdeal,
-    v_max: int = 4,
-) -> Optional[tuple[FieldElement, FieldElement, FieldElement, int]]:
-    """Witness (x, y, z, v) for the dyadic condition at P, or None.
+    a: FieldElement, b: FieldElement, c: FieldElement, P: PrimeIdeal
+) -> bool:
+    """Whether a*x^2 + b*y^2 + c*z^2 = 0 has a nonzero point over K_P = Q_2.
 
-    Searches v = 1..v_max for (x, y, z) mod P^(2v+1) with
-    a x^2 + b y^2 + c z^2 = 0 (mod P^(2v+1)) and at least one of
-    2*a*x, 2*b*y, 2*c*z outside P^(v+1); the search over the finite
-    residue ring is exhaustive (digit DFS with exact pruning).
+    It has one exactly when the Hilbert symbol (-a*c, -b*c)_2 is 1.  With
+    -a*c = 2^s*u and -b*c = 2^t*w, u and w odd,
+    (-a*c, -b*c)_2 = (-1)^(eps(u)*eps(w) + s*om(w) + t*om(u)), where
+    eps(u) = (u - 1)/2 and om(u) = (u^2 - 1)/8.  Defined for a prime P over
+    2 with e = f = 1, the only primes over 2 whose completion is Q_2.
     """
-    if P.p != 2:
-        raise EvenPrime("dyadic test is only defined over primes above 2")
-    field = a.field
-    pi = _uniformiser(P)
-    reps = _residue_reps(P)
-    max_depth = 2 * v_max + 1
-    powers = [unit_ideal(field)]
-    for _ in range(max_depth + 2):
-        powers.append(powers[-1] * P.ideal())
-    pi_pows = [field.one()]
-    for _ in range(max_depth):
-        pi_pows.append(pi_pows[-1] * pi)
-
-    for v in range(1, v_max + 1):
-        depth = 2 * v + 1
-        grad_mod = powers[v + 1]
-        target = powers[depth]
-        # A non-primitive witness at level v scales down (locally) to a
-        # witness at level v - 1, so skipping all-zero leading digits is
-        # safe once v >= 2.
-        require_primitive = v >= 2
-
-        def grad_ok(x, y, z):
-            return (
-                not grad_mod.contains(2 * a * x)
-                or not grad_mod.contains(2 * b * y)
-                or not grad_mod.contains(2 * c * z)
-            )
-
-        def dfs(x, y, z, k):
-            val = a * x * x + b * y * y + c * z * z
-            if not powers[min(k, depth)].contains(val):
-                return None
-            if k >= v + 1 and not grad_ok(x, y, z):
-                return None
-            if k >= depth:
-                if grad_ok(x, y, z):
-                    return (x, y, z)
-                return None
-            scale = pi_pows[k]
-            for rx in reps:
-                for ry in reps:
-                    for rz in reps:
-                        if require_primitive and k == 0 and rx.is_zero and ry.is_zero and rz.is_zero:
-                            continue
-                        got = dfs(
-                            x + scale * rx, y + scale * ry, z + scale * rz, k + 1
-                        )
-                        if got is not None:
-                            return got
-            return None
-
-        zero = field.zero()
-        got = dfs(zero, zero, zero, 0)
-        if got is not None:
-            return (got[0], got[1], got[2], v)
-    return None
+    if P.p != 2 or P.e != 1 or P.f != 1:
+        raise EvenPrime("the 2-adic Hilbert symbol needs a prime over 2 with K_P = Q_2")
+    s, u = _two_adic_parts(-(a * c), P)
+    t, w = _two_adic_parts(-(b * c), P)
+    eps = lambda n: (n - 1) // 2
+    om = lambda n: (n * n - 1) // 8
+    return (eps(u) * eps(w) + s * om(w) + t * om(u)) % 2 == 0

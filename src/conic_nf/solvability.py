@@ -2,8 +2,11 @@
 
 The local-global principle reduces solvability to a real-embedding sign
 check, one congruence condition per odd prime ideal dividing a coefficient,
-and a smooth-point search at the primes over 2.  Each certificate carries
-the per-place verdicts and witnesses so it can be re-verified externally.
+and the primes over 2.  Those need no search: by Hilbert reciprocity the
+last prime over 2 passes when every other place does, and when 2 splits the
+first one has completion Q_2 and is decided by the 2-adic Hilbert symbol.
+Each certificate carries the per-place verdicts, the odd-prime witnesses and
+the rule that decided each prime over 2, so it can be re-verified externally.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BaseDegenerate, UndecidedError
+from .errors import BaseDegenerate
 from .fields import (
     FieldDescriptor,
     FieldElement,
@@ -24,7 +27,6 @@ from .ideals import (
     PrimeIdeal,
     element_valuation,
     factor_ideal,
-    is_principal,
     principal_ideal,
     splitting_type,
 )
@@ -100,38 +102,6 @@ def embedding_condition(eq: ConicEquation) -> bool:
     return True
 
 
-def noncoprime_reduce(
-    a: FieldElement, b: FieldElement, c: FieldElement, P: PrimeIdeal
-):
-    """One reduction step at an odd prime P dividing at least two coefficients.
-
-    Returns ("equation", (a2, b2, c2)) when the condition at P is equivalent
-    to that of a rewritten equation, or ("congruence", e, rhs) when it is
-    equivalent to the solvability of X^2 = rhs (mod P^e).  Requires a
-    generator of P; raises UndecidedError when P is not principal.
-    """
-    vals = [
-        (element_valuation(x, P), i, x) for i, x in enumerate((a, b, c))
-    ]
-    order = sorted(vals, key=lambda t: -t[0])
-    (va, _, ca), (vb, _, cb), (vc, _, cc) = order
-    assert vb > 0, "reduction step needs two coefficients divisible by P"
-    pi = is_principal(P.ideal())
-    if pi is None:
-        raise UndecidedError(
-            f"prime {P} divides two coefficients but is not principal; "
-            "cannot rewrite the equation globally"
-        )
-    if vc > 0:
-        new = tuple(x / pi**vc for x in (ca, cb, cc))
-        return ("equation", new)
-    if va > vb:
-        return ("congruence", va, -(cb * cc))
-    v2 = va % 2
-    new = (ca / pi**va, cb / pi**va, cc * pi**v2)
-    return ("equation", new)
-
-
 def _odd_prime_condition(
     a: FieldElement, b: FieldElement, c: FieldElement, P: PrimeIdeal
 ) -> tuple[bool, Optional[FieldElement]]:
@@ -164,20 +134,7 @@ def _odd_prime_condition(
     return True, roots[0]
 
 
-def _dyadic_depth(eq: ConicEquation, P: PrimeIdeal, v_max: Optional[int]) -> int:
-    if v_max is not None:
-        return v_max
-    # A primitive local solution has a unit coordinate, so the witness level
-    # is at most v_P(2) + max coefficient valuation.
-    need = element_valuation(eq.field.element(2), P) + max(
-        element_valuation(eq.a, P),
-        element_valuation(eq.b, P),
-        element_valuation(eq.c, P),
-    )
-    return max(3, min(need + 1, 6))
-
-
-def check_solvable(eq: ConicEquation, v_max: Optional[int] = None) -> Certificate:
+def check_solvable(eq: ConicEquation) -> Certificate:
     """Full local solvability check with per-place conditions and witnesses."""
     conditions: list[dict] = []
     field = eq.field
@@ -206,20 +163,19 @@ def check_solvable(eq: ConicEquation, v_max: Optional[int] = None) -> Certificat
         if not ok:
             return Certificate(False, "congruence", conditions)
 
-    for P in splitting_type(field, 2)[1]:
-        depth = _dyadic_depth(eq, P, v_max)
-        got = local_solvable_at_two(eq.a, eq.b, eq.c, P, depth)
-        entry = {
-            "type": "dyadic",
-            "prime": repr(P),
-            "ok": got is not None,
-        }
-        if got is not None:
-            x, y, z, v = got
-            entry["witness"] = [format_element(x), format_element(y), format_element(z)]
-            entry["level"] = v
-        conditions.append(entry)
-        if got is None:
+    # Two primes over 2 only when 2 splits, and then the first has K_P = Q_2.
+    *first, last = splitting_type(field, 2)[1]
+    for P in first:
+        ok = local_solvable_at_two(eq.a, eq.b, eq.c, P)
+        conditions.append(
+            {"type": "dyadic", "prime": repr(P), "ok": ok, "by": "hilbert_symbol"}
+        )
+        if not ok:
             return Certificate(False, "dyadic", conditions)
-
+    # Hilbert reciprocity: the symbols (-ac, -bc)_v over all places multiply
+    # to 1, and every other place has passed (the odd primes not dividing a
+    # coefficient and the complex places pass trivially).
+    conditions.append(
+        {"type": "dyadic", "prime": repr(last), "ok": True, "by": "reciprocity"}
+    )
     return Certificate(True, "solvable", conditions)

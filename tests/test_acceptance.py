@@ -46,10 +46,14 @@ def test_acceptance_1_field_example_end_to_end():
     ok = cert.solvable
     odd = [c for c in cert.conditions if c["type"] == "odd_prime"]
     dyadic = [c for c in cert.conditions if c["type"] == "dyadic"]
-    # Congruence witnesses at the odd primes dividing 3 and 13; the prime 2
-    # is handled by the dyadic condition at both primes above it.
+    # Congruence witnesses at the odd primes dividing 3 and 13; 2 splits, the
+    # first prime over it is decided by the 2-adic Hilbert symbol and the
+    # second by reciprocity.
     ok = ok and len(odd) == 2 and all(c["ok"] and c["witness"] for c in odd)
-    ok = ok and len(dyadic) == 2 and all(c["ok"] and c["witness"] for c in dyadic)
+    ok = ok and [(c["ok"], c["by"]) for c in dyadic] == [
+        (True, "hilbert_symbol"),
+        (True, "reciprocity"),
+    ]
     known = SolutionTriple(Q7.sqrt_gen(), Q7.element(2), Q7.element(1))
     ok = ok and verify(eq, known)
     sol = solve_conic(eq)

@@ -25,6 +25,18 @@ def test_check_solvable_example():
     assert payload["solvable"] is True
 
 
+def test_check_names_the_rule_at_each_prime_over_two():
+    code, text = _run(["check", "--field", "-7", "--eq", "3;2;13", "--json"])
+    assert code == 0
+    dyadic = [c for c in json.loads(text)["conditions"] if c["type"] == "dyadic"]
+    assert [c["by"] for c in dyadic] == ["hilbert_symbol", "reciprocity"]
+
+
+def test_check_has_no_dyadic_depth_option():
+    code, _ = _run(["check", "--field", "-7", "--eq", "3;2;13", "--v-max", "3"])
+    assert code == 2
+
+
 def test_check_unsolvable_real_embedding():
     code, text = _run(["check", "--field", "Q", "--eq", "1;1;1", "--json"])
     assert code == 0

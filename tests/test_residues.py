@@ -11,6 +11,12 @@ from conic_nf.ideals import (
     splitting_type,
     unit_ideal,
 )
+from conic_nf.solvability import (
+    ConicEquation,
+    _odd_prime_condition,
+    check_solvable,
+    embedding_condition,
+)
 from conic_nf.residues import (
     closest_in_coset,
     crt_coefficients,
@@ -197,21 +203,15 @@ def test_sqrt_mod_ideal_minimality_small_moduli():
 def test_local_solvable_at_two_examples():
     # 3x^2 + 2y^2 - 13z^2 = 0 is solvable at the primes over 2 in Q(sqrt(-7)).
     for P in splitting_type(Q7, 2)[1]:
-        got = local_solvable_at_two(
+        assert local_solvable_at_two(
             Q7.element(3), Q7.element(2), Q7.element(-13), P
         )
-        assert got is not None
-        x, y, z, v = got
-        I = P.ideal() ** (2 * v + 1)
-        f = Q7.element(3) * x * x + Q7.element(2) * y * y + Q7.element(-13) * z * z
-        assert I.contains(f)
 
     P2 = splitting_type(Q, 2)[1][0]
     # x^2 + y^2 + z^2 = 0 admits no primitive 2-adic solution.
-    assert local_solvable_at_two(Q.element(1), Q.element(1), Q.element(1), P2) is None
+    assert not local_solvable_at_two(Q.element(1), Q.element(1), Q.element(1), P2)
     # x^2 + y^2 - 2z^2 = 0 does (witness (1, 1, 1)).
-    got = local_solvable_at_two(Q.element(1), Q.element(1), Q.element(-2), P2)
-    assert got is not None
+    assert local_solvable_at_two(Q.element(1), Q.element(1), Q.element(-2), P2)
 
 
 def test_local_solvable_at_two_matches_known_legendre_cases():
@@ -221,12 +221,59 @@ def test_local_solvable_at_two_matches_known_legendre_cases():
     solvable = [(1, 1, -2), (1, -1, 1), (2, 3, -5), (1, 2, -3), (3, 5, 7)]
     unsolvable = [(1, 1, 1), (1, 1, 2), (1, 2, 2)]
     for a, b, c in solvable:
-        assert (
-            local_solvable_at_two(Q.element(a), Q.element(b), Q.element(c), P2)
-            is not None
-        )
+        assert local_solvable_at_two(Q.element(a), Q.element(b), Q.element(c), P2)
     for a, b, c in unsolvable:
-        assert (
-            local_solvable_at_two(Q.element(a), Q.element(b), Q.element(c), P2)
-            is None
+        assert not local_solvable_at_two(
+            Q.element(a), Q.element(b), Q.element(c), P2
         )
+
+
+def test_local_solvable_at_two_needs_completion_q2():
+    for d in (-1, 2, -3, 5):  # 2 ramifies or is inert: K_P is not Q_2
+        K = make_field(d)
+        (P,) = splitting_type(K, 2)[1]
+        with pytest.raises(EvenPrime):
+            local_solvable_at_two(K.one(), K.one(), K.element(-1), P)
+    with pytest.raises(EvenPrime):
+        local_solvable_at_two(Q.one(), Q.one(), Q.element(-1), _prime_over(Q, 3))
+
+
+def test_hilbert_reciprocity_over_q():
+    # The symbols (-ac, -bc)_v multiply to 1 over all places v, so the real,
+    # odd and 2-adic places at which the conic fails are even in number.
+    P2 = splitting_type(Q, 2)[1][0]
+    squarefree = [n for n in range(-13, 14) if n and all(n % (k * k) for k in (2, 3))]
+    failures = set()
+    for a, b, c in itertools.combinations_with_replacement(squarefree, 3):
+        eq = ConicEquation(Q.element(a), Q.element(b), Q.element(c))
+        failed = [not embedding_condition(eq)]
+        for p in {p for p in (3, 5, 7, 11, 13) if (a * b * c) % p == 0}:
+            failed.append(not _odd_prime_condition(eq.a, eq.b, eq.c, _prime_over(Q, p))[0])
+        failed.append(not local_solvable_at_two(eq.a, eq.b, eq.c, P2))
+        assert sum(failed) % 2 == 0, (a, b, c)
+        failures.add(sum(failed))
+    assert failures >= {0, 2}
+
+
+def test_both_primes_over_two_agree_when_the_other_places_pass():
+    # When 2 splits, reciprocity forces the two dyadic symbols to agree once
+    # the real and odd places pass.
+    rng = random.Random(7)
+    for d in (-7, 17):
+        K = make_field(d)
+        primes = splitting_type(K, 2)[1]
+        verdicts = []
+        for _ in range(150):
+            a, b, c = (
+                K.element(rng.randint(-9, 9), rng.randint(-9, 9)) * rng.choice((1, 1, 2, 4))
+                for _ in range(3)
+            )
+            if a.is_zero or b.is_zero or c.is_zero:
+                continue
+            cert = check_solvable(ConicEquation(a, b, c))
+            if cert.reason not in ("solvable", "dyadic"):
+                continue
+            got = [local_solvable_at_two(a, b, c, P) for P in primes]
+            assert got[0] == got[1] == cert.solvable, (d, a, b, c)
+            verdicts.append(got[0])
+        assert True in verdicts and False in verdicts

@@ -1,17 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conic_nf.errors import BaseDegenerate
-from conic_nf.fields import make_field
-from conic_nf.ideals import splitting_type
+from conic_nf.descent import SolutionTriple, verify
+from conic_nf.fields import make_field, parse_element
 from conic_nf.solvability import (
     Certificate,
     ConicEquation,
     check_solvable,
     embedding_condition,
-    noncoprime_reduce,
 )
 
 Q = make_field()
@@ -80,21 +80,6 @@ def test_check_solvable_norm_form_example():
     assert cert.solvable
 
 
-def test_noncoprime_reduce():
-    P3 = splitting_type(Q, 3)[1][0]
-    kind, new = noncoprime_reduce(Q.element(3), Q.element(3), Q.element(3), P3)
-    assert kind == "equation"
-    assert sorted(abs(x.u) for x in new) == [1, 1, 1]
-
-    kind, e, rhs = noncoprime_reduce(Q.element(9), Q.element(3), Q.element(1), P3)
-    assert kind == "congruence" and e == 2
-    assert rhs == Q.element(-3)
-
-    kind, new = noncoprime_reduce(Q.element(3), Q.element(3), Q.element(1), P3)
-    assert kind == "equation"
-    assert sorted(abs(x.u) for x in new) == [1, 1, 3]
-
-
 def test_check_solvable_shared_prime_cases():
     # 3x^2 + 3y^2 + 3z^2 = 0: reduces to (1,1,1), fails at infinity first.
     cert = check_solvable(eq_of(Q, 3, 3, -3))
@@ -149,3 +134,39 @@ def test_certificate_serialisation():
     import json
 
     json.dumps(d)  # must be JSON serialisable
+
+
+# Solvable conics with high valuations at the primes over 2, each with a
+# point (x0, y0, 1): field; a;b;c; x0; y0.
+DYADIC_HEAVY = [
+    ("5", "-1+s;-1/2+3/2s;-43-23s", "5/2+1/2s", "-3-s"),
+    ("-3", "2;-1+s;14+4s", "1/2-1/2s", "-2-s"),
+    ("-3", "1+s;1+s;5-5s", "3/2-1/2s", "2+s"),
+    ("2", "-2;-2s;32+22s", "-2-2s", "1+s"),
+    ("-1", "-1+3s;-2-2s;-10-10s", "-2+2s", "-2+s"),
+    ("-1", "-2s;-2s;8-14s", "-2s", "-1+2s"),
+]
+
+
+@pytest.mark.parametrize("d,coeffs,x0,y0", DYADIC_HEAVY)
+def test_check_solvable_dyadic_heavy_inputs(d, coeffs, x0, y0):
+    K = make_field(d)
+    eq = ConicEquation(*(parse_element(K, t) for t in coeffs.split(";")))
+    assert verify(eq, SolutionTriple(parse_element(K, x0), parse_element(K, y0), K.one()))
+    t0 = time.perf_counter()
+    cert = check_solvable(eq)
+    assert time.perf_counter() - t0 < 0.5
+    assert cert.solvable and cert.reason == "solvable"
+    dyadic = [c for c in cert.conditions if c["type"] == "dyadic"]
+    assert [c["by"] for c in dyadic] == ["reciprocity"]
+
+
+def test_check_solvable_dyadic_entries():
+    # 2 splits in Q(sqrt(-7)), and x^2 + y^2 + z^2 = 0 has no point over
+    # Q_2 = K_P at the first prime over 2.
+    cert = check_solvable(eq_of(Q7, 1, 1, 1))
+    assert not cert.solvable and cert.reason == "dyadic"
+    assert cert.conditions[-1]["by"] == "hilbert_symbol"
+    # Over Q, Legendre's theorem: the prime 2 follows from the other places.
+    cert = check_solvable(eq_of(Q, 1, 1, -2))
+    assert cert.solvable and cert.conditions[-1]["by"] == "reciprocity"
