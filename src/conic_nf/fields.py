@@ -5,10 +5,17 @@ where omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
 d = 1 (mod 4).  All arithmetic is exact (arbitrary-precision rationals);
 archimedean sizes are compared exactly via the Surd helper, with floats
 only as a human-readable approximation.
+
+Over Q and the imaginary quadratic fields, the ring of integers also has an
+integer kernel, IntegerRing: arithmetic on (u, v) integer pairs, closed-form
+nearest-integer rounding, Euclidean division, extended gcd and normalised
+gcd.  nearest_integer, euclid_divmod and gcd_elems delegate to it there;
+nearest_integer enumerates a window of candidates only over real fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -374,6 +381,9 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # Equal to the int or Fraction it compares equal to.
+        if self.v == 0:
+            return hash(self.u)
         return hash((self.field, self.u, self.v))
 
     def __repr__(self):
@@ -445,15 +455,20 @@ def _int_window(center: Fraction, radius: float) -> range:
 
 
 def nearest_integer(x: FieldElement) -> FieldElement:
-    """Closest element of O_K to x under elem_size, certified by enumeration.
+    """Closest element of O_K to x under elem_size.
 
     Ties break to the lexicographically smallest (u, v) coordinate pair.
+    Over Q and the imaginary fields the size is the norm, and the integer
+    kernel rounds in closed form; over a real field it is the max over both
+    embeddings, and the result is certified by enumeration.
     """
     f = x.field
-    if f.is_rational:
-        n = math.floor(x.u)
-        best = min((n, n + 1), key=lambda m: (abs(x.u - m), m))
-        return f.element(best)
+    if f.is_rational or f.totally_imaginary:
+        ring = integer_ring(f)
+        u, v = x.u, x.v
+        den = math.lcm(u.denominator, v.denominator)
+        num = (u.numerator * (den // u.denominator), v.numerator * (den // v.denominator))
+        return ring.element(ring.round(num, den))
 
     # Baseline candidate by coordinate rounding.
     m0 = round(x.u)
@@ -462,11 +477,10 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     best_d = size_sq(x - base)
     radius = math.sqrt(float(best_d)) * (1 + 1e-9) + 1e-9
 
-    # Window in s-coordinates: |p - p_z| <= R and |q - q_z|*sqrt(|d|) <= R
-    # covers every candidate at distance <= R for both the imaginary
-    # (norm) and real (max-embedding) size.
+    # Window in s-coordinates: |p - p_z| <= R and |q - q_z|*sqrt(d) <= R
+    # covers every candidate at max-embedding distance <= R.
     p, q = x.s_coords()
-    sd = math.sqrt(abs(f.d))
+    sd = math.sqrt(f.d)
     candidates = []
     for n in _int_window(x.v, 2 * radius / sd + 1):
         # For fixed v-coordinate n, u ranges so that the 1-part stays close.
@@ -498,14 +512,12 @@ def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, Field
     """Nearest-integer division a = q*b + r with |N(r)| < |N(b)|."""
     if not a.field.euclidean:
         raise NotEuclidean(f"{a.field} is not in the Euclidean list")
-    require_integral(a)
-    require_integral(b)
-    if b.is_zero:
+    ring = integer_ring(a.field)
+    pa, pb = ring.pair(a), ring.pair(b)
+    if pb == (0, 0):
         raise ZeroDivisionError("euclid_divmod by zero")
-    q = nearest_integer(a / b)
-    r = a - q * b
-    assert abs(r.norm()) < abs(b.norm())
-    return q, r
+    q, r = ring.divmod(pa, pb)
+    return ring.element(q), ring.element(r)
 
 
 def normalize_associate(x: FieldElement) -> FieldElement:
@@ -534,19 +546,148 @@ def gcd_elems(xs: Iterable[FieldElement]) -> FieldElement:
     field = xs[0].field
     if not field.euclidean:
         raise NotEuclidean(f"{field} is not in the Euclidean list")
-    g = field.zero()
-    for x in xs:
-        require_integral(x)
-        h = x
-        while not h.is_zero:
-            if g.is_zero:
-                g, h = h, field.zero()
-            else:
-                _, r = euclid_divmod(g, h)
-                g, h = h, r
-    if g.is_zero:
+    ring = integer_ring(field)
+    g = ring.gcd([ring.pair(x) for x in xs])
+    if g == (0, 0):
         raise AllZero("gcd of all-zero list")
-    return normalize_associate(g)
+    return ring.element(g)
+
+
+# -- the integer kernel: O_K on (u, v) pairs ----------------------------------
+
+
+class IntegerRing:
+    """O_K of Q or of an imaginary quadratic field, on integer pairs.
+
+    The pair (u, v) stands for u + v*omega, with omega^2 = t*omega + k:
+    (t, k) is (0, 0) over Q, (0, d) for omega = sqrt(d) and (1, (d-1)/4) for
+    omega = (1+sqrt(d))/2.  The norm is positive definite, so every quotient
+    is num/den with den > 0 and rounds in closed form.  nearest_integer,
+    euclid_divmod and gcd_elems delegate here over these fields, and the
+    size reduction in holzer runs on pairs throughout.
+    """
+
+    __slots__ = ("field", "t", "k", "units")
+
+    def __init__(self, field: FieldDescriptor):
+        if not (field.is_rational or field.totally_imaginary):
+            raise ValueError(f"{field} is a real quadratic field")
+        self.field = field
+        if field.is_rational:
+            self.t, self.k = 0, 0
+        elif field.omega_kind == "sqrt_d":
+            self.t, self.k = 0, field.d
+        else:
+            self.t, self.k = 1, (field.d - 1) // 4
+        self.units = [self.pair(e) for e in field.units()]
+
+    def pair(self, x: FieldElement) -> tuple[int, int]:
+        if x.field is not self.field and x.field != self.field:
+            raise ValueError("elements of different fields")
+        require_integral(x)
+        return x.u.numerator, x.v.numerator
+
+    def element(self, x: tuple[int, int]) -> FieldElement:
+        return FieldElement(self.field, x[0], x[1])
+
+    def add(self, x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    def sub(self, x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def mul(self, x, y):
+        u1, v1 = x
+        u2, v2 = y
+        return u1 * u2 + self.k * v1 * v2, u1 * v2 + u2 * v1 + self.t * v1 * v2
+
+    def conj(self, x):
+        return (x[0] + x[1], -x[1]) if self.t else (x[0], -x[1])
+
+    def norm(self, x) -> int:
+        u, v = x
+        return u * u + self.t * u * v - self.k * v * v
+
+    def round(self, num, den: int) -> tuple[int, int]:
+        """The pair nearest to num/den (den > 0) in the norm; ties go to the
+        smallest (u, v)."""
+        nu, nv = num
+        if not self.t:
+            # The norm weighs the squares of the two coordinates apart, so
+            # each rounds on its own, a tie going down: ceil(s - 1/2).
+            return -((den - 2 * nu) // (2 * den)), -((den - 2 * nv) // (2 * den))
+        # N(x - z) = (x_u - u + w/2)^2 + (|d|/4) w^2 with w = x_v - v.  A v
+        # other than floor(x_v) and floor(x_v) + 1 has |w| >= 1 and costs at
+        # least |d|/4 >= 3/4, more than the nearer of those two with its best
+        # u (at most 1/4 + |d|/16).  For each v the best u is ceil(s - 1/2)
+        # with s = x_u + w/2, the smaller one at a tie.
+        best = None
+        for v in (nv // den, nv // den + 1):
+            w = nv - v * den
+            u = -((den - 2 * nu - w) // (2 * den))
+            key = (self.norm((nu - u * den, w)), u, v)
+            if best is None or key < best:
+                best = key
+        return best[1], best[2]
+
+    def divmod(self, a, b):
+        """(q, r) with a = q*b + r and q the nearest integer to a/b."""
+        den = self.norm(b)
+        q = self.round(self.mul(a, self.conj(b)), den)
+        r = self.sub(a, self.mul(q, b))
+        assert abs(self.norm(r)) < abs(den)
+        return q, r
+
+    def exact_div(self, a, b):
+        """a / b when b divides a, else None."""
+        den = self.norm(b)
+        u, v = self.mul(a, self.conj(b))
+        if u % den or v % den:
+            return None
+        return u // den, v // den
+
+    def xgcd(self, a, b):
+        """(g, s, t) with s*a + t*b = g = gcd(a, b), by Euclid's algorithm."""
+        r0, r1 = a, b
+        s0, s1 = (1, 0), (0, 0)
+        t0, t1 = (0, 0), (1, 0)
+        while r1 != (0, 0):
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
+        assert self.add(self.mul(s0, a), self.mul(t0, b)) == r0
+        return r0, s0, t0
+
+    def normalize(self, x):
+        """The associate normalize_associate picks."""
+        if x == (0, 0):
+            return x
+        if self.field.is_rational:
+            return x if x[0] > 0 else (-x[0], 0)
+
+        def key(y):
+            return (y[0] > 0) - (y[0] < 0), (y[1] > 0) - (y[1] < 0), y[0], y[1]
+
+        return min((self.mul(x, e) for e in self.units), key=key)
+
+    def gcd(self, xs):
+        """The normalised gcd of the pairs xs; (0, 0) if all are zero."""
+        g = (0, 0)
+        for h in xs:
+            while h != (0, 0):
+                if g == (0, 0):
+                    g, h = h, (0, 0)
+                else:
+                    _, r = self.divmod(g, h)
+                    g, h = h, r
+        return self.normalize(g)
+
+
+@functools.cache
+def integer_ring(field: FieldDescriptor) -> IntegerRing:
+    """The integer kernel of Q or an imaginary quadratic field."""
+    return IntegerRing(field)
 
 
 def divides(a: FieldElement, b: FieldElement) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conic_nf.fields import (
     divides,
     format_element,
     gcd_elems,
+    integer_ring,
     is_unit,
     make_field,
     nearest_integer,
@@ -86,6 +88,8 @@ def test_euclid_divmod_examples():
     assert abs(r.norm()) < 4
     with pytest.raises(NotEuclidean):
         euclid_divmod(Q6.element(5), Q6.element(2))
+    with pytest.raises(ValueError):
+        euclid_divmod(QI.element(5), Q7.element(2))
 
 
 def test_gcd_examples():
@@ -138,6 +142,43 @@ def test_nearest_integer_translation_invariance():
         a = nearest_integer(x + z)
         b = nearest_integer(x) + z
         assert size_sq(x + z - a) == size_sq(x + z - b)
+
+
+def _brute_force_nearest(x):
+    """Minimise (N(x - z), u, v) over a window around x's coordinates."""
+    field = x.field
+    us = range(math.floor(x.u) - 3, math.floor(x.u) + 5)
+    vs = [0] if field.is_rational else range(math.floor(x.v) - 3, math.floor(x.v) + 5)
+    key = min(((x - field.element(m, n)).norm(), m, n) for m in us for n in vs)
+    return field.element(key[1], key[2])
+
+
+@pytest.mark.parametrize("d", [None, -1, -2, -3, -5, -6, -7, -11, -15, -19])
+def test_nearest_integer_closed_form_matches_brute_force(d):
+    field = make_field(d)
+    rng = random.Random(f"nearest:{d}")
+    for i in range(200):
+        # Denominators 1 and 2 put x on lattice points and on exact ties.
+        den = (1, 2, 2, 3, 4, 6, rng.randint(1, 10**4))[i % 7]
+        u = Fraction(rng.randint(-60 * den, 60 * den), den)
+        v = 0 if field.is_rational else Fraction(rng.randint(-60 * den, 60 * den), den)
+        x = field.element(u, v)
+        assert nearest_integer(x) == _brute_force_nearest(x)
+
+
+def test_nearest_integer_ties_go_to_smallest_pair():
+    assert nearest_integer(Q.element(Fraction(5, 2))) == Q.element(2)
+    assert nearest_integer(Q.element(Fraction(-5, 2))) == Q.element(-3)
+    assert nearest_integer(QI.element(Fraction(1, 2), Fraction(-1, 2))) == QI.element(0, -1)
+    # Q(sqrt(-3)): (1 + w)/2 lies at norm distance 1/4 from both 1 and w.
+    K3 = make_field(-3)
+    assert nearest_integer(K3.element(Fraction(1, 2), Fraction(1, 2))) == K3.omega()
+
+
+def test_integer_ring_is_cached_and_rejects_real_fields():
+    assert integer_ring(make_field(-7)) is integer_ring(Q7)
+    with pytest.raises(ValueError):
+        integer_ring(Q14)
 
 
 def test_norm_multiplicativity_and_trace_additivity():
@@ -249,3 +290,23 @@ def test_normalize_associate_deterministic():
     y = normalize_associate(x)
     assert y in [x * u for u in QI.units()]
     assert y == normalize_associate(y * QI.omega())
+    # The integer kernel normalises gcds by the same rule.
+    rng = random.Random(13)
+    for field in (Q, QI, make_field(-3), Q7):
+        ring = integer_ring(field)
+        for _ in range(40):
+            x = field.element(rng.randint(-9, 9), 0 if field.is_rational else rng.randint(-9, 9))
+            assert ring.element(ring.normalize(ring.pair(x))) == normalize_associate(x)
+
+
+def test_field_element_hash_agrees_with_equality():
+    for field in (Q, QI, Q7):
+        three = field.element(3)
+        assert three == 3 and hash(three) == hash(3)
+        assert 3 in {three} and three in {3}
+        half = field.element(Fraction(-1, 2))
+        assert half == Fraction(-1, 2) and hash(half) == hash(Fraction(-1, 2))
+        assert Fraction(-1, 2) in {half}
+    x = QI.element(Fraction(1, 3), 2)
+    assert x == QI.element(Fraction(2, 6), 2) and hash(x) == hash(QI.element(Fraction(2, 6), 2))
+    assert len({x, Q7.element(Fraction(1, 3), 2)}) == 2

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conic_nf.descent import SolutionTriple, solve_conic, verify
-from conic_nf.errors import PreconditionViolated, UnsupportedField
+from conic_nf import holzer
+from conic_nf.errors import PreconditionViolated, UndecidedError, UnsupportedField
 from conic_nf.fields import make_field
 from conic_nf.holzer import bound_constant_sq, is_reduced, reduce_solution, xgcd
 from conic_nf.solvability import ConicEquation, check_solvable
@@ -148,3 +149,72 @@ def test_reduce_random_imaginary_fields():
             assert is_reduced(eq, red)
             done += 1
     assert done >= 9
+
+
+# (d, (a, b, c), start, reduced point), every element a (u, v) pair over
+# {1, w}: four starts over Q and each Euclidean imaginary field, drawn on
+# lines through small points with directions of height up to 10^4 over Q and
+# 10^2 over the fields, and the points reduce_solution returned for them
+# when the descent ran on FieldElements.  Pins the descent's path.
+GOLDEN = [
+    (None, ((19, 0), (22, 0), (-1267, 0)), ((-235008797535, 0), (441792293414, 0), (64940766131, 0)), ((5, 0), (6, 0), (1, 0))),
+    (None, ((17, 0), (2, 0), (-433, 0)), ((46314705772, 0), (18460195520, 0), (9262335404, 0)), ((5, 0), (2, 0), (-1, 0))),
+    (None, ((-1, 0), (19, 0), (-170, 0)), ((-3904897786, 0), (13173594622, 0), (4393899570, 0)), ((-1, 0), (3, 0), (-1, 0))),
+    (None, ((14, 0), (-11, 0), (-251, 0)), ((7697334995, 0), (7461707927, 0), (929887941, 0)), ((59, 0), (65, 0), (3, 0))),
+    (-1, ((-2, -4), (3, -1), (102, -26)), ((470232, 180308), (-419452, 26856), (-46250, -112598)), ((3, 3), (-3, -1), (0, -1))),
+    (-1, ((-2, 2), (-3, 3), (43, 29)), ((-169616, 302120), (-2048, -323592), (-52456, -102064)), ((0, 7), (-6, -1), (1, 0))),
+    (-1, ((3, 2), (3, -4), (9, 12)), ((22821, -18378), (6471, 42207), (7797, -19296)), ((1, -2), (2, 1), (1, 1))),
+    (-1, ((2, 0), (-3, -1), (3, 15)), ((-33702, 21532), (21968, -24610), (2590, 6676)), ((1, 4), (-2, -3), (-1, 0))),
+    (-2, ((0, 1), (1, 4), (42, 71)), ((-209006, -277869), (-745622, -450898), (170102, -108309)), ((-3, -2), (0, 3), (-1, 0))),
+    (-2, ((-3, 4), (2, -3), (-102, -34)), ((-128754, 218629), (-51920, 243715), (-57119, -3466)), ((-2, 3), (0, 3), (1, 0))),
+    (-2, ((-4, 1), (3, 3), (-57, 6)), ((95976, 17811), (-85968, 17451), (-6714, -7605)), ((11, 8), (-15, -2), (-1, -1))),
+    (-2, ((0, 3), (4, -1), (80, 4)), ((24256, -4555), (2878, 33605), (-10184, 3071)), ((-5, 1), (3, -4), (-1, 0))),
+    (-3, ((1, 3), (2, 3), (34, -51)), ((402272, -100616), (114400, 63800), (-125256, 74712)), ((4, -2), (-1, 1), (1, -1))),
+    (-3, ((-3, 2), (4, -1), (20, -75)), ((-5059, -12984), (38373, -37113), (-3167, 10478)), ((-13, 16), (-11, 15), (-1, 2))),
+    (-3, ((4, 0), (-2, 2), (-36, 18)), ((-4596, -23364), (30996, -10128), (-620, 11820)), ((2, -1), (5, -1), (0, 1))),
+    (-3, ((3, 4), (1, -4), (-52, 43)), ((-6220, -13220), (13872, 11856), (908, 2040)), ((13, -8), (-15, 16), (0, 2))),
+    (-7, ((2, -2), (2, -4), (-64, -12)), ((-376908, 37954), (84264, -37628), (-66492, 43034)), ((-2, -3), (2, 0), (-1, 0))),
+    (-7, ((-3, 4), (4, -2), (28, 20)), ((17718, -30742), (376695, -46319), (-52243, -53732)), ((2, -2), (-3, 3), (1, 0))),
+    (-7, ((2, -3), (-3, 4), (-32, -6)), ((166862, -78205), (-8202, -39033), (-27374, 44461)), ((-1, -2), (0, -1), (-1, 0))),
+    (-7, ((3, 4), (1, -1), (-25, -33)), ((-67114, -31536), (-4371, -139477), (35727, 10698)), ((2, 0), (-1, -3), (-1, 0))),
+    (-11, ((-4, -2), (-2, -4), (-42, -120)), ((602126, 42538), (-256540, -92000), (34200, -67986)), ((-20, 33), (-50, 2), (3, -2))),
+    (-11, ((2, 3), (3, 3), (-48, -12)), ((-491958, 207945), (233101, -218227), (-193840, 70021)), ((-3, 0), (2, -1), (1, 0))),
+    (-11, ((3, -3), (-1, 2), (9, 36)), ((68625, 31886), (-104325, -12351), (-2077, 15836)), ((-3, 3), (3, -6), (2, 0))),
+    (-11, ((-4, -2), (-2, 0), (-64, 42)), ((65224, -1560), (88664, 62600), (-29568, 8296)), ((1, -3), (11, -3), (0, -1))),
+]
+
+
+@pytest.mark.parametrize("d, coeffs, start, expected", GOLDEN)
+def test_reduce_solution_golden_points(d, coeffs, start, expected):
+    field = make_field(d)
+    eq = ConicEquation(*(field.element(*t) for t in coeffs))
+    red = reduce_solution(eq, SolutionTriple(*(field.element(*t) for t in start)))
+    assert tuple((t.u, t.v) for t in (red.x, red.y, red.z)) == expected
+    assert is_reduced(eq, red)
+
+
+def test_reduce_checks_the_bound_once_per_step(monkeypatch):
+    calls = []
+
+    def counting(eq, sol):
+        calls.append(sol)
+        return is_reduced(eq, sol)
+
+    monkeypatch.setattr(holzer, "is_reduced", counting)
+    eq = _eq(Q, 1, 1, -5)
+    red = reduce_solution(eq, SolutionTriple(Q.element(41), Q.element(38), Q.element(25)))
+    # One check per point visited: the primitive start, then one per step.
+    assert len(calls) >= 2 and calls[-1] == red
+    assert [abs(s.z.u) for s in calls] == sorted((abs(s.z.u) for s in calls), reverse=True)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=UndecidedError,
+    reason="the tangent descent stalls one step above the bound on 1;3;-7 from 5;-1;2",
+)
+def test_reduce_does_not_stall_above_holzer_bound():
+    # (2, 1, 1) solves x^2 + 3y^2 - 7z^2 = 0 with z^2 = 1 <= |ab| = 3.
+    eq = _eq(Q, 1, 3, -7)
+    red = reduce_solution(eq, SolutionTriple(Q.element(5), Q.element(-1), Q.element(2)))
+    assert verify(eq, red) and red.z.norm() ** 2 <= 3
