@@ -3,13 +3,17 @@
 An ideal is stored as the row lattice of [[a, 0], [b, c]] over the basis
 {1, omega}: generated by the elements a and b + c*omega, with a, c > 0 and
 0 <= b < a.  Over Q an ideal degenerates to (n) with n = a, c = 1, b = 0.
+
+The local data at a prime ideal P (valuations of ideals and elements, the
+powers P^k, the residue of omega modulo P^k) are computed from integers in
+closed form, with no ideal product (Cohen, A Course in Computational
+Algebraic Number Theory, 4.8 and 5.2).
 """
 
 from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -27,8 +31,9 @@ from .fields import (
 _TRIAL_LIMIT = 10**6
 _RHO_EFFORT = 10**6
 
+# A race between threads only computes an entry twice: a dict get or set is
+# atomic under the interpreter lock.
 _factor_cache: dict[int, tuple[int, ...]] = {}
-_factor_lock = threading.Lock()
 
 
 def is_probable_prime(n: int) -> bool:
@@ -93,8 +98,7 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    with _factor_lock:
-        cached = _factor_cache.get(n)
+    cached = _factor_cache.get(n)
     if cached is not None:
         primes = list(cached)
     else:
@@ -125,8 +129,7 @@ def factor_int(n: int) -> list[tuple[int, int]]:
                 raise FactorizationFailed(f"could not factor {m}")
             stack.extend([d, m // d])
         primes.sort()
-        with _factor_lock:
-            _factor_cache[n] = tuple(primes)
+        _factor_cache[n] = tuple(primes)
     out: list[tuple[int, int]] = []
     for p in primes:
         if out and out[-1][0] == p:
@@ -359,9 +362,6 @@ class Ideal:
             result = result * self
         return result
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(x) for x in other.basis_elements())
-
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -420,7 +420,7 @@ class PrimeIdeal:
         return self.p**self.f
 
     def ideal(self) -> Ideal:
-        return _prime_ideal_cache(self)
+        return prime_power(self, 1)
 
     def __repr__(self):
         from .fields import format_element
@@ -428,27 +428,6 @@ class PrimeIdeal:
         if self.field.is_rational or self.f == 2:
             return f"({self.p})"
         return f"({self.p}, {format_element(self.second_gen)})"
-
-
-_pid_cache: dict[PrimeIdeal, Ideal] = {}
-_pid_lock = threading.Lock()
-
-
-def _prime_ideal_cache(P: PrimeIdeal) -> Ideal:
-    with _pid_lock:
-        got = _pid_cache.get(P)
-    if got is not None:
-        return got
-    field = P.field
-    if field.is_rational:
-        I = Ideal(field, P.p)
-    elif P.f == 2:
-        I = Ideal(field, P.p, 0, P.p)
-    else:
-        I = ideal_from_generators(field, [field.element(P.p), P.second_gen])
-    with _pid_lock:
-        _pid_cache[P] = I
-    return I
 
 
 def splitting_type(field: FieldDescriptor, p: int) -> tuple[str, list[PrimeIdeal]]:
@@ -528,22 +507,115 @@ def _sqrt_mod_p(a: int, p: int) -> Optional[int]:
     return r
 
 
-def valuation(I: Ideal, P: PrimeIdeal) -> int:
-    """v_P(I) by containment in increasing powers of P."""
-    PI = P.ideal()
+def omega_root(P: PrimeIdeal, k: int = 1) -> int:
+    """The integer r in [0, p^k) with omega = r (mod P^k), for a degree-1
+    prime P (r in [0, p) when k <= 1).
+
+    Mod P it is read off the second generator s0 + s1*omega of P.  For k > 1
+    P must be unramified, and r is the Hensel lift of that simple root of
+    omega's minimal polynomial.  The lift also works at 2: 2 splits only when
+    omega = (1 + sqrt(d))/2, and the derivative 2*omega - 1 is odd.
+    """
+    field, p = P.field, P.p
+    s0, s1 = int(P.second_gen.u), int(P.second_gen.v)
+    r = -s0 * pow(s1, -1, p) % p
+    if k <= 1:
+        return r
+    if P.e == 2:
+        # omega's polynomial has a double root mod a ramified p, and the
+        # integer image is only correct mod P, not mod P^k.
+        raise AssertionError("no integer model for ramified prime powers")
+    if field.omega_kind == "sqrt_d":
+        g = lambda x: x * x - field.d
+        gp = lambda x: 2 * x
+    else:
+        c = (field.d - 1) // 4
+        g = lambda x: x * x - x - c
+        gp = lambda x: 2 * x - 1
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        pj = p**j
+        r = (r - g(r) * pow(gp(r), -1, pj)) % pj
+    return r
+
+
+def prime_power(P: PrimeIdeal, k: int) -> Ideal:
+    """P^k in HNF, from integers.
+
+    Over Q and at an inert P it is (p^k).  A ramified P has P^2 = (p), so
+    P^(2m) = (p^m) and P^(2m+1) = p^m*P, where P = (p, omega - r) with
+    omega = r (mod P).  A split P^k is (p^k, omega - r_k) with
+    omega = r_k (mod P^k): its HNF is [[p^k, 0], [-r_k mod p^k, 1]].
+    """
+    if k < 0:
+        raise ValueError("negative ideal power")
+    field, p = P.field, P.p
+    if field.is_rational:
+        return Ideal(field, p**k)
+    if P.f == 2:
+        return Ideal(field, p**k, 0, p**k)
+    if P.e == 2:
+        m, odd = divmod(k, 2)
+        q = p**m
+        if odd:
+            return Ideal(field, q * p, -q * omega_root(P), q)
+        return Ideal(field, q, 0, q)
+    return Ideal(field, p**k, -omega_root(P, k), 1)
+
+
+def _vp(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer n."""
     k = 0
-    power = unit_ideal(I.field)
-    while True:
-        nxt = power * PI
-        if nxt.contains_ideal(I):
-            power = nxt
-            k += 1
-        else:
-            return k
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _scaled_valuation(P: PrimeIdeal, g: int, n: int, u: int, v: int) -> int:
+    """v_P(g*J) for a rational integer g and a primitive ideal J of norm n.
+
+    J is divisible by no rational integer above 1, so its part over p is a
+    power of one prime of degree 1: v_P(J) = v_p(n) if P contains J, else 0.
+    An inert P never contains J; a ramified P contains J when p | n; a split
+    P when p | n and the element u + v*omega of J lies in P.
+    """
+    p = P.p
+    k = P.e * _vp(g, p)
+    if P.f == 2 or n % p:
+        return k
+    if P.e == 1 and (u + v * omega_root(P)) % p:
+        return k
+    return k + _vp(n, p)
+
+
+def valuation(I: Ideal, P: PrimeIdeal) -> int:
+    """v_P(I) in closed form from the HNF [[a, 0], [b, c]] of I.
+
+    c divides a and b, so I = c*J with J = (a/c, b/c + omega) primitive of
+    norm a/c, and v_P(I) = e_P*v_p(c) + v_P(J).  Over Q it is v_p(a).
+    """
+    if I.field.is_rational:
+        return _vp(I.a, P.p)
+    c = I.c
+    return _scaled_valuation(P, c, I.a // c, I.b // c, 1)
 
 
 def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
-    return valuation(principal_ideal(x), P)
+    """v_P(x) in closed form for a nonzero algebraic integer x.
+
+    With g the gcd of x's coordinates, x = g*y and (y) is primitive of norm
+    |N(x)|/g^2, so v_P(x) = e_P*v_p(g) + v_P((y)).
+    """
+    require_integral(x)
+    if x.is_zero:
+        raise ValueError("valuation of zero")
+    u, v = int(x.u), int(x.v)
+    if x.field.is_rational:
+        return _vp(u, P.p)
+    g = math.gcd(u, v)
+    return _scaled_valuation(P, g, abs(int(x.norm())) // (g * g), u // g, v // g)
 
 
 def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
@@ -665,7 +737,7 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
     divisors = [unit_ideal(field)]
     for P, e in root:
         divisors = [
-            D * P.ideal() ** k for D in divisors for k in range(e + 1)
+            D * prime_power(P, k) for D in divisors for k in range(e + 1)
         ]
     divisors.sort(key=lambda D: -D.norm)
     for D in divisors:

@@ -22,6 +22,8 @@ from .ideals import (
     element_valuation,
     factor_ideal,
     lattice_express,
+    omega_root,
+    prime_power,
     unit_ideal,
     _sqrt_mod_p,
 )
@@ -151,17 +153,9 @@ def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
 
 def _residue_image(a: FieldElement, P: PrimeIdeal) -> int:
     """Image of a in O_K/P = F_p for a degree-1 prime."""
-    field = a.field
-    if field.is_rational:
+    if a.field.is_rational:
         return int(a.u) % P.p
-    sg = P.second_gen
-    if sg.v == 0:
-        # Inert-style second generator cannot occur for f = 1.
-        raise AssertionError("degree-1 prime needs omega in its second generator")
-    # second_gen = s0 + s1*omega with omega = -s0/s1 mod p.
-    s1inv = pow(int(sg.v) % P.p, -1, P.p)
-    r = (-int(sg.u) * s1inv) % P.p
-    return (int(a.u) + int(a.v) * r) % P.p
+    return (int(a.u) + int(a.v) * omega_root(P)) % P.p
 
 
 # -- prime power roots -------------------------------------------------------
@@ -201,41 +195,12 @@ def _int_sqrt_mod_odd_prime_power(A: int, p: int, e: int) -> Optional[list[int]]
     return sorted(roots)
 
 
-def _split_int_params(P: PrimeIdeal, e: int) -> int:
-    """Integer r_e with omega = r_e (mod P^e), for an unramified degree-1 prime.
-
-    The Hensel lift also works at 2: 2 splits only when omega = (1 + sqrt(d))/2,
-    and the derivative 2*omega - 1 of its minimal polynomial is odd.
-    """
-    field = P.field
-    p = P.p
-    r = _residue_image(field.omega(), P)
-    # Lift the root of omega's minimal polynomial when p is unramified.
-    if field.omega_kind == "sqrt_d":
-        g = lambda x: x * x - field.d
-        gp = lambda x: 2 * x
-    else:
-        c = (field.d - 1) // 4
-        g = lambda x: x * x - x - c
-        gp = lambda x: 2 * x - 1
-    if P.e == 2:
-        # Ramified: omega's polynomial has a double root; the integer image
-        # is only correct mod P, not mod p^k.  Callers must not use this.
-        raise AssertionError("no integer model for ramified prime powers")
-    k = 1
-    while k < e:
-        k = min(2 * k, e)
-        pk = p**k
-        r = (r - g(r) * pow(gp(r), -1, pk)) % pk
-    return r
-
-
 def _roots_mod_subgroup(P: PrimeIdeal, e: int) -> list[FieldElement]:
     """All x mod P^e with v_P(x) >= ceil(e/2) (roots when a = 0 mod P^e)."""
-    Ie = P.ideal() ** e
+    Ie = prime_power(P, e)
     if Ie.norm > _ENUM_GUARD:
         return [P.field.zero()]
-    Ik = P.ideal() ** ((e + 1) // 2)
+    Ik = prime_power(P, (e + 1) // 2)
     return [x for x in Ie.residues() if Ik.contains(x)]
 
 
@@ -249,7 +214,6 @@ def sqrt_mod_odd_prime_power(
     """
     field = P.field
     p = P.p
-    Ie = P.ideal() ** e
     if a.is_zero:
         return _roots_mod_subgroup(P, e)
     s = element_valuation(a, P)
@@ -264,14 +228,14 @@ def sqrt_mod_odd_prime_power(
 
     if P.e == 1 and P.f == 1:
         # Split: work through the integer model Z/p^e.
-        r_e = _split_int_params(P, e)
         pe = p**e
-        A = (int(a.u) + int(a.v) * r_e) % pe
+        A = (int(a.u) + int(a.v) * omega_root(P, e)) % pe
         roots = _int_sqrt_mod_odd_prime_power(A, p, e)
         if roots is None:
             return None
         return [field.element(r) for r in roots]
 
+    Ie = prime_power(P, e)
     if P.f == 2:
         # Inert: ring is (Z/p^e)[omega]; p^s divides a exactly.
         if s % 2 == 1:
@@ -326,7 +290,7 @@ def sqrt_mod_odd_prime_power(
                 f"root search mod {P}^{e} (norm {Ie.norm}) is too large "
                 "for exhaustive enumeration at a ramified prime"
             )
-        Ik = P.ideal() ** (s // 2)
+        Ik = prime_power(P, s // 2)
         out = [
             x
             for x in Ie.residues()
@@ -358,7 +322,7 @@ def sqrt_mod_dyadic_prime_power(
     a: FieldElement, P: PrimeIdeal, e: int
 ) -> Optional[list[FieldElement]]:
     """All roots of x^2 = a (mod P^e) over 2, by exhaustive enumeration."""
-    Ie = P.ideal() ** e
+    Ie = prime_power(P, e)
     if Ie.norm > _ENUM_GUARD:
         return None
     roots = [x for x in Ie.residues() if Ie.contains(x * x - a)]
@@ -473,7 +437,7 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
         if roots is None:
             return None
         root_sets.append(roots)
-        moduli.append(P.ideal() ** e)
+        moduli.append(prime_power(P, e))
     lams = crt_coefficients(field, moduli)
     best = None
     best_key = None
@@ -510,7 +474,7 @@ def _two_adic_parts(x: FieldElement, P: PrimeIdeal) -> tuple[int, int]:
     if x.field.is_rational:
         image = int(x.u) % (1 << k)
     else:
-        image = (int(x.u) + int(x.v) * _split_int_params(P, k)) % (1 << k)
+        image = (int(x.u) + int(x.v) * omega_root(P, k)) % (1 << k)
     s = (image & -image).bit_length() - 1
     return s, (image >> s) % 8
 

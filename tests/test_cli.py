@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import conic_nf.cli
 from conic_nf.cli import run
 from conic_nf.descent import SolutionTriple, verify
@@ -35,6 +37,18 @@ def test_check_names_the_rule_at_each_prime_over_two():
 def test_check_has_no_dyadic_depth_option():
     code, _ = _run(["check", "--field", "-7", "--eq", "3;2;13", "--v-max", "3"])
     assert code == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the root search at a ramified odd prime gives up on 17;-17;s over "
+    "Q(sqrt(17)): exit 3, root search mod (17, s)^5 too large",
+)
+def test_check_decides_high_valuation_at_a_ramified_odd_prime():
+    # (1, 1, 0) solves 17x^2 - 17y^2 + sqrt(17)z^2 = 0.
+    code, text = _run(["check", "--field", "17", "--eq=17;-17;s", "--json"])
+    assert code == 0
+    assert json.loads(text)["solvable"] is True
 
 
 def test_check_unsolvable_real_embedding():

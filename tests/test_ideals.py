@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conic_nf.fields import make_field
 from conic_nf.ideals import (
     Ideal,
+    element_valuation,
     factor_ideal,
     factor_int,
     ideal_from_generators,
     is_principal,
     kronecker,
     lattice_express,
+    prime_power,
     principal_ideal,
     splitting_type,
     square_decompose,
@@ -182,3 +185,83 @@ def test_ideal_product_norm_multiplicative():
             continue
         I, J = principal_ideal(g1), principal_ideal(g2)
         assert (I * J).norm == I.norm * J.norm
+
+
+# -- closed forms against ideal products ---------------------------------------
+
+# 2 splits over Q(sqrt(d)) for d = 1 (mod 8), is inert for d = 5 (mod 8) and
+# ramifies otherwise; the odd primes below split, stay inert or ramify too.
+CLOSED_FORM_FIELDS = [Q] + [
+    make_field(d) for d in (-1, -2, -3, -5, -6, -7, -11, -15, 2, 3, 5, 6, 7, 13, 17)
+]
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _prime_by_generators(P):
+    """P as the ideal generated by p and its second generator."""
+    if P.field.is_rational:
+        return Ideal(P.field, P.p)
+    return ideal_from_generators(P.field, [P.field.element(P.p), P.second_gen])
+
+
+def _valuation_by_containment(I, PI):
+    """v_P(I) as the largest k with I inside P^k, one product at a time."""
+    k, power = 0, unit_ideal(I.field)
+    while True:
+        power = power * PI
+        if not all(power.contains(x) for x in I.basis_elements()):
+            return k
+        k += 1
+
+
+def _primes_with_generators(field):
+    out = []
+    for p in SMALL_PRIMES:
+        kind, primes = splitting_type(field, p)
+        out += [(kind, P, _prime_by_generators(P)) for P in primes]
+    return out
+
+
+def test_valuations_match_the_containment_loop():
+    rng = random.Random(61)
+    pairs = 0
+    kinds = set()
+    for field in CLOSED_FORM_FIELDS:
+        primes = _primes_with_generators(field)
+        for i in range(36):
+            # A rational content p^k, the gcd of the coordinates, gives v_p(g) > 0.
+            content = rng.choice((1, 1, 2, 3, 4, 5, 8, 9, 25, 27, 7, 11, 13))
+            v = 0 if field.is_rational else rng.randint(-30, 30)
+            x = field.element(rng.randint(-30, 30) or 1, v) * content
+            ideals = [principal_ideal(x)]
+            if not field.is_rational and i % 3 == 0:
+                y = field.element(rng.randint(-12, 12), rng.randint(-12, 12))
+                ideals.append(ideal_from_generators(field, [x, y]))
+            for kind, P, PI in primes:
+                want = _valuation_by_containment(ideals[0], PI)
+                assert element_valuation(x, P) == want, (x, P)
+                assert valuation(ideals[0], P) == want, (x, P)
+                for I in ideals[1:]:
+                    assert valuation(I, P) == _valuation_by_containment(I, PI), (I, P)
+                pairs += len(ideals)
+                kinds.add((P.p == 2, kind))
+    assert pairs >= 5000
+    assert kinds == {(two, k) for two in (True, False) for k in ("Split", "Inert", "Ramified")}
+
+
+def test_prime_powers_match_ideal_products():
+    for field in CLOSED_FORM_FIELDS:
+        for _, P, PI in _primes_with_generators(field):
+            assert P.ideal() == PI
+            for k in range(7):
+                assert prime_power(P, k) == PI**k, (P, k)
+    with pytest.raises(ValueError):
+        prime_power(splitting_type(Q6, 5)[1][0], -1)
+
+
+def test_element_valuation_rejects_zero_and_fractions():
+    P = splitting_type(Q6, 5)[1][0]
+    with pytest.raises(ValueError):
+        element_valuation(Q6.zero(), P)
+    with pytest.raises(ValueError):
+        element_valuation(Q6.element(Fraction(1, 2)), P)

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import make_field, parse_element
+from conic_nf.ideals import Ideal, splitting_type
 from conic_nf.solvability import (
     Certificate,
     ConicEquation,
@@ -170,3 +173,46 @@ def test_check_solvable_dyadic_entries():
     # Over Q, Legendre's theorem: the prime 2 follows from the other places.
     cert = check_solvable(eq_of(Q, 1, 1, -2))
     assert cert.solvable and cert.conditions[-1]["by"] == "reciprocity"
+
+
+# Certificates with odd-prime witnesses at split, inert and ramified primes
+# (some under a square content p^2), as check_solvable returned them while
+# valuations and prime powers were still computed by ideal products.
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "certificates.json")) as _f:
+    GOLDEN_CERTIFICATES = json.load(_f)
+
+
+def _golden_equation(row):
+    K = make_field(row["field"])
+    return ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";")))
+
+
+@pytest.mark.parametrize("row", GOLDEN_CERTIFICATES, ids=lambda r: f"{r['field']}:{r['eq']}")
+def test_check_solvable_golden_certificates(row):
+    assert check_solvable(_golden_equation(row)).to_dict() == row["certificate"]
+
+
+def test_golden_certificates_cover_every_splitting_type():
+    K = {row["field"]: make_field(row["field"]) for row in GOLDEN_CERTIFICATES}
+    kinds = set()
+    for row in GOLDEN_CERTIFICATES:
+        field = K[row["field"]]
+        for c in row["certificate"]["conditions"]:
+            if c["type"] == "odd_prime" and c["witness"] is not None:
+                p = int(c["prime"].strip("()").split(",")[0])
+                kinds.add("Split" if field.is_rational else splitting_type(field, p)[0])
+    assert kinds == {"Split", "Inert", "Ramified"}
+
+
+def test_check_solvable_makes_no_ideal_product(monkeypatch):
+    products = []
+    real = Ideal.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Ideal, "__mul__", counted)
+    for row in GOLDEN_CERTIFICATES:
+        check_solvable(_golden_equation(row))
+    assert products == []
