@@ -6,11 +6,13 @@ d = 1 (mod 4).  All arithmetic is exact (arbitrary-precision rationals);
 archimedean sizes are compared exactly via the Surd helper, with floats
 only as a human-readable approximation.
 
-Over Q and the imaginary quadratic fields, the ring of integers also has an
-integer kernel, IntegerRing: arithmetic on (u, v) integer pairs, closed-form
-nearest-integer rounding, Euclidean division, extended gcd and normalised
-gcd.  nearest_integer, euclid_divmod and gcd_elems delegate to it there;
-nearest_integer enumerates a window of candidates only over real fields.
+The ring of integers also has an integer kernel, IntegerRing: arithmetic on
+(u, v) integer pairs over every field, with exact sizes compared in integers
+(IntSurd over a real field).  Over Q and the imaginary quadratic fields it
+adds closed-form nearest-integer rounding, Euclidean division, extended gcd
+and normalised gcd; nearest_integer, euclid_divmod and gcd_elems delegate to
+it there, and nearest_integer enumerates a window of candidates only over
+real fields.
 """
 
 from __future__ import annotations
@@ -139,6 +141,25 @@ def make_field(d: Union[int, str, None] = None) -> FieldDescriptor:
     )
 
 
+def surd_sign(r, s, rad: int) -> int:
+    """The sign of r + s*sqrt(rad) (rad >= 0), exactly, for integer or
+    rational r and s."""
+    if s == 0:
+        return (r > 0) - (r < 0)
+    if r == 0:
+        return (s > 0) - (s < 0)
+    if r > 0 and s > 0:
+        return 1
+    if r < 0 and s < 0:
+        return -1
+    # Opposite signs: compare r^2 against s^2 * rad.
+    lhs, rhs = r * r, s * s * rad
+    if lhs == rhs:
+        return 0
+    big_is_r = lhs > rhs
+    return (1 if r > 0 else -1) if big_is_r else (1 if s > 0 else -1)
+
+
 class Surd:
     """Exact real number r + s*sqrt(rad) with r, s rational and rad >= 0.
 
@@ -196,21 +217,7 @@ class Surd:
         return Surd(-self.r, -self.s, self.rad)
 
     def sign(self) -> int:
-        r, s = self.r, self.s
-        if s == 0:
-            return (r > 0) - (r < 0)
-        if r == 0:
-            return (s > 0) - (s < 0)
-        if r > 0 and s > 0:
-            return 1
-        if r < 0 and s < 0:
-            return -1
-        # Opposite signs: compare r^2 against s^2 * rad.
-        lhs, rhs = r * r, s * s * self.rad
-        if lhs == rhs:
-            return 0
-        big_is_r = lhs > rhs
-        return (1 if r > 0 else -1) if big_is_r else (1 if s > 0 else -1)
+        return surd_sign(self.r, self.s, self.rad)
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
@@ -245,6 +252,41 @@ class Surd:
         if self.s == 0:
             return f"Surd({self.r})"
         return f"Surd({self.r} + {self.s}*sqrt({self.rad}))"
+
+
+@functools.total_ordering
+class IntSurd:
+    """r + s*sqrt(rad) with integers r, s and a non-square rad > 0: a sort
+    key compared exactly by an integer sign test.  Keys compare only with
+    keys of the same rad, where equal values have equal (r, s)."""
+
+    __slots__ = ("r", "s", "rad")
+
+    def __init__(self, r: int, s: int, rad: int):
+        self.r, self.s, self.rad = r, s, rad
+
+    def __eq__(self, other):
+        return self.r == other.r and self.s == other.s
+
+    def __lt__(self, other):
+        return surd_sign(other.r - self.r, other.s - self.s, self.rad) > 0
+
+    def __float__(self):
+        return self.r + self.s * math.sqrt(self.rad)
+
+    def __repr__(self):
+        return f"IntSurd({self.r} + {self.s}*sqrt({self.rad}))"
+
+
+def round_quotient(n: int, d: int) -> int:
+    """round(Fraction(n, d)) for integers, d != 0: the nearest integer to
+    n/d, a tie going to the even one."""
+    if d < 0:
+        n, d = -n, -d
+    q, r = divmod(n, d)
+    if 2 * r < d or (2 * r == d and q % 2 == 0):
+        return q
+    return q + 1
 
 
 class FieldElement:
@@ -557,22 +599,25 @@ def gcd_elems(xs: Iterable[FieldElement]) -> FieldElement:
 
 
 class IntegerRing:
-    """O_K of Q or of an imaginary quadratic field, on integer pairs.
+    """O_K of Q or of a quadratic field, on integer pairs.
 
     The pair (u, v) stands for u + v*omega, with omega^2 = t*omega + k:
     (t, k) is (0, 0) over Q, (0, d) for omega = sqrt(d) and (1, (d-1)/4) for
-    omega = (1+sqrt(d))/2.  The norm is positive definite, so every quotient
-    is num/den with den > 0 and rounds in closed form.  nearest_integer,
-    euclid_divmod and gcd_elems delegate here over these fields, and the
-    size reduction in holzer runs on pairs throughout.
+    omega = (1+sqrt(d))/2.  Multiplication, conjugation, norm, trace, the
+    trace form and exact sizes work over every field; the lattice step of
+    the descent (lattice, residues) runs on them.  Over Q and the imaginary
+    fields the norm is positive definite, so every quotient is num/den with
+    den > 0 and rounds in closed form; rounding, division with remainder and
+    gcds exist only there.  nearest_integer, euclid_divmod and gcd_elems
+    delegate here over these fields, and the size reduction in holzer runs
+    on pairs throughout.
     """
 
-    __slots__ = ("field", "t", "k", "units")
+    __slots__ = ("field", "t", "k", "units", "real")
 
     def __init__(self, field: FieldDescriptor):
-        if not (field.is_rational or field.totally_imaginary):
-            raise ValueError(f"{field} is a real quadratic field")
         self.field = field
+        self.real = not (field.is_rational or field.totally_imaginary)
         if field.is_rational:
             self.t, self.k = 0, 0
         elif field.omega_kind == "sqrt_d":
@@ -608,9 +653,34 @@ class IntegerRing:
         u, v = x
         return u * u + self.t * u * v - self.k * v * v
 
+    def trace(self, x) -> int:
+        """x + conj(x) = 2u + t*v (2u over Q, as FieldElement.trace)."""
+        return 2 * x[0] + self.t * x[1]
+
+    def dot(self, x, y) -> int:
+        """The trace form tr(x * conj(y)) over an imaginary field, tr(x * y)
+        otherwise: a positive multiple of the inner product of the embedding
+        vectors of x and y (twice it over Q and the imaginary fields)."""
+        return self.trace(self.mul(x, self.conj(y) if self.field.totally_imaginary else y))
+
+    def size_sq(self, x):
+        """Twice the square of the largest absolute value of x under an
+        embedding, exactly: an int over Q and the imaginary fields.  Over a
+        real field it is tr(x^2) + |v * tr(x)| * sqrt(disc), since
+        sigma1(x)^2 - sigma2(x)^2 = v * tr(x) * (omega1 - omega2), returned as
+        an IntSurd."""
+        if not self.real:
+            return 2 * self.norm(x)
+        return IntSurd(self.dot(x, x), abs(x[1] * self.trace(x)), self.field.disc)
+
+    def _require_definite(self):
+        if self.real:
+            raise ValueError(f"{self.field} is a real quadratic field: no closed-form rounding")
+
     def round(self, num, den: int) -> tuple[int, int]:
         """The pair nearest to num/den (den > 0) in the norm; ties go to the
         smallest (u, v)."""
+        self._require_definite()
         nu, nv = num
         if not self.t:
             # The norm weighs the squares of the two coordinates apart, so
@@ -632,6 +702,7 @@ class IntegerRing:
 
     def divmod(self, a, b):
         """(q, r) with a = q*b + r and q the nearest integer to a/b."""
+        self._require_definite()
         den = self.norm(b)
         q = self.round(self.mul(a, self.conj(b)), den)
         r = self.sub(a, self.mul(q, b))
@@ -648,6 +719,7 @@ class IntegerRing:
 
     def xgcd(self, a, b):
         """(g, s, t) with s*a + t*b = g = gcd(a, b), by Euclid's algorithm."""
+        self._require_definite()
         r0, r1 = a, b
         s0, s1 = (1, 0), (0, 0)
         t0, t1 = (0, 0), (1, 0)
@@ -673,6 +745,7 @@ class IntegerRing:
 
     def gcd(self, xs):
         """The normalised gcd of the pairs xs; (0, 0) if all are zero."""
+        self._require_definite()
         g = (0, 0)
         for h in xs:
             while h != (0, 0):
@@ -686,7 +759,7 @@ class IntegerRing:
 
 @functools.cache
 def integer_ring(field: FieldDescriptor) -> IntegerRing:
-    """The integer kernel of Q or an imaginary quadratic field."""
+    """The integer kernel of Q or a quadratic field."""
     return IntegerRing(field)
 
 

@@ -322,12 +322,15 @@ class Ideal:
     def reduce(self, x: FieldElement) -> FieldElement:
         """Canonical representative of x modulo this ideal (HNF domain)."""
         require_integral(x)
+        return self.field.element(*self.reduce_pair((int(x.u), int(x.v))))
+
+    def reduce_pair(self, x: tuple[int, int]) -> tuple[int, int]:
+        """reduce on the integer pair (u, v) of u + v*omega."""
+        u, v = x
         if self.field.is_rational:
-            return self.field.element(int(x.u) % self.a)
-        u, v = int(x.u), int(x.v)
+            return u % self.a, 0
         q, v2 = divmod(v, self.c)  # floor for canonicality; v2 in [0, c)
-        u2 = (u - q * self.b) % self.a
-        return self.field.element(u2, v2)
+        return (u - q * self.b) % self.a, v2
 
     def residues(self):
         """Iterate over canonical representatives of O_K / I."""

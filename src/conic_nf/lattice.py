@@ -2,10 +2,12 @@
 
 Given w with w^2 = A (mod B), the pairs (x, y) with x = w*y (mod B) form a
 lattice; a short vector for the weighted length |x|^2 + |A|*|y|^2 yields a
-small value of x^2 - A*y^2, which drives the descent.  LLL runs on exact
-rational Gram matrices; the final pick among candidates uses an exact
-quadratic-surd comparison, so the floating point weight only steers the
-reduction, never the answer.
+small value of x^2 - A*y^2, which drives the descent.  LLL is integral
+(Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps
+its Gram-Schmidt data as integers.  The pair is built on the integer
+kernel's (u, v) pairs and picked by an exact integer comparison of
+X + Y*sqrt(|N(A)|), so the rounded weight only steers the reduction, never
+the answer.  _gso and pair_measure are the exact rational definitions.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefinite
-from .fields import FieldElement, Surd, require_integral
+from .fields import FieldElement, IntSurd, Surd, integer_ring, round_quotient
 
 DELTA = Fraction(99, 100)
+# The weight sqrt(|N(A)|) of short_congruence_pair is rounded to a multiple
+# of 1/_SCALE; it only steers the reduction, the exact length picks the pair.
+_SCALE = 1 << 16
 
 
 def _gso(gram):
@@ -42,55 +47,84 @@ def _gso(gram):
     return mu, bstar
 
 
-def _apply(U, gram0):
-    n = len(U)
-    out = [[Fraction(0)] * n for _ in range(n)]
+def _integral_gso(G):
+    """Leading minors D (D[0] = 1, D[i] = det of the leading i x i block)
+    and lam[i][j] = D[j+1] * mu[i][j] (j < i) of an integral Gram matrix,
+    all integers (Cohen, Alg. 2.6.7, step 3)."""
+    n = len(G)
+    D = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for p in range(n):
-                if U[i][p] == 0:
-                    continue
-                for q in range(n):
-                    if U[j][q] == 0:
-                        continue
-                    s += U[i][p] * U[j][q] * Fraction(gram0[p][q])
-            out[i][j] = s
-    return out
+        for j in range(i + 1):
+            u = G[i][j]
+            for l in range(j):
+                u = (D[l + 1] * u - lam[i][l] * lam[j][l]) // D[l]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise NotPositiveDefinite(
+                    "Gram matrix is not positive definite (or rows are dependent)"
+                )
+            else:
+                D[i + 1] = u
+    return D, lam
 
 
 def lll_reduce(gram, delta: Fraction = DELTA):
     """LLL-reduce a lattice given only its (rational) Gram matrix.
 
     Returns (reduced_gram, U) with U unimodular over Z and
-    reduced_gram = U * gram * U^T.
+    reduced_gram = U * gram * U^T.  Integral LLL (Cohen, Alg. 2.6.7): the
+    denominators of the Gram matrix are cleared once, and the leading
+    minors D_i and lam_ij = D_{j+1} * mu_ij are kept as integers and updated
+    in place on each size reduction and each swap.  Row k is size-reduced
+    against rows k-1, ..., 0 with q = mu_kj rounded half to even, then
+    tested by Lovasz's condition, so U is the same as with exact rational
+    Gram-Schmidt recomputed after every step.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
         return gram, U
-    _gso(gram)  # validate definiteness up front
-
-    def current():
-        return _apply(U, gram)
+    den = math.lcm(*(g.denominator for row in gram for g in row))
+    G = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
+    D, lam = _integral_gso(G)
 
     k = 1
     while k < n:
-        G = current()
-        mu, bstar = _gso(G)
+        Uk, lk = U[k], lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round_quotient(lk[j], D[j + 1])
             if q:
+                Uj, lj = U[j], lam[j]
                 for t in range(n):
-                    U[k][t] -= q * U[j][t]
-                G = current()
-                mu, bstar = _gso(G)
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                    Uk[t] -= q * Uj[t]
+                lk[j] -= q * D[j + 1]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, times D_k * D_{k-1}.
+        l = lk[k - 1]
+        if delta.denominator * (D[k + 1] * D[k - 1] + l * l) >= delta.numerator * D[k] * D[k]:
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            k = max(k - 1, 1)
-    return current(), U
+            continue
+        # Swap rows k-1 and k: only D_k changes, lam_{k,k-1} stays.
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+        b = (D[k - 1] * D[k + 1] + l * l) // D[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (D[k + 1] * li[k - 1] - l * t) // D[k]
+            li[k - 1] = (b * t + l * li[k]) // D[k + 1]
+        D[k] = b
+        k = max(k - 1, 1)
+
+    GU = [[sum(G[p][q] * U[j][q] for q in range(n)) for j in range(n)] for p in range(n)]
+    reduced = [
+        [Fraction(sum(U[i][p] * GU[p][j] for p in range(n)), den) for j in range(n)]
+        for i in range(n)
+    ]
+    return reduced, U
 
 
 def _dot(x: FieldElement, y: FieldElement) -> Fraction:
@@ -101,12 +135,6 @@ def _dot(x: FieldElement, y: FieldElement) -> Fraction:
     if field.totally_imaginary:
         return Fraction((x * y.conj()).trace(), 2)
     return Fraction((x * y).trace())
-
-
-def _sqrt_weight(n: int) -> Fraction:
-    """A positive rational close to sqrt(n) (n >= 1)."""
-    scale = 1 << 16
-    return Fraction(max(1, round(math.sqrt(n) * scale)), scale)
 
 
 def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:
@@ -125,60 +153,54 @@ def short_congruence_pair(
 
     Assumes w^2 = A (mod B); then x^2 - A*y^2 = 0 (mod B) and the weighted
     length |x|^2 + |A| |y|^2 of the returned pair is small, which bounds
-    the quotient (x^2 - A*y^2)/B in the descent.
+    the quotient (x^2 - A*y^2)/B in the descent.  Runs on the integer
+    kernel's pairs: the Gram matrix of the weighted length, with sqrt(|N(A)|)
+    rounded to a multiple of 2^-16 and scaled by 2^16 into integers, is
+    reduced by LLL, and the shortest candidate by the exact length
+    X + Y*sqrt(|N(A)|) (pair_measure, in integers) wins.
     """
-    field = A.field
-    require_integral(A)
-    require_integral(B)
-    require_integral(w)
-    if B.is_zero:
+    ring = integer_ring(A.field)
+    a, b, r = ring.pair(A), ring.pair(B), ring.pair(w)
+    if b == (0, 0):
         raise ValueError("modulus must be nonzero")
-    norm_a = abs(int(A.norm()))
-    c = _sqrt_weight(max(1, norm_a))
+    norm_a = max(1, abs(ring.norm(a)))
+    weight = max(1, round(math.sqrt(norm_a) * _SCALE))
 
-    if field.is_rational:
-        gens = [(w, field.one()), (B, field.zero())]
+    one, zero = (1, 0), (0, 0)
+    if A.field.is_rational:
+        gens = [(r, one), (b, zero)]
     else:
-        om = field.omega()
-        gens = [
-            (w, field.one()),
-            (w * om, om),
-            (B, field.zero()),
-            (B * om, field.zero()),
-        ]
-    n = len(gens)
+        om = (0, 1)
+        gens = [(r, one), (ring.mul(r, om), om), (b, zero), (ring.mul(b, om), zero)]
+    dot = ring.dot
     gram = [
-        [
-            _dot(gens[i][0], gens[j][0]) + c * _dot(gens[i][1], gens[j][1])
-            for j in range(n)
-        ]
-        for i in range(n)
+        [_SCALE * dot(gx, hx) + weight * dot(gy, hy) for hx, hy in gens]
+        for gx, gy in gens
     ]
     _, U = lll_reduce(gram)
 
     def combine(coeffs):
-        x = field.zero()
-        y = field.zero()
+        x = y = zero
         for t, (gx, gy) in zip(coeffs, gens):
-            x = x + gx * t
-            y = y + gy * t
+            x = ring.add(x, ring.mul((t, 0), gx))
+            y = ring.add(y, ring.mul((t, 0), gy))
         return x, y
 
-    candidates = [combine(row) for row in U]
-    candidates.append((w, field.one()))
-    best = None
+    s = math.isqrt(norm_a)
+
+    def measure(x, y):
+        X, Y = dot(x, x), dot(y, y)
+        return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
+
     best_key = None
-    for x, y in candidates:
-        if y.is_zero:
+    for x, y in [combine(row) for row in U] + [(r, one)]:
+        if y == zero:
             continue
-        m = pair_measure(x, y, max(1, norm_a))
-        key = (m, x.u, x.v, y.u, y.v)
+        key = (measure(x, y), *x, *y)
         if best_key is None or key < best_key:
-            best, best_key = (x, y), key
-    assert best is not None
-    x, y = best
-    mod = B
-    diff = x - w * y
-    q = diff / mod
-    assert q.is_integral, "pair left the congruence lattice"
-    return best
+            best_key = key
+    x, y = best_key[1:3], best_key[3:]
+    assert ring.exact_div(ring.sub(x, ring.mul(r, y)), b) is not None, (
+        "pair left the congruence lattice"
+    )
+    return ring.element(x), ring.element(y)

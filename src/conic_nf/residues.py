@@ -15,7 +15,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EvenPrime, UndecidedError
-from .fields import FieldDescriptor, FieldElement, require_integral, size_sq
+from .fields import (
+    FieldDescriptor,
+    FieldElement,
+    IntegerRing,
+    integer_ring,
+    require_integral,
+    round_quotient,
+)
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -27,7 +34,6 @@ from .ideals import (
     unit_ideal,
     _sqrt_mod_p,
 )
-from .lattice import _dot
 
 _ENUM_GUARD = 10**5
 
@@ -353,71 +359,62 @@ def crt_coefficients(field: FieldDescriptor, ideals: list[Ideal]) -> list[FieldE
     return out
 
 
-def _lagrange_reduce(m1: FieldElement, m2: FieldElement):
-    """Gauss-Lagrange reduction of a rank-2 lattice basis of field elements."""
-    if _dot(m1, m1) > _dot(m2, m2):
+def _lagrange_reduce(ring: IntegerRing, m1, m2):
+    """Gauss-Lagrange reduction of a rank-2 lattice basis of pairs, in the
+    trace form."""
+    dot = ring.dot
+    if dot(m1, m1) > dot(m2, m2):
         m1, m2 = m2, m1
     while True:
-        n1 = _dot(m1, m1)
-        q = round(_dot(m1, m2) / n1)
+        n1 = dot(m1, m1)
+        q = round_quotient(dot(m1, m2), n1)
         if q:
-            m2 = m2 - m1 * q
-        if _dot(m2, m2) >= n1:
+            m2 = (m2[0] - q * m1[0], m2[1] - q * m1[1])
+        if dot(m2, m2) >= n1:
             return m1, m2
         m1, m2 = m2, m1
-
-
-def _babai_round(x: FieldElement, r1: FieldElement, r2: FieldElement) -> FieldElement:
-    """The lattice point k1*r1 + k2*r2 nearest to x by coordinate rounding."""
-    det = Fraction(r1.u) * Fraction(r2.v) - Fraction(r2.u) * Fraction(r1.v)
-    t1 = (Fraction(x.u) * r2.v - Fraction(x.v) * r2.u) / det
-    t2 = (Fraction(r1.u) * Fraction(x.v) - Fraction(r1.v) * Fraction(x.u)) / det
-    return r1 * round(t1) + r2 * round(t2)
 
 
 def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     """Minimal-size representative of x + M, certified by enumeration.
 
-    Ties break to the lexicographically smallest (u, v).
+    Ties break to the lexicographically smallest (u, v).  Runs on the
+    integer kernel's pairs, with sizes compared exactly in integers.
     """
     field = x.field
-    require_integral(x)
+    ring = integer_ring(field)
+    xu, xv = ring.pair(x)
     if field.is_rational:
-        a = M.a
-        r = int(x.u) % a
-        cands = [field.element(r), field.element(r - a)]
-        return min(cands, key=lambda z: (size_sq(z), z.u, z.v))
+        r = xu % M.a
+        return field.element(min(r, r - M.a, key=lambda u: (u * u, u)))
 
-    x = M.reduce(x)
+    xu, xv = M.reduce_pair((xu, xv))
     a, b, c = M.a, M.b, M.c
-    m1 = field.element(a)
-    m2 = field.element(b, c)
     # Babai rounding in a Lagrange-reduced basis gives a near-optimal
     # starting radius; the window enumeration below certifies the minimum.
-    base = x - _babai_round(x, *_lagrange_reduce(m1, m2))
-    best_sq = size_sq(base)
-    t2 = Fraction(int(x.v), c)
-    R = math.sqrt(float(best_sq)) * (1 + 1e-9) + 1e-9
-    sd = math.sqrt(abs(field.d))
-    vscale = 1 if field.omega_kind == "sqrt_d" else Fraction(1, 2)
-    # |v-coordinate| of a candidate is bounded by R / (sqrt(|d|) * vscale).
-    vmax = R / (sd * float(vscale))
-    best = base
-    best_key = (best_sq, base.u, base.v)
-    k2lo = math.floor(float(t2) - vmax / c) - 1
-    k2hi = math.ceil(float(t2) + vmax / c) + 1
-    for k2 in range(k2lo, k2hi + 1):
-        rem = x - m2 * k2
+    (r1u, r1v), (r2u, r2v) = _lagrange_reduce(ring, (a, 0), (b, c))
+    det = r1u * r2v - r2u * r1v
+    k1 = round_quotient(xu * r2v - xv * r2u, det)
+    k2 = round_quotient(r1u * xv - r1v * xu, det)
+    base = (xu - k1 * r1u - k2 * r2u, xv - k1 * r1v - k2 * r2v)
+    best = (ring.size_sq(base), *base)
+    # size_sq is twice the squared size.
+    R = math.sqrt(float(best[0]) / 2) * (1 + 1e-9) + 1e-9
+    half = field.omega_kind != "sqrt_d"
+    # |v-coordinate| of a candidate is at most R / sqrt(|d|), twice that
+    # when omega = (1 + sqrt(d))/2.
+    vmax = R / (math.sqrt(abs(field.d)) * (0.5 if half else 1))
+    t2 = xv / c
+    for k2 in range(math.floor(t2 - vmax / c) - 1, math.ceil(t2 + vmax / c) + 2):
+        ru, rv = xu - b * k2, xv - c * k2
         # |1-part in s-coords| <= R (+ half of the omega part if needed).
-        slack = R + (0 if field.omega_kind == "sqrt_d" else abs(float(rem.v)) / 2 + 1)
-        k1lo = math.floor((float(rem.u) - slack) / a) - 1
-        k1hi = math.ceil((float(rem.u) + slack) / a) + 1
-        for k1 in range(k1lo, k1hi + 1):
-            cand = rem - m1 * k1
-            key = (size_sq(cand), cand.u, cand.v)
-            if key < best_key:
-                best, best_key = cand, key
-    return best
+        slack = R + (abs(rv) / 2 + 1 if half else 0)
+        for k1 in range(math.floor((ru - slack) / a) - 1, math.ceil((ru + slack) / a) + 2):
+            cand = (ru - k1 * a, rv)
+            key = (ring.size_sq(cand), *cand)
+            if key < best:
+                best = key
+    return ring.element(best[1:])
 
 
 def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
@@ -438,26 +435,27 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
             return None
         root_sets.append(roots)
         moduli.append(prime_power(P, e))
-    lams = crt_coefficients(field, moduli)
+    ring = integer_ring(field)
+    lams = [ring.pair(lam) for lam in crt_coefficients(field, moduli)]
     best = None
-    best_key = None
     seen = set()
-    combos = itertools.product(*root_sets)
+    combos = itertools.product(*([ring.pair(r) for r in roots] for roots in root_sets))
     for combo in itertools.islice(combos, 4096):
-        w = field.zero()
+        w = (0, 0)
         for lam, r in zip(lams, combo):
-            w = w + lam * r
-        w = M.reduce(w)
+            w = ring.add(w, ring.mul(lam, r))
+        w = M.reduce_pair(w)
         if w in seen:
             continue
         seen.add(w)
-        cand = closest_in_coset(w, M)
-        key = (size_sq(cand), cand.u, cand.v)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+        cand = ring.pair(closest_in_coset(ring.element(w), M))
+        key = (ring.size_sq(cand), *cand)
+        if best is None or key < best:
+            best = key
     assert best is not None
-    assert M.contains(best * best - a)
-    return best
+    root = ring.element(best[1:])
+    assert M.contains(root * root - a)
+    return root
 
 
 # -- the 2-adic Hilbert symbol -----------------------------------------------

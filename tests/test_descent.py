@@ -1,9 +1,20 @@
+import json
+import os
 import random
 
 import pytest
 
+from conic_nf import descent, residues
 from conic_nf.errors import NotSolvable, PellSearchExhausted
-from conic_nf.fields import make_field
+from conic_nf.fields import (
+    FieldElement,
+    Surd,
+    format_element,
+    integer_ring,
+    make_field,
+    parse_element,
+)
+from conic_nf.ideals import Ideal
 from conic_nf.descent import (
     DescentTrace,
     _enumerate_small,
@@ -170,3 +181,62 @@ def test_rational_subfield_checks_once(check_calls):
     x, y, z = legendre_descent(K.element(2), K.element(7))
     assert x * x - K.element(2) * y * y == K.element(7) * z * z
     assert len(check_calls) == 1
+
+
+# Points solve_conic returned on equations whose descent takes the lattice
+# step, computed while that step still ran on FieldElements and Surds.
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "lattice_step.json")) as _f:
+    LATTICE_STEP = json.load(_f)
+
+
+def _golden_equation(row):
+    K = make_field(row["field"])
+    return ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";")))
+
+
+@pytest.mark.parametrize("row", LATTICE_STEP["points"], ids=lambda r: f"{r['field']}:{r['eq']}")
+def test_solve_conic_golden_points(row):
+    sol = solve_conic(_golden_equation(row))
+    assert [format_element(t) for t in (sol.x, sol.y, sol.z)] == row["point"]
+
+
+def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
+    # short_congruence_pair and closest_in_coset run on the integer kernel:
+    # inside them no FieldElement is multiplied and no Surd is built.
+    inside, calls, counts = [0], [0], {"mul": 0, "surd": 0}
+    mul, surd_init = FieldElement.__mul__, Surd.__init__
+
+    def counting_mul(self, other):
+        counts["mul"] += inside[0] > 0
+        return mul(self, other)
+
+    def counting_surd(self, *args):
+        counts["surd"] += inside[0] > 0
+        surd_init(self, *args)
+
+    def counted(fn):
+        def wrapper(*args):
+            inside[0] += 1
+            calls[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    rows = LATTICE_STEP["points"] + LATTICE_STEP["cosets"]
+    for row in rows:
+        integer_ring(make_field(row["field"]))  # built once per field, outside the step
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counting_mul)
+    monkeypatch.setattr(Surd, "__init__", counting_surd)
+    monkeypatch.setattr(descent, "short_congruence_pair", counted(descent.short_congruence_pair))
+    monkeypatch.setattr(residues, "closest_in_coset", counted(residues.closest_in_coset))
+    for row in LATTICE_STEP["points"]:
+        solve_conic(_golden_equation(row))
+    for row in LATTICE_STEP["cosets"]:
+        K = make_field(row["field"])
+        residues.closest_in_coset(parse_element(K, row["x"]), Ideal(K, *row["ideal"]))
+    assert calls[0] > 2 * len(LATTICE_STEP["points"]) + len(LATTICE_STEP["cosets"])
+    assert counts == {"mul": 0, "surd": 0}

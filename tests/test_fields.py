@@ -176,9 +176,74 @@ def test_nearest_integer_ties_go_to_smallest_pair():
 
 
 def test_integer_ring_is_cached_and_rejects_real_fields():
+    # The kernel exists over a real field, but rounding and everything
+    # built on it (division with remainder, gcds) is Euclidean-only.
     assert integer_ring(make_field(-7)) is integer_ring(Q7)
+    ring = integer_ring(Q14)
+    assert ring is integer_ring(make_field(14))
     with pytest.raises(ValueError):
-        integer_ring(Q14)
+        ring.round((7, 3), 2)
+    with pytest.raises(ValueError):
+        ring.divmod((7, 3), (2, 1))
+    with pytest.raises(ValueError):
+        ring.xgcd((7, 3), (2, 1))
+    with pytest.raises(ValueError):
+        ring.gcd([(7, 3), (2, 1)])
+
+
+@pytest.mark.parametrize("d", [2, 5, 6, 14, -1, -3, -7, None])
+def test_integer_ring_matches_field_elements(d):
+    # mul, conj, norm, trace and the trace form on pairs agree with the
+    # Fraction arithmetic of FieldElement, real fields included.
+    from conic_nf.lattice import _dot
+
+    field = make_field(d)
+    ring = integer_ring(field)
+    scale = 1 if d is not None and d > 0 else 2
+    rng = random.Random(29)
+    for _ in range(300):
+        x, y = (
+            field.element(rng.randint(-99, 99), 0 if field.is_rational else rng.randint(-99, 99))
+            for _ in range(2)
+        )
+        px, py = ring.pair(x), ring.pair(y)
+        assert ring.element(ring.mul(px, py)) == x * y
+        assert ring.element(ring.conj(px)) == x.conj()
+        assert ring.norm(px) == x.norm()
+        assert ring.trace(px) == x.trace()
+        assert ring.dot(px, py) == scale * _dot(x, y)
+
+
+@pytest.mark.parametrize("d", [2, 5, 6, 14, -6, -7, None])
+def test_integer_ring_sizes_order_like_surds(d):
+    # size_sq is twice the exact squared size; over a real field an IntSurd,
+    # ordered by an integer sign test exactly as the Surd of size_sq.
+    from conic_nf.fields import IntSurd
+
+    field = make_field(d)
+    ring = integer_ring(field)
+    rng = random.Random(31)
+    elems = [
+        field.element(rng.randint(-30, 30), 0 if field.is_rational else rng.randint(-30, 30))
+        for _ in range(60)
+    ]
+    # Equal sizes: a real element and its conjugate, negatives.
+    elems += [x.conj() for x in elems[:10]] + [-x for x in elems[:10]]
+    keys = [ring.size_sq(ring.pair(x)) for x in elems]
+    assert all(isinstance(k, IntSurd) == bool(d and d > 0) for k in keys)
+    for x, kx in zip(elems, keys):
+        assert math.isclose(float(kx), 2 * float(size_sq(x)), rel_tol=1e-12, abs_tol=1e-12)
+        for y, ky in zip(elems, keys):
+            assert (kx < ky) == (size_sq(x) < size_sq(y))
+            assert (kx == ky) == (size_sq(x) == size_sq(y))
+
+
+def test_round_quotient_is_fraction_rounding():
+    from conic_nf.fields import round_quotient
+
+    for n in range(-40, 41):
+        for d in (-8, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 8):
+            assert round_quotient(n, d) == round(Fraction(n, d))
 
 
 def test_norm_multiplicativity_and_trace_additivity():

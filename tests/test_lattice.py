@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -123,3 +124,86 @@ def test_short_pair_congruence_property():
             # No worse than the trivial pair (w, 1).
             na = max(1, abs(int(A.norm())))
             assert pair_measure(x, y, na) <= pair_measure(w, field.one(), na)
+
+
+# -- the integral LLL against the exact rational definition --------------------
+
+
+def _reference_lll(gram, delta=Fraction(99, 100)):
+    """LLL by exact rational Gram-Schmidt, recomputed after every step: the
+    Fraction algorithm lll_reduce replaced, kept as its definition."""
+    from conic_nf.lattice import _gso
+
+    n = len(gram)
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    den = math.lcm(*(Fraction(g).denominator for row in gram for g in row))
+    G = [[int(Fraction(g) * den) for g in row] for row in gram]
+
+    def current():
+        # U * gram * U^T, exactly.
+        GU = [[sum(G[p][q] * U[j][q] for q in range(n)) for j in range(n)] for p in range(n)]
+        return [
+            [Fraction(sum(U[i][p] * GU[p][j] for p in range(n)), den) for j in range(n)]
+            for i in range(n)
+        ]
+
+    _gso(gram)
+    k = 1
+    while k < n:
+        mu, bstar = _gso(current())
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                for t in range(n):
+                    U[k][t] -= q * U[j][t]
+                mu, bstar = _gso(current())
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            k = max(k - 1, 1)
+    return current(), U
+
+
+def _random_gram(rng):
+    """Gram matrices as short_congruence_pair builds them (an integer part
+    plus a weight with denominator 2^16 times a second one), plain integer
+    ones, dependent rows and indefinite symmetric matrices."""
+    n = rng.choice([2, 3, 4])
+    kind = rng.random()
+    if kind < 0.08:
+        entries = {(i, j): rng.randint(-4, 4) for i in range(n) for j in range(i, n)}
+        return [[Fraction(entries[min(i, j), max(i, j)]) for j in range(n)] for i in range(n)]
+    rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+    if kind < 0.16:
+        rows[-1] = [3 * t for t in rows[0]]
+    weight = Fraction(rng.randint(1, 1 << 20), 1 << 16) if kind > 0.5 else 0
+    rows2 = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return [
+        [
+            Fraction(sum(a * b for a, b in zip(rows[i], rows[j])))
+            + weight * sum(a * b for a, b in zip(rows2[i], rows2[j]))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_lll_matches_the_rational_reference():
+    rng = random.Random(41)
+    degenerate = 0
+    # Boundary cases first: Lovasz's condition with equality (no swap), and
+    # mu = 1/2 and 3/2, where rounding ties to the even integer.
+    edges = [[[100, 0], [0, 99]], [[2, 1], [1, 5]], [[2, 3], [3, 10]], [[4, -2], [-2, 7]]]
+    grams = [[[Fraction(g) for g in row] for row in gram] for gram in edges]
+    grams += [_random_gram(rng) for _ in range(2000)]
+    for gram in grams:
+        try:
+            expected = _reference_lll(gram)
+        except NotPositiveDefinite:
+            degenerate += 1
+            with pytest.raises(NotPositiveDefinite):
+                lll_reduce(gram)
+            continue
+        assert lll_reduce(gram) == expected
+    assert 100 < degenerate < 500

@@ -1,11 +1,14 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
 
 from conic_nf.errors import EvenPrime
-from conic_nf.fields import make_field, size_sq
+from conic_nf.fields import make_field, parse_element, size_sq
 from conic_nf.ideals import (
+    Ideal,
     factor_ideal,
     principal_ideal,
     splitting_type,
@@ -157,6 +160,22 @@ def test_closest_in_coset_certified():
                 for k2 in range(-6, 7):
                     cand = M.reduce(x) - b1 * k1 - b2 * k2
                     assert size_sq(best) <= size_sq(cand)
+
+
+# Closest elements of cosets over Q, imaginary and real fields, ties
+# included, as closest_in_coset returned them while it still ran on
+# FieldElements and Surds.
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "lattice_step.json")) as _f:
+    GOLDEN_COSETS = json.load(_f)["cosets"]
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN_COSETS, ids=lambda r: f"{r['field']}:{r['ideal']}:{r['x']}"
+)
+def test_closest_in_coset_golden(row):
+    K = make_field(row["field"])
+    got = closest_in_coset(parse_element(K, row["x"]), Ideal(K, *row["ideal"]))
+    assert got == parse_element(K, row["closest"])
 
 
 def test_sqrt_mod_ideal_reference_modulus():
