@@ -79,12 +79,7 @@ def _emit(payload: dict, as_json: bool, out) -> None:
 def _cmd_check(args, out) -> int:
     field = _parse_field(args.field)
     eq = _parse_equation(field, args.eq)
-    try:
-        cert = check_solvable(eq)
-    except UndecidedError as exc:
-        _emit({"undecided": str(exc)}, args.json, out)
-        return EXIT_UNDECIDED
-    _emit(cert.to_dict(), args.json, out)
+    _emit(check_solvable(eq).to_dict(), args.json, out)
     return EXIT_OK
 
 

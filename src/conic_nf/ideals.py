@@ -22,6 +22,7 @@ from .errors import FactorizationFailed, UndecidedError
 from .fields import (
     FieldDescriptor,
     FieldElement,
+    integer_ring,
     normalize_associate,
     require_integral,
 )
@@ -528,18 +529,13 @@ def omega_root(P: PrimeIdeal, k: int = 1) -> int:
         # omega's polynomial has a double root mod a ramified p, and the
         # integer image is only correct mod P, not mod P^k.
         raise AssertionError("no integer model for ramified prime powers")
-    if field.omega_kind == "sqrt_d":
-        g = lambda x: x * x - field.d
-        gp = lambda x: 2 * x
-    else:
-        c = (field.d - 1) // 4
-        g = lambda x: x * x - x - c
-        gp = lambda x: 2 * x - 1
+    # omega's minimal polynomial is g(r) = N(r - omega), g'(r) = 2r - t.
+    ring = integer_ring(field)
     j = 1
     while j < k:
         j = min(2 * j, k)
         pj = p**j
-        r = (r - g(r) * pow(gp(r), -1, pj)) % pj
+        r = (r - ring.norm((r, -1)) * pow(2 * r - ring.t, -1, pj)) % pj
     return r
 
 
@@ -618,7 +614,8 @@ def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
     if x.field.is_rational:
         return _vp(u, P.p)
     g = math.gcd(u, v)
-    return _scaled_valuation(P, g, abs(int(x.norm())) // (g * g), u // g, v // g)
+    n = abs(integer_ring(x.field).norm((u, v)))
+    return _scaled_valuation(P, g, n // (g * g), u // g, v // g)
 
 
 def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:

@@ -1,20 +1,25 @@
 """Square roots modulo prime ideals and their powers, CRT recombination,
 and the 2-adic Hilbert symbol at the primes over 2 whose completion is Q_2.
 
-Residue rings with a rational integer modulus N are (Z/N)[omega] and are
-handled with coordinate arithmetic mod N.  Split primes are handled through
-the isomorphism O_K/P^e = Z/p^e; inert and ramified primes by Newton
-lifting in (Z/p^m)[omega].
+At an odd prime P the roots of x^2 = a (mod P^e) come in closed form.  With
+s = v_P(a): if s >= e they are P^ceil(e/2) mod P^e; if s is odd there are
+none; otherwise they are the two cosets +-x0 + P^(e-s/2) mod P^e of one
+root x0 = h*y.  Here v_P(h) = s/2, the unit part b = a/h^2 is taken mod a
+power of p (at Q and split primes in the integer model O_K/P^e = Z/p^e),
+and y is Newton's lift of a root of b mod P (Cohen, A Course in
+Computational Algebraic Number Theory, 1.5 and 4.8).  Every coset is
+listed from the HNFs of the two prime powers, or its least element found by
+one linear congruence, and all of it runs on the integer kernel's pairs
+reduced mod p^k.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Optional
 
-from .errors import EvenPrime, UndecidedError
+from .errors import EvenPrime
 from .fields import (
     FieldDescriptor,
     FieldElement,
@@ -38,290 +43,210 @@ from .ideals import (
 _ENUM_GUARD = 10**5
 
 
-# -- coordinate arithmetic in (Z/N)[omega] ----------------------------------
+# -- arithmetic in (Z/N)[omega] on the integer kernel ------------------------
 
 
-def _ring_mul(field: FieldDescriptor, N: int, x, y):
-    u1, v1 = x
-    u2, v2 = y
-    if field.omega_kind == "sqrt_d":
-        return ((u1 * u2 + field.d * v1 * v2) % N, (u1 * v2 + u2 * v1) % N)
-    c = (field.d - 1) // 4
-    return (
-        (u1 * u2 + c * v1 * v2) % N,
-        (u1 * v2 + u2 * v1 + v1 * v2) % N,
-    )
+def _mod(x, N: int):
+    return x[0] % N, x[1] % N
 
 
-def _ring_sub(N: int, x, y):
-    return ((x[0] - y[0]) % N, (x[1] - y[1]) % N)
-
-
-def _ring_pow(field, N, x, k):
-    result = (1 % N, 0)
+def _pow(ring: IntegerRing, x, k: int, N: int):
+    result = (1, 0)
     while k:
         if k & 1:
-            result = _ring_mul(field, N, result, x)
-        x = _ring_mul(field, N, x, x)
+            result = _mod(ring.mul(result, x), N)
+        x = _mod(ring.mul(x, x), N)
         k >>= 1
     return result
 
 
-def _ring_norm(field, N, x) -> int:
-    u, v = x
-    if field.omega_kind == "sqrt_d":
-        return (u * u - field.d * v * v) % N
-    return (u * u + u * v + v * v * ((1 - field.d) // 4)) % N
+def _inv(ring: IntegerRing, x, N: int):
+    """x^-1 in (Z/N)[omega], for x of norm prime to N."""
+    n = pow(ring.norm(x), -1, N)
+    u, v = ring.conj(x)
+    return u * n % N, v * n % N
 
 
-def _ring_conj(field, N, x):
-    u, v = x
-    if field.omega_kind == "sqrt_d":
-        return (u % N, -v % N)
-    return ((u + v) % N, -v % N)
+# -- square roots modulo P and P^e, odd P ------------------------------------
 
 
-def _ring_inv(field, N, x):
-    n = _ring_norm(field, N, x)
-    ninv = pow(n, -1, N)
-    cu, cv = _ring_conj(field, N, x)
-    return (cu * ninv % N, cv * ninv % N)
-
-
-# -- square roots in residue fields -----------------------------------------
-
-
-def _fq2_sqrt(field: FieldDescriptor, p: int, a) -> Optional[tuple[int, int]]:
+def _fq2_sqrt(ring: IntegerRing, p: int, a) -> Optional[tuple[int, int]]:
     """Tonelli-Shanks in F_{p^2} = (Z/p)[omega] for inert odd p."""
-    a = (a[0] % p, a[1] % p)
+    a = _mod(a, p)
     if a == (0, 0):
         return (0, 0)
     q = p * p
     one = (1, 0)
-    if _ring_pow(field, p, a, (q - 1) // 2) != one:
+    if _pow(ring, a, (q - 1) // 2, p) != one:
         return None
     Q, S = q - 1, 0
     while Q % 2 == 0:
         Q //= 2
         S += 1
     # Deterministic nonresidue scan.
-    z = None
-    for u, v in itertools.product(range(p), repeat=2):
-        cand = (u, v)
-        if cand == (0, 0):
-            continue
-        if _ring_pow(field, p, cand, (q - 1) // 2) != one:
-            z = cand
-            break
-    assert z is not None
+    z = next(
+        x
+        for x in itertools.product(range(p), repeat=2)
+        if x != (0, 0) and _pow(ring, x, (q - 1) // 2, p) != one
+    )
     m = S
-    c = _ring_pow(field, p, z, Q)
-    t = _ring_pow(field, p, a, Q)
-    r = _ring_pow(field, p, a, (Q + 1) // 2)
+    c = _pow(ring, z, Q, p)
+    t = _pow(ring, a, Q, p)
+    r = _pow(ring, a, (Q + 1) // 2, p)
     while t != one:
         t2, i = t, 0
         while t2 != one:
-            t2 = _ring_mul(field, p, t2, t2)
+            t2 = _mod(ring.mul(t2, t2), p)
             i += 1
-        b = _ring_pow(field, p, c, 1 << (m - i - 1))
+        b = _pow(ring, c, 1 << (m - i - 1), p)
         m = i
-        c = _ring_mul(field, p, b, b)
-        t = _ring_mul(field, p, t, c)
-        r = _ring_mul(field, p, r, b)
+        c = _mod(ring.mul(b, b), p)
+        t = _mod(ring.mul(t, c), p)
+        r = _mod(ring.mul(r, b), p)
     return r
 
 
-def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
-    """A square root of a modulo the odd prime ideal P, or None."""
-    if P.p == 2:
-        raise EvenPrime("use the dyadic enumeration for primes over 2")
-    require_integral(a)
-    field = a.field
+def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, int]]:
+    """A root of y^2 = b (mod P) as a pair, or None."""
     p = P.p
-    roots: list[FieldElement] = []
-    if field.is_rational or P.f == 1:
-        r = _residue_image(a, P)
-        s = _sqrt_mod_p(r, p)
-        if s is None:
-            return None
-        roots = [field.element(s), field.element(-s % p)]
-    else:
-        s = _fq2_sqrt(field, p, (int(a.u), int(a.v)))
-        if s is None:
-            return None
-        roots = [field.element(*s), field.element(-s[0] % p, -s[1] % p)]
-    I = P.ideal()
-    reduced = sorted(
-        {I.reduce(x) for x in roots}, key=lambda x: (x.u, x.v)
-    )
-    return reduced[0]
+    if P.f == 2:
+        return _fq2_sqrt(ring, p, b)
+    image = b[0] if P.field.is_rational else b[0] + b[1] * omega_root(P)
+    y = _sqrt_mod_p(image % p, p)
+    return None if y is None else (y, 0)
 
 
-def _residue_image(a: FieldElement, P: PrimeIdeal) -> int:
-    """Image of a in O_K/P = F_p for a degree-1 prime."""
-    if a.field.is_rational:
-        return int(a.u) % P.p
-    return (int(a.u) + int(a.v) * omega_root(P)) % P.p
+def _lift(ring: IntegerRing, y, b, N: int):
+    """Newton's iteration y <- y - (y^2 - b)/(2y) in (Z/N)[omega], from a root
+    y of b mod P, b a unit at P and N a power of p.  Each step squares the
+    error, so it ends once y^2 = b (mod N)."""
+    while True:
+        f = _mod(ring.sub(ring.mul(y, y), b), N)
+        if f == (0, 0):
+            return y
+        y = _mod(ring.sub(y, ring.mul(f, _inv(ring, ring.add(y, y), N))), N)
 
 
-# -- prime power roots -------------------------------------------------------
+def _unit_part(a: FieldElement, P: PrimeIdeal, e: int, s: int):
+    """Pairs (h, b) with v_P(h) = s/2 and b a unit at P such that h*y is a
+    root of x^2 = a (mod P^e) whenever y^2 = b (mod P^(e-s)); s = v_P(a)
+    is even and below e.
 
-
-def _int_sqrt_mod_odd_prime_power(A: int, p: int, e: int) -> Optional[list[int]]:
-    """All roots of x^2 = A (mod p^e), odd p."""
+    Over Q and at a split P, a is the integer A = p^s*B of the model
+    O_K/P^e = Z/p^e, h = p^(s/2) and b = B.  At an inert P = (p), h = p^(s/2)
+    and b = a/p^s.  At a ramified P = (p, sqrt(d)), with m = s/2,
+    h = p^(m//2) * sqrt(d)^(m%2), so h^2 = p^m*g with g = 1 or d/p, and
+    b = (a/p^m) / g mod p^k, where (p^k) lies in P^(e-s).
+    """
+    field, p, m = P.field, P.p, s // 2
+    ring = integer_ring(field)
+    u, v = ring.pair(a)
+    if P.e == 2:
+        pk = p ** ((e - s + 1) // 2)
+        h = (p ** (m // 2), 0)
+        ginv = 1
+        if m % 2:
+            h = ring.mul(h, ring.pair(P.second_gen))
+            ginv = pow(field.d // p, -1, pk)
+        return h, _mod((u // p**m * ginv, v // p**m * ginv), pk)
+    if P.f == 2:
+        return (p**m, 0), (u // p**s, v // p**s)
     pe = p**e
-    A %= pe
-    if A == 0:
-        step = p ** ((e + 1) // 2)
-        return list(range(0, pe, step))
-    s = 0
-    m = A
-    while m % p == 0:
-        m //= p
-        s += 1
-    if s % 2 == 1:
-        return None
-    r = _sqrt_mod_p(m % p, p)
-    if r is None:
-        return None
-    # Hensel to mod p^(e - s).
-    k = 1
-    target = e - s
-    while k < target:
-        k = min(2 * k, target)
-        pk = p**k
-        r = (r - (r * r - m) * pow(2 * r, -1, pk)) % pk
-    h = p ** (s // 2)
-    period = p ** (e - s // 2)
-    roots = set()
-    for base in (r, (-r) % p**target):
-        x0 = h * base
-        for t in range(p ** (s // 2)):
-            roots.add((x0 + t * period) % pe)
-    return sorted(roots)
+    A = u % pe if field.is_rational else (u + v * omega_root(P, e)) % pe
+    return (p**m, 0), (A // p**s, 0)
 
 
-def _roots_mod_subgroup(P: PrimeIdeal, e: int) -> list[FieldElement]:
-    """All x mod P^e with v_P(x) >= ceil(e/2) (roots when a = 0 mod P^e)."""
-    Ie = prime_power(P, e)
-    if Ie.norm > _ENUM_GUARD:
-        return [P.field.zero()]
-    Ik = prime_power(P, (e + 1) // 2)
-    return [x for x in Ie.residues() if Ik.contains(x)]
+def _coset(x, Ik: Ideal, Ie: Ideal) -> set:
+    """The residues mod Ie of x + Ik, for Ie inside Ik, as pairs.
+
+    Ik's HNF entries a, c divide Ie's, so x + i*a + j*(b + c*omega) for
+    i < Ie.a/Ik.a and j < Ie.c/Ik.c are N(Ie)/N(Ik) distinct residues.
+    """
+    u, v = x
+    return {
+        Ie.reduce_pair((u + i * Ik.a + j * Ik.b, v + j * Ik.c))
+        for j in range(Ie.c // Ik.c)
+        for i in range(Ie.a // Ik.a)
+    }
+
+
+def _least_in_coset(x, Ik: Ideal, Ie: Ideal) -> tuple[int, int]:
+    """The least (u, v) among the residues mod Ie of x + Ik, for Ie = P^e
+    inside Ik = P^k.
+
+    With (u, v) the reduction of x by Ik = [[a, 0], [b, c]], those residues
+    are (u + j*b + i*a, v + j*c) for 0 <= j < Ie.c/Ik.c, reduced mod Ie.
+    When Ie.c = Ik.c (Q, split P) only j = 0 is left.  Otherwise j runs
+    over a full period L = a/gcd(a, b) of j*b mod a, the least u is
+    u mod gcd(a, b), and the least j reaching it is one linear congruence
+    mod L.  L > 1 only at a ramified P with omega = (1 + sqrt(d))/2 and k odd.
+    """
+    u, v = Ik.reduce_pair(x)
+    if Ie.c == Ik.c:
+        return u, v
+    g = math.gcd(Ik.a, Ik.b)
+    L = Ik.a // g
+    assert Ie.c // Ik.c >= L
+    j = -(u // g) * pow(Ik.b // g, -1, L) % L
+    return u % g, v + j * Ik.c
 
 
 def sqrt_mod_odd_prime_power(
     a: FieldElement, P: PrimeIdeal, e: int
 ) -> Optional[list[FieldElement]]:
-    """All square roots of a modulo P^e for odd P, or None if there are none.
+    """All square roots of a modulo P^e for odd P, sorted by (u, v), or None
+    if there are none.
 
-    None is decisive.  Raises UndecidedError only when a ramified stratum
-    enumeration would exceed the size guard.
+    When a = 0 mod P^e and N(P^e) exceeds the enumeration guard, only the
+    root 0 is returned.
     """
-    field = P.field
-    p = P.p
-    if a.is_zero:
-        return _roots_mod_subgroup(P, e)
-    s = element_valuation(a, P)
-    if s >= e:
-        return _roots_mod_subgroup(P, e)
-
-    if field.is_rational:
-        roots = _int_sqrt_mod_odd_prime_power(int(a.u), p, e)
-        if roots is None:
-            return None
-        return [field.element(r) for r in roots]
-
-    if P.e == 1 and P.f == 1:
-        # Split: work through the integer model Z/p^e.
-        pe = p**e
-        A = (int(a.u) + int(a.v) * omega_root(P, e)) % pe
-        roots = _int_sqrt_mod_odd_prime_power(A, p, e)
-        if roots is None:
-            return None
-        return [field.element(r) for r in roots]
-
+    field, p = P.field, P.p
+    ring = integer_ring(field)
+    s = e if a.is_zero else element_valuation(a, P)
     Ie = prime_power(P, e)
-    if P.f == 2:
-        # Inert: ring is (Z/p^e)[omega]; p^s divides a exactly.
-        if s % 2 == 1:
-            return None
-        pe = p**e
-        if s == 0:
-            base = _fq2_sqrt(field, p, (int(a.u), int(a.v)))
-            if base is None:
-                return None
-            x = base
-            k = 1
-            while k < e:
-                k = min(2 * k, e)
-                pk = p**k
-                fx = _ring_sub(pk, _ring_mul(field, pk, x, x), (int(a.u) % pk, int(a.v) % pk))
-                inv2x = _ring_inv(field, pk, ((2 * x[0]) % pk, (2 * x[1]) % pk))
-                corr = _ring_mul(field, pk, fx, inv2x)
-                x = _ring_sub(pk, x, corr)
-            out = {
-                Ie.reduce(field.element(*x)),
-                Ie.reduce(field.element(-x[0] % pe, -x[1] % pe)),
-            }
-            return sorted(out, key=lambda z: (z.u, z.v))
-        h = p ** (s // 2)
-        inner = sqrt_mod_odd_prime_power(
-            field.element(Fraction(int(a.u), h * h), Fraction(int(a.v), h * h)),
-            P,
-            e - s,
-        )
-        if inner is None:
-            return None
-        period = p ** (e - s // 2)
-        out = set()
-        for y in inner:
-            for tu in range(h):
-                for tv in range(h):
-                    cand = field.element(
-                        (h * int(y.u) + tu * period) % pe,
-                        (h * int(y.v) + tv * period) % pe,
-                    )
-                    if Ie.contains(cand * cand - a):
-                        out.add(Ie.reduce(cand))
-        return sorted(out, key=lambda z: (z.u, z.v))
-
-    # Ramified odd prime.
-    if s % 2 == 1:
-        return None
-    if s > 0:
-        # Any root has P-valuation exactly s/2; enumerate that stratum.
+    if s >= e:
         if Ie.norm > _ENUM_GUARD:
-            raise UndecidedError(
-                f"root search mod {P}^{e} (norm {Ie.norm}) is too large "
-                "for exhaustive enumeration at a ramified prime"
-            )
-        Ik = prime_power(P, s // 2)
-        out = [
-            x
-            for x in Ie.residues()
-            if Ik.contains(x) and Ie.contains(x * x - a)
-        ]
-        return sorted(out, key=lambda z: (z.u, z.v)) or None
-
-    # Unit case: Newton in (Z/p^m)[omega] with (p^m) inside P^e.
-    m = (e + 1) // 2
-    r0 = _sqrt_mod_p(_residue_image(a, P), p)
-    if r0 is None:
+            return [field.zero()]
+        roots = _coset((0, 0), prime_power(P, (e + 1) // 2), Ie)
+        # In the order of Ie.residues(): v first.
+        return [ring.element(x) for x in sorted(roots, key=lambda x: x[::-1])]
+    if s % 2:
         return None
-    pm = p**m
-    x = (r0 % pm, 0)
-    au, av = int(a.u) % pm, int(a.v) % pm
-    for _ in range(2 * m + 4):
-        fx = _ring_sub(pm, _ring_mul(field, pm, x, x), (au, av))
-        if fx == (0, 0):
-            break
-        inv2x = _ring_inv(field, pm, ((2 * x[0]) % pm, (2 * x[1]) % pm))
-        x = _ring_sub(pm, x, _ring_mul(field, pm, fx, inv2x))
-    cand = field.element(*x)
-    assert Ie.contains(cand * cand - a), "Newton lift failed to converge"
-    out = {Ie.reduce(cand), Ie.reduce(-cand)}
-    return sorted(out, key=lambda z: (z.u, z.v))
+    h, b = _unit_part(a, P, e, s)
+    y = _root_mod_prime(ring, b, P)
+    if y is None:
+        return None
+    x0 = ring.mul(h, _lift(ring, y, b, p ** -(-(e - s) // P.e)))
+    Ik = prime_power(P, e - s // 2)
+    roots = _coset(x0, Ik, Ie) | _coset((-x0[0], -x0[1]), Ik, Ie)
+    return [ring.element(x) for x in sorted(roots)]
+
+
+def least_root(a: FieldElement, P: PrimeIdeal, s: int) -> Optional[FieldElement]:
+    """The first root that sqrt_mod_odd_prime_power(a, P, s + 1) lists, or
+    None, for s = v_P(a) even, without listing the 2*N(P)^(s/2) roots.
+
+    With a = h^2*b as in _unit_part, the roots are the two cosets
+    +-h*y + P^(s/2+1) for a root y of the unit b mod P.
+    """
+    ring = integer_ring(P.field)
+    h, b = _unit_part(a, P, s + 1, s)
+    units = sqrt_mod_odd_prime_power(ring.element(b), P, 1)
+    if not units:
+        return None
+    x0 = ring.mul(h, ring.pair(units[0]))
+    Ik, Ie = prime_power(P, s // 2 + 1), prime_power(P, s + 1)
+    least = min(_least_in_coset(x, Ik, Ie) for x in (x0, (-x0[0], -x0[1])))
+    return ring.element(least)
+
+
+def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
+    """The least square root of a modulo the odd prime ideal P, or None."""
+    if P.p == 2:
+        raise EvenPrime("use the dyadic enumeration for primes over 2")
+    require_integral(a)
+    roots = sqrt_mod_odd_prime_power(a, P, 1)
+    return roots[0] if roots else None
 
 
 def sqrt_mod_dyadic_prime_power(
@@ -400,7 +325,7 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     best = (ring.size_sq(base), *base)
     # size_sq is twice the squared size.
     R = math.sqrt(float(best[0]) / 2) * (1 + 1e-9) + 1e-9
-    half = field.omega_kind != "sqrt_d"
+    half = ring.t == 1
     # |v-coordinate| of a candidate is at most R / sqrt(|d|), twice that
     # when omega = (1 + sqrt(d))/2.
     vmax = R / (math.sqrt(abs(field.d)) * (0.5 if half else 1))

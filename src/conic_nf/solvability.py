@@ -30,7 +30,7 @@ from .ideals import (
     principal_ideal,
     splitting_type,
 )
-from .residues import local_solvable_at_two, sqrt_mod_odd_prime_power
+from .residues import least_root, local_solvable_at_two
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def _odd_prime_condition(
     parity, a ternary form in units is always isotropic; otherwise the
     equation is isotropic exactly when the pair of coefficients with
     matching parity, say c_i and c_j, makes -c_i*c_j a square times an
-    even power of the uniformiser, which is a root search mod P^(s+1)
-    with s = v(c_i) + v(c_j).
+    even power of the uniformiser, which is a root mod P^(s+1) with
+    s = v(c_i) + v(c_j); the witness is the least root.
     """
     coeffs = (a, b, c)
     vals = [element_valuation(x, P) for x in coeffs]
@@ -126,12 +126,8 @@ def _odd_prime_condition(
         i, j = 0, 2
     else:
         i, j = 1, 2
-    rhs = -(coeffs[i] * coeffs[j])
-    s = vals[i] + vals[j]
-    roots = sqrt_mod_odd_prime_power(rhs, P, s + 1)
-    if not roots:
-        return False, None
-    return True, roots[0]
+    witness = least_root(-(coeffs[i] * coeffs[j]), P, vals[i] + vals[j])
+    return witness is not None, witness
 
 
 def check_solvable(eq: ConicEquation) -> Certificate:

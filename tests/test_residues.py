@@ -9,6 +9,7 @@ from conic_nf.errors import EvenPrime
 from conic_nf.fields import make_field, parse_element, size_sq
 from conic_nf.ideals import (
     Ideal,
+    element_valuation,
     factor_ideal,
     principal_ideal,
     splitting_type,
@@ -98,25 +99,75 @@ def test_sqrt_mod_odd_prime_power_complete_root_sets():
         (Q7, 5, 2),  # inert
         (Q14, 3, 2),  # inert, real field
         (Q7, 11, 2),  # split
+        (Q7, 3, 3),  # inert
     ]
+    # Ramified, omega = (1 + sqrt(d))/2 and omega = sqrt(d).
+    for d, p, es in [(5, 5, (3, 4, 5)), (-3, 3, (3, 4, 5)), (17, 17, (3,)),
+                     (-6, 3, (3, 4, 5)), (10, 5, (3, 4, 5))]:
+        cases += [(make_field(d), p, e) for e in es]
     for field, p, e in cases:
         P = _prime_over(field, p)
         Ie = P.ideal() ** e
-        for _ in range(25):
-            a = field.element(
-                rng.randint(-60, 60), 0 if field.is_rational else rng.randint(-60, 60)
+        squares = {}
+        for x in Ie.residues():
+            squares.setdefault(Ie.reduce(x * x), []).append(x)
+        for k in (0, 0, 1, 1, 2) * 5:
+            # a = y^2 * p^k * u reaches the strata v_P(a) = 2 and 4.
+            y, u = (
+                field.element(
+                    rng.randint(-60, 60), 0 if field.is_rational else rng.randint(-60, 60)
+                )
+                for _ in range(2)
             )
-            true_roots = sorted(
-                (x for x in Ie.residues() if Ie.contains(x * x - a)),
-                key=lambda z: (z.u, z.v),
-            )
+            a = y * y * u * p**k
+            true_roots = sorted(squares.get(Ie.reduce(a), []), key=lambda z: (z.u, z.v))
             got = sqrt_mod_odd_prime_power(a, P, e)
             if got is None:
                 assert not true_roots
+            elif Ie.contains(a):
+                # P^ceil(e/2) mod P^e, in the order of Ie.residues().
+                assert got == sorted(true_roots, key=lambda z: (z.v, z.u))
             else:
-                assert sorted(
-                    (Ie.reduce(x) for x in got), key=lambda z: (z.u, z.v)
-                ) == true_roots
+                assert got == true_roots
+
+
+def test_odd_prime_witness_is_the_least_listed_root():
+    # The check's witness, taken in closed form from one unit root, is the
+    # least element of the full root set mod P^(s+1), listed here.
+    rng = random.Random(8)
+    places = [
+        (K, P)
+        for K in (Q, Q6, Q7, Q14, *map(make_field, (-3, 5, -15, 13)))
+        for p in (3, 5, 7)
+        for P in splitting_type(K, p)[1]
+    ]
+    seen = set()
+    witnesses = 0
+    while witnesses < 2000:
+        K, P = rng.choice(places)
+        pi = K.element(P.p) if P.f == 2 or K.is_rational else P.second_gen
+        coeffs = []
+        for _ in range(3):
+            x = K.zero()
+            while x.is_zero or element_valuation(x, P):
+                v = 0 if K.is_rational else rng.randint(-30, 30)
+                x = K.element(rng.randint(1, 30), v)
+            coeffs.append(x * pi ** rng.randint(0, 2))
+        _, w = _odd_prime_condition(*coeffs, P)
+        if w is None:
+            continue
+        vals = [element_valuation(x, P) for x in coeffs]
+        pairs = ((0, 1), (0, 2), (1, 2))
+        i, j = next((i, j) for i, j in pairs if vals[i] % 2 == vals[j] % 2)
+        s = vals[i] + vals[j]
+        assert s <= 4
+        assert w == sqrt_mod_odd_prime_power(-(coeffs[i] * coeffs[j]), P, s + 1)[0]
+        witnesses += 1
+        seen.add((P.e, P.f, K.omega_kind, s))
+    # Every splitting type at s = 4, among them the ramified primes with
+    # omega = (1 + sqrt(d))/2, where the HNF reduction alone misses the least root.
+    assert {(2, 1, "half_one_plus_sqrt_d", 4), (2, 1, "sqrt_d", 4), (1, 2, "sqrt_d", 4),
+            (1, 1, "half_one_plus_sqrt_d", 4), (1, 1, None, 4)} <= seen
 
 
 def test_sqrt_mod_dyadic_enumeration():

@@ -95,6 +95,17 @@ def test_check_solvable_shared_prime_cases():
     assert not cert2.solvable
 
 
+def test_check_solvable_high_valuation_takes_its_witness_in_closed_form():
+    # 7^14*x^2 - y^2 + 7z^2 = 0: the roots of x^2 = 7^14 mod 7^15 are
+    # +-7^7 + (7^8), 2*7^7 of them; the witness is the least without listing them.
+    t0 = time.perf_counter()
+    cert = check_solvable(eq_of(Q, 678223072849, -1, 7))
+    assert time.perf_counter() - t0 < 1
+    assert cert.solvable
+    (odd,) = [c for c in cert.conditions if c["type"] == "odd_prime"]
+    assert odd["witness"] == "823543"
+
+
 def test_certificates_against_bruteforce_over_q():
     # Small-coefficient census over Q: compare with a brute-force search
     # plus the classical obstruction structure (the search bound is large
