@@ -3,6 +3,8 @@
 An ideal is stored as the row lattice of [[a, 0], [b, c]] over the basis
 {1, omega}: generated by the elements a and b + c*omega, with a, c > 0 and
 0 <= b < a.  Over Q an ideal degenerates to (n) with n = a, c = 1, b = 0.
+Membership, products and ideals from generators run on the integer
+kernel's (u, v) pairs.
 
 The local data at a prime ideal P (valuations of ideals and elements, the
 powers P^k, the residue of omega modulo P^k) are computed from integers in
@@ -12,6 +14,7 @@ Algebraic Number Theory, 4.8 and 5.2).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ from .errors import FactorizationFailed, UndecidedError
 from .fields import (
     FieldDescriptor,
     FieldElement,
+    IntegerRing,
     integer_ring,
     normalize_associate,
     require_integral,
@@ -219,73 +223,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def lattice_express(
-    rows: list[tuple[int, int]], target: tuple[int, int]
-) -> Optional[list[int]]:
-    """Integer coefficients expressing target in the row lattice, or None.
-
-    Rows and target live in Z^2 (coordinates over {1, omega}).
-    """
-    k = len(rows)
-    work = []  # (u, v, coefficient vector over the input rows)
-    for i, (u, v) in enumerate(rows):
-        coeffs = [0] * k
-        coeffs[i] = 1
-        work.append((int(u), int(v), coeffs))
-
-    def combine(c1, c2, x, y):
-        return [x * a + y * b for a, b in zip(c1, c2)]
-
-    # Reduce the omega column to one row via extended gcd.
-    pivot = None  # (b, c, coeffs)
-    pure = []  # rows with v == 0
-    for u, v, cf in work:
-        if v == 0:
-            pure.append((u, cf))
-            continue
-        if pivot is None:
-            pivot = (u, v, cf)
-            continue
-        b, c, pcf = pivot
-        g, x, y = _ext_gcd(c, v)
-        new_pivot = (x * b + y * u, g, combine(pcf, cf, x, y))
-        leftover = ((b * v - u * c) // g, combine(pcf, cf, v // g, -(c // g)))
-        pivot = new_pivot
-        pure.append(leftover)
-    # Reduce the rational column.
-    acc = None  # (a, coeffs)
-    for u, cf in pure:
-        if u == 0:
-            continue
-        if acc is None:
-            acc = (u, cf)
-            continue
-        a, acf = acc
-        g, x, y = _ext_gcd(a, u)
-        acc = (g, combine(acf, cf, x, y))
-    tu, tv = int(target[0]), int(target[1])
-    if pivot is None:
-        if tv != 0:
-            return None
-        beta_part = [0] * k
-    else:
-        b, c, pcf = pivot
-        if tv % c != 0:
-            return None
-        q = tv // c
-        beta_part = [q * x for x in pcf]
-        tu -= q * b
-    if acc is None:
-        if tu != 0:
-            return None
-        return beta_part
-    a, acf = acc
-    if tu % a != 0:
-        return None
-    q = tu // a
-    return [q * x + y for x, y in zip(acf, beta_part)]
-
-
 # -- Ideal / PrimeIdeal ------------------------------------------------------
 
 
@@ -306,24 +243,13 @@ class Ideal:
     def norm(self) -> int:
         return self.a * self.c
 
-    def basis_elements(self) -> list[FieldElement]:
-        if self.field.is_rational:
-            return [self.field.element(self.a)]
-        return [self.field.element(self.a), self.field.element(self.b, self.c)]
-
     def contains(self, x: FieldElement) -> bool:
-        require_integral(x)
-        if self.field.is_rational:
-            return int(x.u) % self.a == 0
-        u, v = int(x.u), int(x.v)
-        if v % self.c != 0:
-            return False
-        return (u - (v // self.c) * self.b) % self.a == 0
+        return self.reduce_pair(integer_ring(self.field).pair(x)) == (0, 0)
 
     def reduce(self, x: FieldElement) -> FieldElement:
         """Canonical representative of x modulo this ideal (HNF domain)."""
-        require_integral(x)
-        return self.field.element(*self.reduce_pair((int(x.u), int(x.v))))
+        ring = integer_ring(self.field)
+        return ring.element(self.reduce_pair(ring.pair(x)))
 
     def reduce_pair(self, x: tuple[int, int]) -> tuple[int, int]:
         """reduce on the integer pair (u, v) of u + v*omega."""
@@ -348,15 +274,15 @@ class Ideal:
             raise ValueError("ideals of different fields")
         if self.field.is_rational:
             return Ideal(self.field, self.a * other.a)
-        rows = []
-        for x in self.basis_elements():
-            for y in other.basis_elements():
-                z = x * y
-                rows.append((int(z.u), int(z.v)))
-                zo = z * self.field.omega()
-                rows.append((int(zo.u), int(zo.v)))
-        a, b, c = hnf_rows(rows)
-        return Ideal(self.field, a, b, c)
+        ring = integer_ring(self.field)
+        return _ideal_of_pairs(
+            ring,
+            [
+                ring.mul(x, y)
+                for x in ((self.a, 0), (self.b, self.c))
+                for y in ((other.a, 0), (other.b, other.c))
+            ],
+        )
 
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
@@ -389,20 +315,20 @@ def unit_ideal(field: FieldDescriptor) -> Ideal:
     return Ideal(field, 1, 0, 1)
 
 
+def _ideal_of_pairs(ring: IntegerRing, gens: list[tuple[int, int]]) -> Ideal:
+    """The ideal generated by the pairs gens: the lattice of all g, g*omega."""
+    rows = [r for g in gens for r in (g, ring.mul(g, (0, 1)))]
+    return Ideal(ring.field, *hnf_rows(rows))
+
+
 def ideal_from_generators(field: FieldDescriptor, gens: list[FieldElement]) -> Ideal:
-    gens = [require_integral(g) for g in gens if not g.is_zero]
-    if not gens:
+    ring = integer_ring(field)
+    pairs = [ring.pair(g) for g in gens if not g.is_zero]
+    if not pairs:
         raise ValueError("zero ideal")
     if field.is_rational:
-        n = reduce(math.gcd, (abs(int(g.u)) for g in gens))
-        return Ideal(field, n)
-    rows = []
-    for g in gens:
-        rows.append((int(g.u), int(g.v)))
-        go = g * field.omega()
-        rows.append((int(go.u), int(go.v)))
-    a, b, c = hnf_rows(rows)
-    return Ideal(field, a, b, c)
+        return Ideal(field, reduce(math.gcd, (abs(u) for u, _ in pairs)))
+    return _ideal_of_pairs(ring, pairs)
 
 
 def principal_ideal(x: FieldElement) -> Ideal:
@@ -434,38 +360,38 @@ class PrimeIdeal:
         return f"({self.p}, {format_element(self.second_gen)})"
 
 
-def splitting_type(field: FieldDescriptor, p: int) -> tuple[str, list[PrimeIdeal]]:
-    """Split/Inert/Ramified with the primes above p."""
+@functools.cache
+def splitting_type(
+    field: FieldDescriptor, p: int
+) -> tuple[str, tuple[PrimeIdeal, ...]]:
+    """Split/Inert/Ramified with the primes above p, computed once per
+    (field, p)."""
     if field.is_rational:
-        return "Split", [PrimeIdeal(field, p, 1, 1, field.element(0))]
+        return "Split", (PrimeIdeal(field, p, 1, 1, field.element(0)),)
     disc = field.disc
     if disc % p == 0:
         # Ramified.  Pick a second generator of valuation exactly 1.
         if p == 2:
-            d = field.d
-            if d % 4 == 2:
-                g = field.sqrt_gen()
-            else:  # d % 4 == 3 (mod 4 congruence of d, negative handled by %)
-                g = field.element(1) + field.sqrt_gen()
+            # omega = sqrt(d): sqrt(d) for d = 2 (mod 4), else 1 + sqrt(d).
+            g = field.element(1 if field.d % 4 == 3 else 0, 1)
         else:
             if field.d % p == 0:
                 g = field.sqrt_gen()
             else:
                 # p | disc but p odd forces p | d, so this cannot happen.
                 raise AssertionError("odd ramified prime must divide d")
-        return "Ramified", [PrimeIdeal(field, p, 2, 1, g)]
+        return "Ramified", (PrimeIdeal(field, p, 2, 1, g),)
     sym = kronecker(disc, p)
     if sym == -1:
-        return "Inert", [PrimeIdeal(field, p, 1, 2, field.element(p))]
+        return "Inert", (PrimeIdeal(field, p, 1, 2, field.element(p)),)
     # Split: find a root of the minimal polynomial of omega mod p.
-    r = _omega_root_mod(field, p)
-    g1 = field.omega() - field.element(r)
-    g2 = g1.conj()
-    P1 = PrimeIdeal(field, p, 1, 1, g1)
-    P2 = PrimeIdeal(field, p, 1, 1, g2)
+    ring = integer_ring(field)
+    g1 = (-_omega_root_mod(field, p), 1)
+    P1 = PrimeIdeal(field, p, 1, 1, ring.element(g1))
+    P2 = PrimeIdeal(field, p, 1, 1, ring.element(ring.conj(g1)))
     if P1.ideal() == P2.ideal():  # pragma: no cover - sanity only
         raise AssertionError("split primes coincide")
-    return "Split", [P1, P2]
+    return "Split", (P1, P2)
 
 
 def _omega_root_mod(field: FieldDescriptor, p: int) -> int:
@@ -607,14 +533,14 @@ def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
     With g the gcd of x's coordinates, x = g*y and (y) is primitive of norm
     |N(x)|/g^2, so v_P(x) = e_P*v_p(g) + v_P((y)).
     """
-    require_integral(x)
     if x.is_zero:
         raise ValueError("valuation of zero")
-    u, v = int(x.u), int(x.v)
+    ring = integer_ring(x.field)
+    u, v = ring.pair(x)
     if x.field.is_rational:
         return _vp(u, P.p)
     g = math.gcd(u, v)
-    n = abs(integer_ring(x.field).norm((u, v)))
+    n = abs(ring.norm((u, v)))
     return _scaled_valuation(P, g, n // (g * g), u // g, v // g)
 
 
@@ -748,7 +674,9 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
         except UndecidedError:
             continue  # honest fallback: skip candidates we cannot certify
         if g is not None:
-            t1 = t / (g * g)
-            assert t1.is_integral
-            return t1, g
+            ring = integer_ring(field)
+            h = ring.pair(g)
+            t1 = ring.exact_div(ring.pair(t), ring.mul(h, h))
+            assert t1 is not None
+            return ring.element(t1), g
     return t, field.one()

@@ -9,8 +9,14 @@ power of p (at Q and split primes in the integer model O_K/P^e = Z/p^e),
 and y is Newton's lift of a root of b mod P (Cohen, A Course in
 Computational Algebraic Number Theory, 1.5 and 4.8).  Every coset is
 listed from the HNFs of the two prime powers, or its least element found by
-one linear congruence, and all of it runs on the integer kernel's pairs
-reduced mod p^k.
+one linear congruence.
+
+Roots modulo a composite M = prod P_i^e_i are recombined by the Chinese
+remainder theorem in closed form: the coefficient of P^e is the integer
+m*(m^-1 mod n_p), with n_p the least positive integer in the moduli over p
+and m the product of the other n_q, times k*(omega - r_Q) when the
+conjugate Q^f divides M too (see crt_coefficients).  All of it runs on the
+integer kernel's pairs; FieldElements only come in and go out.
 """
 
 from __future__ import annotations
@@ -33,10 +39,8 @@ from .ideals import (
     PrimeIdeal,
     element_valuation,
     factor_ideal,
-    lattice_express,
     omega_root,
     prime_power,
-    unit_ideal,
     _sqrt_mod_p,
 )
 
@@ -256,31 +260,51 @@ def sqrt_mod_dyadic_prime_power(
     Ie = prime_power(P, e)
     if Ie.norm > _ENUM_GUARD:
         return None
-    roots = [x for x in Ie.residues() if Ie.contains(x * x - a)]
+    ring = integer_ring(P.field)
+    A = ring.pair(a)
+    roots = [
+        ring.element((u, v))
+        for v in range(Ie.c)
+        for u in range(Ie.a)
+        if Ie.reduce_pair(ring.sub(ring.mul((u, v), (u, v)), A)) == (0, 0)
+    ]
     return roots or None
 
 
 # -- CRT and size minimisation ----------------------------------------------
 
 
-def crt_coefficients(field: FieldDescriptor, ideals: list[Ideal]) -> list[FieldElement]:
-    """Elements lam_i with lam_i = 1 mod I_i and lam_i = 0 mod all I_j."""
+def crt_coefficients(
+    field: FieldDescriptor, factors: list[tuple[PrimeIdeal, int]]
+) -> list[tuple[int, int]]:
+    """Pairs lam_i with lam_i = 1 mod P_i^e_i and lam_i = 0 mod every other
+    P_j^e_j, for the factorization [(P_i, e_i)] of a modulus M, in closed
+    form (Cohen, A Course in Computational Algebraic Number Theory, 1.3
+    and 4.8).
+
+    With n_p the least positive integer in every P^e over p (the largest
+    HNF entry a among them) and m the product of the other n_q, the integer
+    m*(m^-1 mod n_p) is 1 mod every P^e over p and 0 mod every other
+    modulus.  When both primes over a split p divide M, as P^e and Q^f,
+    lam_P is that integer times k*(omega - r_Q), with omega = r_P (mod P^e),
+    omega = r_Q (mod Q^f) and k = (r_P - r_Q)^-1 mod p^e: omega - r_Q lies
+    in Q^f and k*(omega - r_Q) = 1 (mod P^e).  r_P and r_Q differ mod p
+    because p does not divide the discriminant.
+    """
+    ring = integer_ring(field)
+    n: dict[int, int] = {}
+    for P, e in factors:
+        n[P.p] = max(n.get(P.p, 1), prime_power(P, e).a)
     out = []
-    for i, I in enumerate(ideals):
-        J = unit_ideal(field)
-        for j, other in enumerate(ideals):
-            if j != i:
-                J = J * other
-        irows = [(int(x.u), int(x.v)) for x in I.basis_elements()]
-        jrows = [(int(x.u), int(x.v)) for x in J.basis_elements()]
-        coeffs = lattice_express(irows + jrows, (1, 0))
-        if coeffs is None:
-            raise ValueError("ideals are not comaximal")
-        jcoeffs = coeffs[len(irows):]
-        w = field.zero()
-        for cval, g in zip(jcoeffs, J.basis_elements()):
-            w = w + g * cval
-        out.append(w)
+    for P, e in factors:
+        m = math.prod(q for p, q in n.items() if p != P.p)
+        lam = (m * pow(m, -1, n[P.p]), 0)
+        for Q, f in factors:
+            if Q.p == P.p and Q != P:
+                rP, rQ = omega_root(P, e), omega_root(Q, f)
+                k = pow(rP - rQ, -1, P.p**e)
+                lam = ring.mul(lam, (-k * rQ, k))
+        out.append(lam)
     return out
 
 
@@ -348,9 +372,9 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
     field = a.field
     if M.norm == 1:
         return field.zero()
+    ring = integer_ring(field)
     factors = factor_ideal(M)
-    root_sets: list[list[FieldElement]] = []
-    moduli: list[Ideal] = []
+    root_sets: list[list[tuple[int, int]]] = []
     for P, e in factors:
         if P.p == 2:
             roots = sqrt_mod_dyadic_prime_power(a, P, e)
@@ -358,14 +382,11 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
             roots = sqrt_mod_odd_prime_power(a, P, e)
         if roots is None:
             return None
-        root_sets.append(roots)
-        moduli.append(prime_power(P, e))
-    ring = integer_ring(field)
-    lams = [ring.pair(lam) for lam in crt_coefficients(field, moduli)]
+        root_sets.append([ring.pair(r) for r in roots])
+    lams = crt_coefficients(field, factors)
     best = None
     seen = set()
-    combos = itertools.product(*([ring.pair(r) for r in roots] for roots in root_sets))
-    for combo in itertools.islice(combos, 4096):
+    for combo in itertools.islice(itertools.product(*root_sets), 4096):
         w = (0, 0)
         for lam, r in zip(lams, combo):
             w = ring.add(w, ring.mul(lam, r))
@@ -378,26 +399,26 @@ def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
         if best is None or key < best:
             best = key
     assert best is not None
-    root = ring.element(best[1:])
-    assert M.contains(root * root - a)
-    return root
+    root = best[1:]
+    assert M.reduce_pair(ring.sub(ring.mul(root, root), ring.pair(a))) == (0, 0)
+    return ring.element(root)
 
 
 # -- the 2-adic Hilbert symbol -----------------------------------------------
 
 
-def _two_adic_parts(x: FieldElement, P: PrimeIdeal) -> tuple[int, int]:
-    """(s, u mod 8) with x = 2^s * u in K_P = Q_2, u odd.
+def _two_adic_parts(ring: IntegerRing, x, P: PrimeIdeal) -> tuple[int, int]:
+    """(s, u mod 8) with the pair x = 2^s * u in K_P = Q_2, u odd.
 
     v_P(x) <= v_2(N(x)), so the image of x mod 2^k with
     k = v_2(N(x)) + 3 holds the odd part mod 8.
     """
-    n = abs(int(x.norm()))
+    n = abs(ring.norm(x))
     k = (n & -n).bit_length() + 2
-    if x.field.is_rational:
-        image = int(x.u) % (1 << k)
+    if P.field.is_rational:
+        image = x[0] % (1 << k)
     else:
-        image = (int(x.u) + int(x.v) * omega_root(P, k)) % (1 << k)
+        image = (x[0] + x[1] * omega_root(P, k)) % (1 << k)
     s = (image & -image).bit_length() - 1
     return s, (image >> s) % 8
 
@@ -415,8 +436,10 @@ def local_solvable_at_two(
     """
     if P.p != 2 or P.e != 1 or P.f != 1:
         raise EvenPrime("the 2-adic Hilbert symbol needs a prime over 2 with K_P = Q_2")
-    s, u = _two_adic_parts(-(a * c), P)
-    t, w = _two_adic_parts(-(b * c), P)
+    ring = integer_ring(P.field)
+    minus_c = ring.sub((0, 0), ring.pair(c))
+    s, u = _two_adic_parts(ring, ring.mul(ring.pair(a), minus_c), P)
+    t, w = _two_adic_parts(ring, ring.mul(ring.pair(b), minus_c), P)
     eps = lambda n: (n - 1) // 2
     om = lambda n: (n * n - 1) // 8
     return (eps(u) * eps(w) + s * om(w) + t * om(u)) % 2 == 0

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 
 import pytest
 
@@ -240,3 +241,31 @@ def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
         residues.closest_in_coset(parse_element(K, row["x"]), Ideal(K, *row["ideal"]))
     assert calls[0] > 2 * len(LATTICE_STEP["points"]) + len(LATTICE_STEP["cosets"])
     assert counts == {"mul": 0, "surd": 0}
+
+
+# Solvable conics on which the descent reaches a unit coefficient and runs
+# solve_pell's bounded search for seconds.  Each must be solved within a
+# second; a mend that removes the search flips these.
+PELL_RUNAWAYS = [(-7, "1;1;9-6s"), (2, "-2-s;-1-2s;10+15s"), (17, "-1-w;-1;13+5w")]
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("solve_conic ran past its time limit")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=TimeoutError,
+    reason="the descent runs solve_pell's 160,801-candidate search for seconds",
+)
+@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS, ids=[eq for _, eq in PELL_RUNAWAYS])
+def test_pell_runaway_solves_within_a_second(d, eq):
+    equation = _golden_equation({"field": d, "eq": eq})
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(1)
+    try:
+        sol = solve_conic(equation)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verify(equation, sol)

@@ -12,7 +12,6 @@ from conic_nf.ideals import (
     ideal_from_generators,
     is_principal,
     kronecker,
-    lattice_express,
     prime_power,
     principal_ideal,
     splitting_type,
@@ -56,14 +55,22 @@ def test_splitting_examples():
     assert primes[0].ideal().norm == 9
 
 
+def test_splitting_type_is_computed_once_per_field_and_prime():
+    for field, p in [(Q, 5), (Q7, 2), (Q6, 3), (Q14, 3), (make_field(17), 13)]:
+        first = splitting_type(field, p)
+        assert splitting_type(make_field(field.d), p) is first
+        assert isinstance(first[1], tuple)
+
+
 def test_ideal_hnf_and_membership():
     I = principal_ideal(Q6.element(0, 1))  # (sqrt(-6)), norm 6
     assert I.norm == 6
     assert I.contains(Q6.element(6))
     assert I.contains(Q6.element(0, 1))
     assert not I.contains(Q6.element(2))
-    # Row lattice is an O_K module: omega * basis stays inside.
-    for g in I.basis_elements():
+    # Row lattice is an O_K module: omega times the HNF generators a and
+    # b + c*omega stays inside.
+    for g in (Q6.element(I.a), Q6.element(I.b, I.c)):
         assert I.contains(g * Q6.omega())
 
 
@@ -165,17 +172,6 @@ def test_valuation():
     assert valuation(principal_ideal(Q6.element(5)), P3) == 0
 
 
-def test_lattice_express():
-    # (2) and (3) are comaximal in Z[sqrt(-6)]: express 1.
-    rows = [(2, 0), (0, 2), (3, 0), (0, 3)]
-    coeffs = lattice_express(rows, (1, 0))
-    assert coeffs is not None
-    u = sum(c * r[0] for c, r in zip(coeffs, rows))
-    v = sum(c * r[1] for c, r in zip(coeffs, rows))
-    assert (u, v) == (1, 0)
-    assert lattice_express([(2, 0), (0, 2)], (1, 0)) is None
-
-
 def test_ideal_product_norm_multiplicative():
     rng = random.Random(4)
     for _ in range(50):
@@ -206,10 +202,13 @@ def _prime_by_generators(P):
 
 def _valuation_by_containment(I, PI):
     """v_P(I) as the largest k with I inside P^k, one product at a time."""
+    gens = [I.field.element(I.a)]
+    if not I.field.is_rational:
+        gens.append(I.field.element(I.b, I.c))
     k, power = 0, unit_ideal(I.field)
     while True:
         power = power * PI
-        if not all(power.contains(x) for x in I.basis_elements()):
+        if not all(power.contains(x) for x in gens):
             return k
         k += 1
 

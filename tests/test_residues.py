@@ -2,19 +2,22 @@ import itertools
 import json
 import os
 import random
+import sys
 
 import pytest
 
 from conic_nf.errors import EvenPrime
-from conic_nf.fields import make_field, parse_element, size_sq
+from conic_nf.fields import FieldElement, format_element, integer_ring, make_field, parse_element, size_sq
 from conic_nf.ideals import (
     Ideal,
     element_valuation,
     factor_ideal,
+    prime_power,
     principal_ideal,
     splitting_type,
     unit_ideal,
 )
+from conic_nf.descent import solve_conic
 from conic_nf.solvability import (
     ConicEquation,
     _odd_prime_condition,
@@ -182,12 +185,34 @@ def test_sqrt_mod_dyadic_enumeration():
     assert sqrt_mod_dyadic_prime_power(Q.element(5), P2q, 3) is None
 
 
+CRT_FIELDS = [Q] + [make_field(d) for d in (-1, -2, -3, -5, -6, -7, -15, 2, 5, 10, 13, 17)]
+
+
 def test_crt_coefficients():
-    I = principal_ideal(Q6.element(3))
-    J = principal_ideal(Q6.element(5, 1))
-    lam = crt_coefficients(Q6, [I, J])
-    assert I.contains(lam[0] - Q6.one()) and J.contains(lam[0])
-    assert J.contains(lam[1] - Q6.one()) and I.contains(lam[1])
+    # On random factorizations over Q and twelve fields, with conjugate split
+    # pairs of unequal exponents (2 split too), ramified and inert primes:
+    # lam_i - 1 lies in P_i^e_i and lam_i in every other P_j^e_j.
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(1200):
+        K = rng.choice(CRT_FIELDS)
+        ring = integer_ring(K)
+        factors = []
+        for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 3)):
+            kind, primes = splitting_type(K, p)
+            chosen = [P for P in primes if rng.random() < 0.7] or [primes[0]]
+            exponents = [rng.randint(1, 4) for _ in chosen]
+            factors += zip(chosen, exponents)
+            # (splitting type, over 2, 2 when a split pair has unequal exponents)
+            kinds.add((kind, p == 2, len(set(exponents)) if len(chosen) == 2 else 0))
+        rng.shuffle(factors)
+        lam = [ring.element(x) for x in crt_coefficients(K, factors)]
+        for i, (P, e) in enumerate(factors):
+            I = prime_power(P, e)
+            assert I.contains(lam[i] - K.one())
+            assert all(I.contains(lam[j]) for j in range(len(factors)) if j != i)
+    assert {("Split", False, 2), ("Split", True, 2), ("Ramified", False, 0),
+            ("Ramified", True, 0), ("Inert", False, 0), ("Inert", True, 0)} <= kinds
 
 
 def test_closest_in_coset_certified():
@@ -217,7 +242,10 @@ def test_closest_in_coset_certified():
 # included, as closest_in_coset returned them while it still ran on
 # FieldElements and Surds.
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "lattice_step.json")) as _f:
-    GOLDEN_COSETS = json.load(_f)["cosets"]
+    _lattice_step = json.load(_f)
+GOLDEN_COSETS, GOLDEN_POINTS = _lattice_step["cosets"], _lattice_step["points"]
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "certificates.json")) as _f:
+    GOLDEN_CERTIFICATES = json.load(_f)
 
 
 @pytest.mark.parametrize(
@@ -268,6 +296,54 @@ def test_sqrt_mod_ideal_minimality_small_moduli():
                 (size_sq(closest_in_coset(x, M)) for x in brute),
             )
             assert size_sq(got) == best_brute
+
+
+# Roots of a mod (B), with conjugate split pairs (2 split among them),
+# factors over 2 and moduli with no root, as sqrt_mod_ideal returned them
+# while its CRT still ran on ideal products and a lattice solver.
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "sqrt_mod_ideal.json")) as _f:
+    GOLDEN_ROOTS = json.load(_f)
+
+
+def _golden_root_input(row):
+    K = make_field(row["field"])
+    return parse_element(K, row["a"]), principal_ideal(parse_element(K, row["B"]))
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROOTS, ids=lambda r: f"{r['field']}:{r['a']}:{r['B']}")
+def test_sqrt_mod_ideal_golden(row):
+    w = sqrt_mod_ideal(*_golden_root_input(row))
+    assert (None if w is None else format_element(w)) == row["w"]
+
+
+def test_ideal_layer_makes_no_field_arithmetic(monkeypatch):
+    # ideals and residues run on the integer kernel's pairs: FieldElements
+    # only come in and go out, and no product, quotient or norm of them is
+    # taken inside either module.
+    inside, total = [], [0]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            total[0] += 1
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] in ("conic_nf.ideals", "conic_nf.residues"):
+                inside.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}: {name}")
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "norm"):
+        monkeypatch.setattr(FieldElement, name, counted(name, getattr(FieldElement, name)))
+    for row in GOLDEN_CERTIFICATES:
+        K = make_field(row["field"])
+        check_solvable(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
+    for row in GOLDEN_POINTS:
+        K = make_field(row["field"])
+        solve_conic(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
+    for row in GOLDEN_ROOTS:
+        sqrt_mod_ideal(*_golden_root_input(row))
+    assert total[0] > 0
+    assert inside == []
 
 
 def test_local_solvable_at_two_examples():
