@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .errors import (
@@ -211,19 +210,7 @@ def _cmd_corpus(args, out) -> int:
         for i, ln in enumerate(raw)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [_run_corpus_line(i, ln, args.pell_bound) for i, ln in lines]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda pair: _run_corpus_line(
-                        pair[0], pair[1], args.pell_bound
-                    ),
-                    lines,
-                )
-            )
+    results = [_run_corpus_line(i, ln, args.pell_bound) for i, ln in lines]
     counts = {"ok": 0, "mismatch": 0, "undecided": 0, "parse-error": 0}
     for idx, status, detail in results:
         counts[status] += 1
@@ -286,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run a batch corpus file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored: lines run in order")
     p.add_argument("--json", action="store_true")
     p.add_argument("--pell-bound", type=int, default=None)
     return parser

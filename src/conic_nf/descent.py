@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import NotSolvable, PellSearchExhausted
@@ -360,10 +359,10 @@ def verify(eq: ConicEquation, sol: SolutionTriple) -> bool:
 
 
 def _clear_denominators(field, triple):
-    m = math.lcm(*(Fraction(co).denominator for t in triple for co in (t.u, t.v)))
+    m = math.lcm(*(t.den for t in triple))
     scaled = [t * m for t in triple]
     # Remove the rational integer content.
-    g = math.gcd(*(int(co) for t in scaled for co in (t.u, t.v)))
+    g = math.gcd(*(co for t in scaled for co in t.num))
     if g > 1:
         scaled = [t / g for t in scaled]
     return scaled

@@ -1,18 +1,19 @@
 """Exact arithmetic in Q and quadratic fields Q(sqrt(d)).
 
-Elements are stored in coordinates over the integral basis {1, omega},
-where omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
-d = 1 (mod 4).  All arithmetic is exact (arbitrary-precision rationals);
-archimedean sizes are compared exactly via the Surd helper, with floats
-only as a human-readable approximation.
+The ring of integers O_K has the integral basis {1, omega}, where
+omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
+d = 1 (mod 4).  Its integer kernel, IntegerRing, is the one place that
+knows omega's minimal polynomial: arithmetic on (u, v) integer pairs over
+every field, with exact sizes compared in integers (IntSurd over a real
+field).  A FieldElement is a kernel pair over one positive denominator,
+(U + V*omega)/den in lowest terms, and all its arithmetic goes through the
+kernel.  Archimedean sizes are compared exactly via the Surd helper, with
+floats only as a human-readable approximation.
 
-The ring of integers also has an integer kernel, IntegerRing: arithmetic on
-(u, v) integer pairs over every field, with exact sizes compared in integers
-(IntSurd over a real field).  Over Q and the imaginary quadratic fields it
-adds closed-form nearest-integer rounding, Euclidean division, extended gcd
-and normalised gcd; nearest_integer, euclid_divmod and gcd_elems delegate to
-it there, and nearest_integer enumerates a window of candidates only over
-real fields.
+Over Q and the imaginary quadratic fields the kernel adds closed-form
+nearest-integer rounding, Euclidean division, extended gcd and normalised
+gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there, and
+nearest_integer enumerates a window of candidates only over real fields.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class FieldDescriptor:
         return 1 if self.is_rational else 2
 
     def element(self, u, v=0) -> "FieldElement":
-        return FieldElement(self, Fraction(u), Fraction(v))
+        return FieldElement(self, u, v)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -96,7 +97,7 @@ class FieldDescriptor:
             return [one, -one, i, -i]
         if self.d == -3:
             z = self.omega()  # primitive 6th root of unity
-            z2 = z * z
+            z2 = self.element(-1, 1)  # omega^2 = omega - 1
             return [one, -one, z, -z, z2, -z2]
         return [one, -one]
 
@@ -289,43 +290,71 @@ def round_quotient(n: int, d: int) -> int:
     return q + 1
 
 
-class FieldElement:
-    """u + v*omega with exact rational coordinates."""
+def _element(field: FieldDescriptor, num: tuple[int, int], den: int) -> "FieldElement":
+    """The element num/den (den != 0), stored in lowest terms with den > 0."""
+    g = math.gcd(num[0], num[1], den) if den > 0 else -math.gcd(num[0], num[1], den)
+    if g != 1:
+        num, den = (num[0] // g, num[1] // g), den // g
+    x = object.__new__(FieldElement)
+    x.field, x.num, x.den = field, num, den
+    return x
 
-    __slots__ = ("field", "u", "v")
+
+class FieldElement:
+    """(U + V*omega)/den: the kernel pair num = (U, V) of O_K over a positive
+    integer den, in lowest terms (gcd(U, V, den) = 1).
+
+    Arithmetic runs on num through the field's IntegerRing and on den in
+    plain integers, so the ring is the only place that knows omega's minimal
+    polynomial.  u and v are the rational coordinates over {1, omega}.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldDescriptor, u, v=0):
-        self.field = field
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        if field.is_rational and self.v != 0:
+        u = u if isinstance(u, (int, Fraction)) else Fraction(u)
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        if field.is_rational and v != 0:
             raise ValueError("rational field elements have no omega part")
+        # u and v are in lowest terms, so over their lcm the triple is too.
+        den = math.lcm(u.denominator, v.denominator)
+        self.field = field
+        self.num = (u.numerator * (den // u.denominator), v.numerator * (den // v.denominator))
+        self.den = den
 
     # -- basic structure -------------------------------------------------
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.num[1], self.den)
 
     def coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            self._check(other)
+            if self.field is not other.field and self.field != other.field:
+                raise ValueError("elements of different fields")
             return other
-        return FieldElement(self.field, Fraction(other))
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return _element(self.field, (other.numerator, 0), other.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self.num == (0, 0)
 
     @property
     def is_integral(self) -> bool:
-        return self.u.denominator == 1 and self.v.denominator == 1
+        return self.den == 1
 
     def s_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (p, q) with self = p + q*sqrt(d)."""
+        (U, V), den = self.num, self.den
         if self.field.is_rational or self.field.omega_kind == "sqrt_d":
-            return self.u, self.v
-        return self.u + self.v / 2, self.v / 2
+            return Fraction(U, den), Fraction(V, den)
+        return Fraction(2 * U + V, 2 * den), Fraction(V, 2 * den)
 
     @classmethod
     def from_s_coords(cls, field: FieldDescriptor, p, q) -> "FieldElement":
@@ -338,67 +367,51 @@ class FieldElement:
 
     def __add__(self, other):
         other = self.coerce(other)
-        return FieldElement(self.field, self.u + other.u, self.v + other.v)
+        (u1, v1), d1 = self.num, self.den
+        (u2, v2), d2 = other.num, other.den
+        return _element(self.field, (u1 * d2 + u2 * d1, v1 * d2 + v2 * d1), d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self.coerce(other)
-        return FieldElement(self.field, self.u - other.u, self.v - other.v)
+        (u1, v1), d1 = self.num, self.den
+        (u2, v2), d2 = other.num, other.den
+        return _element(self.field, (u1 * d2 - u2 * d1, v1 * d2 - v2 * d1), d1 * d2)
 
     def __rsub__(self, other):
-        return self.coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return FieldElement(self.field, -self.u, -self.v)
+        return _element(self.field, (-self.num[0], -self.num[1]), self.den)
 
     def __mul__(self, other):
         other = self.coerce(other)
-        f = self.field
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        if f.is_rational:
-            return FieldElement(f, u1 * u2)
-        if f.omega_kind == "sqrt_d":
-            return FieldElement(f, u1 * u2 + f.d * v1 * v2, u1 * v2 + u2 * v1)
-        # omega^2 = omega + (d-1)/4
-        c = Fraction(f.d - 1, 4)
-        return FieldElement(
-            f, u1 * u2 + c * v1 * v2, u1 * v2 + u2 * v1 + v1 * v2
+        return _element(
+            self.field, integer_ring(self.field).mul(self.num, other.num), self.den * other.den
         )
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldElement":
-        f = self.field
-        if f.is_rational:
-            return self
-        if f.omega_kind == "sqrt_d":
-            return FieldElement(f, self.u, -self.v)
-        return FieldElement(f, self.u + self.v, -self.v)
+        # Conjugation maps O_K onto itself, so the result stays in lowest terms.
+        return _element(self.field, integer_ring(self.field).conj(self.num), self.den)
 
     def norm(self) -> Fraction:
-        f = self.field
-        u, v = self.u, self.v
-        if f.is_rational:
-            return u * u
-        if f.omega_kind == "sqrt_d":
-            return u * u - f.d * v * v
-        return u * u + u * v + v * v * Fraction(1 - f.d, 4)
+        return Fraction(integer_ring(self.field).norm(self.num), self.den * self.den)
 
     def trace(self) -> Fraction:
-        if self.field.is_rational:
-            return 2 * self.u
-        if self.field.omega_kind == "sqrt_d":
-            return 2 * self.u
-        return 2 * self.u + self.v
+        return Fraction(integer_ring(self.field).trace(self.num), self.den)
 
     def __truediv__(self, other):
         other = self.coerce(other)
-        n = other.norm()
+        ring = integer_ring(self.field)
+        # num/den divided by onum/oden is num*conj(onum)*oden / (den*N(onum)).
+        n = ring.norm(other.num)
         if n == 0:
             raise ZeroDivisionError("division by zero element")
-        num = self * other.conj()
-        return FieldElement(self.field, num.u / n, num.v / n)
+        u, v = ring.mul(self.num, ring.conj(other.num))
+        return _element(self.field, (u * other.den, v * other.den), self.den * n)
 
     def __rtruediv__(self, other):
         return self.coerce(other) / self
@@ -406,27 +419,26 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return (self.field.one() / self) ** (-k)
-        result = self.field.one()
-        base = self
+        mul = integer_ring(self.field).mul
+        result, base, den = (1, 0), self.num, self.den**k
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
+            base = mul(base, base)
             k >>= 1
-        return result
+        return _element(self.field, result, den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.u == other.u and self.v == other.v
+            return self.num == other.num and self.den == other.den and self.field == other.field
         if isinstance(other, (int, Fraction)):
-            return self.v == 0 and self.u == other
+            return self.num == (other.numerator, 0) and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
         # Equal to the int or Fraction it compares equal to.
-        if self.v == 0:
-            return hash(self.u)
-        return hash((self.field, self.u, self.v))
+        (U, V), den = self.num, self.den
+        return hash(Fraction(U, den)) if V == 0 else hash((self.field, U, V, den))
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.field}>"
@@ -507,10 +519,7 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     f = x.field
     if f.is_rational or f.totally_imaginary:
         ring = integer_ring(f)
-        u, v = x.u, x.v
-        den = math.lcm(u.denominator, v.denominator)
-        num = (u.numerator * (den // u.denominator), v.numerator * (den // v.denominator))
-        return ring.element(ring.round(num, den))
+        return ring.element(ring.round(x.num, x.den))
 
     # Baseline candidate by coordinate rounding.
     m0 = round(x.u)
@@ -563,21 +572,10 @@ def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, Field
 
 
 def normalize_associate(x: FieldElement) -> FieldElement:
-    """Canonical associate: the unit multiple minimizing (sgn u, sgn v, u, v)."""
-    if x.is_zero:
-        return x
-    if x.field.is_rational:
-        return x if x.u > 0 else -x
-
-    def key(y):
-        return (
-            (y.u > 0) - (y.u < 0),
-            (y.v > 0) - (y.v < 0),
-            y.u,
-            y.v,
-        )
-
-    return min((x * e for e in x.field.units()), key=key)
+    """Canonical associate: the unit multiple minimizing (sgn u, sgn v, u, v)
+    over a quadratic field, the positive one over Q.  The kernel picks it from
+    the numerator: den > 0 orders them alike, and keeps lowest terms."""
+    return _element(x.field, integer_ring(x.field).normalize(x.num), x.den)
 
 
 def gcd_elems(xs: Iterable[FieldElement]) -> FieldElement:
@@ -630,10 +628,10 @@ class IntegerRing:
         if x.field is not self.field and x.field != self.field:
             raise ValueError("elements of different fields")
         require_integral(x)
-        return x.u.numerator, x.v.numerator
+        return x.num
 
     def element(self, x: tuple[int, int]) -> FieldElement:
-        return FieldElement(self.field, x[0], x[1])
+        return _element(self.field, (x[0], x[1]), 1)
 
     def add(self, x, y):
         return x[0] + y[0], x[1] + y[1]

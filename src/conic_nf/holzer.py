@@ -52,10 +52,11 @@ def bound_constant_sq(field: FieldDescriptor) -> Fraction:
 
 
 def is_reduced(eq: ConicEquation, sol: SolutionTriple) -> bool:
-    """Exact check of the minimality bound on |z|."""
-    csq = bound_constant_sq(eq.field)
-    nz = sol.z.norm()
-    return nz * nz <= csq * abs(eq.a.norm() * eq.b.norm())
+    """Exact check of the minimality bound on |z|, in integers: N(z) is
+    N(num)/den^2 and the coefficients are integral."""
+    csq, ring = bound_constant_sq(eq.field), integer_ring(eq.field)
+    nz, nab = ring.norm(sol.z.num), abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
+    return nz * nz * csq.denominator <= csq.numerator * nab * sol.z.den**4
 
 
 def xgcd(a: FieldElement, b: FieldElement):

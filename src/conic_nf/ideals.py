@@ -447,7 +447,7 @@ def omega_root(P: PrimeIdeal, k: int = 1) -> int:
     omega = (1 + sqrt(d))/2, and the derivative 2*omega - 1 is odd.
     """
     field, p = P.field, P.p
-    s0, s1 = int(P.second_gen.u), int(P.second_gen.v)
+    s0, s1 = P.second_gen.num
     r = -s0 * pow(s1, -1, p) % p
     if k <= 1:
         return r
@@ -650,7 +650,7 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
         raise ValueError("square_decompose of zero")
     field = t.field
     if field.is_rational:
-        n = int(t.u)
+        n = t.num[0]
         t2 = 1
         for p, e in factor_int(n):
             t2 *= p ** (e // 2)

@@ -61,7 +61,7 @@ def primitive_param(
     try:
         g = gcd_elems([sol.x, sol.y, sol.z])
     except NotEuclidean:
-        c = _int_gcd(*(int(q) for t in (sol.x, sol.y, sol.z) for q in (t.u, t.v)))
+        c = _int_gcd(*(q for t in (sol.x, sol.y, sol.z) for q in t.num))
         g = sol.x.field.element(c)
     return SolutionTriple(sol.x / g, sol.y / g, sol.z / g)
 

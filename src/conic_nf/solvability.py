@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import BaseDegenerate
 from .fields import (
     FieldDescriptor,
     FieldElement,
-    Surd,
     format_element,
+    integer_ring,
+    surd_sign,
 )
 from .ideals import (
     PrimeIdeal,
@@ -54,9 +54,7 @@ class ConicEquation:
     @staticmethod
     def from_coefficients(a: FieldElement, b: FieldElement, c: FieldElement):
         """Scale a rational-coefficient triple to an integral one."""
-        m = math.lcm(
-            *(Fraction(co).denominator for x in (a, b, c) for co in (x.u, x.v))
-        )
+        m = math.lcm(a.den, b.den, c.den)
         return ConicEquation(a * m, b * m, c * m)
 
     def evaluate(self, x: FieldElement, y: FieldElement, z: FieldElement):
@@ -80,11 +78,12 @@ class Certificate:
 def _embedding_signs(x: FieldElement) -> list[int]:
     field = x.field
     if field.is_rational:
-        return [1 if x.u > 0 else -1]
+        return [1 if x.num[0] > 0 else -1]
     if field.totally_imaginary:
         return []
-    p, q = x.s_coords()
-    return [Surd(p, q, field.d).sign(), Surd(p, -q, field.d).sign()]
+    # Twice an embedding of U + V*omega is tr +- V*sqrt(disc), and den > 0.
+    t, v = integer_ring(field).trace(x.num), x.num[1]
+    return [surd_sign(t, v, field.disc), surd_sign(t, -v, field.disc)]
 
 
 def embedding_condition(eq: ConicEquation) -> bool:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree
 from conic_nf.fields import (
@@ -191,27 +193,80 @@ def test_integer_ring_is_cached_and_rejects_real_fields():
         ring.gcd([(7, 3), (2, 1)])
 
 
+# -- an independent reference: p + q*sqrt(d) on Fractions ---------------------
+#
+# Nothing below calls into conic_nf's arithmetic: an element is the pair
+# (p, q) of rationals with value p + q*sqrt(d) (q = 0 over Q), converted from
+# the coordinates (u, v) over {1, omega} by the definition of omega.
+
+
+def _ref_d(field):
+    return 0 if field.is_rational else field.d
+
+
+def _ref(field, u, v=0):
+    """(p, q) with u + v*omega = p + q*sqrt(d)."""
+    u, v = Fraction(u), Fraction(v)
+    if field.is_rational or field.d % 4 != 1:
+        return u, v
+    return u + v / 2, v / 2
+
+
+def _ref_of(x):
+    return _ref(x.field, x.u, x.v)
+
+
+def _ref_mul(d, x, y):
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_conj(x):
+    return x[0], -x[1]
+
+
+def _ref_norm(d, x):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def _ref_div(d, x, y):
+    n = _ref_norm(d, y)
+    p, q = _ref_mul(d, x, _ref_conj(y))
+    return p / n, q / n
+
+
+def _ref_pow(d, x, k):
+    if k < 0:
+        x, k = _ref_div(d, (Fraction(1), Fraction(0)), x), -k
+    r = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        r = _ref_mul(d, r, x)
+    return r
+
+
 @pytest.mark.parametrize("d", [2, 5, 6, 14, -1, -3, -7, None])
 def test_integer_ring_matches_field_elements(d):
-    # mul, conj, norm, trace and the trace form on pairs agree with the
-    # Fraction arithmetic of FieldElement, real fields included.
-    from conic_nf.lattice import _dot
-
+    # mul, conj, norm, trace and the trace form on kernel pairs, and the same
+    # operations on FieldElements, agree with the s-coordinate reference,
+    # real fields included.
     field = make_field(d)
     ring = integer_ring(field)
-    scale = 1 if d is not None and d > 0 else 2
+    rd = _ref_d(field)
     rng = random.Random(29)
     for _ in range(300):
-        x, y = (
-            field.element(rng.randint(-99, 99), 0 if field.is_rational else rng.randint(-99, 99))
+        px, py = (
+            (rng.randint(-99, 99), 0 if field.is_rational else rng.randint(-99, 99))
             for _ in range(2)
         )
-        px, py = ring.pair(x), ring.pair(y)
-        assert ring.element(ring.mul(px, py)) == x * y
-        assert ring.element(ring.conj(px)) == x.conj()
-        assert ring.norm(px) == x.norm()
-        assert ring.trace(px) == x.trace()
-        assert ring.dot(px, py) == scale * _dot(x, y)
+        x, y = field.element(*px), field.element(*py)
+        rx, ry = _ref(field, *px), _ref(field, *py)
+        assert _ref(field, *ring.mul(px, py)) == _ref_mul(rd, rx, ry) == _ref_of(x * y)
+        assert _ref(field, *ring.conj(px)) == _ref_conj(rx) == _ref_of(x.conj())
+        assert ring.norm(px) == _ref_norm(rd, rx) == x.norm()
+        assert ring.trace(px) == 2 * rx[0] == x.trace()
+        # The trace form: tr(x * conj(y)) over an imaginary field, tr(x * y)
+        # otherwise.
+        other = _ref_conj(ry) if field.totally_imaginary else ry
+        assert ring.dot(px, py) == 2 * _ref_mul(rd, rx, other)[0]
 
 
 @pytest.mark.parametrize("d", [2, 5, 6, 14, -6, -7, None])
@@ -355,13 +410,35 @@ def test_normalize_associate_deterministic():
     y = normalize_associate(x)
     assert y in [x * u for u in QI.units()]
     assert y == normalize_associate(y * QI.omega())
-    # The integer kernel normalises gcds by the same rule.
+
+    # Brute force: the unit multiple with the least (sgn u, sgn v, u, v) over
+    # a quadratic field, the positive one over Q.
+    def sgn(t):
+        return (t > 0) - (t < 0)
+
     rng = random.Random(13)
-    for field in (Q, QI, make_field(-3), Q7):
+    for field in (Q, QI, make_field(-3), Q7, Q14):
         ring = integer_ring(field)
         for _ in range(40):
-            x = field.element(rng.randint(-9, 9), 0 if field.is_rational else rng.randint(-9, 9))
-            assert ring.element(ring.normalize(ring.pair(x))) == normalize_associate(x)
+            den = rng.choice((1, 1, 2, 3, 12))
+            x = field.element(
+                Fraction(rng.randint(-9, 9), den),
+                0 if field.is_rational else Fraction(rng.randint(-9, 9), den),
+            )
+            if x.is_zero:
+                assert normalize_associate(x) == x
+                continue
+            if field.is_rational:
+                want = x if x.u > 0 else -x
+            else:
+                want = min(
+                    (x * e for e in field.units()),
+                    key=lambda y: (sgn(y.u), sgn(y.v), y.u, y.v),
+                )
+            assert normalize_associate(x) == want
+            if x.is_integral:
+                # The integer kernel normalises gcds by the same rule.
+                assert ring.element(ring.normalize(ring.pair(x))) == want
 
 
 def test_field_element_hash_agrees_with_equality():
@@ -375,3 +452,68 @@ def test_field_element_hash_agrees_with_equality():
     x = QI.element(Fraction(1, 3), 2)
     assert x == QI.element(Fraction(2, 6), 2) and hash(x) == hash(QI.element(Fraction(2, 6), 2))
     assert len({x, Q7.element(Fraction(1, 3), 2)}) == 2
+
+
+# Q and both kinds of omega over real and imaginary fields.
+_PROPERTY_FIELDS = [make_field(d) for d in (None, -1, -6, -3, -7, 2, 3, 5, 13)]
+_coordinate = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def _field_and_elements(draw):
+    field = draw(st.sampled_from(_PROPERTY_FIELDS))
+    elems = []
+    for _ in range(2):
+        u = draw(_coordinate)
+        v = Fraction(0) if field.is_rational else draw(_coordinate)
+        elems.append((u, v))
+    return field, elems
+
+
+def _assert_lowest_terms(x):
+    (U, V), den = x.num, x.den
+    assert den > 0 and math.gcd(U, V, den) == 1
+    assert x.u == Fraction(U, den) and x.v == Fraction(V, den)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_field_and_elements(), st.integers(-3, 3))
+def test_field_element_arithmetic_matches_reference(drawn, k):
+    field, ((u1, v1), (u2, v2)) = drawn
+    rd = _ref_d(field)
+    x, y = field.element(u1, v1), field.element(u2, v2)
+    rx, ry = _ref(field, u1, v1), _ref(field, u2, v2)
+    results = {
+        "+": (x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+        "-": (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+        "*": (x * y, _ref_mul(rd, rx, ry)),
+        "conj": (x.conj(), _ref_conj(rx)),
+    }
+    if not y.is_zero:
+        results["/"] = (x / y, _ref_div(rd, rx, ry))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if k >= 0 or not x.is_zero:
+        results["**"] = (x**k, _ref_pow(rd, rx, k))
+    for op, (got, want) in results.items():
+        _assert_lowest_terms(got)
+        assert _ref_of(got) == want, op
+    assert x.norm() == _ref_norm(rd, rx)
+    assert x.trace() == 2 * rx[0]
+    _assert_lowest_terms(x)
+
+    # u and v survive the text grammar both ways.
+    assert parse_element(field, format_element(x)) == x
+    if not field.is_rational:
+        text = f"{u1}{'+' if v1 >= 0 else '-'}{abs(v1)}w"
+        parsed = parse_element(field, text)
+        assert (parsed.u, parsed.v) == (u1, v1)
+
+    # A rational element equals, and hashes like, its Fraction and int.
+    r = field.element(u1)
+    assert r == u1 and hash(r) == hash(u1)
+    assert r != u1 + 1
+    if u1.denominator == 1:
+        assert r == int(u1) and hash(r) == hash(int(u1))
+    assert (x == u1) == (v1 == 0)
