@@ -244,9 +244,13 @@ def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
 
 
 # Solvable conics on which the descent reaches a unit coefficient and runs
-# solve_pell's bounded search for seconds.  Each must be solved within a
-# second; a mend that removes the search flips these.
+# solve_pell's bounded search: each draws about 160,000 candidates from
+# _enumerate_small and _enumerate_pairs and runs for seconds.  Each must be
+# solved within a second and from fewer than PELL_CANDIDATES candidates (the
+# solve inputs of the benchmark draw at most 3); a mend that removes the
+# search flips these, faster arithmetic alone does not.
 PELL_RUNAWAYS = [(-7, "1;1;9-6s"), (2, "-2-s;-1-2s;10+15s"), (17, "-1-w;-1;13+5w")]
+PELL_CANDIDATES = 1000
 
 
 def _on_alarm(signum, frame):
@@ -255,11 +259,23 @@ def _on_alarm(signum, frame):
 
 @pytest.mark.xfail(
     strict=True,
-    raises=TimeoutError,
-    reason="the descent runs solve_pell's 160,801-candidate search for seconds",
+    raises=(TimeoutError, AssertionError),
+    reason="the descent runs solve_pell's 160,801-candidate search",
 )
 @pytest.mark.parametrize("d, eq", PELL_RUNAWAYS, ids=[eq for _, eq in PELL_RUNAWAYS])
-def test_pell_runaway_solves_within_a_second(d, eq):
+def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
+    drawn = [0]
+
+    def counted(enumerate_candidates):
+        def wrapper(*args, **kwargs):
+            for candidate in enumerate_candidates(*args, **kwargs):
+                drawn[0] += 1
+                yield candidate
+
+        return wrapper
+
+    monkeypatch.setattr(descent, "_enumerate_small", counted(descent._enumerate_small))
+    monkeypatch.setattr(descent, "_enumerate_pairs", counted(descent._enumerate_pairs))
     equation = _golden_equation({"field": d, "eq": eq})
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(1)
@@ -268,4 +284,5 @@ def test_pell_runaway_solves_within_a_second(d, eq):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert drawn[0] < PELL_CANDIDATES, f"drew {drawn[0]} search candidates"
     assert verify(equation, sol)
