@@ -328,7 +328,9 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     """Minimal-size representative of x + M, certified by enumeration.
 
     Ties break to the lexicographically smallest (u, v).  Runs on the
-    integer kernel's pairs, with sizes compared exactly in integers.
+    integer kernel's pairs, with sizes compared exactly in integers.  The
+    window comes from a Lagrange-reduced basis r1, r2 of M, so it holds a
+    bounded number of candidates whatever N(M) is.
     """
     field = x.field
     ring = integer_ring(field)
@@ -338,28 +340,40 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
         return field.element(min(r, r - M.a, key=lambda u: (u * u, u)))
 
     xu, xv = M.reduce_pair((xu, xv))
-    a, b, c = M.a, M.b, M.c
-    # Babai rounding in a Lagrange-reduced basis gives a near-optimal
-    # starting radius; the window enumeration below certifies the minimum.
-    (r1u, r1v), (r2u, r2v) = _lagrange_reduce(ring, (a, 0), (b, c))
-    det = r1u * r2v - r2u * r1v
-    k1 = round_quotient(xu * r2v - xv * r2u, det)
-    k2 = round_quotient(r1u * xv - r1v * xu, det)
-    base = (xu - k1 * r1u - k2 * r2u, xv - k1 * r1v - k2 * r2v)
+    dot = ring.dot
+    r1, r2 = _lagrange_reduce(ring, (M.a, 0), (M.b, M.c))
+    det = r1[0] * r2[1] - r2[0] * r1[1]
+    if det < 0:
+        r2, det = (-r2[0], -r2[1]), -det
+    # x = (c1*r1 + c2*r2)/det; Babai rounding gives the starting candidate.
+    c1, c2 = xu * r2[1] - xv * r2[0], r1[0] * xv - r1[1] * xu
+    k1, k2 = round_quotient(c1, det), round_quotient(c2, det)
+    base = (xu - k1 * r1[0] - k2 * r2[0], xv - k1 * r1[1] - k2 * r2[1])
     best = (ring.size_sq(base), *base)
-    # size_sq is twice the squared size.
-    R = math.sqrt(float(best[0]) / 2) * (1 + 1e-9) + 1e-9
-    half = ring.t == 1
-    # |v-coordinate| of a candidate is at most R / sqrt(|d|), twice that
-    # when omega = (1 + sqrt(d))/2.
-    vmax = R / (math.sqrt(abs(field.d)) * (0.5 if half else 1))
-    t2 = xv / c
-    for k2 in range(math.floor(t2 - vmax / c) - 1, math.ceil(t2 + vmax / c) + 2):
-        ru, rv = xu - b * k2, xv - c * k2
-        # |1-part in s-coords| <= R (+ half of the omega part if needed).
-        slack = R + (abs(rv) / 2 + 1 if half else 0)
-        for k1 in range(math.floor((ru - slack) / a) - 1, math.ceil((ru + slack) / a) + 2):
-            cand = (ru - k1 * a, rv)
+    # The trace form is at most size_sq (equal over an imaginary field), so
+    # a candidate z = y - k1*r1, y = x - k2*r2, no larger than the start has
+    # dot(z, z) <= S.  The part of z orthogonal to r1 gives
+    # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G the Gram determinant:
+    # a window of at most about 2*sqrt(8/3) + 1 values of k2, as the basis
+    # is reduced.
+    S = best[0]
+    if ring.real:
+        S = S.r + math.isqrt(S.s * S.s * S.rad) + 1
+    n1 = dot(r1, r1)
+    gram_det = n1 * dot(r2, r2) - dot(r1, r2) ** 2
+    L = math.isqrt(S * n1 * det * det // gram_det)
+    for k2 in range(-((L - c2) // det), (c2 + L) // det + 1):
+        y = (xu - k2 * r2[0], xv - k2 * r2[1])
+        e = dot(y, r1)
+        if ring.real:
+            # dot(z, z) = (k1*n1 - e)^2 / n1 + the orthogonal part <= S.
+            room = math.isqrt(S * n1 - n1 * dot(y, y) + e * e)
+            k1s = range(-((room - e) // n1), (e + room) // n1 + 1)
+        else:
+            # size_sq(z) = dot(z, z) is a quadratic in k1, least at e/n1.
+            k1s = (e // n1, e // n1 + 1)
+        for k1 in k1s:
+            cand = (y[0] - k1 * r1[0], y[1] - k1 * r1[1])
             key = (ring.size_sq(cand), *cand)
             if key < best:
                 best = key

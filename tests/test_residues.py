@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 import os
 import random
@@ -7,7 +8,16 @@ import sys
 import pytest
 
 from conic_nf.errors import EvenPrime
-from conic_nf.fields import FieldElement, format_element, integer_ring, make_field, parse_element, size_sq
+from conic_nf.fields import (
+    FieldElement,
+    IntegerRing,
+    elem_size,
+    format_element,
+    integer_ring,
+    make_field,
+    parse_element,
+    size_sq,
+)
 from conic_nf.ideals import (
     Ideal,
     element_valuation,
@@ -236,6 +246,60 @@ def test_closest_in_coset_certified():
                 for k2 in range(-6, 7):
                     cand = M.reduce(x) - b1 * k1 - b2 * k2
                     assert size_sq(best) <= size_sq(cand)
+
+
+def _brute_closest(x, M, R):
+    """The least element of x + M by (size, u, v) among those of size <= R,
+    by enumerating every pair (u, v) of size <= R in the coset."""
+    field = x.field
+    t = 0 if field.omega_kind == "sqrt_d" else 1
+    (xu, xv), (a, b, c) = x.num, (M.a, M.b, M.c)
+    # |sigma1(z) - sigma2(z)| = |v|*sqrt(|disc|) and |tr(z)| = |2u + t*v|,
+    # each at most 2R.
+    vmax = math.floor(2 * R / math.sqrt(abs(field.disc)))
+    best = None
+    for v in range(-vmax, vmax + 1):
+        if (v - xv) % c:
+            continue
+        # u = xu + b*k2 (mod a), k2 = (v - xv)/c, and |2u + t*v| <= 2R.
+        lo = math.ceil(-R - t * v / 2)
+        u = lo + (xu + b * (v - xv) // c - lo) % a
+        while u <= R - t * v / 2:
+            z = field.element(u, v)
+            key = (size_sq(z), u, v)
+            if best is None or key < best:
+                best = key
+            u += a
+    return best
+
+
+def test_closest_in_coset_window_is_bounded_by_the_reduced_basis(monkeypatch):
+    # At P^1..P^4 over a split prime the HNF basis is (p^k, 0), (b, 1); the
+    # window from the reduced basis stays a few candidates while N(M) grows
+    # a million-fold, and the result is the brute-force least element.
+    calls = [0]
+    size_key = IntegerRing.size_sq
+
+    def counting(self, x):
+        calls[0] += 1
+        return size_key(self, x)
+
+    monkeypatch.setattr(IntegerRing, "size_sq", counting)
+    rng = random.Random(43)
+    for d in (-7, -1, 5, 14):
+        field = make_field(d)
+        P = next(P for P, _ in factor_ideal(principal_ideal(field.element(1009))) if P.f == 1)
+        xs = [field.element(12345, 678)]
+        xs += [field.element(rng.randint(-3000, 3000), rng.randint(-3000, 3000)) for _ in range(3)]
+        for k in (1, 2, 3, 4):
+            M = prime_power(P, k)
+            for x in xs:
+                calls[0] = 0
+                got = closest_in_coset(x, M)
+                assert calls[0] <= 12, (d, k, calls[0])
+                assert M.contains(got - x)
+                R = elem_size(got) * (1 + 1e-9) + 1e-9
+                assert _brute_closest(x, M, R)[1:] == got.num
 
 
 # Closest elements of cosets over Q, imaginary and real fields, ties
