@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 expectation mismatch or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -308,9 +309,15 @@ def _attach_triples(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_attach_triples(argv))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -202,3 +203,22 @@ def test_corpus_unsolvable_expectation_only_checks(tmp_path, monkeypatch):
     assert rec["status"] == "mismatch"
     assert rec["detail"] == "expected unsolvable, got solvable"
     assert solves == []
+
+
+def test_run_builds_its_parser_once(monkeypatch):
+    # run reuses one parser: after the first call no ArgumentParser is built.
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["check", "--field", "-7", "--eq", "3;2;13", "--json"]
+    assert _run(argv)[0] == 0
+    first = built[0]
+    for _ in range(3):
+        assert _run(argv)[0] == 0
+        assert _run(["check", "--field", "-7"])[0] == 2  # --eq missing
+    assert built[0] == first
