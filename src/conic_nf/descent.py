@@ -6,6 +6,11 @@ than B; recursing on (A, squarefree part of t) and composing with the
 multiplicativity of x^2 - A*y^2 yields a solution.  When no small root
 exists the equation is handled as a generalised Pell equation by a
 bounded search.
+
+Every decision of a step is a test on the integer kernel's pairs: the
+square test is the kernel's closed-form root (elem_sqrt), and sizes, units
+and |w| < |B| - 1 are integer comparisons.  A DescentTrace stores the
+elements of each step and formats them only in to_list().
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from .fields import (
     FieldElement,
     elem_sqrt,
     format_element,
+    integer_ring,
     is_unit,
     make_field,
     require_integral,
-    size_lt_size_minus_one,
-    size_sq,
 )
 from .ideals import principal_ideal, square_decompose
 from .lattice import short_congruence_pair
@@ -60,19 +64,27 @@ class SolutionTriple:
         )
 
 
+def _formatted(value):
+    if isinstance(value, FieldElement):
+        return format_element(value)
+    if isinstance(value, list):
+        return [_formatted(v) for v in value]
+    return value
+
+
 class DescentTrace:
-    """Recorded steps of a descent run, for inspection and JSON output."""
+    """Recorded steps of a descent run, for inspection and JSON output.
+
+    A step keeps the elements it was given; to_list() formats them."""
 
     def __init__(self):
         self.steps: list[dict] = []
 
     def add(self, kind: str, **info):
-        entry = {"step": kind}
-        entry.update(info)
-        self.steps.append(entry)
+        self.steps.append({"step": kind, **info})
 
     def to_list(self) -> list[dict]:
-        return list(self.steps)
+        return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
 
 
 def to_norm_form(
@@ -204,16 +216,19 @@ def compose_solution(
 def _try_rational_subfield(
     A: FieldElement, B: FieldElement
 ) -> Optional[tuple[FieldElement, FieldElement, FieldElement]]:
-    """Solve over Q when A and B are rational and the conditions hold there."""
+    """Solve over Q when A and B are rational and the conditions hold there.
+
+    The conditions are decided here, so the descent over Q starts as a
+    recursive call, which does not decide them again."""
     field = A.field
-    if field.is_rational or A.v != 0 or B.v != 0:
+    if field.is_rational or A.num[1] or B.num[1]:
         return None
     Qf = make_field()
-    try:
-        x, y, z = legendre_descent(Qf.element(A.u), Qf.element(B.u))
-    except NotSolvable:
+    a, b = Qf.element(A.num[0]), Qf.element(B.num[0])
+    if not check_solvable(ConicEquation.from_coefficients(Qf.one(), -a, -b)).solvable:
         return None
-    return (field.element(x.u), field.element(y.u), field.element(z.u))
+    sol = legendre_descent(a, b, _depth=1)
+    return tuple(field.element(t.num[0]) / t.den for t in sol)
 
 
 def _fallback_solve(
@@ -238,7 +253,7 @@ def _fallback_solve(
         pass
     if _allow_transform:
         try:
-            trace.add("transform", A=format_element(A), B=format_element(B))
+            trace.add("transform", A=A, B=B)
             xt, yt, zt = legendre_descent(
                 -(A * B), A, pell_bound, trace, _depth + 1, _allow_transform=False
             )
@@ -248,7 +263,7 @@ def _fallback_solve(
                 return sol
         except PellSearchExhausted:
             pass
-    trace.add("norm_search", A=format_element(A), B=format_element(B))
+    trace.add("norm_search", A=A, B=B)
     return _norm_search(A, B, pell_bound or DEFAULT_PELL_BOUND)
 
 
@@ -266,6 +281,7 @@ def legendre_descent(
     NotSolvable when they fail; the recursive calls do not check again.
     """
     field = A.field
+    ring = integer_ring(field)
     require_integral(A)
     require_integral(B)
     if trace is None:
@@ -289,22 +305,22 @@ def legendre_descent(
     # A perfect square A short-circuits everything: x = sqrt(A)*y.
     sq = elem_sqrt(A)
     if sq is not None:
-        trace.add("square_discriminant", sqrt=format_element(sq))
+        trace.add("square_discriminant", sqrt=sq)
         return (sq, field.one(), field.zero())
 
-    if size_sq(A) > size_sq(B):
-        trace.add("swap", A=format_element(A), B=format_element(B))
+    if ring.size_sq(A.num) > ring.size_sq(B.num):
+        trace.add("swap", A=A, B=B)
         x, y, z = legendre_descent(
             B, A, pell_bound, trace, _depth + 1, _allow_transform
         )
         return (x, z, y)
 
     if is_unit(B):
-        trace.add("pell_base", B=format_element(B))
+        trace.add("pell_base", B=B)
         return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
 
     if is_unit(A):
-        trace.add("pell_base_swapped", A=format_element(A))
+        trace.add("pell_base_swapped", A=A)
         try:
             x, z = solve_pell(B, A, pell_bound)
             return (x, field.one(), z)
@@ -312,7 +328,7 @@ def legendre_descent(
             return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
 
     if A == B:
-        trace.add("equal_coefficients", B=format_element(B))
+        trace.add("equal_coefficients", B=B)
         try:
             x, z = solve_pell(field.element(-1), B, pell_bound)
             return (B, x, z)
@@ -320,29 +336,19 @@ def legendre_descent(
             return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
 
     w = sqrt_mod_ideal(A, principal_ideal(B))
-    if w is None or not size_lt_size_minus_one(w, B):
-        trace.add(
-            "pell_fallback",
-            w=None if w is None else format_element(w),
-        )
+    if w is None or not ring.size_lt_size_minus(w.num, B.num):
+        trace.add("pell_fallback", w=w)
         return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
 
     a0, b0 = short_congruence_pair(A, B, w)
     t = (a0 * a0 - A * b0 * b0) / B
     assert t.is_integral, "congruence pair must give an integral quotient"
-    trace.add(
-        "reduce",
-        A=format_element(A),
-        B=format_element(B),
-        w=format_element(w),
-        pair=[format_element(a0), format_element(b0)],
-        t=format_element(t),
-    )
+    trace.add("reduce", A=A, B=B, w=w, pair=[a0, b0], t=t)
     if t.is_zero:
         # a0^2 = A b0^2: a square discriminant witnessed by the pair.
         return (a0, b0, field.zero())
-    if not size_sq(t) < size_sq(B):
-        trace.add("pell_fallback_large_t", t=format_element(t))
+    if not ring.size_sq(t.num) < ring.size_sq(B.num):
+        trace.add("pell_fallback_large_t", t=t)
         return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
     t1, t2 = square_decompose(t)
     inner = legendre_descent(
@@ -380,9 +386,7 @@ def solve_conic(
     """
     nf, back = to_norm_form(eq)
     if trace is not None:
-        trace.add(
-            "norm_form", A=format_element(nf.A), B=format_element(nf.B)
-        )
+        trace.add("norm_form", A=nf.A, B=nf.B)
     x, y, z = legendre_descent(nf.A, nf.B, pell_bound, trace)
     raw = back(x, y, z)
     xi, yi, zi = _clear_denominators(eq.field, raw)

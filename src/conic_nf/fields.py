@@ -5,10 +5,12 @@ omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
 d = 1 (mod 4).  Its integer kernel, IntegerRing, is the one place that
 knows omega's minimal polynomial: arithmetic on (u, v) integer pairs over
 every field, with exact sizes compared in integers (IntSurd over a real
-field).  A FieldElement is a kernel pair over one positive denominator,
-(U + V*omega)/den in lowest terms, and all its arithmetic goes through the
-kernel.  Archimedean sizes are compared exactly via the Surd helper, with
-floats only as a human-readable approximation.
+field), the size test |w| < |b| - e and closed-form square roots.  A
+FieldElement is a kernel pair over one positive denominator,
+(U + V*omega)/den in lowest terms, and all its arithmetic, its square root
+(elem_sqrt) and the size helpers go through the kernel.  size_sq returns
+the kernel's key as a Surd, an exact rational-coefficient value for
+callers; floats are only a human-readable approximation.
 
 Over Q and the imaginary quadratic fields the kernel adds closed-form
 nearest-integer rounding, Euclidean division, extended gcd and normalised
@@ -162,10 +164,11 @@ def surd_sign(r, s, rad: int) -> int:
 
 
 class Surd:
-    """Exact real number r + s*sqrt(rad) with r, s rational and rad >= 0.
+    """Exact real number r + s*sqrt(rad) with r, s rational and rad >= 0,
+    compared exactly with a Surd or a rational.
 
-    rad = 0 encodes a plain rational.  Mixing instances is allowed when the
-    radicals agree or one side is rational.
+    rad = 0 encodes a plain rational.  Instances compare when the radicals
+    agree or one side is rational.
     """
 
     __slots__ = ("r", "s", "rad")
@@ -179,49 +182,13 @@ class Surd:
         if self.rad == 0 and self.s != 0:
             raise ValueError("rad=0 requires s=0")
 
-    @staticmethod
-    def of(value) -> "Surd":
-        if isinstance(value, Surd):
-            return value
-        return Surd(Fraction(value))
-
-    def _coerce(self, other) -> tuple["Surd", "Surd"]:
-        other = Surd.of(other)
-        if self.rad == other.rad:
-            return self, other
-        if self.s == 0:
-            return Surd(self.r, 0, other.rad), other
-        if other.s == 0:
-            return self, Surd(other.r, 0, self.rad)
-        raise ValueError(f"incompatible radicals {self.rad} and {other.rad}")
-
-    def __add__(self, other):
-        a, b = self._coerce(other)
-        return Surd(a.r + b.r, a.s + b.s, a.rad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._coerce(other)
-        return Surd(a.r - b.r, a.s - b.s, a.rad)
-
-    def __rsub__(self, other):
-        return Surd.of(other) - self
-
-    def __mul__(self, other):
-        a, b = self._coerce(other)
-        return Surd(a.r * b.r + a.s * b.s * a.rad, a.r * b.s + a.s * b.r, a.rad)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Surd(-self.r, -self.s, self.rad)
-
-    def sign(self) -> int:
-        return surd_sign(self.r, self.s, self.rad)
-
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        """The sign of self - other."""
+        if not isinstance(other, Surd):
+            return surd_sign(self.r - other, self.s, self.rad)
+        if self.s and other.s and self.rad != other.rad:
+            raise ValueError(f"incompatible radicals {self.rad} and {other.rad}")
+        return surd_sign(self.r - other.r, self.s - other.s, self.rad or other.rad)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -349,13 +316,6 @@ class FieldElement:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def s_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (p, q) with self = p + q*sqrt(d)."""
-        (U, V), den = self.num, self.den
-        if self.field.is_rational or self.field.omega_kind == "sqrt_d":
-            return Fraction(U, den), Fraction(V, den)
-        return Fraction(2 * U + V, 2 * den), Fraction(V, 2 * den)
-
     @classmethod
     def from_s_coords(cls, field: FieldDescriptor, p, q) -> "FieldElement":
         p, q = Fraction(p), Fraction(q)
@@ -438,7 +398,9 @@ class FieldElement:
     def __hash__(self):
         # Equal to the int or Fraction it compares equal to.
         (U, V), den = self.num, self.den
-        return hash(Fraction(U, den)) if V == 0 else hash((self.field, U, V, den))
+        if V:
+            return hash((self.field, U, V, den))
+        return hash(U if den == 1 else Fraction(U, den))
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.field}>"
@@ -448,14 +410,14 @@ class FieldElement:
 
 
 def size_sq(x: FieldElement) -> Surd:
-    """Exact square of elem_size(x): max over archimedean embeddings."""
-    f = x.field
-    if f.is_rational:
-        return Surd(x.u * x.u)
-    if f.totally_imaginary:
-        return Surd(x.norm())
-    p, q = x.s_coords()
-    return Surd(p * p + q * q * f.d, abs(2 * p * q), f.d)
+    """Exact square of elem_size(x): max over archimedean embeddings, the
+    kernel's size key of the numerator over 2*den^2."""
+    key, den2 = integer_ring(x.field).size_sq(x.num), 2 * x.den * x.den
+    if not isinstance(key, IntSurd):
+        return Surd(Fraction(key, den2))
+    # sqrt(disc) is sqrt(d), or 2*sqrt(d) when omega = sqrt(d).
+    s = 2 * key.s if x.field.omega_kind == "sqrt_d" else key.s
+    return Surd(Fraction(key.r, den2), Fraction(s, den2), x.field.d)
 
 
 def elem_size(x: FieldElement) -> float:
@@ -463,29 +425,13 @@ def elem_size(x: FieldElement) -> float:
     return math.sqrt(float(size_sq(x)))
 
 
-def size_value(x: FieldElement) -> Surd:
-    """Exact elem_size when it is expressible as a surd (real quadratic / Q)."""
-    f = x.field
-    if f.is_rational:
-        return Surd(abs(x.u))
-    if f.totally_imaginary:
-        raise ValueError("complex modulus is not a surd in general")
-    p, q = x.s_coords()
-    a = Surd(p, q, f.d)
-    b = Surd(p, -q, f.d)
-    return max(a, -a, b, -b)
-
-
 def size_lt_size_minus_one(w: FieldElement, b: FieldElement) -> bool:
-    """Exact |w| < |b| - 1 (the descent step-6 test)."""
-    f = w.field
-    if f.is_rational or f.totally_imaginary:
-        a = size_sq(w).r  # rational: |w|^2
-        c = size_sq(b).r
-        # sqrt(a) < sqrt(c) - 1  <=>  c + 1 - a > 0 and (c + 1 - a)^2 > 4c
-        diff = c + 1 - a
-        return c >= 1 and diff > 0 and diff * diff > 4 * c
-    return size_value(w) < size_value(b) - Surd(1)
+    """Exact |w| < |b| - 1 (the descent step-6 test), on the kernel: over the
+    common denominator e of w and b it is |e*w| < |e*b| - e."""
+    e = math.lcm(w.den, b.den)
+    w_num = (w.num[0] * (e // w.den), w.num[1] * (e // w.den))
+    b_num = (b.num[0] * (e // b.den), b.num[1] * (e // b.den))
+    return integer_ring(w.field).size_lt_size_minus(w_num, b_num, e)
 
 
 # -- integrality, rounding, Euclidean division ------------------------------
@@ -499,13 +445,7 @@ def require_integral(x: FieldElement) -> FieldElement:
 
 def is_unit(x: FieldElement) -> bool:
     """True iff x is a unit of O_K (requires x integral)."""
-    return x.is_integral and abs(x.norm()) == 1
-
-
-def _int_window(center: Fraction, radius: float) -> range:
-    lo = math.floor(float(center) - radius) - 1
-    hi = math.ceil(float(center) + radius) + 1
-    return range(lo, hi + 1)
+    return x.is_integral and abs(integer_ring(x.field).norm(x.num)) == 1
 
 
 def nearest_integer(x: FieldElement) -> FieldElement:
@@ -517,46 +457,29 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     embeddings, and the result is certified by enumeration.
     """
     f = x.field
-    if f.is_rational or f.totally_imaginary:
-        ring = integer_ring(f)
+    ring = integer_ring(f)
+    if not ring.real:
         return ring.element(ring.round(x.num, x.den))
 
-    # Baseline candidate by coordinate rounding.
-    m0 = round(x.u)
-    n0 = round(x.v)
-    base = f.element(m0, n0)
-    best_d = size_sq(x - base)
-    radius = math.sqrt(float(best_d)) * (1 + 1e-9) + 1e-9
+    # Every z at max-embedding distance <= R from x, R the distance of
+    # coordinate rounding, has |v_x - v_z| <= 2R/sqrt(disc), since
+    # sigma1 - sigma2 = v*sqrt(disc), and |u_x - u_z| <= R + t*|v_x - v_z|/2,
+    # since (sigma1 + sigma2)/2 = u + t*v/2.  Sizes are compared on the
+    # kernel's exact keys of num - z*den.
+    (U, V), den = x.num, x.den
 
-    # Window in s-coordinates: |p - p_z| <= R and |q - q_z|*sqrt(d) <= R
-    # covers every candidate at max-embedding distance <= R.
-    p, q = x.s_coords()
-    sd = math.sqrt(f.d)
-    candidates = []
-    for n in _int_window(x.v, 2 * radius / sd + 1):
-        # For fixed v-coordinate n, u ranges so that the 1-part stays close.
-        if f.omega_kind == "sqrt_d":
-            if abs(float(q - n)) * sd > radius * (1 + 1e-9) + 1e-9:
-                continue
-            for m in _int_window(x.u, radius):
-                candidates.append((m, n))
-        else:
-            qz = Fraction(n, 2)
-            if abs(float(q - qz)) * sd > radius * (1 + 1e-9) + 1e-9:
-                continue
-            for m in _int_window(x.u, radius + 1):
-                candidates.append((m, n))
+    def key(m, n):
+        return ring.size_sq((U - m * den, V - n * den)), m, n
 
-    best = None
-    best_key = None
-    for m, n in candidates:
-        z = f.element(m, n)
-        d = size_sq(x - z)
-        key = (d, Fraction(m), Fraction(n))
-        if best_key is None or key < best_key:
-            best, best_key = z, key
-    assert best is not None and best_key[0] <= best_d
-    return best
+    best = key(round_quotient(U, den), round_quotient(V, den))
+    R = math.sqrt(float(best[0]) / 2) / den * (1 + 1e-9) + 1e-9
+    dv = 2 * R / math.sqrt(f.disc)
+    du = R + ring.t * dv / 2
+    xu, xv = U / den, V / den
+    for n in range(math.floor(xv - dv) - 1, math.ceil(xv + dv) + 2):
+        for m in range(math.floor(xu - du) - 1, math.ceil(xu + du) + 2):
+            best = min(best, key(m, n))
+    return ring.element(best[1:])
 
 
 def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -671,6 +594,52 @@ class IntegerRing:
             return 2 * self.norm(x)
         return IntSurd(self.dot(x, x), abs(x[1] * self.trace(x)), self.field.disc)
 
+    def size_lt_size_minus(self, w, b, e: int = 1) -> bool:
+        """Exact |w| < |b| - e for e >= 1, |x| the largest absolute value of
+        x under an embedding.  Over a real field 2|x| = |tr x| + |v|*sqrt(disc);
+        otherwise |x|^2 = N(x), and sqrt(a) < sqrt(c) - e holds exactly when
+        c > e^2 and c + e^2 - a > 2e*sqrt(c)."""
+        if self.real:
+            r = abs(self.trace(b)) - abs(self.trace(w)) - 2 * e
+            return surd_sign(r, abs(b[1]) - abs(w[1]), self.field.disc) > 0
+        a, c = self.norm(w), self.norm(b)
+        diff = c + e * e - a
+        return c > e * e and diff > 0 and diff * diff > 4 * e * e * c
+
+    def sqrt(self, x):
+        """The root y of y^2 = x in O_K with tr(y) > 0, or tr(y) = 0 and
+        v > 0; None when x is not a square.
+
+        Closed form with integer square roots (Cohen, A Course in
+        Computational Algebraic Number Theory, 1.7): N(y)^2 = N(x),
+        tr(y)^2 = tr(x) + 2N(y) and y*tr(y) = x + N(y).  When tr(y) = 0, y is
+        an integer multiple of sqrt(d): v^2 = -4N(y)/disc and u = -t*v/2.
+        """
+        if x == (0, 0):
+            return x
+        nx = self.norm(x)
+        m = math.isqrt(nx) if nx > 0 else 0
+        if m * m != nx:
+            return None
+        for n in (m, -m):
+            s2 = self.trace(x) + 2 * n
+            if s2 < 0:
+                continue
+            s = math.isqrt(s2)
+            if s * s != s2:
+                continue
+            if s:
+                y = ((x[0] + n) // s, x[1] // s)
+            elif self.field.is_rational:
+                continue
+            else:
+                v2, r = divmod(-4 * n, self.field.disc)
+                v = math.isqrt(v2) if v2 > 0 and not r else 0
+                y = (-(self.t * v) // 2, v)
+            if self.mul(y, y) == x:
+                return y
+        return None
+
     def _require_definite(self):
         if self.real:
             raise ValueError(f"{self.field} is a real quadratic field: no closed-form rounding")
@@ -768,46 +737,12 @@ def divides(a: FieldElement, b: FieldElement) -> bool:
     return (b / a).is_integral
 
 
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def elem_sqrt(s: FieldElement) -> Optional[FieldElement]:
-    """A square root of s in K, or None if s is not a square in K."""
-    f = s.field
-    if f.is_rational:
-        r = rational_sqrt(s.u)
-        return None if r is None else f.element(r)
-    p, q = s.s_coords()  # s = p + q*sqrt(d)
-    d = f.d
-    if q == 0:
-        r = rational_sqrt(p)
-        if r is not None:
-            return FieldElement.from_s_coords(f, r, 0)
-        r = rational_sqrt(p / d)
-        if r is not None:
-            return FieldElement.from_s_coords(f, 0, r)
-        return None
-    # (a + b*sqrt(d))^2 = a^2 + b^2 d + 2ab sqrt(d):  2ab = q, a^2 + b^2 d = p.
-    # Substitute b = q/(2a):  4a^4 - 4p a^2 + q^2 d = 0.
-    disc = rational_sqrt(p * p - q * q * d)
-    if disc is None:
-        return None
-    for root in (p + disc, p - disc):
-        a2 = root / 2
-        a = rational_sqrt(a2)
-        if a is not None and a != 0:
-            b = q / (2 * a)
-            return FieldElement.from_s_coords(f, a, b)
-    return None
+    """A square root of s in K, or None if s is not a square in K: the
+    kernel's root of s*den^2, which is integral when it exists, over den."""
+    (U, V), den = s.num, s.den
+    y = integer_ring(s.field).sqrt((U * den, V * den))
+    return None if y is None else _element(s.field, y, den)
 
 
 # -- text grammar ------------------------------------------------------------
@@ -863,19 +798,24 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
     return from_s + field.element(0, w_part)
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
+def _fmt_rat(n: int, d: int) -> str:
+    """n/d (d > 0) in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_element(x: FieldElement) -> str:
-    """Render in the wire grammar using s-coordinates (1 and sqrt(d))."""
-    if x.field.is_rational:
-        return _fmt_rat(x.u)
-    p, q = x.s_coords()
+    """Render in the wire grammar using s-coordinates (1 and sqrt(d)):
+    x = (p + q*sqrt(d))/e in integers."""
+    (U, V), den = x.num, x.den
+    if x.field.is_rational or x.field.omega_kind == "sqrt_d":
+        p, q, e = U, V, den
+    else:
+        p, q, e = 2 * U + V, V, 2 * den
     if q == 0:
-        return _fmt_rat(p)
-    s_term = "s" if abs(q) == 1 else f"{_fmt_rat(abs(q))}s"
+        return _fmt_rat(p, e)
+    s_term = "s" if abs(q) == e else f"{_fmt_rat(abs(q), e)}s"
     s_sign = "-" if q < 0 else "+"
     if p == 0:
         return ("-" if q < 0 else "") + s_term
-    return f"{_fmt_rat(p)}{s_sign}{s_term}"
+    return f"{_fmt_rat(p, e)}{s_sign}{s_term}"

@@ -74,7 +74,7 @@ def lll_reduce(gram, delta: Fraction = DELTA):
     """LLL-reduce a lattice given only its (rational) Gram matrix.
 
     Returns (reduced_gram, U) with U unimodular over Z and
-    reduced_gram = U * gram * U^T.  Integral LLL (Cohen, Alg. 2.6.7): the
+    reduced_gram = U * gram * U^T, in ints when gram is integral.  Integral LLL (Cohen, Alg. 2.6.7): the
     denominators of the Gram matrix are cleared once, and the leading
     minors D_i and lam_ij = D_{j+1} * mu_ij are kept as integers and updated
     in place on each size reduction and each swap.  Row k is size-reduced
@@ -120,10 +120,9 @@ def lll_reduce(gram, delta: Fraction = DELTA):
         k = max(k - 1, 1)
 
     GU = [[sum(G[p][q] * U[j][q] for q in range(n)) for j in range(n)] for p in range(n)]
-    reduced = [
-        [Fraction(sum(U[i][p] * GU[p][j] for p in range(n)), den) for j in range(n)]
-        for i in range(n)
-    ]
+    reduced = [[sum(U[i][p] * GU[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
+    if den > 1:
+        reduced = [[Fraction(g, den) for g in row] for row in reduced]
     return reduced, U
 
 

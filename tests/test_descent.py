@@ -2,6 +2,7 @@ import json
 import os
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -241,6 +242,54 @@ def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
         residues.closest_in_coset(parse_element(K, row["x"]), Ideal(K, *row["ideal"]))
     assert calls[0] > 2 * len(LATTICE_STEP["points"]) + len(LATTICE_STEP["cosets"])
     assert counts == {"mul": 0, "surd": 0}
+
+
+def test_descent_decides_on_the_kernel(monkeypatch):
+    # Every decision of the descent is a test on the kernel's integer pairs,
+    # and its trace keeps elements until to_list(): on the golden points
+    # legendre_descent builds no Fraction and no Surd, and the descent
+    # formats no element until the trace is read.
+    inside, counts = [0], {"fraction": 0, "surd": 0, "format": 0}
+    new, surd_init, fmt = Fraction.__new__, Surd.__init__, descent.format_element
+
+    def counting_new(cls, *args, **kwargs):
+        counts["fraction"] += inside[0] > 0
+        return new(cls, *args, **kwargs)
+
+    def counting_surd(self, *args):
+        counts["surd"] += inside[0] > 0
+        surd_init(self, *args)
+
+    def counting_format(x):
+        counts["format"] += 1
+        return fmt(x)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    equations = [_golden_equation(row) for row in LATTICE_STEP["points"]]
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Surd, "__init__", counting_surd)
+    monkeypatch.setattr(descent, "format_element", counting_format)
+    monkeypatch.setattr(descent, "legendre_descent", counted(descent.legendre_descent))
+    traces = []
+    for equation in equations:
+        traces.append(DescentTrace())
+        assert verify(equation, solve_conic(equation, trace=traces[-1]))
+    assert counts == {"fraction": 0, "surd": 0, "format": 0}
+    steps = [step for trace in traces for step in trace.to_list()]
+    assert counts["format"] > 0
+    assert {step["step"] for step in steps} >= {"norm_form", "reduce"}
+    for step in steps:
+        for value in step.values():
+            assert value is None or isinstance(value, (str, list))
 
 
 # Solvable conics on which the descent reaches a unit coefficient and runs

@@ -517,3 +517,129 @@ def test_field_element_arithmetic_matches_reference(drawn, k):
     if u1.denominator == 1:
         assert r == int(u1) and hash(r) == hash(int(u1))
     assert (x == u1) == (v1 == 0)
+
+
+# -- square roots and the size test on the kernel, against s-coordinates ------
+
+
+def _ref_rational_sqrt(r):
+    """The nonnegative rational square root of r, or None."""
+    if r < 0:
+        return None
+    n, d = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    return Fraction(n, d) if (n * n, d * d) == (r.numerator, r.denominator) else None
+
+
+def _ref_sqrt(d, x):
+    """The s-coordinates (a, b) of the root of x = (p, q) with a > 0, or a = 0
+    and b > 0 (tr > 0, or tr = 0 and v > 0); None if x is not a square."""
+    p, q = x
+    if q == 0:
+        a = _ref_rational_sqrt(p)
+        if a is not None:
+            return a, Fraction(0)
+        b = _ref_rational_sqrt(p / d) if d else None
+        return None if b is None else (Fraction(0), b)
+    # (a + b*sqrt(d))^2 = p + q*sqrt(d): a^2 + d*b^2 = p and 2ab = q, so a^2
+    # is a root of 4T^2 - 4pT + d*q^2.
+    r = _ref_rational_sqrt(p * p - d * q * q)
+    if r is None:
+        return None
+    for a2 in ((p + r) / 2, (p - r) / 2):
+        a = _ref_rational_sqrt(a2)
+        if a:
+            return a, q / (2 * a)
+    return None
+
+
+@pytest.mark.parametrize("d", [None, -1, -3, -6, -7, 2, 5, 13, 14, 17])
+def test_sqrt_matches_s_coordinate_reference(d):
+    # The kernel's closed-form root and elem_sqrt agree with the root found
+    # from s-coordinates on Fractions, root choice included, on squares,
+    # multiples of sqrt(d)^2 (roots of trace 0), negated squares, random
+    # elements and non-integral inputs.
+    field = make_field(d)
+    ring = integer_ring(field)
+    rd = _ref_d(field)
+    rng = random.Random(37)
+
+    def draw(den, rational=False):
+        u = Fraction(rng.randint(-40, 40), den)
+        v = 0 if field.is_rational or rational else Fraction(rng.randint(-40, 40), den)
+        return field.element(u, v)
+
+    tallies = {"square": 0, "trace_zero": 0, "none": 0, "fractional": 0}
+    for i in range(700):
+        den = 1 if i % 3 else rng.randint(2, 12)
+        kind = i % 5
+        y = draw(den, rational=kind == 1)
+        if kind == 0:
+            x = y * y
+        elif kind == 1:
+            x = y * y * (rd or 1)
+        elif kind == 2:
+            x = -(y * y)
+        elif kind == 3:
+            x = y
+        else:
+            x = y * y + draw(1)
+        ref = _ref_sqrt(rd, _ref_of(x))
+        got = elem_sqrt(x)
+        assert (None if got is None else _ref_of(got)) == ref
+        if x.is_integral:
+            root = ring.sqrt(ring.pair(x))
+            assert (None if root is None else _ref_of(ring.element(root))) == ref
+        else:
+            tallies["fractional"] += 1
+        if ref is None:
+            tallies["none"] += 1
+            continue
+        tallies["square"] += 1
+        assert got * got == x
+        assert ref[0] > 0 or (ref[0] == 0 and ref[1] > 0) or x.is_zero
+        tallies["trace_zero"] += ref[0] == 0 and not x.is_zero
+    assert min(tallies["square"], tallies["none"], tallies["fractional"]) >= 150
+    assert field.is_rational or tallies["trace_zero"] >= 50
+
+
+def _ref_size_lt_size_minus_one(d, w, b):
+    """|w| < |b| - 1 from s-coordinates (p, q), float-free."""
+    (pw, qw), (pb, qb) = w, b
+    if d <= 0:
+        # |x|^2 = p^2 - d*q^2, and sqrt(a) + 1 < sqrt(c) iff
+        # 2*sqrt(a) < c - a - 1.
+        a, c = pw * pw - d * qw * qw, pb * pb - d * qb * qb
+        return c - a - 1 > 0 and 4 * a < (c - a - 1) ** 2
+    # |x| = |p| + |q|*sqrt(d): the sign of r + s*sqrt(d).
+    r, s = abs(pb) - abs(pw) - 1, abs(qb) - abs(qw)
+    if r >= 0 and s >= 0:
+        return r > 0 or s > 0
+    if r <= 0 and s <= 0:
+        return False
+    return r * r > s * s * d if r > 0 else s * s * d > r * r
+
+
+@pytest.mark.parametrize("d", [None, -1, -3, -6, -7, 2, 5, 14, 17])
+def test_size_test_matches_reference(d):
+    # The kernel's |w| < |b| - 1 and size_lt_size_minus_one agree with a
+    # float-free s-coordinate reference, on the boundary |w| = |b| - 1 too.
+    field = make_field(d)
+    ring = integer_ring(field)
+    rd = _ref_d(field)
+    rng = random.Random(41)
+
+    def draw(k):
+        return field.element(rng.randint(-k, k), 0 if field.is_rational else rng.randint(-k, k))
+
+    outcomes = set()
+    for _ in range(600):
+        b = draw(30)
+        w = rng.choice([b - 1, b + 1, 1 - b, b.conj() - 1, b - draw(3), draw(30), draw(3)])
+        ref = _ref_size_lt_size_minus_one(rd, _ref_of(w), _ref_of(b))
+        outcomes.add(ref)
+        assert ring.size_lt_size_minus(ring.pair(w), ring.pair(b)) == ref
+        assert size_lt_size_minus_one(w, b) == ref
+        ew, eb = rng.randint(1, 6), rng.randint(1, 6)
+        ref = _ref_size_lt_size_minus_one(rd, _ref_of(w / ew), _ref_of(b / eb))
+        assert size_lt_size_minus_one(w / ew, b / eb) == ref
+    assert outcomes == {True, False}
