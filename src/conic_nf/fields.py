@@ -472,12 +472,14 @@ def nearest_integer(x: FieldElement) -> FieldElement:
         return ring.size_sq((U - m * den, V - n * den)), m, n
 
     best = key(round_quotient(U, den), round_quotient(V, den))
-    R = math.sqrt(float(best[0]) / 2) / den * (1 + 1e-9) + 1e-9
-    dv = 2 * R / math.sqrt(f.disc)
-    du = R + ring.t * dv / 2
-    xu, xv = U / den, V / den
-    for n in range(math.floor(xv - dv) - 1, math.ceil(xv + dv) + 2):
-        for m in range(math.floor(xu - du) - 1, math.ceil(xu + du) + 2):
+    # In integers: Rd >= den*R, from (den*R)^2 = size_sq/2, and dv, du bound
+    # den*|v_x - v_z| and den*|u_x - u_z|.
+    k = best[0]
+    Rd = math.isqrt((k.r + math.isqrt(k.s * k.s * k.rad) + 1) // 2) + 1
+    dv = 2 * Rd // math.isqrt(f.disc) + 1
+    du = Rd + ring.t * dv // 2 + 1
+    for n in range((V - dv) // den, -((-V - dv) // den) + 1):
+        for m in range((U - du) // den, -((-U - du) // den) + 1):
             best = min(best, key(m, n))
     return ring.element(best[1:])
 

@@ -134,6 +134,16 @@ def test_nearest_integer_certified_minimality():
                     assert d <= size_sq(x - field.element(m, n))
 
 
+def test_nearest_integer_real_window_needs_no_floats():
+    # The real-field window is bounded in integers, so coordinates far
+    # beyond float range round as small ones do: rounding commutes with
+    # translation by an integer, ties included.
+    big = Q14.element(10**400, 3 * 10**399)
+    for u, v in ((Fraction(1, 3), Fraction(1, 2)), (Fraction(-7, 5), Fraction(9, 4)), (0, Fraction(1, 2))):
+        x = Q14.element(u, v)
+        assert nearest_integer(x + big) == nearest_integer(x) + big
+
+
 def test_nearest_integer_translation_invariance():
     rng = random.Random(11)
     for _ in range(100):
