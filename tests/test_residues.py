@@ -302,6 +302,21 @@ def test_closest_in_coset_window_is_bounded_by_the_reduced_basis(monkeypatch):
                 assert _brute_closest(x, M, R)[1:] == got.num
 
 
+def test_closest_in_coset_ties_match_brute_force():
+    # Small moduli, where several coset elements often share the least size
+    # and the (u, v) tie-break decides.
+    for d in (-1, -3, -6, -7, 5):
+        field = make_field(d)
+        for g in ((2, 0), (1, 1), (3, 0), (2, 1)):
+            M = principal_ideal(field.element(*g))
+            for u in range(-4, 5):
+                for v in range(-4, 5):
+                    x = field.element(u, v)
+                    got = closest_in_coset(x, M)
+                    R = elem_size(got) * (1 + 1e-9) + 1e-9
+                    assert _brute_closest(x, M, R)[1:] == got.num
+
+
 # Closest elements of cosets over Q, imaginary and real fields, ties
 # included, as closest_in_coset returned them while it still ran on
 # FieldElements and Surds.
