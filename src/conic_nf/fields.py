@@ -242,6 +242,11 @@ class IntSurd:
     def __float__(self):
         return self.r + self.s * math.sqrt(self.rad)
 
+    def __ceil__(self):
+        # s*sqrt(rad) is irrational unless s = 0.
+        root = math.isqrt(self.s * self.s * self.rad)
+        return self.r + (root + 1 if self.s > 0 else -root)
+
     def __repr__(self):
         return f"IntSurd({self.r} + {self.s}*sqrt({self.rad}))"
 
@@ -474,8 +479,7 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     best = key(round_quotient(U, den), round_quotient(V, den))
     # In integers: Rd >= den*R, from (den*R)^2 = size_sq/2, and dv, du bound
     # den*|v_x - v_z| and den*|u_x - u_z|.
-    k = best[0]
-    Rd = math.isqrt((k.r + math.isqrt(k.s * k.s * k.rad) + 1) // 2) + 1
+    Rd = math.isqrt(math.ceil(best[0]) // 2) + 1
     dv = 2 * Rd // math.isqrt(f.disc) + 1
     du = Rd + ring.t * dv // 2 + 1
     for n in range((V - dv) // den, -((-V - dv) // den) + 1):

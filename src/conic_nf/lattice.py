@@ -74,13 +74,13 @@ def lll_reduce(gram, delta: Fraction = DELTA):
     """LLL-reduce a lattice given only its (rational) Gram matrix.
 
     Returns (reduced_gram, U) with U unimodular over Z and
-    reduced_gram = U * gram * U^T, in ints when gram is integral.  Integral LLL (Cohen, Alg. 2.6.7): the
-    denominators of the Gram matrix are cleared once, and the leading
-    minors D_i and lam_ij = D_{j+1} * mu_ij are kept as integers and updated
-    in place on each size reduction and each swap.  Row k is size-reduced
-    against rows k-1, ..., 0 with q = mu_kj rounded half to even, then
-    tested by Lovasz's condition, so U is the same as with exact rational
-    Gram-Schmidt recomputed after every step.
+    reduced_gram = U * gram * U^T, in ints when gram is integral.  Integral
+    LLL (Cohen, Alg. 2.6.7): the denominators of the Gram matrix are cleared
+    once, and the leading minors D_i and lam_ij = D_{j+1} * mu_ij are kept
+    as integers and updated in place on each size reduction and each swap.
+    Row k is size-reduced against rows k-1, ..., 0 with q = mu_kj rounded
+    half to even, then tested by Lovasz's condition, so U is the same as
+    with exact rational Gram-Schmidt recomputed after every step.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

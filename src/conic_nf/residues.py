@@ -356,9 +356,7 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G the Gram determinant:
     # a window of at most about 2*sqrt(8/3) + 1 values of k2, as the basis
     # is reduced.
-    S = best[0]
-    if ring.real:
-        S = S.r + math.isqrt(S.s * S.s * S.rad) + 1
+    S = math.ceil(best[0])
     n1 = dot(r1, r1)
     gram_det = n1 * dot(r2, r2) - dot(r1, r2) ** 2
     L = math.isqrt(S * n1 * det * det // gram_det)

@@ -298,6 +298,7 @@ def test_integer_ring_sizes_order_like_surds(d):
     assert all(isinstance(k, IntSurd) == bool(d and d > 0) for k in keys)
     for x, kx in zip(elems, keys):
         assert math.isclose(float(kx), 2 * float(size_sq(x)), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.ceil(kx) - 1 < float(kx) <= math.ceil(kx)
         for y, ky in zip(elems, keys):
             assert (kx < ky) == (size_sq(x) < size_sq(y))
             assert (kx == ky) == (size_sq(x) == size_sq(y))
