@@ -5,8 +5,9 @@ omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
 d = 1 (mod 4).  Its integer kernel, IntegerRing, is the one place that
 knows omega's minimal polynomial: arithmetic on (u, v) integer pairs over
 every field, with exact sizes compared in integers (IntSurd over a real
-field), the size test |w| < |b| - e and closed-form square roots.  A
-FieldElement is a kernel pair over one positive denominator,
+field), the size test |w| < |b| - e, closed-form square roots, and the
+rank-2 lattice questions of O_K: Lagrange reduction and the closest element
+of a coset.  A FieldElement is a kernel pair over one positive denominator,
 (U + V*omega)/den in lowest terms, and all its arithmetic, its square root
 (elem_sqrt) and the size helpers go through the kernel.  size_sq returns
 the kernel's key as a Surd, an exact rational-coefficient value for
@@ -14,8 +15,9 @@ callers; floats are only a human-readable approximation.
 
 Over Q and the imaginary quadratic fields the kernel adds closed-form
 nearest-integer rounding, Euclidean division, extended gcd and normalised
-gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there, and
-nearest_integer enumerates a window of candidates only over real fields.
+gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
+Over a real field nearest_integer is the kernel's closest element of a
+coset of den*O_K.
 """
 
 from __future__ import annotations
@@ -459,33 +461,15 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     Ties break to the lexicographically smallest (u, v) coordinate pair.
     Over Q and the imaginary fields the size is the norm, and the integer
     kernel rounds in closed form; over a real field it is the max over both
-    embeddings, and the result is certified by enumeration.
+    embeddings, and z = (num + r)/den for the least r in -num + den*O_K:
+    r = den*z - num is den times z - x, and it orders like z.
     """
-    f = x.field
-    ring = integer_ring(f)
+    ring = integer_ring(x.field)
     if not ring.real:
         return ring.element(ring.round(x.num, x.den))
-
-    # Every z at max-embedding distance <= R from x, R the distance of
-    # coordinate rounding, has |v_x - v_z| <= 2R/sqrt(disc), since
-    # sigma1 - sigma2 = v*sqrt(disc), and |u_x - u_z| <= R + t*|v_x - v_z|/2,
-    # since (sigma1 + sigma2)/2 = u + t*v/2.  Sizes are compared on the
-    # kernel's exact keys of num - z*den.
     (U, V), den = x.num, x.den
-
-    def key(m, n):
-        return ring.size_sq((U - m * den, V - n * den)), m, n
-
-    best = key(round_quotient(U, den), round_quotient(V, den))
-    # In integers: Rd >= den*R, from (den*R)^2 = size_sq/2, and dv, du bound
-    # den*|v_x - v_z| and den*|u_x - u_z|.
-    Rd = math.isqrt(math.ceil(best[0]) // 2) + 1
-    dv = 2 * Rd // math.isqrt(f.disc) + 1
-    du = Rd + ring.t * dv // 2 + 1
-    for n in range((V - dv) // den, -((-V - dv) // den) + 1):
-        for m in range((U - du) // den, -((-U - du) // den) + 1):
-            best = min(best, key(m, n))
-    return ring.element(best[1:])
+    r = ring.closest((-U, -V), (den, 0), (0, den))
+    return ring.element(((U + r[0]) // den, (V + r[1]) // den))
 
 
 def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -532,12 +516,14 @@ class IntegerRing:
     (t, k) is (0, 0) over Q, (0, d) for omega = sqrt(d) and (1, (d-1)/4) for
     omega = (1+sqrt(d))/2.  Multiplication, conjugation, norm, trace, the
     trace form and exact sizes work over every field; the lattice step of
-    the descent (lattice, residues) runs on them.  Over Q and the imaginary
-    fields the norm is positive definite, so every quotient is num/den with
-    den > 0 and rounds in closed form; rounding, division with remainder and
-    gcds exist only there.  nearest_integer, euclid_divmod and gcd_elems
-    delegate here over these fields, and the size reduction in holzer runs
-    on pairs throughout.
+    the descent (lattice, residues) runs on them, and so do Lagrange
+    reduction and the closest element of a coset of a rank-2 lattice, which
+    decide principality (ideals) and round over a real field.  Over Q and
+    the imaginary fields the norm is positive definite, so every quotient
+    is num/den with den > 0 and rounds in closed form; rounding, division
+    with remainder and gcds exist only there.  nearest_integer,
+    euclid_divmod and gcd_elems delegate here over these fields, and the
+    size reduction in holzer runs on pairs throughout.
     """
 
     __slots__ = ("field", "t", "k", "units", "real")
@@ -611,6 +597,67 @@ class IntegerRing:
         a, c = self.norm(w), self.norm(b)
         diff = c + e * e - a
         return c > e * e and diff > 0 and diff * diff > 4 * e * e * c
+
+    def lagrange_reduce(self, m1, m2):
+        """Gauss-Lagrange reduction of a rank-2 lattice basis of pairs in the
+        trace form: the first vector returned is a shortest nonzero one."""
+        dot = self.dot
+        if dot(m1, m1) > dot(m2, m2):
+            m1, m2 = m2, m1
+        while True:
+            n1 = dot(m1, m1)
+            q = round_quotient(dot(m1, m2), n1)
+            if q:
+                m2 = (m2[0] - q * m1[0], m2[1] - q * m1[1])
+            if dot(m2, m2) >= n1:
+                return m1, m2
+            m1, m2 = m2, m1
+
+    def closest(self, x, m1, m2):
+        """The least element of x + L under the key (size_sq, u, v), L the
+        lattice spanned by the pairs m1 and m2.
+
+        Babai's rounding in a Lagrange-reduced basis r1, r2 gives a start;
+        the window around it holds a bounded number of candidates whatever
+        the lattice, and sizes are compared exactly in integers.
+        """
+        dot = self.dot
+        r1, r2 = self.lagrange_reduce(m1, m2)
+        det = r1[0] * r2[1] - r2[0] * r1[1]
+        if det < 0:
+            r2, det = (-r2[0], -r2[1]), -det
+        # x = (c1*r1 + c2*r2)/det; Babai rounding gives the starting candidate.
+        xu, xv = x
+        c1, c2 = xu * r2[1] - xv * r2[0], r1[0] * xv - r1[1] * xu
+        k1, k2 = round_quotient(c1, det), round_quotient(c2, det)
+        base = (xu - k1 * r1[0] - k2 * r2[0], xv - k1 * r1[1] - k2 * r2[1])
+        best = (self.size_sq(base), *base)
+        # The trace form is at most size_sq (equal over an imaginary field), so
+        # a candidate z = y - k1*r1, y = x - k2*r2, no larger than the start has
+        # dot(z, z) <= S.  The part of z orthogonal to r1 gives
+        # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G the Gram determinant:
+        # a window of at most about 2*sqrt(8/3) + 1 values of k2, as the basis
+        # is reduced.
+        S = math.ceil(best[0])
+        n1 = dot(r1, r1)
+        gram_det = n1 * dot(r2, r2) - dot(r1, r2) ** 2
+        L = math.isqrt(S * n1 * det * det // gram_det)
+        for k2 in range(-((L - c2) // det), (c2 + L) // det + 1):
+            y = (xu - k2 * r2[0], xv - k2 * r2[1])
+            e = dot(y, r1)
+            if self.real:
+                # dot(z, z) = (k1*n1 - e)^2 / n1 + the orthogonal part <= S.
+                room = math.isqrt(S * n1 - n1 * dot(y, y) + e * e)
+                k1s = range(-((room - e) // n1), (e + room) // n1 + 1)
+            else:
+                # size_sq(z) = dot(z, z) is a quadratic in k1, least at e/n1.
+                k1s = (e // n1, e // n1 + 1)
+            for k1 in k1s:
+                cand = (y[0] - k1 * r1[0], y[1] - k1 * r1[1])
+                key = (self.size_sq(cand), *cand)
+                if key < best:
+                    best = key
+        return best[1:]
 
     def sqrt(self, x):
         """The root y of y^2 = x in O_K with tr(y) > 0, or tr(y) = 0 and
@@ -785,7 +832,10 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
             coef = Fraction(1)
             sym = m.group("sym2")
         else:
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in element {text!r}") from None
             sym = m.group("sym1")
         coef *= sgn
         if sym is None:

@@ -10,6 +10,11 @@ The local data at a prime ideal P (valuations of ideals and elements, the
 powers P^k, the residue of omega modulo P^k) are computed from integers in
 closed form, with no ideal product (Cohen, A Course in Computational
 Algebraic Number Theory, 4.8 and 5.2).
+
+Principality is decided on every field with no search: over an imaginary
+field by the shortest vector of the kernel's Lagrange-reduced HNF basis,
+over a real field by the cycle of reduced binary quadratic forms of the
+ideal (Cohen, 5.6), which also yields the unit that balances a generator.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .errors import FactorizationFailed, UndecidedError
+from .errors import FactorizationFailed
 from .fields import (
     FieldDescriptor,
     FieldElement,
     IntegerRing,
     integer_ring,
-    normalize_associate,
     require_integral,
 )
 
@@ -565,81 +569,77 @@ def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
 
 # -- principality ------------------------------------------------------------
 
-REAL_PRINCIPAL_BOUND = 400
-
 
 def is_principal(I: Ideal) -> Optional[FieldElement]:
-    """A generator of I if principal, else None (imaginary/Q: decisive).
+    """A generator of I if I is principal, else None, normalised by
+    normalize_associate; decided on every field.
 
-    For real quadratic fields the search is bounded; exhaustion raises
-    UndecidedError rather than claiming non-principality.
+    Every nonzero x in I has N(I) | N(x), and x generates I exactly when
+    |N(x)| = N(I).  Over an imaginary field the norm is definite, so I is
+    principal exactly when the shortest vector of its Lagrange-reduced HNF
+    basis has norm N(I).  Over a real field see _real_generator.
     """
     field = I.field
     if field.is_rational:
         return field.element(I.a)
-    N = I.norm
-    d = field.d
-    if d < 0:
-        for cand in _elements_of_norm_imaginary(field, N):
-            if principal_ideal(cand) == I:
-                return normalize_associate(cand)
-        return None
-    # Real quadratic: bounded search over |N(m + n*omega)| = N.
-    B = REAL_PRINCIPAL_BOUND
-    for n in range(-B, B + 1):
-        for target in (N, -N):
-            if field.omega_kind == "sqrt_d":
-                # m^2 = d n^2 + target
-                m2 = d * n * n + target
-                if m2 < 0:
-                    continue
-                m = math.isqrt(m2)
-                if m * m != m2:
-                    continue
-                cands = [field.element(m, n), field.element(-m, n)]
-            else:
-                # (2m + n)^2 = d n^2 + 4*target
-                t2 = d * n * n + 4 * target
-                if t2 < 0:
-                    continue
-                t = math.isqrt(t2)
-                if t * t != t2 or (t - n) % 2 != 0:
-                    continue
-                cands = [
-                    field.element((t - n) // 2, n),
-                    field.element((-t - n) // 2, n),
-                ]
-            for x in cands:
-                if not x.is_zero and principal_ideal(x) == I:
-                    return x
-    raise UndecidedError(
-        f"principality of {I!r} undecided within coordinate bound {B}"
-    )
-
-
-def _elements_of_norm_imaginary(field: FieldDescriptor, N: int):
-    """All m + n*omega in O_K with norm N (d < 0), up to sign redundancy."""
-    d = field.d
-    if field.omega_kind == "sqrt_d":
-        # m^2 + |d| n^2 = N
-        nmax = math.isqrt(N // abs(d)) if N >= abs(d) else 0
-        for n in range(-nmax, nmax + 1):
-            m2 = N - abs(d) * n * n
-            m = math.isqrt(m2)
-            if m * m == m2:
-                yield field.element(m, n)
-                if m:
-                    yield field.element(-m, n)
+    ring = integer_ring(field)
+    if ring.real:
+        g = _real_generator(ring, I)
     else:
-        # (2m + n)^2 + |d| n^2 = 4N
-        nmax = math.isqrt(4 * N // abs(d)) if 4 * N >= abs(d) else 0
-        for n in range(-nmax, nmax + 1):
-            t2 = 4 * N - abs(d) * n * n
-            t = math.isqrt(t2)
-            if t * t == t2 and (t - n) % 2 == 0:
-                yield field.element((t - n) // 2, n)
-                if t:
-                    yield field.element((-t - n) // 2, n)
+        g, _ = ring.lagrange_reduce((I.a, 0), (I.b, I.c))
+        if ring.norm(g) != I.norm:
+            g = None
+    return None if g is None else ring.element(ring.normalize(g))
+
+
+def _real_generator(ring: IntegerRing, I: Ideal) -> Optional[tuple[int, int]]:
+    """A generator of I over a real field, balanced by the unit group, or
+    None (Cohen, A Course in Computational Algebraic Number Theory, 5.6;
+    Buchmann and Vollmer, Binary Quadratic Forms, 6).
+
+    The basis e1, e2 of I gives the integral form
+    f(x, y) = N(x*e1 + y*e2)/N(I) = (a, b, c) of discriminant D = disc >= 5,
+    and x*e1 + y*e2 generates I exactly when f(x, y) = +-1.  rho moves to
+    the next form and basis, (e1, e2) -> (e2, s*e2 - e1), and turns any form
+    into a reduced one, |sqrt(D) - 2|a|| < b < sqrt(D).  By Lagrange's
+    theorem f represents +-1, as |+-1| < sqrt(D)/2, exactly when a form of
+    its cycle of reduced forms has a = +-1, and e1 is then a generator.  A
+    full cycle maps e1 to eta*e1, eta a unit of norm 1, by which the
+    generator is balanced.  D is not a square, so each comparison with
+    sqrt(D) is an integer test against isqrt(D).
+    """
+    norm, n = ring.norm, I.norm
+    e1, e2 = (I.a, 0), (I.b, I.c)
+    a, c = norm(e1) // n, norm(e2) // n
+    b = norm(ring.add(e1, e2)) // n - a - c
+    D = b * b - 4 * a * c
+    root = math.isqrt(D)
+
+    def rho(a, b, c, e1, e2):
+        # r = -b (mod 2|c|) in (-|c|, |c|] when |c| > sqrt(D), else in
+        # (sqrt(D) - 2|c|, sqrt(D)).
+        top = abs(c) if abs(c) > root else root
+        r = top - (top + b) % (2 * abs(c))
+        s = (r + b) // (2 * c)
+        return c, r, (r * r - D) // (4 * c), e2, (s * e2[0] - e1[0], s * e2[1] - e1[1])
+
+    while not (b <= root and 2 * abs(a) - b <= root < 2 * abs(a) + b):
+        a, b, c, e1, e2 = rho(a, b, c, e1, e2)
+    start, first, g = (a, b, c), e1, None
+    while True:
+        if g is None and abs(a) == 1:
+            g = e1
+        a, b, c, e1, e2 = rho(a, b, c, e1, e2)
+        if (a, b, c) == start:
+            break
+    if g is None:
+        return None
+    eta = ring.exact_div(e1, first)
+    for unit in (eta, ring.conj(eta)):
+        h = ring.mul(g, unit)
+        while ring.size_sq(h) < ring.size_sq(g):
+            g, h = h, ring.mul(h, unit)
+    return g
 
 
 def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -669,10 +669,7 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
     for D in divisors:
         if D.norm == 1:
             break
-        try:
-            g = is_principal(D)
-        except UndecidedError:
-            continue  # honest fallback: skip candidates we cannot certify
+        g = is_principal(D)
         if g is not None:
             ring = integer_ring(field)
             h = ring.pair(g)

@@ -32,7 +32,6 @@ from .fields import (
     IntegerRing,
     integer_ring,
     require_integral,
-    round_quotient,
 )
 from .ideals import (
     Ideal,
@@ -308,74 +307,17 @@ def crt_coefficients(
     return out
 
 
-def _lagrange_reduce(ring: IntegerRing, m1, m2):
-    """Gauss-Lagrange reduction of a rank-2 lattice basis of pairs, in the
-    trace form."""
-    dot = ring.dot
-    if dot(m1, m1) > dot(m2, m2):
-        m1, m2 = m2, m1
-    while True:
-        n1 = dot(m1, m1)
-        q = round_quotient(dot(m1, m2), n1)
-        if q:
-            m2 = (m2[0] - q * m1[0], m2[1] - q * m1[1])
-        if dot(m2, m2) >= n1:
-            return m1, m2
-        m1, m2 = m2, m1
-
-
 def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
-    """Minimal-size representative of x + M, certified by enumeration.
-
-    Ties break to the lexicographically smallest (u, v).  Runs on the
-    integer kernel's pairs, with sizes compared exactly in integers.  The
-    window comes from a Lagrange-reduced basis r1, r2 of M, so it holds a
-    bounded number of candidates whatever N(M) is.
-    """
+    """Minimal-size representative of x + M; ties break to the
+    lexicographically smallest (u, v).  The kernel's closest element of the
+    coset of M's HNF lattice, with sizes compared exactly in integers."""
     field = x.field
     ring = integer_ring(field)
     xu, xv = ring.pair(x)
     if field.is_rational:
         r = xu % M.a
         return field.element(min(r, r - M.a, key=lambda u: (u * u, u)))
-
-    xu, xv = M.reduce_pair((xu, xv))
-    dot = ring.dot
-    r1, r2 = _lagrange_reduce(ring, (M.a, 0), (M.b, M.c))
-    det = r1[0] * r2[1] - r2[0] * r1[1]
-    if det < 0:
-        r2, det = (-r2[0], -r2[1]), -det
-    # x = (c1*r1 + c2*r2)/det; Babai rounding gives the starting candidate.
-    c1, c2 = xu * r2[1] - xv * r2[0], r1[0] * xv - r1[1] * xu
-    k1, k2 = round_quotient(c1, det), round_quotient(c2, det)
-    base = (xu - k1 * r1[0] - k2 * r2[0], xv - k1 * r1[1] - k2 * r2[1])
-    best = (ring.size_sq(base), *base)
-    # The trace form is at most size_sq (equal over an imaginary field), so
-    # a candidate z = y - k1*r1, y = x - k2*r2, no larger than the start has
-    # dot(z, z) <= S.  The part of z orthogonal to r1 gives
-    # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G the Gram determinant:
-    # a window of at most about 2*sqrt(8/3) + 1 values of k2, as the basis
-    # is reduced.
-    S = math.ceil(best[0])
-    n1 = dot(r1, r1)
-    gram_det = n1 * dot(r2, r2) - dot(r1, r2) ** 2
-    L = math.isqrt(S * n1 * det * det // gram_det)
-    for k2 in range(-((L - c2) // det), (c2 + L) // det + 1):
-        y = (xu - k2 * r2[0], xv - k2 * r2[1])
-        e = dot(y, r1)
-        if ring.real:
-            # dot(z, z) = (k1*n1 - e)^2 / n1 + the orthogonal part <= S.
-            room = math.isqrt(S * n1 - n1 * dot(y, y) + e * e)
-            k1s = range(-((room - e) // n1), (e + room) // n1 + 1)
-        else:
-            # size_sq(z) = dot(z, z) is a quadratic in k1, least at e/n1.
-            k1s = (e // n1, e // n1 + 1)
-        for k1 in k1s:
-            cand = (y[0] - k1 * r1[0], y[1] - k1 * r1[1])
-            key = (ring.size_sq(cand), *cand)
-            if key < best:
-                best = key
-    return ring.element(best[1:])
+    return ring.element(ring.closest(M.reduce_pair((xu, xv)), (M.a, 0), (M.b, M.c)))
 
 
 def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:

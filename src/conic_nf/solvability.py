@@ -63,9 +63,25 @@ class ConicEquation:
 
 @dataclass
 class Certificate:
+    """The verdict with one entry per place.  places holds each prime as a
+    PrimeIdeal and each witness as a FieldElement; conditions writes them as
+    text, only when read."""
+
     solvable: bool
     reason: str
-    conditions: list = dc_field(default_factory=list)
+    places: list = dc_field(default_factory=list)
+
+    @property
+    def conditions(self) -> list[dict]:
+        out = []
+        for place in self.places:
+            place = dict(place)
+            if "prime" in place:
+                place["prime"] = repr(place["prime"])
+            if place.get("witness") is not None:
+                place["witness"] = format_element(place["witness"])
+            out.append(place)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -131,14 +147,14 @@ def _odd_prime_condition(
 
 def check_solvable(eq: ConicEquation) -> Certificate:
     """Full local solvability check with per-place conditions and witnesses."""
-    conditions: list[dict] = []
+    places: list[dict] = []
     field = eq.field
 
     ok = embedding_condition(eq)
     if not field.totally_imaginary:
-        conditions.append({"type": "real_embedding", "ok": ok})
+        places.append({"type": "real_embedding", "ok": ok})
     if not ok:
-        return Certificate(False, "real_embedding", conditions)
+        return Certificate(False, "real_embedding", places)
 
     odd_primes: dict = {}
     for coeff in (eq.a, eq.b, eq.c):
@@ -147,30 +163,23 @@ def check_solvable(eq: ConicEquation) -> Certificate:
                 odd_primes[P] = P
     for P in odd_primes.values():
         ok, witness = _odd_prime_condition(eq.a, eq.b, eq.c, P)
-        conditions.append(
-            {
-                "type": "odd_prime",
-                "prime": repr(P),
-                "ok": ok,
-                "witness": format_element(witness) if witness is not None else None,
-            }
-        )
+        places.append({"type": "odd_prime", "prime": P, "ok": ok, "witness": witness})
         if not ok:
-            return Certificate(False, "congruence", conditions)
+            return Certificate(False, "congruence", places)
 
     # Two primes over 2 only when 2 splits, and then the first has K_P = Q_2.
     *first, last = splitting_type(field, 2)[1]
     for P in first:
         ok = local_solvable_at_two(eq.a, eq.b, eq.c, P)
-        conditions.append(
-            {"type": "dyadic", "prime": repr(P), "ok": ok, "by": "hilbert_symbol"}
+        places.append(
+            {"type": "dyadic", "prime": P, "ok": ok, "by": "hilbert_symbol"}
         )
         if not ok:
-            return Certificate(False, "dyadic", conditions)
+            return Certificate(False, "dyadic", places)
     # Hilbert reciprocity: the symbols (-ac, -bc)_v over all places multiply
     # to 1, and every other place has passed (the odd primes not dividing a
     # coefficient and the complex places pass trivially).
-    conditions.append(
-        {"type": "dyadic", "prime": repr(last), "ok": True, "by": "reciprocity"}
+    places.append(
+        {"type": "dyadic", "prime": last, "ok": True, "by": "reciprocity"}
     )
-    return Certificate(True, "solvable", conditions)
+    return Certificate(True, "solvable", places)

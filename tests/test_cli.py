@@ -148,6 +148,21 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+def test_zero_denominator_is_a_parse_error():
+    code, text = _run(["check", "--field", "Q", "--eq", "1/0;1;1"])
+    assert code == 2
+    assert text.startswith("error: zero denominator")
+
+
+def test_corpus_reports_a_zero_denominator_line_and_runs_the_rest(tmp_path):
+    corpus = tmp_path / "zero.corpus"
+    corpus.write_text("Q ; 1/0 ; 1 ; 1 ; any\nQ ; 1 ; 1 ; -2 ; solvable\n")
+    code, text = _run(["corpus", str(corpus), "--json"])
+    assert code == 2
+    records = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(r["line"], r["status"]) for r in records] == [(1, "parse-error"), (2, "ok")]
+
+
 def test_corpus_run():
     corpus = os.path.join(FIXTURES, "table1.corpus")
     code, text = _run(["corpus", corpus, "--json"])

@@ -293,12 +293,28 @@ def test_descent_decides_on_the_kernel(monkeypatch):
 
 
 # Solvable conics on which the descent reaches a unit coefficient and runs
-# solve_pell's bounded search: each draws about 160,000 candidates from
-# _enumerate_small and _enumerate_pairs and runs for seconds.  Each must be
-# solved within a second and from fewer than PELL_CANDIDATES candidates (the
-# solve inputs of the benchmark draw at most 3); a mend that removes the
-# search flips these, faster arithmetic alone does not.
-PELL_RUNAWAYS = [(-7, "1;1;9-6s"), (2, "-2-s;-1-2s;10+15s"), (17, "-1-w;-1;13+5w")]
+# solve_pell's bounded search.  Each must be solved within a second and from
+# fewer than PELL_CANDIDATES candidates (the solve inputs of the benchmark
+# draw at most 3); a mend that removes the search flips the strict xfail,
+# faster arithmetic alone does not.  Over Q(sqrt(-7)) the search still draws
+# about 160,000 candidates from _enumerate_small and _enumerate_pairs and
+# runs for seconds.  Over Q(sqrt(2)) and Q(sqrt(17)) the descent's
+# principal square factors now come balanced by the unit group, its
+# coefficients stay small and the search draws few candidates.
+PELL_RUNAWAYS = [
+    pytest.param(
+        -7,
+        "1;1;9-6s",
+        id="1;1;9-6s",
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=(TimeoutError, AssertionError),
+            reason="the descent runs solve_pell's 160,801-candidate search",
+        ),
+    ),
+    pytest.param(2, "-2-s;-1-2s;10+15s", id="-2-s;-1-2s;10+15s"),
+    pytest.param(17, "-1-w;-1;13+5w", id="-1-w;-1;13+5w"),
+]
 PELL_CANDIDATES = 1000
 
 
@@ -306,12 +322,7 @@ def _on_alarm(signum, frame):
     raise TimeoutError("solve_conic ran past its time limit")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(TimeoutError, AssertionError),
-    reason="the descent runs solve_pell's 160,801-candidate search",
-)
-@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS, ids=[eq for _, eq in PELL_RUNAWAYS])
+@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS)
 def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     drawn = [0]
 

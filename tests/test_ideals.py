@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conic_nf.fields import make_field
+from conic_nf.fields import integer_ring, make_field, normalize_associate, parse_element
 from conic_nf.ideals import (
     Ideal,
     element_valuation,
@@ -140,6 +141,99 @@ def test_square_decompose_examples():
     t = Q6.element(26, 20)
     t1, t2 = square_decompose(t)
     assert t1 == t and t2 == Q6.one()
+
+
+def test_square_decompose_finds_a_generator_beyond_a_coordinate_bound():
+    # (29, -20 + sqrt(139)) is generated by -12285 + 1042*sqrt(139) and by no
+    # element with both coordinates below 1042; Q(sqrt(139)) has class number 1.
+    K = make_field(139)
+    g = parse_element(K, "-12285+1042s")
+    P = ideal_from_generators(K, [K.element(29), parse_element(K, "-20+s")])
+    assert principal_ideal(g) == P
+    t = 3 * g * g
+    t1, t2 = square_decompose(t)
+    assert (t1, t2) == (K.element(3), g)
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _elements_of_norm(field, n, vs):
+    """Every u + v*omega of norm n with v in vs, from
+    4*N(u + v*omega) = (2u + t*v)^2 - disc*v^2."""
+    t = integer_ring(field).t
+    for v in vs:
+        w2 = 4 * n + field.disc * v * v
+        w = math.isqrt(w2) if w2 >= 0 else -1
+        if w * w == w2:
+            for x in {w, -w}:
+                if (x - t * v) % 2 == 0:
+                    yield field.element((x - t * v) // 2, v)
+
+
+def _principal_by_norm_scan(I):
+    """Reference for imaginary fields: the first element of norm N(I) in a
+    scan of v that generates I, normalised, or None."""
+    vmax = math.isqrt(4 * I.norm // -I.field.d) + 1
+    for x in _elements_of_norm(I.field, I.norm, range(-vmax, vmax + 1)):
+        if principal_ideal(x) == I:
+            return normalize_associate(x)
+    return None
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -11, -15, -23, -26, -47, -71])
+def test_is_principal_matches_the_norm_scan_on_imaginary_fields(d):
+    K = make_field(d)
+    for p in _primes_below(60):
+        for P in splitting_type(K, p)[1]:
+            for k in (1, 2, 3):
+                I = prime_power(P, k)
+                assert is_principal(I) == _principal_by_norm_scan(I), (P, k)
+
+
+def _least_unit(field):
+    """The least unit above 1: the least v > 0 with N(u + v*omega) = +-1 and
+    the least value u + v*omega > 1 there, in the first embedding."""
+    omega = (integer_ring(field).t + math.sqrt(field.disc)) / 2
+    v = 0
+    while True:
+        v += 1
+        values = [float(x.u) + v * omega for n in (1, -1) for x in _elements_of_norm(field, n, [v])]
+        if any(value > 1 for value in values):
+            return min(value for value in values if value > 1)
+
+
+def _generator_by_search(I, eps):
+    """A generator of I, or None, searched among the elements with both
+    embeddings at most sqrt(N(I)*eps) in absolute value.  Some generator
+    g*eps^k lies there: |sigma1/sigma2| moves by a factor eps^2 per step, so
+    one k puts it in [1/eps, eps], and then sigma_i^2 <= N(I)*eps."""
+    # sigma1 - sigma2 = v*sqrt(disc), so |v| <= 2*sqrt(N(I)*eps)/sqrt(disc).
+    vmax = int(2 * math.sqrt(I.norm * eps / I.field.disc)) + 1
+    for n in (I.norm, -I.norm):
+        for g in _elements_of_norm(I.field, n, range(-vmax, vmax + 1)):
+            if principal_ideal(g) == I:
+                return g
+    return None
+
+
+# Class number 1: 2, 3, 5, 17, 94, 139; class number 2: 10, 15, 26, 65;
+# 3: 79, 229; 4: 82.
+@pytest.mark.parametrize("d", [2, 3, 5, 17, 94, 139, 10, 15, 26, 65, 79, 229, 82])
+def test_is_principal_decides_real_fields(d):
+    K = make_field(d)
+    eps = None
+    for p in _primes_below(200):
+        for P in splitting_type(K, p)[1]:
+            for k in (1, 2):
+                I = prime_power(P, k)
+                g = is_principal(I)
+                if g is not None:
+                    assert principal_ideal(g) == I, (P, k)
+                    continue
+                eps = eps or _least_unit(K)
+                assert _generator_by_search(I, eps) is None, (P, k)
 
 
 def test_square_decompose_identity_and_cleanliness():

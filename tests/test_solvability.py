@@ -9,7 +9,8 @@ import pytest
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import make_field, parse_element
-from conic_nf.ideals import Ideal, splitting_type
+from conic_nf import solvability
+from conic_nf.ideals import Ideal, PrimeIdeal, splitting_type
 from conic_nf.solvability import (
     Certificate,
     ConicEquation,
@@ -148,6 +149,23 @@ def test_certificate_serialisation():
     import json
 
     json.dumps(d)  # must be JSON serialisable
+
+
+def test_check_solvable_formats_its_places_only_when_read(monkeypatch):
+    # solve_conic and the corpus runner read only the verdict, so the check
+    # writes no prime or witness as text; conditions and to_dict do.
+    formatted = []
+    prime_repr, element_format = PrimeIdeal.__repr__, solvability.format_element
+    monkeypatch.setattr(PrimeIdeal, "__repr__", lambda P: formatted.append(P) or prime_repr(P))
+    monkeypatch.setattr(
+        solvability, "format_element", lambda x: formatted.append(x) or element_format(x)
+    )
+    cert = check_solvable(eq_of(Q7, 3, 2, 13))
+    assert cert.solvable and formatted == []
+    conditions = cert.to_dict()["conditions"]
+    assert [c["prime"] for c in conditions] == ["(3)", "(13)", "(2, 1/2+1/2s)", "(2, 1/2-1/2s)"]
+    assert [c["witness"] for c in conditions[:2]] == ["1", "13/2+3/2s"]
+    assert len(formatted) == 6
 
 
 # Solvable conics with high valuations at the primes over 2, each with a
