@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
 
 from .errors import (
     BaseDegenerate,
@@ -88,7 +87,7 @@ def _cmd_solve(args, out) -> int:
     eq = _parse_equation(field, args.eq)
     trace = DescentTrace()
     try:
-        sol = solve_conic(eq, pell_bound=args.pell_bound, trace=trace)
+        sol = solve_conic(eq, trace=trace)
     except NotSolvable:
         _emit({"solvable": False}, args.json, out)
         return EXIT_OK
@@ -176,7 +175,7 @@ def _parse_corpus_line(line: str):
     return ConicEquation.from_coefficients(a, b, c), expectation, known
 
 
-def _run_corpus_line(idx: int, line: str, pell_bound: Optional[int]):
+def _run_corpus_line(idx: int, line: str):
     try:
         eq, expectation, known = _parse_corpus_line(line)
     except (ParseError, ConicError) as exc:
@@ -189,7 +188,7 @@ def _run_corpus_line(idx: int, line: str, pell_bound: Optional[int]):
                 return idx, "mismatch", "expected unsolvable, got solvable"
             return idx, "ok", "unsolvable"
         try:
-            sol = solve_conic(eq, pell_bound=pell_bound)
+            sol = solve_conic(eq)
         except NotSolvable:
             if expectation == "solvable":
                 return idx, "mismatch", "expected solvable, got unsolvable"
@@ -211,7 +210,7 @@ def _cmd_corpus(args, out) -> int:
         for i, ln in enumerate(raw)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    results = [_run_corpus_line(i, ln, args.pell_bound) for i, ln in lines]
+    results = [_run_corpus_line(i, ln) for i, ln in lines]
     counts = {"ok": 0, "mismatch": 0, "undecided": 0, "parse-error": 0}
     for idx, status, detail in results:
         counts[status] += 1
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find one solution")
     common(p)
-    p.add_argument("--pell-bound", type=int, default=None)
     p.add_argument("--trace", default=None, help="write descent trace JSON here")
 
     p = sub.add_parser("parametrize", help="enumerate solutions from a base")
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--jobs", type=int, default=1, help="ignored: lines run in order")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--pell-bound", type=int, default=None)
     return parser
 
 

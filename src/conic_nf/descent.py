@@ -234,7 +234,6 @@ def _try_rational_subfield(
 def _fallback_solve(
     A: FieldElement,
     B: FieldElement,
-    pell_bound: Optional[int],
     trace: DescentTrace,
     _depth: int,
     _allow_transform: bool,
@@ -247,7 +246,7 @@ def _fallback_solve(
     """
     field = A.field
     try:
-        x, y = solve_pell(A, B, pell_bound)
+        x, y = solve_pell(A, B)
         return (x, y, field.one())
     except PellSearchExhausted:
         pass
@@ -255,7 +254,7 @@ def _fallback_solve(
         try:
             trace.add("transform", A=A, B=B)
             xt, yt, zt = legendre_descent(
-                -(A * B), A, pell_bound, trace, _depth + 1, _allow_transform=False
+                -(A * B), A, trace, _depth + 1, _allow_transform=False
             )
             sol = (A * zt, xt, A * yt)
             assert sol[0] * sol[0] - A * sol[1] * sol[1] == B * sol[2] * sol[2]
@@ -264,13 +263,12 @@ def _fallback_solve(
         except PellSearchExhausted:
             pass
     trace.add("norm_search", A=A, B=B)
-    return _norm_search(A, B, pell_bound or DEFAULT_PELL_BOUND)
+    return _norm_search(A, B, DEFAULT_PELL_BOUND)
 
 
 def legendre_descent(
     A: FieldElement,
     B: FieldElement,
-    pell_bound: Optional[int] = None,
     trace: Optional[DescentTrace] = None,
     _depth: int = 0,
     _allow_transform: bool = True,
@@ -311,34 +309,34 @@ def legendre_descent(
     if ring.size_sq(A.num) > ring.size_sq(B.num):
         trace.add("swap", A=A, B=B)
         x, y, z = legendre_descent(
-            B, A, pell_bound, trace, _depth + 1, _allow_transform
+            B, A, trace, _depth + 1, _allow_transform
         )
         return (x, z, y)
 
     if is_unit(B):
         trace.add("pell_base", B=B)
-        return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
+        return _fallback_solve(A, B, trace, _depth, _allow_transform)
 
     if is_unit(A):
         trace.add("pell_base_swapped", A=A)
         try:
-            x, z = solve_pell(B, A, pell_bound)
+            x, z = solve_pell(B, A)
             return (x, field.one(), z)
         except PellSearchExhausted:
-            return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
+            return _fallback_solve(A, B, trace, _depth, _allow_transform)
 
     if A == B:
         trace.add("equal_coefficients", B=B)
         try:
-            x, z = solve_pell(field.element(-1), B, pell_bound)
+            x, z = solve_pell(field.element(-1), B)
             return (B, x, z)
         except PellSearchExhausted:
-            return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
+            return _fallback_solve(A, B, trace, _depth, _allow_transform)
 
     w = sqrt_mod_ideal(A, principal_ideal(B))
     if w is None or not ring.size_lt_size_minus(w.num, B.num):
         trace.add("pell_fallback", w=w)
-        return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
+        return _fallback_solve(A, B, trace, _depth, _allow_transform)
 
     a0, b0 = short_congruence_pair(A, B, w)
     t = (a0 * a0 - A * b0 * b0) / B
@@ -349,10 +347,10 @@ def legendre_descent(
         return (a0, b0, field.zero())
     if not ring.size_sq(t.num) < ring.size_sq(B.num):
         trace.add("pell_fallback_large_t", t=t)
-        return _fallback_solve(A, B, pell_bound, trace, _depth, _allow_transform)
+        return _fallback_solve(A, B, trace, _depth, _allow_transform)
     t1, t2 = square_decompose(t)
     inner = legendre_descent(
-        A, t1, pell_bound, trace, _depth + 1, _allow_transform
+        A, t1, trace, _depth + 1, _allow_transform
     )
     sol = compose_solution(A, (a0, b0), SolutionTriple(*inner), t1, t2)
     lhs = sol.x * sol.x - A * sol.y * sol.y
@@ -376,7 +374,6 @@ def _clear_denominators(field, triple):
 
 def solve_conic(
     eq: ConicEquation,
-    pell_bound: Optional[int] = None,
     trace: Optional[DescentTrace] = None,
 ) -> SolutionTriple:
     """A nonzero integral solution of a*x^2 + b*y^2 + c*z^2 = 0.
@@ -387,7 +384,7 @@ def solve_conic(
     nf, back = to_norm_form(eq)
     if trace is not None:
         trace.add("norm_form", A=nf.A, B=nf.B)
-    x, y, z = legendre_descent(nf.A, nf.B, pell_bound, trace)
+    x, y, z = legendre_descent(nf.A, nf.B, trace)
     raw = back(x, y, z)
     xi, yi, zi = _clear_denominators(eq.field, raw)
     sol = SolutionTriple(xi, yi, zi)

@@ -51,10 +51,6 @@ class UnsupportedField(ConicError):
     """Holzer reduction only covers Q and the five Euclidean imaginary fields."""
 
 
-class BezoutFailed(ConicError):
-    """gcd(alpha0, beta0) does not divide c in the reduction Bezout step."""
-
-
 class BaseDegenerate(ConicError):
     """Parameterisation needs a base solution with z != 0."""
 

@@ -2,11 +2,13 @@
 
 Over the rationals a solvable equation always has a solution with
 z^2 <= |ab|; over the Euclidean imaginary quadratic fields the same holds
-with |z|^2 below an explicit multiple of |ab|.  Descent through a tangent
-construction shrinks |z| strictly at each step, so iterating from any
-starting solution reaches the bound.
+with |z|^2 below an explicit multiple of |ab|.  Each step LLL-reduces the
+lattice of lines through the current point (Cremona & Rusin, "Efficient
+solution of rational conics", Math. Comp. 72, 2003) and moves to the second
+intersection of a short line, whose N(z) is smaller; N(z) is a non-negative
+integer, so the steps end, and a step that cannot shrink it raises.
 
-The descent runs on integer (u, v) pairs through the integer kernel of
+The steps run on integer (u, v) pairs through the integer kernel of
 fields (IntegerRing): the equation and the start are converted once, each
 step checks in integers that its point lies on the conic, and the result is
 converted back and verified before it is returned.
@@ -14,17 +16,13 @@ converted back and verified before it is returned.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .errors import (
-    BezoutFailed,
-    NotEuclidean,
-    PreconditionViolated,
-    UndecidedError,
-    UnsupportedField,
-)
+from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
 from .descent import SolutionTriple, verify
 from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring
+from .lattice import combine, reduce_pairs
 from .solvability import ConicEquation
 
 # Square of the bound constant: a minimal solution satisfies
@@ -37,8 +35,6 @@ _BOUND_SQ = {
     -7: Fraction(7, 3),
     -11: Fraction(11, 2),
 }
-
-_MAX_ITER = 10_000
 
 
 def bound_constant_sq(field: FieldDescriptor) -> Fraction:
@@ -55,8 +51,13 @@ def is_reduced(eq: ConicEquation, sol: SolutionTriple) -> bool:
     """Exact check of the minimality bound on |z|, in integers: N(z) is
     N(num)/den^2 and the coefficients are integral."""
     csq, ring = bound_constant_sq(eq.field), integer_ring(eq.field)
-    nz, nab = ring.norm(sol.z.num), abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
-    return nz * nz * csq.denominator <= csq.numerator * nab * sol.z.den**4
+    nab = abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
+    return _meets_bound(csq, nab * sol.z.den**4, ring.norm(sol.z.num))
+
+
+def _meets_bound(csq: Fraction, nab: int, nz: int) -> bool:
+    """N(z)^2 <= C^2 * nab in integers."""
+    return nz * nz * csq.denominator <= csq.numerator * nab
 
 
 def xgcd(a: FieldElement, b: FieldElement):
@@ -68,23 +69,6 @@ def xgcd(a: FieldElement, b: FieldElement):
     return tuple(map(ring.element, ring.xgcd(ring.pair(a), ring.pair(b))))
 
 
-# Shifts of the Bezout point by multiples of (x, y), in the order tried.
-_SHIFTS_Q = ((0, 0), (-1, 0), (1, 0))
-_SHIFTS_QUADRATIC = ((0, 0),) + tuple(
-    (u, v) for u in (-1, 0, 1) for v in (-1, 0, 1) if (u, v) != (0, 0)
-)
-
-
-def _bezout_point(ring: IntegerRing, a0, b0, c):
-    """Some (alpha, beta) with b0*alpha - a0*beta = c, or raise."""
-    g, s, t = ring.xgcd(b0, a0)
-    q, r = ring.divmod(c, g)
-    if r != (0, 0):
-        raise BezoutFailed("x-y part of the solution does not divide c")
-    tq = ring.mul(t, q)
-    return ring.mul(s, q), (-tq[0], -tq[1])
-
-
 def _on_conic(ring: IntegerRing, coeffs, point) -> bool:
     total = (0, 0)
     for co, t in zip(coeffs, point):
@@ -92,47 +76,61 @@ def _on_conic(ring: IntegerRing, coeffs, point) -> bool:
     return total == (0, 0)
 
 
-def _descend_once(ring: IntegerRing, coeffs, point):
-    """One tangent-descent step on pairs; returns a point with smaller |z|."""
-    a, b, c = coeffs
-    a0, b0, g0 = point
-    alpha0, beta0 = _bezout_point(ring, a0, b0, c)
-    add, mul = ring.add, ring.mul
-    aa0, bb0, cg0 = mul(a, a0), mul(b, b0), mul(c, g0)
-    # gamma is the nearest integer to -lin / (c*g0) = -lin * conj(c*g0) / den,
-    # where lin = a*a0*alpha + b*b0*beta.
-    cg0_conj, den = ring.conj(cg0), ring.norm(cg0)
-    # Shifting by multiples of (a0, b0) keeps the Bezout identity; try a
-    # few shifts and keep the candidate with the smallest |z|.
-    shifts = _SHIFTS_Q if ring.field.is_rational else _SHIFTS_QUADRATIC
-    best = None
-    best_norm = None
-    for shift in shifts:
-        alpha = add(alpha0, mul(shift, a0))
-        beta = add(beta0, mul(shift, b0))
-        lin = add(mul(aa0, alpha), mul(bb0, beta))
-        gamma = ring.round(mul((-lin[0], -lin[1]), cg0_conj), den)
-        q = add(add(mul(a, mul(alpha, alpha)), mul(b, mul(beta, beta))), mul(c, mul(gamma, gamma)))
-        r = add(lin, mul(cg0, gamma))
-        r2 = (2 * r[0], 2 * r[1])
-        cand = tuple(
-            ring.exact_div(ring.sub(mul(t0, q), mul(t1, r2)), c)
-            for t0, t1 in ((a0, alpha), (b0, beta), (g0, gamma))
-        )
-        if None in cand or cand == ((0, 0), (0, 0), (0, 0)):
-            continue
-        n = ring.norm(cand[2])
-        if best is None or n < best_norm:
-            best, best_norm = cand, n
-    if best is None or best_norm >= ring.norm(g0):
-        raise UndecidedError("tangent descent failed to shrink |z|")
-    assert _on_conic(ring, coeffs, best)
-    return best
-
-
 def _primitive(ring: IntegerRing, point):
     g = ring.gcd(point)
     return tuple(ring.exact_div(t, g) for t in point)
+
+
+def _second_point(ring: IntegerRing, coeffs, point, uv):
+    """The primitive second intersection of the conic with the line through
+    point and (u, v, 0), for (u, v) in the lattice of _lattice_step:
+    (q*x0 - 2*l*u, q*y0 - 2*l*v, q*z0)/z0 with q = a*u^2 + b*v^2 and
+    l = a*x0*u + b*y0*v, both multiples of z0.  At q = 0 (l is then not 0)
+    it is (u, v, 0), a point with z = 0."""
+    a, b, _ = coeffs
+    x0, y0, z0 = point
+    u, v = uv
+    mul, sub = ring.mul, ring.sub
+    q = ring.add(mul(a, mul(u, u)), mul(b, mul(v, v)))
+    lin = ring.add(mul(a, mul(x0, u)), mul(b, mul(y0, v)))
+    l2 = (2 * lin[0], 2 * lin[1])
+    new = (sub(mul(q, x0), mul(l2, u)), sub(mul(q, y0), mul(l2, v)), mul(q, z0))
+    return _primitive(ring, tuple(ring.exact_div(t, z0) for t in new))
+
+
+def _lattice_step(ring: IntegerRing, coeffs, point, within):
+    """A point with smaller N(z), from one LLL reduction, or raise.
+
+    The line through the primitive point (x0, y0, z0) and (u, v, 0) meets
+    the conic again at a point that stays integral after division by z0
+    when (u, v) lies in L = {(u, v) : u*y0 = v*x0 (mod z0)}, which has the
+    O_K-basis (x0/g, y0/g), z0*(t, -s) for s*x0 + t*y0 = g = gcd(x0, y0)
+    (gcd(g, z0) = 1, as the point is primitive).  A short (u, v) for
+    |a|*|u|^2 + |b|*|v|^2 makes a*u^2 + b*v^2, and so the new z, small.
+    The least N(z) among the reduced rows wins; when that point misses the
+    bound (within), the least among the rows' {-1, 0, 1} combinations does.
+    Ties go to the first point.
+    """
+    a, b, _ = coeffs
+    x0, y0, z0 = point
+    g, s, t = ring.xgcd(x0, y0)
+    e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
+    e2 = (ring.mul(z0, t), ring.mul(z0, (-s[0], -s[1])))
+    rows = reduce_pairs(ring, [e1, e2], (abs(ring.norm(a)), abs(ring.norm(b))))
+
+    def least(vectors):
+        points = [_second_point(ring, coeffs, point, uv) for uv in vectors]
+        return min(zip((ring.norm(p[2]) for p in points), range(len(points)), points))
+
+    nz, _, best = least(rows)
+    if not within(nz):
+        # Every {-1, 0, 1} combination of the rows, up to sign.
+        signs = itertools.product((0, 1, -1), repeat=len(rows))
+        nz, _, best = least([combine(k, rows) for k in signs if next((c for c in k if c), 0) == 1])
+    if nz >= ring.norm(z0):
+        raise UndecidedError("lattice step failed to shrink |z|")
+    assert _on_conic(ring, coeffs, best)
+    return best
 
 
 def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
@@ -141,18 +139,18 @@ def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
     Supported over the rationals and the Euclidean imaginary quadratic
     fields (d = -1, -2, -3, -7, -11).
     """
-    bound_constant_sq(eq.field)
+    csq = bound_constant_sq(eq.field)
     if sol.is_trivial or not verify(eq, sol):
         raise PreconditionViolated("starting point is not a solution")
     if not all(t.is_integral for t in (sol.x, sol.y, sol.z)):
         raise PreconditionViolated("starting solution must be integral")
     ring = integer_ring(eq.field)
     coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
+    nab = abs(ring.norm(coeffs[0]) * ring.norm(coeffs[1]))
     cur = _primitive(ring, (ring.pair(sol.x), ring.pair(sol.y), ring.pair(sol.z)))
-    for _ in range(_MAX_ITER):
+    while True:
         red = SolutionTriple(*map(ring.element, cur))
         if is_reduced(eq, red):
             assert verify(eq, red)
             return red
-        cur = _primitive(ring, _descend_once(ring, coeffs, cur))
-    raise UndecidedError("size reduction did not converge")
+        cur = _lattice_step(ring, coeffs, cur, lambda nz: _meets_bound(csq, nab, nz))

@@ -1,11 +1,12 @@
-"""Exact lattice reduction for finding short congruence pairs.
+"""Exact lattice reduction for finding short pairs in a congruence lattice.
 
 Given w with w^2 = A (mod B), the pairs (x, y) with x = w*y (mod B) form a
 lattice; a short vector for the weighted length |x|^2 + |A|*|y|^2 yields a
-small value of x^2 - A*y^2, which drives the descent.  LLL is integral
-(Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps
-its Gram-Schmidt data as integers.  The pair is built on the integer
-kernel's (u, v) pairs and picked by an exact integer comparison of
+small value of x^2 - A*y^2, which drives the descent; holzer reduces the
+lattice of lines through a point the same way (reduce_pairs).  LLL is
+integral (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once
+and keeps its Gram-Schmidt data as integers.  The pair is built on the
+integer kernel's (u, v) pairs and picked by an exact integer comparison of
 X + Y*sqrt(|N(A)|), so the rounded weight only steers the reduction, never
 the answer.  _gso and pair_measure are the exact rational definitions.
 """
@@ -19,8 +20,8 @@ from .errors import NotPositiveDefinite
 from .fields import FieldElement, IntSurd, Surd, integer_ring, round_quotient
 
 DELTA = Fraction(99, 100)
-# The weight sqrt(|N(A)|) of short_congruence_pair is rounded to a multiple
-# of 1/_SCALE; it only steers the reduction, the exact length picks the pair.
+# The weights of reduce_pairs are rounded to multiples of 1/_SCALE; they only
+# steer the reduction, and the caller's exact measure picks the pair.
 _SCALE = 1 << 16
 
 
@@ -126,6 +127,33 @@ def lll_reduce(gram, delta: Fraction = DELTA):
     return reduced, U
 
 
+def combine(coeffs, vecs):
+    """The sum of c*v over coeffs and vecs, each v a pair (x, y) of kernel
+    pairs."""
+    xu = xv = yu = yv = 0
+    for c, ((a, b), (e, f)) in zip(coeffs, vecs):
+        xu, xv, yu, yv = xu + c * a, xv + c * b, yu + c * e, yv + c * f
+    return (xu, xv), (yu, yv)
+
+
+def reduce_pairs(ring, basis, norms):
+    """LLL-reduced rows of the lattice with O_K-basis basis, pairs (x, y) of
+    kernel pairs, for the weighted length sqrt(n_x)*|x|^2 + sqrt(n_y)*|y|^2
+    with (n_x, n_y) = norms.  The Z-basis is e, omega*e for each e in basis
+    (e alone over Q).  Each weight is rounded to a multiple of 1/_SCALE and
+    scaled by _SCALE into an integer, so the Gram matrix is integral; the
+    weights only steer the reduction, and each caller picks among the rows
+    by its own exact measure."""
+    gens = list(basis)
+    if not ring.field.is_rational:
+        om = (0, 1)
+        gens = [g for e in basis for g in (e, (ring.mul(om, e[0]), ring.mul(om, e[1])))]
+    wx, wy = (max(1, round(math.sqrt(n) * _SCALE)) for n in norms)
+    dot = ring.dot
+    gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
+    return [combine(row, gens) for row in lll_reduce(gram)[1]]
+
+
 def _dot(x: FieldElement, y: FieldElement) -> Fraction:
     """Euclidean inner product of the archimedean embedding vectors."""
     field = x.field
@@ -163,27 +191,9 @@ def short_congruence_pair(
     if b == (0, 0):
         raise ValueError("modulus must be nonzero")
     norm_a = max(1, abs(ring.norm(a)))
-    weight = max(1, round(math.sqrt(norm_a) * _SCALE))
 
     one, zero = (1, 0), (0, 0)
-    if A.field.is_rational:
-        gens = [(r, one), (b, zero)]
-    else:
-        om = (0, 1)
-        gens = [(r, one), (ring.mul(r, om), om), (b, zero), (ring.mul(b, om), zero)]
     dot = ring.dot
-    gram = [
-        [_SCALE * dot(gx, hx) + weight * dot(gy, hy) for hx, hy in gens]
-        for gx, gy in gens
-    ]
-    _, U = lll_reduce(gram)
-
-    def combine(coeffs):
-        x = y = zero
-        for t, (gx, gy) in zip(coeffs, gens):
-            x = ring.add(x, ring.mul((t, 0), gx))
-            y = ring.add(y, ring.mul((t, 0), gy))
-        return x, y
 
     s = math.isqrt(norm_a)
 
@@ -192,7 +202,7 @@ def short_congruence_pair(
         return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
     best_key = None
-    for x, y in [combine(row) for row in U] + [(r, one)]:
+    for x, y in reduce_pairs(ring, [(r, one), (b, zero)], (1, norm_a)) + [(r, one)]:
         if y == zero:
             continue
         key = (measure(x, y), *x, *y)

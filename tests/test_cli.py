@@ -116,6 +116,28 @@ def test_reduce_subcommand():
     assert z * z <= 5
 
 
+def test_reduce_returns_a_point_at_infinity_when_a_line_gives_one():
+    # Over Q(sqrt(-7)) a reduced row (u, v) of the lattice step has
+    # a*u^2 + b*v^2 = 0, so (u, v, 0) itself solves the equation.
+    code, text = _run(
+        ["reduce", "--field", "-7", "--eq", "1-w;3-w;-7", "--solution", "-5-3w;4-3w;-3+w", "--json"]
+    )
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["reduced"] is True and payload["solution"]["z"] == "0"
+    K = make_field(-7)
+    eq = ConicEquation(*(parse_element(K, t) for t in "1-w;3-w;-7".split(";")))
+    sol = SolutionTriple(*(parse_element(K, payload["solution"][k]) for k in "xyz"))
+    assert verify(eq, sol)
+
+
+def test_solve_and_corpus_have_no_pell_bound_option():
+    code, _ = _run(["solve", "--field", "Q", "--eq", "1;1;-2", "--pell-bound", "50"])
+    assert code == 2
+    code, _ = _run(["corpus", os.path.join(FIXTURES, "table1.corpus"), "--pell-bound", "50"])
+    assert code == 2
+
+
 def test_parametrize_subcommand():
     code, text = _run(
         [

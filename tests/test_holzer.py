@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from conic_nf.descent import SolutionTriple, solve_conic, verify
 from conic_nf import holzer
-from conic_nf.errors import PreconditionViolated, UndecidedError, UnsupportedField
+from conic_nf.errors import PreconditionViolated, UnsupportedField
 from conic_nf.fields import make_field
 from conic_nf.holzer import bound_constant_sq, is_reduced, reduce_solution, xgcd
 from conic_nf.solvability import ConicEquation, check_solvable
@@ -154,33 +155,34 @@ def test_reduce_random_imaginary_fields():
 # (d, (a, b, c), start, reduced point), every element a (u, v) pair over
 # {1, w}: four starts over Q and each Euclidean imaginary field, drawn on
 # lines through small points with directions of height up to 10^4 over Q and
-# 10^2 over the fields, and the points reduce_solution returned for them
-# when the descent ran on FieldElements.  Pins the descent's path.
+# 10^2 over the fields, and the points reduce_solution returns for them.
+# Pins the lattice step: its basis, the order of the reduced rows and the
+# tie-break among points of equal N(z).
 GOLDEN = [
-    (None, ((19, 0), (22, 0), (-1267, 0)), ((-235008797535, 0), (441792293414, 0), (64940766131, 0)), ((5, 0), (6, 0), (1, 0))),
-    (None, ((17, 0), (2, 0), (-433, 0)), ((46314705772, 0), (18460195520, 0), (9262335404, 0)), ((5, 0), (2, 0), (-1, 0))),
-    (None, ((-1, 0), (19, 0), (-170, 0)), ((-3904897786, 0), (13173594622, 0), (4393899570, 0)), ((-1, 0), (3, 0), (-1, 0))),
-    (None, ((14, 0), (-11, 0), (-251, 0)), ((7697334995, 0), (7461707927, 0), (929887941, 0)), ((59, 0), (65, 0), (3, 0))),
-    (-1, ((-2, -4), (3, -1), (102, -26)), ((470232, 180308), (-419452, 26856), (-46250, -112598)), ((3, 3), (-3, -1), (0, -1))),
-    (-1, ((-2, 2), (-3, 3), (43, 29)), ((-169616, 302120), (-2048, -323592), (-52456, -102064)), ((0, 7), (-6, -1), (1, 0))),
-    (-1, ((3, 2), (3, -4), (9, 12)), ((22821, -18378), (6471, 42207), (7797, -19296)), ((1, -2), (2, 1), (1, 1))),
-    (-1, ((2, 0), (-3, -1), (3, 15)), ((-33702, 21532), (21968, -24610), (2590, 6676)), ((1, 4), (-2, -3), (-1, 0))),
-    (-2, ((0, 1), (1, 4), (42, 71)), ((-209006, -277869), (-745622, -450898), (170102, -108309)), ((-3, -2), (0, 3), (-1, 0))),
+    (None, ((19, 0), (22, 0), (-1267, 0)), ((-235008797535, 0), (441792293414, 0), (64940766131, 0)), ((5, 0), (-6, 0), (1, 0))),
+    (None, ((17, 0), (2, 0), (-433, 0)), ((46314705772, 0), (18460195520, 0), (9262335404, 0)), ((-5, 0), (-2, 0), (1, 0))),
+    (None, ((-1, 0), (19, 0), (-170, 0)), ((-3904897786, 0), (13173594622, 0), (4393899570, 0)), ((1, 0), (-3, 0), (1, 0))),
+    (None, ((14, 0), (-11, 0), (-251, 0)), ((7697334995, 0), (7461707927, 0), (929887941, 0)), ((-5, 0), (-3, 0), (1, 0))),
+    (-1, ((-2, -4), (3, -1), (102, -26)), ((470232, 180308), (-419452, 26856), (-46250, -112598)), ((3, 3), (-3, -1), (0, 1))),
+    (-1, ((-2, 2), (-3, 3), (43, 29)), ((-169616, 302120), (-2048, -323592), (-52456, -102064)), ((-7, 0), (-1, 6), (0, -1))),
+    (-1, ((3, 2), (3, -4), (9, 12)), ((22821, -18378), (6471, 42207), (7797, -19296)), ((11, -8), (1, -11), (-1, -2))),
+    (-1, ((2, 0), (-3, -1), (3, 15)), ((-33702, 21532), (21968, -24610), (2590, 6676)), ((4, -1), (3, -2), (0, -1))),
+    (-2, ((0, 1), (1, 4), (42, 71)), ((-209006, -277869), (-745622, -450898), (170102, -108309)), ((-3, -2), (0, -3), (-1, 0))),
     (-2, ((-3, 4), (2, -3), (-102, -34)), ((-128754, 218629), (-51920, 243715), (-57119, -3466)), ((-2, 3), (0, 3), (1, 0))),
-    (-2, ((-4, 1), (3, 3), (-57, 6)), ((95976, 17811), (-85968, 17451), (-6714, -7605)), ((11, 8), (-15, -2), (-1, -1))),
-    (-2, ((0, 3), (4, -1), (80, 4)), ((24256, -4555), (2878, 33605), (-10184, 3071)), ((-5, 1), (3, -4), (-1, 0))),
-    (-3, ((1, 3), (2, 3), (34, -51)), ((402272, -100616), (114400, 63800), (-125256, 74712)), ((4, -2), (-1, 1), (1, -1))),
-    (-3, ((-3, 2), (4, -1), (20, -75)), ((-5059, -12984), (38373, -37113), (-3167, 10478)), ((-13, 16), (-11, 15), (-1, 2))),
-    (-3, ((4, 0), (-2, 2), (-36, 18)), ((-4596, -23364), (30996, -10128), (-620, 11820)), ((2, -1), (5, -1), (0, 1))),
-    (-3, ((3, 4), (1, -4), (-52, 43)), ((-6220, -13220), (13872, 11856), (908, 2040)), ((13, -8), (-15, 16), (0, 2))),
-    (-7, ((2, -2), (2, -4), (-64, -12)), ((-376908, 37954), (84264, -37628), (-66492, 43034)), ((-2, -3), (2, 0), (-1, 0))),
-    (-7, ((-3, 4), (4, -2), (28, 20)), ((17718, -30742), (376695, -46319), (-52243, -53732)), ((2, -2), (-3, 3), (1, 0))),
-    (-7, ((2, -3), (-3, 4), (-32, -6)), ((166862, -78205), (-8202, -39033), (-27374, 44461)), ((-1, -2), (0, -1), (-1, 0))),
-    (-7, ((3, 4), (1, -1), (-25, -33)), ((-67114, -31536), (-4371, -139477), (35727, 10698)), ((2, 0), (-1, -3), (-1, 0))),
-    (-11, ((-4, -2), (-2, -4), (-42, -120)), ((602126, 42538), (-256540, -92000), (34200, -67986)), ((-20, 33), (-50, 2), (3, -2))),
-    (-11, ((2, 3), (3, 3), (-48, -12)), ((-491958, 207945), (233101, -218227), (-193840, 70021)), ((-3, 0), (2, -1), (1, 0))),
-    (-11, ((3, -3), (-1, 2), (9, 36)), ((68625, 31886), (-104325, -12351), (-2077, 15836)), ((-3, 3), (3, -6), (2, 0))),
-    (-11, ((-4, -2), (-2, 0), (-64, 42)), ((65224, -1560), (88664, 62600), (-29568, 8296)), ((1, -3), (11, -3), (0, -1))),
+    (-2, ((-4, 1), (3, 3), (-57, 6)), ((95976, 17811), (-85968, 17451), (-6714, -7605)), ((-3, -9), (-9, -5), (1, 0))),
+    (-2, ((0, 3), (4, -1), (80, 4)), ((24256, -4555), (2878, 33605), (-10184, 3071)), ((1, 0), (-1, 3), (1, 0))),
+    (-3, ((1, 3), (2, 3), (34, -51)), ((402272, -100616), (114400, 63800), (-125256, 74712)), ((-2, 4), (0, 1), (0, 1))),
+    (-3, ((-3, 2), (4, -1), (20, -75)), ((-5059, -12984), (38373, -37113), (-3167, 10478)), ((3, 2), (3, 3), (1, 0))),
+    (-3, ((4, 0), (-2, 2), (-36, 18)), ((-4596, -23364), (30996, -10128), (-620, 11820)), ((-3, 3), (-3, 0), (-1, 1))),
+    (-3, ((3, 4), (1, -4), (-52, 43)), ((-6220, -13220), (13872, 11856), (908, 2040)), ((-1, 0), (2, -4), (0, 1))),
+    (-7, ((2, -2), (2, -4), (-64, -12)), ((-376908, 37954), (84264, -37628), (-66492, 43034)), ((2, 3), (-2, 0), (1, 0))),
+    (-7, ((-3, 4), (4, -2), (28, 20)), ((17718, -30742), (376695, -46319), (-52243, -53732)), ((2, -2), (3, -3), (1, 0))),
+    (-7, ((2, -3), (-3, 4), (-32, -6)), ((166862, -78205), (-8202, -39033), (-27374, 44461)), ((-1, -2), (0, 1), (-1, 0))),
+    (-7, ((3, 4), (1, -1), (-25, -33)), ((-67114, -31536), (-4371, -139477), (35727, 10698)), ((-2, 0), (-1, -3), (-1, 0))),
+    (-11, ((-4, -2), (-2, -4), (-42, -120)), ((602126, 42538), (-256540, -92000), (34200, -67986)), ((-2, 3), (2, -2), (-1, 0))),
+    (-11, ((2, 3), (3, 3), (-48, -12)), ((-491958, 207945), (233101, -218227), (-193840, 70021)), ((3, 0), (-2, 1), (-1, 0))),
+    (-11, ((3, -3), (-1, 2), (9, 36)), ((68625, 31886), (-104325, -12351), (-2077, 15836)), ((-3, 2), (3, -3), (1, 0))),
+    (-11, ((-4, -2), (-2, 0), (-64, 42)), ((65224, -1560), (88664, 62600), (-29568, 8296)), ((0, 1), (2, 3), (1, 0))),
 ]
 
 
@@ -208,13 +210,127 @@ def test_reduce_checks_the_bound_once_per_step(monkeypatch):
     assert [abs(s.z.u) for s in calls] == sorted((abs(s.z.u) for s in calls), reverse=True)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=UndecidedError,
-    reason="the tangent descent stalls one step above the bound on 1;3;-7 from 5;-1;2",
-)
 def test_reduce_does_not_stall_above_holzer_bound():
     # (2, 1, 1) solves x^2 + 3y^2 - 7z^2 = 0 with z^2 = 1 <= |ab| = 3.
     eq = _eq(Q, 1, 3, -7)
     red = reduce_solution(eq, SolutionTriple(Q.element(5), Q.element(-1), Q.element(2)))
     assert verify(eq, red) and red.z.norm() ** 2 <= 3
+
+
+# Rational starts ((a, b, c), (x, y, z)) from which a tangent descent stalled
+# one step above Holzer's bound, though Holzer's theorem gives a solution
+# with z^2 <= |ab|; the last one stalled at (91, 53, 16), 16^2 = 256 > 247.
+STALLED = [
+    ((1, 3, -7), (5, -1, 2)),
+    ((-7, -19, 691), (-4319, -7254, -1279)),
+    ((-13, -23, 209), (31, 49, -18)),
+    ((11, 21, -65), (11, -27, 16)),
+    ((29, 13, -42), (157, 347, 233)),
+    ((19, 13, -683), (67, 83, 16)),
+    ((-21, -1, 1), (1, -2, -5)),
+    ((-23, -11, 419), (60, 59, -17)),
+    ((-3, -1, 7), (-83, 79, -62)),
+    ((21, 1, -541), (-62, -275, 17)),
+    ((-19, -21, 829), (101, -81, -20)),
+    ((11, 7, -527), (-271, -4734, 547)),
+    ((17, 7, -265), (1103, -1621, 384)),
+    ((-29, -23, 1619), (-2118, 4711, -629)),
+    ((-11, -15, 71), (28, -15, -13)),
+    ((-15, -29, 491), (-791, 862, -251)),
+    ((-29, -19, 713), (-3029, -1062, -635)),
+    ((13, 19, -193), (1573, 1203, 556)),
+    ((17, 21, -446), (11, -87, 19)),
+    ((-23, -15, 38), (-11, 27, -19)),
+    ((-17, -15, 203), (253, 75, -76)),
+    ((-11, -23, 674), (891, -1211, -251)),
+    ((-15, -23, 158), (99, -191, -79)),
+    ((-23, -17, 385), (-16228, -5953, -4159)),
+    ((-11, -23, 199), (-221, -94, -61)),
+    ((-13, -19, 527), (-127, 473, -92)),
+    ((-17, -29, 301), (-4549, 1346, -1159)),
+    ((3, 7, -202), (-29, -19, 5)),
+    ((7, 15, -247), (-116, 277, 71)),
+    ((13, 21, -1081), (827, 1602, 241)),
+    ((-19, -23, 1303), (884, 279, -113)),
+    ((-13, -19, 629), (91, 53, 16)),
+]
+
+
+@pytest.mark.parametrize("coeffs, start", STALLED)
+def test_reduce_reaches_the_bound_from_stalled_starts(coeffs, start):
+    eq = _eq(Q, *coeffs)
+    red = reduce_solution(eq, SolutionTriple(*map(Q.element, start)))
+    assert verify(eq, red) and is_reduced(eq, red)
+    assert red.z.norm() ** 2 <= abs(coeffs[0] * coeffs[1])
+
+
+def _squarefree(n):
+    n = abs(n)
+    return n > 0 and all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+
+
+def _line_start(eq, point, dirn):
+    """The second point of the conic on the line through point along dirn,
+    or None when that line is tangent or meets the conic again at z = 0."""
+    a, b, c = eq.a, eq.b, eq.c
+    q = eq.evaluate(*dirn)
+    bil = a * point[0] * dirn[0] + b * point[1] * dirn[1] + c * point[2] * dirn[2]
+    if q.is_zero:
+        return None
+    start = SolutionTriple(*(q * p - 2 * bil * t for p, t in zip(point, dirn)))
+    return None if start.z.is_zero else start
+
+
+def test_reduce_sweep_rational_holzer_hypotheses():
+    # a, b, c squarefree and pairwise coprime, starts on lines of height up
+    # to 10^4 through a small point: each reduces to z^2 <= |ab|.
+    rng = random.Random(2003)
+    done = 0
+    while done < 2000:
+        a = rng.choice((-1, 1)) * rng.randint(1, 30)
+        b = rng.choice((-1, 1)) * rng.randint(1, 30)
+        x0, y0 = rng.randint(-6, 6), rng.randint(-6, 6)
+        c = -(a * x0 * x0 + b * y0 * y0)
+        if c == 0 or not all(map(_squarefree, (a, b, c))):
+            continue
+        if math.gcd(a, b) != 1 or math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
+            continue
+        eq = _eq(Q, a, b, c)
+        height = int(10 ** rng.uniform(0, 4))
+        dirn = [Q.element(rng.randint(-height, height)) for _ in range(3)]
+        start = _line_start(eq, tuple(map(Q.element, (x0, y0, 1))), dirn)
+        if start is None:
+            continue
+        red = reduce_solution(eq, start)
+        assert verify(eq, red) and is_reduced(eq, red), (a, b, c, start)
+        done += 1
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+def test_reduce_sweep_euclidean_fields(d):
+    # The coefficients and small points of acceptance test 6, each start
+    # blown up along a line of height up to 10^2 and by a random factor.
+    field = make_field(d)
+    rng = random.Random(6000 - d)
+    el = lambda ru, rv: field.element(rng.randint(*ru), rng.randint(*rv))
+    done = 0
+    while done < 300:
+        a, b = el((1, 8), (-2, 2)), el((1, 8), (-2, 2))
+        if a.is_zero or b.is_zero or abs(a.norm() * b.norm()) > 200:
+            continue
+        x, y, z = el((-6, 6), (-3, 3)), el((-6, 6), (-3, 3)), el((1, 4), (-2, 2))
+        if x.is_zero or y.is_zero or z.is_zero:
+            continue
+        c = -(a * x * x + b * y * y) / (z * z)
+        if not c.is_integral or c.is_zero:
+            continue
+        eq = ConicEquation(a, b, c)
+        height = int(10 ** rng.uniform(0, 2))
+        hv = (-height, height)
+        start = _line_start(eq, (x, y, z), [el(hv, hv) for _ in range(3)])
+        k = el((-9, 9), (-9, 9))
+        if start is None or k.is_zero:
+            continue
+        red = reduce_solution(eq, SolutionTriple(*(t * k for t in (start.x, start.y, start.z))))
+        assert verify(eq, red) and is_reduced(eq, red), (d, eq, start)
+        done += 1
