@@ -51,13 +51,8 @@ def is_reduced(eq: ConicEquation, sol: SolutionTriple) -> bool:
     """Exact check of the minimality bound on |z|, in integers: N(z) is
     N(num)/den^2 and the coefficients are integral."""
     csq, ring = bound_constant_sq(eq.field), integer_ring(eq.field)
-    nab = abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
-    return _meets_bound(csq, nab * sol.z.den**4, ring.norm(sol.z.num))
-
-
-def _meets_bound(csq: Fraction, nab: int, nz: int) -> bool:
-    """N(z)^2 <= C^2 * nab in integers."""
-    return nz * nz * csq.denominator <= csq.numerator * nab
+    nz, nab = ring.norm(sol.z.num), abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
+    return nz * nz * csq.denominator <= csq.numerator * nab * sol.z.den**4
 
 
 def xgcd(a: FieldElement, b: FieldElement):
@@ -98,7 +93,7 @@ def _second_point(ring: IntegerRing, coeffs, point, uv):
     return _primitive(ring, tuple(ring.exact_div(t, z0) for t in new))
 
 
-def _lattice_step(ring: IntegerRing, coeffs, point, within):
+def _lattice_step(ring: IntegerRing, coeffs, point):
     """A point with smaller N(z), from one LLL reduction, or raise.
 
     The line through the primitive point (x0, y0, z0) and (u, v, 0) meets
@@ -107,9 +102,9 @@ def _lattice_step(ring: IntegerRing, coeffs, point, within):
     O_K-basis (x0/g, y0/g), z0*(t, -s) for s*x0 + t*y0 = g = gcd(x0, y0)
     (gcd(g, z0) = 1, as the point is primitive).  A short (u, v) for
     |a|*|u|^2 + |b|*|v|^2 makes a*u^2 + b*v^2, and so the new z, small.
-    The least N(z) among the reduced rows wins; when that point misses the
-    bound (within), the least among the rows' {-1, 0, 1} combinations does.
-    Ties go to the first point.
+    The least N(z) among the reduced rows wins; when none of them shrinks
+    N(z), the least among the rows' {-1, 0, 1} combinations does.  Ties go
+    to the first point.
     """
     a, b, _ = coeffs
     x0, y0, z0 = point
@@ -123,7 +118,7 @@ def _lattice_step(ring: IntegerRing, coeffs, point, within):
         return min(zip((ring.norm(p[2]) for p in points), range(len(points)), points))
 
     nz, _, best = least(rows)
-    if not within(nz):
+    if nz >= ring.norm(z0):
         # Every {-1, 0, 1} combination of the rows, up to sign.
         signs = itertools.product((0, 1, -1), repeat=len(rows))
         nz, _, best = least([combine(k, rows) for k in signs if next((c for c in k if c), 0) == 1])
@@ -139,18 +134,17 @@ def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
     Supported over the rationals and the Euclidean imaginary quadratic
     fields (d = -1, -2, -3, -7, -11).
     """
-    csq = bound_constant_sq(eq.field)
+    bound_constant_sq(eq.field)
     if sol.is_trivial or not verify(eq, sol):
         raise PreconditionViolated("starting point is not a solution")
     if not all(t.is_integral for t in (sol.x, sol.y, sol.z)):
         raise PreconditionViolated("starting solution must be integral")
     ring = integer_ring(eq.field)
     coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
-    nab = abs(ring.norm(coeffs[0]) * ring.norm(coeffs[1]))
     cur = _primitive(ring, (ring.pair(sol.x), ring.pair(sol.y), ring.pair(sol.z)))
     while True:
         red = SolutionTriple(*map(ring.element, cur))
         if is_reduced(eq, red):
             assert verify(eq, red)
             return red
-        cur = _lattice_step(ring, coeffs, cur, lambda nz: _meets_bound(csq, nab, nz))
+        cur = _lattice_step(ring, coeffs, cur)
