@@ -1,16 +1,18 @@
 """Legendre-style descent for the norm form equation x^2 - A*y^2 = B*z^2.
 
-The solver keeps shrinking B: a small square root w of A mod (B) plus
-lattice reduction produce a congruence pair whose quotient t is smaller
-than B; recursing on (A, squarefree part of t) and composing with the
-multiplicativity of x^2 - A*y^2 yields a solution.  When no small root
-exists the equation is handled as a generalised Pell equation by a
-bounded search.
+Each step factors (B) = M^2*S once, with S squarefree, takes a small root w
+of A mod S and reduces the congruence lattice of B (lattice), whose short
+pair (a0, b0) gives the quotient t = (a0^2 - A*b0^2)/B.  While t is smaller
+than B the descent recurses on (A, t1), t1 the part of t free of principal
+squares, and composes by the multiplicativity of x^2 - A*y^2 (Cremona and
+Rusin, 2003; Simon, 2005).  Over a real field A and B are first balanced by
+squares of the unit of norm 1.  A unit B, or a t that does not shrink, ends
+in one bounded search over pairs (y, z).
 
 Every decision of a step is a test on the integer kernel's pairs: the
-square test is the kernel's closed-form root (elem_sqrt), and sizes, units
-and |w| < |B| - 1 are integer comparisons.  A DescentTrace stores the
-elements of each step and formats them only in to_list().
+square test is the kernel's closed-form root (elem_sqrt), and sizes and
+units are integer comparisons.  A DescentTrace stores the elements of each
+step and formats them only in to_list().
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .fields import (
     make_field,
     require_integral,
 )
-from .ideals import principal_ideal, square_decompose
+from .ideals import balance, factor_ideal, norm_one_unit, prime_power, principal_ideal
+from .ideals import square_decompose, unit_ideal
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
 from .solvability import ConicEquation, check_solvable
@@ -155,13 +158,13 @@ def _enumerate_pairs(field: FieldDescriptor, bound: int, budget: int = 400_000):
 
 
 def _norm_search(
-    A: FieldElement, B: FieldElement, bound: int
+    A: FieldElement, B: FieldElement, trace: DescentTrace
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """Bounded search for x^2 - A*y^2 = B*z^2 over pairs (y, z)."""
-    field = A.field
-    if not field.is_rational:
-        bound = min(bound, 25)
-    for y, z in _enumerate_pairs(field, bound):
+    """The base of the descent, for a unit B or a quotient t that does not
+    shrink: a bounded search for x^2 - A*y^2 = B*z^2 over pairs (y, z)."""
+    trace.add("pell_fallback", A=A, B=B)
+    bound = DEFAULT_PELL_BOUND if A.field.is_rational else 25
+    for y, z in _enumerate_pairs(A.field, bound):
         if y.is_zero and z.is_zero:
             continue
         x = elem_sqrt(A * y * y + B * z * z)
@@ -231,52 +234,17 @@ def _try_rational_subfield(
     return tuple(field.element(t.num[0]) / t.den for t in sol)
 
 
-def _fallback_solve(
-    A: FieldElement,
-    B: FieldElement,
-    trace: DescentTrace,
-    _depth: int,
-    _allow_transform: bool,
-) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """Solve x^2 - A*y^2 = B*z^2 when congruence descent cannot reduce.
-
-    Tries the z = 1 Pell search, then the classical transformation to
-    x^2 + A*B*y^2 = A*z^2 (which restarts the descent with a usable
-    congruence), then a bounded two-parameter search.
-    """
-    field = A.field
-    try:
-        x, y = solve_pell(A, B)
-        return (x, y, field.one())
-    except PellSearchExhausted:
-        pass
-    if _allow_transform:
-        try:
-            trace.add("transform", A=A, B=B)
-            xt, yt, zt = legendre_descent(
-                -(A * B), A, trace, _depth + 1, _allow_transform=False
-            )
-            sol = (A * zt, xt, A * yt)
-            assert sol[0] * sol[0] - A * sol[1] * sol[1] == B * sol[2] * sol[2]
-            if not (sol[1].is_zero and sol[2].is_zero):
-                return sol
-        except PellSearchExhausted:
-            pass
-    trace.add("norm_search", A=A, B=B)
-    return _norm_search(A, B, DEFAULT_PELL_BOUND)
-
-
 def legendre_descent(
     A: FieldElement,
     B: FieldElement,
     trace: Optional[DescentTrace] = None,
     _depth: int = 0,
-    _allow_transform: bool = True,
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
     """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
 
     The top-level call decides the local conditions once and raises
     NotSolvable when they fail; the recursive calls do not check again.
+    Each call is one step of the descent (see the module docstring).
     """
     field = A.field
     ring = integer_ring(field)
@@ -306,55 +274,46 @@ def legendre_descent(
         trace.add("square_discriminant", sqrt=sq)
         return (sq, field.one(), field.zero())
 
+    if ring.real:
+        # A*u^2 and B*v^2 for units u, v: y and z map back by u and v.
+        eta = norm_one_unit(field)
+        (a, u), (b, v) = (balance(ring, ring.pair(c), eta, 2) for c in (A, B))
+        if (u, v) != ((1, 0), (1, 0)):
+            trace.add("balance", A=A, B=B)
+            x, y, z = legendre_descent(ring.element(a), ring.element(b), trace, _depth + 1)
+            return (x, y * ring.element(u), z * ring.element(v))
+
     if ring.size_sq(A.num) > ring.size_sq(B.num):
         trace.add("swap", A=A, B=B)
-        x, y, z = legendre_descent(
-            B, A, trace, _depth + 1, _allow_transform
-        )
+        x, y, z = legendre_descent(B, A, trace, _depth + 1)
         return (x, z, y)
 
     if is_unit(B):
-        trace.add("pell_base", B=B)
-        return _fallback_solve(A, B, trace, _depth, _allow_transform)
+        return _norm_search(A, B, trace)
 
-    if is_unit(A):
-        trace.add("pell_base_swapped", A=A)
-        try:
-            x, z = solve_pell(B, A)
-            return (x, field.one(), z)
-        except PellSearchExhausted:
-            return _fallback_solve(A, B, trace, _depth, _allow_transform)
+    # (B) = M^2 * S with S squarefree, from one factorization.  A root of A
+    # mod S exists when the conditions hold: at an odd P | S not dividing A
+    # the Hilbert symbol (A, B)_P = 1 says A is a square mod P; w = 0 at
+    # P | A; over 2 every residue is a square.
+    S, M = principal_ideal(B), None
+    factors = factor_ideal(S)
+    if any(e > 1 for _, e in factors):
+        S = M = unit_ideal(field)
+        for P, e in factors:
+            S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
+    w = sqrt_mod_ideal(A, S, [(P, 1) for P, e in factors if e % 2])
+    assert w is not None, "no root of A modulo the squarefree part of (B)"
 
-    if A == B:
-        trace.add("equal_coefficients", B=B)
-        try:
-            x, z = solve_pell(field.element(-1), B)
-            return (B, x, z)
-        except PellSearchExhausted:
-            return _fallback_solve(A, B, trace, _depth, _allow_transform)
-
-    w = sqrt_mod_ideal(A, principal_ideal(B))
-    if w is None or not ring.size_lt_size_minus(w.num, B.num):
-        trace.add("pell_fallback", w=w)
-        return _fallback_solve(A, B, trace, _depth, _allow_transform)
-
-    a0, b0 = short_congruence_pair(A, B, w)
+    a0, b0 = short_congruence_pair(A, B, w, M)
     t = (a0 * a0 - A * b0 * b0) / B
     assert t.is_integral, "congruence pair must give an integral quotient"
     trace.add("reduce", A=A, B=B, w=w, pair=[a0, b0], t=t)
-    if t.is_zero:
-        # a0^2 = A b0^2: a square discriminant witnessed by the pair.
-        return (a0, b0, field.zero())
     if not ring.size_sq(t.num) < ring.size_sq(B.num):
-        trace.add("pell_fallback_large_t", t=t)
-        return _fallback_solve(A, B, trace, _depth, _allow_transform)
+        return _norm_search(A, B, trace)
     t1, t2 = square_decompose(t)
-    inner = legendre_descent(
-        A, t1, trace, _depth + 1, _allow_transform
-    )
+    inner = legendre_descent(A, t1, trace, _depth + 1)
     sol = compose_solution(A, (a0, b0), SolutionTriple(*inner), t1, t2)
-    lhs = sol.x * sol.x - A * sol.y * sol.y
-    assert lhs == B * sol.z * sol.z, "descent composition identity failed"
+    assert sol.x * sol.x - A * sol.y * sol.y == B * sol.z * sol.z, "descent composition failed"
     return (sol.x, sol.y, sol.z)
 
 

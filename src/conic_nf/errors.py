@@ -40,7 +40,7 @@ class NotPositiveDefinite(ConicError):
 
 
 class PellSearchExhausted(ConicError):
-    """Bounded Pell search found no solution; raise the bounds to retry."""
+    """A search found no solution within its fixed bound, or the descent ran too deep."""
 
 
 class NotSolvable(ConicError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
 from .descent import SolutionTriple, verify
 from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring
-from .lattice import combine, reduce_pairs
+from .lattice import combine, module_basis, reduce_pairs
 from .solvability import ConicEquation
 
 # Square of the bound constant: a minimal solution satisfies
@@ -111,7 +111,7 @@ def _lattice_step(ring: IntegerRing, coeffs, point):
     g, s, t = ring.xgcd(x0, y0)
     e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
     e2 = (ring.mul(z0, t), ring.mul(z0, (-s[0], -s[1])))
-    rows = reduce_pairs(ring, [e1, e2], (abs(ring.norm(a)), abs(ring.norm(b))))
+    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (abs(ring.norm(a)), abs(ring.norm(b))))
 
     def least(vectors):
         points = [_second_point(ring, coeffs, point, uv) for uv in vectors]

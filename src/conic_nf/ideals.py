@@ -577,14 +577,17 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
     Every nonzero x in I has N(I) | N(x), and x generates I exactly when
     |N(x)| = N(I).  Over an imaginary field the norm is definite, so I is
     principal exactly when the shortest vector of its Lagrange-reduced HNF
-    basis has norm N(I).  Over a real field see _real_generator.
+    basis has norm N(I).  Over a real field see _reduced_cycle; the generator
+    is balanced by norm_one_unit.
     """
     field = I.field
     if field.is_rational:
         return field.element(I.a)
     ring = integer_ring(field)
     if ring.real:
-        g = _real_generator(ring, I)
+        g, _ = _reduced_cycle(ring, I)
+        if g is not None:
+            g = balance(ring, g, norm_one_unit(field))[0]
     else:
         g, _ = ring.lagrange_reduce((I.a, 0), (I.b, I.c))
         if ring.norm(g) != I.norm:
@@ -592,10 +595,11 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
     return None if g is None else ring.element(ring.normalize(g))
 
 
-def _real_generator(ring: IntegerRing, I: Ideal) -> Optional[tuple[int, int]]:
-    """A generator of I over a real field, balanced by the unit group, or
-    None (Cohen, A Course in Computational Algebraic Number Theory, 5.6;
-    Buchmann and Vollmer, Binary Quadratic Forms, 6).
+def _reduced_cycle(ring: IntegerRing, I: Ideal):
+    """(g, eta): a generator g of I over a real field, or None, and the unit
+    eta of norm 1 by which a full cycle of reduced forms moves the basis
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.6; Buchmann
+    and Vollmer, Binary Quadratic Forms, 6).
 
     The basis e1, e2 of I gives the integral form
     f(x, y) = N(x*e1 + y*e2)/N(I) = (a, b, c) of discriminant D = disc >= 5,
@@ -604,9 +608,8 @@ def _real_generator(ring: IntegerRing, I: Ideal) -> Optional[tuple[int, int]]:
     into a reduced one, |sqrt(D) - 2|a|| < b < sqrt(D).  By Lagrange's
     theorem f represents +-1, as |+-1| < sqrt(D)/2, exactly when a form of
     its cycle of reduced forms has a = +-1, and e1 is then a generator.  A
-    full cycle maps e1 to eta*e1, eta a unit of norm 1, by which the
-    generator is balanced.  D is not a square, so each comparison with
-    sqrt(D) is an integer test against isqrt(D).
+    full cycle maps e1 to eta*e1.  D is not a square, so each comparison
+    with sqrt(D) is an integer test against isqrt(D).
     """
     norm, n = ring.norm, I.norm
     e1, e2 = (I.a, 0), (I.b, I.c)
@@ -632,14 +635,29 @@ def _real_generator(ring: IntegerRing, I: Ideal) -> Optional[tuple[int, int]]:
         a, b, c, e1, e2 = rho(a, b, c, e1, e2)
         if (a, b, c) == start:
             break
-    if g is None:
-        return None
-    eta = ring.exact_div(e1, first)
-    for unit in (eta, ring.conj(eta)):
-        h = ring.mul(g, unit)
-        while ring.size_sq(h) < ring.size_sq(g):
-            g, h = h, ring.mul(h, unit)
-    return g
+    return g, ring.exact_div(e1, first)
+
+
+@functools.cache
+def norm_one_unit(field: FieldDescriptor) -> tuple[int, int]:
+    """The unit eta of norm 1 that generates the units of norm 1 up to sign
+    over a real field, as a pair: the cycle of reduced forms of O_K moves its
+    basis by eta.  It is the fundamental unit when that has norm 1, else its
+    square."""
+    ring = integer_ring(field)
+    return _reduced_cycle(ring, unit_ideal(field))[1]
+
+
+def balance(ring: IntegerRing, x, unit, e: int = 1):
+    """(x*unit^(e*k), unit^k) for the k at which the size of x*unit^(e*k)
+    stops dropping, for a unit of norm 1 (its conjugate is its inverse)."""
+    scale = (1, 0)
+    for u in (unit, ring.conj(unit)):
+        step = u if e == 1 else ring.mul(u, u)
+        h = ring.mul(x, step)
+        while ring.size_sq(h) < ring.size_sq(x):
+            x, h, scale = h, ring.mul(h, step), ring.mul(scale, u)
+    return x, scale
 
 
 def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:

@@ -1,12 +1,13 @@
 """Exact lattice reduction for finding short pairs in a congruence lattice.
 
-Given w with w^2 = A (mod B), the pairs (x, y) with x = w*y (mod B) form a
-lattice; a short vector for the weighted length |x|^2 + |A|*|y|^2 yields a
-small value of x^2 - A*y^2, which drives the descent; holzer reduces the
-lattice of lines through a point the same way (reduce_pairs).  LLL is
-integral (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once
-and keeps its Gram-Schmidt data as integers.  The pair is built on the
-integer kernel's (u, v) pairs and picked by an exact integer comparison of
+Given (B) = M^2*S with S squarefree and w with w^2 = A (mod S), the pairs
+(w*y + m, y) with y in M and m in M*S form a lattice on which B divides
+x^2 - A*y^2; a short vector for the weighted length |x|^2 + |A|*|y|^2 yields
+a small quotient, which drives the descent; holzer reduces the lattice of
+lines through a point the same way (reduce_pairs).  LLL is integral (Cohen,
+Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps its
+Gram-Schmidt data as integers.  The pair is built on the integer kernel's
+(u, v) pairs and picked by an exact integer comparison of
 X + Y*sqrt(|N(A)|), so the rounded weight only steers the reduction, never
 the answer.  _gso and pair_measure are the exact rational definitions.
 """
@@ -15,9 +16,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 from .errors import NotPositiveDefinite
 from .fields import FieldElement, IntSurd, Surd, integer_ring, round_quotient
+from .ideals import Ideal, hnf_rows, unit_ideal
 
 DELTA = Fraction(99, 100)
 # The weights of reduce_pairs are rounded to multiples of 1/_SCALE; they only
@@ -136,18 +139,20 @@ def combine(coeffs, vecs):
     return (xu, xv), (yu, yv)
 
 
-def reduce_pairs(ring, basis, norms):
-    """LLL-reduced rows of the lattice with O_K-basis basis, pairs (x, y) of
+def module_basis(ring, basis):
+    """The Z-basis e, omega*e for each e in the O_K-basis basis of pairs
+    (x, y) of kernel pairs (e alone over Q)."""
+    om = [(1, 0)] if ring.field.is_rational else [(1, 0), (0, 1)]
+    return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in om]
+
+
+def reduce_pairs(ring, gens, norms):
+    """LLL-reduced rows of the lattice with Z-basis gens, pairs (x, y) of
     kernel pairs, for the weighted length sqrt(n_x)*|x|^2 + sqrt(n_y)*|y|^2
-    with (n_x, n_y) = norms.  The Z-basis is e, omega*e for each e in basis
-    (e alone over Q).  Each weight is rounded to a multiple of 1/_SCALE and
-    scaled by _SCALE into an integer, so the Gram matrix is integral; the
-    weights only steer the reduction, and each caller picks among the rows
-    by its own exact measure."""
-    gens = list(basis)
-    if not ring.field.is_rational:
-        om = (0, 1)
-        gens = [g for e in basis for g in (e, (ring.mul(om, e[0]), ring.mul(om, e[1])))]
+    with (n_x, n_y) = norms.  Each weight is rounded to a multiple of
+    1/_SCALE and scaled by _SCALE into an integer, so the Gram matrix is
+    integral; the weights only steer the reduction, and each caller picks
+    among the rows by its own exact measure."""
     wx, wy = (max(1, round(math.sqrt(n) * _SCALE)) for n in norms)
     dot = ring.dot
     gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
@@ -173,43 +178,55 @@ def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:
     return Surd(_dot(x, x), _dot(y, y), rad)
 
 
-def short_congruence_pair(
-    A: FieldElement, B: FieldElement, w: FieldElement
-) -> tuple[FieldElement, FieldElement]:
-    """A short pair (x, y) with x = w*y (mod B), y != 0.
+def _hnf_basis(I):
+    """The Z-basis a, b + c*omega of the ideal I in HNF (a alone over Q)."""
+    return [(I.a, 0)] if I.field.is_rational else [(I.a, 0), (I.b, I.c)]
 
-    Assumes w^2 = A (mod B); then x^2 - A*y^2 = 0 (mod B) and the weighted
-    length |x|^2 + |A| |y|^2 of the returned pair is small, which bounds
-    the quotient (x^2 - A*y^2)/B in the descent.  Runs on the integer
-    kernel's pairs: the Gram matrix of the weighted length, with sqrt(|N(A)|)
-    rounded to a multiple of 2^-16 and scaled by 2^16 into integers, is
-    reduced by LLL, and the shortest candidate by the exact length
-    X + Y*sqrt(|N(A)|) (pair_measure, in integers) wins.
+
+def short_congruence_pair(
+    A: FieldElement, B: FieldElement, w: FieldElement, M: Optional[Ideal] = None
+) -> tuple[FieldElement, FieldElement]:
+    """A short pair (x, y), y != 0, of L = {(w*y + m, y) : y in M, m in M*S}
+    for (B) = M^2*S, M = (1) unless given, and w^2 = A (mod S).
+
+    L has index N(B), and B divides x^2 - A*y^2 on it, as
+    x^2 - A*y^2 = (w^2 - A)*y^2 + 2*w*y*m + m^2 (Cremona and Rusin, Math.
+    Comp. 72, 2003; Simon, Math. Comp. 74, 2005).  Its Z-basis is (w*y, y)
+    for y in M's HNF basis and (B*z/N(M), 0) for z in the HNF basis of
+    conj(M), as M*S = B*conj(M)/N(M).  The Gram matrix of the weighted
+    length |x|^2 + sqrt(|N(A)|)*|y|^2, the weight rounded to a multiple of
+    2^-16 and scaled by 2^16 into integers, is reduced by LLL, and the
+    shortest candidate by the exact length X + Y*sqrt(|N(A)|)
+    (pair_measure, in integers) wins; a short pair bounds the quotient
+    (x^2 - A*y^2)/B in the descent.
     """
-    ring = integer_ring(A.field)
+    field = A.field
+    ring = integer_ring(field)
     a, b, r = ring.pair(A), ring.pair(B), ring.pair(w)
     if b == (0, 0):
         raise ValueError("modulus must be nonzero")
+    M = M or unit_ideal(field)
     norm_a = max(1, abs(ring.norm(a)))
 
-    one, zero = (1, 0), (0, 0)
-    dot = ring.dot
-
-    s = math.isqrt(norm_a)
+    zero, dot, s = (0, 0), ring.dot, math.isqrt(norm_a)
 
     def measure(x, y):
         X, Y = dot(x, x), dot(y, y)
         return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
+    ys = _hnf_basis(M)
+    zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
+    gens = [(ring.mul(r, y), y) for y in ys] + [
+        (ring.exact_div(ring.mul(b, z), (M.norm, 0)), zero) for z in zs
+    ]
     best_key = None
-    for x, y in reduce_pairs(ring, [(r, one), (b, zero)], (1, norm_a)) + [(r, one)]:
+    for x, y in reduce_pairs(ring, gens, (1, norm_a)) + gens[:1]:
         if y == zero:
             continue
         key = (measure(x, y), *x, *y)
         if best_key is None or key < best_key:
             best_key = key
     x, y = best_key[1:3], best_key[3:]
-    assert ring.exact_div(ring.sub(x, ring.mul(r, y)), b) is not None, (
-        "pair left the congruence lattice"
-    )
+    q = ring.exact_div(ring.sub(ring.mul(x, x), ring.mul(a, ring.mul(y, y))), b)
+    assert q is not None, "pair left the congruence lattice"
     return ring.element(x), ring.element(y)

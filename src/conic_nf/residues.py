@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import Optional
 
-from .errors import EvenPrime
+from .errors import EvenPrime, UndecidedError
 from .fields import (
     FieldDescriptor,
     FieldElement,
@@ -255,10 +255,12 @@ def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
 def sqrt_mod_dyadic_prime_power(
     a: FieldElement, P: PrimeIdeal, e: int
 ) -> Optional[list[FieldElement]]:
-    """All roots of x^2 = a (mod P^e) over 2, by exhaustive enumeration."""
+    """All roots of x^2 = a (mod P^e) over 2, by exhaustive enumeration, or
+    None if there are none; UndecidedError when N(P^e) exceeds the
+    enumeration guard."""
     Ie = prime_power(P, e)
     if Ie.norm > _ENUM_GUARD:
-        return None
+        raise UndecidedError(f"{Ie.norm} residues mod {Ie}, past the guard {_ENUM_GUARD}")
     ring = integer_ring(P.field)
     A = ring.pair(a)
     roots = [
@@ -320,14 +322,17 @@ def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     return ring.element(ring.closest(M.reduce_pair((xu, xv)), (M.a, 0), (M.b, M.c)))
 
 
-def sqrt_mod_ideal(a: FieldElement, M: Ideal) -> Optional[FieldElement]:
-    """A size-minimal w with w^2 = a (mod M), or None if no root exists."""
+def sqrt_mod_ideal(
+    a: FieldElement, M: Ideal, factors: Optional[list[tuple[PrimeIdeal, int]]] = None
+) -> Optional[FieldElement]:
+    """A size-minimal w with w^2 = a (mod M), or None if no root exists;
+    factors is M's factorization, when the caller has it."""
     require_integral(a)
     field = a.field
     if M.norm == 1:
         return field.zero()
     ring = integer_ring(field)
-    factors = factor_ideal(M)
+    factors = factor_ideal(M) if factors is None else factors
     root_sets: list[list[tuple[int, int]]] = []
     for P, e in factors:
         if P.p == 2:

@@ -16,7 +16,7 @@ from conic_nf.fields import (
     make_field,
     parse_element,
 )
-from conic_nf.ideals import Ideal
+from conic_nf.ideals import Ideal, factor_ideal, principal_ideal
 from conic_nf.descent import (
     DescentTrace,
     _enumerate_small,
@@ -292,37 +292,64 @@ def test_descent_decides_on_the_kernel(monkeypatch):
             assert value is None or isinstance(value, (str, list))
 
 
-# Solvable conics on which the descent reaches a unit coefficient and runs
-# solve_pell's bounded search.  Each must be solved within a second and from
-# fewer than PELL_CANDIDATES candidates (the solve inputs of the benchmark
-# draw at most 3); a mend that removes the search flips the strict xfail,
-# faster arithmetic alone does not.  Over Q(sqrt(-7)) the search still draws
-# about 160,000 candidates from _enumerate_small and _enumerate_pairs and
-# runs for seconds.  Over Q(sqrt(2)) and Q(sqrt(17)) the descent's
-# principal square factors now come balanced by the unit group, its
-# coefficients stay small and the search draws few candidates.
+# Solvable conics on which the descent once reached a unit coefficient and
+# ran solve_pell's bounded search.  Each must be solved within a second and
+# from fewer than PELL_CANDIDATES candidates of the base search (no solve
+# input of the benchmark's seeds 1-3 draws more than 14); faster arithmetic
+# alone would not pass this.  Over Q(sqrt(-7)) the norm form has A = -1,
+# and the search drew about 160,000 candidates; the congruence lattice now
+# reduces B first.  Over Q(sqrt(2)) and Q(sqrt(17)) the coefficients come
+# balanced by the unit group and stay small.
 PELL_RUNAWAYS = [
-    pytest.param(
-        -7,
-        "1;1;9-6s",
-        id="1;1;9-6s",
-        marks=pytest.mark.xfail(
-            strict=True,
-            raises=(TimeoutError, AssertionError),
-            reason="the descent runs solve_pell's 160,801-candidate search",
-        ),
-    ),
+    pytest.param(-7, "1;1;9-6s", id="1;1;9-6s"),
     pytest.param(2, "-2-s;-1-2s;10+15s", id="-2-s;-1-2s;10+15s"),
     pytest.param(17, "-1-w;-1;13+5w", id="-1-w;-1;13+5w"),
 ]
 PELL_CANDIDATES = 1000
 
 
+def _base_search_runaway(d, eq):
+    return pytest.param(
+        d,
+        eq,
+        id=eq,
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=(TimeoutError, AssertionError, PellSearchExhausted),
+            reason="the real base search draws over 100,000 candidates",
+        ),
+    )
+
+
+# Real-field conics that the former fallbacks solved within 2 s and that now
+# end in the descent's base search with a non-unit B: the quotient t is not
+# smaller than B in size, although three of the four have a smaller norm.
+# Each field's fundamental unit is large (15+4s, 197+42s, 1520+273s), and
+# balancing by its square can leave an odd power of it in B or t: over
+# Q(sqrt(22)) the norm form has B = 2744+585s = (197+42s)*(28-3s).
+REAL_BASE_RUNAWAYS = [
+    _base_search_runaway(14, "6+4s;6-3s;102+131s"),
+    _base_search_runaway(14, "8-s;1+s;-1188+213s"),
+    _base_search_runaway(22, "-4-s;7+s;-106+116s"),
+    _base_search_runaway(31, "7-s;5-3s;-1937+1743s"),
+]
+
+
 def _on_alarm(signum, frame):
     raise TimeoutError("solve_conic ran past its time limit")
 
 
-@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS)
+def _solve_within(equation, seconds):
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return solve_conic(equation)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS + REAL_BASE_RUNAWAYS)
 def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     drawn = [0]
 
@@ -337,12 +364,64 @@ def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     monkeypatch.setattr(descent, "_enumerate_small", counted(descent._enumerate_small))
     monkeypatch.setattr(descent, "_enumerate_pairs", counted(descent._enumerate_pairs))
     equation = _golden_equation({"field": d, "eq": eq})
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(1)
-    try:
-        sol = solve_conic(equation)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    sol = _solve_within(equation, 1.0)
     assert drawn[0] < PELL_CANDIDATES, f"drew {drawn[0]} search candidates"
     assert verify(equation, sol)
+
+
+# Conics that the Pell searches took seconds on: every step reduces the
+# congruence lattice of B now.
+@pytest.mark.parametrize(
+    "d, eq",
+    [(-2, "-2s;3-4s;-106+160s"), (-5, "-1;8-s;-207-45s"), (-23, "3/2-3/2s;-9/2+1/2s;811/2-23/2s")],
+)
+def test_former_pell_stalls_solve_within_a_second(d, eq):
+    equation = _golden_equation({"field": d, "eq": eq})
+    assert verify(equation, _solve_within(equation, 1.0))
+
+
+def test_solve_sweep_through_random_points():
+    # 50 conics a*x^2 + b*y^2 + c*z^2 = 0 through a random point (x0, y0, 1)
+    # per field: a, b, x0, y0 = u + v*omega with |u| <= 9, |v| <= 4 (v = 0
+    # over Q).  Each must be solved within 2 s.
+    failures = []
+    for d in (None, -1, -2, -3, -7, -11, -5, -6, -15, -23):
+        rng = random.Random(f"sweep:{d}")
+        K = make_field(d)
+
+        def draw():
+            return K.element(rng.randint(-9, 9), 0 if d is None else rng.randint(-4, 4))
+
+        drawn = 0
+        while drawn < 50:
+            a, b, x0, y0 = draw(), draw(), draw(), draw()
+            c = -(a * x0 * x0 + b * y0 * y0)
+            if a.is_zero or b.is_zero or c.is_zero:
+                continue
+            equation = ConicEquation(a, b, c)
+            try:
+                if not verify(equation, _solve_within(equation, 2.0)):
+                    failures.append((d, equation, "not a solution"))
+            except (TimeoutError, PellSearchExhausted) as exc:
+                failures.append((d, equation, type(exc).__name__))
+            drawn += 1
+    assert failures == []
+
+
+def test_descent_reduces_a_modulus_with_a_square_factor():
+    # Over Q(sqrt(-5)) the norm form of 1+2s;2-2s;-53-100s has A = 3-s and
+    # B = -947+206s, (B) = P3^2*P7*P29*P607 with P3 not principal, and A has
+    # no root mod (B).  The lattice of B uses a root mod P7*P29*P607, and
+    # every reduce step's pair gives a multiple of B.
+    equation = _golden_equation({"field": -5, "eq": "1+2s;2-2s;-53-100s"})
+    trace = DescentTrace()
+    assert verify(equation, solve_conic(equation, trace=trace))
+    steps = trace.steps
+    assert [step["step"] for step in steps[:2]] == ["norm_form", "reduce"]
+    first = steps[1]
+    assert residues.sqrt_mod_ideal(first["A"], principal_ideal(first["B"])) is None
+    assert any(e > 1 for _, e in factor_ideal(principal_ideal(first["B"])))
+    for step in steps:
+        if step["step"] == "reduce":
+            a0, b0 = step["pair"]
+            assert ((a0 * a0 - step["A"] * b0 * b0) / step["B"]).is_integral

@@ -13,6 +13,7 @@ from conic_nf.ideals import (
     ideal_from_generators,
     is_principal,
     kronecker,
+    norm_one_unit,
     prime_power,
     principal_ideal,
     splitting_type,
@@ -358,3 +359,23 @@ def test_element_valuation_rejects_zero_and_fractions():
         element_valuation(Q6.zero(), P)
     with pytest.raises(ValueError):
         element_valuation(Q6.element(Fraction(1, 2)), P)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 14, 19, 22, 31, 46])
+def test_norm_one_unit_generates_the_units_of_norm_one(d):
+    # The least y > 0 with x^2 - d*y^2 = 1 (omega = sqrt(d)) or 4
+    # (omega = (1 + sqrt(d))/2) gives the unit of norm 1 that generates the
+    # others up to sign; the cycle of reduced forms of O_K must find it, up
+    # to sign and inverse.
+    K = make_field(d)
+    ring = integer_ring(K)
+    half = K.omega_kind != "sqrt_d"
+    y = 1
+    while math.isqrt(d * y * y + (4 if half else 1)) ** 2 != d * y * y + (4 if half else 1):
+        y += 1
+    x = math.isqrt(d * y * y + (4 if half else 1))
+    # x + y*sqrt(d) (over 2) as u + v*omega.
+    unit = ((x - y) // 2, y) if half else (x, y)
+    eta = norm_one_unit(K)
+    assert ring.norm(eta) == 1
+    assert eta in {unit, ring.conj(unit), (-unit[0], -unit[1]), tuple(-c for c in ring.conj(unit))}

@@ -6,6 +6,8 @@ import pytest
 
 from conic_nf.errors import NotPositiveDefinite
 from conic_nf.fields import Surd, make_field
+from conic_nf.ideals import factor_ideal, prime_power, principal_ideal, unit_ideal
+from conic_nf.residues import sqrt_mod_ideal
 from conic_nf.lattice import lll_reduce, pair_measure, short_congruence_pair
 
 Q = make_field()
@@ -207,3 +209,36 @@ def test_lll_matches_the_rational_reference():
             continue
         assert lll_reduce(gram) == expected
     assert 100 < degenerate < 500
+
+
+def test_short_pair_lattice_of_any_modulus():
+    # (B) = M^2*S with S squarefree: the pair lies in
+    # L = {(w*y + m, y) : y in M, m in M*S} for a root w of A mod S, so B
+    # divides x^2 - A*y^2 although A need not be a square mod (B).
+    rng = random.Random(23)
+    seen = 0
+    for d in (None, -5, -6, -1, 5, 10):
+        field = make_field(d)
+        for _ in range(200):
+            def draw(u, v):
+                return field.element(rng.randint(-u, u), 0 if field.is_rational else rng.randint(-v, v))
+
+            A, r = draw(12, 3), draw(9, 3)
+            B = r * r * draw(9, 2)
+            if A.is_zero or B.is_zero or abs(B.norm()) < 2:
+                continue
+            factors = factor_ideal(principal_ideal(B))
+            if all(e == 1 for _, e in factors):
+                continue
+            M = S = unit_ideal(field)
+            for P, e in factors:
+                M, S = M * prime_power(P, e // 2), S * prime_power(P, e % 2)
+            w = sqrt_mod_ideal(A, S)
+            if w is None:
+                continue
+            x, y = short_congruence_pair(A, B, w, M)
+            assert not y.is_zero and M.contains(y)
+            assert (M * S).contains(x - w * y)
+            assert ((x * x - A * y * y) / B).is_integral
+            seen += 1
+    assert seen > 200

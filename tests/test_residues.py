@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conic_nf.errors import EvenPrime
+from conic_nf.errors import EvenPrime, UndecidedError
 from conic_nf.fields import (
     FieldElement,
     IntegerRing,
@@ -193,6 +193,18 @@ def test_sqrt_mod_dyadic_enumeration():
     # 5 is not a square mod 8.
     P2q = _prime_over(Q, 2)
     assert sqrt_mod_dyadic_prime_power(Q.element(5), P2q, 3) is None
+
+
+def test_sqrt_mod_dyadic_guard_is_undecided():
+    # Past the enumeration guard the dyadic roots are not listed, which is
+    # no verdict: 1 has the root 1 mod 2^17, so None ("no root") would be
+    # wrong.
+    P2q = _prime_over(Q, 2)
+    with pytest.raises(UndecidedError):
+        sqrt_mod_dyadic_prime_power(Q.element(1), P2q, 17)
+    with pytest.raises(UndecidedError):
+        sqrt_mod_ideal(Q.element(1), Ideal(Q, 2**17))
+    assert sqrt_mod_ideal(Q.element(1), Ideal(Q, 2**16)) is not None
 
 
 CRT_FIELDS = [Q] + [make_field(d) for d in (-1, -2, -3, -5, -6, -7, -15, 2, 5, 10, 13, 17)]
