@@ -1,16 +1,16 @@
 """Legendre-style descent for the norm form equation x^2 - A*y^2 = B*z^2.
 
-Each step factors (B) = M^2*S once, with S squarefree, takes a small root w
-of A mod S and reduces the congruence lattice of B (lattice), whose short
-pair (a0, b0) gives the quotient t = (a0^2 - A*b0^2)/B.  While t is smaller
-than B the descent recurses on (A, t1), t1 the part of t free of principal
-squares, and composes by the multiplicativity of x^2 - A*y^2 (Cremona and
-Rusin, 2003; Simon, 2005).  Over a real field A and B are first balanced by
-squares of the unit of norm 1.  A unit B, or a t that does not shrink, ends
-in one bounded search over pairs (y, z).
+Each step puts the coefficient of larger |N| first, factors (B) = M^2*S once,
+with S squarefree, takes a small root w of A mod S and reduces the
+congruence lattice of B (lattice), weighted per embedding, whose short pair
+(a0, b0) gives t = (a0^2 - A*b0^2)/B.  While |N(t)| < |N(B)| the descent
+recurses on (A, t1), t1 the part of t free of principal squares, and
+composes by the multiplicativity of x^2 - A*y^2 (Cremona and Rusin, 2003;
+Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
+does not shrink, ends in one bounded search over pairs (y, z).
 
 Every decision of a step is a test on the integer kernel's pairs: the
-square test is the kernel's closed-form root (elem_sqrt), and sizes and
+square test is the kernel's closed-form root (elem_sqrt), and norms and
 units are integer comparisons.  A DescentTrace stores the elements of each
 step and formats them only in to_list().
 """
@@ -32,7 +32,7 @@ from .fields import (
     make_field,
     require_integral,
 )
-from .ideals import balance, factor_ideal, norm_one_unit, prime_power, principal_ideal
+from .ideals import factor_ideal, prime_power, principal_ideal
 from .ideals import square_decompose, unit_ideal
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
@@ -274,16 +274,8 @@ def legendre_descent(
         trace.add("square_discriminant", sqrt=sq)
         return (sq, field.one(), field.zero())
 
-    if ring.real:
-        # A*u^2 and B*v^2 for units u, v: y and z map back by u and v.
-        eta = norm_one_unit(field)
-        (a, u), (b, v) = (balance(ring, ring.pair(c), eta, 2) for c in (A, B))
-        if (u, v) != ((1, 0), (1, 0)):
-            trace.add("balance", A=A, B=B)
-            x, y, z = legendre_descent(ring.element(a), ring.element(b), trace, _depth + 1)
-            return (x, y * ring.element(u), z * ring.element(v))
-
-    if ring.size_sq(A.num) > ring.size_sq(B.num):
+    norm_b = abs(ring.norm(B.num))
+    if abs(ring.norm(A.num)) > norm_b:
         trace.add("swap", A=A, B=B)
         x, y, z = legendre_descent(B, A, trace, _depth + 1)
         return (x, z, y)
@@ -308,7 +300,7 @@ def legendre_descent(
     t = (a0 * a0 - A * b0 * b0) / B
     assert t.is_integral, "congruence pair must give an integral quotient"
     trace.add("reduce", A=A, B=B, w=w, pair=[a0, b0], t=t)
-    if not ring.size_sq(t.num) < ring.size_sq(B.num):
+    if not abs(ring.norm(t.num)) < norm_b:
         return _norm_search(A, B, trace)
     t1, t2 = square_decompose(t)
     inner = legendre_descent(A, t1, trace, _depth + 1)

@@ -111,7 +111,7 @@ def _lattice_step(ring: IntegerRing, coeffs, point):
     g, s, t = ring.xgcd(x0, y0)
     e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
     e2 = (ring.mul(z0, t), ring.mul(z0, (-s[0], -s[1])))
-    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (abs(ring.norm(a)), abs(ring.norm(b))))
+    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (a, b, (1, 0)))
 
     def least(vectors):
         points = [_second_point(ring, coeffs, point, uv) for uv in vectors]

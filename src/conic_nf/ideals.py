@@ -587,7 +587,7 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
     if ring.real:
         g, _ = _reduced_cycle(ring, I)
         if g is not None:
-            g = balance(ring, g, norm_one_unit(field))[0]
+            g = balance(ring, g, norm_one_unit(field))
     else:
         g, _ = ring.lagrange_reduce((I.a, 0), (I.b, I.c))
         if ring.norm(g) != I.norm:
@@ -648,16 +648,13 @@ def norm_one_unit(field: FieldDescriptor) -> tuple[int, int]:
     return _reduced_cycle(ring, unit_ideal(field))[1]
 
 
-def balance(ring: IntegerRing, x, unit, e: int = 1):
-    """(x*unit^(e*k), unit^k) for the k at which the size of x*unit^(e*k)
-    stops dropping, for a unit of norm 1 (its conjugate is its inverse)."""
-    scale = (1, 0)
+def balance(ring: IntegerRing, x, unit):
+    """x*unit^k of least size, for a unit of norm 1 (conj(unit) = 1/unit)."""
     for u in (unit, ring.conj(unit)):
-        step = u if e == 1 else ring.mul(u, u)
-        h = ring.mul(x, step)
+        h = ring.mul(x, u)
         while ring.size_sq(h) < ring.size_sq(x):
-            x, h, scale = h, ring.mul(h, step), ring.mul(scale, u)
-    return x, scale
+            x, h = h, ring.mul(h, u)
+    return x
 
 
 def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:

@@ -2,14 +2,13 @@
 
 Given (B) = M^2*S with S squarefree and w with w^2 = A (mod S), the pairs
 (w*y + m, y) with y in M and m in M*S form a lattice on which B divides
-x^2 - A*y^2; a short vector for the weighted length |x|^2 + |A|*|y|^2 yields
-a small quotient, which drives the descent; holzer reduces the lattice of
+x^2 - A*y^2; a short vector for a length weighted per embedding yields a
+small quotient, which drives the descent; holzer reduces the lattice of
 lines through a point the same way (reduce_pairs).  LLL is integral (Cohen,
 Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps its
-Gram-Schmidt data as integers.  The pair is built on the integer kernel's
-(u, v) pairs and picked by an exact integer comparison of
-X + Y*sqrt(|N(A)|), so the rounded weight only steers the reduction, never
-the answer.  _gso and pair_measure are the exact rational definitions.
+Gram-Schmidt data as integers.  The integer weights only steer it, and the
+pair is picked on the kernel's (u, v) pairs by an exact integer comparison.
+_gso and pair_measure are the exact rational definitions.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from .fields import FieldElement, IntSurd, Surd, integer_ring, round_quotient
 from .ideals import Ideal, hnf_rows, unit_ideal
 
 DELTA = Fraction(99, 100)
-# The weights of reduce_pairs are rounded to multiples of 1/_SCALE; they only
-# steer the reduction, and the caller's exact measure picks the pair.
+# reduce_pairs' weights are exact to about 1/_SCALE; they only steer LLL.
 _SCALE = 1 << 16
 
 
@@ -146,27 +144,34 @@ def module_basis(ring, basis):
     return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in om]
 
 
-def reduce_pairs(ring, gens, norms):
+def reduce_pairs(ring, gens, coeffs):
     """LLL-reduced rows of the lattice with Z-basis gens, pairs (x, y) of
-    kernel pairs, for the weighted length sqrt(n_x)*|x|^2 + sqrt(n_y)*|y|^2
-    with (n_x, n_y) = norms.  Each weight is rounded to a multiple of
-    1/_SCALE and scaled by _SCALE into an integer, so the Gram matrix is
-    integral; the weights only steer the reduction, and each caller picks
-    among the rows by its own exact measure."""
-    wx, wy = (max(1, round(math.sqrt(n) * _SCALE)) for n in norms)
-    dot = ring.dot
-    gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
+    kernel pairs, for the length sum_i (|sigma_i(a)|*sigma_i(x)^2 +
+    |sigma_i(b)|*sigma_i(y)^2)/|sigma_i(c)| over the archimedean embeddings,
+    (a, b, c) = coeffs nonzero.  Over Q and an imaginary field c drops out,
+    and a weighs x by round(sqrt(N(a))*_SCALE) in the trace form dot.  Over a
+    real field |sigma_i(a/c)|*|N(c)| = |sigma_i(q)| for q = a*conj(c), and x
+    has the form tr(q'*x*x') of the totally positive q' = +-q*delta*_SCALE
+    if N(q) < 0 (delta = 2*omega - t has the conjugates +-sqrt(disc)), else
+    +-q*round(sqrt(disc)*_SCALE): |sigma_i(q)|*sqrt(disc)*_SCALE to a
+    relative 2^-17.  b weighs y alike.  The Gram matrix is integral."""
+    dot, mul, norm = ring.dot, ring.mul, ring.norm
+    if ring.real:
+        c, root = ring.conj(coeffs[2]), (math.isqrt(4 * ring.field.disc * _SCALE**2) + 1) // 2
+        qs = [mul(e, c) for e in coeffs[:2]]
+        qs = [(mul(q, (-ring.t, 2)), _SCALE) if norm(q) < 0 else (q, root) for q in qs]
+        wx, wy = (mul(q, (m if ring.trace(q) > 0 else -m, 0)) for q, m in qs)
+        gram = [[dot(mul(wx, p), u) + dot(mul(wy, q), v) for u, v in gens] for p, q in gens]
+    else:
+        wx, wy = ((math.isqrt(4 * abs(norm(e)) * _SCALE**2) + 1) // 2 for e in coeffs[:2])
+        gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
     return [combine(row, gens) for row in lll_reduce(gram)[1]]
 
 
 def _dot(x: FieldElement, y: FieldElement) -> Fraction:
-    """Euclidean inner product of the archimedean embedding vectors."""
-    field = x.field
-    if field.is_rational:
-        return Fraction(x.u) * Fraction(y.u)
-    if field.totally_imaginary:
-        return Fraction((x * y.conj()).trace(), 2)
-    return Fraction((x * y).trace())
+    """Inner product of the archimedean embedding vectors over Q and an
+    imaginary field."""
+    return Fraction((x * y.conj()).trace(), 2)
 
 
 def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:
@@ -193,12 +198,17 @@ def short_congruence_pair(
     x^2 - A*y^2 = (w^2 - A)*y^2 + 2*w*y*m + m^2 (Cremona and Rusin, Math.
     Comp. 72, 2003; Simon, Math. Comp. 74, 2005).  Its Z-basis is (w*y, y)
     for y in M's HNF basis and (B*z/N(M), 0) for z in the HNF basis of
-    conj(M), as M*S = B*conj(M)/N(M).  The Gram matrix of the weighted
-    length |x|^2 + sqrt(|N(A)|)*|y|^2, the weight rounded to a multiple of
-    2^-16 and scaled by 2^16 into integers, is reduced by LLL, and the
-    shortest candidate by the exact length X + Y*sqrt(|N(A)|)
-    (pair_measure, in integers) wins; a short pair bounds the quotient
-    (x^2 - A*y^2)/B in the descent.
+    conj(M), as M*S = B*conj(M)/N(M).  reduce_pairs reduces it for the length
+    Q = q_1 + ..., q_i = (sigma_i(x)^2 + |sigma_i(A)|*sigma_i(y)^2)/|sigma_i(B)|,
+    and |sigma_i(t)| <= q_i for t = (x^2 - A*y^2)/B.  The least exact
+    |x|^2 + sqrt(|N(A)|)*|y|^2 (pair_measure) wins over Q and an imaginary
+    field, the least |N(t)| over a real field, where the bound needs no
+    units: by AM-GM |N(t)| <= q_1*q_2 <= (Q/2)^2; L has index |N(B)| in O_K^2,
+    of covolume D = disc scaled by sqrt(|N(A)|)/|N(B)| here, so the first LLL
+    row of L has Q^2 <= alpha^3*D*sqrt(|N(A)|), alpha = 1/(DELTA - 1/4), and
+    |N(t)| <= C_K*sqrt(|N(A)|), C_K = alpha^3*D/4.  A row with y = 0 has x in
+    M*S and Q >= 2*sqrt(|N(B)|)/N(M), so the first row has y != 0 once
+    |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  Units move the weights, not the bound.
     """
     field = A.field
     ring = integer_ring(field)
@@ -207,26 +217,27 @@ def short_congruence_pair(
         raise ValueError("modulus must be nonzero")
     M = M or unit_ideal(field)
     norm_a = max(1, abs(ring.norm(a)))
-
-    zero, dot, s = (0, 0), ring.dot, math.isqrt(norm_a)
+    zero, one, dot, mul, s = (0, 0), (1, 0), ring.dot, ring.mul, math.isqrt(norm_a)
 
     def measure(x, y):
+        if ring.real:
+            return abs(ring.norm(ring.sub(mul(x, x), mul(a, mul(y, y)))))
         X, Y = dot(x, x), dot(y, y)
         return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
     ys = _hnf_basis(M)
     zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
-    gens = [(ring.mul(r, y), y) for y in ys] + [
-        (ring.exact_div(ring.mul(b, z), (M.norm, 0)), zero) for z in zs
+    gens = [(mul(r, y), y) for y in ys] + [
+        (ring.exact_div(mul(b, z), (M.norm, 0)), zero) for z in zs
     ]
     best_key = None
-    for x, y in reduce_pairs(ring, gens, (1, norm_a)) + gens[:1]:
+    for x, y in reduce_pairs(ring, gens, (one, a if a != zero else one, b)) + gens[:1]:
         if y == zero:
             continue
         key = (measure(x, y), *x, *y)
         if best_key is None or key < best_key:
             best_key = key
     x, y = best_key[1:3], best_key[3:]
-    q = ring.exact_div(ring.sub(ring.mul(x, x), ring.mul(a, ring.mul(y, y))), b)
+    q = ring.exact_div(ring.sub(mul(x, x), mul(a, mul(y, y))), b)
     assert q is not None, "pair left the congruence lattice"
     return ring.element(x), ring.element(y)

@@ -293,22 +293,28 @@ def test_descent_decides_on_the_kernel(monkeypatch):
 
 
 # Solvable conics on which the descent once reached a unit coefficient and
-# ran solve_pell's bounded search.  Each must be solved within a second and
-# from fewer than PELL_CANDIDATES candidates of the base search (no solve
-# input of the benchmark's seeds 1-3 draws more than 14); faster arithmetic
-# alone would not pass this.  Over Q(sqrt(-7)) the norm form has A = -1,
-# and the search drew about 160,000 candidates; the congruence lattice now
-# reduces B first.  Over Q(sqrt(2)) and Q(sqrt(17)) the coefficients come
-# balanced by the unit group and stay small.
+# ran solve_pell's bounded search, or over a real field ended in the base
+# search after balancing its coefficients by units.  Each must be solved
+# within a second and from fewer than PELL_CANDIDATES candidates of the base
+# search (no solve input of the benchmark's seeds 1-3 draws more than 14);
+# faster arithmetic alone would not pass this.  Over Q(sqrt(-7)) the norm
+# form has A = -1, and the search drew about 160,000 candidates; the
+# congruence lattice now reduces B first.  Over the real fields the lattice
+# is weighted per embedding and the descent tests norms, so |N(t)| is
+# bounded whatever the units in A and B: each of the last four ends at t = 1.
 PELL_RUNAWAYS = [
     pytest.param(-7, "1;1;9-6s", id="1;1;9-6s"),
     pytest.param(2, "-2-s;-1-2s;10+15s", id="-2-s;-1-2s;10+15s"),
     pytest.param(17, "-1-w;-1;13+5w", id="-1-w;-1;13+5w"),
+    pytest.param(14, "6+4s;6-3s;102+131s", id="6+4s;6-3s;102+131s"),
+    pytest.param(14, "8-s;1+s;-1188+213s", id="8-s;1+s;-1188+213s"),
+    pytest.param(22, "-4-s;7+s;-106+116s", id="-4-s;7+s;-106+116s"),
+    pytest.param(31, "7-s;5-3s;-1937+1743s", id="7-s;5-3s;-1937+1743s"),
 ]
 PELL_CANDIDATES = 1000
 
 
-def _base_search_runaway(d, eq):
+def _base_search_runaway(d, eq, reason):
     return pytest.param(
         d,
         eq,
@@ -316,22 +322,31 @@ def _base_search_runaway(d, eq):
         marks=pytest.mark.xfail(
             strict=True,
             raises=(TimeoutError, AssertionError, PellSearchExhausted),
-            reason="the real base search draws over 100,000 candidates",
+            reason=reason,
         ),
     )
 
 
-# Real-field conics that the former fallbacks solved within 2 s and that now
-# end in the descent's base search with a non-unit B: the quotient t is not
-# smaller than B in size, although three of the four have a smaller norm.
-# Each field's fundamental unit is large (15+4s, 197+42s, 1520+273s), and
-# balancing by its square can leave an odd power of it in B or t: over
-# Q(sqrt(22)) the norm form has B = 2744+585s = (197+42s)*(28-3s).
+# Real-field conics that the unit balancing solved within the limits and
+# that the one descent path leaves to the base search (ROADMAP, the base
+# case): a unit or lopsided A, whose conjugates differ by a power of the
+# fundamental unit, or a unit B, with (y, z) searched by coordinate size.
+# Over Q(sqrt(31)) the fundamental unit is 1520+273s.
 REAL_BASE_RUNAWAYS = [
-    _base_search_runaway(14, "6+4s;6-3s;102+131s"),
-    _base_search_runaway(14, "8-s;1+s;-1188+213s"),
-    _base_search_runaway(22, "-4-s;7+s;-106+116s"),
-    _base_search_runaway(31, "7-s;5-3s;-1937+1743s"),
+    _base_search_runaway(
+        22, "6+2s;8-3s;-116+151s",
+        "A = -1909+407s of norm 3 (conjugates near -3818 and 1/1273), B = 5+s: "
+        "about 220,000 candidates",
+    ),
+    _base_search_runaway(
+        31, "-6-4s;-3-2s;4572+978s", "the unit A = -1520-273s, B = 3: about 220,000 candidates"
+    ),
+    _base_search_runaway(
+        31, "-4+2s;5+3s;-601-1889s", "the unit A = -1520+273s, B = 3: about 220,000 candidates"
+    ),
+    _base_search_runaway(
+        31, "6-3s;-3+3s;1104-666s", "A = -1 and the unit B = 1520+273s: about 60,000 candidates"
+    ),
 ]
 
 
@@ -385,7 +400,7 @@ def test_solve_sweep_through_random_points():
     # per field: a, b, x0, y0 = u + v*omega with |u| <= 9, |v| <= 4 (v = 0
     # over Q).  Each must be solved within 2 s.
     failures = []
-    for d in (None, -1, -2, -3, -7, -11, -5, -6, -15, -23):
+    for d in (None, -1, -2, -3, -7, -11, -5, -6, -15, -23, 2, 3, 5, 6, 7, 10, 13, 14, 17):
         rng = random.Random(f"sweep:{d}")
         K = make_field(d)
 

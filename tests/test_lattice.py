@@ -242,3 +242,48 @@ def test_short_pair_lattice_of_any_modulus():
             assert ((x * x - A * y * y) / B).is_integral
             seen += 1
     assert seen > 200
+
+
+def test_short_pair_meets_the_norm_bound_over_real_fields():
+    # Over a real field the weighted lattice bounds the quotient with no
+    # dependence on units: |N(t)| <= C_K*sqrt(|N(A)|) for the first LLL row,
+    # C_K = alpha^3*D/4 and alpha = 1/(99/100 - 1/4) = 50/37, and that row
+    # has y != 0 once |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  In integers:
+    # 16*N(t)^2*37^6 <= 50^6*D^2*|N(A)|.  The coefficients include lopsided
+    # ones, whose conjugates differ by powers of the fundamental unit, such
+    # as A = -4109-738*sqrt(31) with conjugates near -8218 and 0.01.
+    rng = random.Random(29)
+    seen = seen_lopsided = 0
+    for d, units, lopsided in (
+        (2, (1, 1), (7, 5)),
+        (5, (0, 1), (-20, 9)),
+        (14, (15, 4), (-449, 120)),
+        (22, (197, 42), (-1909, 407)),
+        (31, (1520, 273), (-4109, -738)),
+    ):
+        field = make_field(d)
+        unit, D = field.element(*units), field.disc
+        for _ in range(80):
+            def draw(u, v):
+                return field.element(rng.randint(-u, u), rng.randint(-v, v))
+
+            lop = rng.random() < 0.3
+            A = field.element(*lopsided) if lop else draw(30, 9)
+            B = draw(300, 60) * unit ** rng.randint(-2, 2)
+            if A.is_zero or B.is_zero:
+                continue
+            factors = factor_ideal(principal_ideal(B))
+            M = S = unit_ideal(field)
+            for P, e in factors:
+                M, S = M * prime_power(P, e // 2), S * prime_power(P, e % 2)
+            w = sqrt_mod_ideal(A, S)
+            na, nb = abs(A.norm()), abs(B.norm())
+            if w is None or 16 * nb * nb * 37**6 <= 50**6 * D * D * na * M.norm**4:
+                continue
+            x, y = short_congruence_pair(A, B, w, M)
+            t = (x * x - A * y * y) / B
+            assert t.is_integral and not y.is_zero
+            assert 16 * t.norm() ** 2 * 37**6 <= 50**6 * D * D * na
+            seen += 1
+            seen_lopsided += lop
+    assert seen > 100 and seen_lopsided > 30
