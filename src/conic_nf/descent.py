@@ -7,7 +7,8 @@ congruence lattice of B (lattice), weighted per embedding, whose short pair
 recurses on (A, t1), t1 the part of t free of principal squares, and
 composes by the multiplicativity of x^2 - A*y^2 (Cremona and Rusin, 2003;
 Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
-does not shrink, ends in one bounded search over pairs (y, z).
+does not shrink, ends in one search over pairs (y, z) in the reduced basis of
+the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
 Every decision of a step is a test on the integer kernel's pairs: the
 square test is the kernel's closed-form root (elem_sqrt), and norms and
@@ -17,6 +18,7 @@ step and formats them only in to_list().
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +36,7 @@ from .fields import (
 )
 from .ideals import factor_ideal, prime_power, principal_ideal
 from .ideals import square_decompose, unit_ideal
+from .lattice import combine, module_basis, reduce_pairs
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
 from .solvability import ConicEquation, check_solvable
@@ -129,51 +132,42 @@ def _enumerate_small(field: FieldDescriptor, bound: int):
                 yield field.element(u, r)
 
 
-def _enumerate_pairs(field: FieldDescriptor, bound: int, budget: int = 400_000):
-    """Pairs (y, z) of integral elements ordered by max coordinate weight."""
-    count = 0
-    if field.is_rational:
-        for W in range(0, bound + 1):
-            for y in range(-W, W + 1):
-                for z in range(-W, W + 1):
-                    if max(abs(y), abs(z)) != W:
-                        continue
-                    count += 1
-                    if count > budget:
-                        return
-                    yield field.element(y), field.element(z)
-        return
-    for W in range(0, bound + 1):
-        box = range(-W, W + 1)
-        for yu in box:
-            for yv in box:
-                for zu in box:
-                    for zv in box:
-                        if max(abs(yu), abs(yv), abs(zu), abs(zv)) != W:
-                            continue
-                        count += 1
-                        if count > budget:
-                            return
-                        yield field.element(yu, yv), field.element(zu, zv)
+def _enumerate_pairs(ring, a, b):
+    """Pairs (y, z) of O_K^2, up to sign, as sum k_i*r_i over the rows r_i
+    that reduce_pairs gives the length sum_i |sigma_i(a)|*sigma_i(y)^2 +
+    |sigma_i(b)|*sigma_i(z)^2, by shells max|k_i| = W = 1, 2, ...  The rows
+    are a Z-basis of O_K^2, so every nonzero pair comes once; y -> y/eta and
+    a -> a*eta^2 leave the length alone, so the order does not see units."""
+    one, zero = (1, 0), (0, 0)
+    rows = reduce_pairs(ring, module_basis(ring, [(one, zero), (zero, one)]), (a, b, one))
+    for W in itertools.count(1):
+        for k in itertools.product(range(-W, W + 1), repeat=len(rows)):
+            if max(map(abs, k)) == W and next(c for c in k if c) > 0:
+                yield combine(k, rows)
 
 
 def _norm_search(
     A: FieldElement, B: FieldElement, trace: DescentTrace
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
     """The base of the descent, for a unit B or a quotient t that does not
-    shrink: a bounded search for x^2 - A*y^2 = B*z^2 over pairs (y, z)."""
+    shrink: the first pair (y, z) of _enumerate_pairs with A*y^2 + B*z^2 a
+    square x^2.
+
+    The search ends.  At depth 0 the descent checks x^2 = A*y^2 + B*z^2
+    locally solvable, and each step keeps it so: t*B = a0^2 - A*b0^2 is a
+    norm from K(sqrt(A)), so (A, t)_v = (A, B)_v at every place v, and
+    removing square factors or swapping A and B changes no symbol.  By
+    Hasse-Minkowski the conic has a point, which scales to one with y, z in
+    O_K, not both 0, and then x in O_K.  The rows of _enumerate_pairs are a
+    Z-basis of O_K^2, so it reaches that pair or its negative.
+    """
     trace.add("pell_fallback", A=A, B=B)
-    bound = DEFAULT_PELL_BOUND if A.field.is_rational else 25
-    for y, z in _enumerate_pairs(A.field, bound):
-        if y.is_zero and z.is_zero:
-            continue
-        x = elem_sqrt(A * y * y + B * z * z)
+    ring = integer_ring(A.field)
+    a, b, mul = ring.pair(A), ring.pair(B), ring.mul
+    for y, z in _enumerate_pairs(ring, a, b):
+        x = ring.sqrt(ring.add(mul(a, mul(y, y)), mul(b, mul(z, z))))
         if x is not None:
-            return (x, y, z)
-    raise PellSearchExhausted(
-        f"no solution of x^2 - ({format_element(A)})*y^2 = "
-        f"({format_element(B)})*z^2 within the search bound"
-    )
+            return ring.element(x), ring.element(y), ring.element(z)
 
 
 def solve_pell(

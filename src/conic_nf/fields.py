@@ -433,12 +433,21 @@ def elem_size(x: FieldElement) -> float:
 
 
 def size_lt_size_minus_one(w: FieldElement, b: FieldElement) -> bool:
-    """Exact |w| < |b| - 1 (the descent step-6 test), on the kernel: over the
-    common denominator e of w and b it is |e*w| < |e*b| - e."""
-    e = math.lcm(w.den, b.den)
-    w_num = (w.num[0] * (e // w.den), w.num[1] * (e // w.den))
-    b_num = (b.num[0] * (e // b.den), b.num[1] * (e // b.den))
-    return integer_ring(w.field).size_lt_size_minus(w_num, b_num, e)
+    """Exact |w| < |b| - 1, |x| the largest absolute value of x under an
+    embedding, on the kernel: over the common denominator e of w and b it is
+    |W| < |B| - e for the numerators W = e*w and B = e*b.  Over a real field
+    2|x| = |tr x| + |v|*sqrt(disc); otherwise |x|^2 = N(x), and with
+    a = N(W), c = N(B), sqrt(a) < sqrt(c) - e holds exactly when c > e^2 and
+    c + e^2 - a > 2e*sqrt(c)."""
+    ring, e = integer_ring(w.field), math.lcm(w.den, b.den)
+    W = (w.num[0] * (e // w.den), w.num[1] * (e // w.den))
+    B = (b.num[0] * (e // b.den), b.num[1] * (e // b.den))
+    if ring.real:
+        r = abs(ring.trace(B)) - abs(ring.trace(W)) - 2 * e
+        return surd_sign(r, abs(B[1]) - abs(W[1]), w.field.disc) > 0
+    a, c = ring.norm(W), ring.norm(B)
+    diff = c + e * e - a
+    return c > e * e and diff > 0 and diff * diff > 4 * e * e * c
 
 
 # -- integrality, rounding, Euclidean division ------------------------------
@@ -585,18 +594,6 @@ class IntegerRing:
         if not self.real:
             return 2 * self.norm(x)
         return IntSurd(self.dot(x, x), abs(x[1] * self.trace(x)), self.field.disc)
-
-    def size_lt_size_minus(self, w, b, e: int = 1) -> bool:
-        """Exact |w| < |b| - e for e >= 1, |x| the largest absolute value of
-        x under an embedding.  Over a real field 2|x| = |tr x| + |v|*sqrt(disc);
-        otherwise |x|^2 = N(x), and sqrt(a) < sqrt(c) - e holds exactly when
-        c > e^2 and c + e^2 - a > 2e*sqrt(c)."""
-        if self.real:
-            r = abs(self.trace(b)) - abs(self.trace(w)) - 2 * e
-            return surd_sign(r, abs(b[1]) - abs(w[1]), self.field.disc) > 0
-        a, c = self.norm(w), self.norm(b)
-        diff = c + e * e - a
-        return c > e * e and diff > 0 and diff * diff > 4 * e * e * c
 
     def lagrange_reduce(self, m1, m2):
         """Gauss-Lagrange reduction of a rank-2 lattice basis of pairs in the

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -170,6 +171,33 @@ def test_enumerate_small_shell_order():
     assert list(_enumerate_small(Q7, bound)) == [Q7.element(u, v) for u, v in coords]
 
 
+def _up_to_sign(k):
+    return k if next(c for c in k if c) > 0 else tuple(-c for c in k)
+
+
+@pytest.mark.parametrize(
+    "d, a, b", [(None, (-3, 0), (7, 0)), (-5, (3, -1), (5, 2)), (2, (1, 1), (3, 0))]
+)
+def test_enumerate_pairs_reaches_every_small_pair_once(d, a, b):
+    # The base search draws pairs (y, z) of O_K^2 from the reduced rows of
+    # its weighted lattice, up to sign: every pair whose coordinates lie in
+    # [-2, 2] is drawn, and none twice, over Q, an imaginary field and a real
+    # field with the unit A = 1+s.
+    ring = integer_ring(make_field(d))
+    box = itertools.product(range(-2, 3), repeat=2 if d is None else 4)
+    wanted = {_up_to_sign(k) for k in box if any(k)}
+    seen, repeated = set(), []
+    for y, z in itertools.islice(descent._enumerate_pairs(ring, a, b), 20_000):
+        k = _up_to_sign((y[0], z[0]) if d is None else (*y, *z))
+        if k in seen:
+            repeated.append(k)
+        seen.add(k)
+        if wanted <= seen:
+            break
+    assert wanted <= seen
+    assert repeated == []
+
+
 def test_solve_conic_checks_once(check_calls):
     for field, coeffs in ((Q, (1, 1, -2)), (Q14, (1, -2, -3))):
         check_calls.clear()
@@ -292,16 +320,22 @@ def test_descent_decides_on_the_kernel(monkeypatch):
             assert value is None or isinstance(value, (str, list))
 
 
-# Solvable conics on which the descent once reached a unit coefficient and
-# ran solve_pell's bounded search, or over a real field ended in the base
-# search after balancing its coefficients by units.  Each must be solved
+# Solvable conics on which a search once ran for seconds: solve_pell's
+# bounded search at a unit coefficient, the base search after the real-field
+# unit balancing, or the base search by coordinate size.  Each must be solved
 # within a second and from fewer than PELL_CANDIDATES candidates of the base
-# search (no solve input of the benchmark's seeds 1-3 draws more than 14);
+# search (no solve input of the benchmark's seeds 1-3 draws more than 26);
 # faster arithmetic alone would not pass this.  Over Q(sqrt(-7)) the norm
 # form has A = -1, and the search drew about 160,000 candidates; the
 # congruence lattice now reduces B first.  Over the real fields the lattice
 # is weighted per embedding and the descent tests norms, so |N(t)| is
-# bounded whatever the units in A and B: each of the last four ends at t = 1.
+# bounded whatever the units in A and B.  The last seven end in the base
+# search with a lopsided A (Q(sqrt(22))), a unit A or B (Q(sqrt(31)), whose
+# fundamental unit is 1520+273s), or b = -eps^11 with N(eps) = -1
+# (Q(sqrt(29))).  Searched by coordinate size, the first six drew
+# 59,000-223,000 candidates and the last ran out of a 400,000-pair budget.
+# The base search runs over the reduced rows of the weighted lattice, whose
+# length does not change under units, and draws at most 18 on them.
 PELL_RUNAWAYS = [
     pytest.param(-7, "1;1;9-6s", id="1;1;9-6s"),
     pytest.param(2, "-2-s;-1-2s;10+15s", id="-2-s;-1-2s;10+15s"),
@@ -310,44 +344,19 @@ PELL_RUNAWAYS = [
     pytest.param(14, "8-s;1+s;-1188+213s", id="8-s;1+s;-1188+213s"),
     pytest.param(22, "-4-s;7+s;-106+116s", id="-4-s;7+s;-106+116s"),
     pytest.param(31, "7-s;5-3s;-1937+1743s", id="7-s;5-3s;-1937+1743s"),
+    pytest.param(22, "6+2s;8-3s;-116+151s", id="6+2s;8-3s;-116+151s"),
+    pytest.param(31, "-6-4s;-3-2s;4572+978s", id="-6-4s;-3-2s;4572+978s"),
+    pytest.param(31, "-4+2s;5+3s;-601-1889s", id="-4+2s;5+3s;-601-1889s"),
+    pytest.param(31, "6-3s;-3+3s;1104-666s", id="6-3s;-3+3s;1104-666s"),
+    pytest.param(31, "1+3s;-1+3s;-2515-1023s", id="1+3s;-1+3s;-2515-1023s"),
+    pytest.param(31, "-5+3s;4+s;3317-1179s", id="-5+3s;4+s;3317-1179s"),
+    pytest.param(
+        29,
+        "1;-73997555/2-13741001/2s;754226159/2+140056285/2s",
+        id="1;-73997555/2-13741001/2s;754226159/2+140056285/2s",
+    ),
 ]
 PELL_CANDIDATES = 1000
-
-
-def _base_search_runaway(d, eq, reason):
-    return pytest.param(
-        d,
-        eq,
-        id=eq,
-        marks=pytest.mark.xfail(
-            strict=True,
-            raises=(TimeoutError, AssertionError, PellSearchExhausted),
-            reason=reason,
-        ),
-    )
-
-
-# Real-field conics that the unit balancing solved within the limits and
-# that the one descent path leaves to the base search (ROADMAP, the base
-# case): a unit or lopsided A, whose conjugates differ by a power of the
-# fundamental unit, or a unit B, with (y, z) searched by coordinate size.
-# Over Q(sqrt(31)) the fundamental unit is 1520+273s.
-REAL_BASE_RUNAWAYS = [
-    _base_search_runaway(
-        22, "6+2s;8-3s;-116+151s",
-        "A = -1909+407s of norm 3 (conjugates near -3818 and 1/1273), B = 5+s: "
-        "about 220,000 candidates",
-    ),
-    _base_search_runaway(
-        31, "-6-4s;-3-2s;4572+978s", "the unit A = -1520-273s, B = 3: about 220,000 candidates"
-    ),
-    _base_search_runaway(
-        31, "-4+2s;5+3s;-601-1889s", "the unit A = -1520+273s, B = 3: about 220,000 candidates"
-    ),
-    _base_search_runaway(
-        31, "6-3s;-3+3s;1104-666s", "A = -1 and the unit B = 1520+273s: about 60,000 candidates"
-    ),
-]
 
 
 def _on_alarm(signum, frame):
@@ -364,7 +373,7 @@ def _solve_within(equation, seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS + REAL_BASE_RUNAWAYS)
+@pytest.mark.parametrize("d, eq", PELL_RUNAWAYS)
 def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     drawn = [0]
 
@@ -400,7 +409,9 @@ def test_solve_sweep_through_random_points():
     # per field: a, b, x0, y0 = u + v*omega with |u| <= 9, |v| <= 4 (v = 0
     # over Q).  Each must be solved within 2 s.
     failures = []
-    for d in (None, -1, -2, -3, -7, -11, -5, -6, -15, -23, 2, 3, 5, 6, 7, 10, 13, 14, 17):
+    definite = (None, -1, -2, -3, -7, -11, -5, -6, -15, -23)
+    real = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31, 33)
+    for d in definite + real:
         rng = random.Random(f"sweep:{d}")
         K = make_field(d)
 
