@@ -89,20 +89,19 @@ def _cmd_solve(args, out) -> int:
     try:
         sol = solve_conic(eq, trace=trace)
     except NotSolvable:
-        _emit({"solvable": False}, args.json, out)
-        return EXIT_OK
+        payload, code = {"solvable": False}, EXIT_OK
     except (UndecidedError, PellSearchExhausted) as exc:
-        _emit({"undecided": str(exc)}, args.json, out)
-        return EXIT_UNDECIDED
-    if not verify(eq, sol):
-        _emit({"error": "solver output failed verification"}, args.json, out)
-        return EXIT_MISMATCH
-    payload = {"solvable": True, "solution": _triple_dict(sol)}
+        payload, code = {"undecided": str(exc)}, EXIT_UNDECIDED
+    else:
+        if verify(eq, sol):
+            payload, code = {"solvable": True, "solution": _triple_dict(sol)}, EXIT_OK
+        else:
+            payload, code = {"error": "solver output failed verification"}, EXIT_MISMATCH
     if args.trace:
         with open(args.trace, "w") as fh:
             json.dump(trace.to_list(), fh, indent=2)
     _emit(payload, args.json, out)
-    return EXIT_OK
+    return code
 
 
 def _cmd_parametrize(args, out) -> int:

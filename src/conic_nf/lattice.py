@@ -72,7 +72,7 @@ def _integral_gso(G):
     return D, lam
 
 
-def lll_reduce(gram, delta: Fraction = DELTA):
+def lll_reduce(gram):
     """LLL-reduce a lattice given only its (rational) Gram matrix.
 
     Returns (reduced_gram, U) with U unimodular over Z and
@@ -91,6 +91,7 @@ def lll_reduce(gram, delta: Fraction = DELTA):
     den = math.lcm(*(g.denominator for row in gram for g in row))
     G = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
     D, lam = _integral_gso(G)
+    dn, dd = DELTA.numerator, DELTA.denominator
 
     k = 1
     while k < n:
@@ -104,9 +105,9 @@ def lll_reduce(gram, delta: Fraction = DELTA):
                 lk[j] -= q * D[j + 1]
                 for i in range(j):
                     lk[i] -= q * lj[i]
-        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, times D_k * D_{k-1}.
+        # Lovasz: B_k >= (DELTA - mu^2) B_{k-1}, times D_k * D_{k-1}.
         l = lk[k - 1]
-        if delta.denominator * (D[k + 1] * D[k - 1] + l * l) >= delta.numerator * D[k] * D[k]:
+        if dd * (D[k + 1] * D[k - 1] + l * l) >= dn * D[k] * D[k]:
             k += 1
             continue
         # Swap rows k-1 and k: only D_k changes, lam_{k,k-1} stays.

@@ -23,24 +23,18 @@ def param_solution(
     base: SolutionTriple,
     m: FieldElement,
     n: FieldElement,
-    scale: Optional[FieldElement] = None,
-    signs: tuple = (1, 1, 1),
 ) -> SolutionTriple:
     """The solution attached to slope m/n through the base point.
 
-    Requires base.z != 0; permute the equation first if necessary.  Each
-    coordinate may be flipped independently via signs, and the whole
-    triple rescaled by a nonzero scale.
+    Requires base.z != 0; permute the equation first if necessary.
     """
     if base.z.is_zero:
         raise BaseDegenerate("base solution must have a nonzero z")
     a, b = eq.a, eq.b
     a0, b0, g0 = base.x, base.y, base.z
-    x = ((b * m * m - a * n * n) * a0 - 2 * b * m * n * b0) * signs[0]
-    y = (-(2 * a * m * n * a0) + b0 * (a * n * n - b * m * m)) * signs[1]
-    z = (g0 * (a * n * n + b * m * m)) * signs[2]
-    if scale is not None:
-        x, y, z = x * scale, y * scale, z * scale
+    x = (b * m * m - a * n * n) * a0 - 2 * b * m * n * b0
+    y = -(2 * a * m * n * a0) + b0 * (a * n * n - b * m * m)
+    z = g0 * (a * n * n + b * m * m)
     return SolutionTriple(x, y, z)
 
 

@@ -53,16 +53,6 @@ def _mod(x, N: int):
     return x[0] % N, x[1] % N
 
 
-def _pow(ring: IntegerRing, x, k: int, N: int):
-    result = (1, 0)
-    while k:
-        if k & 1:
-            result = _mod(ring.mul(result, x), N)
-        x = _mod(ring.mul(x, x), N)
-        k >>= 1
-    return result
-
-
 def _inv(ring: IntegerRing, x, N: int):
     """x^-1 in (Z/N)[omega], for x of norm prime to N."""
     n = pow(ring.norm(x), -1, N)
@@ -73,50 +63,34 @@ def _inv(ring: IntegerRing, x, N: int):
 # -- square roots modulo P and P^e, odd P ------------------------------------
 
 
-def _fq2_sqrt(ring: IntegerRing, p: int, a) -> Optional[tuple[int, int]]:
-    """Tonelli-Shanks in F_{p^2} = (Z/p)[omega] for inert odd p."""
-    a = _mod(a, p)
-    if a == (0, 0):
-        return (0, 0)
-    q = p * p
-    one = (1, 0)
-    if _pow(ring, a, (q - 1) // 2, p) != one:
-        return None
-    Q, S = q - 1, 0
-    while Q % 2 == 0:
-        Q //= 2
-        S += 1
-    # Deterministic nonresidue scan.
-    z = next(
-        x
-        for x in itertools.product(range(p), repeat=2)
-        if x != (0, 0) and _pow(ring, x, (q - 1) // 2, p) != one
-    )
-    m = S
-    c = _pow(ring, z, Q, p)
-    t = _pow(ring, a, Q, p)
-    r = _pow(ring, a, (Q + 1) // 2, p)
-    while t != one:
-        t2, i = t, 0
-        while t2 != one:
-            t2 = _mod(ring.mul(t2, t2), p)
-            i += 1
-        b = _pow(ring, c, 1 << (m - i - 1), p)
-        m = i
-        c = _mod(ring.mul(b, b), p)
-        t = _mod(ring.mul(t, c), p)
-        r = _mod(ring.mul(r, b), p)
-    return r
-
-
 def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, int]]:
-    """A root of y^2 = b (mod P) as a pair, or None."""
+    """A root of y^2 = b (mod P) as a pair, or None.
+
+    At an inert P it is the closed form of IntegerRing.sqrt in
+    F_p^2 = (Z/p)[omega]: b is a square exactly when N(b) is one in F_p (the
+    norm F_p^2* -> F_p* is onto), and then N(y) = n = +-sqrt(N(b)),
+    tr(y)^2 = tr(b) + 2n and y*tr(y) = b + n.  When tr(y) = 0, y = c*sqrt(d)
+    with c^2 = b/d in F_p, as N(sqrt(d)) = -d.
+    """
     p = P.p
-    if P.f == 2:
-        return _fq2_sqrt(ring, p, b)
-    image = b[0] if P.field.is_rational else b[0] + b[1] * omega_root(P)
-    y = _sqrt_mod_p(image % p, p)
-    return None if y is None else (y, 0)
+    if P.f == 1:
+        image = b[0] if P.field.is_rational else b[0] + b[1] * omega_root(P)
+        y = _sqrt_mod_p(image % p, p)
+        return None if y is None else (y, 0)
+    b = _mod(b, p)
+    m = _sqrt_mod_p(ring.norm(b), p)
+    if m is None:
+        return None
+    for n in (m, -m):
+        s = _sqrt_mod_p(ring.trace(b) + 2 * n, p)
+        if s:
+            k = pow(s, -1, p)
+            y = _mod(((b[0] + n) * k, b[1] * k), p)
+            if _mod(ring.mul(y, y), p) == b:
+                return y
+    g = ring.pair(P.field.sqrt_gen())
+    c = _sqrt_mod_p(b[0] * pow(-ring.norm(g), -1, p), p)
+    return _mod((c * g[0], c * g[1]), p)
 
 
 def _lift(ring: IntegerRing, y, b, N: int):
@@ -200,16 +174,18 @@ def sqrt_mod_odd_prime_power(
     """All square roots of a modulo P^e for odd P, sorted by (u, v), or None
     if there are none.
 
-    When a = 0 mod P^e and N(P^e) exceeds the enumeration guard, only the
-    root 0 is returned.
+    When a = 0 mod P^e the roots are the N(P)^floor(e/2) residues of
+    P^ceil(e/2); past the enumeration guard they are not listed and
+    UndecidedError is raised.
     """
-    field, p = P.field, P.p
-    ring = integer_ring(field)
+    p = P.p
+    ring = integer_ring(P.field)
     s = e if a.is_zero else element_valuation(a, P)
     Ie = prime_power(P, e)
     if s >= e:
-        if Ie.norm > _ENUM_GUARD:
-            return [field.zero()]
+        count = P.residue_size ** (e // 2)
+        if count > _ENUM_GUARD:
+            raise UndecidedError(f"{count} roots of 0 mod {Ie}, past the guard {_ENUM_GUARD}")
         roots = _coset((0, 0), prime_power(P, (e + 1) // 2), Ie)
         # In the order of Ie.residues(): v first.
         return [ring.element(x) for x in sorted(roots, key=lambda x: x[::-1])]
@@ -326,7 +302,9 @@ def sqrt_mod_ideal(
     a: FieldElement, M: Ideal, factors: Optional[list[tuple[PrimeIdeal, int]]] = None
 ) -> Optional[FieldElement]:
     """A size-minimal w with w^2 = a (mod M), or None if no root exists;
-    factors is M's factorization, when the caller has it."""
+    factors is M's factorization, when the caller has it.  Past 4,096
+    combinations of the roots mod each prime power it returns the least of
+    the first 4,096."""
     require_integral(a)
     field = a.field
     if M.norm == 1:

@@ -85,6 +85,17 @@ def test_solve_writes_trace(tmp_path):
     assert any(step["step"] == "norm_form" for step in steps)
 
 
+def test_solve_writes_trace_when_not_solvable(tmp_path):
+    # x^2 + y^2 + z^2 = 0 fails at the real place: the trace still holds the
+    # steps taken before the descent gave up.
+    trace_file = tmp_path / "trace.json"
+    code, text = _run(["solve", "--field", "Q", "--eq", "1;1;1", "--trace", str(trace_file)])
+    assert code == 0
+    assert "False" in text
+    steps = json.loads(trace_file.read_text())
+    assert [step["step"] for step in steps] == ["norm_form"]
+
+
 def test_verify_subcommand():
     code, _ = _run(
         ["verify", "--field", "-7", "--eq", "3;2;13", "--solution", "s;2;1"]

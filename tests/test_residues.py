@@ -3,6 +3,7 @@ import math
 import json
 import os
 import random
+import signal
 import sys
 
 import pytest
@@ -35,6 +36,7 @@ from conic_nf.solvability import (
     embedding_condition,
 )
 from conic_nf.residues import (
+    _root_mod_prime,
     closest_in_coset,
     crt_coefficients,
     local_solvable_at_two,
@@ -142,6 +144,88 @@ def test_sqrt_mod_odd_prime_power_complete_root_sets():
                 assert got == sorted(true_roots, key=lambda z: (z.v, z.u))
             else:
                 assert got == true_roots
+
+
+def test_root_mod_inert_prime_against_brute_force():
+    # Every b in F_p^2 = (Z/p)[omega] at each inert odd p <= 13: the closed
+    # form returns a root exactly when b is a square, and the branch
+    # tr(y) = 0, where y = c*sqrt(d) for b = c^2*d in F_p, is met.
+    traceless = 0
+    for d in (-1, -7, 2, 5, 13):
+        K = make_field(d)
+        ring = integer_ring(K)
+        for p in (3, 5, 7, 11, 13):
+            kind, primes = splitting_type(K, p)
+            if kind != "Inert":
+                continue
+            roots = {}
+            for y in itertools.product(range(p), repeat=2):
+                u, v = ring.mul(y, y)
+                roots.setdefault((u % p, v % p), set()).add(y)
+            for b in itertools.product(range(p), repeat=2):
+                y = _root_mod_prime(ring, b, primes[0])
+                if b not in roots:
+                    assert y is None, (d, p, b)
+                    continue
+                assert y in roots[b], (d, p, b, y)
+                traceless += b != (0, 0) and ring.trace(y) % p == 0
+    assert traceless > 0
+
+
+def test_zero_roots_are_listed_up_to_the_guard():
+    # The roots of 0 mod P^e are the N(P)^floor(e/2) residues of P^ceil(e/2):
+    # 317 of them mod 317^2, though N(P^2) = 100,489 is past the guard.
+    P317 = _prime_over(Q, 317)
+    roots = sqrt_mod_odd_prime_power(Q.zero(), P317, 2)
+    assert len(roots) == 317
+    assert all((r * r).u % 317**2 == 0 for r in roots)
+    # Every root mod 3 * 1009^2 is +-1 mod 3 and 0 mod 1009; the least are
+    # +-1009, and the tie breaks to the lesser u.
+    assert sqrt_mod_ideal(Q.element(1009**2), Ideal(Q, 3 * 1009**2)) == Q.element(-1009)
+    # 1009^2 roots of 0 mod 1009^4 are past the guard: undecided, not [0].
+    with pytest.raises(UndecidedError):
+        sqrt_mod_odd_prime_power(Q.zero(), _prime_over(Q, 1009), 4)
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("ran past its time limit")
+
+
+def _within(seconds, fn, *args):
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _equation(d, eq):
+    K = make_field(d)
+    return ConicEquation(*(parse_element(K, t) for t in eq.split(";")))
+
+
+# A root mod the inert prime 100003 took 2.8-4.9 s while a Tonelli-Shanks
+# over F_p^2 scanned up to p - 1 candidates for a non-residue; the closed form
+# takes microseconds.
+def test_inert_root_runaway_certificate_within_a_second():
+    cert = _within(1.0, check_solvable, _equation(-1, "1;1;-100003"))
+    assert cert.solvable
+    odd = [c for c in cert.to_dict()["conditions"] if c["type"] == "odd_prime"]
+    assert odd == [{"ok": True, "prime": "(100003)", "type": "odd_prime", "witness": "s"}]
+
+
+INERT_ROOT_RUNAWAYS = [
+    pytest.param(-1, "100003-s;s;-100003", id="-1:100003-s;s;-100003"),
+    pytest.param(2, "100003-s;s;-100003", id="2:100003-s;s;-100003"),
+]
+
+
+@pytest.mark.parametrize("d, eq", INERT_ROOT_RUNAWAYS)
+def test_inert_root_runaway_solves_within_a_second(d, eq):
+    sol = _within(1.0, solve_conic, _equation(d, eq))
+    assert [format_element(t) for t in (sol.x, sol.y, sol.z)] == ["-1", "1", "1"]
 
 
 def test_odd_prime_witness_is_the_least_listed_root():
