@@ -175,8 +175,8 @@ def sqrt_mod_odd_prime_power(
     if there are none.
 
     When a = 0 mod P^e the roots are the N(P)^floor(e/2) residues of
-    P^ceil(e/2); past the enumeration guard they are not listed and
-    UndecidedError is raised.
+    P^ceil(e/2), otherwise 2*N(P)^(s/2) with s = v_P(a); past the
+    enumeration guard they are not listed and UndecidedError is raised.
     """
     p = P.p
     ring = integer_ring(P.field)
@@ -195,6 +195,9 @@ def sqrt_mod_odd_prime_power(
     y = _root_mod_prime(ring, b, P)
     if y is None:
         return None
+    count = 2 * P.residue_size ** (s // 2)
+    if count > _ENUM_GUARD:
+        raise UndecidedError(f"{count} roots mod {Ie}, past the guard {_ENUM_GUARD}")
     x0 = ring.mul(h, _lift(ring, y, b, p ** -(-(e - s) // P.e)))
     Ik = prime_power(P, e - s // 2)
     roots = _coset(x0, Ik, Ie) | _coset((-x0[0], -x0[1]), Ik, Ie)
@@ -206,14 +209,16 @@ def least_root(a: FieldElement, P: PrimeIdeal, s: int) -> Optional[FieldElement]
     None, for s = v_P(a) even, without listing the 2*N(P)^(s/2) roots.
 
     With a = h^2*b as in _unit_part, the roots are the two cosets
-    +-h*y + P^(s/2+1) for a root y of the unit b mod P.
+    +-h*y + P^(s/2+1) for the closed-form root y of the unit b mod P.  As
+    v_P(h) = s/2, the cosets depend only on +-y mod P, so any root y of b
+    gives the same least root.
     """
     ring = integer_ring(P.field)
     h, b = _unit_part(a, P, s + 1, s)
-    units = sqrt_mod_odd_prime_power(ring.element(b), P, 1)
-    if not units:
+    y = _root_mod_prime(ring, b, P)
+    if y is None:
         return None
-    x0 = ring.mul(h, ring.pair(units[0]))
+    x0 = ring.mul(h, y)
     Ik, Ie = prime_power(P, s // 2 + 1), prime_power(P, s + 1)
     least = min(_least_in_coset(x, Ik, Ie) for x in (x0, (-x0[0], -x0[1])))
     return ring.element(least)
@@ -322,15 +327,11 @@ def sqrt_mod_ideal(
         root_sets.append([ring.pair(r) for r in roots])
     lams = crt_coefficients(field, factors)
     best = None
-    seen = set()
     for combo in itertools.islice(itertools.product(*root_sets), 4096):
         w = (0, 0)
         for lam, r in zip(lams, combo):
             w = ring.add(w, ring.mul(lam, r))
         w = M.reduce_pair(w)
-        if w in seen:
-            continue
-        seen.add(w)
         cand = ring.pair(closest_in_coset(ring.element(w), M))
         key = (ring.size_sq(cand), *cand)
         if best is None or key < best:

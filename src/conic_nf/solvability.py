@@ -25,7 +25,6 @@ from .fields import (
 )
 from .ideals import (
     PrimeIdeal,
-    element_valuation,
     factor_ideal,
     principal_ideal,
     splitting_type,
@@ -118,9 +117,10 @@ def embedding_condition(eq: ConicEquation) -> bool:
 
 
 def _odd_prime_condition(
-    a: FieldElement, b: FieldElement, c: FieldElement, P: PrimeIdeal
+    coeffs: tuple, vals: list[int], P: PrimeIdeal
 ) -> tuple[bool, Optional[FieldElement]]:
-    """Decide local solvability at an odd prime P, with a witness root.
+    """Decide local solvability at an odd prime P, with a witness root, from
+    the coefficients (a, b, c) and their valuations vals at P.
 
     Over an odd residue field only the valuation parities and the residue
     classes of the unit parts matter: if all three valuations share a
@@ -130,8 +130,6 @@ def _odd_prime_condition(
     even power of the uniformiser, which is a root mod P^(s+1) with
     s = v(c_i) + v(c_j); the witness is the least root.
     """
-    coeffs = (a, b, c)
-    vals = [element_valuation(x, P) for x in coeffs]
     parities = [v % 2 for v in vals]
     if parities[0] == parities[1] == parities[2]:
         return True, None
@@ -156,13 +154,12 @@ def check_solvable(eq: ConicEquation) -> Certificate:
     if not ok:
         return Certificate(False, "real_embedding", places)
 
-    odd_primes: dict = {}
-    for coeff in (eq.a, eq.b, eq.c):
-        for P, _ in factor_ideal(principal_ideal(coeff)):
-            if P.p != 2:
-                odd_primes[P] = P
-    for P in odd_primes.values():
-        ok, witness = _odd_prime_condition(eq.a, eq.b, eq.c, P)
+    # v_P of each coefficient, read from its factorisation (0 where P is absent).
+    coeffs = (eq.a, eq.b, eq.c)
+    factorisations = [dict(factor_ideal(principal_ideal(x))) for x in coeffs]
+    for P in dict.fromkeys(P for f in factorisations for P in f if P.p != 2):
+        vals = [f.get(P, 0) for f in factorisations]
+        ok, witness = _odd_prime_condition(coeffs, vals, P)
         places.append({"type": "odd_prime", "prime": P, "ok": ok, "witness": witness})
         if not ok:
             return Certificate(False, "congruence", places)

@@ -250,10 +250,10 @@ def test_odd_prime_witness_is_the_least_listed_root():
                 v = 0 if K.is_rational else rng.randint(-30, 30)
                 x = K.element(rng.randint(1, 30), v)
             coeffs.append(x * pi ** rng.randint(0, 2))
-        _, w = _odd_prime_condition(*coeffs, P)
+        vals = [element_valuation(x, P) for x in coeffs]
+        _, w = _odd_prime_condition(coeffs, vals, P)
         if w is None:
             continue
-        vals = [element_valuation(x, P) for x in coeffs]
         pairs = ((0, 1), (0, 2), (1, 2))
         i, j = next((i, j) for i, j in pairs if vals[i] % 2 == vals[j] % 2)
         s = vals[i] + vals[j]
@@ -265,6 +265,79 @@ def test_odd_prime_witness_is_the_least_listed_root():
     # omega = (1 + sqrt(d))/2, where the HNF reduction alone misses the least root.
     assert {(2, 1, "half_one_plus_sqrt_d", 4), (2, 1, "sqrt_d", 4), (1, 2, "sqrt_d", 4),
             (1, 1, "half_one_plus_sqrt_d", 4), (1, 1, None, 4)} <= seen
+
+
+def _reference_odd_places(eq):
+    # Every odd place of the certificate, rebuilt from element valuations and
+    # the first root that the full lister gives mod P^(s+1), up to the first
+    # failing place.
+    coeffs = (eq.a, eq.b, eq.c)
+    primes = [P for x in coeffs for P, _ in factor_ideal(principal_ideal(x)) if P.p != 2]
+    places = []
+    for P in dict.fromkeys(primes):
+        vals = [element_valuation(x, P) for x in coeffs]
+        pairs = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if vals[i] % 2 == vals[j] % 2]
+        if len(pairs) == 3:
+            places.append((P, True, None))
+            continue
+        (i, j), s = pairs[0], vals[pairs[0][0]] + vals[pairs[0][1]]
+        roots = sqrt_mod_odd_prime_power(-(coeffs[i] * coeffs[j]), P, s + 1)
+        places.append((P, roots is not None, roots and roots[0]))
+        if roots is None:
+            break
+    return places
+
+
+def test_odd_places_match_the_listed_roots_on_random_conics():
+    # Conics over Q and fields with split, inert and ramified odd primes and
+    # both kinds of omega; each coefficient is a small element times a power
+    # of 3, 5 or 7, so the places reach s = v(c_i) + v(c_j) of 4 and more.
+    rng = random.Random(19)
+    fields = [Q, *map(make_field, (-1, -3, -15, 2, 5, 13, 14))]
+    seen = set()
+    conics = 0
+    while conics < 2000:
+        K = rng.choice(fields)
+        coeffs = []
+        while len(coeffs) < 3:
+            x = K.element(rng.randint(-12, 12), 0 if K.is_rational else rng.randint(-12, 12))
+            if not x.is_zero:
+                coeffs.append(x * K.element(rng.choice((3, 5, 7))) ** rng.randint(0, 2))
+        eq = ConicEquation(*coeffs)
+        cert = check_solvable(eq)
+        got = [(c["prime"], c["ok"], c["witness"]) for c in cert.places if c["type"] == "odd_prime"]
+        if cert.reason == "real_embedding":
+            assert got == []
+            continue
+        want = _reference_odd_places(eq)
+        assert got == want, (K.d, coeffs)
+        conics += 1
+        seen.update((P.e, P.f, K.omega_kind) for P, _, w in got if w is not None)
+    assert {(2, 1, "half_one_plus_sqrt_d"), (2, 1, "sqrt_d"), (1, 2, "sqrt_d"),
+            (1, 2, "half_one_plus_sqrt_d"), (1, 1, "half_one_plus_sqrt_d"),
+            (1, 1, "sqrt_d"), (1, 1, None)} <= seen
+
+
+def test_sqrt_mod_odd_prime_power_guards_unit_part_roots():
+    # 2*1009^4 has 2*1009^2 roots mod 1009^5, past the guard: undecided at
+    # once, as for the roots of 0, instead of seconds spent listing them.
+    with pytest.raises(UndecidedError):
+        _within(1.0, sqrt_mod_odd_prime_power, Q.element(2 * 1009**4), _prime_over(Q, 1009), 5)
+    # Under the guard every root is listed: 7*3^4 mod 3^7 over Q and 2*3^2
+    # mod (3)^4 at the inert 3 of Q(i), against a scan of all residues.
+    for K, a, e, n in ((Q, 7 * 3**4, 7, 3**7), (make_field(-1), 2 * 3**2, 4, 3**4)):
+        P = _prime_over(K, 3)
+        ring, Ie = integer_ring(K), prime_power(P, e)
+        scan = [
+            K.element(u, v) if v else K.element(u)
+            for u in range(n)
+            for v in range(1 if K.is_rational else n)
+            if Ie.reduce_pair(ring.sub(ring.mul((u, v), (u, v)), (a, 0))) == (0, 0)
+        ]
+        roots = sqrt_mod_odd_prime_power(K.element(a), P, e)
+        assert roots == sorted(scan, key=lambda x: ring.pair(x))
+        s = element_valuation(K.element(a), P)
+        assert len(roots) == 2 * P.residue_size ** (s // 2)
 
 
 def test_sqrt_mod_dyadic_enumeration():
@@ -569,7 +642,10 @@ def test_hilbert_reciprocity_over_q():
         eq = ConicEquation(Q.element(a), Q.element(b), Q.element(c))
         failed = [not embedding_condition(eq)]
         for p in {p for p in (3, 5, 7, 11, 13) if (a * b * c) % p == 0}:
-            failed.append(not _odd_prime_condition(eq.a, eq.b, eq.c, _prime_over(Q, p))[0])
+            P = _prime_over(Q, p)
+            coeffs = (eq.a, eq.b, eq.c)
+            vals = [element_valuation(x, P) for x in coeffs]
+            failed.append(not _odd_prime_condition(coeffs, vals, P)[0])
         failed.append(not local_solvable_at_two(eq.a, eq.b, eq.c, P2))
         assert sum(failed) % 2 == 0, (a, b, c)
         failures.add(sum(failed))

@@ -9,7 +9,7 @@ import pytest
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import make_field, parse_element
-from conic_nf import solvability
+from conic_nf import ideals, residues, solvability
 from conic_nf.ideals import Ideal, PrimeIdeal, splitting_type
 from conic_nf.solvability import (
     Certificate,
@@ -245,3 +245,28 @@ def test_check_solvable_makes_no_ideal_product(monkeypatch):
     for row in GOLDEN_CERTIFICATES:
         check_solvable(_golden_equation(row))
     assert products == []
+
+
+def test_check_solvable_calls_no_valuation_or_root_lister(monkeypatch):
+    # The valuations come from the coefficient factorisations and each odd
+    # witness from one closed-form root of the unit part: no element
+    # valuation and no listing of roots mod P^e, wherever the names are bound.
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
+
+    for name in ("element_valuation", "sqrt_mod_odd_prime_power"):
+        for module in (ideals, residues, solvability):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for row in GOLDEN_CERTIFICATES:
+        assert check_solvable(_golden_equation(row)).to_dict() == row["certificate"]
+    cert = check_solvable(eq_of(Q, 678223072849, -1, 7))
+    (odd,) = [c for c in cert.conditions if c["type"] == "odd_prime"]
+    assert odd["witness"] == "823543"
+    assert calls == []
