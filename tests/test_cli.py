@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import signal
+
+import pytest
 
 import conic_nf.cli
 from conic_nf.cli import run
@@ -270,3 +273,46 @@ def test_run_builds_its_parser_once(monkeypatch):
         assert _run(argv)[0] == 0
         assert _run(["check", "--field", "-7"])[0] == 2  # --eq missing
     assert built[0] == first
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("ran past its time limit")
+
+
+def _within(seconds, fn, *args):
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# A rational coefficient c over a quadratic field has norm c^2, so a prime
+# p > 10^6 dividing c is left as the cofactor p^2 of trial division, which
+# Brent's rho splits only after about sqrt(p) steps: 3-25 s, or "could not
+# factor" and exit 2.  The middle coefficient is pi^2 with N(pi) = p split.
+PERFECT_POWER_STALLS = [
+    pytest.param(command, d, eq, id=f"{command}:{d}:{eq}")
+    for d, eq in (
+        ("-7", "1;1;-10000000000037"),
+        ("-1", "1;1;-3583785455715-9335763589988s"),
+        ("-7", "1;1;-1000000000000037"),
+    )
+    for command in ("check", "solve")
+]
+
+
+@pytest.mark.xfail(strict=True, reason="a perfect-power cofactor goes to Brent's rho")
+@pytest.mark.parametrize("command, d, eq", PERFECT_POWER_STALLS)
+def test_perfect_power_cofactor_decides_within_a_second(command, d, eq):
+    code, text = _within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["solvable"] is True
+    if command == "solve":
+        field = make_field(d)
+        sol = SolutionTriple(*(parse_element(field, payload["solution"][k]) for k in "xyz"))
+        eq = ConicEquation(*(parse_element(field, t) for t in eq.split(";")))
+        assert verify(eq, sol)
