@@ -102,6 +102,18 @@ def _brent_rho(n: int, rng: random.Random) -> Optional[int]:
     return g if g != n else None
 
 
+def _perfect_power(m: int) -> Optional[tuple[int, int]]:
+    """(r, k) with r^k = m for the least k >= 2, or None.  Each k-th root is
+    Newton's method from above in integers."""
+    for k in range(2, m.bit_length()):
+        r = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = y
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factor_int(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| as sorted (p, e) pairs."""
     n = abs(n)
@@ -127,6 +139,11 @@ def factor_int(n: int) -> list[tuple[int, int]]:
                 continue
             if is_probable_prime(m):
                 primes.append(m)
+                continue
+            # Rho would split a perfect power r^k only after about sqrt(r) steps.
+            power = _perfect_power(m)
+            if power is not None:
+                stack.extend([power[0]] * power[1])
                 continue
             d = None
             for _ in range(20):

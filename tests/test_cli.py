@@ -290,9 +290,10 @@ def _within(seconds, fn, *args):
 
 
 # A rational coefficient c over a quadratic field has norm c^2, so a prime
-# p > 10^6 dividing c is left as the cofactor p^2 of trial division, which
-# Brent's rho splits only after about sqrt(p) steps: 3-25 s, or "could not
-# factor" and exit 2.  The middle coefficient is pi^2 with N(pi) = p split.
+# p > 10^6 dividing c is left as the cofactor p^2 of trial division.  Brent's
+# rho split it only after about sqrt(p) steps (3-25 s, or "could not factor"
+# and exit 2); the cofactor is now split as a perfect power.  The second c is
+# pi^2 with N(pi) = p split.
 PERFECT_POWER_STALLS = [
     pytest.param(command, d, eq, id=f"{command}:{d}:{eq}")
     for d, eq in (
@@ -304,7 +305,6 @@ PERFECT_POWER_STALLS = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="a perfect-power cofactor goes to Brent's rho")
 @pytest.mark.parametrize("command, d, eq", PERFECT_POWER_STALLS)
 def test_perfect_power_cofactor_decides_within_a_second(command, d, eq):
     code, text = _within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])

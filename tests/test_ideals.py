@@ -11,6 +11,7 @@ from conic_nf.ideals import (
     factor_ideal,
     factor_int,
     ideal_from_generators,
+    is_probable_prime,
     is_principal,
     kronecker,
     norm_one_unit,
@@ -32,6 +33,25 @@ def test_factor_int():
     assert factor_int(1929) == [(3, 1), (643, 1)]
     assert factor_int(-12) == [(2, 2), (3, 1)]
     assert factor_int(3076) == [(2, 2), (769, 1)]
+
+
+def test_factor_int_splits_cofactors_past_trial_division():
+    # Two primes above the trial-division limit go to Brent's rho.
+    assert factor_int(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+    # A perfect power is split by its integer root, not by rho.
+    p, q = 10**12 + 39, 10000000000037
+    assert factor_int(p**2) == [(p, 2)]
+    assert factor_int(q**3) == [(q, 3)]
+    assert factor_int(-7 * p**2 * 1000003**3) == [(7, 1), (1000003, 3), (p, 2)]
+    assert factor_int((p * q) ** 2) == [(p, 2), (q, 2)]
+
+
+def test_is_probable_prime_rejects_a_strong_pseudoprime():
+    # 3215031751 = 151 * 751 * 28351 passes the Miller-Rabin rounds to bases
+    # 2, 3, 5 and 7; a later base proves it composite.
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_probable_prime(3215031751)
+    assert is_probable_prime(1000003) and is_probable_prime(10**12 + 39)
 
 
 def test_kronecker():
