@@ -5,7 +5,8 @@ use the wire grammar INT, p/q, s = sqrt(d), w = omega, with terms joined
 by + or -; equations and solutions are semicolon-separated triples.
 
 Exit codes: 0 success, 1 expectation mismatch or failed verification,
-2 parse or usage error, 3 undecided results present.
+2 parse or usage error, 3 undecided results present (any UndecidedError,
+a factorisation past its effort included).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     ConicError,
     NotSolvable,
     ParseError,
-    PellSearchExhausted,
     UndecidedError,
 )
 from .descent import DescentTrace, SolutionTriple, solve_conic, verify
@@ -78,8 +78,12 @@ def _emit(payload: dict, as_json: bool, out) -> None:
 def _cmd_check(args, out) -> int:
     field = _parse_field(args.field)
     eq = _parse_equation(field, args.eq)
-    _emit(check_solvable(eq).to_dict(), args.json, out)
-    return EXIT_OK
+    try:
+        payload, code = check_solvable(eq).to_dict(), EXIT_OK
+    except UndecidedError as exc:
+        payload, code = {"undecided": str(exc)}, EXIT_UNDECIDED
+    _emit(payload, args.json, out)
+    return code
 
 
 def _cmd_solve(args, out) -> int:
@@ -90,7 +94,7 @@ def _cmd_solve(args, out) -> int:
         sol = solve_conic(eq, trace=trace)
     except NotSolvable:
         payload, code = {"solvable": False}, EXIT_OK
-    except (UndecidedError, PellSearchExhausted) as exc:
+    except UndecidedError as exc:
         payload, code = {"undecided": str(exc)}, EXIT_UNDECIDED
     else:
         if verify(eq, sol):
@@ -193,7 +197,7 @@ def _run_corpus_line(idx: int, line: str):
                 return idx, "mismatch", "expected solvable, got unsolvable"
             return idx, "ok", "unsolvable"
         return idx, "ok", f"solvable {sol!r}"
-    except (UndecidedError, PellSearchExhausted) as exc:
+    except UndecidedError as exc:
         return idx, "undecided", str(exc)
 
 

@@ -27,19 +27,19 @@ class EvenPrime(ConicError):
     completion is not Q_2."""
 
 
-class FactorizationFailed(ConicError):
-    """Integer factorization exceeded the configured effort."""
-
-
 class UndecidedError(ConicError):
     """A bounded search was exhausted without reaching a verdict."""
+
+
+class FactorizationFailed(UndecidedError):
+    """Integer factorization exceeded the configured effort."""
 
 
 class NotPositiveDefinite(ConicError):
     """Gram matrix fed to LLL is not positive definite."""
 
 
-class PellSearchExhausted(ConicError):
+class PellSearchExhausted(UndecidedError):
     """A search found no solution within its fixed bound, or the descent ran too deep."""
 
 

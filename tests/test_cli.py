@@ -316,3 +316,32 @@ def test_perfect_power_cofactor_decides_within_a_second(command, d, eq):
         sol = SolutionTriple(*(parse_element(field, payload["solution"][k]) for k in "xyz"))
         eq = ConicEquation(*(parse_element(field, t) for t in eq.split(";")))
         assert verify(eq, sol)
+
+
+def test_factorisation_past_the_rho_effort_is_undecided(tmp_path, monkeypatch):
+    # 1000036000099 = 1000003 * 1000033 needs Brent's rho; with no rho effort
+    # and an empty cache its factorisation fails, an UndecidedError.
+    import conic_nf.ideals
+
+    monkeypatch.setattr(conic_nf.ideals, "_RHO_EFFORT", 0)
+    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
+    for command in ("check", "solve"):
+        code, text = _run([command, "--eq", "1;1;-1000036000099", "--json"])
+        assert code == 3
+        assert json.loads(text) == {"undecided": "could not factor 1000036000099"}
+    corpus = tmp_path / "rho.corpus"
+    corpus.write_text(
+        "Q ; 1 ; 1 ; -2 ; solvable\n"
+        "Q ; 1 ; 1 ; -1000036000099 ; any\n"
+        "Q ; 1 ; 1 ; -1000036000099 ; unsolvable\n"
+        "Q ; 1 ; 1 ; 3 ; unsolvable\n"
+    )
+    code, text = _run(["corpus", str(corpus), "--json"])
+    assert code == 3
+    records = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(r["line"], r["status"]) for r in records] == [
+        (1, "ok"),
+        (2, "undecided"),
+        (3, "undecided"),
+        (4, "ok"),
+    ]
