@@ -65,10 +65,6 @@ class FieldDescriptor:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
-    @property
-    def degree(self) -> int:
-        return 1 if self.is_rational else 2
-
     def element(self, u, v=0) -> "FieldElement":
         return FieldElement(self, u, v)
 
@@ -322,13 +318,6 @@ class FieldElement:
     @property
     def is_integral(self) -> bool:
         return self.den == 1
-
-    @classmethod
-    def from_s_coords(cls, field: FieldDescriptor, p, q) -> "FieldElement":
-        p, q = Fraction(p), Fraction(q)
-        if field.is_rational or field.omega_kind == "sqrt_d":
-            return cls(field, p, q)
-        return cls(field, p - q, 2 * q)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -800,7 +789,7 @@ def elem_sqrt(s: FieldElement) -> Optional[FieldElement]:
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-]?)\s*
         (?:
-            (?P<coef>\d+(?:/\d+)?)\s*\*?\s*(?P<sym1>[sw])?
+            (?P<num>\d+)(?:/(?P<den>\d+))?\s*\*?\s*(?P<sym1>[sw])?
           | (?P<sym2>[sw])
         )\s*""",
     re.VERBOSE,
@@ -808,47 +797,38 @@ _TERM_RE = re.compile(
 
 
 def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
-    """Parse the element grammar: INT, p/q, s = sqrt(d), w = omega."""
+    """Parse the element grammar: INT, p/q, s = sqrt(d), w = omega.
+
+    The terms are summed in integers: the parts of 1, s and w, keyed by
+    their symbol, over one running denominator e."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
-    pos = 0
-    rat = Fraction(0)
-    s_part = Fraction(0)
-    w_part = Fraction(0)
-    first = True
+    pos, e = 0, 1
+    parts = {None: 0, "s": 0, "w": 0}
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse element {text!r} at offset {pos}")
-        sign = m.group("sign")
-        if not first and sign == "":
+        sign, sym = m.group("sign"), m.group("sym2")
+        if pos and not sign:
             raise ParseError(f"missing +/- between terms in {text!r}")
-        sgn = -1 if sign == "-" else 1
-        if m.group("sym2"):
-            coef = Fraction(1)
-            sym = m.group("sym2")
-        else:
-            try:
-                coef = Fraction(m.group("coef"))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in element {text!r}") from None
-            sym = m.group("sym1")
-        coef *= sgn
-        if sym is None:
-            rat += coef
-        elif sym == "s":
-            s_part += coef
-        else:
-            w_part += coef
+        num, den = (1, 1) if sym else (int(m.group("num")), int(m.group("den") or 1))
+        if not den:
+            raise ParseError(f"zero denominator in element {text!r}")
+        if e % den:
+            k = den // math.gcd(e, den)
+            parts, e = {key: x * k for key, x in parts.items()}, e * k
+        parts[sym or m.group("sym1")] += (-num if sign == "-" else num) * (e // den)
         pos = m.end()
-        first = False
-    if (s_part != 0 or w_part != 0) and field.is_rational:
-        raise ParseError("symbols s/w are not valid over Q")
+    r, s, w = parts.values()
     if field.is_rational:
-        return field.element(rat)
-    from_s = FieldElement.from_s_coords(field, rat, s_part)
-    return from_s + field.element(0, w_part)
+        if s or w:
+            raise ParseError("symbols s/w are not valid over Q")
+        return _element(field, (r, 0), e)
+    if field.omega_kind == "sqrt_d":
+        return _element(field, (r, s + w), e)
+    return _element(field, (r - s, 2 * s + w), e)  # sqrt(d) = 2*omega - 1
 
 
 def _fmt_rat(n: int, d: int) -> str:

@@ -1,12 +1,14 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree
+import conic_nf.fields
+from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree, ParseError
 from conic_nf.fields import (
     FieldElement,
     Surd,
@@ -414,6 +416,128 @@ def test_parse_rejects():
         parse_element(Q6, "")
     with pytest.raises(ParseError):
         parse_element(Q6, "3 4")
+
+
+# The parser before it summed in integers: three Fraction parts, the s part
+# mapped through s-coordinates and the w part added as a second element.
+_REF_TERM_RE = re.compile(
+    r"""\s*(?P<sign>[+-]?)\s*
+        (?:
+            (?P<coef>\d+(?:/\d+)?)\s*\*?\s*(?P<sym1>[sw])?
+          | (?P<sym2>[sw])
+        )\s*""",
+    re.VERBOSE,
+)
+
+
+def _ref_from_s_coords(field, p, q):
+    if field.is_rational or field.omega_kind == "sqrt_d":
+        return FieldElement(field, p, q)
+    return FieldElement(field, p - q, 2 * q)
+
+
+def _ref_parse_element(field, text):
+    text = text.strip()
+    if not text:
+        raise ParseError("empty element")
+    pos = 0
+    rat, s_part, w_part = Fraction(0), Fraction(0), Fraction(0)
+    first = True
+    while pos < len(text):
+        m = _REF_TERM_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"cannot parse element {text!r} at offset {pos}")
+        sign = m.group("sign")
+        if not first and sign == "":
+            raise ParseError(f"missing +/- between terms in {text!r}")
+        if m.group("sym2"):
+            coef, sym = Fraction(1), m.group("sym2")
+        else:
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in element {text!r}") from None
+            sym = m.group("sym1")
+        coef *= -1 if sign == "-" else 1
+        if sym is None:
+            rat += coef
+        elif sym == "s":
+            s_part += coef
+        else:
+            w_part += coef
+        pos = m.end()
+        first = False
+    if (s_part != 0 or w_part != 0) and field.is_rational:
+        raise ParseError("symbols s/w are not valid over Q")
+    if field.is_rational:
+        return field.element(rat)
+    return _ref_from_s_coords(field, rat, s_part) + field.element(0, w_part)
+
+
+def _random_element_text(rng):
+    """A term list in the element grammar, often broken by an edit."""
+    terms = []
+    for i in range(rng.randint(1, 5)):
+        sign = rng.choice(["+", "-", " - ", "+ "]) if i or rng.random() < 0.5 else ""
+        num = str(rng.choice([0, 1, 2, 7, 12, 105, rng.randrange(10**rng.randint(1, 25))]))
+        if rng.random() < 0.1:
+            num = "0" + num
+        coef = num
+        if rng.random() < 0.4:
+            coef += "/" + str(rng.choice([0, 1, 2, 3, 4, 6, rng.randrange(1, 10**rng.randint(1, 12))]))
+        sym = rng.choice(["", "", "s", "w", "s", "w"])
+        if sym and rng.random() < 0.3:
+            term = sym
+        else:
+            term = coef + rng.choice(["", "", "*", " * ", " "]) + sym if sym else coef
+        terms.append(sign + term)
+    text = "".join(terms)
+    edit = rng.random()
+    if edit < 0.08 and text:
+        cut = rng.randrange(len(text))
+        text = text[:cut] + text[cut + 1 :]
+    elif edit < 0.16:
+        cut = rng.randrange(len(text) + 1)
+        junk = rng.choice(["x", "/", "**", "++", "+-", " ", "5 ", ".", "s", "w", "1/0", "\t"])
+        text = text[:cut] + junk + text[cut:]
+    elif edit < 0.18:
+        text = rng.choice(["", "  ", "+", "-", "s w", "3 4", "/2", "2/", "ws"])
+    return rng.choice(["", " "]) + text + rng.choice(["", " "])
+
+
+def test_parse_element_matches_the_fraction_reference():
+    fields = [Q, Q7, Q6, make_field(5), make_field(2), make_field(-3), make_field(13)]
+    rng = random.Random(20)
+    outcomes = {"element": 0, "error": 0}
+    for _ in range(100_000):
+        field, text = rng.choice(fields), _random_element_text(rng)
+        try:
+            want = _ref_parse_element(field, text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_element(field, text)
+            assert str(got.value) == str(exc), text
+            outcomes["error"] += 1
+        else:
+            got = parse_element(field, text)
+            assert (got.num, got.den) == (want.num, want.den), text
+            outcomes["element"] += 1
+    assert min(outcomes.values()) > 20_000
+    # The Q rule reads the s and w parts apart.
+    assert parse_element(Q, "s-s") == 0
+    with pytest.raises(ParseError, match="not valid over Q"):
+        parse_element(Q, "w-s")
+
+
+def test_parse_element_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("parse_element built a Fraction")
+
+    monkeypatch.setattr(conic_nf.fields, "Fraction", no_fraction)
+    assert parse_element(Q7, "1/2 + 3/4s - 5/6w").num == (-3, 8)
+    assert parse_element(Q, "-13/4+1/6").den == 12
+    assert not hasattr(FieldElement, "from_s_coords")
+    assert not hasattr(type(Q), "degree")
 
 
 def test_normalize_associate_deterministic():
