@@ -8,6 +8,7 @@ divisor D_{m,n} can be removed to reach primitive integral solutions.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional
 
 from math import gcd as _int_gcd
@@ -92,25 +93,16 @@ def enumerate_solutions(
     skipped (the rational field uses the degree-two norm u -> u^2).
     """
     field = eq.field
+    box = range(-max_param, max_param + 1)
     if field.is_rational:
-        params = [
-            (field.element(m), field.element(n))
-            for m in range(0, max_param + 1)
-            for n in range(-max_param, max_param + 1)
-        ]
+        slopes = ((m, 0, n, 0) for m, n in itertools.product(range(max_param + 1), box))
     else:
-        box = range(-max_param, max_param + 1)
-        params = [
-            (field.element(mu, mv), field.element(nu, nv))
-            for mu in box
-            for mv in box
-            for nu in box
-            for nv in box
-        ]
+        slopes = itertools.product(box, repeat=4)
     seen = set()
-    for m, n in params:
-        if m.is_zero and n.is_zero:
+    for mu, mv, nu, nv in slopes:
+        if mu == mv == nu == nv == 0:
             continue
+        m, n = field.element(mu, mv), field.element(nu, nv)
         sol = primitive_param(eq, base, m, n)
         if sol is None:
             continue

@@ -5,7 +5,7 @@ import pytest
 
 from conic_nf.descent import SolutionTriple, solve_conic, verify
 from conic_nf.errors import BaseDegenerate
-from conic_nf.fields import make_field
+from conic_nf.fields import FieldElement, make_field
 from conic_nf.parametrize import (
     canonical_solution,
     enumerate_solutions,
@@ -127,3 +127,21 @@ def test_enumerate_over_quadratic_field():
         assert verify(eq, sol)
         count += 1
     assert count >= 5
+
+
+def test_enumerate_builds_slopes_lazily(monkeypatch):
+    # The first solution comes before the slope box is built: over Q(sqrt(-7))
+    # at max_param 6 a list of slopes would make 2 * 13^4 elements first.
+    eq = _eq(Q7, 1, 1, -2)
+    base = SolutionTriple(Q7.one(), Q7.one(), Q7.one())
+    built = [0]
+    init = FieldElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    first = next(enumerate_solutions(eq, base, 6))
+    assert verify(eq, first)
+    assert built[0] < 100
