@@ -345,3 +345,26 @@ def test_factorisation_past_the_rho_effort_is_undecided(tmp_path, monkeypatch):
         (3, "undecided"),
         (4, "ok"),
     ]
+
+
+# x^2 + y^2 = m^2*z^2 with m a product of k primes that split: the square
+# part of -m^2 has a root with 2k prime factors and 4^k divisors.  The first
+# divisor tried, the root itself, is principal here, with generator m.
+SQUARE_PART_STALLS = [
+    pytest.param(d, eq, m, id=f"{d}:{m}")
+    for d, eq, m in (
+        ("-7", "1;1;-54056711485284080869383058609", "232500992439353"),
+        # m = 11*19*29*31*41*59*61*71
+        ("5", "1;1;-3874896081100046263264201", "1968475572899"),
+        # m = 3*7*23*29*41*43*47*61; Q(sqrt(-5)) has class number 2
+        ("-5", "1;1;-5012452473369110868609", "70798675647"),
+    )
+]
+
+
+@pytest.mark.xfail(strict=True, raises=TimeoutError)
+@pytest.mark.parametrize("d, eq, m", SQUARE_PART_STALLS)
+def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
+    code, text = _within(1.0, _run, ["solve", "--field", d, "--eq", eq, "--json"])
+    assert code == 0
+    assert json.loads(text)["solution"] == {"x": m, "y": "0", "z": "-1"}
