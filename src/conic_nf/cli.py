@@ -78,12 +78,8 @@ def _emit(payload: dict, as_json: bool, out) -> None:
 def _cmd_check(args, out) -> int:
     field = _parse_field(args.field)
     eq = _parse_equation(field, args.eq)
-    try:
-        payload, code = check_solvable(eq).to_dict(), EXIT_OK
-    except UndecidedError as exc:
-        payload, code = {"undecided": str(exc)}, EXIT_UNDECIDED
-    _emit(payload, args.json, out)
-    return code
+    _emit(check_solvable(eq).to_dict(), args.json, out)
+    return EXIT_OK
 
 
 def _cmd_solve(args, out) -> int:
@@ -94,16 +90,15 @@ def _cmd_solve(args, out) -> int:
         sol = solve_conic(eq, trace=trace)
     except NotSolvable:
         payload, code = {"solvable": False}, EXIT_OK
-    except UndecidedError as exc:
-        payload, code = {"undecided": str(exc)}, EXIT_UNDECIDED
     else:
         if verify(eq, sol):
             payload, code = {"solvable": True, "solution": _triple_dict(sol)}, EXIT_OK
         else:
             payload, code = {"error": "solver output failed verification"}, EXIT_MISMATCH
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(trace.to_list(), fh, indent=2)
+    finally:
+        if args.trace:
+            with open(args.trace, "w") as fh:
+                json.dump(trace.to_list(), fh, indent=2)
     _emit(payload, args.json, out)
     return code
 
@@ -144,11 +139,7 @@ def _cmd_reduce(args, out) -> int:
     field = _parse_field(args.field)
     eq = _parse_equation(field, args.eq)
     sol = SolutionTriple(*_parse_triple(field, args.solution))
-    try:
-        red = reduce_solution(eq, sol)
-    except UndecidedError as exc:
-        _emit({"undecided": str(exc)}, args.json, out)
-        return EXIT_UNDECIDED
+    red = reduce_solution(eq, sol)
     assert verify(eq, red) and is_reduced(eq, red)
     _emit({"solution": _triple_dict(red), "reduced": True}, args.json, out)
     return EXIT_OK
@@ -329,6 +320,9 @@ def run(argv=None, out=None) -> int:
         return EXIT_PARSE
     try:
         return handler(args, out)
+    except UndecidedError as exc:
+        _emit({"undecided": str(exc)}, args.json, out)
+        return EXIT_UNDECIDED
     except (ParseError, ConicError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_PARSE

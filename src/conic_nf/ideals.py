@@ -20,6 +20,7 @@ ideal (Cohen, 5.6), which also yields the unit that balances a generator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -566,14 +567,14 @@ def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
 
 
 def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
-    """Prime factorization of a nonzero integral ideal."""
+    """Prime factorization of a nonzero integral ideal; over Q it is the
+    factorization of the norm."""
     if I.norm == 1:
         return []
     out: list[tuple[PrimeIdeal, int]] = []
-    for p, _ in factor_int(I.norm):
-        _, primes = splitting_type(I.field, p)
-        for P in primes:
-            e = valuation(I, P)
+    for p, k in factor_int(I.norm):
+        for P in splitting_type(I.field, p)[1]:
+            e = k if I.field.is_rational else valuation(I, P)
             if e > 0:
                 out.append((P, e))
     # Sanity: norms must multiply back.
@@ -676,34 +677,36 @@ def balance(ring: IntegerRing, x, unit):
 
 def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
     """Write t = t1 * t2^2 with (t2) the principal ideal of maximal norm
-    whose square divides (t), so (t1) has no principal square divisor."""
+    whose square divides (t), so (t1) has no principal square divisor.
+
+    The candidates are the divisors above (1) of the root R = prod P^(e//2)
+    of the square part of (t), largest norm first, ties in the order of their
+    exponent vectors.  R, the only divisor of its norm, is tried first and is
+    principal over Q and every field of class number 1; only a non-principal
+    R walks the other divisors, one ideal at a time.
+    """
     require_integral(t)
     if t.is_zero:
         raise ValueError("square_decompose of zero")
     field = t.field
-    if field.is_rational:
-        n = t.num[0]
-        t2 = 1
-        for p, e in factor_int(n):
-            t2 *= p ** (e // 2)
-        return field.element(n // (t2 * t2)), field.element(t2)
-    factors = factor_ideal(principal_ideal(t))
-    root = [(P, e // 2) for P, e in factors if e >= 2]
+    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(t)) if e >= 2]
     if not root:
         return t, field.one()
-    # Enumerate divisors of the square-part root, largest norm first.
-    divisors = [unit_ideal(field)]
-    for P, e in root:
-        divisors = [
-            D * prime_power(P, k) for D in divisors for k in range(e + 1)
-        ]
-    divisors.sort(key=lambda D: -D.norm)
-    for D in divisors:
-        if D.norm == 1:
-            break
-        g = is_principal(D)
+    primes, top = zip(*root)
+
+    def candidates():
+        yield top
+        # The sort is stable; R heads the sorted list and (1) ends it.
+        yield from sorted(
+            itertools.product(*(range(k + 1) for k in top)),
+            key=lambda ks: math.prod(P.residue_size**k for P, k in zip(primes, ks)),
+            reverse=True,
+        )[1:-1]
+
+    ring = integer_ring(field)
+    for ks in candidates():
+        g = is_principal(reduce(Ideal.__mul__, (prime_power(P, k) for P, k in zip(primes, ks) if k)))
         if g is not None:
-            ring = integer_ring(field)
             h = ring.pair(g)
             t1 = ring.exact_div(ring.pair(t), ring.mul(h, h))
             assert t1 is not None

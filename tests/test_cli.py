@@ -347,9 +347,37 @@ def test_factorisation_past_the_rho_effort_is_undecided(tmp_path, monkeypatch):
     ]
 
 
+
+def test_reduce_reports_an_undecided_step_with_exit_3(monkeypatch):
+    import conic_nf.holzer
+    from conic_nf.errors import UndecidedError
+
+    def undecided(*args):
+        raise UndecidedError("lattice step undecided")
+
+    monkeypatch.setattr(conic_nf.holzer, "_lattice_step", undecided)
+    argv = ["reduce", "--eq", "1;1;-5", "--solution", "41;38;25", "--json"]
+    code, text = _run(argv)
+    assert code == 3
+    assert json.loads(text) == {"undecided": "lattice step undecided"}
+
+
+def test_solve_writes_trace_when_undecided(tmp_path, monkeypatch):
+    import conic_nf.ideals
+
+    monkeypatch.setattr(conic_nf.ideals, "_RHO_EFFORT", 0)
+    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
+    trace_file = tmp_path / "trace.json"
+    argv = ["solve", "--eq", "1;1;-1000036000099", "--json", "--trace", str(trace_file)]
+    code, text = _run(argv)
+    assert code == 3
+    assert json.loads(text) == {"undecided": "could not factor 1000036000099"}
+    assert isinstance(json.loads(trace_file.read_text()), list)
+
 # x^2 + y^2 = m^2*z^2 with m a product of k primes that split: the square
-# part of -m^2 has a root with 2k prime factors and 4^k divisors.  The first
-# divisor tried, the root itself, is principal here, with generator m.
+# part of -m^2 has a root with 2k prime factors and 4^k divisors, which were
+# all built and sorted (2-16 s) before the root itself, principal with
+# generator m, was tried.
 SQUARE_PART_STALLS = [
     pytest.param(d, eq, m, id=f"{d}:{m}")
     for d, eq, m in (
@@ -362,7 +390,6 @@ SQUARE_PART_STALLS = [
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=TimeoutError)
 @pytest.mark.parametrize("d, eq, m", SQUARE_PART_STALLS)
 def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
     code, text = _within(1.0, _run, ["solve", "--field", d, "--eq", eq, "--json"])

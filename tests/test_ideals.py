@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -278,6 +279,66 @@ def test_square_decompose_identity_and_cleanliness():
             for D in divisors:
                 if D.norm > 1:
                     assert is_principal(D) is None
+
+
+def _square_decompose_by_divisor_list(t):
+    """The former square_decompose: over Q the integer square root of the
+    square part; otherwise every divisor of the root of the square part, as
+    an ideal, sorted by norm and tested for principality in turn."""
+    field = t.field
+    if field.is_rational:
+        n = t.num[0]
+        t2 = 1
+        for p, e in factor_int(n):
+            t2 *= p ** (e // 2)
+        return field.element(n // (t2 * t2)), field.element(t2)
+    factors = factor_ideal(principal_ideal(t))
+    root = [(P, e // 2) for P, e in factors if e >= 2]
+    if not root:
+        return t, field.one()
+    divisors = [unit_ideal(field)]
+    for P, e in root:
+        divisors = [D * prime_power(P, k) for D in divisors for k in range(e + 1)]
+    divisors.sort(key=lambda D: -D.norm)
+    for D in divisors:
+        if D.norm == 1:
+            break
+        g = is_principal(D)
+        if g is not None:
+            ring = integer_ring(field)
+            h = ring.pair(g)
+            t1 = ring.exact_div(ring.pair(t), ring.mul(h, h))
+            return ring.element(t1), g
+    return t, field.one()
+
+
+# Q, Q(sqrt(-7)) and Q(sqrt(6)) have class number 1; Q(sqrt(-5)), Q(sqrt(-6)),
+# Q(sqrt(-15)), Q(sqrt(10)) and Q(sqrt(15)) have 2, Q(sqrt(-23)) 3 and
+# Q(sqrt(-47)) 5.
+@pytest.mark.parametrize(
+    "d, class_number",
+    [("Q", 1), (-7, 1), (6, 1), (-5, 2), (-6, 2), (-15, 2), (10, 2), (15, 2), (-23, 3), (-47, 5)],
+)
+def test_square_decompose_matches_the_divisor_list(d, class_number):
+    K = make_field(d)
+    rng = random.Random(f"square-decompose {d}")
+    non_principal_roots = 0
+    for _ in range(250):
+        u = g = K.zero()
+        while u.is_zero or g.is_zero:
+            # u of small height carries ramified and split primes to powers
+            # above 1, whose roots are often not principal; g adds principal
+            # square factors for the walk to find.
+            u = K.element(rng.randint(-60, 60), 0 if K.is_rational else rng.randint(-60, 60))
+            g = K.element(rng.randint(-9, 9), 0 if K.is_rational else rng.randint(-9, 9))
+        t = u * g * g
+        assert square_decompose(t) == _square_decompose_by_divisor_list(t), t
+        root = [prime_power(P, e // 2) for P, e in factor_ideal(principal_ideal(t)) if e >= 2]
+        if root and is_principal(functools.reduce(Ideal.__mul__, root)) is None:
+            non_principal_roots += 1
+    # About a third of the roots walk past R where the class group is not
+    # trivial.
+    assert (non_principal_roots >= 50) == (class_number > 1), non_principal_roots
 
 
 def test_valuation():
