@@ -1,7 +1,6 @@
 import argparse
 import io
 import json
-import signal
 
 import pytest
 
@@ -10,6 +9,7 @@ from conic_nf.cli import run
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import make_field, parse_element
 from conic_nf.solvability import ConicEquation
+from timelimit import within
 
 import os
 
@@ -275,20 +275,6 @@ def test_run_builds_its_parser_once(monkeypatch):
     assert built[0] == first
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("ran past its time limit")
-
-
-def _within(seconds, fn, *args):
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # A rational coefficient c over a quadratic field has norm c^2, so a prime
 # p > 10^6 dividing c is left as the cofactor p^2 of trial division.  Brent's
 # rho split it only after about sqrt(p) steps (3-25 s, or "could not factor"
@@ -307,7 +293,7 @@ PERFECT_POWER_STALLS = [
 
 @pytest.mark.parametrize("command, d, eq", PERFECT_POWER_STALLS)
 def test_perfect_power_cofactor_decides_within_a_second(command, d, eq):
-    code, text = _within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
+    code, text = within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
     assert code == 0
     payload = json.loads(text)
     assert payload["solvable"] is True
@@ -393,6 +379,35 @@ SQUARE_PART_STALLS = [
 
 @pytest.mark.parametrize("d, eq, m", SQUARE_PART_STALLS)
 def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
-    code, text = _within(1.0, _run, ["solve", "--field", d, "--eq", eq, "--json"])
+    code, text = within(1.0, _run, ["solve", "--field", d, "--eq", eq, "--json"])
     assert code == 0
     assert json.loads(text)["solution"] == {"x": m, "y": "0", "z": "-1"}
+
+
+# solve factors the product -a*b from scratch, though check only needs a, b
+# and c: it is two primes of 64-100 bits, past Brent's rho, so solve exits 3
+# after about 30 s where check decides in well under a second.  Factoring
+# each coefficient once would mend it.
+COEFFICIENT_PRODUCT_STALLS = [
+    pytest.param(d, eq, id=f"{d}:{eq}")
+    for d, eq in (
+        ("Q", "947362135750817778025520064077;1122090946327712751251366359727;-1"),
+        ("-7", "10877552959775353043;10171803002443630981;-1"),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["check", pytest.param("solve", marks=pytest.mark.xfail(strict=True, raises=TimeoutError))],
+)
+@pytest.mark.parametrize("d, eq", COEFFICIENT_PRODUCT_STALLS)
+def test_products_of_coefficient_primes_decide_within_a_second(command, d, eq):
+    code, text = within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["solvable"] is True
+    if command == "solve":
+        field = make_field(d)
+        sol = SolutionTriple(*(parse_element(field, payload["solution"][k]) for k in "xyz"))
+        assert verify(ConicEquation(*(parse_element(field, t) for t in eq.split(";"))), sol)

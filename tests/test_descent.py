@@ -2,7 +2,6 @@ import itertools
 import json
 import os
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ from conic_nf.descent import (
     verify,
 )
 from conic_nf.solvability import ConicEquation
+from timelimit import within
 
 Q = make_field()
 Q6 = make_field(-6)
@@ -359,20 +359,6 @@ PELL_RUNAWAYS = [
 PELL_CANDIDATES = 1000
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("solve_conic ran past its time limit")
-
-
-def _solve_within(equation, seconds):
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return solve_conic(equation)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("d, eq", PELL_RUNAWAYS)
 def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     drawn = [0]
@@ -388,7 +374,7 @@ def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
     monkeypatch.setattr(descent, "_enumerate_small", counted(descent._enumerate_small))
     monkeypatch.setattr(descent, "_enumerate_pairs", counted(descent._enumerate_pairs))
     equation = _golden_equation({"field": d, "eq": eq})
-    sol = _solve_within(equation, 1.0)
+    sol = within(1.0, solve_conic, equation)
     assert drawn[0] < PELL_CANDIDATES, f"drew {drawn[0]} search candidates"
     assert verify(equation, sol)
 
@@ -401,7 +387,7 @@ def test_pell_runaway_solves_within_a_second(d, eq, monkeypatch):
 )
 def test_former_pell_stalls_solve_within_a_second(d, eq):
     equation = _golden_equation({"field": d, "eq": eq})
-    assert verify(equation, _solve_within(equation, 1.0))
+    assert verify(equation, within(1.0, solve_conic, equation))
 
 
 def test_solve_sweep_through_random_points():
@@ -426,7 +412,7 @@ def test_solve_sweep_through_random_points():
                 continue
             equation = ConicEquation(a, b, c)
             try:
-                if not verify(equation, _solve_within(equation, 2.0)):
+                if not verify(equation, within(2.0, solve_conic, equation)):
                     failures.append((d, equation, "not a solution"))
             except (TimeoutError, PellSearchExhausted) as exc:
                 failures.append((d, equation, type(exc).__name__))

@@ -3,7 +3,6 @@ import math
 import json
 import os
 import random
-import signal
 import sys
 
 import pytest
@@ -45,6 +44,7 @@ from conic_nf.residues import (
     sqrt_mod_odd_prime_power,
     sqrt_mod_prime,
 )
+from timelimit import within
 
 Q = make_field()
 Q6 = make_field(-6)
@@ -187,20 +187,6 @@ def test_zero_roots_are_listed_up_to_the_guard():
         sqrt_mod_odd_prime_power(Q.zero(), _prime_over(Q, 1009), 4)
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("ran past its time limit")
-
-
-def _within(seconds, fn, *args):
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _equation(d, eq):
     K = make_field(d)
     return ConicEquation(*(parse_element(K, t) for t in eq.split(";")))
@@ -210,7 +196,7 @@ def _equation(d, eq):
 # over F_p^2 scanned up to p - 1 candidates for a non-residue; the closed form
 # takes microseconds.
 def test_inert_root_runaway_certificate_within_a_second():
-    cert = _within(1.0, check_solvable, _equation(-1, "1;1;-100003"))
+    cert = within(1.0, check_solvable, _equation(-1, "1;1;-100003"))
     assert cert.solvable
     odd = [c for c in cert.to_dict()["conditions"] if c["type"] == "odd_prime"]
     assert odd == [{"ok": True, "prime": "(100003)", "type": "odd_prime", "witness": "s"}]
@@ -224,7 +210,7 @@ INERT_ROOT_RUNAWAYS = [
 
 @pytest.mark.parametrize("d, eq", INERT_ROOT_RUNAWAYS)
 def test_inert_root_runaway_solves_within_a_second(d, eq):
-    sol = _within(1.0, solve_conic, _equation(d, eq))
+    sol = within(1.0, solve_conic, _equation(d, eq))
     assert [format_element(t) for t in (sol.x, sol.y, sol.z)] == ["-1", "1", "1"]
 
 
@@ -322,7 +308,7 @@ def test_sqrt_mod_odd_prime_power_guards_unit_part_roots():
     # 2*1009^4 has 2*1009^2 roots mod 1009^5, past the guard: undecided at
     # once, as for the roots of 0, instead of seconds spent listing them.
     with pytest.raises(UndecidedError):
-        _within(1.0, sqrt_mod_odd_prime_power, Q.element(2 * 1009**4), _prime_over(Q, 1009), 5)
+        within(1.0, sqrt_mod_odd_prime_power, Q.element(2 * 1009**4), _prime_over(Q, 1009), 5)
     # Under the guard every root is listed: 7*3^4 mod 3^7 over Q and 2*3^2
     # mod (3)^4 at the inert 3 of Q(i), against a scan of all residues.
     for K, a, e, n in ((Q, 7 * 3**4, 7, 3**7), (make_field(-1), 2 * 3**2, 4, 3**4)):
