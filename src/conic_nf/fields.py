@@ -16,6 +16,9 @@ callers; floats are only a human-readable approximation.
 Over Q and the imaginary quadratic fields the kernel adds closed-form
 nearest-integer rounding, Euclidean division, extended gcd and normalised
 gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
+Over Q the gcd, the extended gcd and exact division run on plain ints, the
+extended gcd with the nearest-integer quotients of the pair path, so it
+returns the same Bezout coefficients.
 Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
 """
@@ -717,6 +720,9 @@ class IntegerRing:
 
     def exact_div(self, a, b):
         """a / b when b divides a, else None."""
+        if self.field.is_rational:
+            q, r = divmod(a[0], b[0])
+            return None if r else (q, 0)
         den = self.norm(b)
         u, v = self.mul(a, self.conj(b))
         if u % den or v % den:
@@ -726,6 +732,16 @@ class IntegerRing:
     def xgcd(self, a, b):
         """(g, s, t) with s*a + t*b = g = gcd(a, b), by Euclid's algorithm."""
         self._require_definite()
+        if self.field.is_rational:
+            # divmod's quotient ceil(r0/r1 - 1/2), on plain ints.
+            r0, r1, s0, s1, t0, t1 = a[0], b[0], 1, 0, 0, 1
+            while r1:
+                q = -((r1 - 2 * r0) // (2 * r1))
+                r0, r1 = r1, r0 - q * r1
+                s0, s1 = s1, s0 - q * s1
+                t0, t1 = t1, t0 - q * t1
+            assert s0 * a[0] + t0 * b[0] == r0
+            return (r0, 0), (s0, 0), (t0, 0)
         r0, r1 = a, b
         s0, s1 = (1, 0), (0, 0)
         t0, t1 = (0, 0), (1, 0)
@@ -752,6 +768,8 @@ class IntegerRing:
     def gcd(self, xs):
         """The normalised gcd of the pairs xs; (0, 0) if all are zero."""
         self._require_definite()
+        if self.field.is_rational:
+            return math.gcd(*(h[0] for h in xs)), 0
         g = (0, 0)
         for h in xs:
             while h != (0, 0):

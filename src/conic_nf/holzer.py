@@ -10,17 +10,18 @@ integer, so the steps end, and a step that cannot shrink it raises.
 
 The steps run on integer (u, v) pairs through the integer kernel of
 fields (IntegerRing): the equation and the start are converted once, each
-step checks in integers that its point lies on the conic, and the result is
-converted back and verified before it is returned.
+step checks in integers that its point lies on the conic, and so do the
+start and the result before the result is converted back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
-from .descent import SolutionTriple, verify
+from .descent import SolutionTriple
 from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring
 from .lattice import combine, module_basis, reduce_pairs
 from .solvability import ConicEquation
@@ -135,16 +136,21 @@ def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
     fields (d = -1, -2, -3, -7, -11).
     """
     bound_constant_sq(eq.field)
-    if sol.is_trivial or not verify(eq, sol):
-        raise PreconditionViolated("starting point is not a solution")
-    if not all(t.is_integral for t in (sol.x, sol.y, sol.z)):
-        raise PreconditionViolated("starting solution must be integral")
     ring = integer_ring(eq.field)
     coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
-    cur = _primitive(ring, (ring.pair(sol.x), ring.pair(sol.y), ring.pair(sol.z)))
+    # Over a common denominator the start is integral, and on the conic
+    # exactly when it is.
+    point = (sol.x, sol.y, sol.z)
+    den = math.lcm(*(t.den for t in point))
+    start = tuple(ring.pair(t * den if den > 1 else t) for t in point)
+    if sol.is_trivial or not _on_conic(ring, coeffs, start):
+        raise PreconditionViolated("starting point is not a solution")
+    if den > 1:
+        raise PreconditionViolated("starting solution must be integral")
+    cur = _primitive(ring, start)
     while True:
         red = SolutionTriple(*map(ring.element, cur))
         if is_reduced(eq, red):
-            assert verify(eq, red)
+            assert _on_conic(ring, coeffs, cur)
             return red
         cur = _lattice_step(ring, coeffs, cur)

@@ -40,10 +40,44 @@ from .fields import (
 
 _TRIAL_LIMIT = 10**6
 _RHO_EFFORT = 10**6
+# Trial division runs through the primes below _SMALL_PRIMES_LIMIT, then,
+# while the cofactor is at least _SMALL_PRIMES_LIMIT^2 (about 1.7*10^7),
+# through a table of the primes up to _TRIAL_LIMIT sieved on first use.
+_SMALL_PRIMES_LIMIT = 2**12
 
 # A race between threads only computes an entry twice: a dict get or set is
 # atomic under the interpreter lock.
 _factor_cache: dict[int, tuple[int, ...]] = {}
+
+
+def _primes(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes p with lo <= p < hi, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, hi, p)))
+    return tuple(itertools.compress(range(lo, hi), sieve[lo:]))
+
+
+_SMALL_PRIMES = _primes(2, _SMALL_PRIMES_LIMIT)
+
+
+@functools.cache
+def _large_primes() -> tuple[int, ...]:
+    return _primes(_SMALL_PRIMES_LIMIT, _TRIAL_LIMIT + 1)
+
+
+def _trial_divide(m: int, table, primes: list[int]) -> int:
+    """m with every prime p of table such that p*p <= m divided out, each
+    time appended to primes."""
+    for p in table:
+        if p * p > m:
+            break
+        while m % p == 0:
+            primes.append(p)
+            m //= p
+    return m
 
 
 def is_probable_prime(n: int) -> bool:
@@ -125,13 +159,9 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         primes = list(cached)
     else:
         primes = []
-        m = n
-        p = 2
-        while p * p <= m and p <= _TRIAL_LIMIT:
-            while m % p == 0:
-                primes.append(p)
-                m //= p
-            p += 1 if p == 2 else 2
+        m = _trial_divide(n, _SMALL_PRIMES, primes)
+        if m >= _SMALL_PRIMES_LIMIT**2:
+            m = _trial_divide(m, _large_primes(), primes)
         stack = [m] if m > 1 else []
         rng = random.Random(0xC0FFEE ^ n)
         while stack:

@@ -350,6 +350,34 @@ def test_euclid_divmod_random_property():
             assert abs(r.norm()) < abs(b.norm())
 
 
+def test_rational_kernel_matches_the_gaussian_pair_path():
+    # Over Q the kernel's xgcd, exact_div and gcd run on plain ints.  On
+    # (a, 0) and (b, 0) the pair path of Q(sqrt(-1)) takes the same
+    # nearest-integer quotients, so it is the reference: the same Bezout
+    # coefficients, which the lattice step of holzer feeds to LLL.  Its
+    # normalised gcd is the negative associate.
+    ring, ref = integer_ring(Q), integer_ring(QI)
+    rng = random.Random(23)
+
+    def draw():
+        n = rng.choice((0, 1, 2, 8, 64, 200, rng.randint(0, 200)))
+        return rng.choice((-1, 1)) * rng.getrandbits(n)
+
+    for i in range(10_000):
+        a, b = draw(), draw()
+        if i % 3 == 0:
+            a = b * draw()
+        pa, pb = (a, 0), (b, 0)
+        assert ring.xgcd(pa, pb) == ref.xgcd(pa, pb), (a, b)
+        g, h = ring.gcd([pa, pb]), ref.gcd([pa, pb])
+        assert g[0] >= 0 and g == (abs(h[0]), h[1]) == (math.gcd(a, b), 0), (a, b)
+        if b:
+            assert ring.exact_div(pa, pb) == ref.exact_div(pa, pb), (a, b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ring.exact_div(pa, pb)
+
+
 def test_gcd_divides_and_maximal():
     rng = random.Random(9)
     for d in (-1, -3, -7, -11, -2):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,24 @@ def test_reduce_requires_solution():
     eq = _eq(Q, 1, 1, -2)
     with pytest.raises(PreconditionViolated):
         reduce_solution(eq, SolutionTriple(Q.element(1), Q.element(2), Q.element(3)))
+
+
+# Starts on x^2 + y^2 - 2z^2 = 0 and the precondition each one fails: a
+# start that is not a solution is reported as such before its integrality.
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ((1, 2, 3), "starting point is not a solution"),
+        ((0, 0, 0), "starting point is not a solution"),
+        ((Fraction(1, 2), 1, 1), "starting point is not a solution"),
+        ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), "starting solution must be integral"),
+    ],
+)
+def test_reduce_precondition_messages(start, message):
+    eq = _eq(Q, 1, 1, -2)
+    with pytest.raises(PreconditionViolated) as raised:
+        reduce_solution(eq, SolutionTriple(*map(Q.element, start)))
+    assert str(raised.value) == message
 
 
 def test_reduce_solver_output_rational():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import conic_nf.ideals
 from conic_nf.fields import integer_ring, make_field, normalize_associate, parse_element
 from conic_nf.ideals import (
     Ideal,
@@ -45,6 +46,38 @@ def test_factor_int_splits_cofactors_past_trial_division():
     assert factor_int(q**3) == [(q, 3)]
     assert factor_int(-7 * p**2 * 1000003**3) == [(7, 1), (1000003, 3), (p, 2)]
     assert factor_int((p * q) ** 2) == [(p, 2), (q, 2)]
+
+
+def _factor_by_trial_division(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + ([(n, 1)] if n > 1 else [])
+
+
+def test_factor_int_trial_divides_by_primes_from_a_lazy_table(monkeypatch):
+    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
+    conic_nf.ideals._large_primes.cache_clear()
+    # Up to 4093^2, 4093 being the last prime of the small table, trial
+    # division never builds the table of primes up to 10^6.
+    rng = random.Random(71)
+    for n in [4093**2, 4091 * 4093, 5_000_000, 5_000_011] + [rng.randint(2, 4093**2) for _ in range(300)]:
+        assert factor_int(n) == _factor_by_trial_division(n), n
+    assert conic_nf.ideals._large_primes.cache_info().currsize == 0
+    # Products of primes on both sides of the table's first entry (4099) and
+    # of the trial-division limit, with known factorisations.
+    pool = [2, 3, 4091, 4093, 4099, 4111, 65521, 999983, 1000003, 1000033, 10**12 + 39]
+    for _ in range(60):
+        expected = sorted((p, rng.randint(1, 3)) for p in rng.sample(pool, rng.randint(1, 3)))
+        n = math.prod(p**e for p, e in expected)
+        assert factor_int(rng.choice((-1, 1)) * n) == expected, n
+    assert conic_nf.ideals._large_primes.cache_info().currsize == 1
 
 
 def test_is_probable_prime_rejects_a_strong_pseudoprime():
