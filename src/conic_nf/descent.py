@@ -10,17 +10,22 @@ Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
 does not shrink, ends in one search over pairs (y, z) in the reduced basis of
 the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
-Every decision of a step is a test on the integer kernel's pairs: the
-square test is the kernel's closed-form root (elem_sqrt), and norms and
-units are integer comparisons.  A DescentTrace stores the elements of each
-step and formats them only in to_list().
+Every step runs on kernel values: the integer kernel's pairs over a
+quadratic field, plain ints over Q (_INTS).  The helpers it calls
+(factor_ideal, sqrt_mod_ideal, short_congruence_pair, square_decompose)
+take ints over Q and FieldElements otherwise.  The square test is a
+closed-form root, norms and units are integer comparisons, and each step
+checks its composition in the kernel.  A DescentTrace stores the kernel
+values of each step and makes elements of them only when read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .errors import NotSolvable, PellSearchExhausted
@@ -30,12 +35,11 @@ from .fields import (
     elem_sqrt,
     format_element,
     integer_ring,
-    is_unit,
     make_field,
     require_integral,
 )
-from .ideals import factor_ideal, prime_power, principal_ideal
-from .ideals import square_decompose, unit_ideal
+from .ideals import factor_ideal, factor_int, prime_power, principal_ideal
+from .ideals import record_factorisation, square_decompose, unit_ideal
 from .lattice import combine, module_basis, reduce_pairs
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
@@ -43,6 +47,32 @@ from .solvability import ConicEquation, check_solvable
 
 DEFAULT_PELL_BOUND = 200
 MAX_DEPTH = 80
+
+
+def _int_sqrt(x: int) -> Optional[int]:
+    r = math.isqrt(x) if x >= 0 else -1
+    return r if r * r == x else None
+
+
+# Q's integers as the descent's kernel: the part of IntegerRing's API that a
+# step uses, on plain ints.  The helpers take ints over Q, so element and
+# pair, which turn kernel values into the helpers' FieldElements and back
+# over a quadratic field, are the identity here.
+_INTS = SimpleNamespace(
+    field=make_field(), one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
+    norm=lambda x: x * x, sqrt=_int_sqrt, exact_div=lambda a, b: None if a % b else a // b,
+    element=lambda x: x, pair=lambda x: x,
+)
+
+
+def _element_of(field: FieldDescriptor, x):
+    """The element of a kernel value (an int or a pair), elementwise in a
+    list; anything else is returned as it is."""
+    if isinstance(x, list):
+        return [_element_of(field, v) for v in x]
+    if type(x) is int:
+        x = (x, 0)
+    return integer_ring(field).element(x) if type(x) is tuple else x
 
 
 @dataclass(frozen=True)
@@ -81,16 +111,53 @@ def _formatted(value):
 class DescentTrace:
     """Recorded steps of a descent run, for inspection and JSON output.
 
-    A step keeps the elements it was given; to_list() formats them."""
+    A step keeps the values it was given, kernel values when it names their
+    field; steps makes elements of those, and to_list() formats them."""
 
     def __init__(self):
-        self.steps: list[dict] = []
+        self._steps: list[tuple[Optional[FieldDescriptor], dict]] = []
 
-    def add(self, kind: str, **info):
-        self.steps.append({"step": kind, **info})
+    def add(self, kind: str, field: Optional[FieldDescriptor] = None, **info):
+        self._steps.append((field, {"step": kind, **info}))
+
+    @property
+    def steps(self) -> list[dict]:
+        return [
+            step if field is None else {k: _element_of(field, v) for k, v in step.items()}
+            for field, step in self._steps
+        ]
 
     def to_list(self) -> list[dict]:
         return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
+
+
+def _norm_form(eq: ConicEquation):
+    """(a, A1, A2, B1, B2) with -a*b = A1*A2^2 and -a*c = B1*B2^2, ints over
+    Q and FieldElements otherwise, as the helpers take them.
+
+    a, b and c are factored once.  Every prime of -a*b, -a*c and of their
+    square-free parts is one of theirs, so those (their norms, and over a
+    quadratic field a rational A1 or B1 itself, which the rational-subfield
+    shortcut factors over Q) enter the factor cache by division, and no
+    product is trial-divided or split by rho."""
+    field = eq.field
+    if field.is_rational:
+        a, b, c = (x.num[0] for x in (eq.a, eq.b, eq.c))
+        size = abs
+    else:
+        a, b, c, norm = eq.a, eq.b, eq.c, integer_ring(field).norm
+        size = lambda x: abs(norm(x.num))
+    primes = {p for x in (a, b, c) for p, _ in factor_int(size(x))}
+    A0, B0 = -(a * b), -(a * c)
+    for x in (A0, B0):
+        record_factorisation(size(x), primes)
+    A1, A2 = square_decompose(A0)
+    B1, B2 = square_decompose(B0)
+    for x in (A1, B1):
+        record_factorisation(size(x), primes)
+        if not field.is_rational and not x.num[1]:
+            record_factorisation(x.num[0], primes)
+    return a, A1, A2, B1, B2
 
 
 def to_norm_form(
@@ -103,11 +170,7 @@ def to_norm_form(
     returned map sends a solution of the norm form back to a (rational)
     solution of the original equation.
     """
-    a, b, c = eq.a, eq.b, eq.c
-    A0 = -(a * b)
-    B0 = -(a * c)
-    A1, A2 = square_decompose(A0)
-    B1, B2 = square_decompose(B0)
+    a, A1, A2, B1, B2 = (_element_of(eq.field, x) for x in _norm_form(eq))
 
     def back(x: FieldElement, y: FieldElement, z: FieldElement):
         return (x / a, y / A2, z / B2)
@@ -146,12 +209,10 @@ def _enumerate_pairs(ring, a, b):
                 yield combine(k, rows)
 
 
-def _norm_search(
-    A: FieldElement, B: FieldElement, trace: DescentTrace
-) -> tuple[FieldElement, FieldElement, FieldElement]:
+def _norm_search(ring, A, B, trace: DescentTrace):
     """The base of the descent, for a unit B or a quotient t that does not
     shrink: the first pair (y, z) of _enumerate_pairs with A*y^2 + B*z^2 a
-    square x^2.
+    square x^2, as kernel values of ring.
 
     The search ends.  At depth 0 the descent checks x^2 = A*y^2 + B*z^2
     locally solvable, and each step keeps it so: t*B = a0^2 - A*b0^2 is a
@@ -161,13 +222,14 @@ def _norm_search(
     O_K, not both 0, and then x in O_K.  The rows of _enumerate_pairs are a
     Z-basis of O_K^2, so it reaches that pair or its negative.
     """
-    trace.add("pell_fallback", A=A, B=B)
-    ring = integer_ring(A.field)
-    a, b, mul = ring.pair(A), ring.pair(B), ring.mul
-    for y, z in _enumerate_pairs(ring, a, b):
-        x = ring.sqrt(ring.add(mul(a, mul(y, y)), mul(b, mul(z, z))))
+    trace.add("pell_fallback", ring.field, A=A, B=B)
+    pairs = integer_ring(ring.field)
+    a, b = (A, B) if ring is pairs else ((A, 0), (B, 0))
+    mul = pairs.mul
+    for y, z in _enumerate_pairs(pairs, a, b):
+        x = pairs.sqrt(pairs.add(mul(a, mul(y, y)), mul(b, mul(z, z))))
         if x is not None:
-            return ring.element(x), ring.element(y), ring.element(z)
+            return (x, y, z) if ring is pairs else (x[0], y[0], z[0])
 
 
 def solve_pell(
@@ -190,6 +252,14 @@ def solve_pell(
     )
 
 
+def _compose(ring, A, pair, inner, t12):
+    """(a0*a1 + A*b0*b1, a1*b0 + a0*b1, t12*g1) for pair = (a0, b0) and
+    inner = (a1, b1, g1), in ring's arithmetic."""
+    mul, add = ring.mul, ring.add
+    (a0, b0), (a1, b1, g1) = pair, inner
+    return add(mul(a0, a1), mul(A, mul(b0, b1))), add(mul(a1, b0), mul(a0, b1)), mul(t12, g1)
+
+
 def compose_solution(
     A: FieldElement,
     pair: tuple[FieldElement, FieldElement],
@@ -201,13 +271,10 @@ def compose_solution(
 
     Uses the norm identity
     (a0^2 - A b0^2)(a1^2 - A b1^2) = (a0 a1 + A b0 b1)^2 - A (a0 b1 + a1 b0)^2.
+    The descent composes kernel values the same way; the operators of _INTS
+    serve FieldElements too.
     """
-    a0, b0 = pair
-    a1, b1, g1 = inner.x, inner.y, inner.z
-    x = a0 * a1 + A * b0 * b1
-    y = a1 * b0 + a0 * b1
-    z = t1 * t2 * g1
-    return SolutionTriple(x, y, z)
+    return SolutionTriple(*_compose(_INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
 
 
 def _try_rational_subfield(
@@ -220,12 +287,12 @@ def _try_rational_subfield(
     field = A.field
     if field.is_rational or A.num[1] or B.num[1]:
         return None
-    Qf = make_field()
-    a, b = Qf.element(A.num[0]), Qf.element(B.num[0])
-    if not check_solvable(ConicEquation.from_coefficients(Qf.one(), -a, -b)).solvable:
+    Qf = _INTS.field
+    a, b = A.num[0], B.num[0]
+    if not check_solvable(ConicEquation.from_coefficients(Qf.one(), Qf.element(-a), Qf.element(-b))).solvable:
         return None
-    sol = legendre_descent(a, b, _depth=1)
-    return tuple(field.element(t.num[0]) / t.den for t in sol)
+    sol = legendre_descent(a, b, None, 1, _INTS)
+    return tuple(_element_of(field, t) for t in sol)
 
 
 def legendre_descent(
@@ -233,22 +300,27 @@ def legendre_descent(
     B: FieldElement,
     trace: Optional[DescentTrace] = None,
     _depth: int = 0,
+    _ring=None,
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
     """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
 
     The top-level call decides the local conditions once and raises
     NotSolvable when they fail; the recursive calls do not check again.
-    Each call is one step of the descent (see the module docstring).
+    Each call is one step of the descent (see the module docstring).  The
+    descent's own calls pass its kernel as _ring, and A, B and the solution
+    are then that kernel's values.
     """
-    field = A.field
-    ring = integer_ring(field)
-    require_integral(A)
-    require_integral(B)
     if trace is None:
         trace = DescentTrace()
     if _depth > MAX_DEPTH:
         raise PellSearchExhausted("descent recursion exceeded its depth limit")
-
+    if _ring is not None:
+        return _step(_ring, A, B, trace, _depth)
+    field = A.field
+    ring = integer_ring(field)
+    a, b = ring.pair(A), ring.pair(B)
+    if field.is_rational:
+        ring, a, b = _INTS, a[0], b[0]
     if _depth == 0:
         sub = _try_rational_subfield(A, B)
         if sub is not None:
@@ -261,46 +333,58 @@ def legendre_descent(
                 f"x^2 - ({format_element(A)})y^2 = ({format_element(B)})z^2 "
                 f"fails the local conditions ({cert.reason})"
             )
+    return tuple(_element_of(field, v) for v in _step(ring, a, b, trace, _depth))
 
+
+def _step(ring, A, B, trace: DescentTrace, depth: int):
+    """One step of the descent on the kernel values A and B of ring."""
+    field = ring.field
     # A perfect square A short-circuits everything: x = sqrt(A)*y.
-    sq = elem_sqrt(A)
+    sq = ring.sqrt(A)
     if sq is not None:
-        trace.add("square_discriminant", sqrt=sq)
-        return (sq, field.one(), field.zero())
+        trace.add("square_discriminant", field, sqrt=sq)
+        return (sq, ring.one, ring.zero)
 
-    norm_b = abs(ring.norm(B.num))
-    if abs(ring.norm(A.num)) > norm_b:
-        trace.add("swap", A=A, B=B)
-        x, y, z = legendre_descent(B, A, trace, _depth + 1)
+    norm_b = abs(ring.norm(B))
+    if abs(ring.norm(A)) > norm_b:
+        trace.add("swap", field, A=A, B=B)
+        x, y, z = legendre_descent(B, A, trace, depth + 1, ring)
         return (x, z, y)
 
-    if is_unit(B):
-        return _norm_search(A, B, trace)
+    if norm_b == 1:
+        return _norm_search(ring, A, B, trace)
 
     # (B) = M^2 * S with S squarefree, from one factorization.  A root of A
     # mod S exists when the conditions hold: at an odd P | S not dividing A
     # the Hilbert symbol (A, B)_P = 1 says A is a square mod P; w = 0 at
-    # P | A; over 2 every residue is a square.
-    S, M = principal_ideal(B), None
-    factors = factor_ideal(S)
-    if any(e > 1 for _, e in factors):
-        S = M = unit_ideal(field)
-        for P, e in factors:
-            S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
-    w = sqrt_mod_ideal(A, S, [(P, 1) for P, e in factors if e % 2])
+    # P | A; over 2 every residue is a square.  Over Q, S and M are ints.
+    if ring is _INTS:
+        factors = factor_ideal(B)
+        S = math.prod(p for p, e in factors if e % 2)
+        M = math.prod(p ** (e // 2) for p, e in factors)
+    else:
+        S, M = principal_ideal(ring.element(B)), None
+        factors = factor_ideal(S)
+        if any(e > 1 for _, e in factors):
+            S = M = unit_ideal(field)
+            for P, e in factors:
+                S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
+    EA = ring.element(A)
+    w = sqrt_mod_ideal(EA, S, [(P, 1) for P, e in factors if e % 2])
     assert w is not None, "no root of A modulo the squarefree part of (B)"
 
-    a0, b0 = short_congruence_pair(A, B, w, M)
-    t = (a0 * a0 - A * b0 * b0) / B
-    assert t.is_integral, "congruence pair must give an integral quotient"
-    trace.add("reduce", A=A, B=B, w=w, pair=[a0, b0], t=t)
-    if not abs(ring.norm(t.num)) < norm_b:
-        return _norm_search(A, B, trace)
-    t1, t2 = square_decompose(t)
-    inner = legendre_descent(A, t1, trace, _depth + 1)
-    sol = compose_solution(A, (a0, b0), SolutionTriple(*inner), t1, t2)
-    assert sol.x * sol.x - A * sol.y * sol.y == B * sol.z * sol.z, "descent composition failed"
-    return (sol.x, sol.y, sol.z)
+    a0, b0 = map(ring.pair, short_congruence_pair(EA, ring.element(B), w, M))
+    mul = ring.mul
+    t = ring.exact_div(ring.sub(mul(a0, a0), mul(A, mul(b0, b0))), B)
+    assert t is not None, "congruence pair must give an integral quotient"
+    trace.add("reduce", field, A=A, B=B, w=w, pair=[a0, b0], t=t)
+    if not abs(ring.norm(t)) < norm_b:
+        return _norm_search(ring, A, B, trace)
+    t1, t2 = map(ring.pair, square_decompose(ring.element(t)))
+    inner = legendre_descent(A, t1, trace, depth + 1, ring)
+    x, y, z = _compose(ring, A, (a0, b0), inner, mul(t1, t2))
+    assert ring.sub(mul(x, x), mul(A, mul(y, y))) == mul(B, mul(z, z)), "descent composition failed"
+    return (x, y, z)
 
 
 def verify(eq: ConicEquation, sol: SolutionTriple) -> bool:
@@ -326,12 +410,24 @@ def solve_conic(
     Raises NotSolvable when the equation fails the local conditions: its
     norm form has the same local conditions, and the descent checks them.
     """
-    nf, back = to_norm_form(eq)
+    field = eq.field
+    a, A1, A2, B1, B2 = _norm_form(eq)
+    A, B = _element_of(field, A1), _element_of(field, B1)
     if trace is not None:
-        trace.add("norm_form", A=nf.A, B=nf.B)
-    x, y, z = legendre_descent(nf.A, nf.B, trace)
-    raw = back(x, y, z)
-    xi, yi, zi = _clear_denominators(eq.field, raw)
-    sol = SolutionTriple(xi, yi, zi)
-    assert verify(eq, sol), "descent produced a non-solution"
-    return sol
+        trace.add("norm_form", A=A, B=B)
+    x, y, z = legendre_descent(A, B, trace)
+    if not field.is_rational:
+        sol = SolutionTriple(*_clear_denominators(field, (x / a, y / A2, z / B2)))
+        assert verify(eq, sol), "descent produced a non-solution"
+        return sol
+    # Over Q in ints: the primitive point on the ray through
+    # (x/a, y/A2, z/B2), which is the one _clear_denominators gives, from
+    # the integral multiple by |a*A2*B2| > 0.
+    P = abs(a * A2 * B2)
+    point = [t.num[0] * (P // d) for t, d in zip((x, y, z), (a, A2, B2))]
+    g = math.gcd(*point)
+    assert g, "descent produced a non-solution"
+    X, Y, Z = (t // g for t in point)
+    ca, cb, cc = (t.num[0] for t in (eq.a, eq.b, eq.c))
+    assert ca * X * X + cb * Y * Y + cc * Z * Z == 0, "descent produced a non-solution"
+    return SolutionTriple(*(_element_of(field, t) for t in (X, Y, Z)))

@@ -528,6 +528,7 @@ class IntegerRing:
     """
 
     __slots__ = ("field", "t", "k", "units", "real")
+    one, zero = (1, 0), (0, 0)
 
     def __init__(self, field: FieldDescriptor):
         self.field = field

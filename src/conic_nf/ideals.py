@@ -196,6 +196,23 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def record_factorisation(n: int, primes) -> None:
+    """Enter |n| in the factor cache when each of its prime factors is among
+    primes, by division alone; otherwise leave the cache as it is.  So a
+    product of numbers already factored is never trial-divided or split by
+    rho."""
+    n = abs(n)
+    if n == 0 or n in _factor_cache:
+        return
+    m, found = n, []
+    for p in sorted(primes):
+        while m % p == 0:
+            found.append(p)
+            m //= p
+    if m == 1:
+        _factor_cache[n] = tuple(found)
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n)."""
     if n == 0:
@@ -598,7 +615,10 @@ def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
 
 def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
     """Prime factorization of a nonzero integral ideal; over Q it is the
-    factorization of the norm."""
+    factorization of the norm.  Over Q, I may be the int n of (n), and the
+    factorization is then factor_int's (p, e) pairs."""
+    if type(I) is int:
+        return factor_int(I)
     if I.norm == 1:
         return []
     out: list[tuple[PrimeIdeal, int]] = []
@@ -713,8 +733,15 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
     of the square part of (t), largest norm first, ties in the order of their
     exponent vectors.  R, the only divisor of its norm, is tried first and is
     principal over Q and every field of class number 1; only a non-principal
-    R walks the other divisors, one ideal at a time.
+    R walks the other divisors, one ideal at a time.  Over Q, t may be an
+    int; then t2 = prod p^(e//2) is an int read off factor_int, with no
+    ideal.
     """
+    if type(t) is int:
+        if not t:
+            raise ValueError("square_decompose of zero")
+        g = math.prod(p ** (e // 2) for p, e in factor_ideal(t))
+        return t // (g * g), g
     require_integral(t)
     if t.is_zero:
         raise ValueError("square_decompose of zero")

@@ -210,7 +210,11 @@ def short_congruence_pair(
     |N(t)| <= C_K*sqrt(|N(A)|), C_K = alpha^3*D/4.  A row with y = 0 has x in
     M*S and Q >= 2*sqrt(|N(B)|)/N(M), so the first row has y != 0 once
     |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  Units move the weights, not the bound.
+    Over Q, A, B and w may be ints and M the int m of (m); see
+    _short_rational_pair.
     """
+    if type(A) is int:
+        return _short_rational_pair(A, B, w, M or 1)
     field = A.field
     ring = integer_ring(field)
     a, b, r = ring.pair(A), ring.pair(B), ring.pair(w)
@@ -242,3 +246,28 @@ def short_congruence_pair(
     q = ring.exact_div(ring.sub(mul(x, x), mul(a, mul(y, y))), b)
     assert q is not None, "pair left the congruence lattice"
     return ring.element(x), ring.element(y)
+
+
+def _short_rational_pair(A: int, B: int, w: int, m: int) -> tuple[int, int]:
+    """short_congruence_pair over Q on ints.  The lattice has the Z-basis
+    (w*m, m), (B, 0); its 2x2 Gram matrix is x*x' + s*y*y' with s = |A|
+    (1 for A = 0), which is reduce_pairs' matrix over Q divided by
+    2*_SCALE, so LLL takes the same steps; the key (x^2 + s*y^2, x, y) orders
+    like pair_measure with |N(A)| = A^2."""
+    if B == 0:
+        raise ValueError("modulus must be nonzero")
+    s = abs(A) or 1
+    gens = [(w * m, m), (B, 0)]
+    gram = [[x * h + s * y * k for h, k in gens] for x, y in gens]
+    best_key = None
+    # The reduced rows, then the first generator, as in the pair path.
+    for c, e in lll_reduce(gram)[1] + [[1, 0]]:
+        x, y = c * w * m + e * B, c * m
+        if y == 0:
+            continue
+        key = (x * x + s * y * y, x, y)
+        if best_key is None or key < best_key:
+            best_key = key
+    _, x, y = best_key
+    assert (x * x - A * y * y) % B == 0, "pair left the congruence lattice"
+    return x, y

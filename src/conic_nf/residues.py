@@ -293,7 +293,11 @@ def crt_coefficients(
 def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
     """Minimal-size representative of x + M; ties break to the
     lexicographically smallest (u, v).  The kernel's closest element of the
-    coset of M's HNF lattice, with sizes compared exactly in integers."""
+    coset of M's HNF lattice, with sizes compared exactly in integers.  Over
+    Q, x and M may be ints, M the positive generator of the ideal."""
+    if type(x) is int:
+        r = x % M
+        return min(r, r - M, key=lambda u: (u * u, u))
     field = x.field
     ring = integer_ring(field)
     xu, xv = ring.pair(x)
@@ -309,7 +313,10 @@ def sqrt_mod_ideal(
     """A size-minimal w with w^2 = a (mod M), or None if no root exists;
     factors is M's factorization, when the caller has it.  Past 4,096
     combinations of the roots mod each prime power it returns the least of
-    the first 4,096."""
+    the first 4,096.  Over Q, a may be an int and M a squarefree int, whose
+    factors are then (p, 1) pairs of ints; see _sqrt_mod_squarefree."""
+    if type(a) is int:
+        return _sqrt_mod_squarefree(a, M, factor_ideal(M) if factors is None else factors)
     require_integral(a)
     field = a.field
     if M.norm == 1:
@@ -340,6 +347,40 @@ def sqrt_mod_ideal(
     root = best[1:]
     assert M.reduce_pair(ring.sub(ring.mul(root, root), ring.pair(a))) == (0, 0)
     return ring.element(root)
+
+
+def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
+    """sqrt_mod_ideal over Q on ints, for a squarefree n > 0 with its
+    factors [(p, 1)], with the same roots, combinations and choice.
+
+    The roots mod p are sorted as the prime-power listers give them: a mod 2
+    at p = 2, 0 at p | a, else the two roots +-y of Tonelli-Shanks.  The
+    CRT coefficient of p is m*(m^-1 mod p), m the product of the other
+    primes, and the least (w^2, w) over the first 4,096 combinations wins,
+    each w taken to closest_in_coset as the parent path does."""
+    if n == 1:
+        return 0
+    if any(e != 1 for _, e in factors):
+        raise ValueError(f"modulus {n} is not squarefree")
+    root_sets = []
+    for p, _ in factors:
+        if p == 2 or a % p == 0:
+            root_sets.append([a % p])
+            continue
+        y = _sqrt_mod_p(a, p)
+        if y is None:
+            return None
+        root_sets.append(sorted((y, p - y)))
+    lams = [n // p * pow(n // p, -1, p) for p, _ in factors]
+    best = None
+    for combo in itertools.islice(itertools.product(*root_sets), 4096):
+        cand = closest_in_coset(sum(lam * r for lam, r in zip(lams, combo)) % n, n)
+        key = (cand * cand, cand)
+        if best is None or key < best:
+            best = key
+    root = best[1]
+    assert (root * root - a) % n == 0
+    return root
 
 
 # -- the 2-adic Hilbert symbol -----------------------------------------------

@@ -384,10 +384,11 @@ def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
     assert json.loads(text)["solution"] == {"x": m, "y": "0", "z": "-1"}
 
 
-# solve factors the product -a*b from scratch, though check only needs a, b
-# and c: it is two primes of 64-100 bits, past Brent's rho, so solve exits 3
-# after about 30 s where check decides in well under a second.  Factoring
-# each coefficient once would mend it.
+# solve factored the product -a*b from scratch, though check only needs a,
+# b and c: it is two primes of 64-100 bits, past Brent's rho, so solve exited
+# 3 after about 30 s where check decides in well under a second.  The norm
+# form now factors each coefficient once and enters the products, their
+# square-free parts and their norms in the factor cache by division.
 COEFFICIENT_PRODUCT_STALLS = [
     pytest.param(d, eq, id=f"{d}:{eq}")
     for d, eq in (
@@ -397,12 +398,40 @@ COEFFICIENT_PRODUCT_STALLS = [
 ]
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("d, eq", COEFFICIENT_PRODUCT_STALLS)
+def test_products_of_coefficient_primes_decide_within_a_second(command, d, eq):
+    code, text = within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["solvable"] is True
+    if command == "solve":
+        field = make_field(d)
+        sol = SolutionTriple(*(parse_element(field, payload["solution"][k]) for k in "xyz"))
+        assert verify(ConicEquation(*(parse_element(field, t) for t in eq.split(";"))), sol)
+
+
+# solve over fields of large discriminant: the descent ends in its base
+# search (descent._norm_search) with norms that grow with the discriminant,
+# and the search has to cover a region that grows with them.  Over
+# Q(sqrt(-1009)) solve takes about 8.5 s; over Q(sqrt(10007)), where the base
+# search gets a 30-digit unit, it runs past 45 s.  check decides each in
+# well under a second.
+DISCRIMINANT_STALLS = [
+    pytest.param(d, eq, id=f"{d}:{eq}")
+    for d, eq in (
+        ("-1009", "9-8s;7-3s;-443639-444632s"),
+        ("10007", "3-3s;-6+6s;7294956-4593336s"),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "command",
     ["check", pytest.param("solve", marks=pytest.mark.xfail(strict=True, raises=TimeoutError))],
 )
-@pytest.mark.parametrize("d, eq", COEFFICIENT_PRODUCT_STALLS)
-def test_products_of_coefficient_primes_decide_within_a_second(command, d, eq):
+@pytest.mark.parametrize("d, eq", DISCRIMINANT_STALLS)
+def test_large_discriminant_conics_decide_within_a_second(command, d, eq):
     code, text = within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
     assert code == 0
     payload = json.loads(text)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import conic_nf.fields
 from conic_nf import descent, residues
 from conic_nf.errors import NotSolvable, PellSearchExhausted
 from conic_nf.fields import (
@@ -16,7 +17,7 @@ from conic_nf.fields import (
     make_field,
     parse_element,
 )
-from conic_nf.ideals import Ideal, factor_ideal, principal_ideal
+from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal
 from conic_nf.descent import (
     DescentTrace,
     _enumerate_small,
@@ -437,3 +438,46 @@ def test_descent_reduces_a_modulus_with_a_square_factor():
         if step["step"] == "reduce":
             a0, b0 = step["pair"]
             assert ((a0 * a0 - step["A"] * b0 * b0) / step["B"]).is_integral
+
+
+def test_rational_steps_run_on_ints(monkeypatch):
+    # Over Q every step of the descent runs on plain ints: inside a step no
+    # element, ideal or prime ideal is built, on the golden points over Q and
+    # on the conics of the sweep's draw over Q.  Only the top of
+    # legendre_descent takes and returns elements.
+    rows = [row for row in LATTICE_STEP["points"] if row["field"] == "Q"]
+    rng = random.Random("sweep:None")
+    equations = [_golden_equation(row) for row in rows]
+    while len(equations) < len(rows) + 50:
+        a, b, x0, y0 = (rng.randint(-9, 9) for _ in range(4))
+        if a and b and a * x0 * x0 + b * y0 * y0:
+            equations.append(eq_of(Q, a, b, -(a * x0 * x0 + b * y0 * y0)))
+    inside, built, steps = [0], [], [0]
+    step, element, ideal_init = descent._step, conic_nf.fields._element, Ideal.__init__
+    prime_init = PrimeIdeal.__init__
+
+    def counted_step(*args):
+        inside[0] += 1
+        steps[0] += 1
+        try:
+            return step(*args)
+        finally:
+            inside[0] -= 1
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                built.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(descent, "_step", counted_step)
+    monkeypatch.setattr(conic_nf.fields, "_element", counting("element", element))
+    monkeypatch.setattr(FieldElement, "__init__", counting("element", FieldElement.__init__))
+    monkeypatch.setattr(Ideal, "__init__", counting("ideal", ideal_init))
+    monkeypatch.setattr(PrimeIdeal, "__init__", counting("prime", prime_init))
+    for equation in equations:
+        assert verify(equation, solve_conic(equation))
+    assert steps[0] > 2 * len(equations)
+    assert built == []

@@ -493,3 +493,30 @@ def test_norm_one_unit_generates_the_units_of_norm_one(d):
     eta = norm_one_unit(K)
     assert ring.norm(eta) == 1
     assert eta in {unit, ring.conj(unit), (-unit[0], -unit[1]), tuple(-c for c in ring.conj(unit))}
+
+
+def test_square_decompose_and_factor_ideal_over_q_on_ints():
+    # Over Q the descent passes ints, and gets ints back: the element path's
+    # values, and factor_int's pairs for the primes.
+    rng = random.Random(26)
+    for _ in range(2000):
+        t = rng.choice((-1, 1)) * rng.randint(1, 10**6) * rng.choice((1, 4, 9, 144, 343))
+        e1, e2 = square_decompose(Q.element(t))
+        assert square_decompose(t) == (e1.num[0], e2.num[0])
+        assert factor_ideal(t) == [(P.p, e) for P, e in factor_ideal(principal_ideal(Q.element(t)))]
+    with pytest.raises(ValueError):
+        square_decompose(0)
+
+
+def test_record_factorisation_enters_only_complete_factorisations(monkeypatch):
+    # A product of primes past Brent's rho is factored by division by the
+    # primes given, with no trial division or rho; a number with a prime
+    # not given is left out of the cache.
+    p, q = 947362135750817778025520064077, 1122090946327712751251366359727
+    cache = {}
+    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", cache)
+    conic_nf.ideals.record_factorisation(-4 * p * q * q, {2, 3, p, q})
+    conic_nf.ideals.record_factorisation(3 * p, {p})
+    assert cache == {4 * p * q * q: (2, 2, p, q, q)}
+    monkeypatch.setattr(conic_nf.ideals, "_brent_rho", None)
+    assert factor_int(-4 * p * q * q) == [(2, 2), (p, 1), (q, 2)]
