@@ -287,9 +287,9 @@ def _try_rational_subfield(
     field = A.field
     if field.is_rational or A.num[1] or B.num[1]:
         return None
-    Qf = _INTS.field
-    a, b = A.num[0], B.num[0]
-    if not check_solvable(ConicEquation.from_coefficients(Qf.one(), Qf.element(-a), Qf.element(-b))).solvable:
+    Qf, a, b = _INTS.field, A.num[0], B.num[0]
+    eq = ConicEquation.from_coefficients(Qf.one(), Qf.element(-a), Qf.element(-b))
+    if not check_solvable(eq).solvable:
         return None
     sol = legendre_descent(a, b, None, 1, _INTS)
     return tuple(_element_of(field, t) for t in sol)
@@ -369,11 +369,11 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
             S = M = unit_ideal(field)
             for P, e in factors:
                 S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
-    EA = ring.element(A)
-    w = sqrt_mod_ideal(EA, S, [(P, 1) for P, e in factors if e % 2])
+    A_elem = ring.element(A)
+    w = sqrt_mod_ideal(A_elem, S, [(P, 1) for P, e in factors if e % 2])
     assert w is not None, "no root of A modulo the squarefree part of (B)"
 
-    a0, b0 = map(ring.pair, short_congruence_pair(EA, ring.element(B), w, M))
+    a0, b0 = map(ring.pair, short_congruence_pair(A_elem, ring.element(B), w, M))
     mul = ring.mul
     t = ring.exact_div(ring.sub(mul(a0, a0), mul(A, mul(b0, b0))), B)
     assert t is not None, "congruence pair must give an integral quotient"

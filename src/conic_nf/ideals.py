@@ -15,6 +15,9 @@ Principality is decided on every field with no search: over an imaginary
 field by the shortest vector of the kernel's Lagrange-reduced HNF basis,
 over a real field by the cycle of reduced binary quadratic forms of the
 ideal (Cohen, 5.6), which also yields the unit that balances a generator.
+
+Over Q, factor_ideal and square_decompose also take the descent's plain
+ints, with no ideal.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ small quotient, which drives the descent; holzer reduces the lattice of
 lines through a point the same way (reduce_pairs).  LLL is integral (Cohen,
 Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps its
 Gram-Schmidt data as integers.  The integer weights only steer it, and the
-pair is picked on the kernel's (u, v) pairs by an exact integer comparison.
-_gso and pair_measure are the exact rational definitions.
+pair is picked on the kernel's (u, v) pairs by an exact integer comparison,
+and over Q on the descent's plain ints.  _gso and pair_measure are the exact
+rational definitions.
 """
 
 from __future__ import annotations

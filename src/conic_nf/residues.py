@@ -16,7 +16,8 @@ remainder theorem in closed form: the coefficient of P^e is the integer
 m*(m^-1 mod n_p), with n_p the least positive integer in the moduli over p
 and m the product of the other n_q, times k*(omega - r_Q) when the
 conjugate Q^f divides M too (see crt_coefficients).  All of it runs on the
-integer kernel's pairs; FieldElements only come in and go out.
+integer kernel's pairs; FieldElements only come in and go out.  Over Q,
+sqrt_mod_ideal and closest_in_coset also take the descent's plain ints.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
     at p = 2, 0 at p | a, else the two roots +-y of Tonelli-Shanks.  The
     CRT coefficient of p is m*(m^-1 mod p), m the product of the other
     primes, and the least (w^2, w) over the first 4,096 combinations wins,
-    each w taken to closest_in_coset as the parent path does."""
+    each w taken to closest_in_coset as on the pair path."""
     if n == 1:
         return 0
     if any(e != 1 for _, e in factors):
