@@ -443,10 +443,10 @@ def test_descent_reduces_a_modulus_with_a_square_factor():
 def test_rational_steps_run_on_ints(monkeypatch):
     # Over Q every step of the descent runs on plain ints: inside a step no
     # element, ideal or prime ideal is built, on the golden points over Q and
-    # on the conics of the sweep's draw over Q.  Only the top of
-    # legendre_descent takes and returns elements.
+    # on 50 conics through random points with entries up to 9.  Only the top
+    # of legendre_descent takes and returns elements.
     rows = [row for row in LATTICE_STEP["points"] if row["field"] == "Q"]
-    rng = random.Random("sweep:None")
+    rng = random.Random("ints:Q")
     equations = [_golden_equation(row) for row in rows]
     while len(equations) < len(rows) + 50:
         a, b, x0, y0 = (rng.randint(-9, 9) for _ in range(4))
