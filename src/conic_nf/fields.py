@@ -64,6 +64,22 @@ class FieldDescriptor:
     euclidean: bool
     totally_imaginary: bool
 
+    # Every other field is a function of d (None over Q, never 0), which
+    # hash and == read alone.  The hash is taken once: integer_ring and
+    # splitting_type look the field up in their caches on every call, and
+    # each parsed equation brings its own descriptor.  An int hashes alike in
+    # every process, so a pickled descriptor keeps a valid hash.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.d or 0))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldDescriptor):
+            return NotImplemented
+        return self.d == other.d
+
     @property
     def is_rational(self) -> bool:
         return self.kind == "rational"

@@ -9,7 +9,9 @@ power of p (at Q and split primes in the integer model O_K/P^e = Z/p^e),
 and y is Newton's lift of a root of b mod P (Cohen, A Course in
 Computational Algebraic Number Theory, 1.5 and 4.8).  Every coset is
 listed from the HNFs of the two prime powers, or its least element found by
-one linear congruence.
+one linear congruence; at a degree-1 unramified P (Q and split primes),
+where both HNFs have c = 1, the least root is +-p^(s/2)*y mod p^(s/2+1),
+with no ideal built.
 
 Roots modulo a composite M = prod P_i^e_i are recombined by the Chinese
 remainder theorem in closed form: the coefficient of P^e is the integer
@@ -64,6 +66,15 @@ def _inv(ring: IntegerRing, x, N: int):
 # -- square roots modulo P and P^e, odd P ------------------------------------
 
 
+def _image(P: PrimeIdeal, x, k: int) -> int:
+    """The integer in [0, p^k) congruent to the pair x mod P^k, for a
+    degree-1 prime P, unramified when k > 1."""
+    pk = P.p**k
+    if P.field.is_rational:
+        return x[0] % pk
+    return (x[0] + x[1] * omega_root(P, k)) % pk
+
+
 def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, int]]:
     """A root of y^2 = b (mod P) as a pair, or None.
 
@@ -75,8 +86,7 @@ def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, 
     """
     p = P.p
     if P.f == 1:
-        image = b[0] if P.field.is_rational else b[0] + b[1] * omega_root(P)
-        y = _sqrt_mod_p(image % p, p)
+        y = _sqrt_mod_p(_image(P, b, 1), p)
         return None if y is None else (y, 0)
     b = _mod(b, p)
     m = _sqrt_mod_p(ring.norm(b), p)
@@ -105,10 +115,10 @@ def _lift(ring: IntegerRing, y, b, N: int):
         y = _mod(ring.sub(y, ring.mul(f, _inv(ring, ring.add(y, y), N))), N)
 
 
-def _unit_part(a: FieldElement, P: PrimeIdeal, e: int, s: int):
+def _unit_part(ring: IntegerRing, a, P: PrimeIdeal, e: int, s: int):
     """Pairs (h, b) with v_P(h) = s/2 and b a unit at P such that h*y is a
-    root of x^2 = a (mod P^e) whenever y^2 = b (mod P^(e-s)); s = v_P(a)
-    is even and below e.
+    root of x^2 = a (mod P^e) whenever y^2 = b (mod P^(e-s)), for the pair
+    a with s = v_P(a) even and below e.
 
     Over Q and at a split P, a is the integer A = p^s*B of the model
     O_K/P^e = Z/p^e, h = p^(s/2) and b = B.  At an inert P = (p), h = p^(s/2)
@@ -117,8 +127,7 @@ def _unit_part(a: FieldElement, P: PrimeIdeal, e: int, s: int):
     b = (a/p^m) / g mod p^k, where (p^k) lies in P^(e-s).
     """
     field, p, m = P.field, P.p, s // 2
-    ring = integer_ring(field)
-    u, v = ring.pair(a)
+    u, v = a
     if P.e == 2:
         pk = p ** ((e - s + 1) // 2)
         h = (p ** (m // 2), 0)
@@ -129,9 +138,7 @@ def _unit_part(a: FieldElement, P: PrimeIdeal, e: int, s: int):
         return h, _mod((u // p**m * ginv, v // p**m * ginv), pk)
     if P.f == 2:
         return (p**m, 0), (u // p**s, v // p**s)
-    pe = p**e
-    A = u % pe if field.is_rational else (u + v * omega_root(P, e)) % pe
-    return (p**m, 0), (A // p**s, 0)
+    return (p**m, 0), (_image(P, a, e) // p**s, 0)
 
 
 def _coset(x, Ik: Ideal, Ie: Ideal) -> set:
@@ -154,7 +161,7 @@ def _least_in_coset(x, Ik: Ideal, Ie: Ideal) -> tuple[int, int]:
 
     With (u, v) the reduction of x by Ik = [[a, 0], [b, c]], those residues
     are (u + j*b + i*a, v + j*c) for 0 <= j < Ie.c/Ik.c, reduced mod Ie.
-    When Ie.c = Ik.c (Q, split P) only j = 0 is left.  Otherwise j runs
+    When Ie.c = Ik.c only j = 0 is left.  Otherwise j runs
     over a full period L = a/gcd(a, b) of j*b mod a, the least u is
     u mod gcd(a, b), and the least j reaching it is one linear congruence
     mod L.  L > 1 only at a ramified P with omega = (1 + sqrt(d))/2 and k odd.
@@ -192,7 +199,7 @@ def sqrt_mod_odd_prime_power(
         return [ring.element(x) for x in sorted(roots, key=lambda x: x[::-1])]
     if s % 2:
         return None
-    h, b = _unit_part(a, P, e, s)
+    h, b = _unit_part(ring, ring.pair(a), P, e, s)
     y = _root_mod_prime(ring, b, P)
     if y is None:
         return None
@@ -205,24 +212,34 @@ def sqrt_mod_odd_prime_power(
     return [ring.element(x) for x in sorted(roots)]
 
 
-def least_root(a: FieldElement, P: PrimeIdeal, s: int) -> Optional[FieldElement]:
-    """The first root that sqrt_mod_odd_prime_power(a, P, s + 1) lists, or
-    None, for s = v_P(a) even, without listing the 2*N(P)^(s/2) roots.
+def least_root(ring: IntegerRing, a, P: PrimeIdeal, s: int) -> Optional[tuple[int, int]]:
+    """The first root that sqrt_mod_odd_prime_power(a, P, s + 1) lists, as a
+    pair, or None, for the pair a with s = v_P(a) even, without listing the
+    2*N(P)^(s/2) roots.
 
     With a = h^2*b as in _unit_part, the roots are the two cosets
     +-h*y + P^(s/2+1) for the closed-form root y of the unit b mod P.  As
     v_P(h) = s/2, the cosets depend only on +-y mod P, so any root y of b
-    gives the same least root.
+    gives the same least root.  At a degree-1 unramified P (Q and split
+    primes) both prime powers have c = 1 in HNF, so the least root is the
+    lesser of +-p^(s/2)*y mod p^(s/2+1), y a root mod p of A/p^s for the
+    image A of a in Z/p^(s+1): no ideal is built.
     """
-    ring = integer_ring(P.field)
-    h, b = _unit_part(a, P, s + 1, s)
+    m = s // 2
+    if P.e == P.f == 1:
+        p = P.p
+        y = _sqrt_mod_p(_image(P, a, s + 1) // p**s, p)
+        if y is None:
+            return None
+        q, x0 = p ** (m + 1), p**m * y
+        return min(x0 % q, -x0 % q), 0
+    h, b = _unit_part(ring, a, P, s + 1, s)
     y = _root_mod_prime(ring, b, P)
     if y is None:
         return None
     x0 = ring.mul(h, y)
-    Ik, Ie = prime_power(P, s // 2 + 1), prime_power(P, s + 1)
-    least = min(_least_in_coset(x, Ik, Ie) for x in (x0, (-x0[0], -x0[1])))
-    return ring.element(least)
+    Ik, Ie = prime_power(P, m + 1), prime_power(P, s + 1)
+    return min(_least_in_coset(x, Ik, Ie) for x in (x0, (-x0[0], -x0[1])))
 
 
 def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
@@ -394,11 +411,7 @@ def _two_adic_parts(ring: IntegerRing, x, P: PrimeIdeal) -> tuple[int, int]:
     k = v_2(N(x)) + 3 holds the odd part mod 8.
     """
     n = abs(ring.norm(x))
-    k = (n & -n).bit_length() + 2
-    if P.field.is_rational:
-        image = x[0] % (1 << k)
-    else:
-        image = (x[0] + x[1] * omega_root(P, k)) % (1 << k)
+    image = _image(P, x, (n & -n).bit_length() + 2)
     s = (image & -image).bit_length() - 1
     return s, (image >> s) % 8
 

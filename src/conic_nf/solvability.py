@@ -7,6 +7,14 @@ last prime over 2 passes when every other place does, and when 2 splits the
 first one has completion Q_2 and is decided by the 2-adic Hilbert symbol.
 Each certificate carries the per-place verdicts, the odd-prime witnesses and
 the rule that decided each prime over 2, so it can be re-verified externally.
+
+The check runs on the integer kernel's pairs and builds no ideal of a
+coefficient: the valuations of x = u + v*omega come from the factorisation
+of |N(x)| and, with g = gcd(u, v), the closed form of v_P(g*J) for the
+primitive ideal J = (x/g).  At a degree-1 unramified prime (Q and split
+primes) the witness is closed-form too: the lesser of +-p^(s/2)*y mod
+p^(s/2+1), for y a square root mod p of the unit part of the image of
+-c_i*c_j in Z/p^(s+1).
 """
 
 from __future__ import annotations
@@ -19,16 +27,12 @@ from .errors import BaseDegenerate
 from .fields import (
     FieldDescriptor,
     FieldElement,
+    IntegerRing,
     format_element,
     integer_ring,
     surd_sign,
 )
-from .ideals import (
-    PrimeIdeal,
-    factor_ideal,
-    principal_ideal,
-    splitting_type,
-)
+from .ideals import PrimeIdeal, _scaled_valuation, factor_int, splitting_type
 from .residues import least_root, local_solvable_at_two
 
 
@@ -116,11 +120,38 @@ def embedding_condition(eq: ConicEquation) -> bool:
     return True
 
 
+def _valuations(ring: IntegerRing, x) -> dict[tuple[int, int], int]:
+    """The valuations v_P(x) > 0 of the nonzero pair x, keyed by
+    (p, index of P in splitting_type(field, p)[1]), in the order in which
+    factor_ideal lists the primes of (x).
+
+    They come from the factorisation of |N(x)| with no ideal: with
+    g = gcd(u, v), (x) = g*J for the primitive ideal J of norm |N(x)|/g^2,
+    whose valuations _scaled_valuation gives in closed form.
+    """
+    field = ring.field
+    u, v = x
+    if field.is_rational:
+        return {(p, 0): k for p, k in factor_int(u)}
+    n = abs(ring.norm(x))
+    g = math.gcd(u, v)
+    vals, total = {}, 1
+    for p, _ in factor_int(n):
+        for i, P in enumerate(splitting_type(field, p)[1]):
+            k = _scaled_valuation(P, g, n // (g * g), u // g, v // g)
+            if k:
+                vals[p, i] = k
+                total *= P.residue_size**k
+    assert total == n, "ideal factorization norm mismatch"
+    return vals
+
+
 def _odd_prime_condition(
     coeffs: tuple, vals: list[int], P: PrimeIdeal
 ) -> tuple[bool, Optional[FieldElement]]:
     """Decide local solvability at an odd prime P, with a witness root, from
-    the coefficients (a, b, c) and their valuations vals at P.
+    the coefficients (a, b, c), as FieldElements or the kernel's pairs, and
+    their valuations vals at P.
 
     Over an odd residue field only the valuation parities and the residue
     classes of the unit parts matter: if all three valuations share a
@@ -139,8 +170,11 @@ def _odd_prime_condition(
         i, j = 0, 2
     else:
         i, j = 1, 2
-    witness = least_root(-(coeffs[i] * coeffs[j]), P, vals[i] + vals[j])
-    return witness is not None, witness
+    ring = integer_ring(P.field)
+    x, y = (c if type(c) is tuple else ring.pair(c) for c in (coeffs[i], coeffs[j]))
+    u, v = ring.mul(x, y)
+    root = least_root(ring, (-u, -v), P, vals[i] + vals[j])
+    return root is not None, None if root is None else ring.element(root)
 
 
 def check_solvable(eq: ConicEquation) -> Certificate:
@@ -154,11 +188,14 @@ def check_solvable(eq: ConicEquation) -> Certificate:
     if not ok:
         return Certificate(False, "real_embedding", places)
 
-    # v_P of each coefficient, read from its factorisation (0 where P is absent).
-    coeffs = (eq.a, eq.b, eq.c)
-    factorisations = [dict(factor_ideal(principal_ideal(x))) for x in coeffs]
-    for P in dict.fromkeys(P for f in factorisations for P in f if P.p != 2):
-        vals = [f.get(P, 0) for f in factorisations]
+    # v_P of each coefficient, read from its norm's factorisation (0 where P
+    # is absent); the primes of a come first, then the new ones of b and c.
+    ring = integer_ring(field)
+    coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
+    valuations = [_valuations(ring, x) for x in coeffs]
+    for p, i in dict.fromkeys(key for f in valuations for key in f if key[0] != 2):
+        vals = [f.get((p, i), 0) for f in valuations]
+        P = splitting_type(field, p)[1][i]
         ok, witness = _odd_prime_condition(coeffs, vals, P)
         places.append({"type": "odd_prime", "prime": P, "ok": ok, "witness": witness})
         if not ok:

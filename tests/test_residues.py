@@ -22,6 +22,8 @@ from conic_nf.ideals import (
     Ideal,
     element_valuation,
     factor_ideal,
+    is_probable_prime,
+    kronecker,
     prime_power,
     principal_ideal,
     splitting_type,
@@ -35,9 +37,12 @@ from conic_nf.solvability import (
     embedding_condition,
 )
 from conic_nf.residues import (
+    _ENUM_GUARD,
+    _least_in_coset,
     _root_mod_prime,
     closest_in_coset,
     crt_coefficients,
+    least_root,
     local_solvable_at_two,
     sqrt_mod_dyadic_prime_power,
     sqrt_mod_ideal,
@@ -251,6 +256,69 @@ def test_odd_prime_witness_is_the_least_listed_root():
     # omega = (1 + sqrt(d))/2, where the HNF reduction alone misses the least root.
     assert {(2, 1, "half_one_plus_sqrt_d", 4), (2, 1, "sqrt_d", 4), (1, 2, "sqrt_d", 4),
             (1, 1, "half_one_plus_sqrt_d", 4), (1, 1, None, 4)} <= seen
+
+
+def _degree_one_draw(rng, K, P, s, square=False):
+    """A random a with v_P(a) = s at a degree-1 prime P: a unit at P (a
+    square when square is set) times p^j times pi^(s-j), pi = P's second
+    generator (p over Q), or None when pi has valuation above 1 at P."""
+    pi = K.element(P.p) if K.is_rational else P.second_gen
+    if element_valuation(pi, P) != 1:
+        return None
+    x = K.zero()
+    while x.is_zero or element_valuation(x, P):
+        x = K.element(rng.randint(-10**6, 10**6), 0 if K.is_rational else rng.randint(-10**6, 10**6))
+    j = rng.randint(0, s)
+    a = (x * x if square else x) * K.element(P.p) ** j * pi ** (s - j)
+    assert element_valuation(a, P) == s
+    return a
+
+
+def test_least_root_at_degree_one_primes_is_the_first_listed_root():
+    # Over Q and at split primes the witness is the lesser of
+    # +-p^(s/2)*y mod p^(s/2+1) in closed form.  It is the first root that
+    # the lister gives mod P^(s+1), or None with it, for every even s up to 8
+    # that the lister's guard allows (2*p^(s/2) roots), three draws each.
+    rng = random.Random(27)
+    seen = set()
+    for K in (Q, Q7, *map(make_field, (-1, -15, 2, 13, 17))):
+        ring = integer_ring(K)
+        for p in (3, 5, 7, 11, 23, 101, 1009):
+            for P in splitting_type(K, p)[1]:
+                if P.e != 1 or P.f != 1:
+                    continue
+                for s in range(0, 9, 2):
+                    if 2 * p ** (s // 2) > _ENUM_GUARD:
+                        break
+                    for _ in range(3):
+                        a = _degree_one_draw(rng, K, P, s)
+                        if a is None:
+                            continue
+                        roots = sqrt_mod_odd_prime_power(a, P, s + 1)
+                        want = roots and ring.pair(roots[0])
+                        assert least_root(ring, ring.pair(a), P, s) == want, (K, P, a)
+                        seen.add((K.is_rational, s, roots is None))
+    assert {(r, s, n) for r in (True, False) for s in (0, 2, 4, 6, 8) for n in (True, False)} <= seen
+
+
+def test_least_root_past_the_guard_is_the_least_root():
+    # At split primes near 10^6 and 10^12 the 2*p^(s/2) roots mod P^(s+1)
+    # are too many to list.  For even s up to 10 the witness is a root, and
+    # the least residue mod P^(s+1) of the two cosets +-w + P^(s/2+1) that
+    # the roots make up, as the HNF path of _least_in_coset gives it.
+    rng = random.Random(28)
+    for K in (Q, Q7, make_field(17)):
+        ring = integer_ring(K)
+        for p in (10**6, 10**12):
+            while not is_probable_prime(p) or not (K.is_rational or kronecker(K.disc, p) == 1):
+                p += 1
+            for P in splitting_type(K, p)[1]:
+                for s in range(0, 11, 2):
+                    a = _degree_one_draw(rng, K, P, s, square=True)
+                    w = least_root(ring, ring.pair(a), P, s)
+                    Ik, Ie = prime_power(P, s // 2 + 1), prime_power(P, s + 1)
+                    assert Ie.reduce_pair(ring.sub(ring.mul(w, w), ring.pair(a))) == (0, 0)
+                    assert w == min(_least_in_coset(x, Ik, Ie) for x in (w, (-w[0], -w[1])))
 
 
 def _reference_odd_places(eq):

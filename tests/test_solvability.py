@@ -8,12 +8,13 @@ import pytest
 
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
-from conic_nf.fields import make_field, parse_element
+from conic_nf.fields import integer_ring, make_field, parse_element
 from conic_nf import ideals, residues, solvability
-from conic_nf.ideals import Ideal, PrimeIdeal, splitting_type
+from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal, splitting_type
 from conic_nf.solvability import (
     Certificate,
     ConicEquation,
+    _valuations,
     check_solvable,
     embedding_condition,
 )
@@ -206,7 +207,11 @@ def test_check_solvable_dyadic_entries():
 
 # Certificates with odd-prime witnesses at split, inert and ramified primes
 # (some under a square content p^2), as check_solvable returned them while
-# valuations and prime powers were still computed by ideal products.
+# valuations and prime powers were still computed by ideal products.  The
+# last eight rows, as it returned them while it still factored each
+# coefficient's ideal: a refusal at 2 and at a real embedding; witnesses at
+# valuation 4 and 6 at split primes, 4 at a ramified one and 2 at the inert 3
+# of Q(sqrt(5)); and degree-1 primes above 10^6 and 10^12.
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "certificates.json")) as _f:
     GOLDEN_CERTIFICATES = json.load(_f)
 
@@ -222,6 +227,8 @@ def test_check_solvable_golden_certificates(row):
 
 
 def test_golden_certificates_cover_every_splitting_type():
+    # Odd-prime witnesses at every splitting type, and every exit of the
+    # check: a refusal at a real embedding, at an odd prime and at 2.
     K = {row["field"]: make_field(row["field"]) for row in GOLDEN_CERTIFICATES}
     kinds = set()
     for row in GOLDEN_CERTIFICATES:
@@ -231,6 +238,8 @@ def test_golden_certificates_cover_every_splitting_type():
                 p = int(c["prime"].strip("()").split(",")[0])
                 kinds.add("Split" if field.is_rational else splitting_type(field, p)[0])
     assert kinds == {"Split", "Inert", "Ramified"}
+    reasons = {row["certificate"]["reason"] for row in GOLDEN_CERTIFICATES}
+    assert reasons == {"solvable", "real_embedding", "congruence", "dyadic"}
 
 
 def test_check_solvable_makes_no_ideal_product(monkeypatch):
@@ -248,9 +257,12 @@ def test_check_solvable_makes_no_ideal_product(monkeypatch):
 
 
 def test_check_solvable_calls_no_valuation_or_root_lister(monkeypatch):
-    # The valuations come from the coefficient factorisations and each odd
-    # witness from one closed-form root of the unit part: no element
-    # valuation and no listing of roots mod P^e, wherever the names are bound.
+    # The valuations come from the factorisations of the coefficients' norms
+    # and each odd witness from one closed-form root of the unit part: no
+    # element valuation, no coefficient ideal built, put in HNF or factored,
+    # and no listing of roots mod P^e, wherever the names are bound.  Only a
+    # witness at a ramified or inert prime builds prime powers, its Ik and
+    # Ie; over Q and at split primes the witness builds none.
     calls = []
 
     def counting(name, real):
@@ -260,13 +272,68 @@ def test_check_solvable_calls_no_valuation_or_root_lister(monkeypatch):
 
         return counted
 
-    for name in ("element_valuation", "sqrt_mod_odd_prime_power"):
+    # splitting_type builds its primes' ideals once per field and prime.
+    for row in GOLDEN_CERTIFICATES:
+        check_solvable(_golden_equation(row))
+    for name in ("element_valuation", "sqrt_mod_odd_prime_power", "factor_ideal",
+                 "principal_ideal", "hnf_rows", "prime_power"):
         for module in (ideals, residues, solvability):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for row in GOLDEN_CERTIFICATES:
+        K = make_field(row["field"])
+        calls.clear()
         assert check_solvable(_golden_equation(row)).to_dict() == row["certificate"]
+        other = [
+            c for c in row["certificate"]["conditions"]
+            if c["type"] == "odd_prime" and c["witness"] is not None and not K.is_rational
+            and splitting_type(K, int(c["prime"].strip("()").split(",")[0]))[0] != "Split"
+        ]
+        assert calls == ["prime_power"] * 2 * len(other), row
+    calls.clear()
     cert = check_solvable(eq_of(Q, 678223072849, -1, 7))
     (odd,) = [c for c in cert.conditions if c["type"] == "odd_prime"]
     assert odd["witness"] == "823543"
     assert calls == []
+
+
+def _odd_primes(K, kind):
+    """The primes of K over a few odd p that split, ramify or stay inert as
+    kind says; over Q every prime counts as split."""
+    ps = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 1009)
+    return [P for p in ps if splitting_type(K, p)[0] == kind for P in splitting_type(K, p)[1]]
+
+
+def test_kernel_valuations_match_the_ideal_factorisation():
+    # The check reads each coefficient's valuations from the factorisation of
+    # its norm, with no ideal.  They are the factorisation of its ideal, in
+    # the same order, on 3,000 random elements over Q and twelve fields,
+    # imaginary and real, where 2 splits, ramifies or is inert.  Each element
+    # is a small one times a content, times powers of an element of a prime
+    # over 2, of a ramified odd prime and of a split odd prime.
+    rng = random.Random(27)
+    fields = [Q, *map(make_field, (-1, -3, -5, -7, -15, 2, 5, 13, 14, 17, 1001, -1009))]
+    pis = {}
+    for K in fields:
+        gens = [K.element(P.p) if K.is_rational else P.second_gen for P in splitting_type(K, 2)[1]]
+        for kind in ("Ramified", "Split"):
+            gens += [K.element(P.p) if K.is_rational else P.second_gen for P in _odd_primes(K, kind)[:2]]
+        pis[K] = gens
+    seen = set()
+    for _ in range(3000):
+        K = rng.choice(fields)
+        x = K.zero()
+        while x.is_zero:
+            x = K.element(rng.randint(-40, 40), 0 if K.is_rational else rng.randint(-40, 40))
+        x = x * rng.choice((1, 1, 2, 3, 6, 9, 25))
+        for pi in rng.sample(pis[K], 3):
+            x = x * pi ** rng.randint(0, 4)
+        ring = integer_ring(K)
+        got = [
+            (splitting_type(K, p)[1][i], k) for (p, i), k in _valuations(ring, ring.pair(x)).items()
+        ]
+        assert got == factor_ideal(principal_ideal(x)), (K, x)
+        seen.update((K.disc and K.disc % 8, P.e, P.f) for P, k in got if P.p == 2 and k >= 3)
+    # Every kind of prime over 2 at valuation 3 or more: Q, split, inert,
+    # ramified with d = 2, 3 (mod 4).
+    assert {(None, 1, 1), (1, 1, 1), (5, 1, 2), (0, 2, 1), (4, 2, 1)} <= seen
