@@ -308,18 +308,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_triples(argv))
+        args = _parser().parse_args(_attach_triples(argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    handler = _COMMANDS.get(args.command)
-    if handler is None:
-        parser.print_usage(out)
-        return EXIT_PARSE
     try:
-        return handler(args, out)
+        return _COMMANDS[args.command](args, out)
     except UndecidedError as exc:
         _emit({"undecided": str(exc)}, args.json, out)
         return EXIT_UNDECIDED

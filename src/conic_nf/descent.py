@@ -10,13 +10,16 @@ Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
 does not shrink, ends in one search over pairs (y, z) in the reduced basis of
 the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
-Every step runs on kernel values: the integer kernel's pairs over a
-quadratic field, plain ints over Q (_INTS).  The helpers it calls
-(factor_ideal, sqrt_mod_ideal, short_congruence_pair, square_decompose)
-take ints over Q and FieldElements otherwise.  The square test is a
+solve_conic runs on kernel values from the norm form to the point: the
+integer kernel's pairs over a quadratic field, plain ints over Q (_INTS).
+The helpers it calls (factor_ideal, sqrt_mod_ideal, short_congruence_pair,
+square_decompose) take ints over Q and FieldElements otherwise.  The local
+conditions are decided once, on the norm form; the square test is a
 closed-form root, norms and units are integer comparisons, and each step
-checks its composition in the kernel.  A DescentTrace stores the kernel
-values of each step and makes elements of them only when read.
+checks its composition in the kernel.  One back-map on pairs, the same on
+every field, sends the solution to the primitive point, which is checked
+on the conic in integers and made elements once.  A DescentTrace stores
+the kernel values of each step and makes elements of them only when read.
 """
 
 from __future__ import annotations
@@ -111,29 +114,26 @@ def _formatted(value):
 class DescentTrace:
     """Recorded steps of a descent run, for inspection and JSON output.
 
-    A step keeps the values it was given, kernel values when it names their
-    field; steps makes elements of those, and to_list() formats them."""
+    A step keeps the kernel values it was given and their field; steps makes
+    elements of them, and to_list() formats them."""
 
     def __init__(self):
-        self._steps: list[tuple[Optional[FieldDescriptor], dict]] = []
+        self._steps: list[tuple[FieldDescriptor, dict]] = []
 
-    def add(self, kind: str, field: Optional[FieldDescriptor] = None, **info):
+    def add(self, kind: str, field: FieldDescriptor, **info):
         self._steps.append((field, {"step": kind, **info}))
 
     @property
     def steps(self) -> list[dict]:
-        return [
-            step if field is None else {k: _element_of(field, v) for k, v in step.items()}
-            for field, step in self._steps
-        ]
+        return [{k: _element_of(field, v) for k, v in step.items()} for field, step in self._steps]
 
     def to_list(self) -> list[dict]:
         return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
 
 
 def _norm_form(eq: ConicEquation):
-    """(a, A1, A2, B1, B2) with -a*b = A1*A2^2 and -a*c = B1*B2^2, ints over
-    Q and FieldElements otherwise, as the helpers take them.
+    """(ring, a, A1, A2, B1, B2) with -a*b = A1*A2^2 and -a*c = B1*B2^2, as
+    kernel values of ring: ints over Q, pairs otherwise.
 
     a, b and c are factored once.  Every prime of -a*b, -a*c and of their
     square-free parts is one of theirs, so those (their norms, and over a
@@ -141,23 +141,23 @@ def _norm_form(eq: ConicEquation):
     shortcut factors over Q) enter the factor cache by division, and no
     product is trial-divided or split by rho."""
     field = eq.field
+    ring = integer_ring(field)
+    a, b, c = (ring.pair(x) for x in (eq.a, eq.b, eq.c))
     if field.is_rational:
-        a, b, c = (x.num[0] for x in (eq.a, eq.b, eq.c))
-        size = abs
+        ring, a, b, c, size = _INTS, a[0], b[0], c[0], abs
     else:
-        a, b, c, norm = eq.a, eq.b, eq.c, integer_ring(field).norm
-        size = lambda x: abs(norm(x.num))
+        size = lambda x: abs(ring.norm(x))
     primes = {p for x in (a, b, c) for p, _ in factor_int(size(x))}
-    A0, B0 = -(a * b), -(a * c)
+    A0, B0 = (ring.sub(ring.zero, ring.mul(a, x)) for x in (b, c))
     for x in (A0, B0):
         record_factorisation(size(x), primes)
-    A1, A2 = square_decompose(A0)
-    B1, B2 = square_decompose(B0)
+    # square_decompose takes ints over Q and elements otherwise.
+    (A1, A2), (B1, B2) = (map(ring.pair, square_decompose(ring.element(x))) for x in (A0, B0))
     for x in (A1, B1):
         record_factorisation(size(x), primes)
-        if not field.is_rational and not x.num[1]:
-            record_factorisation(x.num[0], primes)
-    return a, A1, A2, B1, B2
+        if ring is not _INTS and not x[1]:
+            record_factorisation(x[0], primes)
+    return ring, a, A1, A2, B1, B2
 
 
 def to_norm_form(
@@ -170,7 +170,7 @@ def to_norm_form(
     returned map sends a solution of the norm form back to a (rational)
     solution of the original equation.
     """
-    a, A1, A2, B1, B2 = (_element_of(eq.field, x) for x in _norm_form(eq))
+    a, A1, A2, B1, B2 = (_element_of(eq.field, x) for x in _norm_form(eq)[1:])
 
     def back(x: FieldElement, y: FieldElement, z: FieldElement):
         return (x / a, y / A2, z / B2)
@@ -277,22 +277,18 @@ def compose_solution(
     return SolutionTriple(*_compose(_INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
 
 
-def _try_rational_subfield(
-    A: FieldElement, B: FieldElement
-) -> Optional[tuple[FieldElement, FieldElement, FieldElement]]:
-    """Solve over Q when A and B are rational and the conditions hold there.
+def _try_rational_subfield(ring, A, B):
+    """Solve over Q when the pairs A and B are rational and the conditions
+    hold there: the solution as pairs, or None.
 
     The conditions are decided here, so the descent over Q starts as a
     recursive call, which does not decide them again."""
-    field = A.field
-    if field.is_rational or A.num[1] or B.num[1]:
+    if ring is _INTS or A[1] or B[1]:
         return None
-    Qf, a, b = _INTS.field, A.num[0], B.num[0]
-    eq = ConicEquation.from_coefficients(Qf.one(), Qf.element(-a), Qf.element(-b))
-    if not check_solvable(eq).solvable:
+    Qf = _INTS.field
+    if not check_solvable(ConicEquation(Qf.one(), Qf.element(-A[0]), Qf.element(-B[0]))).solvable:
         return None
-    sol = legendre_descent(a, b, None, 1, _INTS)
-    return tuple(_element_of(field, t) for t in sol)
+    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, _INTS))
 
 
 def legendre_descent(
@@ -306,34 +302,35 @@ def legendre_descent(
 
     The top-level call decides the local conditions once and raises
     NotSolvable when they fail; the recursive calls do not check again.
-    Each call is one step of the descent (see the module docstring).  The
-    descent's own calls pass its kernel as _ring, and A, B and the solution
-    are then that kernel's values.
+    Each call is one step of the descent (see the module docstring).  When
+    _ring is given, A, B and the solution are that kernel's values, as the
+    descent's own calls and solve_conic pass them.
     """
     if trace is None:
         trace = DescentTrace()
     if _depth > MAX_DEPTH:
         raise PellSearchExhausted("descent recursion exceeded its depth limit")
-    if _ring is not None:
-        return _step(_ring, A, B, trace, _depth)
-    field = A.field
-    ring = integer_ring(field)
-    a, b = ring.pair(A), ring.pair(B)
-    if field.is_rational:
-        ring, a, b = _INTS, a[0], b[0]
-    if _depth == 0:
-        sub = _try_rational_subfield(A, B)
-        if sub is not None:
-            trace.add("rational_subfield")
-            return sub
-        eq = ConicEquation.from_coefficients(field.one(), -A, -B)
-        cert = check_solvable(eq)
-        if not cert.solvable:
-            raise NotSolvable(
-                f"x^2 - ({format_element(A)})y^2 = ({format_element(B)})z^2 "
-                f"fails the local conditions ({cert.reason})"
-            )
-    return tuple(_element_of(field, v) for v in _step(ring, a, b, trace, _depth))
+    ring = _ring or integer_ring(A.field)
+    if _ring is None:
+        A, B = ring.pair(A), ring.pair(B)
+        if ring.field.is_rational:
+            ring, A, B = _INTS, A[0], B[0]
+    field = ring.field
+    sol = _try_rational_subfield(ring, A, B) if _depth == 0 else None
+    if sol is not None:
+        trace.add("rational_subfield", field)
+    else:
+        if _depth == 0:
+            # A and B are integral: the conic needs no scaling.
+            eA, eB = _element_of(field, A), _element_of(field, B)
+            cert = check_solvable(ConicEquation(field.one(), -eA, -eB))
+            if not cert.solvable:
+                raise NotSolvable(
+                    f"x^2 - ({format_element(eA)})y^2 = ({format_element(eB)})z^2 "
+                    f"fails the local conditions ({cert.reason})"
+                )
+        sol = _step(ring, A, B, trace, _depth)
+    return sol if _ring is not None else tuple(_element_of(field, v) for v in sol)
 
 
 def _step(ring, A, B, trace: DescentTrace, depth: int):
@@ -391,14 +388,15 @@ def verify(eq: ConicEquation, sol: SolutionTriple) -> bool:
     return (not sol.is_trivial) and eq.evaluate(sol.x, sol.y, sol.z).is_zero
 
 
-def _clear_denominators(field, triple):
-    m = math.lcm(*(t.den for t in triple))
-    scaled = [t * m for t in triple]
-    # Remove the rational integer content.
-    g = math.gcd(*(co for t in scaled for co in t.num))
-    if g > 1:
-        scaled = [t / g for t in scaled]
-    return scaled
+def _primitive_point(ring, point, divisors):
+    """The primitive point on the ray through (x/a, y/A2, z/B2) for the pairs
+    point = (x, y, z) and divisors = (a, A2, B2): the integral multiple by
+    P = |N(a)*N(A2)*N(B2)|, P*t/d = t*conj(d)*(P/N(d)), over its content."""
+    P = (abs(math.prod(ring.norm(d) for d in divisors)), 0)
+    point = [ring.exact_div(ring.mul(P, t), d) for t, d in zip(point, divisors)]
+    g = math.gcd(*(c for t in point for c in t))
+    assert g, "descent produced a non-solution"
+    return [(u // g, v // g) for u, v in point]
 
 
 def solve_conic(
@@ -411,23 +409,16 @@ def solve_conic(
     norm form has the same local conditions, and the descent checks them.
     """
     field = eq.field
-    a, A1, A2, B1, B2 = _norm_form(eq)
-    A, B = _element_of(field, A1), _element_of(field, B1)
+    ring, a, A1, A2, B1, B2 = _norm_form(eq)
     if trace is not None:
-        trace.add("norm_form", A=A, B=B)
-    x, y, z = legendre_descent(A, B, trace)
-    if not field.is_rational:
-        sol = SolutionTriple(*_clear_denominators(field, (x / a, y / A2, z / B2)))
-        assert verify(eq, sol), "descent produced a non-solution"
-        return sol
-    # Over Q in ints: the primitive point on the ray through
-    # (x/a, y/A2, z/B2), which is the one _clear_denominators gives, from
-    # the integral multiple by |a*A2*B2| > 0.
-    P = abs(a * A2 * B2)
-    point = [t.num[0] * (P // d) for t, d in zip((x, y, z), (a, A2, B2))]
-    g = math.gcd(*point)
-    assert g, "descent produced a non-solution"
-    X, Y, Z = (t // g for t in point)
-    ca, cb, cc = (t.num[0] for t in (eq.a, eq.b, eq.c))
-    assert ca * X * X + cb * Y * Y + cc * Z * Z == 0, "descent produced a non-solution"
-    return SolutionTriple(*(_element_of(field, t) for t in (X, Y, Z)))
+        trace.add("norm_form", field, A=A1, B=B1)
+    sol = legendre_descent(A1, B1, trace, 0, ring)
+    divisors, pairs = (a, A2, B2), integer_ring(field)
+    if ring is _INTS:
+        sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))
+    X, Y, Z = _primitive_point(pairs, sol, divisors)
+    mul, add = pairs.mul, pairs.add
+    ca, cb, cc = (pairs.pair(t) for t in (eq.a, eq.b, eq.c))
+    value = add(add(mul(ca, mul(X, X)), mul(cb, mul(Y, Y))), mul(cc, mul(Z, Z)))
+    assert value == (0, 0), "descent produced a non-solution"
+    return SolutionTriple(*(pairs.element(t) for t in (X, Y, Z)))

@@ -18,7 +18,7 @@ nearest-integer rounding, Euclidean division, extended gcd and normalised
 gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
 Over Q the gcd, the extended gcd and exact division run on plain ints, the
 extended gcd with the nearest-integer quotients of the pair path, so it
-returns the same Bezout coefficients.
+returns the same Bezout coefficients; the HNF of ideals takes its own from it.
 Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
 """
@@ -53,9 +53,11 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDescriptor:
-    """The base field: Q, or Q(sqrt(d)) for squarefree d != 0, 1."""
+    """The base field: Q, or Q(sqrt(d)) for squarefree d != 0, 1.  make_field
+    keeps one per d, so it compares and hashes as an object, and copy and
+    pickle give that object back."""
 
     kind: str  # "rational" | "quadratic"
     d: Optional[int]
@@ -64,21 +66,8 @@ class FieldDescriptor:
     euclidean: bool
     totally_imaginary: bool
 
-    # Every other field is a function of d (None over Q, never 0), which
-    # hash and == read alone.  The hash is taken once: integer_ring and
-    # splitting_type look the field up in their caches on every call, and
-    # each parsed equation brings its own descriptor.  An int hashes alike in
-    # every process, so a pickled descriptor keeps a valid hash.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.d or 0))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldDescriptor):
-            return NotImplemented
-        return self.d == other.d
+    def __reduce__(self):
+        return make_field, (self.d,)
 
     @property
     def is_rational(self) -> bool:
@@ -126,21 +115,15 @@ class FieldDescriptor:
         return f"Q(sqrt({self.d}))"
 
 
-RATIONAL = FieldDescriptor(
-    kind="rational",
-    d=None,
-    disc=None,
-    omega_kind=None,
-    euclidean=True,
-    totally_imaginary=False,
-)
-
-
 def make_field(d: Union[int, str, None] = None) -> FieldDescriptor:
-    """Build a validated field descriptor from d, or Q for d=None/'Q'."""
-    if d is None or d == "Q":
-        return RATIONAL
-    d = int(d)
+    """The one validated descriptor of Q(sqrt(d)), or of Q for d=None/'Q'."""
+    return _field(None if d is None or d == "Q" else int(d))
+
+
+@functools.cache
+def _field(d: Optional[int]) -> FieldDescriptor:
+    if d is None:
+        return FieldDescriptor("rational", None, None, None, euclidean=True, totally_imaginary=False)
     if d in (0, 1):
         raise InvalidD(f"d = {d} does not define a quadratic field")
     if not _squarefree(d):
@@ -159,6 +142,9 @@ def make_field(d: Union[int, str, None] = None) -> FieldDescriptor:
         euclidean=d in EUCLIDEAN_IMAGINARY_DS,
         totally_imaginary=d < 0,
     )
+
+
+RATIONAL = make_field()
 
 
 def surd_sign(r, s, rad: int) -> int:
@@ -323,7 +309,7 @@ class FieldElement:
 
     def coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if self.field is not other.field and self.field != other.field:
+            if self.field is not other.field:
                 raise ValueError("elements of different fields")
             return other
         if not isinstance(other, (int, Fraction)):
@@ -558,7 +544,7 @@ class IntegerRing:
         self.units = [self.pair(e) for e in field.units()]
 
     def pair(self, x: FieldElement) -> tuple[int, int]:
-        if x.field is not self.field and x.field != self.field:
+        if x.field is not self.field:
             raise ValueError("elements of different fields")
         require_integral(x)
         return x.num

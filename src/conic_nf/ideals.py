@@ -32,6 +32,7 @@ from typing import Optional
 
 from .errors import FactorizationFailed
 from .fields import (
+    RATIONAL,
     FieldDescriptor,
     FieldElement,
     IntegerRing,
@@ -267,7 +268,7 @@ def hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         if c == 0:
             b, c = u, v
         else:
-            g, x, y = _ext_gcd(c, v)
+            (g, _), (x, _), (y, _) = integer_ring(RATIONAL).xgcd((c, 0), (v, 0))
             # x*c + y*v = g; new combined row, leftover goes to pure rows.
             nb = x * b + y * u
             pure.append((b * v - u * c) // g)
@@ -281,18 +282,6 @@ def hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         raise ValueError("lattice not of full rank")
     b %= a
     return a, b, c
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 # -- Ideal / PrimeIdeal ------------------------------------------------------

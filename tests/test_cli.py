@@ -184,6 +184,12 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+def test_missing_or_unknown_subcommand_is_a_usage_error():
+    # argparse's required subparsers exit before any command runs.
+    assert _run([])[0] == 2
+    assert _run(["nosuch"])[0] == 2
+
+
 def test_zero_denominator_is_a_parse_error():
     code, text = _run(["check", "--field", "Q", "--eq", "1/0;1;1"])
     assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -40,6 +41,48 @@ Q14 = make_field(14)
 
 def eq_of(field, a, b, c):
     return ConicEquation(field.element(a), field.element(b), field.element(c))
+
+
+def _back_map_oracle(K, point, divisors):
+    """(x/a, y/A2, z/B2) as elements, scaled by the lcm of the denominators
+    and divided by the content of the integer coordinates."""
+    ring = integer_ring(K)
+    q = [ring.element(t) / ring.element(d) for t, d in zip(point, divisors)]
+    m = math.lcm(*(t.den for t in q))
+    scaled = [t * m for t in q]
+    g = math.gcd(*(c for t in scaled for c in t.num))
+    return [(t / g).num for t in scaled]
+
+
+def test_back_map_matches_the_element_oracle():
+    # Real and imaginary fields, d = 1 (mod 4) among them; random divisors
+    # (of negative norm on the real fields), units and points with zeros.
+    rng = random.Random(29)
+    units = {2: (1, 1), 3: (2, 1), 5: (0, 1), 13: (1, 1), 17: (3, 2), 10: (3, 1),
+             -1: (0, 1), -3: (0, 1)}
+    fields = [None, -1, -3, -5, -7, -15, 2, 3, 5, 10, 13, 17]
+    negative = 0
+    for n in range(3600):
+        d = fields[n % len(fields)]
+        K = make_field(d)
+        ring = integer_ring(K)
+        v = (lambda: 0) if d is None else (lambda: rng.randint(-99, 99))  # omega coordinate
+
+        def divisor():
+            if d in units and rng.random() < 0.2:
+                return units[d]
+            while True:
+                t = (rng.randint(-99, 99), v())
+                if t != (0, 0):
+                    return t
+
+        divisors = [divisor() for _ in range(3)]
+        negative += any(ring.norm(t) < 0 for t in divisors)
+        point = [(0, 0) if rng.random() < 0.15 else (rng.randint(-999, 999), v()) for _ in range(3)]
+        if point == [(0, 0)] * 3:
+            point[0] = (1, 0)
+        assert descent._primitive_point(ring, point, divisors) == _back_map_oracle(K, point, divisors)
+    assert negative > 500
 
 
 def test_solve_pell_examples():

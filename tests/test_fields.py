@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -52,6 +54,29 @@ def test_make_field_rejects():
         make_field(0)
     with pytest.raises(InvalidD):
         make_field(1)
+
+
+def test_make_field_keeps_one_descriptor_per_d():
+    K = make_field(-7)
+    assert make_field("-7") is K and make_field(-7) is K
+    assert make_field("Q") is make_field(None) is make_field() is Q
+    for F in (K, Q, Q14):
+        assert copy.copy(F) is F
+        assert copy.deepcopy(F) is F
+        assert pickle.loads(pickle.dumps(F)) is F
+    # Elements of two separately parsed equations compare and hash alike,
+    # also in a set or dict keyed by them.
+    x, y = (parse_element(make_field(str(-7)), "3-2s") for _ in range(2))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert pickle.loads(pickle.dumps(x)) == x
+    # An invalid d raises on every call: no failure is cached as a field.
+    for _ in range(3):
+        with pytest.raises(NotSquarefree):
+            make_field(4)
+        with pytest.raises(NotSquarefree):
+            make_field("4")
+        with pytest.raises(InvalidD):
+            make_field(1)
 
 
 def test_norm_examples():

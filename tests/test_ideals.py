@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conic_nf.ideals import (
     element_valuation,
     factor_ideal,
     factor_int,
+    hnf_rows,
     ideal_from_generators,
     is_probable_prime,
     is_principal,
@@ -128,6 +130,44 @@ def test_ideal_hnf_and_membership():
     # b + c*omega stays inside.
     for g in (Q6.element(I.a), Q6.element(I.b, I.c)):
         assert I.contains(g * Q6.omega())
+
+
+def _random_rows(rng):
+    """1-8 rows with entries up to 10^12: full-rank sets, sets with a zero
+    v-column or a zero u-column, and multiples of one row (rank 1)."""
+    n, big = rng.randint(1, 8), 10 ** rng.randint(1, 12)
+    entry = lambda: rng.randint(-big, big)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [(entry(), 0) for _ in range(n)]
+    if kind == 1:
+        return [(0, entry()) for _ in range(n)]
+    if kind == 2:
+        u, v = entry(), entry()
+        return [(k * u, k * v) for k in (rng.randint(-50, 50) for _ in range(n))]
+    return [(entry(), entry()) for _ in range(n)]
+
+
+def test_hnf_rows_spans_the_rows_with_the_index_of_their_minors():
+    # The HNF [[a, 0], [b, c]] with a, c > 0 and 0 <= b < a is unique: each
+    # row is an integer combination of (a, 0) and (b, c), and a*c is the
+    # index of the lattice, the gcd of the rows' 2x2 minors.
+    rng = random.Random(20261019)
+    raised = 0
+    for _ in range(5000):
+        rows = _random_rows(rng)
+        minors = math.gcd(*(u1 * v2 - u2 * v1 for (u1, v1), (u2, v2) in itertools.combinations(rows, 2)))
+        if minors == 0:
+            with pytest.raises(ValueError):
+                hnf_rows(rows)
+            raised += 1
+            continue
+        a, b, c = hnf_rows(rows)
+        assert a > 0 and c > 0 and 0 <= b < a
+        assert a * c == minors
+        for u, v in rows:
+            assert v % c == 0 and (u - v // c * b) % a == 0, (rows, (u, v))
+    assert 1000 < raised < 4000
 
 
 def test_factor_ideal_examples():

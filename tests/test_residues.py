@@ -29,7 +29,7 @@ from conic_nf.ideals import (
     splitting_type,
     unit_ideal,
 )
-from conic_nf.descent import solve_conic
+from conic_nf.descent import solve_conic, verify
 from conic_nf.solvability import (
     ConicEquation,
     _odd_prime_condition,
@@ -621,7 +621,8 @@ def test_sqrt_mod_ideal_golden(row):
 def test_ideal_layer_makes_no_field_arithmetic(monkeypatch):
     # ideals and residues run on the integer kernel's pairs: FieldElements
     # only come in and go out, and no product, quotient or norm of them is
-    # taken inside either module.
+    # taken inside either module.  verify evaluates each point with element
+    # products outside them, so the counters are seen to count.
     inside, total = [], [0]
 
     def counted(name, fn):
@@ -641,11 +642,39 @@ def test_ideal_layer_makes_no_field_arithmetic(monkeypatch):
         check_solvable(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
     for row in GOLDEN_POINTS:
         K = make_field(row["field"])
-        solve_conic(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
+        eq = ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";")))
+        assert verify(eq, solve_conic(eq))
     for row in GOLDEN_ROOTS:
         sqrt_mod_ideal(*_golden_root_input(row))
     assert total[0] > 0
     assert inside == []
+
+
+def test_check_and_solve_make_no_field_arithmetic(monkeypatch):
+    # check_solvable and solve_conic run on kernel values from the
+    # coefficients to the certificate or the point: no product, quotient or
+    # norm of FieldElements is taken anywhere, the local check of the norm
+    # form and the back-map to the primitive point included.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            caller = sys._getframe(1)
+            calls.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}: {name}")
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "norm"):
+        monkeypatch.setattr(FieldElement, name, counted(name, getattr(FieldElement, name)))
+    for row in GOLDEN_CERTIFICATES:
+        K = make_field(row["field"])
+        check_solvable(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
+    for row in GOLDEN_POINTS:
+        K = make_field(row["field"])
+        sol = solve_conic(ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";"))))
+        assert [format_element(t) for t in (sol.x, sol.y, sol.z)] == row["point"]
+    assert calls == []
 
 
 def test_local_solvable_at_two_examples():

@@ -1,0 +1,264 @@
+"""Compare the outputs of this checkout with those of another one.
+
+    python3 tools/same_outputs.py PARENT_DIR
+
+Run from the root of a checkout.  The inputs are drawn once, here:
+
+- the certify, solve, minimise and corpus inputs of benchmark seeds 1-3,
+  from perfbench/workloads.py (imported, not changed);
+- the rows of tests/fixtures/;
+- a seeded sweep over Q and 18 quadratic fields, real ones included: conics
+  through random points, the same conics with rational coefficients, and
+  direct legendre_descent calls;
+- random row sets for ideals.hnf_rows, rank-deficient ones included.
+
+For each checkout a fresh interpreter imports conic_nf from that checkout's
+src/ and dumps, for every input, check_solvable(...).to_dict(), the
+solve_conic point with DescentTrace.to_list(), the reduce_solution point,
+the corpus --json output with its exit code, or the error's type and text.
+The script prints the count of each kind of output and the first
+difference, and exits 1 on any difference, 0 when every output is the same.
+
+A change that should move no output (a refactor, a design change) runs it
+against its parent; a change that moves outputs on purpose will show them.
+Both dumps take about 25 s together on a 2-core x86-64 Xeon.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+
+ROOT = os.getcwd()
+SEEDS = (1, 2, 3)
+SECONDS = 20  # the benchmark's default run length sets the number of inputs
+SWEEP_FIELDS = (None, -1, -2, -3, -5, -6, -7, -11, -15, -19, -23, 2, 3, 5, 6, 7, 13, 17, 21)
+SWEEP_PER_FIELD = 40
+HNF_SETS = 20_000
+DUMP_TIMEOUT_S = 1200
+
+
+# -- inputs, drawn once --------------------------------------------------------
+
+
+def _fixture(name):
+    with open(os.path.join(ROOT, "tests", "fixtures", name)) as fh:
+        return fh.read() if name.endswith(".corpus") else json.load(fh)
+
+
+def _fmt(x):
+    u, v = x
+    return str(u) if v == 0 else (f"{u}{v:+d}w" if u else f"{v}w")
+
+
+def _benchmark_inputs(folder):
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    inputs = []
+    for workload in ("certify", "solve", "minimise", "corpus"):
+        for seed in SEEDS:
+            for i, req in enumerate(workloads.build(workload, seed, SECONDS)):
+                if workload == "corpus":
+                    path = os.path.join(folder, f"{seed}-{i:05d}.corpus")
+                    with open(path, "w") as fh:
+                        fh.write("".join(text + "\n" for text, *_ in req.lines))
+                    inputs.append(["corpus", path])
+                elif workload == "minimise":
+                    inputs.append(["reduce", req.d, req.coeffs, req.start])
+                else:
+                    # Every certify input is solved too: the descent's local
+                    # check and its NotSolvable text are outputs as well.
+                    inputs.append(["check", req.d, req.coeffs])
+                    inputs.append(["solve", req.d, req.coeffs])
+    return inputs, workloads
+
+
+def _sweep_inputs(workloads):
+    gen = workloads.Gen("same-outputs", 0)
+    rng = random.Random("same-outputs")
+    inputs = []
+    for d in SWEEP_FIELDS:
+        spec = "Q" if d is None else str(d)
+        for _ in range(SWEEP_PER_FIELD):
+            coeffs, _ = gen.from_point(d, 3, 3)
+            inputs.append(["check", d, coeffs])
+            inputs.append(["solve", d, coeffs])
+            # The same conic with rational coefficients, scaled to an
+            # integral one by ConicEquation.from_coefficients.
+            q = rng.randint(2, 6)
+            texts = [f"{c[0]}/{q}" if c[1] == 0 else f"{c[0]}/{q}{c[1]:+d}/{q}w" for c in coeffs]
+            inputs.append(["solve_text", spec, ";".join(texts), True])
+        for _ in range(5):
+            A, B = gen.elem(d, 9), gen.elem(d, 9)
+            inputs.append(["descent", spec, _fmt(A), _fmt(B)])
+    return inputs
+
+
+def _fixture_inputs(folder):
+    inputs = [["check_text", r["field"], r["eq"]] for r in _fixture("certificates.json")]
+    lattice = _fixture("lattice_step.json")
+    inputs += [["solve_text", r["field"], r["eq"], False] for r in lattice["points"]]
+    inputs += [["coset", r["field"], r["ideal"], r["x"]] for r in lattice["cosets"]]
+    inputs += [["root", r["field"], r["a"], r["B"]] for r in _fixture("sqrt_mod_ideal.json")]
+    path = os.path.join(folder, "table1.corpus")
+    with open(path, "w") as fh:
+        fh.write(_fixture("table1.corpus"))
+    inputs.append(["corpus", path])
+    return inputs
+
+
+def _hnf_inputs():
+    rng = random.Random("hnf_rows")
+    inputs = []
+    for _ in range(HNF_SETS):
+        n, big = rng.randint(1, 8), 10 ** rng.randint(1, 12)
+        kind = rng.randrange(6)
+        if kind == 0:  # a zero v-column
+            rows = [(rng.randint(-big, big), 0) for _ in range(n)]
+        elif kind == 1:  # multiples of one row: rank 1
+            u, v = rng.randint(-big, big), rng.randint(-big, big)
+            rows = [(k * u, k * v) for k in (rng.randint(-9, 9) for _ in range(n))]
+        else:
+            rows = [(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(n)]
+        inputs.append(["hnf", rows])
+    return inputs
+
+
+# -- outputs, dumped by each checkout -------------------------------------------
+
+
+def _dump(checkout, inputs_path):
+    """Print one JSON line of output per input, from the conic_nf of checkout."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path.insert(0, src)
+    import io
+
+    import conic_nf
+    import conic_nf.cli
+    from conic_nf import descent, holzer, ideals, residues, solvability
+    from conic_nf.fields import format_element, make_field, parse_element
+
+    if not os.path.abspath(conic_nf.__file__).startswith(src + os.sep):
+        raise RuntimeError(f"conic_nf imported from {conic_nf.__file__}, not from {src}")
+
+    def element(d, x):
+        K = make_field(d)
+        return K.element(x[0]) if d is None else K.element(x[0], x[1])
+
+    def equation(d, coeffs):
+        return solvability.ConicEquation(*(element(d, c) for c in coeffs))
+
+    def parsed(spec, text, scale=False):
+        K = make_field(spec)
+        terms = [parse_element(K, t) for t in text.split(";")]
+        if scale:
+            return solvability.ConicEquation.from_coefficients(*terms)
+        return solvability.ConicEquation(*terms)
+
+    def point(sol):
+        return [format_element(t) for t in (sol.x, sol.y, sol.z)]
+
+    def solved(eq):
+        trace = descent.DescentTrace()
+        return [point(descent.solve_conic(eq, trace)), trace.to_list()]
+
+    def output(kind, *args):
+        if kind == "check":
+            return solvability.check_solvable(equation(*args)).to_dict()
+        if kind == "check_text":
+            return solvability.check_solvable(parsed(*args)).to_dict()
+        if kind == "solve":
+            return solved(equation(*args))
+        if kind == "solve_text":
+            return solved(parsed(*args))
+        if kind == "descent":
+            spec, A, B = args
+            K, trace = make_field(spec), descent.DescentTrace()
+            x, y, z = descent.legendre_descent(parse_element(K, A), parse_element(K, B), trace)
+            return [[format_element(t) for t in (x, y, z)], trace.to_list()]
+        if kind == "reduce":
+            d, coeffs, start = args
+            sol = descent.SolutionTriple(*(element(d, t) for t in start))
+            return point(holzer.reduce_solution(equation(d, coeffs), sol))
+        if kind == "corpus":
+            buf = io.StringIO()
+            code = conic_nf.cli.run(["corpus", args[0], "--jobs", "2", "--json"], out=buf)
+            return [code, buf.getvalue()]
+        if kind == "coset":
+            spec, (a, b, c), x = args
+            K = make_field(spec)
+            return format_element(residues.closest_in_coset(parse_element(K, x), ideals.Ideal(K, a, b, c)))
+        if kind == "root":
+            spec, a, B = args
+            K = make_field(spec)
+            w = residues.sqrt_mod_ideal(parse_element(K, a), ideals.principal_ideal(parse_element(K, B)))
+            return None if w is None else format_element(w)
+        if kind == "hnf":
+            return list(ideals.hnf_rows(args[0]))
+        raise ValueError(f"unknown input kind {kind!r}")
+
+    with open(inputs_path) as fh:
+        inputs = json.load(fh)
+    for kind, *args in inputs:
+        try:
+            out = output(kind, *args)
+        except Exception as exc:  # an error is an output too
+            out = {"error": type(exc).__name__, "text": str(exc)}
+        print(json.dumps(out, sort_keys=True))
+
+
+def _outputs(checkout, inputs_path):
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--dump", checkout, inputs_path],
+        env=env, capture_output=True, text=True, timeout=DUMP_TIMEOUT_S,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"the dump of {checkout} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--dump":
+        _dump(argv[1], argv[2])
+        return 0
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "src", "conic_nf")):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    if not os.path.isdir(os.path.join(ROOT, "src", "conic_nf")):
+        print("run from the root of a checkout", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as folder:
+        inputs, workloads = _benchmark_inputs(folder)
+        inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
+        inputs_path = os.path.join(folder, "inputs.json")
+        with open(inputs_path, "w") as fh:
+            json.dump(inputs, fh)
+        here, there = _outputs(ROOT, inputs_path), _outputs(argv[0], inputs_path)
+    counts, first = Counter(), None
+    for inp, mine, theirs in zip(inputs, here, there):
+        counts[inp[0]] += 1
+        if mine != theirs:
+            counts["differing " + inp[0]] += 1
+            first = first or (inp, theirs, mine)
+    print(", ".join(f"{kind}: {n}" for kind, n in counts.items()))
+    if len(here) != len(there) or len(here) != len(inputs):
+        print(f"{len(inputs)} inputs, {len(here)} outputs here, {len(there)} in {argv[0]}")
+        return 1
+    if first:
+        inp, theirs, mine = first
+        print(f"first difference, on {json.dumps(inp)}:\n  {argv[0]}: {theirs}\n  here: {mine}")
+        return 1
+    print("no difference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
