@@ -399,6 +399,13 @@ def _primitive_point(ring, point, divisors):
     return [(u // g, v // g) for u, v in point]
 
 
+def _on_conic(ring, coeffs, point) -> bool:
+    total = (0, 0)
+    for co, t in zip(coeffs, point):
+        total = ring.add(total, ring.mul(co, ring.mul(t, t)))
+    return total == (0, 0)
+
+
 def solve_conic(
     eq: ConicEquation,
     trace: Optional[DescentTrace] = None,
@@ -416,9 +423,7 @@ def solve_conic(
     divisors, pairs = (a, A2, B2), integer_ring(field)
     if ring is _INTS:
         sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))
-    X, Y, Z = _primitive_point(pairs, sol, divisors)
-    mul, add = pairs.mul, pairs.add
-    ca, cb, cc = (pairs.pair(t) for t in (eq.a, eq.b, eq.c))
-    value = add(add(mul(ca, mul(X, X)), mul(cb, mul(Y, Y))), mul(cc, mul(Z, Z)))
-    assert value == (0, 0), "descent produced a non-solution"
-    return SolutionTriple(*(pairs.element(t) for t in (X, Y, Z)))
+    point = _primitive_point(pairs, sol, divisors)
+    coeffs = [pairs.pair(t) for t in (eq.a, eq.b, eq.c)]
+    assert _on_conic(pairs, coeffs, point), "descent produced a non-solution"
+    return SolutionTriple(*map(pairs.element, point))

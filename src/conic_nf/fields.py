@@ -9,9 +9,10 @@ field), the size test |w| < |b| - e, closed-form square roots, and the
 rank-2 lattice questions of O_K: Lagrange reduction and the closest element
 of a coset.  A FieldElement is a kernel pair over one positive denominator,
 (U + V*omega)/den in lowest terms, and all its arithmetic, its square root
-(elem_sqrt) and the size helpers go through the kernel.  size_sq returns
-the kernel's key as a Surd, an exact rational-coefficient value for
-callers; floats are only a human-readable approximation.
+(elem_sqrt) and the size helpers go through the kernel.  IntSurd is the one
+exact surd; size_sq returns the kernel's key as a Surd, the IntSurd with
+Fraction parts that Surd's constructor checks.  Floats are only a
+human-readable approximation.
 
 Over Q and the imaginary quadratic fields the kernel adds closed-form
 nearest-integer rounding, Euclidean division, extended gcd and normalised
@@ -166,44 +167,27 @@ def surd_sign(r, s, rad: int) -> int:
     return (1 if r > 0 else -1) if big_is_r else (1 if s > 0 else -1)
 
 
-class Surd:
-    """Exact real number r + s*sqrt(rad) with r, s rational and rad >= 0,
-    compared exactly with a Surd or a rational.
+@functools.total_ordering
+class IntSurd:
+    """The exact real r + s*sqrt(rad): r and s ints or Fractions, rad >= 0,
+    and s = 0 when rad = 0.
 
-    rad = 0 encodes a plain rational.  Instances compare when the radicals
-    agree or one side is rational.
-    """
+    It compares by surd_sign with another surd or with a rational; two surds
+    compare when their radicals agree or one of them is rational (s = 0).
+    The kernel builds its size keys as IntSurds from ints."""
 
     __slots__ = ("r", "s", "rad")
 
-    def __init__(self, r, s=0, rad=0):
-        self.r = Fraction(r)
-        self.s = Fraction(s)
-        self.rad = int(rad)
-        if self.rad < 0:
-            raise ValueError("radical must be >= 0")
-        if self.rad == 0 and self.s != 0:
-            raise ValueError("rad=0 requires s=0")
+    def __init__(self, r, s, rad: int):
+        self.r, self.s, self.rad = r, s, rad
 
     def _cmp(self, other) -> int:
         """The sign of self - other."""
-        if not isinstance(other, Surd):
+        if not isinstance(other, IntSurd):
             return surd_sign(self.r - other, self.s, self.rad)
         if self.s and other.s and self.rad != other.rad:
             raise ValueError(f"incompatible radicals {self.rad} and {other.rad}")
-        return surd_sign(self.r - other.r, self.s - other.s, self.rad or other.rad)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return surd_sign(self.r - other.r, self.s - other.s, self.rad if self.s else other.rad)
 
     def __eq__(self, other):
         try:
@@ -211,47 +195,43 @@ class Surd:
         except (ValueError, TypeError):
             return NotImplemented
 
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
     def __hash__(self):
-        if self.s == 0:
-            return hash(self.r)
+        root = math.isqrt(self.rad)  # a rational's own hash when it is one
+        if not self.s or root * root == self.rad:
+            return hash(self.r + self.s * root)
         return hash((self.r, self.s, self.rad))
 
     def __float__(self):
         return float(self.r) + float(self.s) * math.sqrt(self.rad)
 
-    def __repr__(self):
-        if self.s == 0:
-            return f"Surd({self.r})"
-        return f"Surd({self.r} + {self.s}*sqrt({self.rad}))"
-
-
-@functools.total_ordering
-class IntSurd:
-    """r + s*sqrt(rad) with integers r, s and a non-square rad > 0: a sort
-    key compared exactly by an integer sign test.  Keys compare only with
-    keys of the same rad, where equal values have equal (r, s)."""
-
-    __slots__ = ("r", "s", "rad")
-
-    def __init__(self, r: int, s: int, rad: int):
-        self.r, self.s, self.rad = r, s, rad
-
-    def __eq__(self, other):
-        return self.r == other.r and self.s == other.s
-
-    def __lt__(self, other):
-        return surd_sign(other.r - self.r, other.s - self.s, self.rad) > 0
-
-    def __float__(self):
-        return self.r + self.s * math.sqrt(self.rad)
-
     def __ceil__(self):
-        # s*sqrt(rad) is irrational unless s = 0.
-        root = math.isqrt(self.s * self.s * self.rad)
-        return self.r + (root + 1 if self.s > 0 else -root)
+        # m = floor(|s|*sqrt(rad)) puts self in [n, n + 2).
+        m = math.isqrt(int(self.s * self.s * self.rad))
+        n = math.floor(self.r) + (m if self.s >= 0 else -m - 1)
+        return next(k for k in (n, n + 1, n + 2) if self._cmp(k) <= 0)
 
     def __repr__(self):
-        return f"IntSurd({self.r} + {self.s}*sqrt({self.rad}))"
+        if not self.s:
+            return f"{type(self).__name__}({self.r})"
+        return f"{type(self).__name__}({self.r} + {self.s}*sqrt({self.rad}))"
+
+
+class Surd(IntSurd):
+    """An IntSurd with r and s as Fractions, checked: rad >= 0, and rad = 0
+    (a plain rational) requires s = 0."""
+
+    __slots__ = ()
+
+    def __init__(self, r, s=0, rad=0):
+        rad = int(rad)
+        if rad < 0:
+            raise ValueError("radical must be >= 0")
+        if rad == 0 and s != 0:
+            raise ValueError("rad=0 requires s=0")
+        super().__init__(Fraction(r), Fraction(s), rad)
 
 
 def round_quotient(n: int, d: int) -> int:

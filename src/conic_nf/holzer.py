@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
-from .descent import SolutionTriple
+from .descent import SolutionTriple, _on_conic
 from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring
 from .lattice import combine, module_basis, reduce_pairs
 from .solvability import ConicEquation
@@ -63,13 +63,6 @@ def xgcd(a: FieldElement, b: FieldElement):
         raise NotEuclidean(f"{field} is not in the Euclidean list")
     ring = integer_ring(field)
     return tuple(map(ring.element, ring.xgcd(ring.pair(a), ring.pair(b))))
-
-
-def _on_conic(ring: IntegerRing, coeffs, point) -> bool:
-    total = (0, 0)
-    for co, t in zip(coeffs, point):
-        total = ring.add(total, ring.mul(co, ring.mul(t, t)))
-    return total == (0, 0)
 
 
 def _primitive(ring: IntegerRing, point):

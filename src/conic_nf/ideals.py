@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from typing import Optional
 
@@ -398,13 +398,20 @@ def principal_ideal(x: FieldElement) -> Ideal:
 
 @dataclass(frozen=True)
 class PrimeIdeal:
-    """Prime ideal over the rational prime p, as (p, second_gen)."""
+    """Prime ideal over the rational prime p, as (p, second_gen); r in [0, p)
+    has omega = r (mod P) at a degree-1 prime of a quadratic field, else None."""
 
     field: FieldDescriptor
     p: int
     e: int  # ramification index
     f: int  # residue degree
     second_gen: FieldElement
+    r: Optional[int] = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        s0, s1 = self.second_gen.num
+        r = None if self.field.is_rational or self.f == 2 else -s0 * pow(s1, -1, self.p) % self.p
+        object.__setattr__(self, "r", r)
 
     @property
     def residue_size(self) -> int:
@@ -502,14 +509,14 @@ def omega_root(P: PrimeIdeal, k: int = 1) -> int:
     """The integer r in [0, p^k) with omega = r (mod P^k), for a degree-1
     prime P (r in [0, p) when k <= 1).
 
-    Mod P it is read off the second generator s0 + s1*omega of P.  For k > 1
-    P must be unramified, and r is the Hensel lift of that simple root of
-    omega's minimal polynomial.  The lift also works at 2: 2 splits only when
-    omega = (1 + sqrt(d))/2, and the derivative 2*omega - 1 is odd.
+    Mod P it is P.r.  For k > 1 P must be unramified, and r is the Hensel
+    lift of that simple root of omega's minimal polynomial.  The lift also
+    works at 2: 2 splits only when omega = (1 + sqrt(d))/2, and the
+    derivative 2*omega - 1 is odd.
     """
-    field, p = P.field, P.p
-    s0, s1 = P.second_gen.num
-    r = -s0 * pow(s1, -1, p) % p
+    field, p, r = P.field, P.p, P.r
+    if r is None:
+        raise ValueError(f"{P} is not a degree-1 prime of a quadratic field")
     if k <= 1:
         return r
     if P.e == 2:

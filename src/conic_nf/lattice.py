@@ -172,8 +172,8 @@ def reduce_pairs(ring, gens, coeffs):
 
 def _dot(x: FieldElement, y: FieldElement) -> Fraction:
     """Inner product of the archimedean embedding vectors over Q and an
-    imaginary field."""
-    return Fraction((x * y.conj()).trace(), 2)
+    imaginary field: the kernel's trace form of the numerators, halved."""
+    return Fraction(integer_ring(x.field).dot(x.num, y.num), 2 * x.den * y.den)
 
 
 def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:

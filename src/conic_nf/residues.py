@@ -283,18 +283,18 @@ def crt_coefficients(
     and 4.8).
 
     With n_p the least positive integer in every P^e over p (the largest
-    HNF entry a among them) and m the product of the other n_q, the integer
-    m*(m^-1 mod n_p) is 1 mod every P^e over p and 0 mod every other
-    modulus.  When both primes over a split p divide M, as P^e and Q^f,
-    lam_P is that integer times k*(omega - r_Q), with omega = r_P (mod P^e),
-    omega = r_Q (mod Q^f) and k = (r_P - r_Q)^-1 mod p^e: omega - r_Q lies
-    in Q^f and k*(omega - r_Q) = 1 (mod P^e).  r_P and r_Q differ mod p
-    because p does not divide the discriminant.
+    p^ceil(e/e_P) among them, that of P^e) and m the product of the other
+    n_q, the integer m*(m^-1 mod n_p) is 1 mod every P^e over p and 0 mod
+    every other modulus.  When both primes over a split p divide M, as P^e
+    and Q^f, lam_P is that integer times k*(omega - r_Q), with
+    omega = r_P (mod P^e), omega = r_Q (mod Q^f) and k = (r_P - r_Q)^-1
+    mod p^e: omega - r_Q lies in Q^f and k*(omega - r_Q) = 1 (mod P^e).
+    r_P and r_Q differ mod p because p does not divide the discriminant.
     """
     ring = integer_ring(field)
     n: dict[int, int] = {}
     for P, e in factors:
-        n[P.p] = max(n.get(P.p, 1), prime_power(P, e).a)
+        n[P.p] = max(n.get(P.p, 1), P.p ** -(-e // P.e))
     out = []
     for P, e in factors:
         m = math.prod(q for p, q in n.items() if p != P.p)

@@ -58,7 +58,7 @@ class ConicEquation:
     def from_coefficients(a: FieldElement, b: FieldElement, c: FieldElement):
         """Scale a rational-coefficient triple to an integral one."""
         m = math.lcm(a.den, b.den, c.den)
-        return ConicEquation(a * m, b * m, c * m)
+        return ConicEquation(a, b, c) if m == 1 else ConicEquation(a * m, b * m, c * m)
 
     def evaluate(self, x: FieldElement, y: FieldElement, z: FieldElement):
         return self.a * x * x + self.b * y * y + self.c * z * z

@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import pickle
 import random
@@ -13,6 +14,7 @@ import conic_nf.fields
 from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree, ParseError
 from conic_nf.fields import (
     FieldElement,
+    IntSurd,
     Surd,
     elem_size,
     elem_sqrt,
@@ -829,3 +831,146 @@ def test_size_test_matches_reference(d):
         ref = _ref_size_lt_size_minus_one(rd, _ref_of(w / ew), _ref_of(b / eb))
         assert size_lt_size_minus_one(w / ew, b / eb) == ref
     assert outcomes == {True, False}
+
+
+# -- the one exact surd against a decimal oracle ------------------------------
+
+
+def _surd_parts(x):
+    """(r, s, rad) of an int, Fraction, IntSurd or Surd, as Fractions."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0), 0
+    return Fraction(x.r), Fraction(x.s), x.rad
+
+
+def _rational_or_parts(x):
+    """x as a Fraction when it is rational (s = 0 or a square rad), else its
+    parts r, s over the non-square rad: equal values have equal results."""
+    r, s, rad = _surd_parts(x)
+    root = math.isqrt(rad)
+    return r + s * root if not s or root * root == rad else (r, s, rad)
+
+
+def _decimal(x):
+    r, s, rad = _surd_parts(x)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        D = decimal.Decimal
+        return D(r.numerator) / D(r.denominator) + D(s.numerator) / D(s.denominator) * D(rad).sqrt()
+
+
+def _surd_oracle_sign(x, y):
+    """The sign of x - y, without surd_sign: equal by exact parts, otherwise
+    by a decimal difference far above the 60-digit precision."""
+    if _rational_or_parts(x) == _rational_or_parts(y):
+        return 0
+    with decimal.localcontext(decimal.Context(prec=60)):
+        diff = _decimal(x) - _decimal(y)
+    assert abs(diff) > decimal.Decimal(10) ** -40, (x, y)
+    return 1 if diff > 0 else -1
+
+
+def _random_part(rng, fraction):
+    n = rng.randint(-40, 40)
+    return Fraction(n, rng.randint(1, 6)) if fraction else n
+
+
+def _random_surd_value(rng, rads):
+    """An int, a Fraction, a Surd or an IntSurd, the surds with int or
+    Fraction parts."""
+    kind, fraction = rng.randrange(4), rng.random() < 0.5
+    if kind < 2:
+        return _random_part(rng, kind == 1)
+    rad = rng.choice(rads)
+    r, s = _random_part(rng, fraction), (_random_part(rng, fraction) if rad else 0)
+    return Surd(r, s, rad) if kind == 2 else IntSurd(r, s, rad)
+
+
+def _equal_value(rng, x):
+    """Another representation of the value x: another type, or its rational
+    value when rad is a square."""
+    r, s, rad = _surd_parts(x)
+    value = _rational_or_parts(x)
+    if isinstance(value, Fraction):
+        return rng.choice([value, Surd(value), IntSurd(value, 0, rng.choice([2, 3, 5]))])
+    return rng.choice([Surd(r, s, rad), IntSurd(r, s, rad)])
+
+
+def _near_value(rng, x):
+    """x moved by a small rational, or r set near -s*sqrt(rad), where
+    surd_sign compares r^2 with s^2*rad."""
+    r, s, rad = _surd_parts(x)
+    if s and rng.random() < 0.5:
+        r = -s * Fraction(math.isqrt(int(s * s * rad * 10**6)), 1000) / abs(s)
+        r += Fraction(rng.randint(-2, 2), 1000)
+    else:
+        r += Fraction(rng.choice([-1, 1]), rng.randint(1, 10**6))
+    return Surd(r, s, rad) if rng.random() < 0.5 else IntSurd(r, s, rad)
+
+
+def test_one_surd_matches_a_decimal_oracle():
+    # Random pairs of IntSurds, Surds, ints and Fractions, with int and
+    # Fraction parts and rad 0, square and not; a fifth of them equal in
+    # value, a fifth near each other.
+    rng = random.Random("one surd")
+    rads = [0, 1, 4, 9, 2, 3, 5, 6, 8, 12]
+    compared = raised = 0
+    while compared < 5000:
+        x = _random_surd_value(rng, rads)
+        if isinstance(x, (int, Fraction)) and rng.random() < 0.8:
+            x = Surd(x, rng.randint(-5, 5), rng.choice(rads[1:]))
+        pick = rng.random()
+        if pick < 0.2:
+            y = _equal_value(rng, x)
+        elif pick < 0.4 and not isinstance(x, (int, Fraction)):
+            y = _near_value(rng, x)
+        else:
+            y = _random_surd_value(rng, rads)
+        if rng.random() < 0.5:
+            x, y = y, x
+        (_, sx, radx), (_, sy, rady) = _surd_parts(x), _surd_parts(y)
+        if sx and sy and radx != rady:
+            raised += 1
+            with pytest.raises(ValueError):
+                x < y
+            continue
+        compared += 1
+        sign = _surd_oracle_sign(x, y)
+        assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == (
+            sign < 0, sign <= 0, sign == 0, sign != 0, sign > 0, sign >= 0
+        ), (x, y, sign)
+        if sign == 0:
+            assert hash(x) == hash(y), (x, y)
+        for z in (x, y):
+            value = _rational_or_parts(z)
+            if isinstance(value, Fraction):
+                assert math.ceil(z) == math.ceil(value), z
+            else:
+                assert math.ceil(z) == int(_decimal(z).to_integral_value(decimal.ROUND_CEILING)), z
+            assert math.isclose(float(z), float(_decimal(z)), rel_tol=1e-12, abs_tol=1e-12)
+    assert raised >= 100
+
+
+def test_surd_constructor_checks():
+    with pytest.raises(ValueError):
+        Surd(1, 1, -1)
+    with pytest.raises(ValueError):
+        Surd(1, 1, 0)
+    x = Surd(1, 2, 3)
+    assert (type(x.r), type(x.s), type(x.rad)) == (Fraction, Fraction, int)
+    # Surd is a constructor: every method of the surd is IntSurd's.
+    assert {name for name, value in vars(Surd).items() if callable(value)} == {"__init__"}
+    assert Surd.__slots__ == ()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 14, 17, 21])
+def test_kernel_size_keys_ceil_as_before(d):
+    # The kernel's keys over a real field are IntSurds of ints with a
+    # non-square rad, whose ceiling was r + isqrt(s^2*rad) + 1 for s > 0
+    # and r - isqrt(s^2*rad) otherwise.
+    ring = integer_ring(make_field(d))
+    rng = random.Random(d)
+    for _ in range(500):
+        big = 10 ** rng.randint(1, 30)
+        key = ring.size_sq((rng.randint(-big, big), rng.randint(-big, big)))
+        root = math.isqrt(key.s * key.s * key.rad)
+        assert math.ceil(key) == key.r + (root + 1 if key.s > 0 else -root)

@@ -10,6 +10,7 @@ import conic_nf.ideals
 from conic_nf.fields import integer_ring, make_field, normalize_associate, parse_element
 from conic_nf.ideals import (
     Ideal,
+    PrimeIdeal,
     element_valuation,
     factor_ideal,
     factor_int,
@@ -19,6 +20,7 @@ from conic_nf.ideals import (
     is_principal,
     kronecker,
     norm_one_unit,
+    omega_root,
     prime_power,
     principal_ideal,
     splitting_type,
@@ -560,3 +562,59 @@ def test_record_factorisation_enters_only_complete_factorisations(monkeypatch):
     assert cache == {4 * p * q * q: (2, 2, p, q, q)}
     monkeypatch.setattr(conic_nf.ideals, "_brent_rho", None)
     assert factor_int(-4 * p * q * q) == [(2, 2), (p, 1), (q, 2)]
+
+
+# Fields with split, ramified and inert primes, d = 1 (mod 4) among them.
+OMEGA_FIELDS = (-1, -2, -3, -5, -7, -15, -23, 2, 3, 5, 6, 13, 17, 21)
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("d", OMEGA_FIELDS)
+def test_omega_root_is_the_lift_of_the_second_generator(d):
+    # omega_root(P, k) equals r0 = -s0/s1 mod p read off P's second
+    # generator s0 + s1*omega, lifted one power of p at a time by Newton's
+    # step on omega's minimal polynomial x^2 - t*x - k.
+    K = make_field(d)
+    ring = integer_ring(K)
+
+    def g(x):
+        return x * x - ring.t * x - ring.k
+
+    split = ramified = 0
+    for p in _primes_below(500):
+        kind, primes = splitting_type(K, p)
+        for P in primes:
+            if P.f == 2:
+                with pytest.raises(ValueError):
+                    omega_root(P)
+                continue
+            s0, s1 = P.second_gen.num
+            r = -s0 * pow(s1, -1, p) % p
+            assert omega_root(P) == omega_root(P, 0) == r
+            # r is no part of P's arguments, equality, hash or repr.
+            Q = PrimeIdeal(K, P.p, P.e, P.f, P.second_gen)
+            assert Q == P and hash(Q) == hash(P) and repr(Q) == repr(P) and "r=" not in repr(Q)
+            if kind == "Ramified":
+                ramified += 1
+                continue
+            split += 1
+            for k in range(2, 5):
+                pk = p**k
+                r = (r - g(r) * pow(2 * r - ring.t, -1, pk)) % pk
+                assert g(r) % pk == 0
+                assert omega_root(P, k) == r, (P, k)
+    assert split > 20 and ramified >= 1
+
+
+def test_omega_root_raises_off_degree_one_quadratic_primes():
+    for p in _primes_below(60):
+        with pytest.raises(ValueError):
+            omega_root(splitting_type(Q, p)[1][0])
+    inert = [P for p in _primes_below(60) for P in splitting_type(Q7, p)[1] if P.f == 2]
+    assert inert
+    for P in inert:
+        with pytest.raises(ValueError):
+            omega_root(P, 2)

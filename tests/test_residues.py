@@ -24,6 +24,7 @@ from conic_nf.ideals import (
     factor_ideal,
     is_probable_prime,
     kronecker,
+    omega_root,
     prime_power,
     principal_ideal,
     splitting_type,
@@ -781,3 +782,46 @@ def test_sqrt_mod_ideal_over_q_on_ints_matches_the_element_path():
     assert sqrt_mod_ideal(5, 1, []) == 0
     with pytest.raises(ValueError):
         sqrt_mod_ideal(5, 12)
+
+
+def _reference_crt(field, factors):
+    """crt_coefficients with n_p read off the HNF of each prime power."""
+    ring, n = integer_ring(field), {}
+    for P, e in factors:
+        n[P.p] = max(n.get(P.p, 1), prime_power(P, e).a)
+    out = []
+    for P, e in factors:
+        m = math.prod(q for p, q in n.items() if p != P.p)
+        lam = (m * pow(m, -1, n[P.p]), 0)
+        for Q, f in factors:
+            if Q.p == P.p and Q != P:
+                k = pow(omega_root(P, e) - omega_root(Q, f), -1, P.p**e)
+                lam = ring.mul(lam, (-k * omega_root(Q, f), k))
+        out.append(lam)
+    return out
+
+
+@pytest.mark.parametrize("d", [None, -1, -2, -3, -5, -7, -15, 2, 3, 5, 6, 13, 17, 21])
+def test_crt_moduli_in_closed_form(d):
+    # Each lam_i is 1 mod P_i^e_i and 0 mod the other prime powers, and the
+    # coefficients are those of n_p = prime_power(P, e).a, for every prime
+    # over p < 100 and e <= 6, alone, with a prime over another p, and with
+    # its conjugate when p splits.
+    K = make_field(d)
+    rng = random.Random(f"crt:{d}")
+    primes = [P for p in range(2, 100) if is_probable_prime(p) for P in splitting_type(K, p)[1]]
+    for P in primes:
+        for e in range(1, 7):
+            others = [Q for Q in primes if Q.p != P.p]
+            conj = [Q for Q in primes if Q.p == P.p and Q != P]
+            for factors in (
+                [(P, e)],
+                [(P, e), (rng.choice(others), rng.randint(1, 6))],
+                [(P, e)] + [(Q, rng.randint(1, 6)) for Q in conj],
+            ):
+                lams = crt_coefficients(K, factors)
+                assert lams == _reference_crt(K, factors), factors
+                for i, lam in enumerate(lams):
+                    for j, (Q, f) in enumerate(factors):
+                        x = K.element(lam[0] - (i == j), lam[1])
+                        assert prime_power(Q, f).contains(x), (factors, i, j)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
-from conic_nf.fields import integer_ring, make_field, parse_element
+from conic_nf.fields import FieldElement, integer_ring, make_field, parse_element
 from conic_nf import ideals, residues, solvability
 from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal, splitting_type
 from conic_nf.solvability import (
@@ -337,3 +338,40 @@ def test_kernel_valuations_match_the_ideal_factorisation():
     # Every kind of prime over 2 at valuation 3 or more: Q, split, inert,
     # ramified with d = 2, 3 (mod 4).
     assert {(None, 1, 1), (1, 1, 1), (5, 1, 2), (0, 2, 1), (4, 2, 1)} <= seen
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_from_coefficients_keeps_integral_triples(monkeypatch):
+    # An integral triple is taken as it is, with no FieldElement product; a
+    # rational one is scaled by the lcm m of its denominators, as before.
+    rng = random.Random("from_coefficients")
+    triples = []
+    for d in (None, -7, -6, 5, 14):
+        K = make_field(d)
+        for _ in range(40):
+            v = (lambda: 0) if d is None else (lambda: rng.randint(-9, 9))
+            triples.append([K.element(rng.choice([-1, 1]) * rng.randint(1, 99), v()) for _ in "abc"])
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(FieldElement, name)
+        monkeypatch.setattr(FieldElement, name, _counted(calls, name, real))
+    for a, b, c in triples:
+        eq = ConicEquation.from_coefficients(a, b, c)
+        assert (eq.a, eq.b, eq.c) == (a, b, c)
+    assert calls == []
+    monkeypatch.undo()
+    scaled = 0
+    for a, b, c in triples:
+        a, b, c = (t / rng.randint(2, 6) for t in (a, b, c))
+        eq = ConicEquation.from_coefficients(a, b, c)
+        m = math.lcm(a.den, b.den, c.den)
+        scaled += m > 1
+        assert (eq.a, eq.b, eq.c) == (a * m, b * m, c * m)
+    assert scaled > len(triples) // 2

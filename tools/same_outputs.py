@@ -10,12 +10,19 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 - a seeded sweep over Q and 18 quadratic fields, real ones included: conics
   through random points, the same conics with rational coefficients, and
   direct legendre_descent calls;
-- random row sets for ideals.hnf_rows, rank-deficient ones included.
+- random row sets for ideals.hnf_rows, rank-deficient ones included;
+- a seeded sweep of elements over the same 19 fields for the exact sizes
+  and the local data at primes.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
 solve_conic point with DescentTrace.to_list(), the reduce_solution point,
 the corpus --json output with its exit code, or the error's type and text.
+On the element sweep it dumps the repr of each size_sq and the pairwise
+order and equality of the size_sq values, and of pair_measure values over
+Q and the imaginary fields; nearest_integer and closest_in_coset over the
+real fields; and omega_root(P, k) for k <= 3 with crt_coefficients for
+the primes over p < 60.
 The script prints the count of each kind of output and the first
 difference, and exits 1 on any difference, 0 when every output is the same.
 
@@ -33,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 ROOT = os.getcwd()
 SEEDS = (1, 2, 3)
@@ -40,6 +48,8 @@ SECONDS = 20  # the benchmark's default run length sets the number of inputs
 SWEEP_FIELDS = (None, -1, -2, -3, -5, -6, -7, -11, -15, -19, -23, 2, 3, 5, 6, 7, 13, 17, 21)
 SWEEP_PER_FIELD = 40
 HNF_SETS = 20_000
+SURFACE_ELEMENTS = 30
+LOCAL_PRIMES_BELOW = 60
 DUMP_TIMEOUT_S = 1200
 
 
@@ -130,6 +140,33 @@ def _hnf_inputs():
     return inputs
 
 
+def _surface_inputs():
+    """Elements (u, v, den) = (u + v*omega)/den of each sweep field for the
+    exact sizes and the roundings, and one seeded local-data input a field."""
+    rng = random.Random("same-outputs surfaces")
+
+    def elems(d, n, r=60):
+        return [
+            (rng.randint(-r, r), 0 if d is None else rng.randint(-r, r), rng.randint(1, 7))
+            for _ in range(n)
+        ]
+
+    inputs = []
+    for d in SWEEP_FIELDS:
+        inputs.append(["sizes", d, elems(d, SURFACE_ELEMENTS)])
+        if d is None or d < 0:
+            xs, ys = elems(d, SURFACE_ELEMENTS), elems(d, SURFACE_ELEMENTS)
+            pairs = [(x, y) for x, y in zip(xs, ys) if y[:2] != (0, 0)]
+            norms = [rng.choice([1, 2, 3, 4, 7, 9, 823]) for _ in pairs]
+            inputs.append(["measures", d, pairs, norms])
+        else:
+            gens = [g for g in elems(d, 5, 30) if g[:2] != (0, 0)]
+            xs = elems(d, SURFACE_ELEMENTS, 10**6)
+            inputs.append(["roundings", d, xs, [g[:2] for g in gens]])
+        inputs.append(["local", d, f"local:{d}"])
+    return inputs
+
+
 # -- outputs, dumped by each checkout -------------------------------------------
 
 
@@ -141,8 +178,8 @@ def _dump(checkout, inputs_path):
 
     import conic_nf
     import conic_nf.cli
-    from conic_nf import descent, holzer, ideals, residues, solvability
-    from conic_nf.fields import format_element, make_field, parse_element
+    from conic_nf import descent, holzer, ideals, lattice, residues, solvability
+    from conic_nf.fields import format_element, make_field, nearest_integer, parse_element, size_sq
 
     if not os.path.abspath(conic_nf.__file__).startswith(src + os.sep):
         raise RuntimeError(f"conic_nf imported from {conic_nf.__file__}, not from {src}")
@@ -160,6 +197,43 @@ def _dump(checkout, inputs_path):
         if scale:
             return solvability.ConicEquation.from_coefficients(*terms)
         return solvability.ConicEquation(*terms)
+
+    def rational(d, x):
+        u, v, den = x
+        return make_field(d).element(Fraction(u, den), Fraction(v, den))
+
+    def orders(values):
+        """Per pair i < j: 4*(x < y) + 2*(x == y) + (x > y), or x when < raises."""
+        out = []
+        for i, x in enumerate(values):
+            for y in values[i + 1:]:
+                try:
+                    out.append(str(4 * (x < y) + 2 * (x == y) + (x > y)))
+                except ValueError:
+                    out.append("x")
+        return "".join(out)
+
+    def local(d, seed):
+        K, rng = make_field(d), random.Random(seed)
+        primes = [
+            P for p in range(2, LOCAL_PRIMES_BELOW) if ideals.is_probable_prime(p)
+            for P in ideals.splitting_type(K, p)[1]
+        ]
+        out = []
+        for P in primes:
+            conjugates = [Q for Q in primes if Q.p == P.p and Q != P]
+            others = [Q for Q in primes if Q.p != P.p]
+            if not K.is_rational and P.f == 1:
+                for k in range(4):
+                    try:
+                        out.append(ideals.omega_root(P, k))
+                    except AssertionError as exc:  # P^k for k > 1 at a ramified P
+                        out.append(str(exc))
+            for e in range(1, 4):
+                factors = [(P, e)] + [(Q, rng.randint(1, 3)) for Q in conjugates]
+                factors.append((rng.choice(others), rng.randint(1, 3)))
+                out.append(residues.crt_coefficients(K, factors))
+        return out
 
     def point(sol):
         return [format_element(t) for t in (sol.x, sol.y, sol.z)]
@@ -201,6 +275,28 @@ def _dump(checkout, inputs_path):
             return None if w is None else format_element(w)
         if kind == "hnf":
             return list(ideals.hnf_rows(args[0]))
+        if kind == "sizes":
+            d, xs = args
+            sizes = [size_sq(rational(d, x)) for x in xs]
+            return [list(map(repr, sizes)), orders(sizes)]
+        if kind == "measures":
+            d, pairs, norms = args
+            measures = [
+                lattice.pair_measure(rational(d, x), rational(d, y), n)
+                for (x, y), n in zip(pairs, norms)
+            ]
+            return [list(map(repr, measures)), orders(measures)]
+        if kind == "roundings":
+            d, xs, gens = args
+            K = make_field(d)
+            moduli = [ideals.principal_ideal(K.element(*g)) for g in gens]
+            cosets = [residues.closest_in_coset(K.element(*x[:2]), M) for x in xs for M in moduli]
+            return [
+                [format_element(nearest_integer(rational(d, x))) for x in xs],
+                list(map(format_element, cosets)),
+            ]
+        if kind == "local":
+            return local(*args)
         raise ValueError(f"unknown input kind {kind!r}")
 
     with open(inputs_path) as fh:
@@ -238,6 +334,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as folder:
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
+        inputs += _surface_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
