@@ -230,6 +230,14 @@ def _cmd_corpus(args, out) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    """An int >= 0; argparse makes anything else a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conic-nf",
@@ -253,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parametrize", help="enumerate solutions from a base")
     common(p)
     p.add_argument("--base", required=True, help='base solution "x;y;z"')
-    p.add_argument("--max-param", type=int, default=8, help="slope sweep radius")
-    p.add_argument("--height", type=int, default=None, help="norm bound on z")
+    p.add_argument("--max-param", type=_non_negative, default=8, help="slope sweep radius")
+    p.add_argument("--height", type=_non_negative, default=None, help="norm bound on z")
 
     p = sub.add_parser("reduce", help="shrink a solution to the minimal bound")
     common(p)

@@ -11,7 +11,8 @@ does not shrink, ends in one search over pairs (y, z) in the reduced basis of
 the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
 solve_conic runs on kernel values from the norm form to the point: the
-integer kernel's pairs over a quadratic field, plain ints over Q (_INTS).
+integer kernel's pairs over a quadratic field, plain ints over Q
+(fields.INTS), the base search included.
 The helpers it calls (factor_ideal, sqrt_mod_ideal, short_congruence_pair,
 square_decompose) take ints over Q and FieldElements otherwise.  The local
 conditions are decided once, on the norm form; the square test is a
@@ -26,19 +27,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .errors import NotSolvable, PellSearchExhausted
 from .fields import (
+    INTS,
     FieldDescriptor,
     FieldElement,
     elem_sqrt,
     format_element,
     integer_ring,
-    make_field,
     require_integral,
 )
 from .ideals import factor_ideal, factor_int, prime_power, principal_ideal
@@ -50,22 +49,6 @@ from .solvability import ConicEquation, check_solvable
 
 DEFAULT_PELL_BOUND = 200
 MAX_DEPTH = 80
-
-
-def _int_sqrt(x: int) -> Optional[int]:
-    r = math.isqrt(x) if x >= 0 else -1
-    return r if r * r == x else None
-
-
-# Q's integers as the descent's kernel: the part of IntegerRing's API that a
-# step uses, on plain ints.  The helpers take ints over Q, so element and
-# pair, which turn kernel values into the helpers' FieldElements and back
-# over a quadratic field, are the identity here.
-_INTS = SimpleNamespace(
-    field=make_field(), one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
-    norm=lambda x: x * x, sqrt=_int_sqrt, exact_div=lambda a, b: None if a % b else a // b,
-    element=lambda x: x, pair=lambda x: x,
-)
 
 
 def _element_of(field: FieldDescriptor, x):
@@ -144,7 +127,7 @@ def _norm_form(eq: ConicEquation):
     ring = integer_ring(field)
     a, b, c = (ring.pair(x) for x in (eq.a, eq.b, eq.c))
     if field.is_rational:
-        ring, a, b, c, size = _INTS, a[0], b[0], c[0], abs
+        ring, a, b, c, size = INTS, a[0], b[0], c[0], abs
     else:
         size = lambda x: abs(ring.norm(x))
     primes = {p for x in (a, b, c) for p, _ in factor_int(size(x))}
@@ -155,7 +138,7 @@ def _norm_form(eq: ConicEquation):
     (A1, A2), (B1, B2) = (map(ring.pair, square_decompose(ring.element(x))) for x in (A0, B0))
     for x in (A1, B1):
         record_factorisation(size(x), primes)
-        if ring is not _INTS and not x[1]:
+        if ring is not INTS and not x[1]:
             record_factorisation(x[0], primes)
     return ring, a, A1, A2, B1, B2
 
@@ -200,8 +183,9 @@ def _enumerate_pairs(ring, a, b):
     that reduce_pairs gives the length sum_i |sigma_i(a)|*sigma_i(y)^2 +
     |sigma_i(b)|*sigma_i(z)^2, by shells max|k_i| = W = 1, 2, ...  The rows
     are a Z-basis of O_K^2, so every nonzero pair comes once; y -> y/eta and
-    a -> a*eta^2 leave the length alone, so the order does not see units."""
-    one, zero = (1, 0), (0, 0)
+    a -> a*eta^2 leave the length alone, so the order does not see units.
+    ring is the kernel: pairs, or plain ints over Q (INTS)."""
+    one, zero = ring.one, ring.zero
     rows = reduce_pairs(ring, module_basis(ring, [(one, zero), (zero, one)]), (a, b, one))
     for W in itertools.count(1):
         for k in itertools.product(range(-W, W + 1), repeat=len(rows)):
@@ -223,13 +207,11 @@ def _norm_search(ring, A, B, trace: DescentTrace):
     Z-basis of O_K^2, so it reaches that pair or its negative.
     """
     trace.add("pell_fallback", ring.field, A=A, B=B)
-    pairs = integer_ring(ring.field)
-    a, b = (A, B) if ring is pairs else ((A, 0), (B, 0))
-    mul = pairs.mul
-    for y, z in _enumerate_pairs(pairs, a, b):
-        x = pairs.sqrt(pairs.add(mul(a, mul(y, y)), mul(b, mul(z, z))))
+    mul = ring.mul
+    for y, z in _enumerate_pairs(ring, A, B):
+        x = ring.sqrt(ring.add(mul(A, mul(y, y)), mul(B, mul(z, z))))
         if x is not None:
-            return (x, y, z) if ring is pairs else (x[0], y[0], z[0])
+            return x, y, z
 
 
 def solve_pell(
@@ -271,10 +253,10 @@ def compose_solution(
 
     Uses the norm identity
     (a0^2 - A b0^2)(a1^2 - A b1^2) = (a0 a1 + A b0 b1)^2 - A (a0 b1 + a1 b0)^2.
-    The descent composes kernel values the same way; the operators of _INTS
+    The descent composes kernel values the same way; the operators of INTS
     serve FieldElements too.
     """
-    return SolutionTriple(*_compose(_INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
+    return SolutionTriple(*_compose(INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
 
 
 def _try_rational_subfield(ring, A, B):
@@ -283,12 +265,12 @@ def _try_rational_subfield(ring, A, B):
 
     The conditions are decided here, so the descent over Q starts as a
     recursive call, which does not decide them again."""
-    if ring is _INTS or A[1] or B[1]:
+    if ring is INTS or A[1] or B[1]:
         return None
-    Qf = _INTS.field
+    Qf = INTS.field
     if not check_solvable(ConicEquation(Qf.one(), Qf.element(-A[0]), Qf.element(-B[0]))).solvable:
         return None
-    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, _INTS))
+    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, INTS))
 
 
 def legendre_descent(
@@ -314,7 +296,7 @@ def legendre_descent(
     if _ring is None:
         A, B = ring.pair(A), ring.pair(B)
         if ring.field.is_rational:
-            ring, A, B = _INTS, A[0], B[0]
+            ring, A, B = INTS, A[0], B[0]
     field = ring.field
     sol = _try_rational_subfield(ring, A, B) if _depth == 0 else None
     if sol is not None:
@@ -355,7 +337,7 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
     # mod S exists when the conditions hold: at an odd P | S not dividing A
     # the Hilbert symbol (A, B)_P = 1 says A is a square mod P; w = 0 at
     # P | A; over 2 every residue is a square.  Over Q, S and M are ints.
-    if ring is _INTS:
+    if ring is INTS:
         factors = factor_ideal(B)
         S = math.prod(p for p, e in factors if e % 2)
         M = math.prod(p ** (e // 2) for p, e in factors)
@@ -400,10 +382,11 @@ def _primitive_point(ring, point, divisors):
 
 
 def _on_conic(ring, coeffs, point) -> bool:
-    total = (0, 0)
+    """a*x^2 + b*y^2 + c*z^2 == 0 on kernel values of ring (pairs or INTS)."""
+    total = ring.zero
     for co, t in zip(coeffs, point):
         total = ring.add(total, ring.mul(co, ring.mul(t, t)))
-    return total == (0, 0)
+    return total == ring.zero
 
 
 def solve_conic(
@@ -421,7 +404,7 @@ def solve_conic(
         trace.add("norm_form", field, A=A1, B=B1)
     sol = legendre_descent(A1, B1, trace, 0, ring)
     divisors, pairs = (a, A2, B2), integer_ring(field)
-    if ring is _INTS:
+    if ring is INTS:
         sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))
     point = _primitive_point(pairs, sol, divisors)
     coeffs = [pairs.pair(t) for t in (eq.a, eq.b, eq.c)]

@@ -17,20 +17,24 @@ human-readable approximation.
 Over Q and the imaginary quadratic fields the kernel adds closed-form
 nearest-integer rounding, Euclidean division, extended gcd and normalised
 gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
-Over Q the gcd, the extended gcd and exact division run on plain ints, the
-extended gcd with the nearest-integer quotients of the pair path, so it
-returns the same Bezout coefficients; the HNF of ideals takes its own from it.
 Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
+
+Q's own kernel, INTS, is the part of the kernel's API that the descent and
+the Holzer step use, on plain ints.  Its extended gcd takes the
+nearest-integer quotients of the pair path, so it returns the same Bezout
+coefficients; IntegerRing.xgcd over Q and the HNF of ideals call it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -506,7 +510,8 @@ class IntegerRing:
     is num/den with den > 0 and rounds in closed form; rounding, division
     with remainder and gcds exist only there.  nearest_integer,
     euclid_divmod and gcd_elems delegate here over these fields, and the
-    size reduction in holzer runs on pairs throughout.
+    size reduction in holzer runs on pairs over the imaginary fields (on
+    INTS over Q).
     """
 
     __slots__ = ("field", "t", "k", "units", "real")
@@ -716,15 +721,7 @@ class IntegerRing:
         """(g, s, t) with s*a + t*b = g = gcd(a, b), by Euclid's algorithm."""
         self._require_definite()
         if self.field.is_rational:
-            # divmod's quotient ceil(r0/r1 - 1/2), on plain ints.
-            r0, r1, s0, s1, t0, t1 = a[0], b[0], 1, 0, 0, 1
-            while r1:
-                q = -((r1 - 2 * r0) // (2 * r1))
-                r0, r1 = r1, r0 - q * r1
-                s0, s1 = s1, s0 - q * s1
-                t0, t1 = t1, t0 - q * t1
-            assert s0 * a[0] + t0 * b[0] == r0
-            return (r0, 0), (s0, 0), (t0, 0)
+            return tuple((x, 0) for x in INTS.xgcd(a[0], b[0]))
         r0, r1 = a, b
         s0, s1 = (1, 0), (0, 0)
         t0, t1 = (0, 0), (1, 0)
@@ -768,6 +765,40 @@ class IntegerRing:
 def integer_ring(field: FieldDescriptor) -> IntegerRing:
     """The integer kernel of Q or a quadratic field."""
     return IntegerRing(field)
+
+
+# -- Q's kernel: plain ints ----------------------------------------------------
+
+
+def _int_sqrt(x: int) -> Optional[int]:
+    r = math.isqrt(x) if x >= 0 else -1
+    return r if r * r == x else None
+
+
+def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = +-gcd(a, b), by Euclid's algorithm with
+    IntegerRing.divmod's quotient ceil(r0/r1 - 1/2), so the Bezout
+    coefficients are those of the pair path."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = -((r1 - 2 * r0) // (2 * r1))
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    assert s0 * a + t0 * b == r0
+    return r0, s0, t0
+
+
+# Q's integers as a kernel: the part of IntegerRing's API that the descent
+# and the Holzer step use, on plain ints (gcd is the positive one).  The
+# descent's helpers take ints over Q, so element and pair, which turn
+# kernel values into FieldElements and back over a quadratic field, are the
+# identity here.
+INTS = SimpleNamespace(
+    field=RATIONAL, one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
+    norm=lambda x: x * x, sqrt=_int_sqrt, exact_div=lambda a, b: None if a % b else a // b,
+    gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd, element=lambda x: x, pair=lambda x: x,
+)
 
 
 def divides(a: FieldElement, b: FieldElement) -> bool:

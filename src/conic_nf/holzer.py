@@ -8,10 +8,12 @@ solution of rational conics", Math. Comp. 72, 2003) and moves to the second
 intersection of a short line, whose N(z) is smaller; N(z) is a non-negative
 integer, so the steps end, and a step that cannot shrink it raises.
 
-The steps run on integer (u, v) pairs through the integer kernel of
-fields (IntegerRing): the equation and the start are converted once, each
-step checks in integers that its point lies on the conic, and so do the
-start and the result before the result is converted back.
+The steps run on kernel values: plain ints over Q (fields.INTS), whose
+rank-2 lattice reduce_pairs hands to lattice.reduce_int_pairs, and integer
+(u, v) pairs through the field's IntegerRing elsewhere.  The equation and
+the start are converted once, each step checks in integers that its point
+lies on the conic, and so do the start and the result before the result is
+converted back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
 from .descent import SolutionTriple, _on_conic
-from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring
+from .fields import INTS, FieldDescriptor, FieldElement, integer_ring
 from .lattice import combine, module_basis, reduce_pairs
 from .solvability import ConicEquation
 
@@ -65,29 +67,28 @@ def xgcd(a: FieldElement, b: FieldElement):
     return tuple(map(ring.element, ring.xgcd(ring.pair(a), ring.pair(b))))
 
 
-def _primitive(ring: IntegerRing, point):
+def _primitive(ring, point):
     g = ring.gcd(point)
     return tuple(ring.exact_div(t, g) for t in point)
 
 
-def _second_point(ring: IntegerRing, coeffs, point, uv):
+def _second_point(ring, coeffs, point, polar, uv):
     """The primitive second intersection of the conic with the line through
     point and (u, v, 0), for (u, v) in the lattice of _lattice_step:
     (q*x0 - 2*l*u, q*y0 - 2*l*v, q*z0)/z0 with q = a*u^2 + b*v^2 and
-    l = a*x0*u + b*y0*v, both multiples of z0.  At q = 0 (l is then not 0)
-    it is (u, v, 0), a point with z = 0."""
+    2*l = 2*a*x0*u + 2*b*y0*v, both multiples of z0; polar holds 2*a*x0 and
+    2*b*y0.  At q = 0 (l is then not 0) it is (u, v, 0), a point with z = 0."""
     a, b, _ = coeffs
     x0, y0, z0 = point
     u, v = uv
     mul, sub = ring.mul, ring.sub
     q = ring.add(mul(a, mul(u, u)), mul(b, mul(v, v)))
-    lin = ring.add(mul(a, mul(x0, u)), mul(b, mul(y0, v)))
-    l2 = (2 * lin[0], 2 * lin[1])
+    l2 = ring.add(mul(polar[0], u), mul(polar[1], v))
     new = (sub(mul(q, x0), mul(l2, u)), sub(mul(q, y0), mul(l2, v)), mul(q, z0))
     return _primitive(ring, tuple(ring.exact_div(t, z0) for t in new))
 
 
-def _lattice_step(ring: IntegerRing, coeffs, point):
+def _lattice_step(ring, coeffs, point):
     """A point with smaller N(z), from one LLL reduction, or raise.
 
     The line through the primitive point (x0, y0, z0) and (u, v, 0) meets
@@ -98,17 +99,20 @@ def _lattice_step(ring: IntegerRing, coeffs, point):
     |a|*|u|^2 + |b|*|v|^2 makes a*u^2 + b*v^2, and so the new z, small.
     The least N(z) among the reduced rows wins; when none of them shrinks
     N(z), the least among the rows' {-1, 0, 1} combinations does.  Ties go
-    to the first point.
+    to the first point.  ring is the kernel: plain ints over Q (INTS),
+    pairs over the imaginary fields.
     """
     a, b, _ = coeffs
     x0, y0, z0 = point
+    mul = ring.mul
     g, s, t = ring.xgcd(x0, y0)
     e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
-    e2 = (ring.mul(z0, t), ring.mul(z0, (-s[0], -s[1])))
-    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (a, b, (1, 0)))
+    e2 = (mul(z0, t), ring.sub(ring.zero, mul(z0, s)))
+    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (a, b, ring.one))
+    polar = (mul(ring.add(a, a), x0), mul(ring.add(b, b), y0))
 
     def least(vectors):
-        points = [_second_point(ring, coeffs, point, uv) for uv in vectors]
+        points = [_second_point(ring, coeffs, point, polar, uv) for uv in vectors]
         return min(zip((ring.norm(p[2]) for p in points), range(len(points)), points))
 
     nz, _, best = least(rows)
@@ -128,21 +132,29 @@ def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
     Supported over the rationals and the Euclidean imaginary quadratic
     fields (d = -1, -2, -3, -7, -11).
     """
-    bound_constant_sq(eq.field)
-    ring = integer_ring(eq.field)
-    coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
-    # Over a common denominator the start is integral, and on the conic
-    # exactly when it is.
+    field = eq.field
+    bound_constant_sq(field)
     point = (sol.x, sol.y, sol.z)
+    if any(t.field is not field for t in (eq.b, eq.c, *point)):
+        raise ValueError("elements of different fields")
+    # Over a common denominator the start is integral, and on the conic
+    # exactly when it is.  The coefficients are integral (ConicEquation).
     den = math.lcm(*(t.den for t in point))
-    start = tuple(ring.pair(t * den if den > 1 else t) for t in point)
+    coeffs = [t.num for t in (eq.a, eq.b, eq.c)]
+    start = [(t.num[0] * (den // t.den), t.num[1] * (den // t.den)) for t in point]
+    if field.is_rational:
+        ring, element = INTS, field.element
+        coeffs, start = ([u for u, _ in v] for v in (coeffs, start))
+    else:
+        ring = integer_ring(field)
+        element = ring.element
     if sol.is_trivial or not _on_conic(ring, coeffs, start):
         raise PreconditionViolated("starting point is not a solution")
     if den > 1:
         raise PreconditionViolated("starting solution must be integral")
     cur = _primitive(ring, start)
     while True:
-        red = SolutionTriple(*map(ring.element, cur))
+        red = SolutionTriple(*map(element, cur))
         if is_reduced(eq, red):
             assert _on_conic(ring, coeffs, cur)
             return red

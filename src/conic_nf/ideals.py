@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import FactorizationFailed
 from .fields import (
-    RATIONAL,
+    INTS,
     FieldDescriptor,
     FieldElement,
     IntegerRing,
@@ -268,7 +268,7 @@ def hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         if c == 0:
             b, c = u, v
         else:
-            (g, _), (x, _), (y, _) = integer_ring(RATIONAL).xgcd((c, 0), (v, 0))
+            g, x, y = INTS.xgcd(c, v)
             # x*c + y*v = g; new combined row, leftover goes to pure rows.
             nb = x * b + y * u
             pure.append((b * v - u * c) // g)

@@ -4,12 +4,13 @@ Given (B) = M^2*S with S squarefree and w with w^2 = A (mod S), the pairs
 (w*y + m, y) with y in M and m in M*S form a lattice on which B divides
 x^2 - A*y^2; a short vector for a length weighted per embedding yields a
 small quotient, which drives the descent; holzer reduces the lattice of
-lines through a point the same way (reduce_pairs).  LLL is integral (Cohen,
-Alg. 2.6.7): it clears the Gram matrix's denominators once and keeps its
-Gram-Schmidt data as integers.  The integer weights only steer it, and the
-pair is picked on the kernel's (u, v) pairs by an exact integer comparison,
-and over Q on the descent's plain ints.  _gso and pair_measure are the exact
-rational definitions.
+lines through a point the same way (reduce_pairs).  Over Q both lattices
+have rank 2 and run on plain ints (reduce_int_pairs).  LLL is integral
+(Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
+keeps its Gram-Schmidt data as integers, in four scalars at rank 2.  The
+integer weights only steer it, and the pair is picked on the kernel's
+(u, v) pairs, or over Q on plain ints, by an exact integer comparison.
+_gso and pair_measure are the exact rational definitions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotPositiveDefinite
-from .fields import FieldElement, IntSurd, Surd, integer_ring, round_quotient
+from .fields import INTS, FieldElement, IntSurd, Surd, integer_ring, round_quotient
 from .ideals import Ideal, hnf_rows, unit_ideal
 
 DELTA = Fraction(99, 100)
@@ -74,7 +75,7 @@ def _integral_gso(G):
 
 
 def lll_reduce(gram):
-    """LLL-reduce a lattice given only its (rational) Gram matrix.
+    """LLL-reduce a lattice given only its (rational, symmetric) Gram matrix.
 
     Returns (reduced_gram, U) with U unimodular over Z and
     reduced_gram = U * gram * U^T, in ints when gram is integral.  Integral
@@ -83,14 +84,24 @@ def lll_reduce(gram):
     as integers and updated in place on each size reduction and each swap.
     Row k is size-reduced against rows k-1, ..., 0 with q = mu_kj rounded
     half to even, then tested by Lovasz's condition, so U is the same as
-    with exact rational Gram-Schmidt recomputed after every step.
+    with exact rational Gram-Schmidt recomputed after every step.  Rank 2
+    takes the same steps in scalars (_lll_rank2).
     """
     n = len(gram)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
-        return gram, U
+        return gram, []
     den = math.lcm(*(g.denominator for row in gram for g in row))
     G = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
+    reduced, U = (_lll_rank2 if n == 2 else _lll)(G)
+    if den > 1:
+        reduced = [[Fraction(g, den) for g in row] for row in reduced]
+    return reduced, U
+
+
+def _lll(G):
+    """lll_reduce on the integral Gram matrix G: (U * G * U^T, U)."""
+    n = len(G)
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     D, lam = _integral_gso(G)
     dn, dd = DELTA.numerator, DELTA.denominator
 
@@ -124,15 +135,37 @@ def lll_reduce(gram):
         k = max(k - 1, 1)
 
     GU = [[sum(G[p][q] * U[j][q] for q in range(n)) for j in range(n)] for p in range(n)]
-    reduced = [[sum(U[i][p] * GU[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
-    if den > 1:
-        reduced = [[Fraction(g, den) for g in row] for row in reduced]
-    return reduced, U
+    return [[sum(U[i][p] * GU[p][j] for p in range(n)) for j in range(n)] for i in range(n)], U
+
+
+def _lll_rank2(G):
+    """_lll at rank 2, in scalars: D_1 = |b_0|^2, lam = lam_10 = b_1.b_0,
+    the invariant D_2 = det G and U = [[u0, u1], [v0, v1]].  Each pass
+    size-reduces row 1 and tests Lovasz's condition, and a swap sets
+    D_1 = (D_2 + lam^2)/D_1 with lam unchanged.  The reduced Gram matrix is
+    [[D_1, lam], [lam, (D_2 + lam^2)/D_1]]: |b_1|^2 = B*_1 + mu^2*B*_0 with
+    B*_0 = D_1, B*_1 = D_2/D_1 and mu = lam/D_1."""
+    d1, lam = G[0][0], G[1][0]
+    d2 = d1 * G[1][1] - lam * lam
+    if d1 <= 0 or d2 <= 0:
+        raise NotPositiveDefinite("Gram matrix is not positive definite (or rows are dependent)")
+    dn, dd = DELTA.numerator, DELTA.denominator
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while True:
+        q = round_quotient(lam, d1)
+        if q:
+            v0, v1, lam = v0 - q * u0, v1 - q * u1, lam - q * d1
+        e = d2 + lam * lam
+        if dd * e >= dn * d1 * d1:
+            return [[d1, lam], [lam, e // d1]], [[u0, u1], [v0, v1]]
+        u0, u1, v0, v1, d1 = v0, v1, u0, u1, e // d1
 
 
 def combine(coeffs, vecs):
     """The sum of c*v over coeffs and vecs, each v a pair (x, y) of kernel
-    pairs."""
+    values: pairs, or ints over Q (INTS)."""
+    if type(vecs[0][0]) is int:
+        return tuple(sum(c * t for c, t in zip(coeffs, ts)) for ts in zip(*vecs))
     xu = xv = yu = yv = 0
     for c, ((a, b), (e, f)) in zip(coeffs, vecs):
         xu, xv, yu, yv = xu + c * a, xv + c * b, yu + c * e, yv + c * f
@@ -141,9 +174,10 @@ def combine(coeffs, vecs):
 
 def module_basis(ring, basis):
     """The Z-basis e, omega*e for each e in the O_K-basis basis of pairs
-    (x, y) of kernel pairs (e alone over Q)."""
-    om = [(1, 0)] if ring.field.is_rational else [(1, 0), (0, 1)]
-    return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in om]
+    (x, y) of kernel values (e alone over Q)."""
+    if ring.field.is_rational:
+        return list(basis)
+    return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in ((1, 0), (0, 1))]
 
 
 def reduce_pairs(ring, gens, coeffs):
@@ -156,7 +190,11 @@ def reduce_pairs(ring, gens, coeffs):
     has the form tr(q'*x*x') of the totally positive q' = +-q*delta*_SCALE
     if N(q) < 0 (delta = 2*omega - t has the conjugates +-sqrt(disc)), else
     +-q*round(sqrt(disc)*_SCALE): |sigma_i(q)|*sqrt(disc)*_SCALE to a
-    relative 2^-17.  b weighs y alike.  The Gram matrix is integral."""
+    relative 2^-17.  b weighs y alike.  The Gram matrix is integral.  Over Q
+    on plain ints (INTS) the lattice has rank 2 and reduce_int_pairs reduces
+    it for the weights |a|, |b|: the same matrix over 2*_SCALE."""
+    if ring is INTS:
+        return reduce_int_pairs(gens, abs(coeffs[0]), abs(coeffs[1]))
     dot, mul, norm = ring.dot, ring.mul, ring.norm
     if ring.real:
         c, root = ring.conj(coeffs[2]), (math.isqrt(4 * ring.field.disc * _SCALE**2) + 1) // 2
@@ -168,6 +206,16 @@ def reduce_pairs(ring, gens, coeffs):
         wx, wy = ((math.isqrt(4 * abs(norm(e)) * _SCALE**2) + 1) // 2 for e in coeffs[:2])
         gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
     return [combine(row, gens) for row in lll_reduce(gram)[1]]
+
+
+def reduce_int_pairs(gens, wx: int, wy: int):
+    """LLL-reduced rows of the rank-2 lattice with Z-basis gens, two pairs
+    (x, y) of ints, for the length wx*x^2 + wy*y^2 (wx, wy > 0): its Gram
+    matrix is wx*x*x' + wy*y*y'."""
+    (x1, y1), (x2, y2) = gens
+    g12 = wx * x1 * x2 + wy * y1 * y2
+    gram = [[wx * x1 * x1 + wy * y1 * y1, g12], [g12, wx * x2 * x2 + wy * y2 * y2]]
+    return [(c * x1 + e * x2, c * y1 + e * y2) for c, e in lll_reduce(gram)[1]]
 
 
 def _dot(x: FieldElement, y: FieldElement) -> Fraction:
@@ -251,19 +299,17 @@ def short_congruence_pair(
 
 def _short_rational_pair(A: int, B: int, w: int, m: int) -> tuple[int, int]:
     """short_congruence_pair over Q on ints.  The lattice has the Z-basis
-    (w*m, m), (B, 0); its 2x2 Gram matrix is x*x' + s*y*y' with s = |A|
-    (1 for A = 0), which is reduce_pairs' matrix over Q divided by
-    2*_SCALE, so LLL takes the same steps; the key (x^2 + s*y^2, x, y) orders
-    like pair_measure with |N(A)| = A^2."""
+    (w*m, m), (B, 0), reduced for the length x^2 + s*y^2 with s = |A| (1 for
+    A = 0): reduce_pairs' matrix over Q divided by 2*_SCALE, so LLL takes
+    the same steps; the key (x^2 + s*y^2, x, y) orders like pair_measure
+    with |N(A)| = A^2."""
     if B == 0:
         raise ValueError("modulus must be nonzero")
     s = abs(A) or 1
     gens = [(w * m, m), (B, 0)]
-    gram = [[x * h + s * y * k for h, k in gens] for x, y in gens]
     best_key = None
     # The reduced rows, then the first generator, as in the pair path.
-    for c, e in lll_reduce(gram)[1] + [[1, 0]]:
-        x, y = c * w * m + e * B, c * m
+    for x, y in reduce_int_pairs(gens, 1, s) + gens[:1]:
         if y == 0:
             continue
         key = (x * x + s * y * y, x, y)

@@ -177,6 +177,17 @@ def test_parametrize_subcommand():
         assert verify(eq, sol)
 
 
+@pytest.mark.parametrize("option", ["--max-param", "--height"])
+def test_parametrize_rejects_a_negative_bound(option, capsys):
+    base = ["parametrize", "--eq", "1;1;-1", "--base", "1;0;1"]
+    for value in ("-1", "-2"):
+        code, text = _run(base + [option, value])
+        assert code == 2 and text == ""
+        assert f"{option}: must be at least 0, got {value}" in capsys.readouterr().err
+    # 0 is a bound like any other.
+    assert _run(base + [option, "0"])[0] == 0
+
+
 def test_parse_error_exit_code():
     code, _ = _run(["check", "--field", "Q", "--eq", "1;1"])
     assert code == 2

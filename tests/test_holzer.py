@@ -205,7 +205,73 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("d, coeffs, start, expected", GOLDEN)
+# Rational rows: the 31 STALLED starts of perfbench/workloads.py (tangent
+# descent stalls, heights up to 10^4), then two starts per decade of height
+# 10^0 to 10^12 on lines through small points of conics with squarefree,
+# pairwise coprime a, b, c.  The points are those the integer-pair step
+# (IntegerRing over Q) returned, before the step ran on plain ints.
+GOLDEN_Q = [
+    (None, ((1, 0), (3, 0), (-7, 0)), ((5, 0), (-1, 0), (2, 0)), ((2, 0), (-1, 0), (1, 0))),
+    (None, ((-7, 0), (-19, 0), (691, 0)), ((-4319, 0), (-7254, 0), (-1279, 0)), ((1, 0), (6, 0), (-1, 0))),
+    (None, ((-13, 0), (-23, 0), (209, 0)), ((31, 0), (49, 0), (-18, 0)), ((-3, 0), (-2, 0), (-1, 0))),
+    (None, ((11, 0), (21, 0), (-65, 0)), ((11, 0), (-27, 0), (16, 0)), ((-2, 0), (1, 0), (1, 0))),
+    (None, ((29, 0), (13, 0), (-42, 0)), ((157, 0), (347, 0), (233, 0)), ((1, 0), (1, 0), (1, 0))),
+    (None, ((19, 0), (13, 0), (-683, 0)), ((67, 0), (83, 0), (16, 0)), ((-5, 0), (-4, 0), (1, 0))),
+    (None, ((-21, 0), (-1, 0), (1, 0)), ((1, 0), (-2, 0), (-5, 0)), ((0, 0), (-1, 0), (-1, 0))),
+    (None, ((-23, 0), (-11, 0), (419, 0)), ((60, 0), (59, 0), (-17, 0)), ((1, 0), (6, 0), (-1, 0))),
+    (None, ((-3, 0), (-1, 0), (7, 0)), ((-83, 0), (79, 0), (-62, 0)), ((1, 0), (-2, 0), (-1, 0))),
+    (None, ((21, 0), (1, 0), (-541, 0)), ((-62, 0), (-275, 0), (17, 0)), ((-5, 0), (4, 0), (1, 0))),
+    (None, ((-19, 0), (-21, 0), (829, 0)), ((101, 0), (-81, 0), (-20, 0)), ((-4, 0), (5, 0), (-1, 0))),
+    (None, ((11, 0), (7, 0), (-527, 0)), ((-271, 0), (-4734, 0), (547, 0)), ((5, 0), (6, 0), (1, 0))),
+    (None, ((17, 0), (7, 0), (-265, 0)), ((1103, 0), (-1621, 0), (384, 0)), ((-3, 0), (4, 0), (1, 0))),
+    (None, ((-29, 0), (-23, 0), (1619, 0)), ((-2118, 0), (4711, 0), (-629, 0)), ((6, 0), (-5, 0), (-1, 0))),
+    (None, ((-11, 0), (-15, 0), (71, 0)), ((28, 0), (-15, 0), (-13, 0)), ((-1, 0), (2, 0), (-1, 0))),
+    (None, ((-15, 0), (-29, 0), (491, 0)), ((-791, 0), (862, 0), (-251, 0)), ((5, 0), (-2, 0), (-1, 0))),
+    (None, ((-29, 0), (-19, 0), (713, 0)), ((-3029, 0), (-1062, 0), (-635, 0)), ((1, 0), (-6, 0), (-1, 0))),
+    (None, ((13, 0), (19, 0), (-193, 0)), ((1573, 0), (1203, 0), (556, 0)), ((-3, 0), (-2, 0), (1, 0))),
+    (None, ((17, 0), (21, 0), (-446, 0)), ((11, 0), (-87, 0), (19, 0)), ((-5, 0), (1, 0), (1, 0))),
+    (None, ((-23, 0), (-15, 0), (38, 0)), ((-11, 0), (27, 0), (-19, 0)), ((-1, 0), (1, 0), (-1, 0))),
+    (None, ((-17, 0), (-15, 0), (203, 0)), ((253, 0), (75, 0), (-76, 0)), ((2, 0), (-3, 0), (-1, 0))),
+    (None, ((-11, 0), (-23, 0), (674, 0)), ((891, 0), (-1211, 0), (-251, 0)), ((-3, 0), (5, 0), (-1, 0))),
+    (None, ((-15, 0), (-23, 0), (158, 0)), ((99, 0), (-191, 0), (-79, 0)), ((-3, 0), (-1, 0), (-1, 0))),
+    (None, ((-23, 0), (-17, 0), (385, 0)), ((-16228, 0), (-5953, 0), (-4159, 0)), ((4, 0), (1, 0), (-1, 0))),
+    (None, ((-11, 0), (-23, 0), (199, 0)), ((-221, 0), (-94, 0), (-61, 0)), ((4, 0), (1, 0), (-1, 0))),
+    (None, ((-13, 0), (-19, 0), (527, 0)), ((-127, 0), (473, 0), (-92, 0)), ((2, 0), (-5, 0), (-1, 0))),
+    (None, ((-17, 0), (-29, 0), (301, 0)), ((-4549, 0), (1346, 0), (-1159, 0)), ((4, 0), (-1, 0), (-1, 0))),
+    (None, ((3, 0), (7, 0), (-202, 0)), ((-29, 0), (-19, 0), (5, 0)), ((3, 0), (5, 0), (1, 0))),
+    (None, ((7, 0), (15, 0), (-247, 0)), ((-116, 0), (277, 0), (71, 0)), ((1, 0), (-4, 0), (1, 0))),
+    (None, ((13, 0), (21, 0), (-1081, 0)), ((827, 0), (1602, 0), (241, 0)), ((-5, 0), (-6, 0), (1, 0))),
+    (None, ((-19, 0), (-23, 0), (1303, 0)), ((884, 0), (279, 0), (-113, 0)), ((5, 0), (-6, 0), (-1, 0))),
+    (None, ((13, 0), (34, 0), (-149, 0)), ((841701418722, 0), (2969598088224, 0), (1440170180118, 0)), ((-1, 0), (-2, 0), (1, 0))),
+    (None, ((11, 0), (19, 0), (-182, 0)), ((-64421, 0), (90657, 0), (33299, 0)), ((1, 0), (-3, 0), (1, 0))),
+    (None, ((23, 0), (19, 0), (-707, 0)), ((89325358304, 0), (390548902926, 0), (66019990946, 0)), ((-1, 0), (-6, 0), (1, 0))),
+    (None, ((-23, 0), (29, 0), (111, 0)), ((-34236, 0), (29754, 0), (-3402, 0)), ((110, 0), (97, 0), (7, 0))),
+    (None, ((2, 0), (-19, 0), (163, 0)), ((19457342, 0), (33831417, 0), (-11347699, 0)), ((-2, 0), (-3, 0), (-1, 0))),
+    (None, ((31, 0), (-7, 0), (-523, 0)), ((35, 0), (-42, 0), (-7, 0)), ((5, 0), (-6, 0), (-1, 0))),
+    (None, ((-1, 0), (-10, 0), (251, 0)), ((-421773338111, 0), (3516829433875, 0), (-702468003889, 0)), ((-1, 0), (-5, 0), (-1, 0))),
+    (None, ((15, 0), (-14, 0), (-151, 0)), ((-14119171, 0), (-14080636, 0), (1192039, 0)), ((5, 0), (4, 0), (1, 0))),
+    (None, ((6, 0), (-5, 0), (29, 0)), ((1172464, 0), (2675272, 0), (-974456, 0)), ((6, 0), (-7, 0), (-1, 0))),
+    (None, ((21, 0), (-11, 0), (-178, 0)), ((-1297, 0), (-1619, 0), (-191, 0)), ((-3, 0), (1, 0), (-1, 0))),
+    (None, ((-31, 0), (-22, 0), (119, 0)), ((-352317697, 0), (-688580866, 0), (-346399487, 0)), ((1, 0), (-2, 0), (-1, 0))),
+    (None, ((23, 0), (38, 0), (-1157, 0)), ((-48333611652, 0), (16216073204, 0), (7421364980, 0)), ((-3, 0), (-5, 0), (1, 0))),
+    (None, ((-21, 0), (-22, 0), (877, 0)), ((-1499571, 0), (-1638666, 0), (-348147, 0)), ((5, 0), (4, 0), (-1, 0))),
+    (None, ((-2, 0), (-3, 0), (77, 0)), ((-65885, 0), (-162297, 0), (-33749, 0)), ((1, 0), (5, 0), (-1, 0))),
+    (None, ((11, 0), (15, 0), (-251, 0)), ((4624, 0), (2432, 0), (1136, 0)), ((1, 0), (-4, 0), (1, 0))),
+    (None, ((-19, 0), (-11, 0), (30, 0)), ((7255224, 0), (-119581704, 0), (-72640152, 0)), ((1, 0), (1, 0), (-1, 0))),
+    (None, ((-10, 0), (33, 0), (7, 0)), ((11035824800, 0), (-2799086675, 0), (11706793175, 0)), ((2, 0), (-1, 0), (-1, 0))),
+    (None, ((11, 0), (-1, 0), (-395, 0)), ((118214, 0), (259431, 0), (14791, 0)), ((-6, 0), (-1, 0), (1, 0))),
+    (None, ((17, 0), (-5, 0), (-267, 0)), ((-5545191068, 0), (-1967242241, 0), (1373076097, 0)), ((4, 0), (-1, 0), (1, 0))),
+    (None, ((-19, 0), (2, 0), (-13, 0)), ((115, 0), (-772, 0), (269, 0)), ((1, 0), (4, 0), (1, 0))),
+    (None, ((33, 0), (17, 0), (-149, 0)), ((-60107505674, 0), (-170522413148, 0), (64169986682, 0)), ((2, 0), (1, 0), (1, 0))),
+    (None, ((6, 0), (-37, 0), (13, 0)), ((-3685230328, 0), (1554302074, 0), (779600354, 0)), ((72, 0), (29, 0), (-1, 0))),
+    (None, ((-2, 0), (-35, 0), (37, 0)), ((790, 0), (50, 0), (-190, 0)), ((-1, 0), (1, 0), (-1, 0))),
+    (None, ((7, 0), (22, 0), (-373, 0)), ((35, 0), (21, 0), (7, 0)), ((5, 0), (3, 0), (1, 0))),
+    (None, ((-2, 0), (1, 0), (1, 0)), ((2, 0), (2, 0), (2, 0)), ((1, 0), (1, 0), (1, 0))),
+    (None, ((-6, 0), (5, 0), (1, 0)), ((6, 0), (6, 0), (-6, 0)), ((1, 0), (1, 0), (-1, 0))),
+]
+
+
+@pytest.mark.parametrize("d, coeffs, start, expected", GOLDEN + GOLDEN_Q)
 def test_reduce_solution_golden_points(d, coeffs, start, expected):
     field = make_field(d)
     eq = ConicEquation(*(field.element(*t) for t in coeffs))
@@ -353,3 +419,63 @@ def test_reduce_sweep_euclidean_fields(d):
         red = reduce_solution(eq, SolutionTriple(*(t * k for t in (start.x, start.y, start.z))))
         assert verify(eq, red) and is_reduced(eq, red), (d, eq, start)
         done += 1
+
+
+# FieldElement arithmetic: each method that computes with elements.
+_ELEMENT_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "coerce", "conj", "norm", "trace",
+)
+
+
+def test_rational_steps_call_no_pair_kernel_and_no_element_arithmetic(monkeypatch):
+    # Over Q the step runs on plain ints: inside reduce_solution no
+    # IntegerRing method is called and no FieldElement is computed with.  The
+    # per-point SolutionTriple checked by is_reduced is the one exception.
+    from conic_nf.fields import FieldElement, IntegerRing
+
+    counts, inside = {}, [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside[0] > 0:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def entered(delta, fn):
+        def wrapper(*args):
+            inside[0] += delta
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= delta
+
+        return wrapper
+
+    for name, fn in vars(IntegerRing).items():
+        if callable(fn):
+            monkeypatch.setattr(IntegerRing, name, counted("IntegerRing." + name, fn))
+    for name in _ELEMENT_ARITHMETIC:
+        monkeypatch.setattr(FieldElement, name, counted("FieldElement." + name, getattr(FieldElement, name)))
+    monkeypatch.setattr(holzer, "is_reduced", entered(-1, holzer.is_reduced))
+    monkeypatch.setattr(holzer, "_lattice_step", counted("steps", holzer._lattice_step))
+    reduce = entered(1, holzer.reduce_solution)
+
+    def points(rows):
+        for d, coeffs, start, _ in rows:
+            field = make_field(d)
+            yield ConicEquation(*(field.element(*t) for t in coeffs)), SolutionTriple(
+                *(field.element(*t) for t in start)
+            )
+
+    for eq, start in points(GOLDEN_Q + [r for r in GOLDEN if r[0] is None]):
+        reduce(eq, start)
+    steps = counts.pop("steps", 0)
+    assert steps > len(GOLDEN_Q) and counts == {}
+    # The wrappers are live: an imaginary reduction takes steps on IntegerRing.
+    for eq, start in points([r for r in GOLDEN if r[0] == -7][:1]):
+        reduce(eq, start)
+    assert counts.pop("steps") > 0
+    assert any(k.startswith("IntegerRing.") for k in counts)

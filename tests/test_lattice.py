@@ -211,6 +211,80 @@ def test_lll_matches_the_rational_reference():
     assert 100 < degenerate < 500
 
 
+def _rank2_grams(rng):
+    """Rank-2 Gram matrices shaped like the program's, moduli of 64 to 1,024
+    bits: the lattice of lines of a Holzer step over Q, basis (x0/g, y0/g),
+    z0*(t, -s) for s*x0 + t*y0 = g, under |a|*x^2 + |b|*y^2; and the
+    congruence lattice (w*m, m), (B, 0) under x^2 + s*y^2."""
+    from conic_nf.fields import INTS
+
+    grams = []
+    for bits in (64, 128, 256, 512, 1024):
+        for _ in range(6):
+            x0, y0, z0 = (rng.getrandbits(bits) - rng.getrandbits(bits) for _ in range(3))
+            x0, z0 = x0 or 1, z0 or 1
+            g, s, t = INTS.xgcd(x0, y0)
+            gens = [(x0 // g, y0 // g), (z0 * t, -z0 * s)]
+            wx, wy = rng.randint(1, 2 ** (bits // 8)), rng.randint(1, 2 ** (bits // 8))
+            grams.append([[wx * x * h + wy * y * k for h, k in gens] for x, y in gens])
+            B = rng.getrandbits(bits) | 1
+            m, w, sq = rng.randint(1, 10**3), rng.randrange(B), rng.randint(1, 2 ** (bits // 2))
+            gens = [(w * m, m), (B * rng.choice((1, -1)), 0)]
+            grams.append([[x * h + sq * y * k for h, k in gens] for x, y in gens])
+    return grams
+
+
+def test_rank2_lll_matches_the_rational_reference():
+    from conic_nf.lattice import _lll, _lll_rank2
+
+    rng = random.Random(31)
+    # mu = +-1/2, +-3/2 and 5/2 (ties round to even); Lovasz's condition with
+    # equality (no swap: 99 = 99/100*100, and 296 = (99/100 - 1/4)*400) and
+    # just below it.
+    ties = [[[2, 1], [1, 5]], [[2, -1], [-1, 5]], [[2, 3], [3, 10]], [[2, -3], [-3, 10]]]
+    ties += [[[2, 5], [5, 20]], [[100, 0], [0, 99]], [[400, 200], [200, 396]]]
+    ties += [[[400, -200], [-200, 396]], [[400, 200], [200, 395]], [[99, 0], [0, 100]]]
+    degenerate = [[[0, 0], [0, 1]], [[1, 1], [1, 1]], [[-1, 0], [0, 1]], [[1, 2], [2, 1]]]
+    degenerate += [[[1, 0], [0, 0]], [[4, 6], [6, 9]], [[1, 0], [0, -1]], [[-3, 1], [1, -2]]]
+    for gram in ties + _rank2_grams(rng):
+        out = lll_reduce(gram)
+        assert out == _reference_lll(gram) == _lll(gram)
+        assert all(type(g) is int for row in out[0] for g in row)
+    for gram in degenerate:
+        with pytest.raises(NotPositiveDefinite):
+            _reference_lll(gram)
+        with pytest.raises(NotPositiveDefinite):
+            lll_reduce(gram)
+        with pytest.raises(NotPositiveDefinite):
+            lll_reduce([[Fraction(g, 3) for g in row] for row in gram])
+    # Fraction entries: a weight over 2^16, as reduce_pairs' weights were; the
+    # reduced Gram matrix comes back in Fractions.
+    for _ in range(200):
+        x1, y1, x2, y2 = (rng.randint(-10**6, 10**6) for _ in range(4))
+        if x1 * y2 == x2 * y1:
+            continue
+        wt = Fraction(rng.randint(1, 1 << 24), 1 << 16)
+        gens = [(x1, y1), (x2, y2)]
+        gram = [[x * h + wt * y * k for h, k in gens] for x, y in gens]
+        out = lll_reduce(gram)
+        assert out == _reference_lll(gram)
+        den = math.lcm(*(g.denominator for row in gram for g in row))
+        assert den == 1 or all(type(g) is Fraction for row in out[0] for g in row)
+    # The scalar loop against the list-based one on larger random matrices.
+    for _ in range(2000):
+        bits = rng.choice((8, 64, 256))
+        x1, y1, x2, y2 = (rng.getrandbits(bits) - rng.getrandbits(bits) for _ in range(4))
+        gens, wy = [(x1, y1), (x2, y2)], rng.randint(1, 2**bits)
+        G = [[x * h + wy * y * k for h, k in gens] for x, y in gens]
+        try:
+            expected = _lll(G)
+        except NotPositiveDefinite:
+            with pytest.raises(NotPositiveDefinite):
+                _lll_rank2(G)
+            continue
+        assert _lll_rank2(G) == expected
+
+
 def test_short_pair_lattice_of_any_modulus():
     # (B) = M^2*S with S squarefree: the pair lies in
     # L = {(w*y + m, y) : y in M, m in M*S} for a root w of A mod S, so B

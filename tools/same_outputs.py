@@ -12,7 +12,12 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   direct legendre_descent calls;
 - random row sets for ideals.hnf_rows, rank-deficient ones included;
 - a seeded sweep of elements over the same 19 fields for the exact sizes
-  and the local data at primes.
+  and the local data at primes;
+- seeded Gram matrices of ranks 2-4 for lattice.lll_reduce: random ones,
+  some with a Fraction weight, dependent or indefinite, and the program's
+  shapes (the Holzer step's lattice of lines and the congruence lattice over
+  Q at rank 2 with 64- to 1,024-bit moduli, an imaginary field's module
+  basis weighted as reduce_pairs does at rank 4).
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
@@ -22,7 +27,8 @@ On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
 real fields; and omega_root(P, k) for k <= 3 with crt_coefficients for
-the primes over p < 60.
+the primes over p < 60.  For each Gram matrix it dumps lll_reduce's reduced
+matrix, entries by repr so that ints and Fractions differ, and U.
 The script prints the count of each kind of output and the first
 difference, and exits 1 on any difference, 0 when every output is the same.
 
@@ -50,6 +56,7 @@ SWEEP_PER_FIELD = 40
 HNF_SETS = 20_000
 SURFACE_ELEMENTS = 30
 LOCAL_PRIMES_BELOW = 60
+GRAM_SETS = 3_000
 DUMP_TIMEOUT_S = 1200
 
 
@@ -165,6 +172,65 @@ def _surface_inputs():
             inputs.append(["roundings", d, xs, [g[:2] for g in gens]])
         inputs.append(["local", d, f"local:{d}"])
     return inputs
+
+
+def _gram_inputs():
+    """Gram matrices for lll_reduce, each entry [numerator, denominator]."""
+    rng = random.Random("lll_reduce")
+
+    def gram(rows, weights):
+        return [
+            [sum(w * x * y for w, x, y in zip(weights, r, q)) for q in rows] for r in rows
+        ]
+
+    # Boundaries: mu = +-1/2 and 3/2 (ties round to even), Lovasz's condition
+    # with equality (99 = 99/100*100, 296 = (99/100 - 1/4)*400), dependent
+    # and indefinite matrices.
+    edges = [[[2, 1], [1, 5]], [[2, -1], [-1, 5]], [[2, 3], [3, 10]], [[100, 0], [0, 99]]]
+    edges += [[[400, 200], [200, 396]], [[400, -200], [-200, 396]], [[4, 6], [6, 9]], [[1, 2], [2, 1]]]
+    inputs = [["lll", [[[g, 1] for g in row] for row in G]] for G in edges]
+    for i in range(GRAM_SETS):
+        kind = i % 5
+        if kind == 0:  # the Holzer step over Q: (x0/g, y0/g), z0*(t, -s)
+            bits = rng.choice((8, 64, 256, 1024))
+            x0, y0, z0 = (rng.getrandbits(bits) - rng.getrandbits(bits) or 1 for _ in range(3))
+            g, s, t = _xgcd(x0, y0)
+            G = gram([(x0 // g, y0 // g), (z0 * t, -z0 * s)], [rng.randint(1, 30), rng.randint(1, 30)])
+        elif kind == 1:  # the congruence lattice over Q: (w*m, m), (B, 0)
+            B = rng.getrandbits(rng.choice((8, 64, 256, 1024))) | 1
+            m = rng.randint(1, 100)
+            G = gram([(rng.randrange(B) * m, m), (B, 0)], [1, rng.randint(1, 10**6)])
+        elif kind == 2:  # e, sqrt(d)*e over Q(sqrt(d)), d = -1 or -2, weighted per coordinate
+            d, big = rng.choice((-1, -2)), 10 ** rng.randint(1, 12)
+            e1, e2 = ([rng.randint(-big, big) for _ in range(4)] for _ in range(2))
+            if rng.random() < 0.1:
+                e2 = [3 * t for t in e1]
+            rows = [r for e in (e1, e2) for r in (e, [d * e[1], e[0], d * e[3], e[2]])]
+            wx, wy = (rng.randint(1, 10**3) << 16 for _ in range(2))
+            G = gram(rows, [2 * wx, -2 * d * wx, 2 * wy, -2 * d * wy])
+        else:  # random, with a weight over 2^16, dependent rows or indefinite
+            n = rng.randint(2, 4)
+            rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+            if kind == 3 and rng.random() < 0.2:
+                rows[-1] = [2 * t for t in rows[0]]
+            weights = [rng.choice((1, rng.randint(1, 1 << 20))) for _ in range(n)]
+            if kind == 4 and rng.random() < 0.2:
+                weights[-1] = -weights[-1]
+            G = gram(rows, weights)
+            den = 1 << 16 if rng.random() < 0.3 else 1
+            inputs.append(["lll", [[[g, den] for g in row] for row in G]])
+            continue
+        inputs.append(["lll", [[[g, 1] for g in row] for row in G]])
+    return inputs
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = +-gcd(a, b)."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    return r0, s0, t0
 
 
 # -- outputs, dumped by each checkout -------------------------------------------
@@ -297,6 +363,10 @@ def _dump(checkout, inputs_path):
             ]
         if kind == "local":
             return local(*args)
+        if kind == "lll":
+            gram = [[Fraction(*g) if g[1] > 1 else g[0] for g in row] for row in args[0]]
+            reduced, U = lattice.lll_reduce(gram)
+            return [[list(map(repr, row)) for row in reduced], U]
         raise ValueError(f"unknown input kind {kind!r}")
 
     with open(inputs_path) as fh:
@@ -334,7 +404,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as folder:
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
-        inputs += _surface_inputs()
+        inputs += _surface_inputs() + _gram_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
