@@ -97,8 +97,11 @@ def _cmd_solve(args, out) -> int:
             payload, code = {"error": "solver output failed verification"}, EXIT_MISMATCH
     finally:
         if args.trace:
-            with open(args.trace, "w") as fh:
-                json.dump(trace.to_list(), fh, indent=2)
+            try:
+                with open(args.trace, "w") as fh:
+                    json.dump(trace.to_list(), fh, indent=2)
+            except OSError as exc:  # a usage error, exit 2
+                raise ConicError(f"cannot write the trace: {exc}") from None
     _emit(payload, args.json, out)
     return code
 

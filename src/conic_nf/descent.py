@@ -12,9 +12,10 @@ the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
 solve_conic runs on kernel values from the norm form to the point: the
 integer kernel's pairs over a quadratic field, plain ints over Q
-(fields.INTS), the base search included.
-The helpers it calls (factor_ideal, sqrt_mod_ideal, short_congruence_pair,
-square_decompose) take ints over Q and FieldElements otherwise.  The local
+(fields.INTS), the base search included.  The helpers it calls
+(sqrt_mod_ideal, short_congruence_pair, square_decompose, principal_ideal)
+take the ring first and its values, so the norm form and the steps make no
+element.  The local
 conditions are decided once, on the norm form; the square test is a
 closed-form root, norms and units are integer comparisons, and each step
 checks its composition in the kernel.  One back-map on pairs, the same on
@@ -36,6 +37,7 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     elem_sqrt,
+    elements_of,
     format_element,
     integer_ring,
     require_integral,
@@ -49,16 +51,6 @@ from .solvability import ConicEquation, check_solvable
 
 DEFAULT_PELL_BOUND = 200
 MAX_DEPTH = 80
-
-
-def _element_of(field: FieldDescriptor, x):
-    """The element of a kernel value (an int or a pair), elementwise in a
-    list; anything else is returned as it is."""
-    if isinstance(x, list):
-        return [_element_of(field, v) for v in x]
-    if type(x) is int:
-        x = (x, 0)
-    return integer_ring(field).element(x) if type(x) is tuple else x
 
 
 @dataclass(frozen=True)
@@ -97,18 +89,18 @@ def _formatted(value):
 class DescentTrace:
     """Recorded steps of a descent run, for inspection and JSON output.
 
-    A step keeps the kernel values it was given and their field; steps makes
+    A step keeps the kernel values it was given and their ring; steps makes
     elements of them, and to_list() formats them."""
 
     def __init__(self):
-        self._steps: list[tuple[FieldDescriptor, dict]] = []
+        self._steps: list[tuple[object, dict]] = []
 
-    def add(self, kind: str, field: FieldDescriptor, **info):
-        self._steps.append((field, {"step": kind, **info}))
+    def add(self, kind: str, ring, **info):
+        self._steps.append((ring, {"step": kind, **info}))
 
     @property
     def steps(self) -> list[dict]:
-        return [{k: _element_of(field, v) for k, v in step.items()} for field, step in self._steps]
+        return [{k: elements_of(ring, v) for k, v in step.items()} for ring, step in self._steps]
 
     def to_list(self) -> list[dict]:
         return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
@@ -134,8 +126,7 @@ def _norm_form(eq: ConicEquation):
     A0, B0 = (ring.sub(ring.zero, ring.mul(a, x)) for x in (b, c))
     for x in (A0, B0):
         record_factorisation(size(x), primes)
-    # square_decompose takes ints over Q and elements otherwise.
-    (A1, A2), (B1, B2) = (map(ring.pair, square_decompose(ring.element(x))) for x in (A0, B0))
+    (A1, A2), (B1, B2) = (square_decompose(ring, x) for x in (A0, B0))
     for x in (A1, B1):
         record_factorisation(size(x), primes)
         if ring is not INTS and not x[1]:
@@ -153,7 +144,8 @@ def to_norm_form(
     returned map sends a solution of the norm form back to a (rational)
     solution of the original equation.
     """
-    a, A1, A2, B1, B2 = (_element_of(eq.field, x) for x in _norm_form(eq)[1:])
+    ring, *values = _norm_form(eq)
+    a, A1, A2, B1, B2 = elements_of(ring, values)
 
     def back(x: FieldElement, y: FieldElement, z: FieldElement):
         return (x / a, y / A2, z / B2)
@@ -206,7 +198,7 @@ def _norm_search(ring, A, B, trace: DescentTrace):
     O_K, not both 0, and then x in O_K.  The rows of _enumerate_pairs are a
     Z-basis of O_K^2, so it reaches that pair or its negative.
     """
-    trace.add("pell_fallback", ring.field, A=A, B=B)
+    trace.add("pell_fallback", ring, A=A, B=B)
     mul = ring.mul
     for y, z in _enumerate_pairs(ring, A, B):
         x = ring.sqrt(ring.add(mul(A, mul(y, y)), mul(B, mul(z, z))))
@@ -300,11 +292,11 @@ def legendre_descent(
     field = ring.field
     sol = _try_rational_subfield(ring, A, B) if _depth == 0 else None
     if sol is not None:
-        trace.add("rational_subfield", field)
+        trace.add("rational_subfield", ring)
     else:
         if _depth == 0:
             # A and B are integral: the conic needs no scaling.
-            eA, eB = _element_of(field, A), _element_of(field, B)
+            eA, eB = elements_of(ring, (A, B))
             cert = check_solvable(ConicEquation(field.one(), -eA, -eB))
             if not cert.solvable:
                 raise NotSolvable(
@@ -312,7 +304,7 @@ def legendre_descent(
                     f"fails the local conditions ({cert.reason})"
                 )
         sol = _step(ring, A, B, trace, _depth)
-    return sol if _ring is not None else tuple(_element_of(field, v) for v in sol)
+    return sol if _ring is not None else elements_of(ring, sol)
 
 
 def _step(ring, A, B, trace: DescentTrace, depth: int):
@@ -321,12 +313,12 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
     # A perfect square A short-circuits everything: x = sqrt(A)*y.
     sq = ring.sqrt(A)
     if sq is not None:
-        trace.add("square_discriminant", field, sqrt=sq)
+        trace.add("square_discriminant", ring, sqrt=sq)
         return (sq, ring.one, ring.zero)
 
     norm_b = abs(ring.norm(B))
     if abs(ring.norm(A)) > norm_b:
-        trace.add("swap", field, A=A, B=B)
+        trace.add("swap", ring, A=A, B=B)
         x, y, z = legendre_descent(B, A, trace, depth + 1, ring)
         return (x, z, y)
 
@@ -342,24 +334,23 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
         S = math.prod(p for p, e in factors if e % 2)
         M = math.prod(p ** (e // 2) for p, e in factors)
     else:
-        S, M = principal_ideal(ring.element(B)), None
+        S, M = principal_ideal(ring, B), None
         factors = factor_ideal(S)
         if any(e > 1 for _, e in factors):
             S = M = unit_ideal(field)
             for P, e in factors:
                 S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
-    A_elem = ring.element(A)
-    w = sqrt_mod_ideal(A_elem, S, [(P, 1) for P, e in factors if e % 2])
+    w = sqrt_mod_ideal(ring, A, S, [(P, 1) for P, e in factors if e % 2])
     assert w is not None, "no root of A modulo the squarefree part of (B)"
 
-    a0, b0 = map(ring.pair, short_congruence_pair(A_elem, ring.element(B), w, M))
+    a0, b0 = short_congruence_pair(ring, A, B, w, M)
     mul = ring.mul
     t = ring.exact_div(ring.sub(mul(a0, a0), mul(A, mul(b0, b0))), B)
     assert t is not None, "congruence pair must give an integral quotient"
-    trace.add("reduce", field, A=A, B=B, w=w, pair=[a0, b0], t=t)
+    trace.add("reduce", ring, A=A, B=B, w=w, pair=[a0, b0], t=t)
     if not abs(ring.norm(t)) < norm_b:
         return _norm_search(ring, A, B, trace)
-    t1, t2 = map(ring.pair, square_decompose(ring.element(t)))
+    t1, t2 = square_decompose(ring, t)
     inner = legendre_descent(A, t1, trace, depth + 1, ring)
     x, y, z = _compose(ring, A, (a0, b0), inner, mul(t1, t2))
     assert ring.sub(mul(x, x), mul(A, mul(y, y))) == mul(B, mul(z, z)), "descent composition failed"
@@ -401,7 +392,7 @@ def solve_conic(
     field = eq.field
     ring, a, A1, A2, B1, B2 = _norm_form(eq)
     if trace is not None:
-        trace.add("norm_form", field, A=A1, B=B1)
+        trace.add("norm_form", ring, A=A1, B=B1)
     sol = legendre_descent(A1, B1, trace, 0, ring)
     divisors, pairs = (a, A2, B2), integer_ring(field)
     if ring is INTS:

@@ -24,6 +24,8 @@ Q's own kernel, INTS, is the part of the kernel's API that the descent and
 the Holzer step use, on plain ints.  Its extended gcd takes the
 nearest-integer quotients of the pair path, so it returns the same Bezout
 coefficients; IntegerRing.xgcd over Q and the HNF of ideals call it.
+The helpers of the check and the descent take a ring and its values;
+kernel_edge lets them take FieldElements, converted there and only there.
 """
 
 from __future__ import annotations
@@ -49,13 +51,18 @@ EUCLIDEAN_IMAGINARY_DS = (-1, -2, -3, -7, -11)
 
 
 def _squarefree(n: int) -> bool:
-    n = abs(n)
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
+    """Whether no square above 1 divides n.  Trial division up to the cube
+    root of what is left, dividing out each prime once (a second time means
+    p^2 | n), leaves a cofactor whose primes all exceed the cube root: at
+    most two of them, so it is squarefree unless it is a perfect square."""
+    n, k = abs(n), 2
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
         k += 1
-    return True
+    return n < 2 or math.isqrt(n) ** 2 != n
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,6 +398,44 @@ class FieldElement:
         return f"<{format_element(self)} in {self.field}>"
 
 
+# -- the edge between FieldElements and kernel values -------------------------
+
+
+def kernel_edge(fn):
+    """Let the kernel form fn(ring, x, ...) also take FieldElements.
+
+    The kernel form takes a ring first: INTS, with ints and int moduli over
+    Q, or an IntegerRing, with pairs and Ideals.  Called with an element x
+    first, the edge runs fn on the IntegerRing of x's field with every
+    FieldElement argument as its pair (integral and of that field, else
+    ValueError), and turns each pair of the result, in lists and tuples,
+    back into an element.  It is the one place where the helpers of the
+    check and the descent convert elements."""
+
+    @functools.wraps(fn)
+    def edge(*args):  # fn(*args) passes the tuple on: the kernel calls' fast path
+        if type(args[0]) is not FieldElement:
+            return fn(*args)
+        ring = integer_ring(args[0].field)
+        return elements_of(ring, fn(ring, *(ring.pair(y) if type(y) is FieldElement else y for y in args)))
+
+    return edge
+
+
+def elements_of(ring, x):
+    """The FieldElements of ring's kernel values in x (INTS's ints, an
+    IntegerRing's pairs), elementwise in lists and tuples; anything else is
+    returned as it is."""
+    if ring is INTS:
+        if type(x) is int:
+            return _element(RATIONAL, (x, 0), 1)
+    elif type(x) is tuple and type(x[0]) is int:
+        return ring.element(x)
+    if type(x) in (list, tuple):
+        return type(x)(elements_of(ring, y) for y in x)
+    return x
+
+
 # -- size (archimedean) ------------------------------------------------------
 
 
@@ -459,16 +504,14 @@ def nearest_integer(x: FieldElement) -> FieldElement:
     return ring.element(((U + r[0]) // den, (V + r[1]) // den))
 
 
-def euclid_divmod(a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
+@kernel_edge
+def euclid_divmod(ring: IntegerRing, a, b):
     """Nearest-integer division a = q*b + r with |N(r)| < |N(b)|."""
-    if not a.field.euclidean:
-        raise NotEuclidean(f"{a.field} is not in the Euclidean list")
-    ring = integer_ring(a.field)
-    pa, pb = ring.pair(a), ring.pair(b)
-    if pb == (0, 0):
+    if not ring.field.euclidean:
+        raise NotEuclidean(f"{ring.field} is not in the Euclidean list")
+    if b == (0, 0):
         raise ZeroDivisionError("euclid_divmod by zero")
-    q, r = ring.divmod(pa, pb)
-    return ring.element(q), ring.element(r)
+    return ring.divmod(a, b)
 
 
 def normalize_associate(x: FieldElement) -> FieldElement:
@@ -790,14 +833,11 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # Q's integers as a kernel: the part of IntegerRing's API that the descent
-# and the Holzer step use, on plain ints (gcd is the positive one).  The
-# descent's helpers take ints over Q, so element and pair, which turn
-# kernel values into FieldElements and back over a quadratic field, are the
-# identity here.
+# and the Holzer step use, on plain ints (gcd is the positive one).
 INTS = SimpleNamespace(
     field=RATIONAL, one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
     norm=lambda x: x * x, sqrt=_int_sqrt, exact_div=lambda a, b: None if a % b else a // b,
-    gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd, element=lambda x: x, pair=lambda x: x,
+    gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
 )
 
 

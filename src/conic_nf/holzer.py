@@ -12,8 +12,8 @@ The steps run on kernel values: plain ints over Q (fields.INTS), whose
 rank-2 lattice reduce_pairs hands to lattice.reduce_int_pairs, and integer
 (u, v) pairs through the field's IntegerRing elsewhere.  The equation and
 the start are converted once, each step checks in integers that its point
-lies on the conic, and so do the start and the result before the result is
-converted back.
+lies on the conic, and so do the start and the result.  is_reduced tests
+the bound on each point's kernel z, and only the result is made elements.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
 from .descent import SolutionTriple, _on_conic
-from .fields import INTS, FieldDescriptor, FieldElement, integer_ring
+from .fields import INTS, FieldDescriptor, elements_of, integer_ring, kernel_edge
 from .lattice import combine, module_basis, reduce_pairs
 from .solvability import ConicEquation
 
@@ -50,21 +50,28 @@ def bound_constant_sq(field: FieldDescriptor) -> Fraction:
         ) from None
 
 
-def is_reduced(eq: ConicEquation, sol: SolutionTriple) -> bool:
-    """Exact check of the minimality bound on |z|, in integers: N(z) is
-    N(num)/den^2 and the coefficients are integral."""
-    csq, ring = bound_constant_sq(eq.field), integer_ring(eq.field)
-    nz, nab = ring.norm(sol.z.num), abs(ring.norm(eq.a.num) * ring.norm(eq.b.num))
-    return nz * nz * csq.denominator <= csq.numerator * nab * sol.z.den**4
+def is_reduced(eq: ConicEquation, sol) -> bool:
+    """Exact check of the minimality bound on |z|, in integers, for a
+    SolutionTriple, whose N(z) is N(num)/den^2, or a kernel point (x, y, z)
+    of reduce_solution: ints over Q, pairs otherwise.  The coefficients are
+    integral."""
+    csq = bound_constant_sq(eq.field)
+    z, den = (sol.z.num, sol.z.den) if isinstance(sol, SolutionTriple) else (sol[2], 1)
+    values = (eq.a.num, eq.b.num, z)
+    if eq.field.is_rational:
+        ring, values = INTS, [x if type(x) is int else x[0] for x in values]
+    else:
+        ring = integer_ring(eq.field)
+    na, nb, nz = map(ring.norm, values)
+    return nz * nz * csq.denominator <= csq.numerator * abs(na * nb) * den**4
 
 
-def xgcd(a: FieldElement, b: FieldElement):
+@kernel_edge
+def xgcd(ring, a, b):
     """(g, s, t) with s*a + t*b = g = gcd(a, b), via nearest-integer division."""
-    field = a.field
-    if not field.euclidean:
-        raise NotEuclidean(f"{field} is not in the Euclidean list")
-    ring = integer_ring(field)
-    return tuple(map(ring.element, ring.xgcd(ring.pair(a), ring.pair(b))))
+    if not ring.field.euclidean:
+        raise NotEuclidean(f"{ring.field} is not in the Euclidean list")
+    return ring.xgcd(a, b)
 
 
 def _primitive(ring, point):
@@ -142,20 +149,15 @@ def reduce_solution(eq: ConicEquation, sol: SolutionTriple) -> SolutionTriple:
     den = math.lcm(*(t.den for t in point))
     coeffs = [t.num for t in (eq.a, eq.b, eq.c)]
     start = [(t.num[0] * (den // t.den), t.num[1] * (den // t.den)) for t in point]
-    if field.is_rational:
-        ring, element = INTS, field.element
+    ring = INTS if field.is_rational else integer_ring(field)
+    if ring is INTS:
         coeffs, start = ([u for u, _ in v] for v in (coeffs, start))
-    else:
-        ring = integer_ring(field)
-        element = ring.element
     if sol.is_trivial or not _on_conic(ring, coeffs, start):
         raise PreconditionViolated("starting point is not a solution")
     if den > 1:
         raise PreconditionViolated("starting solution must be integral")
     cur = _primitive(ring, start)
-    while True:
-        red = SolutionTriple(*map(element, cur))
-        if is_reduced(eq, red):
-            assert _on_conic(ring, coeffs, cur)
-            return red
+    while not is_reduced(eq, cur):
         cur = _lattice_step(ring, coeffs, cur)
+    assert _on_conic(ring, coeffs, cur)
+    return SolutionTriple(*elements_of(ring, cur))

@@ -16,8 +16,11 @@ field by the shortest vector of the kernel's Lagrange-reduced HNF basis,
 over a real field by the cycle of reduced binary quadratic forms of the
 ideal (Cohen, 5.6), which also yields the unit that balances a generator.
 
-Over Q, factor_ideal and square_decompose also take the descent's plain
-ints, with no ideal.
+principal_ideal, element_valuation and square_decompose are kernel forms
+with the ring first (fields.kernel_edge): an IntegerRing with pairs, or over
+Q, for square_decompose, fields.INTS with plain ints and no ideal; called
+with a FieldElement, the edge converts it and the result.  Over Q,
+factor_ideal also takes the int n of (n).
 """
 
 from __future__ import annotations
@@ -31,14 +34,7 @@ from functools import reduce
 from typing import Optional
 
 from .errors import FactorizationFailed
-from .fields import (
-    INTS,
-    FieldDescriptor,
-    FieldElement,
-    IntegerRing,
-    integer_ring,
-    require_integral,
-)
+from .fields import INTS, FieldDescriptor, FieldElement, IntegerRing, integer_ring, kernel_edge
 
 # -- integer factorization backend ------------------------------------------
 
@@ -377,23 +373,21 @@ def unit_ideal(field: FieldDescriptor) -> Ideal:
 
 
 def _ideal_of_pairs(ring: IntegerRing, gens: list[tuple[int, int]]) -> Ideal:
-    """The ideal generated by the pairs gens: the lattice of all g, g*omega."""
+    """The ideal generated by the pairs gens, not all zero: the lattice of
+    all g, g*omega (over Q, where Ideal drops b and c, omega*g is (0, g))."""
     rows = [r for g in gens for r in (g, ring.mul(g, (0, 1)))]
     return Ideal(ring.field, *hnf_rows(rows))
 
 
 def ideal_from_generators(field: FieldDescriptor, gens: list[FieldElement]) -> Ideal:
     ring = integer_ring(field)
-    pairs = [ring.pair(g) for g in gens if not g.is_zero]
-    if not pairs:
-        raise ValueError("zero ideal")
-    if field.is_rational:
-        return Ideal(field, reduce(math.gcd, (abs(u) for u, _ in pairs)))
-    return _ideal_of_pairs(ring, pairs)
+    return _ideal_of_pairs(ring, [ring.pair(g) for g in gens])
 
 
-def principal_ideal(x: FieldElement) -> Ideal:
-    return ideal_from_generators(x.field, [x])
+@kernel_edge
+def principal_ideal(ring: IntegerRing, x) -> Ideal:
+    """The ideal (x) of the nonzero pair x."""
+    return _ideal_of_pairs(ring, [x])
 
 
 @dataclass(frozen=True)
@@ -595,17 +589,17 @@ def valuation(I: Ideal, P: PrimeIdeal) -> int:
     return _scaled_valuation(P, c, I.a // c, I.b // c, 1)
 
 
-def element_valuation(x: FieldElement, P: PrimeIdeal) -> int:
-    """v_P(x) in closed form for a nonzero algebraic integer x.
+@kernel_edge
+def element_valuation(ring: IntegerRing, x, P: PrimeIdeal) -> int:
+    """v_P(x) in closed form for a nonzero pair x.
 
     With g the gcd of x's coordinates, x = g*y and (y) is primitive of norm
     |N(x)|/g^2, so v_P(x) = e_P*v_p(g) + v_P((y)).
     """
-    if x.is_zero:
+    if x == (0, 0):
         raise ValueError("valuation of zero")
-    ring = integer_ring(x.field)
-    u, v = ring.pair(x)
-    if x.field.is_rational:
+    u, v = x
+    if ring.field.is_rational:
         return _vp(u, P.p)
     g = math.gcd(u, v)
     n = abs(ring.norm((u, v)))
@@ -724,7 +718,8 @@ def balance(ring: IntegerRing, x, unit):
     return x
 
 
-def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
+@kernel_edge
+def square_decompose(ring, t):
     """Write t = t1 * t2^2 with (t2) the principal ideal of maximal norm
     whose square divides (t), so (t1) has no principal square divisor.
 
@@ -732,22 +727,17 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
     of the square part of (t), largest norm first, ties in the order of their
     exponent vectors.  R, the only divisor of its norm, is tried first and is
     principal over Q and every field of class number 1; only a non-principal
-    R walks the other divisors, one ideal at a time.  Over Q, t may be an
-    int; then t2 = prod p^(e//2) is an int read off factor_int, with no
-    ideal.
+    R walks the other divisors, one ideal at a time.  On INTS, t2 is
+    prod p^(e//2) read off factor_int, with no ideal.
     """
-    if type(t) is int:
-        if not t:
-            raise ValueError("square_decompose of zero")
+    if t == ring.zero:
+        raise ValueError("square_decompose of zero")
+    if ring is INTS:
         g = math.prod(p ** (e // 2) for p, e in factor_ideal(t))
         return t // (g * g), g
-    require_integral(t)
-    if t.is_zero:
-        raise ValueError("square_decompose of zero")
-    field = t.field
-    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(t)) if e >= 2]
+    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(ring, t)) if e >= 2]
     if not root:
-        return t, field.one()
+        return t, ring.one
     primes, top = zip(*root)
 
     def candidates():
@@ -759,12 +749,11 @@ def square_decompose(t: FieldElement) -> tuple[FieldElement, FieldElement]:
             reverse=True,
         )[1:-1]
 
-    ring = integer_ring(field)
     for ks in candidates():
         g = is_principal(reduce(Ideal.__mul__, (prime_power(P, k) for P, k in zip(primes, ks) if k)))
         if g is not None:
-            h = ring.pair(g)
-            t1 = ring.exact_div(ring.pair(t), ring.mul(h, h))
+            # is_principal's generator is an element: its numerator is the pair.
+            t1 = ring.exact_div(t, ring.mul(g.num, g.num))
             assert t1 is not None
-            return ring.element(t1), g
-    return t, field.one()
+            return t1, g.num
+    return t, ring.one

@@ -10,17 +10,18 @@ have rank 2 and run on plain ints (reduce_int_pairs).  LLL is integral
 keeps its Gram-Schmidt data as integers, in four scalars at rank 2.  The
 integer weights only steer it, and the pair is picked on the kernel's
 (u, v) pairs, or over Q on plain ints, by an exact integer comparison.
-_gso and pair_measure are the exact rational definitions.
+short_congruence_pair is a kernel form with the ring first
+(fields.kernel_edge), which converts FieldElements at its edge.  _gso and
+pair_measure are the exact rational definitions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .errors import NotPositiveDefinite
-from .fields import INTS, FieldElement, IntSurd, Surd, integer_ring, round_quotient
+from .fields import INTS, FieldElement, IntSurd, Surd, integer_ring, kernel_edge, round_quotient
 from .ideals import Ideal, hnf_rows, unit_ideal
 
 DELTA = Fraction(99, 100)
@@ -238,9 +239,8 @@ def _hnf_basis(I):
     return [(I.a, 0)] if I.field.is_rational else [(I.a, 0), (I.b, I.c)]
 
 
-def short_congruence_pair(
-    A: FieldElement, B: FieldElement, w: FieldElement, M: Optional[Ideal] = None
-) -> tuple[FieldElement, FieldElement]:
+@kernel_edge
+def short_congruence_pair(ring, A, B, w, M=None):
     """A short pair (x, y), y != 0, of L = {(w*y + m, y) : y in M, m in M*S}
     for (B) = M^2*S, M = (1) unless given, and w^2 = A (mod S).
 
@@ -259,52 +259,41 @@ def short_congruence_pair(
     |N(t)| <= C_K*sqrt(|N(A)|), C_K = alpha^3*D/4.  A row with y = 0 has x in
     M*S and Q >= 2*sqrt(|N(B)|)/N(M), so the first row has y != 0 once
     |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  Units move the weights, not the bound.
-    Over Q, A, B and w may be ints and M the int m of (m); see
+    On INTS, A, B and w are ints and M the int m of (m); see
     _short_rational_pair.
     """
-    if type(A) is int:
-        return _short_rational_pair(A, B, w, M or 1)
-    field = A.field
-    ring = integer_ring(field)
-    a, b, r = ring.pair(A), ring.pair(B), ring.pair(w)
-    if b == (0, 0):
+    if B == ring.zero:
         raise ValueError("modulus must be nonzero")
+    if ring is INTS:
+        return _short_rational_pair(A, B, w, M or 1)
+    field, mul, zero = ring.field, ring.mul, ring.zero
     M = M or unit_ideal(field)
-    norm_a = max(1, abs(ring.norm(a)))
-    zero, one, dot, mul, s = (0, 0), (1, 0), ring.dot, ring.mul, math.isqrt(norm_a)
+    norm_a = max(1, abs(ring.norm(A)))
+    dot, s = ring.dot, math.isqrt(norm_a)
 
     def measure(x, y):
         if ring.real:
-            return abs(ring.norm(ring.sub(mul(x, x), mul(a, mul(y, y)))))
+            return abs(ring.norm(ring.sub(mul(x, x), mul(A, mul(y, y)))))
         X, Y = dot(x, x), dot(y, y)
         return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
     ys = _hnf_basis(M)
     zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
-    gens = [(mul(r, y), y) for y in ys] + [
-        (ring.exact_div(mul(b, z), (M.norm, 0)), zero) for z in zs
-    ]
-    best_key = None
-    for x, y in reduce_pairs(ring, gens, (one, a if a != zero else one, b)) + gens[:1]:
-        if y == zero:
-            continue
-        key = (measure(x, y), *x, *y)
-        if best_key is None or key < best_key:
-            best_key = key
-    x, y = best_key[1:3], best_key[3:]
-    q = ring.exact_div(ring.sub(mul(x, x), mul(a, mul(y, y))), b)
-    assert q is not None, "pair left the congruence lattice"
-    return ring.element(x), ring.element(y)
+    gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
+    # The reduced rows, then the first generator; ties go to the least x, then y.
+    rows = reduce_pairs(ring, gens, (ring.one, A if A != zero else ring.one, B)) + gens[:1]
+    _, x, y = min((measure(x, y), x, y) for x, y in rows if y != zero)
+    t = ring.exact_div(ring.sub(mul(x, x), mul(A, mul(y, y))), B)
+    assert t is not None, "pair left the congruence lattice"
+    return x, y
 
 
 def _short_rational_pair(A: int, B: int, w: int, m: int) -> tuple[int, int]:
-    """short_congruence_pair over Q on ints.  The lattice has the Z-basis
+    """short_congruence_pair on INTS.  The lattice has the Z-basis
     (w*m, m), (B, 0), reduced for the length x^2 + s*y^2 with s = |A| (1 for
     A = 0): reduce_pairs' matrix over Q divided by 2*_SCALE, so LLL takes
     the same steps; the key (x^2 + s*y^2, x, y) orders like pair_measure
     with |N(A)| = A^2."""
-    if B == 0:
-        raise ValueError("modulus must be nonzero")
     s = abs(A) or 1
     gens = [(w * m, m), (B, 0)]
     best_key = None

@@ -17,9 +17,12 @@ Roots modulo a composite M = prod P_i^e_i are recombined by the Chinese
 remainder theorem in closed form: the coefficient of P^e is the integer
 m*(m^-1 mod n_p), with n_p the least positive integer in the moduli over p
 and m the product of the other n_q, times k*(omega - r_Q) when the
-conjugate Q^f divides M too (see crt_coefficients).  All of it runs on the
-integer kernel's pairs; FieldElements only come in and go out.  Over Q,
-sqrt_mod_ideal and closest_in_coset also take the descent's plain ints.
+conjugate Q^f divides M too (see crt_coefficients).
+
+Each public helper is a kernel form with the ring first (fields.kernel_edge):
+an IntegerRing with pairs and Ideals, or over Q, for sqrt_mod_ideal and
+closest_in_coset, fields.INTS with plain ints and a squarefree int modulus.
+Called with FieldElements, the edge converts them and the result.
 """
 
 from __future__ import annotations
@@ -29,13 +32,7 @@ import math
 from typing import Optional
 
 from .errors import EvenPrime, UndecidedError
-from .fields import (
-    FieldDescriptor,
-    FieldElement,
-    IntegerRing,
-    integer_ring,
-    require_integral,
-)
+from .fields import INTS, FieldDescriptor, FieldElement, IntegerRing, integer_ring, kernel_edge
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -99,7 +96,7 @@ def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, 
             y = _mod(((b[0] + n) * k, b[1] * k), p)
             if _mod(ring.mul(y, y), p) == b:
                 return y
-    g = ring.pair(P.field.sqrt_gen())
+    g = (-1, 2) if ring.t else (0, 1)  # sqrt(d)
     c = _sqrt_mod_p(b[0] * pow(-ring.norm(g), -1, p), p)
     return _mod((c * g[0], c * g[1]), p)
 
@@ -176,19 +173,17 @@ def _least_in_coset(x, Ik: Ideal, Ie: Ideal) -> tuple[int, int]:
     return u % g, v + j * Ik.c
 
 
-def sqrt_mod_odd_prime_power(
-    a: FieldElement, P: PrimeIdeal, e: int
-) -> Optional[list[FieldElement]]:
-    """All square roots of a modulo P^e for odd P, sorted by (u, v), or None
-    if there are none.
+@kernel_edge
+def sqrt_mod_odd_prime_power(ring: IntegerRing, a, P: PrimeIdeal, e: int) -> Optional[list]:
+    """All square roots of the pair a modulo P^e for odd P, sorted by (u, v),
+    or None if there are none.
 
     When a = 0 mod P^e the roots are the N(P)^floor(e/2) residues of
     P^ceil(e/2), otherwise 2*N(P)^(s/2) with s = v_P(a); past the
     enumeration guard they are not listed and UndecidedError is raised.
     """
     p = P.p
-    ring = integer_ring(P.field)
-    s = e if a.is_zero else element_valuation(a, P)
+    s = e if a == (0, 0) else element_valuation(ring, a, P)
     Ie = prime_power(P, e)
     if s >= e:
         count = P.residue_size ** (e // 2)
@@ -196,10 +191,10 @@ def sqrt_mod_odd_prime_power(
             raise UndecidedError(f"{count} roots of 0 mod {Ie}, past the guard {_ENUM_GUARD}")
         roots = _coset((0, 0), prime_power(P, (e + 1) // 2), Ie)
         # In the order of Ie.residues(): v first.
-        return [ring.element(x) for x in sorted(roots, key=lambda x: x[::-1])]
+        return sorted(roots, key=lambda x: x[::-1])
     if s % 2:
         return None
-    h, b = _unit_part(ring, ring.pair(a), P, e, s)
+    h, b = _unit_part(ring, a, P, e, s)
     y = _root_mod_prime(ring, b, P)
     if y is None:
         return None
@@ -209,7 +204,7 @@ def sqrt_mod_odd_prime_power(
     x0 = ring.mul(h, _lift(ring, y, b, p ** -(-(e - s) // P.e)))
     Ik = prime_power(P, e - s // 2)
     roots = _coset(x0, Ik, Ie) | _coset((-x0[0], -x0[1]), Ik, Ie)
-    return [ring.element(x) for x in sorted(roots)]
+    return sorted(roots)
 
 
 def least_root(ring: IntegerRing, a, P: PrimeIdeal, s: int) -> Optional[tuple[int, int]]:
@@ -246,27 +241,23 @@ def sqrt_mod_prime(a: FieldElement, P: PrimeIdeal) -> Optional[FieldElement]:
     """The least square root of a modulo the odd prime ideal P, or None."""
     if P.p == 2:
         raise EvenPrime("use the dyadic enumeration for primes over 2")
-    require_integral(a)
     roots = sqrt_mod_odd_prime_power(a, P, 1)
     return roots[0] if roots else None
 
 
-def sqrt_mod_dyadic_prime_power(
-    a: FieldElement, P: PrimeIdeal, e: int
-) -> Optional[list[FieldElement]]:
-    """All roots of x^2 = a (mod P^e) over 2, by exhaustive enumeration, or
-    None if there are none; UndecidedError when N(P^e) exceeds the
-    enumeration guard."""
+@kernel_edge
+def sqrt_mod_dyadic_prime_power(ring: IntegerRing, a, P: PrimeIdeal, e: int) -> Optional[list]:
+    """All roots of x^2 = a (mod P^e) over 2 for the pair a, by exhaustive
+    enumeration, or None if there are none; UndecidedError when N(P^e)
+    exceeds the enumeration guard."""
     Ie = prime_power(P, e)
     if Ie.norm > _ENUM_GUARD:
         raise UndecidedError(f"{Ie.norm} residues mod {Ie}, past the guard {_ENUM_GUARD}")
-    ring = integer_ring(P.field)
-    A = ring.pair(a)
     roots = [
-        ring.element((u, v))
+        (u, v)
         for v in range(Ie.c)
         for u in range(Ie.a)
-        if Ie.reduce_pair(ring.sub(ring.mul((u, v), (u, v)), A)) == (0, 0)
+        if Ie.reduce_pair(ring.sub(ring.mul((u, v), (u, v)), a)) == (0, 0)
     ]
     return roots or None
 
@@ -308,63 +299,54 @@ def crt_coefficients(
     return out
 
 
-def closest_in_coset(x: FieldElement, M: Ideal) -> FieldElement:
+@kernel_edge
+def closest_in_coset(ring, x, M):
     """Minimal-size representative of x + M; ties break to the
     lexicographically smallest (u, v).  The kernel's closest element of the
-    coset of M's HNF lattice, with sizes compared exactly in integers.  Over
-    Q, x and M may be ints, M the positive generator of the ideal."""
-    if type(x) is int:
+    coset of M's HNF lattice, with sizes compared exactly in integers.  On
+    INTS, x is an int and M the positive int generating the ideal."""
+    if ring is INTS:
         r = x % M
         return min(r, r - M, key=lambda u: (u * u, u))
-    field = x.field
-    ring = integer_ring(field)
-    xu, xv = ring.pair(x)
-    if field.is_rational:
-        r = xu % M.a
-        return field.element(min(r, r - M.a, key=lambda u: (u * u, u)))
-    return ring.element(ring.closest(M.reduce_pair((xu, xv)), (M.a, 0), (M.b, M.c)))
+    if ring.field.is_rational:
+        r = x[0] % M.a
+        return min(r, r - M.a, key=lambda u: (u * u, u)), 0
+    return ring.closest(M.reduce_pair(x), (M.a, 0), (M.b, M.c))
 
 
-def sqrt_mod_ideal(
-    a: FieldElement, M: Ideal, factors: Optional[list[tuple[PrimeIdeal, int]]] = None
-) -> Optional[FieldElement]:
+@kernel_edge
+def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
     """A size-minimal w with w^2 = a (mod M), or None if no root exists;
     factors is M's factorization, when the caller has it.  Past 4,096
     combinations of the roots mod each prime power it returns the least of
-    the first 4,096.  Over Q, a may be an int and M a squarefree int, whose
+    the first 4,096.  On INTS, a is an int and M a squarefree int, whose
     factors are then (p, 1) pairs of ints; see _sqrt_mod_squarefree."""
-    if type(a) is int:
+    if ring is INTS:
         return _sqrt_mod_squarefree(a, M, factor_ideal(M) if factors is None else factors)
-    require_integral(a)
-    field = a.field
     if M.norm == 1:
-        return field.zero()
-    ring = integer_ring(field)
+        return ring.zero
     factors = factor_ideal(M) if factors is None else factors
     root_sets: list[list[tuple[int, int]]] = []
     for P, e in factors:
-        if P.p == 2:
-            roots = sqrt_mod_dyadic_prime_power(a, P, e)
-        else:
-            roots = sqrt_mod_odd_prime_power(a, P, e)
+        lister = sqrt_mod_dyadic_prime_power if P.p == 2 else sqrt_mod_odd_prime_power
+        roots = lister(ring, a, P, e)
         if roots is None:
             return None
-        root_sets.append([ring.pair(r) for r in roots])
-    lams = crt_coefficients(field, factors)
+        root_sets.append(roots)
+    lams = crt_coefficients(ring.field, factors)
     best = None
     for combo in itertools.islice(itertools.product(*root_sets), 4096):
         w = (0, 0)
         for lam, r in zip(lams, combo):
             w = ring.add(w, ring.mul(lam, r))
-        w = M.reduce_pair(w)
-        cand = ring.pair(closest_in_coset(ring.element(w), M))
+        cand = closest_in_coset(ring, M.reduce_pair(w), M)
         key = (ring.size_sq(cand), *cand)
         if best is None or key < best:
             best = key
     assert best is not None
     root = best[1:]
-    assert M.reduce_pair(ring.sub(ring.mul(root, root), ring.pair(a))) == (0, 0)
-    return ring.element(root)
+    assert M.reduce_pair(ring.sub(ring.mul(root, root), a)) == (0, 0)
+    return root
 
 
 def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
@@ -392,7 +374,7 @@ def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
     lams = [n // p * pow(n // p, -1, p) for p, _ in factors]
     best = None
     for combo in itertools.islice(itertools.product(*root_sets), 4096):
-        cand = closest_in_coset(sum(lam * r for lam, r in zip(lams, combo)) % n, n)
+        cand = closest_in_coset(INTS, sum(lam * r for lam, r in zip(lams, combo)) % n, n)
         key = (cand * cand, cand)
         if best is None or key < best:
             best = key
@@ -416,10 +398,10 @@ def _two_adic_parts(ring: IntegerRing, x, P: PrimeIdeal) -> tuple[int, int]:
     return s, (image >> s) % 8
 
 
-def local_solvable_at_two(
-    a: FieldElement, b: FieldElement, c: FieldElement, P: PrimeIdeal
-) -> bool:
-    """Whether a*x^2 + b*y^2 + c*z^2 = 0 has a nonzero point over K_P = Q_2.
+@kernel_edge
+def local_solvable_at_two(ring: IntegerRing, a, b, c, P: PrimeIdeal) -> bool:
+    """Whether a*x^2 + b*y^2 + c*z^2 = 0, for the pairs a, b and c, has a
+    nonzero point over K_P = Q_2.
 
     It has one exactly when the Hilbert symbol (-a*c, -b*c)_2 is 1.  With
     -a*c = 2^s*u and -b*c = 2^t*w, u and w odd,
@@ -429,10 +411,9 @@ def local_solvable_at_two(
     """
     if P.p != 2 or P.e != 1 or P.f != 1:
         raise EvenPrime("the 2-adic Hilbert symbol needs a prime over 2 with K_P = Q_2")
-    ring = integer_ring(P.field)
-    minus_c = ring.sub((0, 0), ring.pair(c))
-    s, u = _two_adic_parts(ring, ring.mul(ring.pair(a), minus_c), P)
-    t, w = _two_adic_parts(ring, ring.mul(ring.pair(b), minus_c), P)
+    minus_c = ring.sub((0, 0), c)
+    s, u = _two_adic_parts(ring, ring.mul(a, minus_c), P)
+    t, w = _two_adic_parts(ring, ring.mul(b, minus_c), P)
     eps = lambda n: (n - 1) // 2
     om = lambda n: (n * n - 1) // 8
     return (eps(u) * eps(w) + s * om(w) + t * om(u)) % 2 == 0

@@ -204,7 +204,7 @@ def check_solvable(eq: ConicEquation) -> Certificate:
     # Two primes over 2 only when 2 splits, and then the first has K_P = Q_2.
     *first, last = splitting_type(field, 2)[1]
     for P in first:
-        ok = local_solvable_at_two(eq.a, eq.b, eq.c, P)
+        ok = local_solvable_at_two(ring, *coeffs, P)
         places.append(
             {"type": "dyadic", "prime": P, "ok": ok, "by": "hilbert_symbol"}
         )

@@ -99,6 +99,15 @@ def test_solve_writes_trace_when_not_solvable(tmp_path):
     assert [step["step"] for step in steps] == ["norm_form"]
 
 
+def test_solve_trace_to_an_unwritable_path_is_a_usage_error(tmp_path):
+    # The trace's directory does not exist: an error line and exit 2, as for
+    # a corpus file that cannot be read, not an OSError out of run.
+    path = tmp_path / "missing" / "trace.json"
+    code, text = _run(["solve", "--field", "Q", "--eq", "1;1;-1", "--trace", str(path)])
+    assert code == 2
+    assert text.startswith("error: cannot write the trace") and "Traceback" not in text
+
+
 def test_verify_subcommand():
     code, _ = _run(
         ["verify", "--field", "-7", "--eq", "3;2;13", "--solution", "s;2;1"]

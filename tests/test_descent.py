@@ -524,3 +524,64 @@ def test_rational_steps_run_on_ints(monkeypatch):
         assert verify(equation, solve_conic(equation))
     assert steps[0] > 2 * len(equations)
     assert built == []
+
+
+def test_descent_helpers_build_no_field_elements(monkeypatch):
+    # The norm form, each step and the helpers they call (sqrt_mod_ideal,
+    # short_congruence_pair, square_decompose, principal_ideal and the root
+    # listers) run on kernel values: on a warm pass of solves over Q,
+    # Q(sqrt(-7)) and Q(sqrt(-5)) none of them builds a FieldElement.  Only
+    # is_principal, whose generator is an element, and the depth-0 check,
+    # which takes an equation of elements, do; neither is counted.
+    rng = random.Random("kernel helpers")
+    equations = []
+    for K in (Q, Q7, make_field(-5)):
+        draw = lambda: K.element(rng.randint(-6, 6), 0 if K.is_rational else rng.randint(-3, 3))
+        while len(equations) % 40 or not equations or equations[-1].field is not K:
+            a, b, x0, y0 = (draw() for _ in range(4))
+            c = -(a * x0 * x0 + b * y0 * y0)
+            if not (a.is_zero or b.is_zero or c.is_zero):
+                equations.append(ConicEquation(a, b, c))
+    for equation in equations:  # splitting_type builds each prime's data once
+        solve_conic(equation)
+    inside, built, entered = [0], {False: 0, True: 0}, {"norm_form": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            entered[name] += 1
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    def uncounted(fn):
+        def wrapper(*args, **kwargs):
+            outer, inside[0] = inside[0], 0
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = outer
+
+        return wrapper
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            built[inside[0] > 0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(descent, "_norm_form", counted("norm_form", descent._norm_form))
+    monkeypatch.setattr(descent, "_step", counted("step", descent._step))
+    monkeypatch.setattr(conic_nf.ideals, "is_principal", uncounted(conic_nf.ideals.is_principal))
+    monkeypatch.setattr(conic_nf.fields, "_element", counting(conic_nf.fields._element))
+    monkeypatch.setattr(FieldElement, "__init__", counting(FieldElement.__init__))
+    for equation in equations:
+        assert verify(equation, solve_conic(equation))
+    # The wrappers are live: every solve took steps, and elements were built
+    # outside the counted calls.
+    assert entered["norm_form"] == len(equations) and entered["step"] > len(equations)
+    assert built[False] > 0 and built[True] == 0

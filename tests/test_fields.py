@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from timelimit import within
 
 import conic_nf.fields
 from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree, ParseError
@@ -56,6 +57,33 @@ def test_make_field_rejects():
         make_field(0)
     with pytest.raises(InvalidD):
         make_field(1)
+
+
+def test_squarefree_d_is_decided_quickly_and_by_the_definition():
+    # Trial division to the cube root of |d|, with a square test of the
+    # cofactor: these d took 2.7 s and 27 s when every k^2 up to |d| was
+    # tried.  The verdict is the definition's: on every |d| <= 10^5 (a sieve
+    # of the squares k^2), on a few hundred p^2*m, p up to 3,000 and so below
+    # or above the cube root, and on numbers up to 10^12 against factor_int.
+    from conic_nf.fields import _squarefree
+    from conic_nf.ideals import factor_int
+
+    for d in (100000000000031, 10000000000000061):
+        assert within(1, make_field, d).d == d
+        assert within(1, _squarefree, -d)
+    limit = 10**5
+    sieve = [True] * (limit + 1)
+    for k in range(2, math.isqrt(limit) + 1):
+        sieve[k * k :: k * k] = [False] * len(sieve[k * k :: k * k])
+    assert [_squarefree(n) for n in range(limit + 1)] == sieve
+    assert [_squarefree(-n) for n in range(limit + 1)] == sieve
+    rng = random.Random(31)
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for _ in range(300):
+        p, m = rng.choice(primes), rng.randint(1, 10**5)
+        assert not _squarefree(p * p * m) and not _squarefree(-p * p * m), (p, m)
+        n = rng.randint(limit, 10**12)
+        assert _squarefree(n) == all(e == 1 for _, e in factor_int(n)), n
 
 
 def test_make_field_keeps_one_descriptor_per_d():

@@ -290,9 +290,38 @@ def test_reduce_checks_the_bound_once_per_step(monkeypatch):
     monkeypatch.setattr(holzer, "is_reduced", counting)
     eq = _eq(Q, 1, 1, -5)
     red = reduce_solution(eq, SolutionTriple(Q.element(41), Q.element(38), Q.element(25)))
-    # One check per point visited: the primitive start, then one per step.
-    assert len(calls) >= 2 and calls[-1] == red
-    assert [abs(s.z.u) for s in calls] == sorted((abs(s.z.u) for s in calls), reverse=True)
+    # One check per point visited: the primitive start, then one per step,
+    # each on the step's kernel point (ints over Q).
+    assert len(calls) >= 2 and calls[-1] == tuple(t.num[0] for t in (red.x, red.y, red.z))
+    assert [abs(s[2]) for s in calls] == sorted((abs(s[2]) for s in calls), reverse=True)
+
+
+def test_lattice_step_searches_the_row_combinations_when_no_row_shrinks(monkeypatch):
+    # -8x^2 - y^2 + 2881z^2 = 0 from (1, -161, -3): z^2 = 9 > |ab| = 8, and
+    # the second points of both reduced rows have N(z) = 9 again, so the
+    # step takes the least among the rows' {-1, 0, 1} combinations.
+    from conic_nf.fields import INTS
+
+    coeffs, start = (-8, -1, 2881), (1, -161, -3)
+    points, combined = [], []
+    second_point, combine = holzer._second_point, holzer.combine
+
+    def recorded(*args):
+        points.append(second_point(*args))
+        return points[-1]
+
+    def counted(*args):
+        combined.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(holzer, "_second_point", recorded)
+    monkeypatch.setattr(holzer, "combine", counted)
+    assert holzer._lattice_step(INTS, coeffs, start) == (18, 17, -1)
+    # Over Q the lattice has rank 2: two rows, then their 4 combinations.
+    assert [abs(p[2]) for p in points[:2]] == [3, 3] and len(combined) == 4
+    eq = _eq(Q, *coeffs)
+    red = reduce_solution(eq, SolutionTriple(*(Q.element(t) for t in start)))
+    assert (red.x, red.y, red.z) == (18, 17, -1) and is_reduced(eq, red)
 
 
 def test_reduce_does_not_stall_above_holzer_bound():
@@ -430,8 +459,8 @@ _ELEMENT_ARITHMETIC = (
 
 def test_rational_steps_call_no_pair_kernel_and_no_element_arithmetic(monkeypatch):
     # Over Q the step runs on plain ints: inside reduce_solution no
-    # IntegerRing method is called and no FieldElement is computed with.  The
-    # per-point SolutionTriple checked by is_reduced is the one exception.
+    # IntegerRing method is called and no FieldElement is computed with,
+    # is_reduced's check of each point included.
     from conic_nf.fields import FieldElement, IntegerRing
 
     counts, inside = {}, [0]
@@ -444,13 +473,13 @@ def test_rational_steps_call_no_pair_kernel_and_no_element_arithmetic(monkeypatc
 
         return wrapper
 
-    def entered(delta, fn):
+    def entered(fn):
         def wrapper(*args):
-            inside[0] += delta
+            inside[0] += 1
             try:
                 return fn(*args)
             finally:
-                inside[0] -= delta
+                inside[0] -= 1
 
         return wrapper
 
@@ -459,9 +488,8 @@ def test_rational_steps_call_no_pair_kernel_and_no_element_arithmetic(monkeypatc
             monkeypatch.setattr(IntegerRing, name, counted("IntegerRing." + name, fn))
     for name in _ELEMENT_ARITHMETIC:
         monkeypatch.setattr(FieldElement, name, counted("FieldElement." + name, getattr(FieldElement, name)))
-    monkeypatch.setattr(holzer, "is_reduced", entered(-1, holzer.is_reduced))
     monkeypatch.setattr(holzer, "_lattice_step", counted("steps", holzer._lattice_step))
-    reduce = entered(1, holzer.reduce_solution)
+    reduce = entered(holzer.reduce_solution)
 
     def points(rows):
         for d, coeffs, start, _ in rows:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import conic_nf.ideals
-from conic_nf.fields import integer_ring, make_field, normalize_associate, parse_element
+from conic_nf.fields import INTS, integer_ring, make_field, normalize_associate, parse_element
 from conic_nf.ideals import (
     Ideal,
     PrimeIdeal,
@@ -544,10 +544,10 @@ def test_square_decompose_and_factor_ideal_over_q_on_ints():
     for _ in range(2000):
         t = rng.choice((-1, 1)) * rng.randint(1, 10**6) * rng.choice((1, 4, 9, 144, 343))
         e1, e2 = square_decompose(Q.element(t))
-        assert square_decompose(t) == (e1.num[0], e2.num[0])
+        assert square_decompose(INTS, t) == (e1.num[0], e2.num[0])
         assert factor_ideal(t) == [(P.p, e) for P, e in factor_ideal(principal_ideal(Q.element(t)))]
     with pytest.raises(ValueError):
-        square_decompose(0)
+        square_decompose(INTS, 0)
 
 
 def test_record_factorisation_enters_only_complete_factorisations(monkeypatch):

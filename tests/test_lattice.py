@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conic_nf.errors import NotPositiveDefinite
-from conic_nf.fields import Surd, make_field
+from conic_nf.fields import INTS, Surd, make_field
 from conic_nf.ideals import factor_ideal, prime_power, principal_ideal, unit_ideal
 from conic_nf.residues import sqrt_mod_ideal
 from conic_nf.lattice import lll_reduce, pair_measure, short_congruence_pair
@@ -375,9 +375,9 @@ def test_short_congruence_pair_over_q_on_ints_matches_the_element_path():
         factors = factor_ideal(B)
         S = math.prod(p for p, e in factors if e % 2)
         m = math.prod(p ** (e // 2) for p, e in factors)
-        w = sqrt_mod_ideal(A, S, [(p, 1) for p, e in factors if e % 2])
+        w = sqrt_mod_ideal(INTS, A, S, [(p, 1) for p, e in factors if e % 2])
         if w is None:
             continue
         want = short_congruence_pair(Q.element(A), Q.element(B), Q.element(w), principal_ideal(Q.element(m)))
-        assert short_congruence_pair(A, B, w, m) == tuple(x.num[0] for x in want), (A, B)
+        assert short_congruence_pair(INTS, A, B, w, m) == tuple(x.num[0] for x in want), (A, B)
         checked += 1

@@ -9,6 +9,7 @@ import pytest
 
 from conic_nf.errors import EvenPrime, UndecidedError
 from conic_nf.fields import (
+    INTS,
     FieldElement,
     IntegerRing,
     elem_size,
@@ -776,12 +777,12 @@ def test_sqrt_mod_ideal_over_q_on_ints_matches_the_element_path():
             x += 1
         a = rng.randint(-10 * n, 10 * n) if i % 3 == 1 else x * x - rng.randint(-3, 3) * n
         want = sqrt_mod_ideal(Q.element(a), Ideal(Q, n))
-        got = sqrt_mod_ideal(a, n, [(p, 1) for p in ps] if i % 2 else None)
+        got = sqrt_mod_ideal(INTS, a, n, [(p, 1) for p in ps] if i % 2 else None)
         assert got == (None if want is None else want.num[0]), (a, n)
-        assert closest_in_coset(x, n) == closest_in_coset(Q.element(x), Ideal(Q, n)).num[0]
-    assert sqrt_mod_ideal(5, 1, []) == 0
+        assert closest_in_coset(INTS, x, n) == closest_in_coset(Q.element(x), Ideal(Q, n)).num[0]
+    assert sqrt_mod_ideal(INTS, 5, 1, []) == 0
     with pytest.raises(ValueError):
-        sqrt_mod_ideal(5, 12)
+        sqrt_mod_ideal(INTS, 5, 12)
 
 
 def _reference_crt(field, factors):
