@@ -741,13 +741,15 @@ class IntegerRing:
         return best[1], best[2]
 
     def divmod(self, a, b):
-        """(q, r) with a = q*b + r and q the nearest integer to a/b."""
-        self._require_definite()
-        den = self.norm(b)
-        q = self.round(self.mul(a, self.conj(b)), den)
-        r = self.sub(a, self.mul(q, b))
-        assert abs(self.norm(r)) < abs(den)
-        return q, r
+        """(q, r) with a = q*b + r and q the nearest integer to a/b: round
+        a*conj(b) over N(b), in scalars (conj(b) = (bu + t*bv, -bv))."""
+        (au, av), (bu, bv), t, k = a, b, self.t, self.k
+        cu = bu + t * bv
+        den = bu * cu - k * bv * bv
+        qu, qv = self.round((au * cu - k * av * bv, av * cu - au * bv - t * av * bv), den)
+        ru, rv = au - qu * bu - k * qv * bv, av - qu * bv - qv * bu - t * qv * bv
+        assert abs(ru * ru + t * ru * rv - k * rv * rv) < abs(den)
+        return (qu, qv), (ru, rv)
 
     def exact_div(self, a, b):
         """a / b when b divides a, else None."""

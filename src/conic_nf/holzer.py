@@ -79,12 +79,15 @@ def _primitive(ring, point):
     return tuple(ring.exact_div(t, g) for t in point)
 
 
-def _second_point(ring, coeffs, point, polar, uv):
+def _second_point(ring, coeffs, point, polar, uv, bound=None):
     """The primitive second intersection of the conic with the line through
     point and (u, v, 0), for (u, v) in the lattice of _lattice_step:
     (q*x0 - 2*l*u, q*y0 - 2*l*v, q*z0)/z0 with q = a*u^2 + b*v^2 and
     2*l = 2*a*x0*u + 2*b*y0*v, both multiples of z0; polar holds 2*a*x0 and
-    2*b*y0.  At q = 0 (l is then not 0) it is (u, v, 0), a point with z = 0."""
+    2*b*y0.  At q = 0 (l is then not 0) it is (u, v, 0), a point with z = 0.
+    None, with no gcd taken, when its N(z) cannot be below bound: the
+    content g of (x, y, q) has N(g) | gcd(N(x), N(y), N(q)), and the
+    primitive point's N(z) is N(q)/N(g)."""
     a, b, _ = coeffs
     x0, y0, z0 = point
     u, v = uv
@@ -92,7 +95,10 @@ def _second_point(ring, coeffs, point, polar, uv):
     q = ring.add(mul(a, mul(u, u)), mul(b, mul(v, v)))
     l2 = ring.add(mul(polar[0], u), mul(polar[1], v))
     new = (sub(mul(q, x0), mul(l2, u)), sub(mul(q, y0), mul(l2, v)), mul(q, z0))
-    return _primitive(ring, tuple(ring.exact_div(t, z0) for t in new))
+    new = tuple(ring.exact_div(t, z0) for t in new)
+    if bound is not None and ring.norm(new[2]) >= bound * math.gcd(*map(ring.norm, new)):
+        return None
+    return _primitive(ring, new)
 
 
 def _lattice_step(ring, coeffs, point):
@@ -119,14 +125,22 @@ def _lattice_step(ring, coeffs, point):
     polar = (mul(ring.add(a, a), x0), mul(ring.add(b, b), y0))
 
     def least(vectors):
-        points = [_second_point(ring, coeffs, point, polar, uv) for uv in vectors]
-        return min(zip((ring.norm(p[2]) for p in points), range(len(points)), points))
+        # The least N(z), ties to the first.  Over the pair kernel a point
+        # that cannot beat the best so far takes no gcd in O_K.  Over Q the
+        # bound saves nothing (the gcd is one math.gcd), and every point is
+        # made primitive.
+        nz = best = None
+        for uv in vectors:
+            p = _second_point(ring, coeffs, point, polar, uv, None if ring is INTS else nz)
+            if p is not None and (best is None or ring.norm(p[2]) < nz):
+                nz, best = ring.norm(p[2]), p
+        return nz, best
 
-    nz, _, best = least(rows)
+    nz, best = least(rows)
     if nz >= ring.norm(z0):
         # Every {-1, 0, 1} combination of the rows, up to sign.
         signs = itertools.product((0, 1, -1), repeat=len(rows))
-        nz, _, best = least([combine(k, rows) for k in signs if next((c for c in k if c), 0) == 1])
+        nz, best = least([combine(k, rows) for k in signs if next((c for c in k if c), 0) == 1])
     if nz >= ring.norm(z0):
         raise UndecidedError("lattice step failed to shrink |z|")
     assert _on_conic(ring, coeffs, best)

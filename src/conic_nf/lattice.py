@@ -7,7 +7,8 @@ small quotient, which drives the descent; holzer reduces the lattice of
 lines through a point the same way (reduce_pairs).  Over Q both lattices
 have rank 2 and run on plain ints (reduce_int_pairs).  LLL is integral
 (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
-keeps its Gram-Schmidt data as integers, in four scalars at rank 2.  The
+keeps its Gram-Schmidt data as integers, in four scalars at rank 2, and
+reads the reduced Gram matrix off that data, with no matrix product.  The
 integer weights only steer it, and the pair is picked on the kernel's
 (u, v) pairs, or over Q on plain ints, by an exact integer comparison.
 short_congruence_pair is a kernel form with the ring first
@@ -135,8 +136,16 @@ def _lll(G):
         D[k] = b
         k = max(k - 1, 1)
 
-    GU = [[sum(G[p][q] * U[j][q] for q in range(n)) for j in range(n)] for p in range(n)]
-    return [[sum(U[i][p] * GU[p][j] for p in range(n)) for j in range(n)] for i in range(n)], U
+    # U * G * U^T off D and lam: _integral_gso's step 3 backwards, from
+    # u_j = lam_ij (D_{i+1} at j = i) to u_0 = b_i.b_j, each division exact.
+    R = [[0] * n for _ in range(n)]
+    for i, li in enumerate(lam):
+        for j in range(i + 1):
+            u, lj = li[j] if j < i else D[i + 1], lam[j]
+            for l in range(j - 1, -1, -1):
+                u = (D[l] * u + li[l] * lj[l]) // D[l + 1]
+            R[i][j] = R[j][i] = u
+    return R, U
 
 
 def _lll_rank2(G):
@@ -202,10 +211,13 @@ def reduce_pairs(ring, gens, coeffs):
         qs = [mul(e, c) for e in coeffs[:2]]
         qs = [(mul(q, (-ring.t, 2)), _SCALE) if norm(q) < 0 else (q, root) for q in qs]
         wx, wy = (mul(q, (m if ring.trace(q) > 0 else -m, 0)) for q, m in qs)
-        gram = [[dot(mul(wx, p), u) + dot(mul(wy, q), v) for u, v in gens] for p, q in gens]
+        ws = [(mul(wx, p), mul(wy, q)) for p, q in gens]
+        low = [[dot(p, u) + dot(q, v) for u, v in gens[: i + 1]] for i, (p, q) in enumerate(ws)]
     else:
         wx, wy = ((math.isqrt(4 * abs(norm(e)) * _SCALE**2) + 1) // 2 for e in coeffs[:2])
-        gram = [[wx * dot(gx, hx) + wy * dot(gy, hy) for hx, hy in gens] for gx, gy in gens]
+        low = [[wx * dot(p, u) + wy * dot(q, v) for u, v in gens[: i + 1]] for i, (p, q) in enumerate(gens)]
+    # dot is symmetric: each entry is built once, on or below the diagonal.
+    gram = [row + [low[j][i] for j in range(i + 1, len(low))] for i, row in enumerate(low)]
     return [combine(row, gens) for row in lll_reduce(gram)[1]]
 
 

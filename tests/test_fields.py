@@ -1002,3 +1002,31 @@ def test_kernel_size_keys_ceil_as_before(d):
         key = ring.size_sq((rng.randint(-big, big), rng.randint(-big, big)))
         root = math.isqrt(key.s * key.s * key.rad)
         assert math.ceil(key) == key.r + (root + 1 if key.s > 0 else -root)
+
+
+def test_scalar_divmod_matches_rounding_the_kernel_product():
+    # divmod forms a*conj(b) and N(b) in scalars; (q, r) must be those of
+    # rounding the kernel's own product, exact ties included: a/b = x + c/2
+    # for c in {1, w, 1 + w, 1 - w}, where both coordinates tie at t = 0 and
+    # two v-candidates tie at t = 1.
+    rng = random.Random(35)
+    for d in (None, -1, -2, -3, -7, -11):
+        ring = integer_ring(make_field(d))
+        v = (lambda r: 0) if d is None else (lambda r: rng.randint(-r, r))
+        pairs = []
+        for _ in range(1500):
+            pairs.append(((rng.randint(-10**6, 10**6), v(10**6)), (rng.randint(-999, 999), v(999))))
+        for _ in range(300):
+            h, x = (rng.randint(-99, 99), v(99)), (rng.randint(-99, 99), v(99))
+            for c in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                if d is None and c[1]:
+                    continue
+                pairs.append((ring.mul(h, ring.add(ring.add(x, x), c)), ring.add(h, h)))
+        for a, b in pairs:
+            if b == (0, 0):
+                continue
+            q = ring.round(ring.mul(a, ring.conj(b)), ring.norm(b))
+            assert ring.divmod(a, b) == (q, ring.sub(a, ring.mul(q, b))), (d, a, b)
+    for d in (2, 5, 14):
+        with pytest.raises(ValueError):
+            integer_ring(make_field(d)).divmod((7, 3), (2, 1))

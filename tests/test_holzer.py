@@ -324,6 +324,37 @@ def test_lattice_step_searches_the_row_combinations_when_no_row_shrinks(monkeypa
     assert (red.x, red.y, red.z) == (18, 17, -1) and is_reduced(eq, red)
 
 
+def test_lattice_step_skips_the_gcd_of_points_that_cannot_win(monkeypatch):
+    # Over an imaginary field a second point whose bound
+    # N(q)/gcd(N(x), N(y), N(q)) is no less than the best N(z) so far takes no
+    # gcd in O_K; with the bound dropped every point takes one, and the
+    # reductions end at the same points.
+    from conic_nf.fields import IntegerRing
+
+    calls, gcd = [0], IntegerRing.gcd
+
+    def counted(self, xs):
+        calls[0] += 1
+        return gcd(self, xs)
+
+    def reduced():
+        calls[0] = 0
+        points = []
+        for d, coeffs, start, _ in (r for r in GOLDEN if r[0] is not None):
+            field = make_field(d)
+            eq = ConicEquation(*(field.element(*t) for t in coeffs))
+            red = reduce_solution(eq, SolutionTriple(*(field.element(*t) for t in start)))
+            points.append((red.x, red.y, red.z))
+        return points, calls[0]
+
+    monkeypatch.setattr(IntegerRing, "gcd", counted)
+    points, gcds = reduced()
+    second_point = holzer._second_point
+    monkeypatch.setattr(holzer, "_second_point", lambda *args: second_point(*args[:5]))
+    full_points, full_gcds = reduced()
+    assert full_points == points and gcds < full_gcds
+
+
 def test_reduce_does_not_stall_above_holzer_bound():
     # (2, 1, 1) solves x^2 + 3y^2 - 7z^2 = 0 with z^2 = 1 <= |ab| = 3.
     eq = _eq(Q, 1, 3, -7)

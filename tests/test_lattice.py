@@ -381,3 +381,100 @@ def test_short_congruence_pair_over_q_on_ints_matches_the_element_path():
         want = short_congruence_pair(Q.element(A), Q.element(B), Q.element(w), principal_ideal(Q.element(m)))
         assert short_congruence_pair(INTS, A, B, w, m) == tuple(x.num[0] for x in want), (A, B)
         checked += 1
+
+
+# -- the reduced Gram matrix read off the integral Gram-Schmidt data ------------
+
+
+def _explicit_product(U, gram):
+    """U * gram * U^T by the definition."""
+    n = len(gram)
+    return [
+        [sum(U[i][p] * gram[p][q] * U[j][q] for p in range(n) for q in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _weighted_gram(rows, weights):
+    return [[sum(w * x * y for w, x, y in zip(weights, r, q)) for q in rows] for r in rows]
+
+
+def test_lll_reduced_gram_is_the_explicit_product():
+    # lll_reduce reads the reduced matrix off D and lam; it must be U*G*U^T
+    # at every rank, for int and Fraction entries alike.
+    rng = random.Random(33)
+    # Lovasz's condition with equality at each k (9900 = 99/100*10000 and
+    # 9801 = 99/100*9900), and mu = 1/2 and -3/2 ties beside larger blocks.
+    grams = [[[10000, 0, 0], [0, 9900, 0], [0, 0, 9801]]]
+    grams.append([[2, 1, 0, 0], [1, 5, 0, 0], [0, 0, 2, -3], [0, 0, -3, 10]])
+    grams.append([[400, 200, 0], [200, 396, 0], [0, 0, 7]])
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25:  # near-dependent: twice row 0 plus a unit vector
+            rows[-1] = [2 * t for t in rows[0]]
+            rows[-1][rng.randrange(n)] += 1
+        weights = [rng.choice((1, rng.randint(1, 1 << 20))) for _ in range(n)]
+        if rng.random() < 0.3:
+            weights = [Fraction(w, 1 << 16) for w in weights]
+        grams.append(_weighted_gram(rows, weights))
+    for gram in grams:
+        try:
+            reduced, U = lll_reduce(gram)
+        except NotPositiveDefinite:
+            continue
+        assert reduced == _explicit_product(U, gram)
+        assert abs(_det2(U)) == 1
+        integral = all(type(g) is int for row in gram for g in row)
+        assert all((type(g) is int) == integral for row in reduced for g in row)
+        checked += 1
+    assert checked > 400
+
+
+def test_lll_still_rejects_dependent_and_indefinite_matrices_at_higher_rank():
+    rng = random.Random(34)
+    for n in (3, 4, 5, 6):
+        for _ in range(20):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            with pytest.raises(NotPositiveDefinite):
+                lll_reduce(_weighted_gram(rows, [rng.randint(1, 99) for _ in range(n)]))
+            indefinite = [[rng.randint(1, 9) if i == j else 0 for j in range(n)] for i in range(n)]
+            indefinite[-1][-1] = -indefinite[-1][-1]
+            with pytest.raises(NotPositiveDefinite):
+                lll_reduce(indefinite)
+            with pytest.raises(NotPositiveDefinite):
+                lll_reduce([[Fraction(g, 3) for g in row] for row in indefinite])
+
+
+def test_reduce_pairs_builds_each_gram_entry_once(monkeypatch):
+    # The rank-4 lattice of lines of a Holzer step over Q(sqrt(-7)), through
+    # (17718 - 30742w, 376695 - 46319w, -52243 - 53732w) on
+    # (-3 + 4w)x^2 + (4 - 2w)y^2 + (28 + 20w)z^2 = 0: 10 Gram entries of
+    # two dot products each, the same rows as the full matrix gives.
+    from conic_nf import lattice
+    from conic_nf.fields import IntegerRing, integer_ring
+
+    ring = integer_ring(make_field(-7))
+    a, b = (-3, 4), (4, -2)
+    x0, y0, z0 = (17718, -30742), (376695, -46319), (-52243, -53732)
+    g, s, t = ring.xgcd(x0, y0)
+    e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
+    e2 = (ring.mul(z0, t), ring.sub(ring.zero, ring.mul(z0, s)))
+    gens = lattice.module_basis(ring, [e1, e2])
+    assert len(gens) == 4
+    wx, wy = ((math.isqrt(4 * ring.norm(e) * lattice._SCALE**2) + 1) // 2 for e in (a, b))
+    full = [[wx * ring.dot(p, u) + wy * ring.dot(q, v) for u, v in gens] for p, q in gens]
+    expected = [lattice.combine(row, gens) for row in lll_reduce(full)[1]]
+
+    calls = [0]
+    dot = IntegerRing.dot
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return dot(self, x, y)
+
+    monkeypatch.setattr(IntegerRing, "dot", counted)
+    assert lattice.reduce_pairs(ring, gens, (a, b, ring.one)) == expected
+    assert calls[0] == 20

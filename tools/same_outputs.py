@@ -13,11 +13,12 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 - random row sets for ideals.hnf_rows, rank-deficient ones included;
 - a seeded sweep of elements over the same 19 fields for the exact sizes
   and the local data at primes;
-- seeded Gram matrices of ranks 2-4 for lattice.lll_reduce: random ones,
+- seeded Gram matrices of ranks 2-6 for lattice.lll_reduce: random ones,
   some with a Fraction weight, dependent or indefinite, and the program's
   shapes (the Holzer step's lattice of lines and the congruence lattice over
   Q at rank 2 with 64- to 1,024-bit moduli, an imaginary field's module
-  basis weighted as reduce_pairs does at rank 4).
+  basis weighted as reduce_pairs does at rank 4); ranks 5 and 6 are random,
+  Fraction-weighted or dependent.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
@@ -57,6 +58,7 @@ HNF_SETS = 20_000
 SURFACE_ELEMENTS = 30
 LOCAL_PRIMES_BELOW = 60
 GRAM_SETS = 3_000
+HIGH_RANK_GRAM_SETS = 600
 DUMP_TIMEOUT_S = 1200
 
 
@@ -221,6 +223,17 @@ def _gram_inputs():
             inputs.append(["lll", [[[g, den] for g in row] for row in G]])
             continue
         inputs.append(["lll", [[[g, 1] for g in row] for row in G]])
+    # Ranks 5 and 6, from a generator of their own so the sets above stay as
+    # they were: random, weighted over 2^16, and with dependent rows.
+    rng = random.Random("lll_reduce ranks 5-6")
+    for i in range(HIGH_RANK_GRAM_SETS):
+        kind, n = i % 3, rng.randint(5, 6)
+        rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        if kind == 2:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        G = gram(rows, [rng.choice((1, rng.randint(1, 1 << 20))) for _ in range(n)])
+        den = 1 << 16 if kind == 1 else 1
+        inputs.append(["lll", [[[g, den] for g in row] for row in G]])
     return inputs
 
 
