@@ -22,8 +22,9 @@ coset of den*O_K.
 
 Q's own kernel, INTS, is the part of the kernel's API that the descent and
 the Holzer step use, on plain ints.  Its extended gcd takes the
-nearest-integer quotients of the pair path, so it returns the same Bezout
-coefficients; IntegerRing.xgcd over Q and the HNF of ideals call it.
+nearest-integer quotients of the pair path, so it returns the Bezout
+coefficients that IntegerRing.xgcd gives over Q; the Holzer step over Q and
+the HNF of ideals call it.
 The helpers of the check and the descent take a ring and its values;
 kernel_edge lets them take FieldElements, converted there and only there.
 """
@@ -765,8 +766,6 @@ class IntegerRing:
     def xgcd(self, a, b):
         """(g, s, t) with s*a + t*b = g = gcd(a, b), by Euclid's algorithm."""
         self._require_definite()
-        if self.field.is_rational:
-            return tuple((x, 0) for x in INTS.xgcd(a[0], b[0]))
         r0, r1 = a, b
         s0, s1 = (1, 0), (0, 0)
         t0, t1 = (0, 0), (1, 0)

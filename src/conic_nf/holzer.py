@@ -125,13 +125,11 @@ def _lattice_step(ring, coeffs, point):
     polar = (mul(ring.add(a, a), x0), mul(ring.add(b, b), y0))
 
     def least(vectors):
-        # The least N(z), ties to the first.  Over the pair kernel a point
-        # that cannot beat the best so far takes no gcd in O_K.  Over Q the
-        # bound saves nothing (the gcd is one math.gcd), and every point is
-        # made primitive.
+        # The least N(z), ties to the first.  A point that cannot beat the
+        # best so far takes no gcd in O_K.
         nz = best = None
         for uv in vectors:
-            p = _second_point(ring, coeffs, point, polar, uv, None if ring is INTS else nz)
+            p = _second_point(ring, coeffs, point, polar, uv, nz)
             if p is not None and (best is None or ring.norm(p[2]) < nz):
                 nz, best = ring.norm(p[2]), p
         return nz, best

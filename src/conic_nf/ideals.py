@@ -38,11 +38,9 @@ from .fields import INTS, FieldDescriptor, FieldElement, IntegerRing, integer_ri
 
 # -- integer factorization backend ------------------------------------------
 
-_TRIAL_LIMIT = 10**6
 _RHO_EFFORT = 10**6
-# Trial division runs through the primes below _SMALL_PRIMES_LIMIT, then,
-# while the cofactor is at least _SMALL_PRIMES_LIMIT^2 (about 1.7*10^7),
-# through a table of the primes up to _TRIAL_LIMIT sieved on first use.
+# Trial division runs through the primes below _SMALL_PRIMES_LIMIT; what is
+# left goes to Miller-Rabin, the perfect-power test and Brent's rho.
 _SMALL_PRIMES_LIMIT = 2**12
 
 # A race between threads only computes an entry twice: a dict get or set is
@@ -50,28 +48,23 @@ _SMALL_PRIMES_LIMIT = 2**12
 _factor_cache: dict[int, tuple[int, ...]] = {}
 
 
-def _primes(lo: int, hi: int) -> tuple[int, ...]:
-    """The primes p with lo <= p < hi, by the sieve of Eratosthenes."""
+def _primes(hi: int) -> tuple[int, ...]:
+    """The primes p < hi, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * hi
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(hi - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, hi, p)))
-    return tuple(itertools.compress(range(lo, hi), sieve[lo:]))
+    return tuple(itertools.compress(range(hi), sieve))
 
 
-_SMALL_PRIMES = _primes(2, _SMALL_PRIMES_LIMIT)
+_SMALL_PRIMES = _primes(_SMALL_PRIMES_LIMIT)
 
 
-@functools.cache
-def _large_primes() -> tuple[int, ...]:
-    return _primes(_SMALL_PRIMES_LIMIT, _TRIAL_LIMIT + 1)
-
-
-def _trial_divide(m: int, table, primes: list[int]) -> int:
-    """m with every prime p of table such that p*p <= m divided out, each
-    time appended to primes."""
-    for p in table:
+def _trial_divide(m: int, primes: list[int]) -> int:
+    """m with every prime p of _SMALL_PRIMES such that p*p <= m divided out,
+    each time appended to primes."""
+    for p in _SMALL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -159,9 +152,7 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         primes = list(cached)
     else:
         primes = []
-        m = _trial_divide(n, _SMALL_PRIMES, primes)
-        if m >= _SMALL_PRIMES_LIMIT**2:
-            m = _trial_divide(m, _large_primes(), primes)
+        m = _trial_divide(n, primes)
         stack = [m] if m > 1 else []
         rng = random.Random(0xC0FFEE ^ n)
         while stack:
@@ -311,17 +302,11 @@ class Ideal:
     def reduce_pair(self, x: tuple[int, int]) -> tuple[int, int]:
         """reduce on the integer pair (u, v) of u + v*omega."""
         u, v = x
-        if self.field.is_rational:
-            return u % self.a, 0
         q, v2 = divmod(v, self.c)  # floor for canonicality; v2 in [0, c)
         return (u - q * self.b) % self.a, v2
 
     def residues(self):
         """Iterate over canonical representatives of O_K / I."""
-        if self.field.is_rational:
-            for u in range(self.a):
-                yield self.field.element(u)
-            return
         for v in range(self.c):
             for u in range(self.a):
                 yield self.field.element(u, v)
@@ -599,8 +584,6 @@ def element_valuation(ring: IntegerRing, x, P: PrimeIdeal) -> int:
     if x == (0, 0):
         raise ValueError("valuation of zero")
     u, v = x
-    if ring.field.is_rational:
-        return _vp(u, P.p)
     g = math.gcd(u, v)
     n = abs(ring.norm((u, v)))
     return _scaled_valuation(P, g, n // (g * g), u // g, v // g)
@@ -617,7 +600,7 @@ def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
     out: list[tuple[PrimeIdeal, int]] = []
     for p, k in factor_int(I.norm):
         for P in splitting_type(I.field, p)[1]:
-            e = k if I.field.is_rational else valuation(I, P)
+            e = valuation(I, P)
             if e > 0:
                 out.append((P, e))
     # Sanity: norms must multiply back.

@@ -65,23 +65,31 @@ def _factor_by_trial_division(n):
     return out + ([(n, 1)] if n > 1 else [])
 
 
-def test_factor_int_trial_divides_by_primes_from_a_lazy_table(monkeypatch):
+def test_factor_int_trial_divides_by_the_small_primes_then_splits_the_rest(monkeypatch):
     monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
-    conic_nf.ideals._large_primes.cache_clear()
     # Up to 4093^2, 4093 being the last prime of the small table, trial
-    # division never builds the table of primes up to 10^6.
+    # division alone factors n.
     rng = random.Random(71)
     for n in [4093**2, 4091 * 4093, 5_000_000, 5_000_011] + [rng.randint(2, 4093**2) for _ in range(300)]:
         assert factor_int(n) == _factor_by_trial_division(n), n
-    assert conic_nf.ideals._large_primes.cache_info().currsize == 0
-    # Products of primes on both sides of the table's first entry (4099) and
-    # of the trial-division limit, with known factorisations.
+    # Products of primes on both sides of the first prime past the table
+    # (4099) and of 10^6, with known factorisations.
     pool = [2, 3, 4091, 4093, 4099, 4111, 65521, 999983, 1000003, 1000033, 10**12 + 39]
     for _ in range(60):
         expected = sorted((p, rng.randint(1, 3)) for p in rng.sample(pool, rng.randint(1, 3)))
         n = math.prod(p**e for p, e in expected)
         assert factor_int(rng.choice((-1, 1)) * n) == expected, n
-    assert conic_nf.ideals._large_primes.cache_info().currsize == 1
+    # Past the table rho splits the cofactor: up to 8 primes between 4096
+    # and 10^6, the squares (pqr)^2 and powers p^7 of such primes, and a
+    # prime near 10^6 times one near 10^12.
+    odds = [rng.randrange(4097, 10**6, 2) for _ in range(600)]
+    mids = [p for p in odds if _factor_by_trial_division(p) == [(p, 1)]]
+    shapes = [rng.sample(mids, rng.randint(1, 8)) for _ in range(30)]
+    shapes += [2 * rng.sample(mids, 3) for _ in range(10)] + [7 * [rng.choice(mids)] for _ in range(5)]
+    shapes.append([1000003, 10**12 + 39])
+    for primes in shapes:
+        expected = sorted((p, primes.count(p)) for p in set(primes))
+        assert factor_int(rng.choice((-1, 1)) * math.prod(primes)) == expected, primes
 
 
 def test_is_probable_prime_rejects_a_strong_pseudoprime():

@@ -11,14 +11,17 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   through random points, the same conics with rational coefficients, and
   direct legendre_descent calls;
 - random row sets for ideals.hnf_rows, rank-deficient ones included;
-- a seeded sweep of elements over the same 19 fields for the exact sizes
-  and the local data at primes;
+- a seeded sweep of elements over the same 19 fields for the exact sizes,
+  the element API of ideals and holzer, and the local data at primes;
 - seeded Gram matrices of ranks 2-6 for lattice.lll_reduce: random ones,
   some with a Fraction weight, dependent or indefinite, and the program's
   shapes (the Holzer step's lattice of lines and the congruence lattice over
   Q at rank 2 with 64- to 1,024-bit moduli, an imaginary field's module
   basis weighted as reduce_pairs does at rank 4); ranks 5 and 6 are random,
-  Fraction-weighted or dependent.
+  Fraction-weighted or dependent;
+- seeded integers for ideals.factor_int: signed random ones up to 64 bits,
+  products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39, and
+  perfect powers of primes between 4096 and 10^7.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
@@ -27,20 +30,24 @@ the corpus --json output with its exit code, or the error's type and text.
 On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
-real fields; and omega_root(P, k) for k <= 3 with crt_coefficients for
-the primes over p < 60.  For each Gram matrix it dumps lll_reduce's reduced
-matrix, entries by repr so that ints and Fractions differ, and U.
+real fields; element_valuation at the primes over p < 60, Ideal.reduce and
+residues modulo principal ideals of the elements, factor_ideal of those
+ideals, and holzer.xgcd over the Euclidean fields; and omega_root(P, k) for
+k <= 3 with crt_coefficients for the primes over p < 60.  For each Gram
+matrix it dumps lll_reduce's reduced matrix, entries by repr so that ints
+and Fractions differ, and U; for each integer, factor_int's pairs.
 The script prints the count of each kind of output and the first
 difference, and exits 1 on any difference, 0 when every output is the same.
 
 A change that should move no output (a refactor, a design change) runs it
 against its parent; a change that moves outputs on purpose will show them.
-Both dumps take about 25 s together on a 2-core x86-64 Xeon.
+Both dumps take about 30 s together on a 2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -59,6 +66,7 @@ SURFACE_ELEMENTS = 30
 LOCAL_PRIMES_BELOW = 60
 GRAM_SETS = 3_000
 HIGH_RANK_GRAM_SETS = 600
+FACTOR_INTS = 2_000
 DUMP_TIMEOUT_S = 1200
 
 
@@ -162,7 +170,9 @@ def _surface_inputs():
 
     inputs = []
     for d in SWEEP_FIELDS:
-        inputs.append(["sizes", d, elems(d, SURFACE_ELEMENTS)])
+        xs = elems(d, SURFACE_ELEMENTS)
+        inputs.append(["sizes", d, xs])
+        inputs.append(["element_api", d, [x[:2] for x in xs]])
         if d is None or d < 0:
             xs, ys = elems(d, SURFACE_ELEMENTS), elems(d, SURFACE_ELEMENTS)
             pairs = [(x, y) for x, y in zip(xs, ys) if y[:2] != (0, 0)]
@@ -237,6 +247,34 @@ def _gram_inputs():
     return inputs
 
 
+def _factor_inputs():
+    """Integers for factor_int: signed random ones up to 64 bits, products
+    of primes drawn across 4096, 10^6 and 10^12 + 39, and perfect powers."""
+    rng = random.Random("factor_int")
+
+    def prime(lo, hi):
+        while True:
+            p = rng.randrange(lo, hi)
+            if p > 1 and all(p % k for k in range(2, math.isqrt(p) + 1)):
+                return p
+
+    ranges = ((2, 4096), (4096, 5000), (5000, 10**6), (999_000, 10**6),
+              (10**6, 1_001_000), (10**6, 10**7))
+    pool = [prime(lo, hi) for lo, hi in ranges for _ in range(30)] + [10**12 + 39]
+    mids = [p for p in pool if 4096 < p < 10**7]
+    inputs = []
+    for i in range(FACTOR_INTS):
+        kind = i % 5
+        if kind < 2:
+            n = rng.getrandbits(rng.randint(1, 64)) or 1
+        elif kind < 4:
+            n = math.prod(p ** rng.randint(1, 3) for p in rng.sample(pool, rng.randint(1, 4)))
+        else:
+            n = rng.choice(mids) ** rng.randint(2, 7) * rng.choice((1, 2, 3, 4093))
+        inputs.append(["factor_int", rng.choice((-1, 1)) * n])
+    return inputs
+
+
 def _xgcd(a, b):
     """(g, s, t) with s*a + t*b = g = +-gcd(a, b)."""
     r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
@@ -292,12 +330,15 @@ def _dump(checkout, inputs_path):
                     out.append("x")
         return "".join(out)
 
-    def local(d, seed):
-        K, rng = make_field(d), random.Random(seed)
-        primes = [
+    def primes_below(K):
+        return [
             P for p in range(2, LOCAL_PRIMES_BELOW) if ideals.is_probable_prime(p)
             for P in ideals.splitting_type(K, p)[1]
         ]
+
+    def local(d, seed):
+        K, rng = make_field(d), random.Random(seed)
+        primes = primes_below(K)
         out = []
         for P in primes:
             conjugates = [Q for Q in primes if Q.p == P.p and Q != P]
@@ -376,6 +417,21 @@ def _dump(checkout, inputs_path):
             ]
         if kind == "local":
             return local(*args)
+        if kind == "element_api":
+            d, xs = args
+            K = make_field(d)
+            xs, primes = [element(d, x) for x in xs if x != [0, 0]], primes_below(K)
+            moduli = [ideals.principal_ideal(g) for g in xs[:6]]
+            return [
+                [[ideals.element_valuation(x, P) for P in primes] for x in xs],
+                [[format_element(M.reduce(x)) for x in xs] for M in moduli],
+                [list(map(format_element, M.residues())) for M in moduli if M.norm <= 400],
+                [repr(ideals.factor_ideal(M)) for M in moduli],
+                [list(map(format_element, holzer.xgcd(x, y))) for x, y in zip(xs, xs[1:])]
+                if K.euclidean else None,
+            ]
+        if kind == "factor_int":
+            return ideals.factor_int(args[0])
         if kind == "lll":
             gram = [[Fraction(*g) if g[1] > 1 else g[0] for g in row] for row in args[0]]
             reduced, U = lattice.lll_reduce(gram)
@@ -417,7 +473,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as folder:
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
-        inputs += _surface_inputs() + _gram_inputs()
+        inputs += _surface_inputs() + _gram_inputs() + _factor_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
