@@ -4,6 +4,8 @@ Lines of varying slope through a base point (a0, b0, g0) with g0 != 0 sweep
 out every other solution; clearing denominators turns the slope t = m/n
 into the polynomial formulas below.  Over the Euclidean fields the common
 divisor D_{m,n} can be removed to reach primitive integral solutions.
+Points are listed once per projective point over K, on every field: two
+triples that differ by a factor in K* are one point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterator, Optional
 
 from math import gcd as _int_gcd
 
-from .errors import BaseDegenerate, NotEuclidean
+from .errors import BaseDegenerate
 from .descent import SolutionTriple, verify
 from .fields import FieldElement, gcd_elems
 from .solvability import ConicEquation
@@ -53,30 +55,20 @@ def primitive_param(
     sol = param_solution(eq, base, m, n)
     if sol.is_trivial:
         return None
-    try:
-        g = gcd_elems([sol.x, sol.y, sol.z])
-    except NotEuclidean:
-        c = _int_gcd(*(q for t in (sol.x, sol.y, sol.z) for q in t.num))
-        g = sol.x.field.element(c)
+    triple = (sol.x, sol.y, sol.z)
+    if sol.x.field.euclidean:
+        g = gcd_elems(triple)
+    else:
+        g = sol.x.field.element(_int_gcd(*(q for t in triple for q in t.num)))
     return SolutionTriple(sol.x / g, sol.y / g, sol.z / g)
 
 
-def _unit_canonical(field, triple):
-    """The associate-class representative: smallest coordinate tuple."""
-    best = None
-    for u in field.units():
-        cand = tuple(t * u for t in triple)
-        key = tuple((t.u, t.v) for t in cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
-
-
 def canonical_solution(sol: SolutionTriple) -> tuple:
-    """A projective invariant of a primitive solution, for deduplication."""
-    field = sol.x.field
-    triple = _unit_canonical(field, (sol.x, sol.y, sol.z))
-    return tuple((t.u, t.v) for t in triple)
+    """A projective invariant of a nonzero solution: its coordinates over
+    its last nonzero one, so two solutions share it exactly when they
+    differ by a factor in K*."""
+    last = next(t for t in (sol.z, sol.y, sol.x) if not t.is_zero)
+    return tuple(t / last for t in (sol.x, sol.y, sol.z))
 
 
 def enumerate_solutions(

@@ -116,6 +116,8 @@ def test_solutions_cover_solver_output():
     target = SolutionTriple(Q.element(-7), Q.element(1), Q.element(5))
     assert verify(eq, target)
     assert solutions_cover(eq, base, target, 8)
+    # The slopes of the box with coordinates up to 2 miss it.
+    assert not solutions_cover(eq, base, target, 2)
 
 
 def test_enumerate_over_quadratic_field():
@@ -157,7 +159,6 @@ def _proportional(p, q):
 # Over real fields a unit of infinite order, and over non-PID fields a scalar
 # that is no unit, can relate the points of two slopes: each projective
 # point is still listed once, and count is the number of such points.
-@pytest.mark.xfail(strict=True, reason="points are keyed up to roots of unity, not projectively")
 @pytest.mark.parametrize(
     "d, coeffs, point, max_param, count",
     [
