@@ -17,7 +17,6 @@ import json
 import sys
 
 from .errors import (
-    BaseDegenerate,
     ConicError,
     NotSolvable,
     ParseError,
@@ -116,15 +115,7 @@ def _cmd_parametrize(args, out) -> int:
     if base.z.is_zero:
         _emit({"error": "base solution must have nonzero z"}, args.json, out)
         return EXIT_PARSE
-    try:
-        sols = list(
-            enumerate_solutions(
-                eq, base, args.max_param, z_norm_bound=args.height
-            )
-        )
-    except BaseDegenerate as exc:
-        _emit({"error": str(exc)}, args.json, out)
-        return EXIT_PARSE
+    sols = list(enumerate_solutions(eq, base, args.max_param, z_norm_bound=args.height))
     payload = {
         "count": len(sols),
         "solutions": [_triple_dict(s) for s in sols],

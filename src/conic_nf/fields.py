@@ -754,9 +754,6 @@ class IntegerRing:
 
     def exact_div(self, a, b):
         """a / b when b divides a, else None."""
-        if self.field.is_rational:
-            q, r = divmod(a[0], b[0])
-            return None if r else (q, 0)
         den = self.norm(b)
         u, v = self.mul(a, self.conj(b))
         if u % den or v % den:
@@ -792,8 +789,6 @@ class IntegerRing:
     def gcd(self, xs):
         """The normalised gcd of the pairs xs; (0, 0) if all are zero."""
         self._require_definite()
-        if self.field.is_rational:
-            return math.gcd(*(h[0] for h in xs)), 0
         g = (0, 0)
         for h in xs:
             while h != (0, 0):

@@ -98,8 +98,6 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, rng: random.Random) -> Optional[int]:
-    if n % 2 == 0:
-        return 2
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -157,8 +155,6 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         rng = random.Random(0xC0FFEE ^ n)
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_probable_prime(m):
                 primes.append(m)
                 continue
@@ -314,8 +310,6 @@ class Ideal:
     def __mul__(self, other: "Ideal") -> "Ideal":
         if self.field != other.field:
             raise ValueError("ideals of different fields")
-        if self.field.is_rational:
-            return Ideal(self.field, self.a * other.a)
         ring = integer_ring(self.field)
         return _ideal_of_pairs(
             ring,

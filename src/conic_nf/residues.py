@@ -323,8 +323,6 @@ def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
     factors are then (p, 1) pairs of ints; see _sqrt_mod_squarefree."""
     if ring is INTS:
         return _sqrt_mod_squarefree(a, M, factor_ideal(M) if factors is None else factors)
-    if M.norm == 1:
-        return ring.zero
     factors = factor_ideal(M) if factors is None else factors
     root_sets: list[list[tuple[int, int]]] = []
     for P, e in factors:
@@ -358,8 +356,6 @@ def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
     CRT coefficient of p is m*(m^-1 mod p), m the product of the other
     primes, and the least (w^2, w) over the first 4,096 combinations wins,
     each w taken to closest_in_coset as on the pair path."""
-    if n == 1:
-        return 0
     if any(e != 1 for _, e in factors):
         raise ValueError(f"modulus {n} is not squarefree")
     root_sets = []

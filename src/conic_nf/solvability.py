@@ -98,8 +98,6 @@ def _embedding_signs(x: FieldElement) -> list[int]:
     field = x.field
     if field.is_rational:
         return [1 if x.num[0] > 0 else -1]
-    if field.totally_imaginary:
-        return []
     # Twice an embedding of U + V*omega is tr +- V*sqrt(disc), and den > 0.
     t, v = integer_ring(field).trace(x.num), x.num[1]
     return [surd_sign(t, v, field.disc), surd_sign(t, -v, field.disc)]

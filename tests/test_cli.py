@@ -184,6 +184,12 @@ def test_parametrize_subcommand():
     for rec in payload["solutions"]:
         sol = SolutionTriple(*(parse_element(field, rec[k]) for k in ("x", "y", "z")))
         assert verify(eq, sol)
+    # A base off the conic fails verification (exit 1); a base with z = 0
+    # is a usage error (exit 2).
+    code, text = _run(["parametrize", "--eq", "1;1;-1", "--base", "1;1;1", "--json"])
+    assert (code, json.loads(text)) == (1, {"error": "base is not a solution"})
+    code, text = _run(["parametrize", "--eq", "1;-1;1", "--base", "1;1;0", "--json"])
+    assert (code, json.loads(text)) == (2, {"error": "base solution must have nonzero z"})
 
 
 @pytest.mark.parametrize("option", ["--max-param", "--height"])
@@ -202,6 +208,9 @@ def test_parse_error_exit_code():
     assert code == 2
     code, _ = _run(["check", "--field", "4", "--eq", "1;1;1"])
     assert code == 2
+    code, text = _run(["corpus", os.path.join(FIXTURES, "no-such.corpus")])
+    assert code == 2
+    assert text.startswith("error: ") and "no-such.corpus" in text
 
 
 def test_missing_or_unknown_subcommand_is_a_usage_error():
@@ -218,11 +227,16 @@ def test_zero_denominator_is_a_parse_error():
 
 def test_corpus_reports_a_zero_denominator_line_and_runs_the_rest(tmp_path):
     corpus = tmp_path / "zero.corpus"
-    corpus.write_text("Q ; 1/0 ; 1 ; 1 ; any\nQ ; 1 ; 1 ; -2 ; solvable\n")
+    corpus.write_text(
+        "Q ; 1/0 ; 1 ; 1 ; any\nQ ; 1 ; 1 ; -2\nQ ; 1 ; 1 ; -2 ; maybe\nQ ; 1 ; 1 ; -2 ; solvable\n"
+    )
     code, text = _run(["corpus", str(corpus), "--json"])
     assert code == 2
     records = [json.loads(line) for line in text.strip().splitlines()]
-    assert [(r["line"], r["status"]) for r in records] == [(1, "parse-error"), (2, "ok")]
+    statuses = [(1, "parse-error"), (2, "parse-error"), (3, "parse-error"), (4, "ok")]
+    assert [(r["line"], r["status"]) for r in records] == statuses
+    assert records[1]["detail"] == "expected 5 or 8 fields, got 4"
+    assert records[2]["detail"] == "bad expectation 'maybe'"
 
 
 def test_corpus_run():
@@ -244,10 +258,11 @@ def test_corpus_parallel_matches_serial():
 
 def test_corpus_mismatch_exit(tmp_path):
     bad = tmp_path / "bad.corpus"
-    bad.write_text("Q ; 1 ; 1 ; 1 ; solvable\n")
+    bad.write_text("Q ; 1 ; 1 ; 1 ; solvable\nQ ; 1 ; 1 ; -2 ; solvable ; 1 ; 2 ; 1\n")
     code, text = _run(["corpus", str(bad)])
     assert code == 1
     assert "mismatch" in text
+    assert "line 2: mismatch (stated solution fails verification)" in text
 
 
 def test_triple_option_values_may_start_with_minus():
