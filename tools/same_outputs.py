@@ -10,6 +10,10 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 - a seeded sweep over Q and 18 quadratic fields, real ones included: conics
   through random points, the same conics with rational coefficients, and
   direct legendre_descent calls;
+- parametrize over Q and the five Euclidean imaginary fields, where the
+  listed points and their order are fixed: the README's parametrize
+  command, and the first conics of the sweep over those fields, each from
+  its random point, with --max-param 8 over Q and 2 over the others;
 - random row sets for ideals.hnf_rows, rank-deficient ones included;
 - a seeded sweep of elements over the same 19 fields for the exact sizes,
   the element API of ideals and holzer, and the local data at primes;
@@ -26,7 +30,8 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
 solve_conic point with DescentTrace.to_list(), the reduce_solution point,
-the corpus --json output with its exit code, or the error's type and text.
+the corpus or parametrize --json output with its exit code, or the error's
+type and text.
 On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
@@ -56,11 +61,15 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 
+from reach import readme_commands
+
 ROOT = os.getcwd()
 SEEDS = (1, 2, 3)
 SECONDS = 20  # the benchmark's default run length sets the number of inputs
 SWEEP_FIELDS = (None, -1, -2, -3, -5, -6, -7, -11, -15, -19, -23, 2, 3, 5, 6, 7, 13, 17, 21)
 SWEEP_PER_FIELD = 40
+PARAM_FIELDS = (None, -1, -2, -3, -7, -11)
+PARAM_PER_FIELD = 8
 HNF_SETS = 20_000
 SURFACE_ELEMENTS = 30
 LOCAL_PRIMES_BELOW = 60
@@ -112,10 +121,15 @@ def _sweep_inputs(workloads):
     inputs = []
     for d in SWEEP_FIELDS:
         spec = "Q" if d is None else str(d)
-        for _ in range(SWEEP_PER_FIELD):
-            coeffs, _ = gen.from_point(d, 3, 3)
+        for i in range(SWEEP_PER_FIELD):
+            coeffs, point = gen.from_point(d, 3, 3)
             inputs.append(["check", d, coeffs])
             inputs.append(["solve", d, coeffs])
+            if d in PARAM_FIELDS and i < PARAM_PER_FIELD:
+                texts = [";".join(map(_fmt, t)) for t in (coeffs, point)]
+                bound = "8" if d is None else "2"
+                argv = ["--field", spec, "--eq", texts[0], "--base", texts[1], "--max-param", bound]
+                inputs.append(["parametrize", argv])
             # The same conic with rational coefficients, scaled to an
             # integral one by ConicEquation.from_coefficients.
             q = rng.randint(2, 6)
@@ -137,6 +151,7 @@ def _fixture_inputs(folder):
     with open(path, "w") as fh:
         fh.write(_fixture("table1.corpus"))
     inputs.append(["corpus", path])
+    inputs += [["parametrize", argv[1:]] for argv in readme_commands() if argv[0] == "parametrize"]
     return inputs
 
 
@@ -383,6 +398,10 @@ def _dump(checkout, inputs_path):
         if kind == "corpus":
             buf = io.StringIO()
             code = conic_nf.cli.run(["corpus", args[0], "--jobs", "2", "--json"], out=buf)
+            return [code, buf.getvalue()]
+        if kind == "parametrize":
+            buf = io.StringIO()
+            code = conic_nf.cli.run(["parametrize", *args[0], "--json"], out=buf)
             return [code, buf.getvalue()]
         if kind == "coset":
             spec, (a, b, c), x = args
