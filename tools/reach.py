@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import io
 import os
 import shlex
@@ -223,7 +224,7 @@ def _functions(path):
 
     def walk(body, prefix):
         for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 yield prefix + node.name, first, node.end_lineno
             elif isinstance(node, ast.ClassDef):
@@ -246,7 +247,7 @@ def _body_lines(path):
         for const in code.co_consts:
             if isinstance(const, types.CodeType):
                 # A class body is not optimised; its methods are.
-                walk(const, bool(const.co_flags & 0x1))
+                walk(const, bool(const.co_flags & inspect.CO_OPTIMIZED))
 
     walk(module, False)
     return lines
@@ -269,27 +270,30 @@ def _owner(functions, line):
     return None
 
 
-def report(reached, with_tests):
-    """Print the map; return the unreached functions missing from UNREACHED."""
-    program, tier1 = reached["program"], reached.get("tier-1", set())
-    head = f"{'module':<14}{'lines':>7}{'program':>9}"
-    head += f"{'tier-1':>8}{'tier-1 only':>13}{'none':>6}" if with_tests else f"{'none':>6}"
-    print(head)
+def report(program, tier1=None):
+    """Print the map; return the unreached functions missing from UNREACHED.
+    tier1 is None when tier-1 was not traced, and its columns are left out."""
+
+    def show(name, cells):
+        cells = cells if tier1 is not None else (cells[0], cells[1], cells[4])
+        print(f"{name:<14}" + "".join(f"{c:>12}" for c in cells))
+
+    show("module", ("lines", "program", "tier-1", "tier-1 only", "none"))
     totals = [0] * 5
     unreached = []
     for module, (path, lines, functions) in _modules().items():
         hit_p = {n for n in lines if (path, n) in program}
-        hit_t = {n for n in lines if (path, n) in tier1}
+        hit_t = {n for n in lines if (path, n) in (tier1 or ())}
         row = [len(lines), len(hit_p), len(hit_t), len(hit_t - hit_p), len(lines - hit_p - hit_t)]
         totals = [a + b for a, b in zip(totals, row)]
-        print(_row(module, row, with_tests))
+        show(module, row)
         owned = {}
         for n in lines:
             owned.setdefault(_owner(functions, n), set()).add(n)
         for qualname, _, _ in functions:
             if qualname in owned and not owned[qualname] & hit_p:
                 unreached.append((f"{module}.{qualname}", len(owned[qualname])))
-    print(_row("total", totals, with_tests))
+    show("total", totals)
     print(f"\nFunctions that no workload input or README command reaches ({len(unreached)}):")
     missing = []
     for name, n in unreached:
@@ -303,12 +307,6 @@ def report(reached, with_tests):
     return missing
 
 
-def _row(name, row, with_tests):
-    lines, program, tier1, only, none = row
-    text = f"{name:<14}{lines:>7}{program:>9}"
-    return text + (f"{tier1:>8}{only:>13}{none:>6}" if with_tests else f"{none:>6}")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tests", action="store_true", help="also trace tier-1 under pytest")
@@ -316,10 +314,9 @@ def main(argv=None):
     if not os.path.isdir(PKG):
         parser.error("run from the root of a checkout")
     imported = _traced(_import_program)
-    reached = {"program": _traced(_program) | imported}
-    if args.tests:
-        reached["tier-1"] = _traced(_tier1) | imported
-    missing = report(reached, args.tests)
+    program = _traced(_program) | imported
+    tier1 = _traced(_tier1) | imported if args.tests else None
+    missing = report(program, tier1)
     if missing:
         print(f"\n{len(missing)} unreached function(s) with no reason in UNREACHED", file=sys.stderr)
         return 1
