@@ -239,10 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eq=True):
+    def common(p):
         p.add_argument("--field", default="Q", help="Q or a squarefree integer d")
-        if eq:
-            p.add_argument("--eq", required=True, help='coefficients "a;b;c"')
+        p.add_argument("--eq", required=True, help='coefficients "a;b;c"')
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("check", help="local solvability certificate")

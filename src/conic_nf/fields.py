@@ -6,8 +6,9 @@ d = 1 (mod 4).  Its integer kernel, IntegerRing, is the one place that
 knows omega's minimal polynomial: arithmetic on (u, v) integer pairs over
 every field, with exact sizes compared in integers (IntSurd over a real
 field), the size test |w| < |b| - e, closed-form square roots, and the
-rank-2 lattice questions of O_K: Lagrange reduction and the closest element
-of a coset.  A FieldElement is a kernel pair over one positive denominator,
+rank-2 lattice questions of O_K: the rank-2 LLL step that lattice shares
+(_lll_rank2 with DELTA) and the closest element of a coset.  A
+FieldElement is a kernel pair over one positive denominator,
 (U + V*omega)/den in lowest terms, and all its arithmetic, its square root
 (elem_sqrt) and the size helpers go through the kernel.  IntSurd is the one
 exact surd; size_sq returns the kernel's key as a Surd, the IntSurd with
@@ -44,6 +45,7 @@ from .errors import (
     AllZero,
     InvalidD,
     NotEuclidean,
+    NotPositiveDefinite,
     NotSquarefree,
     ParseError,
 )
@@ -161,12 +163,9 @@ RATIONAL = make_field()
 
 
 def surd_sign(r, s, rad: int) -> int:
-    """The sign of r + s*sqrt(rad) (rad >= 0), exactly, for integer or
-    rational r and s."""
-    if s == 0:
-        return (r > 0) - (r < 0)
-    if r == 0:
-        return (s > 0) - (s < 0)
+    """The sign of r + s*sqrt(rad) (rad >= 0, and s = 0 when rad = 0),
+    exactly, for integer or rational r and s.  A zero r or s takes the
+    comparison of r^2 with s^2*rad, which gives the sign of the other part."""
     if r > 0 and s > 0:
         return 1
     if r < 0 and s < 0:
@@ -539,6 +538,32 @@ def gcd_elems(xs: Iterable[FieldElement]) -> FieldElement:
 
 # -- the integer kernel: O_K on (u, v) pairs ----------------------------------
 
+DELTA = Fraction(99, 100)  # Lovasz's constant of every LLL reduction
+
+
+def _lll_rank2(G):
+    """Integral LLL (Cohen, Alg. 2.6.7) of the 2 x 2 integral Gram matrix G,
+    in scalars: (U * G * U^T, U).  It keeps D_1 = |b_0|^2, lam = lam_10 =
+    b_1.b_0, the invariant D_2 = det G and U = [[u0, u1], [v0, v1]].  Each
+    pass size-reduces row 1 and tests Lovasz's condition, and a swap sets
+    D_1 = (D_2 + lam^2)/D_1 with lam unchanged.  The reduced Gram matrix is
+    [[D_1, lam], [lam, (D_2 + lam^2)/D_1]]: |b_1|^2 = B*_1 + mu^2*B*_0 with
+    B*_0 = D_1, B*_1 = D_2/D_1 and mu = lam/D_1."""
+    d1, lam = G[0][0], G[1][0]
+    d2 = d1 * G[1][1] - lam * lam
+    if d1 <= 0 or d2 <= 0:
+        raise NotPositiveDefinite("Gram matrix is not positive definite (or rows are dependent)")
+    dn, dd = DELTA.numerator, DELTA.denominator
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while True:
+        q = round_quotient(lam, d1)
+        if q:
+            v0, v1, lam = v0 - q * u0, v1 - q * u1, lam - q * d1
+        e = d2 + lam * lam
+        if dd * e >= dn * d1 * d1:
+            return [[d1, lam], [lam, e // d1]], [[u0, u1], [v0, v1]]
+        u0, u1, v0, v1, d1 = v0, v1, u0, u1, e // d1
+
 
 class IntegerRing:
     """O_K of Q or of a quadratic field, on integer pairs.
@@ -547,15 +572,15 @@ class IntegerRing:
     (t, k) is (0, 0) over Q, (0, d) for omega = sqrt(d) and (1, (d-1)/4) for
     omega = (1+sqrt(d))/2.  Multiplication, conjugation, norm, trace, the
     trace form and exact sizes work over every field; the lattice step of
-    the descent (lattice, residues) runs on them, and so do Lagrange
-    reduction and the closest element of a coset of a rank-2 lattice, which
-    decide principality (ideals) and round over a real field.  Over Q and
-    the imaginary fields the norm is positive definite, so every quotient
-    is num/den with den > 0 and rounds in closed form; rounding, division
-    with remainder and gcds exist only there.  nearest_integer,
-    euclid_divmod and gcd_elems delegate here over these fields, and the
-    size reduction in holzer runs on pairs over the imaginary fields (on
-    INTS over Q).
+    the descent (lattice, residues) runs on them, and so do the rank-2 LLL
+    step shared with lattice (reduce_basis) and the closest element of a
+    coset of a rank-2 lattice, which decide principality (ideals) and round
+    over a real field.  Over Q and the imaginary fields the norm is
+    positive definite, so every quotient is num/den with den > 0 and rounds
+    in closed form; rounding, division with remainder and gcds exist only
+    there.  nearest_integer, euclid_divmod and gcd_elems delegate here over
+    these fields, and the size reduction in holzer runs on pairs over the
+    imaginary fields (on INTS over Q).
     """
 
     __slots__ = ("field", "t", "k", "units", "real")
@@ -619,31 +644,26 @@ class IntegerRing:
             return 2 * self.norm(x)
         return IntSurd(self.dot(x, x), abs(x[1] * self.trace(x)), self.field.disc)
 
-    def lagrange_reduce(self, m1, m2):
-        """Gauss-Lagrange reduction of a rank-2 lattice basis of pairs in the
-        trace form: the first vector returned is a shortest nonzero one."""
+    def reduce_basis(self, m1, m2):
+        """The LLL-reduced basis r1, r2 of the lattice spanned by the pairs
+        m1 and m2 in the trace form (_lll_rank2), and its reduced Gram
+        matrix [[dot(r1, r1), dot(r1, r2)], [dot(r1, r2), dot(r2, r2)]]."""
         dot = self.dot
-        if dot(m1, m1) > dot(m2, m2):
-            m1, m2 = m2, m1
-        while True:
-            n1 = dot(m1, m1)
-            q = round_quotient(dot(m1, m2), n1)
-            if q:
-                m2 = (m2[0] - q * m1[0], m2[1] - q * m1[1])
-            if dot(m2, m2) >= n1:
-                return m1, m2
-            m1, m2 = m2, m1
+        g = dot(m1, m2)
+        gram, ((a, b), (c, e)) = _lll_rank2([[dot(m1, m1), g], [g, dot(m2, m2)]])
+        r1 = (a * m1[0] + b * m2[0], a * m1[1] + b * m2[1])
+        return r1, (c * m1[0] + e * m2[0], c * m1[1] + e * m2[1]), gram
 
     def closest(self, x, m1, m2):
         """The least element of x + L under the key (size_sq, u, v), L the
         lattice spanned by the pairs m1 and m2.
 
-        Babai's rounding in a Lagrange-reduced basis r1, r2 gives a start;
-        the window around it holds a bounded number of candidates whatever
-        the lattice, and sizes are compared exactly in integers.
+        Babai's rounding in the reduced basis r1, r2 gives a start; the
+        window around it holds every candidate no larger, for any basis, and
+        sizes are compared exactly in integers.
         """
         dot = self.dot
-        r1, r2 = self.lagrange_reduce(m1, m2)
+        r1, r2, ((n1, g), (_, n2)) = self.reduce_basis(m1, m2)
         det = r1[0] * r2[1] - r2[0] * r1[1]
         if det < 0:
             r2, det = (-r2[0], -r2[1]), -det
@@ -656,13 +676,11 @@ class IntegerRing:
         # The trace form is at most size_sq (equal over an imaginary field), so
         # a candidate z = y - k1*r1, y = x - k2*r2, no larger than the start has
         # dot(z, z) <= S.  The part of z orthogonal to r1 gives
-        # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G the Gram determinant:
-        # a window of at most about 2*sqrt(8/3) + 1 values of k2, as the basis
-        # is reduced.
+        # dot(z, z) >= G*(c2 - k2*det)^2 / (n1*det^2), G = n1*n2 - g^2 the Gram
+        # determinant, whatever the basis: a window of 2*sqrt(S*n1/G) + 1
+        # values of k2, which the reduced basis keeps to a few.
         S = math.ceil(best[0])
-        n1 = dot(r1, r1)
-        gram_det = n1 * dot(r2, r2) - dot(r1, r2) ** 2
-        L = math.isqrt(S * n1 * det * det // gram_det)
+        L = math.isqrt(S * n1 * det * det // (n1 * n2 - g * g))
         for k2 in range(-((L - c2) // det), (c2 + L) // det + 1):
             y = (xu - k2 * r2[0], xv - k2 * r2[1])
             e = dot(y, r1)

@@ -11,10 +11,15 @@ powers P^k, the residue of omega modulo P^k) are computed from integers in
 closed form, with no ideal product (Cohen, A Course in Computational
 Algebraic Number Theory, 4.8 and 5.2).
 
+A rational prime p splits, stays inert or ramifies as omega's minimal
+polynomial has two roots, none or a double root mod p; splitting_type reads
+the split primes off that root.
+
 Principality is decided on every field with no search: over an imaginary
-field by the shortest vector of the kernel's Lagrange-reduced HNF basis,
-over a real field by the cycle of reduced binary quadratic forms of the
-ideal (Cohen, 5.6), which also yields the unit that balances a generator.
+field by the shorter vector of the HNF basis after the kernel's rank-2 LLL
+step, the one lattice shares, and over a real field by the cycle of reduced
+binary quadratic forms of the ideal (Cohen, 5.6), which also yields the
+unit that balances a generator.
 
 principal_ideal, element_valuation and square_decompose are kernel forms
 with the ring first (fields.kernel_edge): an IntegerRing with pairs, or over
@@ -406,47 +411,37 @@ def splitting_type(
     field: FieldDescriptor, p: int
 ) -> tuple[str, tuple[PrimeIdeal, ...]]:
     """Split/Inert/Ramified with the primes above p, computed once per
-    (field, p)."""
+    (field, p).
+
+    p ramifies when it divides the discriminant; an odd such p divides d.
+    Otherwise p splits exactly when omega's minimal polynomial has a root r
+    mod p, into (p, omega - r) and its conjugate, distinct as the other root
+    t - r differs from r mod p when p does not divide the discriminant."""
     if field.is_rational:
         return "Split", (PrimeIdeal(field, p, 1, 1, field.element(0)),)
-    disc = field.disc
-    if disc % p == 0:
-        # Ramified.  Pick a second generator of valuation exactly 1.
-        if p == 2:
-            # omega = sqrt(d): sqrt(d) for d = 2 (mod 4), else 1 + sqrt(d).
-            g = field.element(1 if field.d % 4 == 3 else 0, 1)
-        else:
-            if field.d % p == 0:
-                g = field.sqrt_gen()
-            else:
-                # p | disc but p odd forces p | d, so this cannot happen.
-                raise AssertionError("odd ramified prime must divide d")
+    if field.disc % p == 0:
+        # A second generator of valuation exactly 1: at p = 2, where
+        # omega = sqrt(d), sqrt(d) for d = 2 (mod 4), else 1 + sqrt(d).
+        g = field.element(1 if field.d % 4 == 3 else 0, 1) if p == 2 else field.sqrt_gen()
         return "Ramified", (PrimeIdeal(field, p, 2, 1, g),)
-    sym = kronecker(disc, p)
-    if sym == -1:
+    r = _omega_root_mod(field, p)
+    if r is None:
         return "Inert", (PrimeIdeal(field, p, 1, 2, field.element(p)),)
-    # Split: find a root of the minimal polynomial of omega mod p.
     ring = integer_ring(field)
-    g1 = (-_omega_root_mod(field, p), 1)
-    P1 = PrimeIdeal(field, p, 1, 1, ring.element(g1))
-    P2 = PrimeIdeal(field, p, 1, 1, ring.element(ring.conj(g1)))
-    if P1.ideal() == P2.ideal():  # pragma: no cover - sanity only
-        raise AssertionError("split primes coincide")
-    return "Split", (P1, P2)
+    g1 = (-r, 1)
+    return "Split", tuple(PrimeIdeal(field, p, 1, 1, ring.element(g)) for g in (g1, ring.conj(g1)))
 
 
-def _omega_root_mod(field: FieldDescriptor, p: int) -> int:
-    """Root mod p of omega's minimal polynomial (p split)."""
-    if field.omega_kind == "sqrt_d":
-        s = _sqrt_mod_p(field.d % p, p)
-        assert s is not None
-        return s
+def _omega_root_mod(field: FieldDescriptor, p: int) -> Optional[int]:
+    """A root mod p of omega's minimal polynomial, or None when it has none,
+    for p not dividing the discriminant.  At p = 2, omega = (1 + sqrt(d))/2
+    has x^2 - x - (d - 1)/4, with the roots 0 and 1 when d = 1 (mod 8) and
+    none when d = 5 (mod 8)."""
     if p == 2:
-        c = ((field.d - 1) // 4) % 2
-        assert c == 0  # split at 2 requires d = 1 (mod 8)
-        return 0  # omega = 0 or 1 mod the two primes; pick 0
+        return None if (field.d - 1) // 4 % 2 else 0
     s = _sqrt_mod_p(field.d % p, p)
-    assert s is not None
+    if s is None or field.omega_kind == "sqrt_d":
+        return s
     return (1 + s) * pow(2, p - 2, p) % p
 
 
@@ -589,8 +584,6 @@ def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
     factorization is then factor_int's (p, e) pairs."""
     if type(I) is int:
         return factor_int(I)
-    if I.norm == 1:
-        return []
     out: list[tuple[PrimeIdeal, int]] = []
     for p, k in factor_int(I.norm):
         for P in splitting_type(I.field, p)[1]:
@@ -614,9 +607,16 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
 
     Every nonzero x in I has N(I) | N(x), and x generates I exactly when
     |N(x)| = N(I).  Over an imaginary field the norm is definite, so I is
-    principal exactly when the shortest vector of its Lagrange-reduced HNF
-    basis has norm N(I).  Over a real field see _reduced_cycle; the generator
-    is balanced by norm_one_unit.
+    principal exactly when a shortest vector has norm N(I), and one of the
+    basis r1, r2 that the kernel's rank-2 LLL step (IntegerRing.reduce_basis)
+    makes of the HNF basis is a shortest vector.  That basis b1, b2 has
+    |mu| <= 1/2 and |b2*|^2 >= (DELTA - mu^2)|b1|^2, DELTA = 99/100, and
+    |x*b1 + y*b2|^2 = (x + y*mu)^2|b1|^2 + y^2|b2*|^2: with y = 0 and x != 0
+    it is at least |b1|^2; with |y| = 1 at least mu^2|b1|^2 + |b2*|^2 = |b2|^2; with
+    |y| >= 2 at least 4(DELTA - 1/4)|b1|^2 > |b1|^2.  All generators are
+    associates, so normalize_associate picks one whichever r is taken.
+    Over a real field see _reduced_cycle; the generator is balanced by
+    norm_one_unit.
     """
     field = I.field
     if field.is_rational:
@@ -627,9 +627,8 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
         if g is not None:
             g = balance(ring, g, norm_one_unit(field))
     else:
-        g, _ = ring.lagrange_reduce((I.a, 0), (I.b, I.c))
-        if ring.norm(g) != I.norm:
-            g = None
+        r1, r2, _ = ring.reduce_basis((I.a, 0), (I.b, I.c))
+        g = next((r for r in (r1, r2) if ring.norm(r) == I.norm), None)
     return None if g is None else ring.element(ring.normalize(g))
 
 

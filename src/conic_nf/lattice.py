@@ -7,10 +7,11 @@ small quotient, which drives the descent; holzer reduces the lattice of
 lines through a point the same way (reduce_pairs).  Over Q both lattices
 have rank 2 and run on plain ints (reduce_int_pairs).  LLL is integral
 (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
-keeps its Gram-Schmidt data as integers, in four scalars at rank 2, and
-reads the reduced Gram matrix off that data, with no matrix product.  The
-integer weights only steer it, and the pair is picked on the kernel's
-(u, v) pairs, or over Q on plain ints, by an exact integer comparison.
+keeps its Gram-Schmidt data as integers, in four scalars at rank 2 (the
+kernel's step, fields._lll_rank2), and reads the reduced Gram matrix off
+that data, with no matrix product.  The integer weights only steer it, and
+the pair is picked on the kernel's (u, v) pairs, or over Q on plain ints,
+by an exact integer comparison.
 short_congruence_pair is a kernel form with the ring first
 (fields.kernel_edge), which converts FieldElements at its edge.  _gso and
 pair_measure are the exact rational definitions.
@@ -22,10 +23,9 @@ import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefinite
-from .fields import INTS, FieldElement, IntSurd, Surd, integer_ring, kernel_edge, round_quotient
+from .fields import DELTA, INTS, FieldElement, IntSurd, Surd, _lll_rank2, integer_ring, kernel_edge, round_quotient
 from .ideals import Ideal, hnf_rows, unit_ideal
 
-DELTA = Fraction(99, 100)
 # reduce_pairs' weights are exact to about 1/_SCALE; they only steer LLL.
 _SCALE = 1 << 16
 
@@ -87,11 +87,10 @@ def lll_reduce(gram):
     Row k is size-reduced against rows k-1, ..., 0 with q = mu_kj rounded
     half to even, then tested by Lovasz's condition, so U is the same as
     with exact rational Gram-Schmidt recomputed after every step.  Rank 2
-    takes the same steps in scalars (_lll_rank2).
+    takes the same steps in scalars (fields._lll_rank2, which the kernel's
+    rank-2 questions share).
     """
     n = len(gram)
-    if n == 0:
-        return gram, []
     den = math.lcm(*(g.denominator for row in gram for g in row))
     G = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
     reduced, U = (_lll_rank2 if n == 2 else _lll)(G)
@@ -146,29 +145,6 @@ def _lll(G):
                 u = (D[l] * u + li[l] * lj[l]) // D[l + 1]
             R[i][j] = R[j][i] = u
     return R, U
-
-
-def _lll_rank2(G):
-    """_lll at rank 2, in scalars: D_1 = |b_0|^2, lam = lam_10 = b_1.b_0,
-    the invariant D_2 = det G and U = [[u0, u1], [v0, v1]].  Each pass
-    size-reduces row 1 and tests Lovasz's condition, and a swap sets
-    D_1 = (D_2 + lam^2)/D_1 with lam unchanged.  The reduced Gram matrix is
-    [[D_1, lam], [lam, (D_2 + lam^2)/D_1]]: |b_1|^2 = B*_1 + mu^2*B*_0 with
-    B*_0 = D_1, B*_1 = D_2/D_1 and mu = lam/D_1."""
-    d1, lam = G[0][0], G[1][0]
-    d2 = d1 * G[1][1] - lam * lam
-    if d1 <= 0 or d2 <= 0:
-        raise NotPositiveDefinite("Gram matrix is not positive definite (or rows are dependent)")
-    dn, dd = DELTA.numerator, DELTA.denominator
-    u0, u1, v0, v1 = 1, 0, 0, 1
-    while True:
-        q = round_quotient(lam, d1)
-        if q:
-            v0, v1, lam = v0 - q * u0, v1 - q * u1, lam - q * d1
-        e = d2 + lam * lam
-        if dd * e >= dn * d1 * d1:
-            return [[d1, lam], [lam, e // d1]], [[u0, u1], [v0, v1]]
-        u0, u1, v0, v1, d1 = v0, v1, u0, u1, e // d1
 
 
 def combine(coeffs, vecs):

@@ -92,8 +92,6 @@ def enumerate_solutions(
         slopes = itertools.product(box, repeat=4)
     seen = set()
     for mu, mv, nu, nv in slopes:
-        if mu == mv == nu == nv == 0:
-            continue
         m, n = field.element(mu, mv), field.element(nu, nv)
         sol = primitive_param(eq, base, m, n)
         if sol is None:

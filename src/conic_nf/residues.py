@@ -337,7 +337,7 @@ def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
         w = (0, 0)
         for lam, r in zip(lams, combo):
             w = ring.add(w, ring.mul(lam, r))
-        cand = closest_in_coset(ring, M.reduce_pair(w), M)
+        cand = closest_in_coset(ring, w, M)
         key = (ring.size_sq(cand), *cand)
         if best is None or key < best:
             best = key

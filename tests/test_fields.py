@@ -962,20 +962,34 @@ def test_one_surd_matches_a_decimal_oracle():
                 x < y
             continue
         compared += 1
-        sign = _surd_oracle_sign(x, y)
-        assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == (
-            sign < 0, sign <= 0, sign == 0, sign != 0, sign > 0, sign >= 0
-        ), (x, y, sign)
-        if sign == 0:
-            assert hash(x) == hash(y), (x, y)
-        for z in (x, y):
-            value = _rational_or_parts(z)
-            if isinstance(value, Fraction):
-                assert math.ceil(z) == math.ceil(value), z
-            else:
-                assert math.ceil(z) == int(_decimal(z).to_integral_value(decimal.ROUND_CEILING)), z
-            assert math.isclose(float(z), float(_decimal(z)), rel_tol=1e-12, abs_tol=1e-12)
+        _assert_order_matches_oracle(x, y)
     assert raised >= 100
+    # Differences (r, s) with s = 0, r = 0 and r = s = 0, against a rational
+    # and against a surd of the same radical.
+    parts = [(3, 0), (-3, 0), (Fraction(-1, 3), 0), (0, 2), (0, -2), (0, Fraction(1, 5)), (0, 0)]
+    for rad in (0, 1, 4, 2, 3, 8):
+        for r, s in parts:
+            if rad == 0 and s:
+                continue
+            b = 7 if rad else 0
+            _assert_order_matches_oracle(IntSurd(r, s, rad), 0)
+            _assert_order_matches_oracle(Surd(r + 5, s + b, rad), IntSurd(5, b, rad))
+
+
+def _assert_order_matches_oracle(x, y):
+    sign = _surd_oracle_sign(x, y)
+    assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == (
+        sign < 0, sign <= 0, sign == 0, sign != 0, sign > 0, sign >= 0
+    ), (x, y, sign)
+    if sign == 0:
+        assert hash(x) == hash(y), (x, y)
+    for z in (x, y):
+        value = _rational_or_parts(z)
+        if isinstance(value, Fraction):
+            assert math.ceil(z) == math.ceil(value), z
+        else:
+            assert math.ceil(z) == int(_decimal(z).to_integral_value(decimal.ROUND_CEILING)), z
+        assert math.isclose(float(z), float(_decimal(z)), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_surd_constructor_checks():

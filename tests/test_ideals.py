@@ -123,6 +123,19 @@ def test_splitting_examples():
     assert primes[0].ideal().norm == 9
 
 
+def test_splitting_rule_matches_the_kronecker_symbol():
+    # splitting_type decides split or inert by a root of omega's polynomial
+    # mod p; the reference is (disc|p) for every p that does not divide disc.
+    primes = [p for p in range(2, 1000) if is_probable_prime(p)]
+    squarefree = [n for n in range(2, 201) if all(n % (k * k) for k in range(2, 15))]
+    fields = [make_field(d) for n in squarefree for d in (n, -n)]
+    assert len(fields) == 242
+    for K in fields:
+        for p in primes:
+            kind = "Ramified" if K.disc % p == 0 else {1: "Split", -1: "Inert"}[kronecker(K.disc, p)]
+            assert splitting_type(K, p)[0] == kind, (K, p)
+
+
 def test_splitting_type_is_computed_once_per_field_and_prime():
     for field, p in [(Q, 5), (Q7, 2), (Q6, 3), (Q14, 3), (make_field(17), 13)]:
         first = splitting_type(field, p)

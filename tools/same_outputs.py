@@ -25,13 +25,22 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   Fraction-weighted or dependent;
 - seeded integers for ideals.factor_int: signed random ones up to 64 bits,
   products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39, and
-  perfect powers of primes between 4096 and 10^7.
+  perfect powers of primes between 4096 and 10^7;
+- the kernel's rank-2 and residuosity questions: ideals.splitting_type for
+  every prime below 2,000 over the 19 fields, and at p = 2 over more fields
+  with d = 1 and d = 5 (mod 8); ideals.is_principal on seeded products of
+  prime powers over the 18 quadratic fields and the real fields of class
+  number 2 in PRINCIPAL_FIELDS; residues.closest_in_coset over the
+  imaginary fields on seeded cosets of principal and non-principal ideals;
+  and fields.surd_sign on seeded (r, s, rad) with zero parts.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
 solve_conic point with DescentTrace.to_list(), the reduce_solution point,
 the corpus or parametrize --json output with its exit code, or the error's
 type and text.
+For splitting_type it dumps the kind and each prime's (e, f, second
+generator, r); for is_principal the generator or None.
 On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
@@ -76,6 +85,11 @@ LOCAL_PRIMES_BELOW = 60
 GRAM_SETS = 3_000
 HIGH_RANK_GRAM_SETS = 600
 FACTOR_INTS = 2_000
+SPLIT_PRIMES_BELOW = 2_000
+DYADIC_FIELDS = (-31, -35, -39, -43, -47, -51, 29, 33, 37, 41, 53, 57, 61, 65, 69, 73)
+PRINCIPAL_FIELDS = (10, 15, 26, 65)  # real, of class number 2
+PRINCIPAL_IDEALS = 60
+SURD_SIGNS = 3_000
 DUMP_TIMEOUT_S = 1200
 
 
@@ -290,6 +304,39 @@ def _factor_inputs():
     return inputs
 
 
+def _kernel_inputs():
+    """Inputs for splitting_type, is_principal, closest_in_coset over the
+    imaginary fields and surd_sign."""
+    rng = random.Random("same-outputs kernel")
+    inputs = [["splitting", d, SPLIT_PRIMES_BELOW] for d in SWEEP_FIELDS]
+    inputs += [["splitting", d, 3] for d in DYADIC_FIELDS]
+    for d in SWEEP_FIELDS[1:] + PRINCIPAL_FIELDS:
+        # Each ideal: 1-3 primes over p < 60, picked by index, with exponents 1-3.
+        picks = [[(rng.randrange(10**6), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+                 for _ in range(PRINCIPAL_IDEALS)]
+        inputs.append(["principal", d, picks])
+        if d < 0:
+            xs = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(SURFACE_ELEMENTS)]
+            gens = [(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(4)]
+            inputs.append(["imaginary_cosets", d, xs, gens, picks[:4]])
+    signs = []
+    for i in range(SURD_SIGNS):
+        rad = rng.choice((0, 1, 4, 9, 2, 3, 5, 7, 10, 13))
+        r, s = rng.randint(-50, 50), 0 if rad == 0 else rng.randint(-50, 50)
+        kind = i % 4
+        if kind == 0:
+            r = 0
+        elif kind == 1:
+            s = 0
+        elif kind == 2:
+            r = s = 0
+        elif s:  # r^2 near or at s^2*rad
+            r = rng.choice((1, -1)) * (math.isqrt(s * s * rad) + rng.randint(-1, 1))
+        signs.append((r, s, rad))
+    inputs.append(["surd_sign", signs])
+    return inputs
+
+
 def _xgcd(a, b):
     """(g, s, t) with s*a + t*b = g = +-gcd(a, b)."""
     r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
@@ -311,7 +358,7 @@ def _dump(checkout, inputs_path):
     import conic_nf
     import conic_nf.cli
     from conic_nf import descent, holzer, ideals, lattice, residues, solvability
-    from conic_nf.fields import format_element, make_field, nearest_integer, parse_element, size_sq
+    from conic_nf.fields import format_element, make_field, nearest_integer, parse_element, size_sq, surd_sign
 
     if not os.path.abspath(conic_nf.__file__).startswith(src + os.sep):
         raise RuntimeError(f"conic_nf imported from {conic_nf.__file__}, not from {src}")
@@ -369,6 +416,15 @@ def _dump(checkout, inputs_path):
                 factors.append((rng.choice(others), rng.randint(1, 3)))
                 out.append(residues.crt_coefficients(K, factors))
         return out
+
+    def ideal_of(K, picks):
+        """The product of the prime powers picks over the primes below
+        LOCAL_PRIMES_BELOW, each pick (index, exponent)."""
+        primes = primes_below(K)
+        I = ideals.unit_ideal(K)
+        for i, k in picks:
+            I = I * ideals.prime_power(primes[i % len(primes)], k)
+        return I
 
     def point(sol):
         return [format_element(t) for t in (sol.x, sol.y, sol.z)]
@@ -436,6 +492,26 @@ def _dump(checkout, inputs_path):
             ]
         if kind == "local":
             return local(*args)
+        if kind == "splitting":
+            d, bound = args
+            K = make_field(d)
+            out = []
+            for p in filter(ideals.is_probable_prime, range(2, bound)):
+                name, primes = ideals.splitting_type(K, p)
+                out.append([name, [[P.e, P.f, format_element(P.second_gen), P.r] for P in primes]])
+            return out
+        if kind == "principal":
+            d, picks = args
+            K = make_field(d)
+            gens = [ideals.is_principal(ideal_of(K, ks)) for ks in picks]
+            return [None if g is None else format_element(g) for g in gens]
+        if kind == "imaginary_cosets":
+            d, xs, gens, picks = args
+            K = make_field(d)
+            moduli = [ideals.principal_ideal(K.element(*g)) for g in gens] + [ideal_of(K, ks) for ks in picks]
+            return [format_element(residues.closest_in_coset(K.element(*x), M)) for x in xs for M in moduli]
+        if kind == "surd_sign":
+            return [surd_sign(*t) for t in args[0]]
         if kind == "element_api":
             d, xs = args
             K = make_field(d)
@@ -492,7 +568,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as folder:
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
-        inputs += _surface_inputs() + _gram_inputs() + _factor_inputs()
+        inputs += _surface_inputs() + _gram_inputs() + _factor_inputs() + _kernel_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
