@@ -134,7 +134,9 @@ def _cmd_reduce(args, out) -> int:
     eq = _parse_equation(field, args.eq)
     sol = SolutionTriple(*_parse_triple(field, args.solution))
     red = reduce_solution(eq, sol)
-    assert verify(eq, red) and is_reduced(eq, red)
+    if not (verify(eq, red) and is_reduced(eq, red)):
+        _emit({"error": "reducer output failed verification"}, args.json, out)
+        return EXIT_MISMATCH
     _emit({"solution": _triple_dict(red), "reduced": True}, args.json, out)
     return EXIT_OK
 

@@ -21,11 +21,11 @@ gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
 Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
 
-Q's own kernel, INTS, is the part of the kernel's API that the descent and
-the Holzer step use, on plain ints.  Its extended gcd takes the
-nearest-integer quotients of the pair path, so it returns the Bezout
-coefficients that IntegerRing.xgcd gives over Q; the Holzer step over Q and
-the HNF of ideals call it.
+Q's own kernel, INTS, is the part of the kernel's API that the descent (its
+root and pair choices included) and the Holzer step use, on plain ints.
+Its extended gcd takes the nearest-integer quotients of the pair path, so
+it returns the Bezout coefficients that IntegerRing.xgcd gives over Q; the
+Holzer step over Q and the HNF of ideals call it.
 The helpers of the check and the descent take a ring and its values;
 kernel_edge lets them take FieldElements, converted there and only there.
 """
@@ -846,12 +846,13 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, s0, t0
 
 
-# Q's integers as a kernel: the part of IntegerRing's API that the descent
-# and the Holzer step use, on plain ints (gcd is the positive one).
+# Q's integers as a kernel: the part of IntegerRing's API that the descent,
+# its root and pair choices (residues, lattice) and the Holzer step use, on
+# plain ints (gcd is the positive one, size_sq IntegerRing's 2*x^2 over Q).
 INTS = SimpleNamespace(
     field=RATIONAL, one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
-    norm=lambda x: x * x, sqrt=_int_sqrt, exact_div=lambda a, b: None if a % b else a // b,
-    gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
+    norm=lambda x: x * x, size_sq=lambda x: 2 * x * x, sqrt=_int_sqrt,
+    exact_div=lambda a, b: None if a % b else a // b, gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
 )
 
 

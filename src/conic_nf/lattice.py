@@ -247,51 +247,35 @@ def short_congruence_pair(ring, A, B, w, M=None):
     |N(t)| <= C_K*sqrt(|N(A)|), C_K = alpha^3*D/4.  A row with y = 0 has x in
     M*S and Q >= 2*sqrt(|N(B)|)/N(M), so the first row has y != 0 once
     |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  Units move the weights, not the bound.
-    On INTS, A, B and w are ints and M the int m of (m); see
-    _short_rational_pair.
+    On INTS, A, B and w are ints and M the int m of (m): only the inputs
+    branch there, the Z-basis (w*m, m), (B, 0) and the length x^2 + s*y^2,
+    s = |A| or 1, which orders like pair_measure with |N(A)| = A^2.
     """
     if B == ring.zero:
         raise ValueError("modulus must be nonzero")
+    mul, zero = ring.mul, ring.zero
     if ring is INTS:
-        return _short_rational_pair(A, B, w, M or 1)
-    field, mul, zero = ring.field, ring.mul, ring.zero
-    M = M or unit_ideal(field)
-    norm_a = max(1, abs(ring.norm(A)))
-    dot, s = ring.dot, math.isqrt(norm_a)
+        m, s = M or 1, abs(A) or 1
+        gens = [(w * m, m), (B, 0)]
+        measure = lambda x, y: x * x + s * y * y
+    else:
+        field = ring.field
+        M = M or unit_ideal(field)
+        norm_a = max(1, abs(ring.norm(A)))
+        dot, s = ring.dot, math.isqrt(norm_a)
 
-    def measure(x, y):
-        if ring.real:
-            return abs(ring.norm(ring.sub(mul(x, x), mul(A, mul(y, y)))))
-        X, Y = dot(x, x), dot(y, y)
-        return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
+        def measure(x, y):
+            if ring.real:
+                return abs(ring.norm(ring.sub(mul(x, x), mul(A, mul(y, y)))))
+            X, Y = dot(x, x), dot(y, y)
+            return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
-    ys = _hnf_basis(M)
-    zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
-    gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
+        ys = _hnf_basis(M)
+        zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
+        gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
     # The reduced rows, then the first generator; ties go to the least x, then y.
     rows = reduce_pairs(ring, gens, (ring.one, A if A != zero else ring.one, B)) + gens[:1]
     _, x, y = min((measure(x, y), x, y) for x, y in rows if y != zero)
     t = ring.exact_div(ring.sub(mul(x, x), mul(A, mul(y, y))), B)
     assert t is not None, "pair left the congruence lattice"
-    return x, y
-
-
-def _short_rational_pair(A: int, B: int, w: int, m: int) -> tuple[int, int]:
-    """short_congruence_pair on INTS.  The lattice has the Z-basis
-    (w*m, m), (B, 0), reduced for the length x^2 + s*y^2 with s = |A| (1 for
-    A = 0): reduce_pairs' matrix over Q divided by 2*_SCALE, so LLL takes
-    the same steps; the key (x^2 + s*y^2, x, y) orders like pair_measure
-    with |N(A)| = A^2."""
-    s = abs(A) or 1
-    gens = [(w * m, m), (B, 0)]
-    best_key = None
-    # The reduced rows, then the first generator, as in the pair path.
-    for x, y in reduce_int_pairs(gens, 1, s) + gens[:1]:
-        if y == 0:
-            continue
-        key = (x * x + s * y * y, x, y)
-        if best_key is None or key < best_key:
-            best_key = key
-    _, x, y = best_key
-    assert (x * x - A * y * y) % B == 0, "pair left the congruence lattice"
     return x, y

@@ -317,65 +317,45 @@ def closest_in_coset(ring, x, M):
 @kernel_edge
 def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
     """A size-minimal w with w^2 = a (mod M), or None if no root exists;
-    factors is M's factorization, when the caller has it.  Past 4,096
-    combinations of the roots mod each prime power it returns the least of
-    the first 4,096.  On INTS, a is an int and M a squarefree int, whose
-    factors are then (p, 1) pairs of ints; see _sqrt_mod_squarefree."""
-    if ring is INTS:
-        return _sqrt_mod_squarefree(a, M, factor_ideal(M) if factors is None else factors)
+    factors is M's factorization, when the caller has it.  The roots mod
+    each prime power, recombined by CRT, go to closest_in_coset and the
+    least (size_sq, w) wins; past 4,096 combinations, the least of the
+    first 4,096.  On INTS, a is an int and M a squarefree int (ValueError
+    before any root is listed otherwise), whose factors are (p, 1) pairs of
+    ints; only the inputs branch there: the roots mod p are the sorted +-y,
+    y = _sqrt_mod_p(a, p), and p's CRT coefficient is m*(m^-1 mod p), m = M/p."""
     factors = factor_ideal(M) if factors is None else factors
-    root_sets: list[list[tuple[int, int]]] = []
+    if ring is INTS and any(e != 1 for _, e in factors):
+        raise ValueError(f"modulus {M} is not squarefree")
+    root_sets = []
     for P, e in factors:
-        lister = sqrt_mod_dyadic_prime_power if P.p == 2 else sqrt_mod_odd_prime_power
-        roots = lister(ring, a, P, e)
+        if ring is INTS:
+            y = _sqrt_mod_p(a, P)
+            roots = None if y is None else sorted({y, -y % P})
+        else:
+            lister = sqrt_mod_dyadic_prime_power if P.p == 2 else sqrt_mod_odd_prime_power
+            roots = lister(ring, a, P, e)
         if roots is None:
             return None
         root_sets.append(roots)
-    lams = crt_coefficients(ring.field, factors)
+    if ring is INTS:
+        lams = [M // p * pow(M // p, -1, p) for p, _ in factors]
+    else:
+        lams = crt_coefficients(ring.field, factors)
     best = None
     for combo in itertools.islice(itertools.product(*root_sets), 4096):
-        w = (0, 0)
+        w = ring.zero
         for lam, r in zip(lams, combo):
             w = ring.add(w, ring.mul(lam, r))
         cand = closest_in_coset(ring, w, M)
-        key = (ring.size_sq(cand), *cand)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    root = best[1:]
-    assert M.reduce_pair(ring.sub(ring.mul(root, root), a)) == (0, 0)
-    return root
-
-
-def _sqrt_mod_squarefree(a: int, n: int, factors) -> Optional[int]:
-    """sqrt_mod_ideal over Q on ints, for a squarefree n > 0 with its
-    factors [(p, 1)], with the same roots, combinations and choice.
-
-    The roots mod p are sorted as the prime-power listers give them: a mod 2
-    at p = 2, 0 at p | a, else the two roots +-y of Tonelli-Shanks.  The
-    CRT coefficient of p is m*(m^-1 mod p), m the product of the other
-    primes, and the least (w^2, w) over the first 4,096 combinations wins,
-    each w taken to closest_in_coset as on the pair path."""
-    if any(e != 1 for _, e in factors):
-        raise ValueError(f"modulus {n} is not squarefree")
-    root_sets = []
-    for p, _ in factors:
-        if p == 2 or a % p == 0:
-            root_sets.append([a % p])
-            continue
-        y = _sqrt_mod_p(a, p)
-        if y is None:
-            return None
-        root_sets.append(sorted((y, p - y)))
-    lams = [n // p * pow(n // p, -1, p) for p, _ in factors]
-    best = None
-    for combo in itertools.islice(itertools.product(*root_sets), 4096):
-        cand = closest_in_coset(INTS, sum(lam * r for lam, r in zip(lams, combo)) % n, n)
-        key = (cand * cand, cand)
+        key = (ring.size_sq(cand), cand)
         if best is None or key < best:
             best = key
     root = best[1]
-    assert (root * root - a) % n == 0
+    if ring is INTS:
+        assert (root * root - a) % M == 0
+    else:
+        assert M.reduce_pair(ring.sub(ring.mul(root, root), a)) == (0, 0)
     return root
 
 

@@ -154,6 +154,29 @@ def test_reduce_returns_a_point_at_infinity_when_a_line_gives_one():
     assert verify(eq, sol)
 
 
+@pytest.mark.parametrize(
+    "command, name, point",
+    [
+        ("reduce", "reduce_solution", "1;1;1"),  # not a solution
+        ("reduce", "reduce_solution", "41;38;25"),  # a solution, not reduced
+        ("solve", "solve_conic", "1;1;1"),
+    ],
+)
+def test_output_that_fails_its_check_exits_1_with_an_error(command, name, point, monkeypatch):
+    # The CLI checks the library's answer itself, not by an assert that
+    # python -O would remove.
+    Q = make_field("Q")
+    fake = SolutionTriple(*(parse_element(Q, t) for t in point.split(";")))
+    monkeypatch.setattr(conic_nf.cli, name, lambda *args, **kwargs: fake)
+    argv = [command, "--eq", "1;1;-5"] + (["--solution", "41;38;25"] if command == "reduce" else [])
+    code, text = _run(argv)
+    assert code == 1
+    message = "reducer" if command == "reduce" else "solver"
+    assert text == f"error: {message} output failed verification\n"
+    code, text = _run(argv + ["--json"])
+    assert code == 1 and json.loads(text) == {"error": f"{message} output failed verification"}
+
+
 def test_solve_and_corpus_have_no_pell_bound_option():
     code, _ = _run(["solve", "--field", "Q", "--eq", "1;1;-2", "--pell-bound", "50"])
     assert code == 2

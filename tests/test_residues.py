@@ -783,6 +783,11 @@ def test_sqrt_mod_ideal_over_q_on_ints_matches_the_element_path():
     assert sqrt_mod_ideal(INTS, 5, 1, []) == 0
     with pytest.raises(ValueError):
         sqrt_mod_ideal(INTS, 5, 12)
+    # 75 = 3*5^2: the squarefree check comes before any root is listed,
+    # though 2 has no root mod 3.
+    for factors in (None, [(3, 1), (5, 2)]):
+        with pytest.raises(ValueError):
+            sqrt_mod_ideal(INTS, 2, 75, factors)
 
 
 def _reference_crt(field, factors):
