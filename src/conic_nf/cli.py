@@ -116,6 +116,9 @@ def _cmd_parametrize(args, out) -> int:
         _emit({"error": "base solution must have nonzero z"}, args.json, out)
         return EXIT_PARSE
     sols = list(enumerate_solutions(eq, base, args.max_param, z_norm_bound=args.height))
+    if not all(verify(eq, s) for s in sols):
+        _emit({"error": "parametrize output failed verification"}, args.json, out)
+        return EXIT_MISMATCH
     payload = {
         "count": len(sols),
         "solutions": [_triple_dict(s) for s in sols],

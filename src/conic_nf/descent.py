@@ -15,13 +15,14 @@ integer kernel's pairs over a quadratic field, plain ints over Q
 (fields.INTS), the base search included.  The helpers it calls
 (sqrt_mod_ideal, short_congruence_pair, square_decompose, principal_ideal)
 take the ring first and its values, so the norm form and the steps make no
-element.  The local
-conditions are decided once, on the norm form; the square test is a
-closed-form root, norms and units are integer comparisons, and each step
-checks its composition in the kernel.  One back-map on pairs, the same on
-every field, sends the solution to the primitive point, which is checked
-on the conic in integers and made elements once.  A DescentTrace stores
-the kernel values of each step and makes elements of them only when read.
+element.  The local conditions are decided once, by check_solvable's
+kernel form on the norm form's own values, which builds no equation; the
+square test is a closed-form root, norms and units are integer
+comparisons, and each step checks its composition in the kernel.  One
+back-map on pairs, the same on every field, sends the solution to the
+primitive point, which is checked on the conic in integers and made
+elements once.  A DescentTrace stores the kernel values of each step and
+makes elements of them only when read.
 """
 
 from __future__ import annotations
@@ -257,10 +258,7 @@ def _try_rational_subfield(ring, A, B):
 
     The conditions are decided here, so the descent over Q starts as a
     recursive call, which does not decide them again."""
-    if ring is INTS or A[1] or B[1]:
-        return None
-    Qf = INTS.field
-    if not check_solvable(ConicEquation(Qf.one(), Qf.element(-A[0]), Qf.element(-B[0]))).solvable:
+    if ring is INTS or A[1] or B[1] or not check_solvable(INTS, 1, -A[0], -B[0]).solvable:
         return None
     return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, INTS))
 
@@ -275,10 +273,10 @@ def legendre_descent(
     """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
 
     The top-level call decides the local conditions once and raises
-    NotSolvable when they fail; the recursive calls do not check again.
-    Each call is one step of the descent (see the module docstring).  When
-    _ring is given, A, B and the solution are that kernel's values, as the
-    descent's own calls and solve_conic pass them.
+    NotSolvable when they fail (BaseDegenerate for a zero A or B); the
+    recursive calls do not check again.  Each call is one step of the
+    descent (see the module docstring).  With _ring, A, B and the solution
+    are its kernel values, as the descent's calls and solve_conic pass them.
     """
     if trace is None:
         trace = DescentTrace()
@@ -289,16 +287,14 @@ def legendre_descent(
         A, B = ring.pair(A), ring.pair(B)
         if ring.field.is_rational:
             ring, A, B = INTS, A[0], B[0]
-    field = ring.field
     sol = _try_rational_subfield(ring, A, B) if _depth == 0 else None
     if sol is not None:
         trace.add("rational_subfield", ring)
     else:
         if _depth == 0:
-            # A and B are integral: the conic needs no scaling.
-            eA, eB = elements_of(ring, (A, B))
-            cert = check_solvable(ConicEquation(field.one(), -eA, -eB))
+            cert = check_solvable(ring, ring.one, ring.sub(ring.zero, A), ring.sub(ring.zero, B))
             if not cert.solvable:
+                eA, eB = elements_of(ring, (A, B))
                 raise NotSolvable(
                     f"x^2 - ({format_element(eA)})y^2 = ({format_element(eB)})z^2 "
                     f"fails the local conditions ({cert.reason})"
@@ -389,12 +385,11 @@ def solve_conic(
     Raises NotSolvable when the equation fails the local conditions: its
     norm form has the same local conditions, and the descent checks them.
     """
-    field = eq.field
     ring, a, A1, A2, B1, B2 = _norm_form(eq)
     if trace is not None:
         trace.add("norm_form", ring, A=A1, B=B1)
     sol = legendre_descent(A1, B1, trace, 0, ring)
-    divisors, pairs = (a, A2, B2), integer_ring(field)
+    divisors, pairs = (a, A2, B2), integer_ring(eq.field)
     if ring is INTS:
         sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))
     point = _primitive_point(pairs, sol, divisors)

@@ -8,13 +8,14 @@ first one has completion Q_2 and is decided by the 2-adic Hilbert symbol.
 Each certificate carries the per-place verdicts, the odd-prime witnesses and
 the rule that decided each prime over 2, so it can be re-verified externally.
 
-The check runs on the integer kernel's pairs and builds no ideal of a
-coefficient: the valuations of x = u + v*omega come from the factorisation
-of |N(x)| and, with g = gcd(u, v), the closed form of v_P(g*J) for the
-primitive ideal J = (x/g).  At a degree-1 unramified prime (Q and split
-primes) the witness is closed-form too: the lesser of +-p^(s/2)*y mod
-p^(s/2+1), for y a square root mod p of the unit part of the image of
--c_i*c_j in Z/p^(s+1).
+The check runs on IntegerRing pairs, Q's as (u, 0), and builds no ideal
+of a coefficient; the descent passes it its own values, and only the
+witnesses are made elements.  The valuations of x = u + v*omega come from
+the factorisation of |N(x)| and, with g = gcd(u, v), the closed form of
+v_P(g*J) for the primitive ideal J = (x/g).  At a degree-1 unramified
+prime (Q and split primes) the witness is closed-form too: the lesser of
++-p^(s/2)*y mod p^(s/2+1), for y a square root mod p of the unit part of
+the image of -c_i*c_j in Z/p^(s+1).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 
 from .errors import BaseDegenerate
 from .fields import (
+    INTS,
     FieldDescriptor,
     FieldElement,
     IntegerRing,
@@ -94,28 +96,22 @@ class Certificate:
         }
 
 
-def _embedding_signs(x: FieldElement) -> list[int]:
-    field = x.field
+def _mixed_signs(ring: IntegerRing, a, b, c) -> bool:
+    """True when every real embedding gives the pairs a, b, c mixed signs."""
+    field = ring.field
     if field.is_rational:
-        return [1 if x.num[0] > 0 else -1]
-    # Twice an embedding of U + V*omega is tr +- V*sqrt(disc), and den > 0.
-    t, v = integer_ring(field).trace(x.num), x.num[1]
-    return [surd_sign(t, v, field.disc), surd_sign(t, -v, field.disc)]
+        return not (a[0] > 0) == (b[0] > 0) == (c[0] > 0)
+    # Twice the embeddings of u + v*omega are tr +- v*sqrt(disc), real if disc > 0.
+    d, ta, tb, tc = field.disc, ring.trace(a), ring.trace(b), ring.trace(c)
+    for e in (1, -1) if d > 0 else ():
+        if surd_sign(ta, e * a[1], d) == surd_sign(tb, e * b[1], d) == surd_sign(tc, e * c[1], d):
+            return False
+    return True
 
 
 def embedding_condition(eq: ConicEquation) -> bool:
     """True when every real embedding gives the coefficients mixed signs."""
-    if eq.field.totally_imaginary:
-        return True
-    sa, sb, sc = (
-        _embedding_signs(eq.a),
-        _embedding_signs(eq.b),
-        _embedding_signs(eq.c),
-    )
-    for i in range(len(sa)):
-        if sa[i] == sb[i] == sc[i]:
-            return False
-    return True
+    return _mixed_signs(integer_ring(eq.field), eq.a.num, eq.b.num, eq.c.num)
 
 
 def _valuations(ring: IntegerRing, x) -> dict[tuple[int, int], int]:
@@ -148,8 +144,8 @@ def _odd_prime_condition(
     coeffs: tuple, vals: list[int], P: PrimeIdeal
 ) -> tuple[bool, Optional[FieldElement]]:
     """Decide local solvability at an odd prime P, with a witness root, from
-    the coefficients (a, b, c), as FieldElements or the kernel's pairs, and
-    their valuations vals at P.
+    the coefficients (a, b, c), as pairs of P's integer kernel, and their
+    valuations vals at P.
 
     Over an odd residue field only the valuation parities and the residue
     classes of the unit parts matter: if all three valuations share a
@@ -169,32 +165,38 @@ def _odd_prime_condition(
     else:
         i, j = 1, 2
     ring = integer_ring(P.field)
-    x, y = (c if type(c) is tuple else ring.pair(c) for c in (coeffs[i], coeffs[j]))
-    u, v = ring.mul(x, y)
+    u, v = ring.mul(coeffs[i], coeffs[j])
     root = least_root(ring, (-u, -v), P, vals[i] + vals[j])
     return root is not None, None if root is None else ring.element(root)
 
 
-def check_solvable(eq: ConicEquation) -> Certificate:
-    """Full local solvability check with per-place conditions and witnesses."""
+def check_solvable(ring, a=None, b=None, c=None) -> Certificate:
+    """Full local solvability check with per-place conditions and witnesses,
+    of a ConicEquation, check_solvable(eq), or of the nonzero kernel values
+    a, b, c of ring (INTS's ints are lifted to Q's pairs (u, 0))."""
+    if isinstance(ring, ConicEquation):
+        eq, ring = ring, integer_ring(ring.field)
+        a, b, c = ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c)
+    elif ring.zero in (a, b, c):
+        raise BaseDegenerate("all three coefficients must be nonzero")
+    elif ring is INTS:
+        ring, a, b, c = integer_ring(ring.field), (a, 0), (b, 0), (c, 0)
     places: list[dict] = []
-    field = eq.field
+    field = ring.field
 
-    ok = embedding_condition(eq)
     if not field.totally_imaginary:
+        ok = _mixed_signs(ring, a, b, c)
         places.append({"type": "real_embedding", "ok": ok})
-    if not ok:
-        return Certificate(False, "real_embedding", places)
+        if not ok:
+            return Certificate(False, "real_embedding", places)
 
     # v_P of each coefficient, read from its norm's factorisation (0 where P
     # is absent); the primes of a come first, then the new ones of b and c.
-    ring = integer_ring(field)
-    coeffs = (ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c))
-    valuations = [_valuations(ring, x) for x in coeffs]
+    valuations = [_valuations(ring, x) for x in (a, b, c)]
     for p, i in dict.fromkeys(key for f in valuations for key in f if key[0] != 2):
         vals = [f.get((p, i), 0) for f in valuations]
         P = splitting_type(field, p)[1][i]
-        ok, witness = _odd_prime_condition(coeffs, vals, P)
+        ok, witness = _odd_prime_condition((a, b, c), vals, P)
         places.append({"type": "odd_prime", "prime": P, "ok": ok, "witness": witness})
         if not ok:
             return Certificate(False, "congruence", places)
@@ -202,7 +204,7 @@ def check_solvable(eq: ConicEquation) -> Certificate:
     # Two primes over 2 only when 2 splits, and then the first has K_P = Q_2.
     *first, last = splitting_type(field, 2)[1]
     for P in first:
-        ok = local_solvable_at_two(ring, *coeffs, P)
+        ok = local_solvable_at_two(ring, a, b, c, P)
         places.append(
             {"type": "dyadic", "prime": P, "ok": ok, "by": "hilbert_symbol"}
         )

@@ -160,6 +160,7 @@ def test_reduce_returns_a_point_at_infinity_when_a_line_gives_one():
         ("reduce", "reduce_solution", "1;1;1"),  # not a solution
         ("reduce", "reduce_solution", "41;38;25"),  # a solution, not reduced
         ("solve", "solve_conic", "1;1;1"),
+        ("parametrize", "enumerate_solutions", "1;1;1"),  # listed from the base (1, 2, 1)
     ],
 )
 def test_output_that_fails_its_check_exits_1_with_an_error(command, name, point, monkeypatch):
@@ -167,11 +168,13 @@ def test_output_that_fails_its_check_exits_1_with_an_error(command, name, point,
     # python -O would remove.
     Q = make_field("Q")
     fake = SolutionTriple(*(parse_element(Q, t) for t in point.split(";")))
-    monkeypatch.setattr(conic_nf.cli, name, lambda *args, **kwargs: fake)
-    argv = [command, "--eq", "1;1;-5"] + (["--solution", "41;38;25"] if command == "reduce" else [])
+    listed = command == "parametrize"
+    monkeypatch.setattr(conic_nf.cli, name, lambda *args, **kwargs: iter([fake]) if listed else fake)
+    extra = {"reduce": ["--solution", "41;38;25"], "parametrize": ["--base", "1;2;1"]}
+    argv = [command, "--eq", "1;1;-5"] + extra.get(command, [])
     code, text = _run(argv)
     assert code == 1
-    message = "reducer" if command == "reduce" else "solver"
+    message = {"reduce": "reducer", "solve": "solver"}.get(command, command)
     assert text == f"error: {message} output failed verification\n"
     code, text = _run(argv + ["--json"])
     assert code == 1 and json.loads(text) == {"error": f"{message} output failed verification"}

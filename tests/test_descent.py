@@ -9,7 +9,7 @@ import pytest
 
 import conic_nf.fields
 from conic_nf import descent, residues
-from conic_nf.errors import NotSolvable, PellSearchExhausted
+from conic_nf.errors import BaseDegenerate, NotSolvable, PellSearchExhausted
 from conic_nf.fields import (
     FieldElement,
     Surd,
@@ -257,6 +257,19 @@ def test_rational_subfield_checks_once(check_calls):
     assert len(check_calls) == 1
 
 
+@pytest.mark.parametrize("d", [None, -7, 2])
+def test_descent_refuses_a_zero_coefficient(d):
+    # A zero A or B is refused as a degenerate conic, over Q, where the
+    # descent runs on ints, and over quadratic fields with a rational or an
+    # irrational other coefficient, not by a failure to factor 0.
+    K = make_field(d)
+    others = [K.element(3), K.element(-5)] + ([] if d is None else [K.element(1, 1)])
+    for other in others:
+        for A, B in ((K.zero(), other), (other, K.zero())):
+            with pytest.raises(BaseDegenerate, match="^all three coefficients must be nonzero$"):
+                legendre_descent(A, B)
+
+
 # Points solve_conic returned on equations whose descent takes the lattice
 # step, computed while that step still ran on FieldElements and Surds.
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "lattice_step.json")) as _f:
@@ -319,10 +332,12 @@ def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
 def test_descent_decides_on_the_kernel(monkeypatch):
     # Every decision of the descent is a test on the kernel's integer pairs,
     # and its trace keeps elements until to_list(): on the golden points
-    # legendre_descent builds no Fraction and no Surd, and the descent
+    # legendre_descent builds no Fraction, no Surd and no ConicEquation (its
+    # local check takes the norm form's kernel values), and the descent
     # formats no element until the trace is read.
-    inside, counts = [0], {"fraction": 0, "surd": 0, "format": 0}
+    inside, counts = [0], {"fraction": 0, "surd": 0, "format": 0, "equation": 0}
     new, surd_init, fmt = Fraction.__new__, Surd.__init__, descent.format_element
+    equation_init = ConicEquation.__post_init__
 
     def counting_new(cls, *args, **kwargs):
         counts["fraction"] += inside[0] > 0
@@ -335,6 +350,10 @@ def test_descent_decides_on_the_kernel(monkeypatch):
     def counting_format(x):
         counts["format"] += 1
         return fmt(x)
+
+    def counting_equation(self):
+        counts["equation"] += inside[0] > 0
+        equation_init(self)
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -350,12 +369,13 @@ def test_descent_decides_on_the_kernel(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(Surd, "__init__", counting_surd)
     monkeypatch.setattr(descent, "format_element", counting_format)
+    monkeypatch.setattr(ConicEquation, "__post_init__", counting_equation)
     monkeypatch.setattr(descent, "legendre_descent", counted(descent.legendre_descent))
     traces = []
     for equation in equations:
         traces.append(DescentTrace())
         assert verify(equation, solve_conic(equation, trace=traces[-1]))
-    assert counts == {"fraction": 0, "surd": 0, "format": 0}
+    assert counts == {"fraction": 0, "surd": 0, "format": 0, "equation": 0}
     steps = [step for trace in traces for step in trace.to_list()]
     assert counts["format"] > 0
     assert {step["step"] for step in steps} >= {"norm_form", "reduce"}

@@ -244,7 +244,7 @@ def test_odd_prime_witness_is_the_least_listed_root():
                 x = K.element(rng.randint(1, 30), v)
             coeffs.append(x * pi ** rng.randint(0, 2))
         vals = [element_valuation(x, P) for x in coeffs]
-        _, w = _odd_prime_condition(coeffs, vals, P)
+        _, w = _odd_prime_condition([integer_ring(K).pair(x) for x in coeffs], vals, P)
         if w is None:
             continue
         pairs = ((0, 1), (0, 2), (1, 2))
@@ -730,7 +730,8 @@ def test_hilbert_reciprocity_over_q():
             P = _prime_over(Q, p)
             coeffs = (eq.a, eq.b, eq.c)
             vals = [element_valuation(x, P) for x in coeffs]
-            failed.append(not _odd_prime_condition(coeffs, vals, P)[0])
+            pairs = [integer_ring(Q).pair(x) for x in coeffs]
+            failed.append(not _odd_prime_condition(pairs, vals, P)[0])
         failed.append(not local_solvable_at_two(eq.a, eq.b, eq.c, P2))
         assert sum(failed) % 2 == 0, (a, b, c)
         failures.add(sum(failed))

@@ -9,7 +9,7 @@ import pytest
 
 from conic_nf.errors import BaseDegenerate
 from conic_nf.descent import SolutionTriple, verify
-from conic_nf.fields import FieldElement, integer_ring, make_field, parse_element
+from conic_nf.fields import INTS, FieldElement, integer_ring, make_field, parse_element
 from conic_nf import ideals, residues, solvability
 from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal, splitting_type
 from conic_nf.solvability import (
@@ -53,6 +53,40 @@ def test_embedding_condition():
     assert not embedding_condition(e)
     e2 = ConicEquation(Q14.element(1), Q14.element(-1), Q14.element(1, 1))
     assert embedding_condition(e2)
+
+
+def test_kernel_form_matches_the_equation_form():
+    # check_solvable(ring, a, b, c) on kernel values gives the certificate of
+    # check_solvable(eq), over Q and fields where 2 splits (-7, 17), is inert
+    # (-3, 5) or ramifies (-1, 2, 6, -5), real and imaginary; over Q the ints
+    # of INTS give it too.  A zero value is refused as in ConicEquation.
+    rng = random.Random(40)
+    reasons = set()
+    for d in (None, -7, 17, -3, 5, -1, 2, 6, -5):
+        K = make_field(d)
+        ring = integer_ring(K)
+        for _ in range(80):
+            pairs = []
+            while len(pairs) < 3:
+                v = 0 if K.is_rational else rng.randint(-20, 20)
+                k = rng.choice((1, 1, 2, 3, 4, 9, 25))
+                x = (k * rng.randint(-20, 20), k * v)
+                if x != (0, 0):
+                    pairs.append(x)
+            want = check_solvable(ConicEquation(*map(ring.element, pairs))).to_dict()
+            assert check_solvable(ring, *pairs).to_dict() == want, (d, pairs)
+            if K.is_rational:
+                assert check_solvable(INTS, *(u for u, _ in pairs)).to_dict() == want, pairs
+            reasons.add(want["reason"])
+        for zero_at in range(3):
+            values = [ring.one, (3, 0), (-5, 1) if d else (-5, 0)]
+            values[zero_at] = ring.zero
+            with pytest.raises(BaseDegenerate, match="^all three coefficients must be nonzero$"):
+                check_solvable(ring, *values)
+            if K.is_rational:
+                with pytest.raises(BaseDegenerate):
+                    check_solvable(INTS, *(u for u, _ in values))
+    assert reasons == {"solvable", "real_embedding", "congruence", "dyadic"}
 
 
 def test_check_solvable_field_example():
