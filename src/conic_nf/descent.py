@@ -10,6 +10,9 @@ Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
 does not shrink, ends in one search over pairs (y, z) in the reduced basis of
 the same weighted lattice, which Hasse-Minkowski ends with no bound.
 
+A solve factors the norms of a, b, c and of each quotient t once, and hands
+the primes down as values; every other number is factored by division by them.
+
 solve_conic runs on kernel values from the norm form to the point: the
 integer kernel's pairs over a quadratic field, plain ints over Q
 (fields.INTS), the base search included.  The helpers it calls
@@ -44,7 +47,7 @@ from .fields import (
     require_integral,
 )
 from .ideals import factor_ideal, factor_int, prime_power, principal_ideal
-from .ideals import record_factorisation, square_decompose, unit_ideal
+from .ideals import square_decompose, unit_ideal
 from .lattice import combine, module_basis, reduce_pairs
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
@@ -107,32 +110,30 @@ class DescentTrace:
         return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
 
 
-def _norm_form(eq: ConicEquation):
-    """(ring, a, A1, A2, B1, B2) with -a*b = A1*A2^2 and -a*c = B1*B2^2, as
-    kernel values of ring: ints over Q, pairs otherwise.
+def _size(ring, x) -> int:
+    """|N(x)| for a kernel value x of ring, |x| on INTS."""
+    return abs(x) if ring is INTS else abs(ring.norm(x))
 
-    a, b and c are factored once.  Every prime of -a*b, -a*c and of their
-    square-free parts is one of theirs, so those (their norms, and over a
-    quadratic field a rational A1 or B1 itself, which the rational-subfield
-    shortcut factors over Q) enter the factor cache by division, and no
-    product is trial-divided or split by rho."""
+
+def _norm_form(eq: ConicEquation):
+    """(ring, a, A1, A2, B1, B2, primes) with -a*b = A1*A2^2 and
+    -a*c = B1*B2^2 as kernel values of ring (ints over Q, pairs otherwise),
+    and primes those of |N(a)|, |N(b)| and |N(c)|, each factored once.
+
+    Every prime of -a*b, -a*c, their square-free parts and their norms (and
+    of a rational A1 or B1 over a quadratic field) is one of primes, which
+    square_decompose and the descent get, so none of those is trial-divided."""
     field = eq.field
     ring = integer_ring(field)
     a, b, c = (ring.pair(x) for x in (eq.a, eq.b, eq.c))
     if field.is_rational:
-        ring, a, b, c, size = INTS, a[0], b[0], c[0], abs
-    else:
-        size = lambda x: abs(ring.norm(x))
-    primes = {p for x in (a, b, c) for p, _ in factor_int(size(x))}
+        ring, a, b, c = INTS, a[0], b[0], c[0]
+    primes = set()
+    for x in (a, b, c):
+        primes.update(p for p, _ in factor_int(_size(ring, x), primes))
     A0, B0 = (ring.sub(ring.zero, ring.mul(a, x)) for x in (b, c))
-    for x in (A0, B0):
-        record_factorisation(size(x), primes)
-    (A1, A2), (B1, B2) = (square_decompose(ring, x) for x in (A0, B0))
-    for x in (A1, B1):
-        record_factorisation(size(x), primes)
-        if ring is not INTS and not x[1]:
-            record_factorisation(x[0], primes)
-    return ring, a, A1, A2, B1, B2
+    (A1, A2), (B1, B2) = (square_decompose(ring, x, primes) for x in (A0, B0))
+    return ring, a, A1, A2, B1, B2, primes
 
 
 def to_norm_form(
@@ -145,7 +146,7 @@ def to_norm_form(
     returned map sends a solution of the norm form back to a (rational)
     solution of the original equation.
     """
-    ring, *values = _norm_form(eq)
+    ring, *values, _ = _norm_form(eq)
     a, A1, A2, B1, B2 = elements_of(ring, values)
 
     def back(x: FieldElement, y: FieldElement, z: FieldElement):
@@ -252,15 +253,15 @@ def compose_solution(
     return SolutionTriple(*_compose(INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
 
 
-def _try_rational_subfield(ring, A, B):
+def _try_rational_subfield(ring, A, B, primes):
     """Solve over Q when the pairs A and B are rational and the conditions
     hold there: the solution as pairs, or None.
 
     The conditions are decided here, so the descent over Q starts as a
     recursive call, which does not decide them again."""
-    if ring is INTS or A[1] or B[1] or not check_solvable(INTS, 1, -A[0], -B[0]).solvable:
+    if ring is INTS or A[1] or B[1] or not check_solvable(INTS, 1, -A[0], -B[0], primes).solvable:
         return None
-    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, INTS))
+    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, INTS, primes))
 
 
 def legendre_descent(
@@ -269,6 +270,7 @@ def legendre_descent(
     trace: Optional[DescentTrace] = None,
     _depth: int = 0,
     _ring=None,
+    _primes=frozenset(),
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
     """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
 
@@ -276,7 +278,8 @@ def legendre_descent(
     NotSolvable when they fail (BaseDegenerate for a zero A or B); the
     recursive calls do not check again.  Each call is one step of the
     descent (see the module docstring).  With _ring, A, B and the solution
-    are its kernel values, as the descent's calls and solve_conic pass them.
+    are its kernel values, as the descent's calls and solve_conic pass them,
+    and _primes the primes known so far (see the module docstring).
     """
     if trace is None:
         trace = DescentTrace()
@@ -287,24 +290,26 @@ def legendre_descent(
         A, B = ring.pair(A), ring.pair(B)
         if ring.field.is_rational:
             ring, A, B = INTS, A[0], B[0]
-    sol = _try_rational_subfield(ring, A, B) if _depth == 0 else None
+    sol = _try_rational_subfield(ring, A, B, _primes) if _depth == 0 else None
     if sol is not None:
         trace.add("rational_subfield", ring)
     else:
         if _depth == 0:
-            cert = check_solvable(ring, ring.one, ring.sub(ring.zero, A), ring.sub(ring.zero, B))
+            cert = check_solvable(ring, ring.one, ring.sub(ring.zero, A), ring.sub(ring.zero, B), _primes)
             if not cert.solvable:
                 eA, eB = elements_of(ring, (A, B))
                 raise NotSolvable(
                     f"x^2 - ({format_element(eA)})y^2 = ({format_element(eB)})z^2 "
                     f"fails the local conditions ({cert.reason})"
                 )
-        sol = _step(ring, A, B, trace, _depth)
+        sol = _step(ring, A, B, trace, _depth, _primes)
     return sol if _ring is not None else elements_of(ring, sol)
 
 
-def _step(ring, A, B, trace: DescentTrace, depth: int):
-    """One step of the descent on the kernel values A and B of ring."""
+def _step(ring, A, B, trace: DescentTrace, depth: int, primes):
+    """One step of the descent on the kernel values A and B of ring.  primes
+    hold every prime of |N(A)| and |N(B)|; the quotient t is factored once,
+    and its primes join them for the next step."""
     field = ring.field
     # A perfect square A short-circuits everything: x = sqrt(A)*y.
     sq = ring.sqrt(A)
@@ -315,7 +320,7 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
     norm_b = abs(ring.norm(B))
     if abs(ring.norm(A)) > norm_b:
         trace.add("swap", ring, A=A, B=B)
-        x, y, z = legendre_descent(B, A, trace, depth + 1, ring)
+        x, y, z = legendre_descent(B, A, trace, depth + 1, ring, primes)
         return (x, z, y)
 
     if norm_b == 1:
@@ -326,12 +331,12 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
     # the Hilbert symbol (A, B)_P = 1 says A is a square mod P; w = 0 at
     # P | A; over 2 every residue is a square.  Over Q, S and M are ints.
     if ring is INTS:
-        factors = factor_ideal(B)
+        factors = factor_ideal(B, primes)
         S = math.prod(p for p, e in factors if e % 2)
         M = math.prod(p ** (e // 2) for p, e in factors)
     else:
         S, M = principal_ideal(ring, B), None
-        factors = factor_ideal(S)
+        factors = factor_ideal(S, primes)
         if any(e > 1 for _, e in factors):
             S = M = unit_ideal(field)
             for P, e in factors:
@@ -346,8 +351,9 @@ def _step(ring, A, B, trace: DescentTrace, depth: int):
     trace.add("reduce", ring, A=A, B=B, w=w, pair=[a0, b0], t=t)
     if not abs(ring.norm(t)) < norm_b:
         return _norm_search(ring, A, B, trace)
-    t1, t2 = square_decompose(ring, t)
-    inner = legendre_descent(A, t1, trace, depth + 1, ring)
+    primes = primes.union(p for p, _ in factor_int(_size(ring, t), primes))
+    t1, t2 = square_decompose(ring, t, primes)
+    inner = legendre_descent(A, t1, trace, depth + 1, ring, primes)
     x, y, z = _compose(ring, A, (a0, b0), inner, mul(t1, t2))
     assert ring.sub(mul(x, x), mul(A, mul(y, y))) == mul(B, mul(z, z)), "descent composition failed"
     return (x, y, z)
@@ -385,10 +391,10 @@ def solve_conic(
     Raises NotSolvable when the equation fails the local conditions: its
     norm form has the same local conditions, and the descent checks them.
     """
-    ring, a, A1, A2, B1, B2 = _norm_form(eq)
+    ring, a, A1, A2, B1, B2, primes = _norm_form(eq)
     if trace is not None:
         trace.add("norm_form", ring, A=A1, B=B1)
-    sol = legendre_descent(A1, B1, trace, 0, ring)
+    sol = legendre_descent(A1, B1, trace, 0, ring, primes)
     divisors, pairs = (a, A2, B2), integer_ring(eq.field)
     if ring is INTS:
         sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))

@@ -44,13 +44,8 @@ from .fields import INTS, FieldDescriptor, FieldElement, IntegerRing, integer_ri
 # -- integer factorization backend ------------------------------------------
 
 _RHO_EFFORT = 10**6
-# Trial division runs through the primes below _SMALL_PRIMES_LIMIT; what is
-# left goes to Miller-Rabin, the perfect-power test and Brent's rho.
+# Trial division runs through the primes below _SMALL_PRIMES_LIMIT.
 _SMALL_PRIMES_LIMIT = 2**12
-
-# A race between threads only computes an entry twice: a dict get or set is
-# atomic under the interpreter lock.
-_factor_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _primes(hi: int) -> tuple[int, ...]:
@@ -66,15 +61,17 @@ def _primes(hi: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _primes(_SMALL_PRIMES_LIMIT)
 
 
-def _trial_divide(m: int, primes: list[int]) -> int:
+def _trial_divide(m: int, out: list) -> int:
     """m with every prime p of _SMALL_PRIMES such that p*p <= m divided out,
-    each time appended to primes."""
+    as (p, e) appended to out."""
     for p in _SMALL_PRIMES:
         if p * p > m:
             break
-        while m % p == 0:
-            primes.append(p)
-            m //= p
+        if m % p == 0:
+            m, e = m // p, 1
+            while m % p == 0:
+                m, e = m // p, e + 1
+            out.append((p, e))
     return m
 
 
@@ -145,29 +142,39 @@ def _perfect_power(m: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def factor_int(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of |n| as sorted (p, e) pairs."""
+def factor_int(n: int, primes=()) -> list[tuple[int, int]]:
+    """Prime factorization of |n| as sorted (p, e) pairs, a function of n.
+
+    The caller's known primes are divided out first, so a product of them is
+    never trial-divided or split by rho.  Trial division by the primes below
+    4096 leaves a cofactor that is prime below 4096^2; a larger one goes to
+    Miller-Rabin, the perfect-power test and Brent's rho."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
-    cached = _factor_cache.get(n)
-    if cached is not None:
-        primes = list(cached)
-    else:
-        primes = []
-        m = _trial_divide(n, primes)
-        stack = [m] if m > 1 else []
-        rng = random.Random(0xC0FFEE ^ n)
+    out: list[tuple[int, int]] = []
+    m = n
+    for p in primes:
+        if m % p == 0:
+            m, e = m // p, 1
+            while m % p == 0:
+                m, e = m // p, e + 1
+            out.append((p, e))
+    if m > 1:
+        m = _trial_divide(m, out)
+    if m >= _SMALL_PRIMES_LIMIT**2:
+        found, stack, rng = [], [m], None
         while stack:
             m = stack.pop()
             if is_probable_prime(m):
-                primes.append(m)
+                found.append(m)
                 continue
             # Rho would split a perfect power r^k only after about sqrt(r) steps.
             power = _perfect_power(m)
             if power is not None:
                 stack.extend([power[0]] * power[1])
                 continue
+            rng = rng or random.Random(0xC0FFEE ^ n)
             d = None
             for _ in range(20):
                 d = _brent_rho(m, rng)
@@ -177,32 +184,11 @@ def factor_int(n: int) -> list[tuple[int, int]]:
             if d is None:
                 raise FactorizationFailed(f"could not factor {m}")
             stack.extend([d, m // d])
-        primes.sort()
-        _factor_cache[n] = tuple(primes)
-    out: list[tuple[int, int]] = []
-    for p in primes:
-        if out and out[-1][0] == p:
-            out[-1] = (p, out[-1][1] + 1)
-        else:
-            out.append((p, 1))
+        out.extend((p, found.count(p)) for p in set(found))
+    elif m > 1:
+        out.append((m, 1))
+    out.sort()
     return out
-
-
-def record_factorisation(n: int, primes) -> None:
-    """Enter |n| in the factor cache when each of its prime factors is among
-    primes, by division alone; otherwise leave the cache as it is.  So a
-    product of numbers already factored is never trial-divided or split by
-    rho."""
-    n = abs(n)
-    if n == 0 or n in _factor_cache:
-        return
-    m, found = n, []
-    for p in sorted(primes):
-        while m % p == 0:
-            found.append(p)
-            m //= p
-    if m == 1:
-        _factor_cache[n] = tuple(found)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -578,14 +564,14 @@ def element_valuation(ring: IntegerRing, x, P: PrimeIdeal) -> int:
     return _scaled_valuation(P, g, n // (g * g), u // g, v // g)
 
 
-def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
+def factor_ideal(I: Ideal, primes=()) -> list[tuple[PrimeIdeal, int]]:
     """Prime factorization of a nonzero integral ideal; over Q it is the
     factorization of the norm.  Over Q, I may be the int n of (n), and the
-    factorization is then factor_int's (p, e) pairs."""
+    factorization is then factor_int's (p, e) pairs.  primes go to factor_int."""
     if type(I) is int:
-        return factor_int(I)
+        return factor_int(I, primes)
     out: list[tuple[PrimeIdeal, int]] = []
-    for p, k in factor_int(I.norm):
+    for p, k in factor_int(I.norm, primes):
         for P in splitting_type(I.field, p)[1]:
             e = valuation(I, P)
             if e > 0:
@@ -695,7 +681,7 @@ def balance(ring: IntegerRing, x, unit):
 
 
 @kernel_edge
-def square_decompose(ring, t):
+def square_decompose(ring, t, primes=()):
     """Write t = t1 * t2^2 with (t2) the principal ideal of maximal norm
     whose square divides (t), so (t1) has no principal square divisor.
 
@@ -704,29 +690,29 @@ def square_decompose(ring, t):
     exponent vectors.  R, the only divisor of its norm, is tried first and is
     principal over Q and every field of class number 1; only a non-principal
     R walks the other divisors, one ideal at a time.  On INTS, t2 is
-    prod p^(e//2) read off factor_int, with no ideal.
+    prod p^(e//2) read off factor_int, with no ideal.  primes go to factor_int.
     """
     if t == ring.zero:
         raise ValueError("square_decompose of zero")
     if ring is INTS:
-        g = math.prod(p ** (e // 2) for p, e in factor_ideal(t))
+        g = math.prod(p ** (e // 2) for p, e in factor_ideal(t, primes))
         return t // (g * g), g
-    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(ring, t)) if e >= 2]
+    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(ring, t), primes) if e >= 2]
     if not root:
         return t, ring.one
-    primes, top = zip(*root)
+    Ps, top = zip(*root)
 
     def candidates():
         yield top
         # The sort is stable; R heads the sorted list and (1) ends it.
         yield from sorted(
             itertools.product(*(range(k + 1) for k in top)),
-            key=lambda ks: math.prod(P.residue_size**k for P, k in zip(primes, ks)),
+            key=lambda ks: math.prod(P.residue_size**k for P, k in zip(Ps, ks)),
             reverse=True,
         )[1:-1]
 
     for ks in candidates():
-        g = is_principal(reduce(Ideal.__mul__, (prime_power(P, k) for P, k in zip(primes, ks) if k)))
+        g = is_principal(reduce(Ideal.__mul__, (prime_power(P, k) for P, k in zip(Ps, ks) if k)))
         if g is not None:
             # is_principal's generator is an element: its numerator is the pair.
             t1 = ring.exact_div(t, ring.mul(g.num, g.num))

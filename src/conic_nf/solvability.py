@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import BaseDegenerate
+from .errors import BaseDegenerate, PreconditionViolated
 from .fields import (
     INTS,
     FieldDescriptor,
@@ -51,6 +51,8 @@ class ConicEquation:
             raise BaseDegenerate("all three coefficients must be nonzero")
         if not (self.a.is_integral and self.b.is_integral and self.c.is_integral):
             raise BaseDegenerate("coefficients must be algebraic integers")
+        if not self.a.field == self.b.field == self.c.field:
+            raise PreconditionViolated("the coefficients must lie in one field")
 
     @property
     def field(self) -> FieldDescriptor:
@@ -114,23 +116,24 @@ def embedding_condition(eq: ConicEquation) -> bool:
     return _mixed_signs(integer_ring(eq.field), eq.a.num, eq.b.num, eq.c.num)
 
 
-def _valuations(ring: IntegerRing, x) -> dict[tuple[int, int], int]:
+def _valuations(ring: IntegerRing, x, primes=()) -> dict[tuple[int, int], int]:
     """The valuations v_P(x) > 0 of the nonzero pair x, keyed by
     (p, index of P in splitting_type(field, p)[1]), in the order in which
     factor_ideal lists the primes of (x).
 
     They come from the factorisation of |N(x)| with no ideal: with
     g = gcd(u, v), (x) = g*J for the primitive ideal J of norm |N(x)|/g^2,
-    whose valuations _scaled_valuation gives in closed form.
+    whose valuations _scaled_valuation gives in closed form.  primes go to
+    factor_int.
     """
     field = ring.field
     u, v = x
     if field.is_rational:
-        return {(p, 0): k for p, k in factor_int(u)}
+        return {(p, 0): k for p, k in factor_int(u, primes)}
     n = abs(ring.norm(x))
     g = math.gcd(u, v)
     vals, total = {}, 1
-    for p, _ in factor_int(n):
+    for p, _ in factor_int(n, primes):
         for i, P in enumerate(splitting_type(field, p)[1]):
             k = _scaled_valuation(P, g, n // (g * g), u // g, v // g)
             if k:
@@ -170,10 +173,11 @@ def _odd_prime_condition(
     return root is not None, None if root is None else ring.element(root)
 
 
-def check_solvable(ring, a=None, b=None, c=None) -> Certificate:
+def check_solvable(ring, a=None, b=None, c=None, primes=()) -> Certificate:
     """Full local solvability check with per-place conditions and witnesses,
     of a ConicEquation, check_solvable(eq), or of the nonzero kernel values
-    a, b, c of ring (INTS's ints are lifted to Q's pairs (u, 0))."""
+    a, b, c of ring (INTS's ints are lifted to Q's pairs (u, 0)), with the
+    caller's known primes, which factor_int divides out first."""
     if isinstance(ring, ConicEquation):
         eq, ring = ring, integer_ring(ring.field)
         a, b, c = ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c)
@@ -192,7 +196,7 @@ def check_solvable(ring, a=None, b=None, c=None) -> Certificate:
 
     # v_P of each coefficient, read from its norm's factorisation (0 where P
     # is absent); the primes of a come first, then the new ones of b and c.
-    valuations = [_valuations(ring, x) for x in (a, b, c)]
+    valuations = [_valuations(ring, x, primes) for x in (a, b, c)]
     for p, i in dict.fromkeys(key for f in valuations for key in f if key[0] != 2):
         vals = [f.get((p, i), 0) for f in valuations]
         P = splitting_type(field, p)[1][i]

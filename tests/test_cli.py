@@ -373,11 +373,10 @@ def test_perfect_power_cofactor_decides_within_a_second(command, d, eq):
 
 def test_factorisation_past_the_rho_effort_is_undecided(tmp_path, monkeypatch):
     # 1000036000099 = 1000003 * 1000033 needs Brent's rho; with no rho effort
-    # and an empty cache its factorisation fails, an UndecidedError.
+    # its factorisation fails, an UndecidedError.
     import conic_nf.ideals
 
     monkeypatch.setattr(conic_nf.ideals, "_RHO_EFFORT", 0)
-    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
     for command in ("check", "solve"):
         code, text = _run([command, "--eq", "1;1;-1000036000099", "--json"])
         assert code == 3
@@ -418,7 +417,6 @@ def test_solve_writes_trace_when_undecided(tmp_path, monkeypatch):
     import conic_nf.ideals
 
     monkeypatch.setattr(conic_nf.ideals, "_RHO_EFFORT", 0)
-    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
     trace_file = tmp_path / "trace.json"
     argv = ["solve", "--eq", "1;1;-1000036000099", "--json", "--trace", str(trace_file)]
     code, text = _run(argv)
@@ -454,8 +452,8 @@ def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
 # solve factored the product -a*b from scratch, though check only needs a,
 # b and c: it is two primes of 64-100 bits, past Brent's rho, so solve exited
 # 3 after about 30 s where check decides in well under a second.  The norm
-# form now factors each coefficient once and enters the products, their
-# square-free parts and their norms in the factor cache by division.
+# form now factors each coefficient once and hands its primes down, so the
+# products, their square-free parts and their norms are factored by division.
 COEFFICIENT_PRODUCT_STALLS = [
     pytest.param(d, eq, id=f"{d}:{eq}")
     for d, eq in (

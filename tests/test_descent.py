@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import conic_nf.fields
-from conic_nf import descent, residues
+from conic_nf import descent, ideals, residues, solvability
 from conic_nf.errors import BaseDegenerate, NotSolvable, PellSearchExhausted
 from conic_nf.fields import (
     FieldElement,
@@ -248,6 +248,50 @@ def test_solve_conic_checks_once(check_calls):
         e = eq_of(field, *coeffs)
         assert verify(e, solve_conic(e))
         assert len(check_calls) == 1
+
+
+def test_solve_trial_divides_each_coefficient_and_quotient_norm_at_most_once(monkeypatch):
+    # On the benchmark's seed-1 solve inputs, a solve trial-divides (and so
+    # may send to rho) only |N(a)|, |N(b)|, |N(c)| and the norm of each
+    # descent quotient t (|a| and |t| over Q), each at most once.  Every other
+    # factorisation divides by the primes handed down from those.
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import workloads
+
+    calls, quotients = [], []
+    factor, trial, add = ideals.factor_int, ideals._trial_divide, DescentTrace.add
+
+    def counted_factor(n, primes=()):
+        calls.append([abs(n), False])
+        return factor(n, primes)
+
+    def counted_trial(m, out):
+        calls[-1][1] = True
+        return trial(m, out)
+
+    def recorded_add(self, kind, ring, **info):
+        if kind == "reduce":
+            t = info["t"]
+            quotients.append(abs(t) if type(t) is int else abs(ring.norm(t)))
+        add(self, kind, ring, **info)
+
+    for module in (ideals, descent, solvability):
+        monkeypatch.setattr(module, "factor_int", counted_factor)
+    monkeypatch.setattr(ideals, "_trial_divide", counted_trial)
+    monkeypatch.setattr(DescentTrace, "add", recorded_add)
+    requests = workloads.build("solve", 1, 20)
+    assert len(requests) == 405
+    for req in requests:
+        K = make_field(req.d)
+        e = ConicEquation(*(K.element(u, v) if req.d else K.element(u) for u, v in req.coeffs))
+        calls.clear()
+        quotients.clear()
+        assert verify(e, solve_conic(e))
+        divided = [n for n, ran in calls if ran]
+        norms = {abs(x.num[0]) if K.is_rational else abs(x.norm()) for x in (e.a, e.b, e.c)}
+        assert len(divided) == len(set(divided)), (req, divided)
+        assert set(divided) <= norms | set(quotients), (req, divided)
+        assert len(calls) > len(divided)
 
 
 def test_rational_subfield_checks_once(check_calls):

@@ -65,12 +65,15 @@ def _factor_by_trial_division(n):
     return out + ([(n, 1)] if n > 1 else [])
 
 
-def test_factor_int_trial_divides_by_the_small_primes_then_splits_the_rest(monkeypatch):
-    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", {})
+def test_factor_int_trial_divides_by_the_small_primes_then_splits_the_rest():
     # Up to 4093^2, 4093 being the last prime of the small table, trial
-    # division alone factors n.
+    # division alone factors n.  A cofactor it leaves below 4096^2 is prime:
+    # 4099 of 4093*4099, and 16777213, the largest prime below 4096^2;
+    # 16777259, the smallest above, 4099^2 and 4099*4111 go on to
+    # Miller-Rabin, the perfect-power test and rho.
     rng = random.Random(71)
-    for n in [4093**2, 4091 * 4093, 5_000_000, 5_000_011] + [rng.randint(2, 4093**2) for _ in range(300)]:
+    edges = [4093 * 4099, 16_777_213, 16_777_259, 4099**2, 4099 * 4111]
+    for n in [4093**2, 4091 * 4093, 5_000_000, 5_000_011] + edges + [rng.randint(2, 4093**2) for _ in range(300)]:
         assert factor_int(n) == _factor_by_trial_division(n), n
     # Products of primes on both sides of the first prime past the table
     # (4099) and of 10^6, with known factorisations.
@@ -571,18 +574,14 @@ def test_square_decompose_and_factor_ideal_over_q_on_ints():
         square_decompose(INTS, 0)
 
 
-def test_record_factorisation_enters_only_complete_factorisations(monkeypatch):
+def test_factor_int_divides_out_the_known_primes_first(monkeypatch):
     # A product of primes past Brent's rho is factored by division by the
-    # primes given, with no trial division or rho; a number with a prime
-    # not given is left out of the cache.
+    # known primes given, with no rho; a known prime that does not divide n
+    # is not listed.
     p, q = 947362135750817778025520064077, 1122090946327712751251366359727
-    cache = {}
-    monkeypatch.setattr(conic_nf.ideals, "_factor_cache", cache)
-    conic_nf.ideals.record_factorisation(-4 * p * q * q, {2, 3, p, q})
-    conic_nf.ideals.record_factorisation(3 * p, {p})
-    assert cache == {4 * p * q * q: (2, 2, p, q, q)}
     monkeypatch.setattr(conic_nf.ideals, "_brent_rho", None)
-    assert factor_int(-4 * p * q * q) == [(2, 2), (p, 1), (q, 2)]
+    assert factor_int(-4 * p * q * q, {2, 3, p, q}) == [(2, 2), (p, 1), (q, 2)]
+    assert factor_int(3 * p * 4099 * 4099, {p}) == [(3, 1), (4099, 2), (p, 1)]
 
 
 # Fields with split, ramified and inert primes, d = 1 (mod 4) among them.

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conic_nf.errors import BaseDegenerate
+from conic_nf.errors import BaseDegenerate, PreconditionViolated
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import INTS, FieldElement, integer_ring, make_field, parse_element
 from conic_nf import ideals, residues, solvability
@@ -41,6 +41,15 @@ def test_equation_validation():
         Q.element(Fraction(1, 2)), Q.element(Fraction(1, 3)), Q.element(-1)
     )
     assert (e.a.u, e.b.u, e.c.u) == (3, 2, -6)
+
+
+def test_equation_refuses_coefficients_of_different_fields():
+    # Built, this triple read its field off a, check_solvable failed deep in
+    # the kernel and embedding_condition answered True.
+    with pytest.raises(PreconditionViolated):
+        ConicEquation(Q7.element(1), make_field(6).element(1), Q7.element(1))
+    with pytest.raises(PreconditionViolated):
+        ConicEquation(Q7.element(1), Q7.element(1), Q.element(1))
 
 
 def test_embedding_condition():

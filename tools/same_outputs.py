@@ -24,8 +24,9 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   basis weighted as reduce_pairs does at rank 4); ranks 5 and 6 are random,
   Fraction-weighted or dependent;
 - seeded integers for ideals.factor_int: signed random ones up to 64 bits,
-  products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39, and
-  perfect powers of primes between 4096 and 10^7;
+  products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39,
+  perfect powers of primes between 4096 and 10^7, and numbers whose
+  cofactor after trial division lies on either side of 4096^2;
 - the kernel's rank-2 and residuosity questions: ideals.splitting_type for
   every prime below 2,000 over the 19 fields, and at p = 2 over more fields
   with d = 1 and d = 5 (mod 8); ideals.is_principal on seeded products of
@@ -286,7 +287,8 @@ def _gram_inputs():
 
 def _factor_inputs():
     """Integers for factor_int: signed random ones up to 64 bits, products
-    of primes drawn across 4096, 10^6 and 10^12 + 39, and perfect powers."""
+    of primes drawn across 4096, 10^6 and 10^12 + 39, perfect powers, and
+    cofactors on both sides of 4096^2."""
     rng = random.Random("factor_int")
 
     def prime(lo, hi):
@@ -309,6 +311,11 @@ def _factor_inputs():
         else:
             n = rng.choice(mids) ** rng.randint(2, 7) * rng.choice((1, 2, 3, 4093))
         inputs.append(["factor_int", rng.choice((-1, 1)) * n])
+    # Cofactors that trial division leaves on both sides of 4096^2, below
+    # which they are taken as prime: 4093*4099, the primes next to 4096^2,
+    # and 4099^2 and 4099*4111 above it, alone and times small primes.
+    edges = (4093 * 4099, 16_777_213, 16_777_259, 4099**2, 4099 * 4111)
+    inputs += [["factor_int", k * n] for n in edges for k in (1, -6, 4093)]
     return inputs
 
 
