@@ -454,18 +454,28 @@ def test_square_part_root_is_tried_before_its_divisors(d, eq, m):
 # 3 after about 30 s where check decides in well under a second.  The norm
 # form now factors each coefficient once and hands its primes down, so the
 # products, their square-free parts and their norms are factored by division.
+# The last case is two primes of 256 bits: the descent over Q factors a new
+# quotient at each step, and one of them has two factors past Brent's rho,
+# so solve exits 3 after about 16 s.
+RATIONAL_QUOTIENT_STALL = (
+    "71027207408764059516304040602504477684711579264508032612870294185894314628457;"
+    "94004798258086377413545391982248556053253552190479720052755624552518443892771;-1"
+)
 COEFFICIENT_PRODUCT_STALLS = [
     pytest.param(d, eq, id=f"{d}:{eq}")
     for d, eq in (
         ("Q", "947362135750817778025520064077;1122090946327712751251366359727;-1"),
         ("-7", "10877552959775353043;10171803002443630981;-1"),
+        ("Q", RATIONAL_QUOTIENT_STALL),
     )
 ]
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("d, eq", COEFFICIENT_PRODUCT_STALLS)
-def test_products_of_coefficient_primes_decide_within_a_second(command, d, eq):
+def test_products_of_coefficient_primes_decide_within_a_second(command, d, eq, request):
+    if command == "solve" and eq == RATIONAL_QUOTIENT_STALL:
+        request.applymarker(pytest.mark.xfail(strict=True, raises=TimeoutError))
     code, text = within(1.0, _run, [command, "--field", d, "--eq", eq, "--json"])
     assert code == 0
     payload = json.loads(text)
