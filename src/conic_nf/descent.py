@@ -1,31 +1,25 @@
-"""Legendre-style descent for the norm form equation x^2 - A*y^2 = B*z^2.
+"""Solutions of a*x^2 + b*y^2 + c*z^2 = 0: one lattice reduction over Q, and
+a Legendre-style descent on x^2 - A*y^2 = B*z^2 over the quadratic fields.
 
-Each step puts the coefficient of larger |N| first, factors (B) = M^2*S once,
-with S squarefree, takes a small root w of A mod S and reduces the
-congruence lattice of B (lattice), weighted per embedding, whose short pair
-(a0, b0) gives t = (a0^2 - A*b0^2)/B.  While |N(t)| < |N(B)| the descent
-recurses on (A, t1), t1 the part of t free of principal squares, and
-composes by the multiplicativity of x^2 - A*y^2 (Cremona and Rusin, 2003;
-Simon, 2005), on every field with no unit balancing.  A unit B, or a t that
-does not shrink, ends in one search over pairs (y, z) in the reduced basis of
-the same weighted lattice, which Hasse-Minkowski ends with no bound.
+Over Q (_rational_point) one LLL reduction of a rank-3 lattice gives a zero,
+from the factorisations of a, b and c alone, with no recursion; a rational
+norm form over a quadratic field is solved there first.
 
-A solve factors the norms of a, b, c and of each quotient t once, and hands
-the primes down as values; every other number is factored by division by them.
+Over a quadratic field each step puts the coefficient of larger |N| first,
+factors (B) = M^2*S once, with S squarefree, takes a small root w of A mod S
+and reduces the congruence lattice of B (lattice), weighted per embedding,
+whose short pair (a0, b0) gives t = (a0^2 - A*b0^2)/B.  While
+|N(t)| < |N(B)| the descent recurses on (A, t1), t1 the part of t free of
+principal squares, and composes by the multiplicativity of x^2 - A*y^2
+(Cremona and Rusin, 2003; Simon, 2005), with no unit balancing.  A unit B,
+or a t that does not shrink, ends in one search over pairs (y, z) in the
+reduced basis of the same weighted lattice, which Hasse-Minkowski ends.
+Only the norms of a, b, c and of each quotient t are factored, once each.
 
-solve_conic runs on kernel values from the norm form to the point: the
-integer kernel's pairs over a quadratic field, plain ints over Q
-(fields.INTS), the base search included.  The helpers it calls
-(sqrt_mod_ideal, short_congruence_pair, square_decompose, principal_ideal)
-take the ring first and its values, so the norm form and the steps make no
-element.  The local conditions are decided once, by check_solvable's
-kernel form on the norm form's own values, which builds no equation; the
-square test is a closed-form root, norms and units are integer
-comparisons, and each step checks its composition in the kernel.  One
-back-map on pairs, the same on every field, sends the solution to the
-primitive point, which is checked on the conic in integers and made
-elements once.  A DescentTrace stores the kernel values of each step and
-makes elements of them only when read.
+solve_conic runs on kernel values, ints over Q and pairs otherwise, from
+one local check on the normal or norm form to the primitive point, which is
+checked on the conic in integers and made elements once.  A DescentTrace
+stores the kernel values of each step and makes elements only when read.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ from typing import Callable, Optional
 from .errors import NotSolvable, PellSearchExhausted
 from .fields import (
     INTS,
+    RATIONAL,
     FieldDescriptor,
     FieldElement,
     elem_sqrt,
@@ -45,10 +40,11 @@ from .fields import (
     format_element,
     integer_ring,
     require_integral,
+    round_quotient,
 )
 from .ideals import factor_ideal, factor_int, prime_power, principal_ideal
 from .ideals import square_decompose, unit_ideal
-from .lattice import combine, module_basis, reduce_pairs
+from .lattice import combine, lll_reduce, module_basis, reduce_pairs
 from .lattice import short_congruence_pair
 from .residues import sqrt_mod_ideal
 from .solvability import ConicEquation, check_solvable
@@ -110,27 +106,19 @@ class DescentTrace:
         return [{k: _formatted(v) for k, v in step.items()} for step in self.steps]
 
 
-def _size(ring, x) -> int:
-    """|N(x)| for a kernel value x of ring, |x| on INTS."""
-    return abs(x) if ring is INTS else abs(ring.norm(x))
-
-
 def _norm_form(eq: ConicEquation):
     """(ring, a, A1, A2, B1, B2, primes) with -a*b = A1*A2^2 and
-    -a*c = B1*B2^2 as kernel values of ring (ints over Q, pairs otherwise),
-    and primes those of |N(a)|, |N(b)| and |N(c)|, each factored once.
+    -a*c = B1*B2^2 as pairs of the kernel ring, and primes those of |N(a)|,
+    |N(b)| and |N(c)|, each factored once.
 
     Every prime of -a*b, -a*c, their square-free parts and their norms (and
     of a rational A1 or B1 over a quadratic field) is one of primes, which
     square_decompose and the descent get, so none of those is trial-divided."""
-    field = eq.field
-    ring = integer_ring(field)
+    ring = integer_ring(eq.field)
     a, b, c = (ring.pair(x) for x in (eq.a, eq.b, eq.c))
-    if field.is_rational:
-        ring, a, b, c = INTS, a[0], b[0], c[0]
     primes = set()
     for x in (a, b, c):
-        primes.update(p for p, _ in factor_int(_size(ring, x), primes))
+        primes.update(p for p, _ in factor_int(ring.norm(x), primes))
     A0, B0 = (ring.sub(ring.zero, ring.mul(a, x)) for x in (b, c))
     (A1, A2), (B1, B2) = (square_decompose(ring, x, primes) for x in (A0, B0))
     return ring, a, A1, A2, B1, B2, primes
@@ -177,8 +165,7 @@ def _enumerate_pairs(ring, a, b):
     that reduce_pairs gives the length sum_i |sigma_i(a)|*sigma_i(y)^2 +
     |sigma_i(b)|*sigma_i(z)^2, by shells max|k_i| = W = 1, 2, ...  The rows
     are a Z-basis of O_K^2, so every nonzero pair comes once; y -> y/eta and
-    a -> a*eta^2 leave the length alone, so the order does not see units.
-    ring is the kernel: pairs, or plain ints over Q (INTS)."""
+    a -> a*eta^2 leave the length alone, so the order does not see units."""
     one, zero = ring.one, ring.zero
     rows = reduce_pairs(ring, module_basis(ring, [(one, zero), (zero, one)]), (a, b, one))
     for W in itertools.count(1):
@@ -253,15 +240,84 @@ def compose_solution(
     return SolutionTriple(*_compose(INTS, A, pair, (inner.x, inner.y, inner.z), t1 * t2))
 
 
-def _try_rational_subfield(ring, A, B, primes):
-    """Solve over Q when the pairs A and B are rational and the conditions
-    hold there: the solution as pairs, or None.
+def _rational_point(coeffs, primes=(), trace: Optional[DescentTrace] = None):
+    """A primitive point of a*x^2 + b*y^2 + c*z^2 = 0 over Q, as ints, for
+    the nonzero ints coeffs, by one lattice reduction that factors only
+    them (Cremona and Rusin, Math. Comp. 72, 2003; Simon, Math. Comp. 74,
+    2005), or NotSolvable.
 
-    The conditions are decided here, so the descent over Q starts as a
-    recursive call, which does not decide them again."""
-    if ring is INTS or A[1] or B[1] or not check_solvable(INTS, 1, -A[0], -B[0], primes).solvable:
+    Legendre's normal form: with a = s_a*q_a^2, s_a square-free, the s's
+    over their gcd g and g_ab = gcd(s_a, s_b), A = s_a*g_bc/(g_ab*g_ac), and
+    B and C alike, are square-free and pairwise coprime, and
+    X = g_ab*g_ac*q_a*x makes g*A*X^2 = g_ab*g_ac*g_bc*a*x^2, Y and Z alike.
+    The check's root r of -BC mod an odd p | A puts (X, (r/B)*Z, Z) on
+    Q = A*X^2 + B*Y^2 + C*Z^2 mod p, as X = (r/A)*Z at p | B, X = (r/A)*Y at
+    p | C and Y = Z at 2 | A do.  By CRT these give the lattice
+    L = <(x1, l, 1), (x2, A, 0), (|BC|, 0, 0)> of index |ABC|, where Q and
+    its bilinear form (2*u_Z*v_Z at 2 | A) are 0 mod ABC: Q = ABC*H on L, H
+    integral of determinant 1 and of signature (1, 2), Q being indefinite.
+    LLL on L under F = |A|X^2 + |B|Y^2 + |C|Z^2, of determinant |ABC|^3,
+    gives b1 with |Q(b1)| <= F(b1) <= alpha*|ABC|, alpha = 1/(DELTA - 1/4)
+    < 2, so H(b1) is 0 or +-1.  A row with Q = 0 is a zero.  If H(b1) = 1,
+    -H is positive definite of determinant 1 on the other rows b minus
+    H(b, b1)*b1, whose LLL row w has 0 < -H(w) <= sqrt(alpha) < 2.
+    Q(w) = -ABC, w = (x, y, z), makes (xz + By, yz - Ax, z^2 + AB) a zero,
+    as Q of it is (z^2 + AB)*(Q(w) + ABC); that is (0, 0, 0) only if
+    z^2 = -AB, so A = -B = +-1, and then (1, 1, 0) is a zero.
+    """
+    ring, primes, free, sq = integer_ring(RATIONAL), set(primes), [], []
+    for x in coeffs:
+        pairs = factor_int(x, primes)
+        primes.update(p for p, _ in pairs)
+        free.append(math.prod(p for p, e in pairs if e % 2) * (1 if x > 0 else -1))
+        sq.append(math.prod(p ** (e // 2) for p, e in pairs))
+    g = math.gcd(*free)
+    a, b, c = (t // g for t in free)
+    gab, gac, gbc = math.gcd(a, b), math.gcd(a, c), math.gcd(b, c)
+    A, B, C = a // (gab * gac) * gbc, b // (gab * gbc) * gac, c // (gac * gbc) * gab
+    dx, dy, dz = gab * gac * sq[0], gab * gbc * sq[1], gac * gbc * sq[2]
+    if trace is not None:
+        trace.add("norm_form", ring, a=(A, 0), b=(B, 0), c=(C, 0))
+    cert = check_solvable(ring, (A, 0), (B, 0), (C, 0), primes)
+    if not cert.solvable:
+        raise NotSolvable(f"({A})x^2 + ({B})y^2 + ({C})z^2 = 0 fails the local conditions ({cert.reason})")
+    roots = {2: 1} | {w["prime"].p: w["witness"].num[0] for w in cert.places if w["type"] == "odd_prime"}
+    def crt(n, f):
+        # The least sum over p | n of f(p)*e_p, e_p = 1 mod p and 0 mod n/p.
+        t = sum(f(p) * (n // p) * pow(n // p, -1, p) for p in primes if n % p == 0)
+        return t - round_quotient(t, n) * n
+
+    bc = abs(B * C)
+    l = crt(abs(A), lambda p: roots[p] * pow(B, -1, p))
+    x1 = crt(bc, lambda p: roots[p] * pow(A, -1, p) * (1 if B % p == 0 else l))
+    x2 = crt(bc, lambda p: 0 if B % p == 0 else roots[p])
+    gens = [(x1, l, 1), (x2, A, 0), (bc, 0, 0)]
+    form = lambda u, v, a=A, b=B, c=C: a * u[0] * v[0] + b * u[1] * v[1] + c * u[2] * v[2]
+    gram = [[form(u, v, abs(A), abs(B), abs(C)) for v in gens] for u in gens]
+    rows = [combine(ks, gens) for ks in lll_reduce(gram)[1]]
+    point = next((v for v in rows if form(v, v) == 0), None)
+    if point is None:
+        w, *rest = rows
+        if form(w, w) == A * B * C:
+            cs = [combine((1, -form(b, w) // (A * B * C)), (b, w)) for b in rest]
+            w = combine(lll_reduce([[-form(u, v) // (A * B * C) for v in cs] for u in cs])[1][0], cs)
+        x, y, z = w
+        point = (x * z + B * y, y * z - A * x, z * z + A * B) if z * z != -A * B else (1, 1, 0)
+    point = (point[0] * dy * dz, point[1] * dx * dz, point[2] * dx * dy)
+    g = math.gcd(*point)
+    point = [t // g for t in point]
+    assert _on_conic(INTS, coeffs, point), "lattice produced a non-solution"
+    return point
+
+
+def _try_rational_subfield(ring, A, B, primes):
+    """The solution over Q, as pairs, for rational nonzero A and B, or None."""
+    if A[1] or B[1] or not A[0] * B[0]:
         return None
-    return tuple((t, 0) for t in legendre_descent(A[0], B[0], None, 1, INTS, primes))
+    try:
+        return tuple((t, 0) for t in _rational_point((1, -A[0], -B[0]), primes))
+    except NotSolvable:
+        return None
 
 
 def legendre_descent(
@@ -272,24 +328,24 @@ def legendre_descent(
     _ring=None,
     _primes=frozenset(),
 ) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2, by descent.
+    """A nonzero solution (x, y, z) of x^2 - A*y^2 = B*z^2: by descent over
+    a quadratic field, each call one step, and by solve_conic over Q.
 
     The top-level call decides the local conditions once and raises
     NotSolvable when they fail (BaseDegenerate for a zero A or B); the
-    recursive calls do not check again.  Each call is one step of the
-    descent (see the module docstring).  With _ring, A, B and the solution
-    are its kernel values, as the descent's calls and solve_conic pass them,
-    and _primes the primes known so far (see the module docstring).
+    recursive calls do not check again.  With _ring, A, B and the solution
+    are its kernel values, and _primes the primes known so far.
     """
     if trace is None:
         trace = DescentTrace()
     if _depth > MAX_DEPTH:
         raise PellSearchExhausted("descent recursion exceeded its depth limit")
+    if _ring is None and A.field.is_rational:
+        sol = solve_conic(ConicEquation(A.field.one(), -A, -B), trace)
+        return sol.x, sol.y, sol.z
     ring = _ring or integer_ring(A.field)
     if _ring is None:
         A, B = ring.pair(A), ring.pair(B)
-        if ring.field.is_rational:
-            ring, A, B = INTS, A[0], B[0]
     sol = _try_rational_subfield(ring, A, B, _primes) if _depth == 0 else None
     if sol is not None:
         trace.add("rational_subfield", ring)
@@ -310,7 +366,6 @@ def _step(ring, A, B, trace: DescentTrace, depth: int, primes):
     """One step of the descent on the kernel values A and B of ring.  primes
     hold every prime of |N(A)| and |N(B)|; the quotient t is factored once,
     and its primes join them for the next step."""
-    field = ring.field
     # A perfect square A short-circuits everything: x = sqrt(A)*y.
     sq = ring.sqrt(A)
     if sq is not None:
@@ -329,18 +384,13 @@ def _step(ring, A, B, trace: DescentTrace, depth: int, primes):
     # (B) = M^2 * S with S squarefree, from one factorization.  A root of A
     # mod S exists when the conditions hold: at an odd P | S not dividing A
     # the Hilbert symbol (A, B)_P = 1 says A is a square mod P; w = 0 at
-    # P | A; over 2 every residue is a square.  Over Q, S and M are ints.
-    if ring is INTS:
-        factors = factor_ideal(B, primes)
-        S = math.prod(p for p, e in factors if e % 2)
-        M = math.prod(p ** (e // 2) for p, e in factors)
-    else:
-        S, M = principal_ideal(ring, B), None
-        factors = factor_ideal(S, primes)
-        if any(e > 1 for _, e in factors):
-            S = M = unit_ideal(field)
-            for P, e in factors:
-                S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
+    # P | A; over 2 every residue is a square.
+    S, M = principal_ideal(ring, B), None
+    factors = factor_ideal(S, primes)
+    if any(e > 1 for _, e in factors):
+        S = M = unit_ideal(ring.field)
+        for P, e in factors:
+            S, M = S * prime_power(P, e % 2), M * prime_power(P, e // 2)
     w = sqrt_mod_ideal(ring, A, S, [(P, 1) for P, e in factors if e % 2])
     assert w is not None, "no root of A modulo the squarefree part of (B)"
 
@@ -351,7 +401,7 @@ def _step(ring, A, B, trace: DescentTrace, depth: int, primes):
     trace.add("reduce", ring, A=A, B=B, w=w, pair=[a0, b0], t=t)
     if not abs(ring.norm(t)) < norm_b:
         return _norm_search(ring, A, B, trace)
-    primes = primes.union(p for p, _ in factor_int(_size(ring, t), primes))
+    primes = primes.union(p for p, _ in factor_int(ring.norm(t), primes))
     t1, t2 = square_decompose(ring, t, primes)
     inner = legendre_descent(A, t1, trace, depth + 1, ring, primes)
     x, y, z = _compose(ring, A, (a0, b0), inner, mul(t1, t2))
@@ -389,16 +439,17 @@ def solve_conic(
     """A nonzero integral solution of a*x^2 + b*y^2 + c*z^2 = 0.
 
     Raises NotSolvable when the equation fails the local conditions: its
-    norm form has the same local conditions, and the descent checks them.
+    normal form over Q, or its norm form, has the same local conditions,
+    and they are checked once.
     """
+    if eq.field.is_rational:
+        point = _rational_point([t.num[0] for t in (eq.a, eq.b, eq.c)], (), trace)
+        return SolutionTriple(*map(RATIONAL.element, point))
     ring, a, A1, A2, B1, B2, primes = _norm_form(eq)
     if trace is not None:
         trace.add("norm_form", ring, A=A1, B=B1)
     sol = legendre_descent(A1, B1, trace, 0, ring, primes)
-    divisors, pairs = (a, A2, B2), integer_ring(eq.field)
-    if ring is INTS:
-        sol, divisors = ([(t, 0) for t in v] for v in (sol, divisors))
-    point = _primitive_point(pairs, sol, divisors)
-    coeffs = [pairs.pair(t) for t in (eq.a, eq.b, eq.c)]
-    assert _on_conic(pairs, coeffs, point), "descent produced a non-solution"
-    return SolutionTriple(*map(pairs.element, point))
+    point = _primitive_point(ring, sol, (a, A2, B2))
+    coeffs = [ring.pair(t) for t in (eq.a, eq.b, eq.c)]
+    assert _on_conic(ring, coeffs, point), "descent produced a non-solution"
+    return SolutionTriple(*map(ring.element, point))

@@ -21,11 +21,10 @@ gcd; nearest_integer, euclid_divmod and gcd_elems delegate to it there.
 Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
 
-Q's own kernel, INTS, is the part of the kernel's API that the descent (its
-root and pair choices included) and the Holzer step use, on plain ints.
-Its extended gcd takes the nearest-integer quotients of the pair path, so
-it returns the Bezout coefficients that IntegerRing.xgcd gives over Q; the
-Holzer step over Q and the HNF of ideals call it.
+Q's own kernel, INTS, is the part of the kernel's API that the Holzer step
+uses, on plain ints.  Its extended gcd takes the nearest-integer quotients
+of the pair path, so it gives IntegerRing.xgcd's Bezout coefficients over
+Q; the Holzer step over Q and the HNF of ideals call it.
 The helpers of the check and the descent take a ring and its values;
 kernel_edge lets them take FieldElements, converted there and only there.
 """
@@ -404,8 +403,8 @@ class FieldElement:
 def kernel_edge(fn):
     """Let the kernel form fn(ring, x, ...) also take FieldElements.
 
-    The kernel form takes a ring first: INTS, with ints and int moduli over
-    Q, or an IntegerRing, with pairs and Ideals.  Called with an element x
+    The kernel form takes a ring first: an IntegerRing, with pairs and
+    Ideals, or INTS, with ints over Q.  Called with an element x
     first, the edge runs fn on the IntegerRing of x's field with every
     FieldElement argument as its pair (integral and of that field, else
     ValueError), and turns each pair of the result, in lists and tuples,
@@ -827,11 +826,6 @@ def integer_ring(field: FieldDescriptor) -> IntegerRing:
 # -- Q's kernel: plain ints ----------------------------------------------------
 
 
-def _int_sqrt(x: int) -> Optional[int]:
-    r = math.isqrt(x) if x >= 0 else -1
-    return r if r * r == x else None
-
-
 def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = +-gcd(a, b), by Euclid's algorithm with
     IntegerRing.divmod's quotient ceil(r0/r1 - 1/2), so the Bezout
@@ -846,13 +840,11 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, s0, t0
 
 
-# Q's integers as a kernel: the part of IntegerRing's API that the descent,
-# its root and pair choices (residues, lattice) and the Holzer step use, on
-# plain ints (gcd is the positive one, size_sq IntegerRing's 2*x^2 over Q).
+# Q's integers as a kernel: the part of IntegerRing's API that the Holzer
+# step uses, on plain ints (gcd is the positive one).
 INTS = SimpleNamespace(
     field=RATIONAL, one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
-    norm=lambda x: x * x, size_sq=lambda x: 2 * x * x, sqrt=_int_sqrt,
-    exact_div=lambda a, b: None if a % b else a // b, gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
+    norm=lambda x: x * x, exact_div=lambda a, b: None if a % b else a // b, gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
 )
 
 

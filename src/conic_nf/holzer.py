@@ -9,8 +9,8 @@ intersection of a short line, whose N(z) is smaller; N(z) is a non-negative
 integer, so the steps end, and a step that cannot shrink it raises.
 
 The steps run on kernel values: plain ints over Q (fields.INTS), whose
-rank-2 lattice reduce_pairs hands to lattice.reduce_int_pairs, and integer
-(u, v) pairs through the field's IntegerRing elsewhere.  The equation and
+rank-2 lattice lattice.reduce_int_pairs reduces, and integer (u, v) pairs
+through the field's IntegerRing elsewhere.  The equation and
 the start are converted once, each step checks in integers that its point
 lies on the conic, and so do the start and the result.  is_reduced tests
 the bound on each point's kernel z, and only the result is made elements.
@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import NotEuclidean, PreconditionViolated, UndecidedError, UnsupportedField
 from .descent import SolutionTriple, _on_conic
 from .fields import INTS, FieldDescriptor, elements_of, integer_ring, kernel_edge
-from .lattice import combine, module_basis, reduce_pairs
+from .lattice import combine, module_basis, reduce_int_pairs, reduce_pairs
 from .solvability import ConicEquation
 
 # Square of the bound constant: a minimal solution satisfies
@@ -121,7 +121,8 @@ def _lattice_step(ring, coeffs, point):
     g, s, t = ring.xgcd(x0, y0)
     e1 = (ring.exact_div(x0, g), ring.exact_div(y0, g))
     e2 = (mul(z0, t), ring.sub(ring.zero, mul(z0, s)))
-    rows = reduce_pairs(ring, module_basis(ring, [e1, e2]), (a, b, ring.one))
+    rows = (reduce_int_pairs([e1, e2], abs(a), abs(b)) if ring is INTS
+            else reduce_pairs(ring, module_basis(ring, [e1, e2]), (a, b, ring.one)))
     polar = (mul(ring.add(a, a), x0), mul(ring.add(b, b), y0))
 
     def least(vectors):

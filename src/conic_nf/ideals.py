@@ -22,10 +22,8 @@ binary quadratic forms of the ideal (Cohen, 5.6), which also yields the
 unit that balances a generator.
 
 principal_ideal, element_valuation and square_decompose are kernel forms
-with the ring first (fields.kernel_edge): an IntegerRing with pairs, or over
-Q, for square_decompose, fields.INTS with plain ints and no ideal; called
-with a FieldElement, the edge converts it and the result.  Over Q,
-factor_ideal also takes the int n of (n).
+with the ring first (fields.kernel_edge): an IntegerRing with pairs; called
+with a FieldElement, the edge converts it and the result.
 """
 
 from __future__ import annotations
@@ -566,10 +564,7 @@ def element_valuation(ring: IntegerRing, x, P: PrimeIdeal) -> int:
 
 def factor_ideal(I: Ideal, primes=()) -> list[tuple[PrimeIdeal, int]]:
     """Prime factorization of a nonzero integral ideal; over Q it is the
-    factorization of the norm.  Over Q, I may be the int n of (n), and the
-    factorization is then factor_int's (p, e) pairs.  primes go to factor_int."""
-    if type(I) is int:
-        return factor_int(I, primes)
+    factorization of the norm.  primes go to factor_int."""
     out: list[tuple[PrimeIdeal, int]] = []
     for p, k in factor_int(I.norm, primes):
         for P in splitting_type(I.field, p)[1]:
@@ -689,14 +684,10 @@ def square_decompose(ring, t, primes=()):
     of the square part of (t), largest norm first, ties in the order of their
     exponent vectors.  R, the only divisor of its norm, is tried first and is
     principal over Q and every field of class number 1; only a non-principal
-    R walks the other divisors, one ideal at a time.  On INTS, t2 is
-    prod p^(e//2) read off factor_int, with no ideal.  primes go to factor_int.
+    R walks the other divisors, one ideal at a time.  primes go to factor_int.
     """
     if t == ring.zero:
         raise ValueError("square_decompose of zero")
-    if ring is INTS:
-        g = math.prod(p ** (e // 2) for p, e in factor_ideal(t, primes))
-        return t // (g * g), g
     root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(ring, t), primes) if e >= 2]
     if not root:
         return t, ring.one

@@ -3,15 +3,15 @@
 Given (B) = M^2*S with S squarefree and w with w^2 = A (mod S), the pairs
 (w*y + m, y) with y in M and m in M*S form a lattice on which B divides
 x^2 - A*y^2; a short vector for a length weighted per embedding yields a
-small quotient, which drives the descent; holzer reduces the lattice of
-lines through a point the same way (reduce_pairs).  Over Q both lattices
-have rank 2 and run on plain ints (reduce_int_pairs).  LLL is integral
+small quotient, which drives the descent over the quadratic fields; holzer
+reduces lines through a point alike (over Q by reduce_int_pairs), and the
+descent solves Q by one rank-3 reduction.  LLL is integral
 (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
 keeps its Gram-Schmidt data as integers, in four scalars at rank 2 (the
 kernel's step, fields._lll_rank2), and reads the reduced Gram matrix off
 that data, with no matrix product.  The integer weights only steer it, and
-the pair is picked on the kernel's (u, v) pairs, or over Q on plain ints,
-by an exact integer comparison.
+the pair is picked on the kernel's (u, v) pairs by an exact integer
+comparison.
 short_congruence_pair is a kernel form with the ring first
 (fields.kernel_edge), which converts FieldElements at its edge.  _gso and
 pair_measure are the exact rational definitions.
@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefinite
-from .fields import DELTA, INTS, FieldElement, IntSurd, Surd, _lll_rank2, integer_ring, kernel_edge, round_quotient
+from .fields import DELTA, FieldElement, IntSurd, Surd, _lll_rank2, integer_ring, kernel_edge, round_quotient
 from .ideals import Ideal, hnf_rows, unit_ideal
 
 # reduce_pairs' weights are exact to about 1/_SCALE; they only steer LLL.
@@ -176,11 +176,7 @@ def reduce_pairs(ring, gens, coeffs):
     has the form tr(q'*x*x') of the totally positive q' = +-q*delta*_SCALE
     if N(q) < 0 (delta = 2*omega - t has the conjugates +-sqrt(disc)), else
     +-q*round(sqrt(disc)*_SCALE): |sigma_i(q)|*sqrt(disc)*_SCALE to a
-    relative 2^-17.  b weighs y alike.  The Gram matrix is integral.  Over Q
-    on plain ints (INTS) the lattice has rank 2 and reduce_int_pairs reduces
-    it for the weights |a|, |b|: the same matrix over 2*_SCALE."""
-    if ring is INTS:
-        return reduce_int_pairs(gens, abs(coeffs[0]), abs(coeffs[1]))
+    relative 2^-17.  b weighs y alike.  The Gram matrix is integral."""
     dot, mul, norm = ring.dot, ring.mul, ring.norm
     if ring.real:
         c, root = ring.conj(coeffs[2]), (math.isqrt(4 * ring.field.disc * _SCALE**2) + 1) // 2
@@ -247,32 +243,23 @@ def short_congruence_pair(ring, A, B, w, M=None):
     |N(t)| <= C_K*sqrt(|N(A)|), C_K = alpha^3*D/4.  A row with y = 0 has x in
     M*S and Q >= 2*sqrt(|N(B)|)/N(M), so the first row has y != 0 once
     |N(B)| > C_K*sqrt(|N(A)|)*N(M)^2.  Units move the weights, not the bound.
-    On INTS, A, B and w are ints and M the int m of (m): only the inputs
-    branch there, the Z-basis (w*m, m), (B, 0) and the length x^2 + s*y^2,
-    s = |A| or 1, which orders like pair_measure with |N(A)| = A^2.
     """
     if B == ring.zero:
         raise ValueError("modulus must be nonzero")
-    mul, zero = ring.mul, ring.zero
-    if ring is INTS:
-        m, s = M or 1, abs(A) or 1
-        gens = [(w * m, m), (B, 0)]
-        measure = lambda x, y: x * x + s * y * y
-    else:
-        field = ring.field
-        M = M or unit_ideal(field)
-        norm_a = max(1, abs(ring.norm(A)))
-        dot, s = ring.dot, math.isqrt(norm_a)
+    mul, zero, field = ring.mul, ring.zero, ring.field
+    M = M or unit_ideal(field)
+    norm_a = max(1, abs(ring.norm(A)))
+    dot, s = ring.dot, math.isqrt(norm_a)
 
-        def measure(x, y):
-            if ring.real:
-                return abs(ring.norm(ring.sub(mul(x, x), mul(A, mul(y, y)))))
-            X, Y = dot(x, x), dot(y, y)
-            return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
+    def measure(x, y):
+        if ring.real:
+            return abs(ring.norm(ring.sub(mul(x, x), mul(A, mul(y, y)))))
+        X, Y = dot(x, x), dot(y, y)
+        return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
-        ys = _hnf_basis(M)
-        zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
-        gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
+    ys = _hnf_basis(M)
+    zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
+    gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
     # The reduced rows, then the first generator; ties go to the least x, then y.
     rows = reduce_pairs(ring, gens, (ring.one, A if A != zero else ring.one, B)) + gens[:1]
     _, x, y = min((measure(x, y), x, y) for x, y in rows if y != zero)

@@ -20,9 +20,8 @@ and m the product of the other n_q, times k*(omega - r_Q) when the
 conjugate Q^f divides M too (see crt_coefficients).
 
 Each public helper is a kernel form with the ring first (fields.kernel_edge):
-an IntegerRing with pairs and Ideals, or over Q, for sqrt_mod_ideal and
-closest_in_coset, fields.INTS with plain ints and a squarefree int modulus.
-Called with FieldElements, the edge converts them and the result.
+an IntegerRing with pairs and Ideals.  Called with FieldElements, the edge
+converts them and the result.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 from typing import Optional
 
 from .errors import EvenPrime, UndecidedError
-from .fields import INTS, FieldDescriptor, FieldElement, IntegerRing, integer_ring, kernel_edge
+from .fields import FieldDescriptor, FieldElement, IntegerRing, integer_ring, kernel_edge
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -303,11 +302,7 @@ def crt_coefficients(
 def closest_in_coset(ring, x, M):
     """Minimal-size representative of x + M; ties break to the
     lexicographically smallest (u, v).  The kernel's closest element of the
-    coset of M's HNF lattice, with sizes compared exactly in integers.  On
-    INTS, x is an int and M the positive int generating the ideal."""
-    if ring is INTS:
-        r = x % M
-        return min(r, r - M, key=lambda u: (u * u, u))
+    coset of M's HNF lattice, with sizes compared exactly in integers."""
     if ring.field.is_rational:
         r = x[0] % M.a
         return min(r, r - M.a, key=lambda u: (u * u, u)), 0
@@ -320,28 +315,16 @@ def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
     factors is M's factorization, when the caller has it.  The roots mod
     each prime power, recombined by CRT, go to closest_in_coset and the
     least (size_sq, w) wins; past 4,096 combinations, the least of the
-    first 4,096.  On INTS, a is an int and M a squarefree int (ValueError
-    before any root is listed otherwise), whose factors are (p, 1) pairs of
-    ints; only the inputs branch there: the roots mod p are the sorted +-y,
-    y = _sqrt_mod_p(a, p), and p's CRT coefficient is m*(m^-1 mod p), m = M/p."""
+    first 4,096."""
     factors = factor_ideal(M) if factors is None else factors
-    if ring is INTS and any(e != 1 for _, e in factors):
-        raise ValueError(f"modulus {M} is not squarefree")
     root_sets = []
     for P, e in factors:
-        if ring is INTS:
-            y = _sqrt_mod_p(a, P)
-            roots = None if y is None else sorted({y, -y % P})
-        else:
-            lister = sqrt_mod_dyadic_prime_power if P.p == 2 else sqrt_mod_odd_prime_power
-            roots = lister(ring, a, P, e)
+        lister = sqrt_mod_dyadic_prime_power if P.p == 2 else sqrt_mod_odd_prime_power
+        roots = lister(ring, a, P, e)
         if roots is None:
             return None
         root_sets.append(roots)
-    if ring is INTS:
-        lams = [M // p * pow(M // p, -1, p) for p, _ in factors]
-    else:
-        lams = crt_coefficients(ring.field, factors)
+    lams = crt_coefficients(ring.field, factors)
     best = None
     for combo in itertools.islice(itertools.product(*root_sets), 4096):
         w = ring.zero
@@ -352,10 +335,7 @@ def sqrt_mod_ideal(ring, a, M, factors: Optional[list] = None):
         if best is None or key < best:
             best = key
     root = best[1]
-    if ring is INTS:
-        assert (root * root - a) % M == 0
-    else:
-        assert M.reduce_pair(ring.sub(ring.mul(root, root), a)) == (0, 0)
+    assert M.reduce_pair(ring.sub(ring.mul(root, root), a)) == (0, 0)
     return root
 
 

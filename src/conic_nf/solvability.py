@@ -26,7 +26,6 @@ from typing import Optional
 
 from .errors import BaseDegenerate, PreconditionViolated
 from .fields import (
-    INTS,
     FieldDescriptor,
     FieldElement,
     IntegerRing,
@@ -176,15 +175,13 @@ def _odd_prime_condition(
 def check_solvable(ring, a=None, b=None, c=None, primes=()) -> Certificate:
     """Full local solvability check with per-place conditions and witnesses,
     of a ConicEquation, check_solvable(eq), or of the nonzero kernel values
-    a, b, c of ring (INTS's ints are lifted to Q's pairs (u, 0)), with the
-    caller's known primes, which factor_int divides out first."""
+    a, b, c of ring, with the caller's known primes, which factor_int
+    divides out first."""
     if isinstance(ring, ConicEquation):
         eq, ring = ring, integer_ring(ring.field)
         a, b, c = ring.pair(eq.a), ring.pair(eq.b), ring.pair(eq.c)
     elif ring.zero in (a, b, c):
         raise BaseDegenerate("all three coefficients must be nonzero")
-    elif ring is INTS:
-        ring, a, b, c = integer_ring(ring.field), (a, 0), (b, 0), (c, 0)
     places: list[dict] = []
     field = ring.field
 

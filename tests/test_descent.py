@@ -18,7 +18,7 @@ from conic_nf.fields import (
     make_field,
     parse_element,
 )
-from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal
+from conic_nf.ideals import Ideal, factor_ideal, principal_ideal
 from conic_nf.descent import (
     DescentTrace,
     _enumerate_small,
@@ -253,7 +253,8 @@ def test_solve_conic_checks_once(check_calls):
 def test_solve_trial_divides_each_coefficient_and_quotient_norm_at_most_once(monkeypatch):
     # On the benchmark's seed-1 solve inputs, a solve trial-divides (and so
     # may send to rho) only |N(a)|, |N(b)|, |N(c)| and the norm of each
-    # descent quotient t (|a| and |t| over Q), each at most once.  Every other
+    # descent quotient t, each at most once.  Over Q it trial-divides only
+    # |a|, |b| and |c|: the lattice reduction has no quotient.  Every other
     # factorisation divides by the primes handed down from those.
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
     import workloads
@@ -271,8 +272,7 @@ def test_solve_trial_divides_each_coefficient_and_quotient_norm_at_most_once(mon
 
     def recorded_add(self, kind, ring, **info):
         if kind == "reduce":
-            t = info["t"]
-            quotients.append(abs(t) if type(t) is int else abs(ring.norm(t)))
+            quotients.append(abs(ring.norm(info["t"])))
         add(self, kind, ring, **info)
 
     for module in (ideals, descent, solvability):
@@ -292,6 +292,8 @@ def test_solve_trial_divides_each_coefficient_and_quotient_norm_at_most_once(mon
         assert len(divided) == len(set(divided)), (req, divided)
         assert set(divided) <= norms | set(quotients), (req, divided)
         assert len(calls) > len(divided)
+        if K.is_rational:
+            assert quotients == [] and set(divided) <= norms, (req, divided)
 
 
 def test_rational_subfield_checks_once(check_calls):
@@ -333,7 +335,9 @@ def test_solve_conic_golden_points(row):
 
 def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
     # short_congruence_pair and closest_in_coset run on the integer kernel:
-    # inside them no FieldElement is multiplied and no Surd is built.
+    # inside them no FieldElement is multiplied and no Surd is built.  The
+    # points over Q take no descent step, so only the others count in the
+    # bar on the calls.
     inside, calls, counts = [0], [0], {"mul": 0, "surd": 0}
     mul, surd_init = FieldElement.__mul__, Surd.__init__
 
@@ -369,7 +373,8 @@ def test_lattice_step_makes_no_field_products_or_surds(monkeypatch):
     for row in LATTICE_STEP["cosets"]:
         K = make_field(row["field"])
         residues.closest_in_coset(parse_element(K, row["x"]), Ideal(K, *row["ideal"]))
-    assert calls[0] > 2 * len(LATTICE_STEP["points"]) + len(LATTICE_STEP["cosets"])
+    descended = [row for row in LATTICE_STEP["points"] if row["field"] != "Q"]
+    assert calls[0] > 2 * len(descended) + len(LATTICE_STEP["cosets"])
     assert counts == {"mul": 0, "surd": 0}
 
 
@@ -547,56 +552,14 @@ def test_descent_reduces_a_modulus_with_a_square_factor():
             assert ((a0 * a0 - step["A"] * b0 * b0) / step["B"]).is_integral
 
 
-def test_rational_steps_run_on_ints(monkeypatch):
-    # Over Q every step of the descent runs on plain ints: inside a step no
-    # element, ideal or prime ideal is built, on the golden points over Q and
-    # on 50 conics through random points with entries up to 9.  Only the top
-    # of legendre_descent takes and returns elements.
-    rows = [row for row in LATTICE_STEP["points"] if row["field"] == "Q"]
-    rng = random.Random("ints:Q")
-    equations = [_golden_equation(row) for row in rows]
-    while len(equations) < len(rows) + 50:
-        a, b, x0, y0 = (rng.randint(-9, 9) for _ in range(4))
-        if a and b and a * x0 * x0 + b * y0 * y0:
-            equations.append(eq_of(Q, a, b, -(a * x0 * x0 + b * y0 * y0)))
-    inside, built, steps = [0], [], [0]
-    step, element, ideal_init = descent._step, conic_nf.fields._element, Ideal.__init__
-    prime_init = PrimeIdeal.__init__
-
-    def counted_step(*args):
-        inside[0] += 1
-        steps[0] += 1
-        try:
-            return step(*args)
-        finally:
-            inside[0] -= 1
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            if inside[0]:
-                built.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(descent, "_step", counted_step)
-    monkeypatch.setattr(conic_nf.fields, "_element", counting("element", element))
-    monkeypatch.setattr(FieldElement, "__init__", counting("element", FieldElement.__init__))
-    monkeypatch.setattr(Ideal, "__init__", counting("ideal", ideal_init))
-    monkeypatch.setattr(PrimeIdeal, "__init__", counting("prime", prime_init))
-    for equation in equations:
-        assert verify(equation, solve_conic(equation))
-    assert steps[0] > 2 * len(equations)
-    assert built == []
-
-
 def test_descent_helpers_build_no_field_elements(monkeypatch):
     # The norm form, each step and the helpers they call (sqrt_mod_ideal,
     # short_congruence_pair, square_decompose, principal_ideal and the root
-    # listers) run on kernel values: on a warm pass of solves over Q,
-    # Q(sqrt(-7)) and Q(sqrt(-5)) none of them builds a FieldElement.  Only
-    # is_principal, whose generator is an element, and the depth-0 check,
-    # which takes an equation of elements, do; neither is counted.
+    # listers) run on kernel values, and so does the lattice reduction over
+    # Q: on a warm pass of solves over Q, Q(sqrt(-7)) and Q(sqrt(-5)) none of
+    # them builds a FieldElement.  Only is_principal, whose generator is an
+    # element, and the check, whose witnesses are elements, do; neither is
+    # counted.
     rng = random.Random("kernel helpers")
     equations = []
     for K in (Q, Q7, make_field(-5)):
@@ -608,7 +571,7 @@ def test_descent_helpers_build_no_field_elements(monkeypatch):
                 equations.append(ConicEquation(a, b, c))
     for equation in equations:  # splitting_type builds each prime's data once
         solve_conic(equation)
-    inside, built, entered = [0], {False: 0, True: 0}, {"norm_form": 0, "step": 0}
+    inside, built, entered = [0], {False: 0, True: 0}, {"norm_form": 0, "step": 0, "rational": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -640,6 +603,8 @@ def test_descent_helpers_build_no_field_elements(monkeypatch):
 
     monkeypatch.setattr(descent, "_norm_form", counted("norm_form", descent._norm_form))
     monkeypatch.setattr(descent, "_step", counted("step", descent._step))
+    monkeypatch.setattr(descent, "_rational_point", counted("rational", descent._rational_point))
+    monkeypatch.setattr(descent, "check_solvable", uncounted(descent.check_solvable))
     monkeypatch.setattr(conic_nf.ideals, "is_principal", uncounted(conic_nf.ideals.is_principal))
     monkeypatch.setattr(conic_nf.fields, "_element", counting(conic_nf.fields._element))
     monkeypatch.setattr(FieldElement, "__init__", counting(FieldElement.__init__))
@@ -647,5 +612,58 @@ def test_descent_helpers_build_no_field_elements(monkeypatch):
         assert verify(equation, solve_conic(equation))
     # The wrappers are live: every solve took steps, and elements were built
     # outside the counted calls.
-    assert entered["norm_form"] == len(equations) and entered["step"] > len(equations)
+    # Q's 40 equations and the rational norm forms over the fields go to the
+    # lattice reduction over Q; the 80 over the fields take the norm form.
+    assert entered["norm_form"] == 80 and entered["rational"] >= 40 and entered["step"] > 80
     assert built[False] > 0 and built[True] == 0
+
+
+def test_rational_solves_take_no_descent_step(monkeypatch):
+    # Over Q a solve is one lattice reduction: on the golden points over Q
+    # and 50 conics through random points, neither solve_conic nor
+    # legendre_descent runs the norm form, a step or the base search of the
+    # descent, and the trace holds the normal form alone.
+    def refused(*args):
+        raise AssertionError("descent reached over Q")
+
+    for name in ("_norm_form", "_step", "_norm_search"):
+        monkeypatch.setattr(descent, name, refused)
+    rng = random.Random("lattice:Q")
+    equations = [_golden_equation(row) for row in LATTICE_STEP["points"] if row["field"] == "Q"]
+    while len(equations) < 73:
+        a, b, x0, y0 = (rng.randint(-99, 99) for _ in range(4))
+        if a and b and a * x0 * x0 + b * y0 * y0:
+            equations.append(eq_of(Q, a, b, -(a * x0 * x0 + b * y0 * y0)))
+    for equation in equations:
+        trace = DescentTrace()
+        assert verify(equation, solve_conic(equation, trace))
+        assert [step["step"] for step in trace.to_list()] == ["norm_form"]
+    x, y, z = legendre_descent(Q.element(2), Q.element(7))
+    assert x * x - 2 * y * y == 7 * z * z and not z.is_zero
+
+
+def _prime(rng, bits, accept):
+    """A random prime of the given bit length that accept takes."""
+    small = math.prod(range(3, 5000, 2))
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if math.gcd(n, small) == 1 and pow(2, n - 1, n) == 1 and accept(n) and ideals.is_probable_prime(n):
+            return n
+
+
+@pytest.mark.parametrize("bits, count", [(256, 30), (1024, 4)])
+def test_large_prime_coefficients_solve_within_a_second(bits, count, monkeypatch):
+    # p*x^2 + q*y^2 - z^2 = 0 for primes p = 1 (mod 4) and q, each a square
+    # modulo the other, is solvable.  The descent over Q factored quotients
+    # as large as p*q, past Brent's rho; one lattice reduction factors
+    # nothing but p and q, which are prime, and takes no descent step.
+    def refused(*args):
+        raise AssertionError("descent step over Q")
+
+    monkeypatch.setattr(descent, "_step", refused)
+    rng = random.Random(f"primes:{bits}")
+    for _ in range(count):
+        p = _prime(rng, bits, lambda n: n % 4 == 1)
+        q = _prime(rng, bits, lambda n: pow(n, (p - 1) // 2, p) == 1)
+        equation = eq_of(Q, p, q, -1)
+        assert verify(equation, within(1.0, solve_conic, equation))

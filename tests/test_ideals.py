@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import conic_nf.ideals
-from conic_nf.fields import INTS, integer_ring, make_field, normalize_associate, parse_element
+from conic_nf.fields import integer_ring, make_field, normalize_associate, parse_element
 from conic_nf.ideals import (
     Ideal,
     PrimeIdeal,
@@ -559,19 +559,6 @@ def test_norm_one_unit_generates_the_units_of_norm_one(d):
     eta = norm_one_unit(K)
     assert ring.norm(eta) == 1
     assert eta in {unit, ring.conj(unit), (-unit[0], -unit[1]), tuple(-c for c in ring.conj(unit))}
-
-
-def test_square_decompose_and_factor_ideal_over_q_on_ints():
-    # Over Q the descent passes ints, and gets ints back: the element path's
-    # values, and factor_int's pairs for the primes.
-    rng = random.Random(26)
-    for _ in range(2000):
-        t = rng.choice((-1, 1)) * rng.randint(1, 10**6) * rng.choice((1, 4, 9, 144, 343))
-        e1, e2 = square_decompose(Q.element(t))
-        assert square_decompose(INTS, t) == (e1.num[0], e2.num[0])
-        assert factor_ideal(t) == [(P.p, e) for P, e in factor_ideal(principal_ideal(Q.element(t)))]
-    with pytest.raises(ValueError):
-        square_decompose(INTS, 0)
 
 
 def test_factor_int_divides_out_the_known_primes_first(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from conic_nf.errors import EvenPrime, UndecidedError
 from conic_nf.fields import (
-    INTS,
     FieldElement,
     IntegerRing,
     elem_size,
@@ -760,35 +759,6 @@ def test_both_primes_over_two_agree_when_the_other_places_pass():
             assert got[0] == got[1] == cert.solvable, (d, a, b, c)
             verdicts.append(got[0])
         assert True in verdicts and False in verdicts
-
-
-def test_sqrt_mod_ideal_over_q_on_ints_matches_the_element_path():
-    # Over Q the descent passes ints: a squarefree modulus n with its factors
-    # (p, 1).  The roots and the choice are the element path's on 3,000
-    # random inputs: moduli with 2, primes dividing a, no root, and (every
-    # 300th) 15 odd primes prime to a, whose 2^15 combinations are cut at
-    # the first 4,096 in the same order.
-    rng = random.Random(26)
-    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
-    for i in range(3000):
-        ps = sorted(rng.sample(primes[1:], 15) if i % 300 == 0 else rng.sample(primes, rng.randint(1, 5)))
-        n = math.prod(ps)
-        x = rng.randint(-5 * n, 5 * n)
-        while i % 300 == 0 and math.gcd(x, n) > 1:
-            x += 1
-        a = rng.randint(-10 * n, 10 * n) if i % 3 == 1 else x * x - rng.randint(-3, 3) * n
-        want = sqrt_mod_ideal(Q.element(a), Ideal(Q, n))
-        got = sqrt_mod_ideal(INTS, a, n, [(p, 1) for p in ps] if i % 2 else None)
-        assert got == (None if want is None else want.num[0]), (a, n)
-        assert closest_in_coset(INTS, x, n) == closest_in_coset(Q.element(x), Ideal(Q, n)).num[0]
-    assert sqrt_mod_ideal(INTS, 5, 1, []) == 0
-    with pytest.raises(ValueError):
-        sqrt_mod_ideal(INTS, 5, 12)
-    # 75 = 3*5^2: the squarefree check comes before any root is listed,
-    # though 2 has no root mod 3.
-    for factors in (None, [(3, 1), (5, 2)]):
-        with pytest.raises(ValueError):
-            sqrt_mod_ideal(INTS, 2, 75, factors)
 
 
 def _reference_crt(field, factors):

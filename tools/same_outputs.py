@@ -33,12 +33,7 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   prime powers over the 18 quadratic fields and the real fields of class
   number 2 in PRINCIPAL_FIELDS; residues.closest_in_coset over the
   imaginary fields on seeded cosets of principal and non-principal ideals;
-  and fields.surd_sign on seeded (r, s, rad) with zero parts;
-- Q's plain-int forms (fields.INTS): residues.sqrt_mod_ideal on seeded
-  squarefree moduli of 1-5 primes below 200, 2 among them, with a = 0, a
-  divisible by one of the primes, or a with no root, every 50th of 15 odd
-  primes prime to a (so the 4,096-combination cut runs), with factors
-  passed or None, and two moduli that are not squarefree.
+  and fields.surd_sign on seeded (r, s, rad) with zero parts.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
@@ -46,9 +41,7 @@ solve_conic point with DescentTrace.to_list(), the reduce_solution point,
 the corpus or parametrize --json output with its exit code, or the error's
 type and text.
 For splitting_type it dumps the kind and each prime's (e, f, second
-generator, r); for is_principal the generator or None.  For each root w of
-a mod n found on INTS it dumps w and lattice.short_congruence_pair on INTS
-for A = a, B = +-m^2*n with a seeded m.
+generator, r); for is_principal the generator or None.
 On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
@@ -98,7 +91,6 @@ DYADIC_FIELDS = (-31, -35, -39, -43, -47, -51, 29, 33, 37, 41, 53, 57, 61, 65, 6
 PRINCIPAL_FIELDS = (10, 15, 26, 65)  # real, of class number 2
 PRINCIPAL_IDEALS = 60
 SURD_SIGNS = 3_000
-INT_ROOTS = 3_000
 DUMP_TIMEOUT_S = 1200
 
 
@@ -352,34 +344,6 @@ def _kernel_inputs():
     return inputs
 
 
-def _int_root_inputs():
-    """[a, n, factors or None, m, sign] for sqrt_mod_ideal(INTS, a, n,
-    factors) and short_congruence_pair(INTS, a, sign*m^2*n, w, m)."""
-    rng = random.Random("same-outputs ints")
-    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
-    inputs = []
-    for i in range(INT_ROOTS):
-        cut, kind = i % 50 == 0, i % 4
-        ps = sorted(rng.sample(primes[1:], 15) if cut else rng.sample(primes, rng.randint(1, 5)))
-        n = math.prod(ps)
-        x = rng.randint(-5 * n, 5 * n)
-        while cut and math.gcd(x, n) > 1:
-            x += 1
-        if cut or kind == 0:
-            a = x * x - rng.randint(-3, 3) * n
-        elif kind == 1:
-            a = 0 if i % 20 == 1 else rng.choice(ps) * rng.randint(-10 * n, 10 * n)
-        else:  # no root mod some prime, often
-            a = rng.randint(-10 * n, 10 * n)
-        factors = [[p, 1] for p in ps] if rng.random() < 0.5 else None
-        inputs.append(["int_root", a, n, factors, rng.randint(1, 100), rng.choice((-1, 1))])
-    # 75 = 3*5^2 and 12 = 2^2*3 are not squarefree: ValueError, with or
-    # without their factors.
-    inputs += [["int_root", 2, 75, f, 1, 1] for f in (None, [[3, 1], [5, 2]])]
-    inputs += [["int_root", 5, 12, f, 1, 1] for f in (None, [[2, 2], [3, 1]])]
-    return inputs
-
-
 def _xgcd(a, b):
     """(g, s, t) with s*a + t*b = g = +-gcd(a, b)."""
     r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
@@ -401,7 +365,7 @@ def _dump(checkout, inputs_path):
     import conic_nf
     import conic_nf.cli
     from conic_nf import descent, holzer, ideals, lattice, residues, solvability
-    from conic_nf.fields import INTS, format_element, make_field, nearest_integer, parse_element, size_sq, surd_sign
+    from conic_nf.fields import format_element, make_field, nearest_integer, parse_element, size_sq, surd_sign
 
     if not os.path.abspath(conic_nf.__file__).startswith(src + os.sep):
         raise RuntimeError(f"conic_nf imported from {conic_nf.__file__}, not from {src}")
@@ -553,10 +517,6 @@ def _dump(checkout, inputs_path):
             K = make_field(d)
             moduli = [ideals.principal_ideal(K.element(*g)) for g in gens] + [ideal_of(K, ks) for ks in picks]
             return [format_element(residues.closest_in_coset(K.element(*x), M)) for x in xs for M in moduli]
-        if kind == "int_root":
-            a, n, factors, m, sign = args
-            w = residues.sqrt_mod_ideal(INTS, a, n, factors and [tuple(f) for f in factors])
-            return [w, None if w is None else lattice.short_congruence_pair(INTS, a, sign * m * m * n, w, m)]
         if kind == "surd_sign":
             return [surd_sign(*t) for t in args[0]]
         if kind == "element_api":
@@ -616,7 +576,6 @@ def main(argv):
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
         inputs += _surface_inputs() + _gram_inputs() + _factor_inputs() + _kernel_inputs()
-        inputs += _int_root_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
