@@ -22,9 +22,8 @@ Over a real field nearest_integer is the kernel's closest element of a
 coset of den*O_K.
 
 Q's own kernel, INTS, is the part of the kernel's API that the Holzer step
-uses, on plain ints.  Its extended gcd takes the nearest-integer quotients
-of the pair path, so it gives IntegerRing.xgcd's Bezout coefficients over
-Q; the Holzer step over Q and the HNF of ideals call it.
+uses on plain ints; its extended gcd, which the HNF of ideals calls too,
+takes the pair path's nearest-integer quotients, as IntegerRing.xgcd does.
 The helpers of the check and the descent take a ring and its values;
 kernel_edge lets them take FieldElements, converted there and only there.
 """
@@ -844,7 +843,8 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
 # step uses, on plain ints (gcd is the positive one).
 INTS = SimpleNamespace(
     field=RATIONAL, one=1, zero=0, mul=operator.mul, add=operator.add, sub=operator.sub,
-    norm=lambda x: x * x, exact_div=lambda a, b: None if a % b else a // b, gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
+    norm=lambda x: x * x,
+    exact_div=lambda a, b: None if a % b else a // b, gcd=lambda xs: math.gcd(*xs), xgcd=_int_xgcd,
 )
 
 

@@ -9,7 +9,7 @@ intersection of a short line, whose N(z) is smaller; N(z) is a non-negative
 integer, so the steps end, and a step that cannot shrink it raises.
 
 The steps run on kernel values: plain ints over Q (fields.INTS), whose
-rank-2 lattice lattice.reduce_int_pairs reduces, and integer (u, v) pairs
+rank-2 lattices go to lattice.reduce_int_pairs, and integer (u, v) pairs
 through the field's IntegerRing elsewhere.  The equation and
 the start are converted once, each step checks in integers that its point
 lies on the conic, and so do the start and the result.  is_reduced tests

@@ -149,7 +149,7 @@ def _lll(G):
 
 def combine(coeffs, vecs):
     """The sum of c*v over coeffs and vecs, each v a pair (x, y) of kernel
-    values: pairs, or ints over Q (INTS)."""
+    pairs, or a tuple of ints."""
     if type(vecs[0][0]) is int:
         return tuple(sum(c * t for c, t in zip(coeffs, ts)) for ts in zip(*vecs))
     xu = xv = yu = yv = 0
