@@ -444,7 +444,7 @@ def solve_conic(
     """
     if eq.field.is_rational:
         point = _rational_point([t.num[0] for t in (eq.a, eq.b, eq.c)], (), trace)
-        return SolutionTriple(*map(RATIONAL.element, point))
+        return SolutionTriple(*(integer_ring(RATIONAL).element((t, 0)) for t in point))
     ring, a, A1, A2, B1, B2, primes = _norm_form(eq)
     if trace is not None:
         trace.add("norm_form", ring, A=A1, B=B1)
