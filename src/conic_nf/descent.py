@@ -243,8 +243,7 @@ def compose_solution(
 def _rational_point(coeffs, primes=(), trace: Optional[DescentTrace] = None):
     """A primitive point of a*x^2 + b*y^2 + c*z^2 = 0 over Q, as ints, for
     the nonzero ints coeffs, by one lattice reduction that factors only
-    them (Cremona and Rusin, Math. Comp. 72, 2003; Simon, Math. Comp. 74,
-    2005), or NotSolvable.
+    them (Cremona and Rusin, 2003; Simon, 2005), or NotSolvable.
 
     Legendre's normal form: with a = s_a*q_a^2, s_a square-free, the s's
     over their gcd g and g_ab = gcd(s_a, s_b), A = s_a*g_bc/(g_ab*g_ac), and
@@ -282,6 +281,7 @@ def _rational_point(coeffs, primes=(), trace: Optional[DescentTrace] = None):
     if not cert.solvable:
         raise NotSolvable(f"({A})x^2 + ({B})y^2 + ({C})z^2 = 0 fails the local conditions ({cert.reason})")
     roots = {2: 1} | {w["prime"].p: w["witness"].num[0] for w in cert.places if w["type"] == "odd_prime"}
+
     def crt(n, f):
         # The least sum over p | n of f(p)*e_p, e_p = 1 mod p and 0 mod n/p.
         t = sum(f(p) * (n // p) * pow(n // p, -1, p) for p in primes if n % p == 0)
