@@ -23,7 +23,8 @@ unit that balances a generator.
 
 principal_ideal, element_valuation and square_decompose are kernel forms
 with the ring first (fields.kernel_edge): an IntegerRing with pairs; called
-with a FieldElement, the edge converts it and the result.
+with a FieldElement, the edge converts it and the result.  factor_element,
+on the check's path, takes the ring and a pair only.
 """
 
 from __future__ import annotations
@@ -225,35 +226,25 @@ def hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
 
     Returns the basis {a, b + c*omega} with a, c > 0, 0 <= b < a.
     Raises ValueError if the lattice is not of full rank.
+
+    One Bezout pass over the omega column gives the row (b, c) of the
+    lattice with c = +-gcd of the v's.  Each row less v/c times it is
+    (u - (v/c)*b, 0), and these span the rows with v = 0, so a is their gcd
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
     """
-    rows = [(int(u), int(v)) for (u, v) in rows if (u, v) != (0, 0)]
-    if not rows:
+    rows = [(int(u), int(v)) for (u, v) in rows]
+    if not any(u or v for u, v in rows):
         raise ValueError("zero lattice")
-    # Reduce the v-column to a single row by extended gcd.
-    c = 0
-    b = 0
-    pure: list[int] = []  # u-values of rows with v == 0
+    b = c = 0
     for u, v in rows:
-        if v == 0:
-            pure.append(u)
-            continue
-        if c == 0:
-            b, c = u, v
-        else:
-            g, x, y = INTS.xgcd(c, v)
-            # x*c + y*v = g; new combined row, leftover goes to pure rows.
-            nb = x * b + y * u
-            pure.append((b * v - u * c) // g)
-            b, c = nb, g
+        c, x, y = INTS.xgcd(c, v)
+        b = x * b + y * u
     if c < 0:
         b, c = -b, -c
-    a = 0
-    for u in pure:
-        a = math.gcd(a, abs(u))
-    if a == 0 or c == 0:
+    a = math.gcd(*(u - v // c * b for u, v in rows)) if c else 0
+    if a == 0:
         raise ValueError("lattice not of full rank")
-    b %= a
-    return a, b, c
+    return a, b % a, c
 
 
 # -- Ideal / PrimeIdeal ------------------------------------------------------
@@ -549,34 +540,53 @@ def valuation(I: Ideal, P: PrimeIdeal) -> int:
 
 @kernel_edge
 def element_valuation(ring: IntegerRing, x, P: PrimeIdeal) -> int:
-    """v_P(x) in closed form for a nonzero pair x.
+    """v_P(x) in closed form for a nonzero pair x."""
+    return _scaled_valuation(P, *_primitive_part(ring, x))
 
-    With g the gcd of x's coordinates, x = g*y and (y) is primitive of norm
-    |N(x)|/g^2, so v_P(x) = e_P*v_p(g) + v_P((y)).
-    """
+
+def _primitive_part(ring: IntegerRing, x) -> tuple[int, int, int, int]:
+    """(g, n, u, v) with (x) = g*J for the nonzero pair x: g is the gcd of
+    x's coordinates, and J = (x/g), x/g = u + v*omega, is primitive of norm
+    n = |N(x)|/g^2 (1 over Q, where N(x) = x^2)."""
     if x == (0, 0):
         raise ValueError("valuation of zero")
     u, v = x
     g = math.gcd(u, v)
-    n = abs(ring.norm((u, v)))
-    return _scaled_valuation(P, g, n // (g * g), u // g, v // g)
+    return g, abs(ring.norm(x)) // (g * g), u // g, v // g
+
+
+def _factor(field, g, n, u, v, primes, I=None) -> list[tuple[PrimeIdeal, int]]:
+    """The prime factorization of g*J for a rational integer g and a
+    primitive ideal J of norm n that holds u + v*omega, from the
+    factorization of its norm g^2*n (g*n over Q).  The valuations are
+    valuation(I, P) for the ideal I = g*J when it is given, else
+    _scaled_valuation; the norm's p-part p^E is the product of the
+    N(P)^v_P over the primes P above p.  primes go to factor_int.
+    """
+    norm = g * n if field.is_rational else g * g * n
+    out = []
+    for p, E in factor_int(norm, primes):
+        for P in splitting_type(field, p)[1]:
+            k = _scaled_valuation(P, g, n, u, v) if I is None else valuation(I, P)
+            if k > 0:
+                out.append((P, k))
+                E -= P.f * k
+        assert E == 0, "ideal factorization norm mismatch"
+    return out
 
 
 def factor_ideal(I: Ideal, primes=()) -> list[tuple[PrimeIdeal, int]]:
     """Prime factorization of a nonzero integral ideal; over Q it is the
-    factorization of the norm.  primes go to factor_int."""
-    out: list[tuple[PrimeIdeal, int]] = []
-    for p, k in factor_int(I.norm, primes):
-        for P in splitting_type(I.field, p)[1]:
-            e = valuation(I, P)
-            if e > 0:
-                out.append((P, e))
-    # Sanity: norms must multiply back.
-    total = 1
-    for P, e in out:
-        total *= P.residue_size**e
-    assert total == I.norm, "ideal factorization norm mismatch"
-    return out
+    factorization of the norm.  I = c*J with J = (a/c, b/c + omega) as in
+    valuation.  primes go to factor_int."""
+    c = I.c
+    return _factor(I.field, c, I.a // c, I.b // c, 1, primes, I)
+
+
+def factor_element(ring: IntegerRing, x, primes=()) -> list[tuple[PrimeIdeal, int]]:
+    """factor_ideal of the ideal (x) of the nonzero pair x, from x's
+    primitive part, with no HNF.  primes go to factor_int."""
+    return _factor(ring.field, *_primitive_part(ring, x), primes)
 
 
 # -- principality ------------------------------------------------------------
@@ -688,7 +698,7 @@ def square_decompose(ring, t, primes=()):
     """
     if t == ring.zero:
         raise ValueError("square_decompose of zero")
-    root = [(P, e // 2) for P, e in factor_ideal(principal_ideal(ring, t), primes) if e >= 2]
+    root = [(P, e // 2) for P, e in factor_element(ring, t, primes) if e >= 2]
     if not root:
         return t, ring.one
     Ps, top = zip(*root)

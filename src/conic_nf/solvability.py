@@ -10,12 +10,12 @@ the rule that decided each prime over 2, so it can be re-verified externally.
 
 The check runs on IntegerRing pairs, Q's as (u, 0), and builds no ideal
 of a coefficient; the descent passes it its own values, and only the
-witnesses are made elements.  The valuations of x = u + v*omega come from
-the factorisation of |N(x)| and, with g = gcd(u, v), the closed form of
-v_P(g*J) for the primitive ideal J = (x/g).  At a degree-1 unramified
-prime (Q and split primes) the witness is closed-form too: the lesser of
-+-p^(s/2)*y mod p^(s/2+1), for y a square root mod p of the unit part of
-the image of -c_i*c_j in Z/p^(s+1).
+witnesses are made elements.  The valuations of x = u + v*omega are
+ideals.factor_element's: from the factorisation of |N(x)| and, with
+g = gcd(u, v), the closed form of v_P(g*J) for the primitive ideal
+J = (x/g).  At a degree-1 unramified prime (Q and split primes) the witness
+is closed-form too: the lesser of +-p^(s/2)*y mod p^(s/2+1), for y a square
+root mod p of the unit part of the image of -c_i*c_j in Z/p^(s+1).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .fields import (
     integer_ring,
     surd_sign,
 )
-from .ideals import PrimeIdeal, _scaled_valuation, factor_int, splitting_type
+from .ideals import PrimeIdeal, factor_element, splitting_type
 from .residues import least_root, local_solvable_at_two
 
 
@@ -115,33 +115,6 @@ def embedding_condition(eq: ConicEquation) -> bool:
     return _mixed_signs(integer_ring(eq.field), eq.a.num, eq.b.num, eq.c.num)
 
 
-def _valuations(ring: IntegerRing, x, primes=()) -> dict[tuple[int, int], int]:
-    """The valuations v_P(x) > 0 of the nonzero pair x, keyed by
-    (p, index of P in splitting_type(field, p)[1]), in the order in which
-    factor_ideal lists the primes of (x).
-
-    They come from the factorisation of |N(x)| with no ideal: with
-    g = gcd(u, v), (x) = g*J for the primitive ideal J of norm |N(x)|/g^2,
-    whose valuations _scaled_valuation gives in closed form.  primes go to
-    factor_int.
-    """
-    field = ring.field
-    u, v = x
-    if field.is_rational:
-        return {(p, 0): k for p, k in factor_int(u, primes)}
-    n = abs(ring.norm(x))
-    g = math.gcd(u, v)
-    vals, total = {}, 1
-    for p, _ in factor_int(n, primes):
-        for i, P in enumerate(splitting_type(field, p)[1]):
-            k = _scaled_valuation(P, g, n // (g * g), u // g, v // g)
-            if k:
-                vals[p, i] = k
-                total *= P.residue_size**k
-    assert total == n, "ideal factorization norm mismatch"
-    return vals
-
-
 def _odd_prime_condition(
     coeffs: tuple, vals: list[int], P: PrimeIdeal
 ) -> tuple[bool, Optional[FieldElement]]:
@@ -191,12 +164,13 @@ def check_solvable(ring, a=None, b=None, c=None, primes=()) -> Certificate:
         if not ok:
             return Certificate(False, "real_embedding", places)
 
-    # v_P of each coefficient, read from its norm's factorisation (0 where P
-    # is absent); the primes of a come first, then the new ones of b and c.
-    valuations = [_valuations(ring, x, primes) for x in (a, b, c)]
-    for p, i in dict.fromkeys(key for f in valuations for key in f if key[0] != 2):
-        vals = [f.get((p, i), 0) for f in valuations]
-        P = splitting_type(field, p)[1][i]
+    # v_P of each coefficient (0 where P is absent), keyed by (p, r), which
+    # tells the primes over p apart; the primes of a come first, then the
+    # new ones of b and c.
+    factors = [factor_element(ring, x, primes) for x in (a, b, c)]
+    valuations = [{(P.p, P.r): k for P, k in f} for f in factors]
+    for key, P in {(P.p, P.r): P for f in factors for P, _ in f if P.p != 2}.items():
+        vals = [f.get(key, 0) for f in valuations]
         ok, witness = _odd_prime_condition((a, b, c), vals, P)
         places.append({"type": "odd_prime", "prime": P, "ok": ok, "witness": witness})
         if not ok:

@@ -414,14 +414,15 @@ def _square_decompose_by_divisor_list(t):
 # Q, Q(sqrt(-7)) and Q(sqrt(6)) have class number 1; Q(sqrt(-5)), Q(sqrt(-6)),
 # Q(sqrt(-15)), Q(sqrt(10)) and Q(sqrt(15)) have 2, Q(sqrt(-23)) 3 and
 # Q(sqrt(-47)) 5.
-@pytest.mark.parametrize(
-    "d, class_number",
-    [("Q", 1), (-7, 1), (6, 1), (-5, 2), (-6, 2), (-15, 2), (10, 2), (15, 2), (-23, 3), (-47, 5)],
-)
-def test_square_decompose_matches_the_divisor_list(d, class_number):
+SQUARE_DECOMPOSE_FIELDS = [
+    ("Q", 1), (-7, 1), (6, 1), (-5, 2), (-6, 2), (-15, 2), (10, 2), (15, 2), (-23, 3), (-47, 5)
+]
+
+
+def _square_decompose_inputs(d):
+    """250 seeded elements t = u*g^2 of the field d."""
     K = make_field(d)
     rng = random.Random(f"square-decompose {d}")
-    non_principal_roots = 0
     for _ in range(250):
         u = g = K.zero()
         while u.is_zero or g.is_zero:
@@ -430,7 +431,13 @@ def test_square_decompose_matches_the_divisor_list(d, class_number):
             # square factors for the walk to find.
             u = K.element(rng.randint(-60, 60), 0 if K.is_rational else rng.randint(-60, 60))
             g = K.element(rng.randint(-9, 9), 0 if K.is_rational else rng.randint(-9, 9))
-        t = u * g * g
+        yield u * g * g
+
+
+@pytest.mark.parametrize("d, class_number", SQUARE_DECOMPOSE_FIELDS)
+def test_square_decompose_matches_the_divisor_list(d, class_number):
+    non_principal_roots = 0
+    for t in _square_decompose_inputs(d):
         assert square_decompose(t) == _square_decompose_by_divisor_list(t), t
         root = [prime_power(P, e // 2) for P, e in factor_ideal(principal_ideal(t)) if e >= 2]
         if root and is_principal(functools.reduce(Ideal.__mul__, root)) is None:
@@ -438,6 +445,25 @@ def test_square_decompose_matches_the_divisor_list(d, class_number):
     # About a third of the roots walk past R where the class group is not
     # trivial.
     assert (non_principal_roots >= 50) == (class_number > 1), non_principal_roots
+
+
+def test_square_decompose_builds_no_ideal_of_t(monkeypatch):
+    # square_decompose reads the square part of (t) off t's factorisation as
+    # an element (factor_element), with no HNF of (t): on the 2,500 elements
+    # of test_square_decompose_matches_the_divisor_list it calls
+    # principal_ideal 0 times.
+    calls = []
+    principal = conic_nf.ideals.principal_ideal
+
+    def counted(*args):
+        calls.append(args)
+        return principal(*args)
+
+    monkeypatch.setattr(conic_nf.ideals, "principal_ideal", counted)
+    for d, _ in SQUARE_DECOMPOSE_FIELDS:
+        for t in _square_decompose_inputs(d):
+            square_decompose(t)
+    assert calls == []
 
 
 def test_valuation():

@@ -11,11 +11,10 @@ from conic_nf.errors import BaseDegenerate, PreconditionViolated
 from conic_nf.descent import SolutionTriple, verify
 from conic_nf.fields import FieldElement, integer_ring, make_field, parse_element
 from conic_nf import ideals, residues, solvability
-from conic_nf.ideals import Ideal, PrimeIdeal, factor_ideal, principal_ideal, splitting_type
+from conic_nf.ideals import Ideal, PrimeIdeal, factor_element, factor_ideal, principal_ideal, splitting_type
 from conic_nf.solvability import (
     Certificate,
     ConicEquation,
-    _valuations,
     check_solvable,
     embedding_condition,
 )
@@ -345,11 +344,12 @@ def _odd_primes(K, kind):
 
 def test_kernel_valuations_match_the_ideal_factorisation():
     # The check reads each coefficient's valuations from the factorisation of
-    # its norm, with no ideal.  They are the factorisation of its ideal, in
-    # the same order, on 3,000 random elements over Q and twelve fields,
-    # imaginary and real, where 2 splits, ramifies or is inert.  Each element
-    # is a small one times a content, times powers of an element of a prime
-    # over 2, of a ramified odd prime and of a split odd prime.
+    # its norm, with no ideal (factor_element).  They are the factorisation
+    # of its ideal, in the same order, on 3,000 random elements over Q and
+    # twelve fields, imaginary and real, where 2 splits, ramifies or is
+    # inert.  Each element is a small one times a content, times powers of an
+    # element of a prime over 2, of a ramified odd prime and of a split odd
+    # prime.
     rng = random.Random(27)
     fields = [Q, *map(make_field, (-1, -3, -5, -7, -15, 2, 5, 13, 14, 17, 1001, -1009))]
     pis = {}
@@ -368,9 +368,7 @@ def test_kernel_valuations_match_the_ideal_factorisation():
         for pi in rng.sample(pis[K], 3):
             x = x * pi ** rng.randint(0, 4)
         ring = integer_ring(K)
-        got = [
-            (splitting_type(K, p)[1][i], k) for (p, i), k in _valuations(ring, ring.pair(x)).items()
-        ]
+        got = factor_element(ring, ring.pair(x))
         assert got == factor_ideal(principal_ideal(x)), (K, x)
         seen.update((K.disc and K.disc % 8, P.e, P.f) for P, k in got if P.p == 2 and k >= 3)
     # Every kind of prime over 2 at valuation 3 or more: Q, split, inert,

@@ -29,11 +29,12 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   cofactor after trial division lies on either side of 4096^2;
 - the kernel's rank-2 and residuosity questions: ideals.splitting_type for
   every prime below 2,000 over the 19 fields, and at p = 2 over more fields
-  with d = 1 and d = 5 (mod 8); ideals.is_principal on seeded products of
-  prime powers over the 18 quadratic fields and the real fields of class
-  number 2 in PRINCIPAL_FIELDS; residues.closest_in_coset over the
-  imaginary fields on seeded cosets of principal and non-principal ideals;
-  and fields.surd_sign on seeded (r, s, rad) with zero parts.
+  with d = 1 and d = 5 (mod 8); ideals.is_principal, factor_ideal and
+  valuation on seeded products of prime powers over the 18 quadratic fields
+  and the real fields of class number 2 in PRINCIPAL_FIELDS;
+  residues.closest_in_coset over the imaginary fields on seeded cosets of
+  principal and non-principal ideals; and fields.surd_sign on seeded
+  (r, s, rad) with zero parts.
 
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
@@ -41,7 +42,9 @@ solve_conic point with DescentTrace.to_list(), the reduce_solution point,
 the corpus or parametrize --json output with its exit code, or the error's
 type and text.
 For splitting_type it dumps the kind and each prime's (e, f, second
-generator, r); for is_principal the generator or None.
+generator, r); for is_principal the generator or None; for each product
+of prime powers, its factor_ideal and its valuation at every prime over
+p < 60, principal or not, so that the HNF route is covered too.
 On the element sweep it dumps the repr of each size_sq and the pairwise
 order and equality of the size_sq values, and of pair_measure values over
 Q and the imaginary fields; nearest_integer and closest_in_coset over the
@@ -322,6 +325,7 @@ def _kernel_inputs():
         picks = [[(rng.randrange(10**6), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
                  for _ in range(PRINCIPAL_IDEALS)]
         inputs.append(["principal", d, picks])
+        inputs.append(["ideal_factors", d, picks])
         if d < 0:
             xs = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(SURFACE_ELEMENTS)]
             gens = [(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(4)]
@@ -512,6 +516,11 @@ def _dump(checkout, inputs_path):
             K = make_field(d)
             gens = [ideals.is_principal(ideal_of(K, ks)) for ks in picks]
             return [None if g is None else format_element(g) for g in gens]
+        if kind == "ideal_factors":
+            d, picks = args
+            K = make_field(d)
+            primes, moduli = primes_below(K), [ideal_of(K, ks) for ks in picks]
+            return [[repr(ideals.factor_ideal(I)), [ideals.valuation(I, P) for P in primes]] for I in moduli]
         if kind == "imaginary_cosets":
             d, xs, gens, picks = args
             K = make_field(d)
