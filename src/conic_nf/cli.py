@@ -58,6 +58,22 @@ def _parse_equation(field: FieldDescriptor, text: str) -> ConicEquation:
     return ConicEquation.from_coefficients(a, b, c)
 
 
+class _Unverified(Exception):
+    """A point from the library failed the CLI's own check.  The CLI checks
+    every point it prints, as python -O strips the library's asserts."""
+
+
+def _solve(eq: ConicEquation, trace=None):
+    """A checked point of eq, or None when eq has none."""
+    try:
+        sol = solve_conic(eq, trace=trace)
+    except NotSolvable:
+        return None
+    if not verify(eq, sol):
+        raise _Unverified("solver output failed verification")
+    return sol
+
+
 def _triple_dict(sol: SolutionTriple) -> dict:
     return {
         "x": format_element(sol.x),
@@ -74,26 +90,15 @@ def _emit(payload: dict, as_json: bool, out) -> None:
         print(f"{key}: {value}", file=out)
 
 
-def _cmd_check(args, out) -> int:
-    field = _parse_field(args.field)
-    eq = _parse_equation(field, args.eq)
+def _cmd_check(args, eq, out) -> int:
     _emit(check_solvable(eq).to_dict(), args.json, out)
     return EXIT_OK
 
 
-def _cmd_solve(args, out) -> int:
-    field = _parse_field(args.field)
-    eq = _parse_equation(field, args.eq)
+def _cmd_solve(args, eq, out) -> int:
     trace = DescentTrace()
     try:
-        sol = solve_conic(eq, trace=trace)
-    except NotSolvable:
-        payload, code = {"solvable": False}, EXIT_OK
-    else:
-        if verify(eq, sol):
-            payload, code = {"solvable": True, "solution": _triple_dict(sol)}, EXIT_OK
-        else:
-            payload, code = {"error": "solver output failed verification"}, EXIT_MISMATCH
+        sol = _solve(eq, trace)
     finally:
         if args.trace:
             try:
@@ -101,14 +106,15 @@ def _cmd_solve(args, out) -> int:
                     json.dump(trace.to_list(), fh, indent=2)
             except OSError as exc:  # a usage error, exit 2
                 raise ConicError(f"cannot write the trace: {exc}") from None
-    _emit(payload, args.json, out)
-    return code
+    if sol is None:
+        _emit({"solvable": False}, args.json, out)
+    else:
+        _emit({"solvable": True, "solution": _triple_dict(sol)}, args.json, out)
+    return EXIT_OK
 
 
-def _cmd_parametrize(args, out) -> int:
-    field = _parse_field(args.field)
-    eq = _parse_equation(field, args.eq)
-    base = SolutionTriple(*_parse_triple(field, args.base))
+def _cmd_parametrize(args, eq, out) -> int:
+    base = SolutionTriple(*_parse_triple(eq.field, args.base))
     if not verify(eq, base):
         _emit({"error": "base is not a solution"}, args.json, out)
         return EXIT_MISMATCH
@@ -117,14 +123,9 @@ def _cmd_parametrize(args, out) -> int:
         return EXIT_PARSE
     sols = list(enumerate_solutions(eq, base, args.max_param, z_norm_bound=args.height))
     if not all(verify(eq, s) for s in sols):
-        _emit({"error": "parametrize output failed verification"}, args.json, out)
-        return EXIT_MISMATCH
-    payload = {
-        "count": len(sols),
-        "solutions": [_triple_dict(s) for s in sols],
-    }
+        raise _Unverified("parametrize output failed verification")
     if args.json:
-        _emit(payload, True, out)
+        _emit({"count": len(sols), "solutions": [_triple_dict(s) for s in sols]}, True, out)
     else:
         print(f"count: {len(sols)}", file=out)
         for s in sols:
@@ -132,23 +133,16 @@ def _cmd_parametrize(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(args, out) -> int:
-    field = _parse_field(args.field)
-    eq = _parse_equation(field, args.eq)
-    sol = SolutionTriple(*_parse_triple(field, args.solution))
-    red = reduce_solution(eq, sol)
+def _cmd_reduce(args, eq, out) -> int:
+    red = reduce_solution(eq, SolutionTriple(*_parse_triple(eq.field, args.solution)))
     if not (verify(eq, red) and is_reduced(eq, red)):
-        _emit({"error": "reducer output failed verification"}, args.json, out)
-        return EXIT_MISMATCH
+        raise _Unverified("reducer output failed verification")
     _emit({"solution": _triple_dict(red), "reduced": True}, args.json, out)
     return EXIT_OK
 
 
-def _cmd_verify(args, out) -> int:
-    field = _parse_field(args.field)
-    eq = _parse_equation(field, args.eq)
-    sol = SolutionTriple(*_parse_triple(field, args.solution))
-    ok = verify(eq, sol)
+def _cmd_verify(args, eq, out) -> int:
+    ok = verify(eq, SolutionTriple(*_parse_triple(eq.field, args.solution)))
     _emit({"verified": ok}, args.json, out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -158,44 +152,46 @@ def _parse_corpus_line(line: str):
     if len(parts) not in (5, 8):
         raise ParseError(f"expected 5 or 8 fields, got {len(parts)}")
     field = _parse_field(parts[0])
-    a, b, c = (parse_element(field, p) for p in parts[1:4])
+    eq = _parse_equation(field, ";".join(parts[1:4]))
     expectation = parts[4].lower()
     if expectation not in ("solvable", "unsolvable", "any"):
         raise ParseError(f"bad expectation {parts[4]!r}")
     known = None
     if len(parts) == 8:
-        known = SolutionTriple(*(parse_element(field, p) for p in parts[5:8]))
-    return ConicEquation.from_coefficients(a, b, c), expectation, known
+        known = SolutionTriple(*_parse_triple(field, ";".join(parts[5:])))
+    return eq, expectation, known
 
 
-def _run_corpus_line(idx: int, line: str):
+def _run_corpus_line(line: str):
+    """The (status, detail) of one corpus line."""
     try:
         eq, expectation, known = _parse_corpus_line(line)
-    except (ParseError, ConicError) as exc:
-        return idx, "parse-error", str(exc)
+    except ConicError as exc:
+        return "parse-error", str(exc)
     try:
         if known is not None and not verify(eq, known):
-            return idx, "mismatch", "stated solution fails verification"
+            return "mismatch", "stated solution fails verification"
         if expectation == "unsolvable":
             if check_solvable(eq).solvable:
-                return idx, "mismatch", "expected unsolvable, got solvable"
-            return idx, "ok", "unsolvable"
-        try:
-            sol = solve_conic(eq)
-        except NotSolvable:
-            if expectation == "solvable":
-                return idx, "mismatch", "expected solvable, got unsolvable"
-            return idx, "ok", "unsolvable"
-        return idx, "ok", f"solvable {sol!r}"
+                return "mismatch", "expected unsolvable, got solvable"
+            return "ok", "unsolvable"
+        sol = _solve(eq)
     except UndecidedError as exc:
-        return idx, "undecided", str(exc)
+        return "undecided", str(exc)
+    except _Unverified as exc:
+        return "mismatch", str(exc)
+    if sol is not None:
+        return "ok", f"solvable {sol!r}"
+    if expectation == "solvable":
+        return "mismatch", "expected solvable, got unsolvable"
+    return "ok", "unsolvable"
 
 
 def _cmd_corpus(args, out) -> int:
     try:
         with open(args.file) as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_PARSE
     lines = [
@@ -203,18 +199,12 @@ def _cmd_corpus(args, out) -> int:
         for i, ln in enumerate(raw)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    results = [_run_corpus_line(i, ln) for i, ln in lines]
+    results = [(i, *_run_corpus_line(ln)) for i, ln in lines]
     counts = {"ok": 0, "mismatch": 0, "undecided": 0, "parse-error": 0}
     for idx, status, detail in results:
         counts[status] += 1
         if args.json:
-            print(
-                json.dumps(
-                    {"line": idx, "status": status, "detail": detail},
-                    sort_keys=True,
-                ),
-                file=out,
-            )
+            _emit({"line": idx, "status": status, "detail": detail}, True, out)
         else:
             print(f"line {idx}: {status} ({detail})", file=out)
     summary = ", ".join(f"{k}={v}" for k, v in counts.items())
@@ -283,7 +273,6 @@ _COMMANDS = {
     "parametrize": _cmd_parametrize,
     "reduce": _cmd_reduce,
     "verify": _cmd_verify,
-    "corpus": _cmd_corpus,
 }
 
 
@@ -320,7 +309,13 @@ def run(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, out)
+        if args.command == "corpus":
+            return _cmd_corpus(args, out)
+        eq = _parse_equation(_parse_field(args.field), args.eq)
+        return _COMMANDS[args.command](args, eq, out)
+    except _Unverified as exc:
+        _emit({"error": str(exc)}, args.json, out)
+        return EXIT_MISMATCH
     except UndecidedError as exc:
         _emit({"undecided": str(exc)}, args.json, out)
         return EXIT_UNDECIDED

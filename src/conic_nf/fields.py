@@ -682,14 +682,9 @@ class IntegerRing:
         for k2 in range(-((L - c2) // det), (c2 + L) // det + 1):
             y = (xu - k2 * r2[0], xv - k2 * r2[1])
             e = dot(y, r1)
-            if self.real:
-                # dot(z, z) = (k1*n1 - e)^2 / n1 + the orthogonal part <= S.
-                room = math.isqrt(S * n1 - n1 * dot(y, y) + e * e)
-                k1s = range(-((room - e) // n1), (e + room) // n1 + 1)
-            else:
-                # size_sq(z) = dot(z, z) is a quadratic in k1, least at e/n1.
-                k1s = (e // n1, e // n1 + 1)
-            for k1 in k1s:
+            # dot(z, z) = (k1*n1 - e)^2 / n1 + the orthogonal part <= S.
+            room = math.isqrt(S * n1 - n1 * dot(y, y) + e * e)
+            for k1 in range(-((room - e) // n1), (e + room) // n1 + 1):
                 cand = (y[0] - k1 * r1[0], y[1] - k1 * r1[1])
                 key = (self.size_sq(cand), *cand)
                 if key < best:

@@ -161,15 +161,26 @@ def test_reduce_returns_a_point_at_infinity_when_a_line_gives_one():
         ("reduce", "reduce_solution", "41;38;25"),  # a solution, not reduced
         ("solve", "solve_conic", "1;1;1"),
         ("parametrize", "enumerate_solutions", "1;1;1"),  # listed from the base (1, 2, 1)
+        ("corpus", "solve_conic", "1;1;1"),  # for a line that expects a point
     ],
 )
-def test_output_that_fails_its_check_exits_1_with_an_error(command, name, point, monkeypatch):
+def test_output_that_fails_its_check_exits_1_with_an_error(
+    command, name, point, monkeypatch, tmp_path
+):
     # The CLI checks the library's answer itself, not by an assert that
     # python -O would remove.
     Q = make_field("Q")
     fake = SolutionTriple(*(parse_element(Q, t) for t in point.split(";")))
     listed = command == "parametrize"
     monkeypatch.setattr(conic_nf.cli, name, lambda *args, **kwargs: iter([fake]) if listed else fake)
+    if command == "corpus":
+        # A corpus line reports the failed check as a mismatch row.
+        corpus = tmp_path / "one.corpus"
+        corpus.write_text("Q ; 1 ; 1 ; -5 ; solvable\n")
+        code, text = _run(["corpus", str(corpus), "--json"])
+        row = {"line": 1, "status": "mismatch", "detail": "solver output failed verification"}
+        assert code == 1 and json.loads(text) == row
+        return
     extra = {"reduce": ["--solution", "41;38;25"], "parametrize": ["--base", "1;2;1"]}
     argv = [command, "--eq", "1;1;-5"] + extra.get(command, [])
     code, text = _run(argv)
@@ -237,6 +248,16 @@ def test_parse_error_exit_code():
     code, text = _run(["corpus", os.path.join(FIXTURES, "no-such.corpus")])
     assert code == 2
     assert text.startswith("error: ") and "no-such.corpus" in text
+
+
+def test_corpus_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    # A file that cannot be decoded is a file that cannot be read: an error
+    # line and exit 2, not a UnicodeDecodeError out of run.
+    corpus = tmp_path / "binary.corpus"
+    corpus.write_bytes(b"\xff\n")
+    code, text = _run(["corpus", str(corpus)])
+    assert code == 2
+    assert text.startswith("error: ") and "decode" in text
 
 
 def test_missing_or_unknown_subcommand_is_a_usage_error():
