@@ -410,7 +410,22 @@ def _step(ring, A, B, trace: DescentTrace, depth: int, primes):
 
 
 def verify(eq: ConicEquation, sol: SolutionTriple) -> bool:
-    return (not sol.is_trivial) and eq.evaluate(sol.x, sol.y, sol.z).is_zero
+    """True when sol is a nontrivial solution of eq, checked by _on_conic on
+    the kernel pairs of its point over a common denominator."""
+    if sol.is_trivial:
+        return False
+    _, point = _cleared(eq, sol)
+    return _on_conic(integer_ring(eq.field), [t.num for t in (eq.a, eq.b, eq.c)], point)
+
+
+def _cleared(eq: ConicEquation, sol: SolutionTriple):
+    """(den, [den*x, den*y, den*z] as kernel pairs) for the least common
+    denominator den of sol's coordinates, which must lie in eq's field."""
+    point = (sol.x, sol.y, sol.z)
+    if any(t.field is not eq.field for t in point):
+        raise ValueError("elements of different fields")
+    den = math.lcm(*(t.den for t in point))
+    return den, [(t.num[0] * (den // t.den), t.num[1] * (den // t.den)) for t in point]
 
 
 def _primitive_point(ring, point, divisors):

@@ -4,8 +4,9 @@ Given (B) = M^2*S with S squarefree and w with w^2 = A (mod S), the pairs
 (w*y + m, y) with y in M and m in M*S form a lattice on which B divides
 x^2 - A*y^2; a short vector for a length weighted per embedding yields a
 small quotient, which drives the descent over the quadratic fields; holzer
-reduces lines through a point alike (over Q by reduce_int_pairs), and the
-descent solves Q by one rank-3 reduction.  LLL is integral
+reduces lines through a point alike (over Q by reduce_int_pairs; over an
+imaginary field after a reduction over O_K of its own, with pair_weights'
+weights), and the descent solves Q by one rank-3 reduction.  LLL is integral
 (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
 keeps its Gram-Schmidt data as integers, in four scalars at rank 2 (the
 kernel's step, fields._lll_rank2), and reads the reduced Gram matrix off
@@ -166,6 +167,12 @@ def module_basis(ring, basis):
     return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in ((1, 0), (0, 1))]
 
 
+def pair_weights(ring, a, b):
+    """The integer weights round(sqrt(|N(a)|)*_SCALE) and round(sqrt(|N(b)|)*_SCALE)
+    by which reduce_pairs weighs x and y over Q and an imaginary field."""
+    return tuple((math.isqrt(4 * abs(ring.norm(e)) * _SCALE**2) + 1) // 2 for e in (a, b))
+
+
 def reduce_pairs(ring, gens, coeffs):
     """LLL-reduced rows of the lattice with Z-basis gens, pairs (x, y) of
     kernel pairs, for the length sum_i (|sigma_i(a)|*sigma_i(x)^2 +
@@ -186,7 +193,7 @@ def reduce_pairs(ring, gens, coeffs):
         ws = [(mul(wx, p), mul(wy, q)) for p, q in gens]
         low = [[dot(p, u) + dot(q, v) for u, v in gens[: i + 1]] for i, (p, q) in enumerate(ws)]
     else:
-        wx, wy = ((math.isqrt(4 * abs(norm(e)) * _SCALE**2) + 1) // 2 for e in coeffs[:2])
+        wx, wy = pair_weights(ring, *coeffs[:2])
         low = [[wx * dot(p, u) + wy * dot(q, v) for u, v in gens[: i + 1]] for i, (p, q) in enumerate(gens)]
     # dot is symmetric: each entry is built once, on or below the diagonal.
     gram = [row + [low[j][i] for j in range(i + 1, len(low))] for i, row in enumerate(low)]

@@ -208,6 +208,41 @@ def test_solve_conic_random_over_imaginary_fields():
     assert solved >= 20
 
 
+def test_verify_agrees_with_element_evaluation_on_fractional_points():
+    # verify checks on kernel integers over a common denominator; the element
+    # evaluation a*x^2 + b*y^2 + c*z^2 = 0 is the reference.  Points on the
+    # conic are an integral point times a fractional factor, and points off
+    # it are those with one coordinate moved.
+    rng = random.Random("verify")
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    on = off = 0
+    for d in (None, -1, -3, -7, -5, 2, 5, 13):
+        K = make_field(d)
+        el = (lambda: K.element(rng.randint(-5, 5))) if K.is_rational else (
+            lambda: K.element(rng.randint(-5, 5), rng.randint(-3, 3)))
+        for _ in range(60):
+            a, b, x, y = el(), el(), el(), el()
+            c = -(a * x * x + b * y * y)
+            k = K.element(frac(), 0 if K.is_rational else frac())
+            if a.is_zero or b.is_zero or c.is_zero or k.is_zero:
+                continue
+            eq = ConicEquation(a, b, c)
+            point = [x * k, y * k, k]
+            if rng.random() < 0.5:
+                i = rng.randrange(3)
+                point[i] = point[i] + K.element(frac(), 0 if K.is_rational else frac())
+            sol = SolutionTriple(*point)
+            expected = not sol.is_trivial and eq.evaluate(*point).is_zero
+            assert verify(eq, sol) == expected, (d, eq, sol)
+            on, off = on + expected, off + (not expected)
+        zero = K.zero()
+        assert not verify(ConicEquation(K.one(), K.one(), -K.one()), SolutionTriple(zero, zero, zero))
+    assert on > 200 and off > 200
+    other = make_field(-2)
+    with pytest.raises(ValueError):
+        verify(ConicEquation(Q7.one(), Q7.one(), Q7.element(-2)), SolutionTriple(other.one(), other.one(), other.one()))
+
+
 def test_enumerate_small_shell_order():
     bound = 6
     box = range(-bound, bound + 1)

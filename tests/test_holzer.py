@@ -183,16 +183,19 @@ GOLDEN = [
     (None, ((-1, 0), (19, 0), (-170, 0)), ((-3904897786, 0), (13173594622, 0), (4393899570, 0)), ((1, 0), (-3, 0), (1, 0))),
     (None, ((14, 0), (-11, 0), (-251, 0)), ((7697334995, 0), (7461707927, 0), (929887941, 0)), ((-5, 0), (-3, 0), (1, 0))),
     (-1, ((-2, -4), (3, -1), (102, -26)), ((470232, 180308), (-419452, 26856), (-46250, -112598)), ((3, 3), (-3, -1), (0, 1))),
-    (-1, ((-2, 2), (-3, 3), (43, 29)), ((-169616, 302120), (-2048, -323592), (-52456, -102064)), ((-7, 0), (-1, 6), (0, -1))),
+    # -1 times the point before the O_K pre-reduction of the lattice step.
+    (-1, ((-2, 2), (-3, 3), (43, 29)), ((-169616, 302120), (-2048, -323592), (-52456, -102064)), ((7, 0), (1, -6), (0, 1))),
     (-1, ((3, 2), (3, -4), (9, 12)), ((22821, -18378), (6471, 42207), (7797, -19296)), ((11, -8), (1, -11), (-1, -2))),
     (-1, ((2, 0), (-3, -1), (3, 15)), ((-33702, 21532), (21968, -24610), (2590, 6676)), ((4, -1), (3, -2), (0, -1))),
     (-2, ((0, 1), (1, 4), (42, 71)), ((-209006, -277869), (-745622, -450898), (170102, -108309)), ((-3, -2), (0, -3), (-1, 0))),
     (-2, ((-3, 4), (2, -3), (-102, -34)), ((-128754, 218629), (-51920, 243715), (-57119, -3466)), ((-2, 3), (0, 3), (1, 0))),
     (-2, ((-4, 1), (3, 3), (-57, 6)), ((95976, 17811), (-85968, 17451), (-6714, -7605)), ((-3, -9), (-9, -5), (1, 0))),
     (-2, ((0, 3), (4, -1), (80, 4)), ((24256, -4555), (2878, 33605), (-10184, 3071)), ((1, 0), (-1, 3), (1, 0))),
-    (-3, ((1, 3), (2, 3), (34, -51)), ((402272, -100616), (114400, 63800), (-125256, 74712)), ((-2, 4), (0, 1), (0, 1))),
+    # -w times the point before the O_K pre-reduction of the lattice step.
+    (-3, ((1, 3), (2, 3), (34, -51)), ((402272, -100616), (114400, 63800), (-125256, 74712)), ((4, -2), (1, -1), (1, -1))),
     (-3, ((-3, 2), (4, -1), (20, -75)), ((-5059, -12984), (38373, -37113), (-3167, 10478)), ((3, 2), (3, 3), (1, 0))),
-    (-3, ((4, 0), (-2, 2), (-36, 18)), ((-4596, -23364), (30996, -10128), (-620, 11820)), ((-3, 3), (-3, 0), (-1, 1))),
+    # w - 1 times the point before the O_K pre-reduction of the lattice step.
+    (-3, ((4, 0), (-2, 2), (-36, 18)), ((-4596, -23364), (30996, -10128), (-620, 11820)), ((0, -3), (3, -3), (0, -1))),
     (-3, ((3, 4), (1, -4), (-52, 43)), ((-6220, -13220), (13872, 11856), (908, 2040)), ((-1, 0), (2, -4), (0, 1))),
     (-7, ((2, -2), (2, -4), (-64, -12)), ((-376908, 37954), (84264, -37628), (-66492, 43034)), ((2, 3), (-2, 0), (1, 0))),
     (-7, ((-3, 4), (4, -2), (28, 20)), ((17718, -30742), (376695, -46319), (-52243, -53732)), ((2, -2), (3, -3), (1, 0))),
@@ -481,6 +484,63 @@ def test_reduce_sweep_euclidean_fields(d):
         red = reduce_solution(eq, SolutionTriple(*(t * k for t in (start.x, start.y, start.z))))
         assert verify(eq, red) and is_reduced(eq, red), (d, eq, start)
         done += 1
+
+
+def test_lattice_step_pre_reduces_over_o_k_and_leaves_an_lll_reduced_basis(monkeypatch):
+    # Seeded imaginary starts over the five Euclidean fields.  The pair that
+    # the Hermitian Lagrange-Gauss loop returns spans the same O_K-lattice as
+    # the step's basis (e1, e2), its first vector is no longer than e1 or e2
+    # under h, and it is Hermitian-reduced; the rows that reduce_pairs makes
+    # of it are LLL-reduced, so lll_reduce on their Gram matrix returns U = I.
+    from conic_nf.lattice import lll_reduce, pair_weights
+    from conic_nf.fields import integer_ring
+
+    pairs, steps = [], []
+    hermitian_reduce, reduce_pairs = holzer._hermitian_reduce, holzer.reduce_pairs
+
+    def recorded_pair(ring, basis, weights):
+        pairs.append((ring, basis, weights, hermitian_reduce(ring, basis, weights)))
+        return pairs[-1][-1]
+
+    def recorded_rows(ring, gens, coeffs):
+        steps.append((ring, coeffs, reduce_pairs(ring, gens, coeffs)))
+        return steps[-1][-1]
+
+    monkeypatch.setattr(holzer, "_hermitian_reduce", recorded_pair)
+    monkeypatch.setattr(holzer, "reduce_pairs", recorded_rows)
+    rng = random.Random("pre-reduction")
+    for d in (-1, -2, -3, -7, -11):
+        field = make_field(d)
+        el = lambda r: field.element(rng.randint(-r, r), rng.randint(-r, r))
+        done = 0
+        while done < 40:
+            a, b, x, y = el(6), el(6), el(6), el(6)
+            c = -(a * x * x + b * y * y)
+            if a.is_zero or b.is_zero or c.is_zero:
+                continue
+            eq = ConicEquation(a, b, c)
+            start = _line_start(eq, (x, y, field.one()), [el(100) for _ in range(3)])
+            if start is None:
+                continue
+            red = reduce_solution(eq, start)
+            assert verify(eq, red) and is_reduced(eq, red)
+            done += 1
+    assert len(pairs) == len(steps) >= 200
+
+    for ring, ((x1, y1), (x2, y2)), (wx, wy), r in pairs:
+        mul, sub, conj, norm = ring.mul, ring.sub, ring.conj, ring.norm
+        h = lambda p, q: ring.add(mul((wx, 0), mul(p[0], conj(q[0]))), mul((wy, 0), mul(p[1], conj(q[1]))))
+        det = sub(mul(x1, y2), mul(x2, y1))
+        (u1, v1), (u2, v2) = r
+        assert any(sub(mul(u1, v2), mul(u2, v1)) == mul(e, det) for e in ring.units)
+        n1, n2 = h(r[0], r[0])[0], h(r[1], r[1])[0]
+        assert n1 <= min(h(e, e)[0] for e in ((x1, y1), (x2, y2))) and n1 <= n2
+        # |h(r2, r1)| < h(r1, r1): the covering radius of O_K is below 1.
+        assert norm(h(r[1], r[0])) < n1 * n1
+    for ring, (a, b, _), rows in steps:
+        wx, wy = pair_weights(ring, a, b)
+        gram = [[wx * ring.dot(p, u) + wy * ring.dot(q, v) for u, v in rows] for p, q in rows]
+        assert lll_reduce(gram)[1] == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 # FieldElement arithmetic: each method that computes with elements.

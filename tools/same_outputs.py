@@ -56,6 +56,8 @@ matrix it dumps lll_reduce's reduced matrix, entries by repr so that ints
 and Fractions differ, and U; for each integer, factor_int's pairs.
 The script prints the count of each kind of output and the first
 difference, and exits 1 on any difference, 0 when every output is the same.
+A reduce point that differs is counted as moved to a unit multiple of the
+other checkout's point (the same projective point) or to another point.
 
 A change that should move no output (a refactor, a design change) runs it
 against its parent; a change that moves outputs on purpose will show them.
@@ -571,6 +573,22 @@ def _outputs(checkout, inputs_path):
     return proc.stdout.splitlines()
 
 
+def _moved_point(d, theirs, mine):
+    """"a unit multiple" when two differing reduce outputs are projectively
+    equal points over the field d (every 2x2 minor vanishes), else "another
+    point"; an error on either side is another point."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from conic_nf.fields import make_field, parse_element
+
+    points = json.loads(theirs), json.loads(mine)
+    if not all(isinstance(p, list) for p in points):
+        return "another point"
+    K = make_field(d)
+    p, q = ([parse_element(K, t) for t in point] for point in points)
+    equal = all(p[i] * q[j] == p[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    return "a unit multiple" if equal else "another point"
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--dump":
         _dump(argv[1], argv[2])
@@ -594,6 +612,8 @@ def main(argv):
         counts[inp[0]] += 1
         if mine != theirs:
             counts["differing " + inp[0]] += 1
+            if inp[0] == "reduce":
+                counts["reduce moved to " + _moved_point(inp[1], theirs, mine)] += 1
             first = first or (inp, theirs, mine)
     print(", ".join(f"{kind}: {n}" for kind, n in counts.items()))
     if len(here) != len(there) or len(here) != len(inputs):
