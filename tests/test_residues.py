@@ -622,7 +622,7 @@ def test_sqrt_mod_ideal_golden(row):
 def test_ideal_layer_makes_no_field_arithmetic(monkeypatch):
     # ideals and residues run on the integer kernel's pairs: FieldElements
     # only come in and go out, and no product, quotient or norm of them is
-    # taken inside either module.  verify evaluates each point with element
+    # taken inside either module.  Each point is also evaluated with element
     # products outside them, so the counters are seen to count.
     inside, total = [], [0]
 
@@ -644,7 +644,8 @@ def test_ideal_layer_makes_no_field_arithmetic(monkeypatch):
     for row in GOLDEN_POINTS:
         K = make_field(row["field"])
         eq = ConicEquation(*(parse_element(K, t) for t in row["eq"].split(";")))
-        assert verify(eq, solve_conic(eq))
+        sol = solve_conic(eq)
+        assert verify(eq, sol) and eq.evaluate(sol.x, sol.y, sol.z).is_zero
     for row in GOLDEN_ROOTS:
         sqrt_mod_ideal(*_golden_root_input(row))
     assert total[0] > 0
