@@ -229,6 +229,37 @@ def test_parametrize_subcommand():
     assert (code, json.loads(text)) == (2, {"error": "base solution must have nonzero z"})
 
 
+# A base with denominators lists the primitive points of its integral
+# multiple: the slope points are cleared before their content is taken.
+# Over Q(sqrt(5)), outside the Euclidean fields, the points are integral too.
+RATIONAL_BASES = [
+    ("Q", "1;1;-1", "1/2;0;1/2", "1;0;1", "3"),
+    ("-1", "1;1;-2", "1/2+1/2s;1/2+1/2s;1/2+1/2s", "1+s;1+s;1+s", "1"),
+    ("-7", "1;1;-2", "1/2;1/2;1/2", "1;1;1", "1"),
+    ("5", "1;1;-2", "1/2;1/2;1/2", "1;1;1", "1"),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(ValueError, AssertionError),
+    reason="primitive_param takes the gcd of the slope point's FieldElements, which need not be integral",
+)
+@pytest.mark.parametrize("d, eq, base, multiple, box", RATIONAL_BASES)
+def test_parametrize_from_a_rational_base_lists_its_integral_multiples_points(
+    d, eq, base, multiple, box
+):
+    listed = []
+    for point in (base, multiple):
+        args = ["parametrize", "--field", d, "--eq", eq, "--base", point, "--max-param", box]
+        code, text = _run(args + ["--json"])
+        assert code == 0
+        listed.append(json.loads(text)["solutions"])
+    assert listed[0] == listed[1] and listed[0]
+    field = make_field(d)
+    assert all(parse_element(field, rec[k]).is_integral for rec in listed[0] for k in "xyz")
+
+
 @pytest.mark.parametrize("option", ["--max-param", "--height"])
 def test_parametrize_rejects_a_negative_bound(option, capsys):
     base = ["parametrize", "--eq", "1;1;-1", "--base", "1;0;1"]
@@ -535,3 +566,15 @@ def test_large_discriminant_conics_decide_within_a_second(command, d, eq):
         field = make_field(d)
         sol = SolutionTriple(*(parse_element(field, payload["solution"][k]) for k in "xyz"))
         assert verify(ConicEquation(*(parse_element(field, t) for t in eq.split(";"))), sol)
+
+
+# ROADMAP item 2: a coefficient whose factorisation is past Brent's rho.
+# 3610572705826421202712863752223839214784170277797521 is the 172-bit
+# product 53853325350557233 * 67044563772496209638579437728970337; check
+# factors it and raises FactorizationFailed (exit 3) after about 20 s.
+@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="rho runs its full effort on a 172-bit semiprime")
+def test_check_factors_a_coefficient_past_the_rho_effort_within_two_seconds():
+    eq = "3610572705826421202712863752223839214784170277797521;1;-1"
+    code, text = within(2.0, _run, ["check", "--field", "Q", "--eq", eq, "--json"])
+    assert code == 0
+    assert json.loads(text)["solvable"] is True

@@ -600,3 +600,17 @@ def test_rational_steps_call_no_pair_kernel_and_no_element_arithmetic(monkeypatc
         reduce(eq, start)
     assert counts.pop("steps") > 0
     assert any(k.startswith("IntegerRing.") for k in counts)
+
+
+# ROADMAP item 21: Holzer's theorem over Q gives a point with x^2 <= |bc|,
+# y^2 <= |ca| and z^2 <= |ab|, here (1, 1, 1).  reduce_solution tests and
+# reaches only the z-bound, which (239, 169, 1) already meets.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="only the z-bound is reduced")
+def test_reduce_meets_holzers_bound_on_all_three_coordinates():
+    eq = _eq(Q, 1, -2, 1)
+    start = SolutionTriple(Q.element(239), Q.element(169), Q.element(1))
+    assert verify(eq, start)
+    sol = reduce_solution(eq, start)
+    assert verify(eq, sol)
+    x, y, z = (t.num[0] for t in (sol.x, sol.y, sol.z))
+    assert x * x <= 2 and y * y <= 1 and z * z <= 2

@@ -28,6 +28,7 @@ from conic_nf.ideals import (
     unit_ideal,
     valuation,
 )
+from timelimit import within
 
 Q = make_field()
 Q6 = make_field(-6)
@@ -274,6 +275,26 @@ def test_square_decompose_finds_a_generator_beyond_a_coordinate_bound():
     t = 3 * g * g
     t1, t2 = square_decompose(t)
     assert (t1, t2) == (K.element(3), g)
+
+
+# ROADMAP item 3: over Q(sqrt(-5)), t = g*m^2 with (g) = P^2 for a
+# non-principal P over the split prime q = 10^40 + 627 (q = 7 mod 20 is no
+# x^2 + 5y^2), and m a product of k = 8 split primes p = x^2 + 5y^2, whose
+# prime ideals are principal.  The root P*(m) of the square part is not
+# principal, so square_decompose walks the 4^8 divisors that contain P before
+# it reaches (m), the principal one of largest norm: about 17 s in-process.
+@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="a non-principal root walks its divisors")
+def test_square_decompose_past_a_non_principal_root_within_a_second():
+    K = make_field(-5)
+    q = 10**40 + 627
+    g = parse_element(
+        K, "-9608425895619195195523948723338755184182-1239205536494609652222342053636690322849s"
+    )
+    assert is_probable_prime(q) and q % 20 == 7 and g.norm() == q * q and not (g / q).is_integral
+    m = K.element(29 * 41 * 61 * 89 * 101 * 109 * 149 * 181)
+    t = g * m * m
+    t1, t2 = within(1.0, square_decompose, t)
+    assert t1 * t2 * t2 == t and t2.norm() == m.norm()
 
 
 def _primes_below(n):
