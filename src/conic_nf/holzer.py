@@ -84,23 +84,24 @@ def _primitive(ring, point):
     return tuple(ring.exact_div(t, g) for t in point)
 
 
-def _second_point(ring, coeffs, point, polar, uv, bound=None):
-    """The primitive second intersection of the conic with the line through
-    point and (u, v, 0), for (u, v) in the lattice of _lattice_step:
-    (q*x0 - 2*l*u, q*y0 - 2*l*v, q*z0)/z0 with q = a*u^2 + b*v^2 and
-    2*l = 2*a*x0*u + 2*b*y0*v, both multiples of z0; polar holds 2*a*x0 and
-    2*b*y0.  At q = 0 (l is then not 0) it is (u, v, 0), a point with z = 0.
-    None, with no gcd taken, when its N(z) cannot be below bound: the
-    content g of (x, y, q) has N(g) | gcd(N(x), N(y), N(q)), and the
-    primitive point's N(z) is N(q)/N(g)."""
-    a, b, _ = coeffs
-    x0, y0, z0 = point
-    u, v = uv
+def _line_point(ring, coeffs, point, polar, uv):
+    """q*(x0, y0, z0) - 2*l*(u, v, 0), the second intersection of the conic
+    with the line through point and (u, v, 0): q = a*u^2 + b*v^2, and
+    2*l = 2*a*x0*u + 2*b*y0*v, the polar form, from polar = (2*a*x0, 2*b*y0).
+    At q = 0 it is a multiple of (u, v, 0).  parametrize's slope m/n is (n, m)."""
+    (a, b, _), (x0, y0, z0), (u, v) = coeffs, point, uv
     mul, sub = ring.mul, ring.sub
     q = ring.add(mul(a, mul(u, u)), mul(b, mul(v, v)))
     l2 = ring.add(mul(polar[0], u), mul(polar[1], v))
-    new = (sub(mul(q, x0), mul(l2, u)), sub(mul(q, y0), mul(l2, v)), mul(q, z0))
-    new = tuple(ring.exact_div(t, z0) for t in new)
+    return sub(mul(q, x0), mul(l2, u)), sub(mul(q, y0), mul(l2, v)), mul(q, z0)
+
+
+def _second_point(ring, coeffs, point, polar, uv, bound=None):
+    """The primitive _line_point for (u, v) in the lattice of _lattice_step,
+    over z0, which divides q and 2*l.  None, with no gcd taken, when its N(z)
+    cannot be below bound: the content g of (x, y, q) has N(g) dividing
+    gcd(N(x), N(y), N(q)), and the primitive point's N(z) is N(q)/N(g)."""
+    new = tuple(ring.exact_div(t, point[2]) for t in _line_point(ring, coeffs, point, polar, uv))
     if bound is not None and ring.norm(new[2]) >= bound * math.gcd(*map(ring.norm, new)):
         return None
     return _primitive(ring, new)

@@ -1,23 +1,23 @@
 """Slope parameterisation of all solutions of a*x^2 + b*y^2 + c*z^2 = 0.
 
-Lines of varying slope through a base point (a0, b0, g0) with g0 != 0 sweep
-out every other solution; clearing denominators turns the slope t = m/n
-into the polynomial formulas below.  Over the Euclidean fields the common
-divisor D_{m,n} can be removed to reach primitive integral solutions.
-Points are listed once per projective point over K, on every field: two
-triples that differ by a factor in K* are one point.
+The line of slope m/n through a base point with z0 != 0 meets the conic
+again at holzer._line_point, run through fields.INTS on FieldElements; the
+lines sweep out every other solution.  A slope point is cleared to kernel
+pairs and taken over its content (its rational integer content outside the
+Euclidean fields), so a rational base gives the points of its integral
+multiple.  Each projective point over K is listed once, on every field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Optional
 
-from math import gcd as _int_gcd
-
 from .errors import BaseDegenerate
-from .descent import SolutionTriple, verify
-from .fields import FieldElement, gcd_elems
+from .descent import SolutionTriple, _cleared, verify
+from .fields import INTS, FieldElement, elements_of, integer_ring
+from .holzer import _line_point, _primitive
 from .solvability import ConicEquation
 
 
@@ -33,12 +33,9 @@ def param_solution(
     """
     if base.z.is_zero:
         raise BaseDegenerate("base solution must have a nonzero z")
-    a, b = eq.a, eq.b
-    a0, b0, g0 = base.x, base.y, base.z
-    x = (b * m * m - a * n * n) * a0 - 2 * b * m * n * b0
-    y = -(2 * a * m * n * a0) + b0 * (a * n * n - b * m * m)
-    z = g0 * (a * n * n + b * m * m)
-    return SolutionTriple(x, y, z)
+    coeffs, point = (eq.a, eq.b, eq.c), (base.x, base.y, base.z)
+    polar = (2 * eq.a * base.x, 2 * eq.b * base.y)
+    return SolutionTriple(*_line_point(INTS, coeffs, point, polar, (n, m)))
 
 
 def primitive_param(
@@ -47,7 +44,7 @@ def primitive_param(
     m: FieldElement,
     n: FieldElement,
 ) -> Optional[SolutionTriple]:
-    """The slope solution divided by its coordinate gcd, or None if trivial.
+    """The cleared slope solution over its coordinate gcd, or None if trivial.
 
     Full primitivity needs gcds, so outside the norm-Euclidean fields only
     the rational integer content is removed.
@@ -55,12 +52,11 @@ def primitive_param(
     sol = param_solution(eq, base, m, n)
     if sol.is_trivial:
         return None
-    triple = (sol.x, sol.y, sol.z)
-    if sol.x.field.euclidean:
-        g = gcd_elems(triple)
-    else:
-        g = sol.x.field.element(_int_gcd(*(q for t in triple for q in t.num)))
-    return SolutionTriple(sol.x / g, sol.y / g, sol.z / g)
+    ring, (_, point) = integer_ring(eq.field), _cleared(eq, sol)
+    if eq.field.euclidean:
+        return SolutionTriple(*elements_of(ring, _primitive(ring, point)))
+    g = math.gcd(*(c for t in point for c in t))
+    return SolutionTriple(*(ring.element((u // g, v // g)) for u, v in point))
 
 
 def canonical_solution(sol: SolutionTriple) -> tuple:

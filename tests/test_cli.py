@@ -240,11 +240,6 @@ RATIONAL_BASES = [
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(ValueError, AssertionError),
-    reason="primitive_param takes the gcd of the slope point's FieldElements, which need not be integral",
-)
 @pytest.mark.parametrize("d, eq, base, multiple, box", RATIONAL_BASES)
 def test_parametrize_from_a_rational_base_lists_its_integral_multiples_points(
     d, eq, base, multiple, box

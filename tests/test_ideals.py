@@ -282,7 +282,8 @@ def test_square_decompose_finds_a_generator_beyond_a_coordinate_bound():
 # x^2 + 5y^2), and m a product of k = 8 split primes p = x^2 + 5y^2, whose
 # prime ideals are principal.  The root P*(m) of the square part is not
 # principal, so square_decompose walks the 4^8 divisors that contain P before
-# it reaches (m), the principal one of largest norm: about 17 s in-process.
+# it reaches (m), the principal one of largest norm: about 17 s in-process
+# on a shared 2-core x86-64 machine.
 @pytest.mark.xfail(strict=True, raises=TimeoutError, reason="a non-principal root walks its divisors")
 def test_square_decompose_past_a_non_principal_root_within_a_second():
     K = make_field(-5)

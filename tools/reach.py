@@ -78,6 +78,7 @@ UNREACHED = {
     "fields.elem_size": "seed test test_fields.py::test_size_examples",
     "fields.elem_sqrt": "seed test test_fields.py::test_elem_sqrt; serves solve_pell",
     "fields.euclid_divmod": "seed test test_fields.py::test_euclid_divmod_examples",
+    "fields.gcd_elems": "seed test test_fields.py::test_gcd_examples",
     "fields.is_unit": "seed test test_fields.py::test_is_unit",
     "fields.nearest_integer": "seed test test_acceptance.py::test_acceptance_8_property_suites",
     "fields.normalize_associate": "seed test test_fields.py::test_normalize_associate_deterministic",
