@@ -573,3 +573,14 @@ def test_check_factors_a_coefficient_past_the_rho_effort_within_two_seconds():
     code, text = within(2.0, _run, ["check", "--field", "Q", "--eq", eq, "--json"])
     assert code == 0
     assert json.loads(text)["solvable"] is True
+
+
+# make_field checked d squarefree by trial division up to the cube root of
+# |d|: 14 s for this 25-digit prime and more than 60 s for the 33-digit d,
+# though check itself decides the conic in about 0.1 s.
+@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="make_field trial-divides d up to its cube root")
+@pytest.mark.parametrize("d", ["1000000000000000000000007", "100000000000000000000000000000049"])
+def test_check_over_a_field_of_large_d_exits_0_within_two_seconds(d):
+    code, text = within(2.0, _run, ["check", "--field", d, "--eq", "1;1;-1", "--json"])
+    assert code == 0
+    assert json.loads(text)["solvable"] is True
