@@ -18,7 +18,9 @@ import sys
 
 from .errors import (
     ConicError,
+    InvalidD,
     NotSolvable,
+    NotSquarefree,
     ParseError,
     UndecidedError,
 )
@@ -40,9 +42,10 @@ EXIT_UNDECIDED = 3
 
 
 def _parse_field(spec: str) -> FieldDescriptor:
+    """make_field(spec); a d that factor_int cannot split stays undecided."""
     try:
         return make_field(spec)
-    except (ValueError, ConicError) as exc:
+    except (ValueError, InvalidD, NotSquarefree) as exc:
         raise ParseError(f"bad field {spec!r}: {exc}") from exc
 
 
@@ -166,6 +169,8 @@ def _run_corpus_line(line: str):
     """The (status, detail) of one corpus line."""
     try:
         eq, expectation, known = _parse_corpus_line(line)
+    except UndecidedError as exc:
+        return "undecided", str(exc)
     except ConicError as exc:
         return "parse-error", str(exc)
     try:

@@ -51,21 +51,6 @@ from .errors import (
 EUCLIDEAN_IMAGINARY_DS = (-1, -2, -3, -7, -11)
 
 
-def _squarefree(n: int) -> bool:
-    """Whether no square above 1 divides n.  Trial division up to the cube
-    root of what is left, dividing out each prime once (a second time means
-    p^2 | n), leaves a cofactor whose primes all exceed the cube root: at
-    most two of them, so it is squarefree unless it is a perfect square."""
-    n, k = abs(n), 2
-    while k * k * k <= n:
-        if n % k == 0:
-            n //= k
-            if n % k == 0:
-                return False
-        k += 1
-    return n < 2 or math.isqrt(n) ** 2 != n
-
-
 @dataclass(frozen=True, eq=False)
 class FieldDescriptor:
     """The base field: Q, or Q(sqrt(d)) for squarefree d != 0, 1.  make_field
@@ -129,7 +114,9 @@ class FieldDescriptor:
 
 
 def make_field(d: Union[int, str, None] = None) -> FieldDescriptor:
-    """The one validated descriptor of Q(sqrt(d)), or of Q for d=None/'Q'."""
+    """The one validated descriptor of Q(sqrt(d)), or of Q for d=None/'Q'.
+    d is squarefree when ideals.factor_int finds no exponent above 1; a d
+    past its rho effort raises FactorizationFailed, an UndecidedError."""
     return _field(None if d is None or d == "Q" else int(d))
 
 
@@ -139,7 +126,8 @@ def _field(d: Optional[int]) -> FieldDescriptor:
         return FieldDescriptor("rational", None, None, None, euclidean=True, totally_imaginary=False)
     if d in (0, 1):
         raise InvalidD(f"d = {d} does not define a quadratic field")
-    if not _squarefree(d):
+    from .ideals import factor_int  # ideals imports this module
+    if any(e > 1 for _, e in factor_int(d)):
         raise NotSquarefree(f"d = {d} is not squarefree")
     if d % 4 == 1:
         omega_kind = "half_one_plus_sqrt_d"

@@ -446,6 +446,34 @@ def test_factorisation_past_the_rho_effort_is_undecided(tmp_path, monkeypatch):
     ]
 
 
+def test_field_whose_d_cannot_be_factored_is_undecided(tmp_path, monkeypatch):
+    # make_field factors d with ideals.factor_int; a d that it cannot split
+    # leaves the field undecided (exit 3), not a bad field (exit 2).  A real
+    # d past rho's effort takes 20 s or more, so the factoriser fails on
+    # this d here.  No other test makes the field -1000036000099.
+    import conic_nf.ideals
+    from conic_nf.errors import FactorizationFailed
+
+    d, factor = -1000036000099, conic_nf.ideals.factor_int
+
+    def fails_on_d(n, primes=()):
+        if n == d:
+            raise FactorizationFailed(f"could not factor {abs(n)}")
+        return factor(n, primes)
+
+    monkeypatch.setattr(conic_nf.ideals, "factor_int", fails_on_d)
+    argv = ["check", "--field", str(d), "--eq", "1;1;-1"]
+    assert _run(argv) == (3, "undecided: could not factor 1000036000099\n")
+    assert _run(argv + ["--json"]) == (3, '{"undecided": "could not factor 1000036000099"}\n')
+    corpus = tmp_path / "field.corpus"
+    corpus.write_text(f"Q ; 1 ; 1 ; -2 ; solvable\n{d} ; 1 ; 1 ; -1 ; any\n-7 ; 1 ; 1 ; 1 ; any\n")
+    code, text = _run(["corpus", str(corpus), "--json"])
+    assert code == 3
+    records = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(r["line"], r["status"]) for r in records] == [(1, "ok"), (2, "undecided"), (3, "ok")]
+    assert records[1]["detail"] == "could not factor 1000036000099"
+
+
 def test_reduce_reports_an_undecided_step_with_exit_3(monkeypatch):
     import conic_nf.holzer
     from conic_nf.errors import UndecidedError
@@ -577,8 +605,8 @@ def test_check_factors_a_coefficient_past_the_rho_effort_within_two_seconds():
 
 # make_field checked d squarefree by trial division up to the cube root of
 # |d|: 14 s for this 25-digit prime and more than 60 s for the 33-digit d,
-# though check itself decides the conic in about 0.1 s.
-@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="make_field trial-divides d up to its cube root")
+# though check itself decides the conic in about 0.1 s.  It now factors d
+# with ideals.factor_int, in under a millisecond.
 @pytest.mark.parametrize("d", ["1000000000000000000000007", "100000000000000000000000000000049"])
 def test_check_over_a_field_of_large_d_exits_0_within_two_seconds(d):
     code, text = within(2.0, _run, ["check", "--field", d, "--eq", "1;1;-1", "--json"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from timelimit import within
 
 import conic_nf.fields
-from conic_nf.errors import InvalidD, NotEuclidean, NotSquarefree, ParseError
+from conic_nf.errors import AllZero, InvalidD, NotEuclidean, NotSquarefree, ParseError
 from conic_nf.fields import (
     FieldElement,
     IntSurd,
@@ -48,6 +48,9 @@ def test_make_field_descriptors():
     assert Q7.sqrt_gen() == Q7.element(-1, 2)
     assert Q14.totally_imaginary is False
     assert Q7.totally_imaginary is True
+    for generator in (Q.omega, Q.sqrt_gen):
+        with pytest.raises(InvalidD):
+            generator()
 
 
 def test_make_field_rejects():
@@ -59,31 +62,51 @@ def test_make_field_rejects():
         make_field(1)
 
 
+def test_elements_stay_in_their_field():
+    with pytest.raises(ValueError):
+        FieldElement(Q, 1, 1)
+    with pytest.raises(ValueError):
+        QI.element(1) + Q7.element(1)
+
+
 def test_squarefree_d_is_decided_quickly_and_by_the_definition():
-    # Trial division to the cube root of |d|, with a square test of the
-    # cofactor: these d took 2.7 s and 27 s when every k^2 up to |d| was
-    # tried.  The verdict is the definition's: on every |d| <= 10^5 (a sieve
-    # of the squares k^2), on a few hundred p^2*m, p up to 3,000 and so below
-    # or above the cube root, and on numbers up to 10^12 against factor_int.
-    from conic_nf.fields import _squarefree
+    # make_field factors d with ideals.factor_int.  Trying every k^2 up to
+    # |d| took 2.7 s and 27 s on these two d, and trial division up to the
+    # cube root of |d| 14 s on a 25-digit prime.  The verdict, accepted or
+    # NotSquarefree, is the definition's: on every |d| <= 10^5 (a sieve of
+    # the squares k^2), on a few hundred p^2*m, p up to 3,000, and on
+    # numbers up to 10^12 against factor_int.  0 and 1 define no field.
+    from conic_nf.fields import _field
     from conic_nf.ideals import factor_int
+
+    def squarefree(validate, n):
+        try:
+            return validate(n).d == n
+        except NotSquarefree:
+            return False
 
     for d in (100000000000031, 10000000000000061):
         assert within(1, make_field, d).d == d
-        assert within(1, _squarefree, -d)
+        assert within(1, squarefree, make_field, -d)
+    for d in (0, 1):
+        with pytest.raises(InvalidD):
+            make_field(d)
+    # The sieve runs make_field's validation without its per-d cache, which
+    # would keep some 120,000 descriptors (28 MB) for the rest of the session.
+    validate = _field.__wrapped__
     limit = 10**5
     sieve = [True] * (limit + 1)
     for k in range(2, math.isqrt(limit) + 1):
         sieve[k * k :: k * k] = [False] * len(sieve[k * k :: k * k])
-    assert [_squarefree(n) for n in range(limit + 1)] == sieve
-    assert [_squarefree(-n) for n in range(limit + 1)] == sieve
+    assert [squarefree(validate, n) for n in range(2, limit + 1)] == sieve[2:]
+    assert [squarefree(validate, -n) for n in range(1, limit + 1)] == sieve[1:]
     rng = random.Random(31)
     primes = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     for _ in range(300):
         p, m = rng.choice(primes), rng.randint(1, 10**5)
-        assert not _squarefree(p * p * m) and not _squarefree(-p * p * m), (p, m)
+        assert not squarefree(make_field, p * p * m) and not squarefree(make_field, -p * p * m), (p, m)
         n = rng.randint(limit, 10**12)
-        assert _squarefree(n) == all(e == 1 for _, e in factor_int(n)), n
+        assert squarefree(make_field, n) == all(e == 1 for _, e in factor_int(n)), n
 
 
 def test_make_field_keeps_one_descriptor_per_d():
@@ -149,6 +172,8 @@ def test_euclid_divmod_examples():
         euclid_divmod(Q6.element(5), Q6.element(2))
     with pytest.raises(ValueError):
         euclid_divmod(QI.element(5), Q7.element(2))
+    with pytest.raises(ZeroDivisionError):
+        euclid_divmod(QI.element(5), QI.zero())
 
 
 def test_gcd_examples():
@@ -158,6 +183,12 @@ def test_gcd_examples():
     g = gcd_elems([Q.zero(), Q.element(-5)])
     assert g == Q.element(5)
     assert gcd_elems([Q.element(6), Q.element(15)]) == Q.element(3)
+    for xs in ([], [Q.zero(), Q.zero()], [QI.zero()]):
+        with pytest.raises(AllZero):
+            gcd_elems(xs)
+    Q5 = make_field(-5)
+    with pytest.raises(NotEuclidean):
+        gcd_elems([Q5.element(2), Q5.element(1, 1)])
 
 
 def test_nearest_integer_examples():
@@ -472,6 +503,12 @@ def test_surd_comparisons():
     assert Surd(2, -1, 2) > 0
     assert Surd(1, -1, 2) < Surd(1, 0, 2)
     assert Surd(3) == 3
+    # Two irrational surds of different radicals are unequal and unordered.
+    assert Surd(0, 1, 2) != Surd(0, 1, 3)
+    with pytest.raises(ValueError):
+        Surd(0, 1, 2) < Surd(0, 1, 3)
+    assert repr(IntSurd(1, 2, 3)) == "IntSurd(1 + 2*sqrt(3))"
+    assert repr(Surd(5)) == "Surd(5)"
 
 
 def test_parse_and_format_roundtrip():
@@ -709,6 +746,7 @@ def test_field_element_arithmetic_matches_reference(drawn, k):
     }
     if not y.is_zero:
         results["/"] = (x / y, _ref_div(rd, rx, ry))
+        results["2/"] = (2 / y, _ref_div(rd, _ref(field, Fraction(2), Fraction(0)), ry))
     else:
         with pytest.raises(ZeroDivisionError):
             x / y

@@ -6,7 +6,7 @@ import pytest
 
 from conic_nf.descent import SolutionTriple, solve_conic, verify
 from conic_nf import holzer
-from conic_nf.errors import PreconditionViolated, UnsupportedField
+from conic_nf.errors import NotEuclidean, PreconditionViolated, UnsupportedField
 from conic_nf.fields import make_field
 from conic_nf.holzer import bound_constant_sq, is_reduced, reduce_solution, xgcd
 from conic_nf.solvability import ConicEquation, check_solvable
@@ -40,6 +40,9 @@ def test_xgcd_identity():
                 assert (a / g).is_integral
             if not b.is_zero:
                 assert (b / g).is_integral
+    Q5 = make_field(-5)
+    with pytest.raises(NotEuclidean):
+        xgcd(Q5.element(3), Q5.element(1, 1))
 
 
 def test_bound_constant_values():

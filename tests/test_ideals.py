@@ -40,6 +40,8 @@ def test_factor_int():
     assert factor_int(1929) == [(3, 1), (643, 1)]
     assert factor_int(-12) == [(2, 2), (3, 1)]
     assert factor_int(3076) == [(2, 2), (769, 1)]
+    with pytest.raises(ValueError):
+        factor_int(0)
 
 
 def test_factor_int_splits_cofactors_past_trial_division():
@@ -102,12 +104,18 @@ def test_is_probable_prime_rejects_a_strong_pseudoprime():
     assert 3215031751 == 151 * 751 * 28351
     assert not is_probable_prime(3215031751)
     assert is_probable_prime(1000003) and is_probable_prime(10**12 + 39)
+    assert not any(map(is_probable_prime, (-7, -1, 0, 1)))
 
 
 def test_kronecker():
     assert kronecker(56, 3) == -1  # 3 inert in Q(sqrt(14))
     assert kronecker(-7, 2) == 1
     assert kronecker(-24, 3) == 0
+    # (a|0) is 1 at a = +-1 and 0 elsewhere; (a|-n) = (a|-1)(a|n), with
+    # (a|-1) = -1 for a < 0; an even a over an even n gives 0.
+    assert (kronecker(1, 0), kronecker(-1, 0), kronecker(2, 0)) == (1, 1, 0)
+    assert (kronecker(-1, -7), kronecker(-5, -3), kronecker(5, -3)) == (1, -1, -1)
+    assert kronecker(6, 4) == kronecker(-2, 2) == 0
 
 
 def test_splitting_examples():
@@ -157,6 +165,16 @@ def test_ideal_hnf_and_membership():
     # b + c*omega stays inside.
     for g in (Q6.element(I.a), Q6.element(I.b, I.c)):
         assert I.contains(g * Q6.omega())
+    # The ideal is (-sqrt(-6)) too, with the same hash.
+    assert repr(I) == "Ideal[[6,0],[0,1]] of Q(sqrt(-6))"
+    assert principal_ideal(Q6.element(0, -1)) == I
+    assert hash(principal_ideal(Q6.element(0, -1))) == hash(I)
+    with pytest.raises(ValueError):
+        Ideal(Q6, 0)
+    with pytest.raises(ValueError):
+        I * principal_ideal(Q7.element(2))
+    with pytest.raises(ValueError):
+        I**-1
 
 
 def _random_rows(rng):
@@ -263,6 +281,9 @@ def test_square_decompose_examples():
     t = Q6.element(26, 20)
     t1, t2 = square_decompose(t)
     assert t1 == t and t2 == Q6.one()
+    for field in (Q, Q6):
+        with pytest.raises(ValueError):
+            square_decompose(field.zero())
 
 
 def test_square_decompose_finds_a_generator_beyond_a_coordinate_bound():

@@ -91,6 +91,10 @@ def test_short_pair_rational_examples():
     x, y = short_congruence_pair(Q.element(-2), Q.element(2), Q.element(0))
     assert x.is_zero and abs(y.u) == 1
 
+    # B = 0 is no modulus.
+    with pytest.raises(ValueError):
+        short_congruence_pair(Q.element(-1), Q.zero(), Q.element(5))
+
 
 def test_short_pair_descent_quality():
     # A = 823, B = -1929, w = 643+723*sqrt(-6): the short pair must do at

@@ -10,10 +10,11 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 - a seeded sweep over Q and 18 quadratic fields, real ones included: conics
   through random points, the same conics with rational coefficients, and
   direct legendre_descent calls;
-- parametrize over Q and the five Euclidean imaginary fields, where the
-  listed points and their order are fixed: the README's parametrize
-  command, and the first conics of the sweep over those fields, each from
-  its random point, with --max-param 8 over Q and 2 over the others;
+- parametrize: the README's parametrize command, and the first conics of
+  the sweep over every sweep field, real and non-PID ones included, each
+  from its random point and the first of them also from that point over
+  an integer q, a rational base, with --max-param 8 over Q and 2 over the
+  others;
 - random row sets for ideals.hnf_rows, rank-deficient ones included;
 - a seeded sweep of elements over the same 19 fields for the exact sizes,
   the element API of ideals and holzer, and the local data at primes;
@@ -23,6 +24,9 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   Q at rank 2 with 64- to 1,024-bit moduli, an imaginary field's module
   basis weighted as reduce_pairs does at rank 4); ranks 5 and 6 are random,
   Fraction-weighted or dependent;
+- d for make_field: every |d| <= 3,000, seeded p^2*m and seeded d up to
+  10^15, the size at which the parent's trial division up to the cube root
+  of |d| still takes seconds for all of them;
 - seeded integers for ideals.factor_int: signed random ones up to 64 bits,
   products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39,
   perfect powers of primes between 4096 and 10^7, and numbers whose
@@ -39,8 +43,8 @@ Run from the root of a checkout.  The inputs are drawn once, here:
 For each checkout a fresh interpreter imports conic_nf from that checkout's
 src/ and dumps, for every input, check_solvable(...).to_dict(), the
 solve_conic point with DescentTrace.to_list(), the reduce_solution point,
-the corpus or parametrize --json output with its exit code, or the error's
-type and text.
+the corpus or parametrize --json output with its exit code, make_field's
+descriptor (d, disc, omega_kind), or the error's type and text.
 For splitting_type it dumps the kind and each prime's (e, f, second
 generator, r); for is_principal the generator or None; for each product
 of prime powers, its factor_ideal and its valuation at every prime over
@@ -61,7 +65,7 @@ other checkout's point (the same projective point) or to another point.
 
 A change that should move no output (a refactor, a design change) runs it
 against its parent; a change that moves outputs on purpose will show them.
-Both dumps take about 30 s together on a 2-core x86-64 Xeon.
+Both dumps take about 40 s together on a 2-core x86-64 Xeon.
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ SEEDS = (1, 2, 3)
 SECONDS = 20  # the benchmark's default run length sets the number of inputs
 SWEEP_FIELDS = (None, -1, -2, -3, -5, -6, -7, -11, -15, -19, -23, 2, 3, 5, 6, 7, 13, 17, 21)
 SWEEP_PER_FIELD = 40
-PARAM_FIELDS = (None, -1, -2, -3, -7, -11)
 PARAM_PER_FIELD = 8
+RATIONAL_BASES_PER_FIELD = 4
+MAKE_FIELD_ALL_BELOW = 3_000
+MAKE_FIELD_SEEDED = 300
 HNF_SETS = 20_000
 SURFACE_ELEMENTS = 30
 LOCAL_PRIMES_BELOW = 60
@@ -110,6 +116,12 @@ def _fixture(name):
 def _fmt(x):
     u, v = x
     return str(u) if v == 0 else (f"{u}{v:+d}w" if u else f"{v}w")
+
+
+def _fmt_over(x, q):
+    """The element x/q, for x = (u, v) over {1, omega}."""
+    u, v = x
+    return f"{u}/{q}" if v == 0 else f"{u}/{q}{v:+d}/{q}w"
 
 
 def _benchmark_inputs(folder):
@@ -145,11 +157,15 @@ def _sweep_inputs(workloads):
             coeffs, point = gen.from_point(d, 3, 3)
             inputs.append(["check", d, coeffs])
             inputs.append(["solve", d, coeffs])
-            if d in PARAM_FIELDS and i < PARAM_PER_FIELD:
+            if i < PARAM_PER_FIELD:
                 texts = [";".join(map(_fmt, t)) for t in (coeffs, point)]
                 bound = "8" if d is None else "2"
-                argv = ["--field", spec, "--eq", texts[0], "--base", texts[1], "--max-param", bound]
-                inputs.append(["parametrize", argv])
+                bases = [texts[1]]
+                if i < RATIONAL_BASES_PER_FIELD:  # the point over q = 2, 3, 4, 5
+                    bases.append(";".join(_fmt_over(t, i + 2) for t in point))
+                for base in bases:
+                    argv = ["--field", spec, "--eq", texts[0], "--base", base, "--max-param", bound]
+                    inputs.append(["parametrize", argv])
             # The same conic with rational coefficients, scaled to an
             # integral one by ConicEquation.from_coefficients.
             q = rng.randint(2, 6)
@@ -314,6 +330,18 @@ def _factor_inputs():
     edges = (4093 * 4099, 16_777_213, 16_777_259, 4099**2, 4099 * 4111)
     inputs += [["factor_int", k * n] for n in edges for k in (1, -6, 4093)]
     return inputs
+
+
+def _field_inputs():
+    """d for make_field: every |d| <= MAKE_FIELD_ALL_BELOW, p^2*m for primes
+    p < 10^4, and signed d of 4 to 15 digits."""
+    rng = random.Random("make_field")
+    primes = [p for p in range(2, 10**4) if all(p % k for k in range(2, math.isqrt(p) + 1))]
+    ds = list(range(-MAKE_FIELD_ALL_BELOW, MAKE_FIELD_ALL_BELOW + 1))
+    for _ in range(MAKE_FIELD_SEEDED):
+        ds.append(rng.choice((-1, 1)) * rng.choice(primes) ** 2 * rng.randint(1, 10**7))
+        ds.append(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(4, 15)))
+    return [["make_field", d] for d in ds]
 
 
 def _kernel_inputs():
@@ -545,6 +573,9 @@ def _dump(checkout, inputs_path):
             ]
         if kind == "factor_int":
             return ideals.factor_int(args[0])
+        if kind == "make_field":
+            K = make_field(args[0])
+            return [K.d, K.disc, K.omega_kind]
         if kind == "lll":
             gram = [[Fraction(*g) if g[1] > 1 else g[0] for g in row] for row in args[0]]
             reduced, U = lattice.lll_reduce(gram)
@@ -602,7 +633,8 @@ def main(argv):
     with tempfile.TemporaryDirectory() as folder:
         inputs, workloads = _benchmark_inputs(folder)
         inputs += _fixture_inputs(folder) + _sweep_inputs(workloads) + _hnf_inputs()
-        inputs += _surface_inputs() + _gram_inputs() + _factor_inputs() + _kernel_inputs()
+        inputs += _surface_inputs() + _gram_inputs() + _factor_inputs() + _field_inputs()
+        inputs += _kernel_inputs()
         inputs_path = os.path.join(folder, "inputs.json")
         with open(inputs_path, "w") as fh:
             json.dump(inputs, fh)
