@@ -604,7 +604,7 @@ def test_check_factors_a_coefficient_past_the_rho_effort_within_two_seconds():
 
 
 # make_field checked d squarefree by trial division up to the cube root of
-# |d|: 14 s for this 25-digit prime and more than 60 s for the 33-digit d,
+# |d|: 14-17 s for this 25-digit prime and more than 60 s for the 33-digit d,
 # though check itself decides the conic in about 0.1 s.  It now factors d
 # with ideals.factor_int, in under a millisecond.
 @pytest.mark.parametrize("d", ["1000000000000000000000007", "100000000000000000000000000000049"])

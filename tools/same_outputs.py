@@ -25,8 +25,8 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   basis weighted as reduce_pairs does at rank 4); ranks 5 and 6 are random,
   Fraction-weighted or dependent;
 - d for make_field: every |d| <= 3,000, seeded p^2*m and seeded d up to
-  10^15, the size at which the parent's trial division up to the cube root
-  of |d| still takes seconds for all of them;
+  10^15, where a trial division up to the cube root of |d| still takes
+  seconds for all of them;
 - seeded integers for ideals.factor_int: signed random ones up to 64 bits,
   products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39,
   perfect powers of primes between 4096 and 10^7, and numbers whose
@@ -334,7 +334,7 @@ def _factor_inputs():
 
 def _field_inputs():
     """d for make_field: every |d| <= MAKE_FIELD_ALL_BELOW, p^2*m for primes
-    p < 10^4, and signed d of 4 to 15 digits."""
+    p < 10^4, and signed d up to 10^k for k from 4 to 15."""
     rng = random.Random("make_field")
     primes = [p for p in range(2, 10**4) if all(p % k for k in range(2, math.isqrt(p) + 1))]
     ds = list(range(-MAKE_FIELD_ALL_BELOW, MAKE_FIELD_ALL_BELOW + 1))
