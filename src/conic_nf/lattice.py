@@ -6,7 +6,8 @@ x^2 - A*y^2; a short vector for a length weighted per embedding yields a
 small quotient, which drives the descent over the quadratic fields; holzer
 reduces lines through a point alike (over Q by reduce_int_pairs; over an
 imaginary field after a reduction over O_K of its own, with pair_weights'
-weights), and the descent solves Q by one rank-3 reduction.  LLL is integral
+weights, on the Gram matrix hermitian_gram reads off that reduction), and
+the descent solves Q by one rank-3 reduction.  LLL is integral
 (Cohen, Alg. 2.6.7): it clears the Gram matrix's denominators once and
 keeps its Gram-Schmidt data as integers, in four scalars at rank 2 (the
 kernel's step, fields._lll_rank2), and reads the reduced Gram matrix off
@@ -166,6 +167,27 @@ def module_basis(ring, basis):
     if ring.field.is_rational:
         return list(basis)
     return [(ring.mul(o, x), ring.mul(o, y)) for x, y in basis for o in ((1, 0), (0, 1))]
+
+
+def hermitian_gram(ring, n1, h21, n2):
+    """reduce_pairs' Gram matrix of module_basis(ring, (r1, r2)) over an
+    imaginary field, read off the values n1 = h(r1, r1), h21 = h(r2, r1) and
+    n2 = h(r2, r2) of its Hermitian form h(p, q) = wx*x_p*conj(x_q) +
+    wy*y_p*conj(y_q), with no product of pairs.  The entry of alpha*p and
+    beta*q is tr(alpha*conj(beta)*h(p, q)), so rows e', omega*e' and columns
+    e, omega*e hold [[tr(H), tr(conj(omega)*H)], [tr(omega*H), N(omega)*tr(H)]]
+    for H = h(e', e) = hu + hv*omega; with omega^2 = k + t*omega,
+    tr(H) = 2hu + t*hv, tr(omega*H) = t*hu + (2k + t^2)*hv,
+    tr(conj(omega)*H) = t*hu - 2k*hv and N(omega) = -k."""
+    t, k = ring.t, ring.k
+    hu, hv = h21
+    tr, tw, tc = 2 * hu + t * hv, t * hu + (2 * k + t * t) * hv, t * hu - 2 * k * hv
+    return [
+        [2 * n1, t * n1, tr, tw],
+        [t * n1, -2 * k * n1, tc, -k * tr],
+        [tr, tc, 2 * n2, t * n2],
+        [tw, -k * tr, t * n2, -2 * k * n2],
+    ]
 
 
 def pair_weights(ring, a, b):

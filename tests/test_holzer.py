@@ -315,7 +315,7 @@ def test_lattice_step_searches_the_row_combinations_when_no_row_shrinks(monkeypa
     def recorded(*args):
         # The bound drops a point that cannot win; record each row's point
         # without it.
-        points.append(second_point(*args[:5]))
+        points.append(second_point(*args[:5])[0])
         return second_point(*args)
 
     def counted(*args):
@@ -324,7 +324,8 @@ def test_lattice_step_searches_the_row_combinations_when_no_row_shrinks(monkeypa
 
     monkeypatch.setattr(holzer, "_second_point", recorded)
     monkeypatch.setattr(holzer, "combine", counted)
-    assert holzer._lattice_step(INTS, coeffs, start) == (18, 17, -1)
+    # The step takes the Bezout data of its point and hands on its result's.
+    assert holzer._lattice_step(INTS, coeffs, start, INTS.xgcd(1, -161)) == ((18, 17, -1), INTS.xgcd(18, 17))
     # Over Q the lattice has rank 2: two rows, then their 4 combinations.
     assert [abs(p[2]) for p in points[:2]] == [3, 3] and len(combined) == 4
     eq = _eq(Q, *coeffs)
@@ -489,28 +490,30 @@ def test_reduce_sweep_euclidean_fields(d):
         done += 1
 
 
-def test_lattice_step_pre_reduces_over_o_k_and_leaves_an_lll_reduced_basis(monkeypatch):
-    # Seeded imaginary starts over the five Euclidean fields.  The pair that
-    # the Hermitian Lagrange-Gauss loop returns spans the same O_K-lattice as
-    # the step's basis (e1, e2), its first vector is no longer than e1 or e2
-    # under h, and it is Hermitian-reduced; the rows that reduce_pairs makes
-    # of it are LLL-reduced, so lll_reduce on their Gram matrix returns U = I.
-    from conic_nf.lattice import lll_reduce, pair_weights
-    from conic_nf.fields import integer_ring
+def _recorded_imaginary_steps(monkeypatch):
+    """Reduce seeded imaginary starts over the five Euclidean fields (40 on
+    each), recording per step its coefficients, the pair that
+    _hermitian_reduce gets and returns, with its Hermitian values, and the
+    Gram matrix and U of the step's lll_reduce."""
+    steps, pairs, lll = [], [], []
+    lattice_step, hermitian_reduce, lll_reduce = holzer._lattice_step, holzer._hermitian_reduce, holzer.lll_reduce
 
-    pairs, steps = [], []
-    hermitian_reduce, reduce_pairs = holzer._hermitian_reduce, holzer.reduce_pairs
+    def recorded_step(ring, coeffs, point, bezout):
+        steps.append(coeffs)
+        return lattice_step(ring, coeffs, point, bezout)
 
     def recorded_pair(ring, basis, weights):
         pairs.append((ring, basis, weights, hermitian_reduce(ring, basis, weights)))
         return pairs[-1][-1]
 
-    def recorded_rows(ring, gens, coeffs):
-        steps.append((ring, coeffs, reduce_pairs(ring, gens, coeffs)))
-        return steps[-1][-1]
+    def recorded_lll(gram):
+        reduced, U = lll_reduce(gram)
+        lll.append((gram, U))
+        return reduced, U
 
+    monkeypatch.setattr(holzer, "_lattice_step", recorded_step)
     monkeypatch.setattr(holzer, "_hermitian_reduce", recorded_pair)
-    monkeypatch.setattr(holzer, "reduce_pairs", recorded_rows)
+    monkeypatch.setattr(holzer, "lll_reduce", recorded_lll)
     rng = random.Random("pre-reduction")
     for d in (-1, -2, -3, -7, -11):
         field = make_field(d)
@@ -528,9 +531,21 @@ def test_lattice_step_pre_reduces_over_o_k_and_leaves_an_lll_reduced_basis(monke
             red = reduce_solution(eq, start)
             assert verify(eq, red) and is_reduced(eq, red)
             done += 1
-    assert len(pairs) == len(steps) >= 200
+    monkeypatch.undo()
+    assert len(steps) == len(pairs) == len(lll) >= 200
+    return [(coeffs, *pair, *step) for coeffs, pair, step in zip(steps, pairs, lll)]
 
-    for ring, ((x1, y1), (x2, y2)), (wx, wy), r in pairs:
+
+def test_lattice_step_pre_reduces_over_o_k_and_leaves_an_lll_reduced_basis(monkeypatch):
+    # Seeded imaginary starts over the five Euclidean fields.  The pair that
+    # the Hermitian Lagrange-Gauss loop returns spans the same O_K-lattice as
+    # the step's basis (e1, e2), its first vector is no longer than e1 or e2
+    # under h, and it is Hermitian-reduced, and the loop's Hermitian values
+    # are h's on it; the rows that the step takes from lll_reduce are
+    # LLL-reduced, so lll_reduce on their Gram matrix returns U = I.
+    from conic_nf.lattice import combine, lll_reduce, module_basis, pair_weights
+
+    for (a, b, _), ring, ((x1, y1), (x2, y2)), (wx, wy), (r, values), _, U in _recorded_imaginary_steps(monkeypatch):
         mul, sub, conj, norm = ring.mul, ring.sub, ring.conj, ring.norm
         h = lambda p, q: ring.add(mul((wx, 0), mul(p[0], conj(q[0]))), mul((wy, 0), mul(p[1], conj(q[1]))))
         det = sub(mul(x1, y2), mul(x2, y1))
@@ -540,10 +555,118 @@ def test_lattice_step_pre_reduces_over_o_k_and_leaves_an_lll_reduced_basis(monke
         assert n1 <= min(h(e, e)[0] for e in ((x1, y1), (x2, y2))) and n1 <= n2
         # |h(r2, r1)| < h(r1, r1): the covering radius of O_K is below 1.
         assert norm(h(r[1], r[0])) < n1 * n1
-    for ring, (a, b, _), rows in steps:
-        wx, wy = pair_weights(ring, a, b)
+        assert values == (n1, h(r[1], r[0]), n2)
+        rows = [combine(u, module_basis(ring, r)) for u in U]
+        assert (wx, wy) == pair_weights(ring, a, b)
         gram = [[wx * ring.dot(p, u) + wy * ring.dot(q, v) for u, v in rows] for p, q in rows]
         assert lll_reduce(gram)[1] == [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def test_lattice_step_gram_from_the_hermitian_values_is_reduce_pairs_gram(monkeypatch):
+    # On the same steps, the Gram matrix that the step reads off the
+    # Hermitian values (lattice.hermitian_gram) is the one that reduce_pairs
+    # builds by the trace form dot from the pair's Z-basis module_basis(pair).
+    from conic_nf import lattice
+
+    for (a, b, _), ring, _, _, (r, _), gram, _ in _recorded_imaginary_steps(monkeypatch):
+        built = []
+        lll_reduce = lattice.lll_reduce
+        monkeypatch.setattr(lattice, "lll_reduce", lambda g: built.append(g) or lll_reduce(g))
+        lattice.reduce_pairs(ring, lattice.module_basis(ring, r), (a, b, ring.one))
+        monkeypatch.undo()
+        assert built == [gram]
+
+
+def test_content_hands_the_xgcd_of_the_primitive_point():
+    # Seeded points over Q (on ints) and the five Euclidean fields, times a
+    # non-unit, with zero coordinates: _content returns the point over its
+    # content, as _primitive does, with the Bezout data ring.xgcd gives on
+    # its x and y.
+    from conic_nf.fields import INTS, integer_ring
+
+    rng = random.Random("content")
+    for ring in [INTS] + [integer_ring(make_field(d)) for d in (-1, -2, -3, -7, -11)]:
+        if ring is INTS:
+            el = lambda r: rng.randint(-r, r)
+        else:
+            el = lambda r: (rng.randint(-r, r), rng.randint(-r, r))
+        done = zeros = 0
+        while done < 200:
+            point, k = (el(30), el(30), el(30)), el(5)
+            if rng.random() < 0.3:
+                i = rng.randrange(2)
+                point = point[:i] + (ring.zero,) + point[i + 1 :]
+            if ring.norm(k) <= 1 or all(t == ring.zero for t in point):
+                continue
+            point = tuple(ring.mul(k, t) for t in point)
+            prim, bezout = holzer._content(ring, point)
+            assert prim == holzer._primitive(ring, point)
+            assert bezout == ring.xgcd(prim[0], prim[1])
+            zeros += ring.zero in point[:2]
+            done += 1
+        assert zeros > 20
+
+
+def test_each_step_gets_the_xgcd_of_its_point(monkeypatch):
+    # Along every golden reduction, the Bezout data handed to each step is
+    # ring.xgcd of the step's own x0 and y0 (INTS.xgcd, _int_xgcd, over Q).
+    seen, lattice_step = [0], holzer._lattice_step
+
+    def checked(ring, coeffs, point, bezout):
+        assert bezout == ring.xgcd(point[0], point[1])
+        seen[0] += 1
+        return lattice_step(ring, coeffs, point, bezout)
+
+    monkeypatch.setattr(holzer, "_lattice_step", checked)
+    for d, coeffs, start, expected in GOLDEN + GOLDEN_Q:
+        field = make_field(d)
+        eq = ConicEquation(*(field.element(*t) for t in coeffs))
+        red = reduce_solution(eq, SolutionTriple(*(field.element(*t) for t in start)))
+        assert tuple((t.u, t.v) for t in (red.x, red.y, red.z)) == expected
+    assert seen[0] > len(GOLDEN_Q)
+
+
+def test_imaginary_step_runs_no_euclid_on_its_point_and_no_dot(monkeypatch):
+    # Inside an imaginary _lattice_step no trace form dot is taken, and
+    # IntegerRing.xgcd runs only in the content passes of candidate points,
+    # each beside one gcd, never on the step's own (x0, y0).
+    from conic_nf.fields import IntegerRing
+
+    # calls["xgcd"] holds, per xgcd call inside a step, whether it was on
+    # that step's own (x0, y0).
+    calls, inside, points = {"xgcd": [], "gcd": 0, "dot": 0}, [False], []
+    xgcd, gcd, dot, lattice_step = IntegerRing.xgcd, IntegerRing.gcd, IntegerRing.dot, holzer._lattice_step
+
+    def step(ring, coeffs, point, bezout):
+        points.append(point[:2])
+        inside[0] = True
+        try:
+            return lattice_step(ring, coeffs, point, bezout)
+        finally:
+            inside[0] = False
+
+    def counted_xgcd(self, a, b):
+        if inside[0]:
+            calls["xgcd"].append((a, b) == points[-1])
+        return xgcd(self, a, b)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(holzer, "_lattice_step", step)
+    monkeypatch.setattr(IntegerRing, "xgcd", counted_xgcd)
+    monkeypatch.setattr(IntegerRing, "gcd", counted("gcd", gcd))
+    monkeypatch.setattr(IntegerRing, "dot", counted("dot", dot))
+    for d, coeffs, start, _ in (r for r in GOLDEN if r[0] is not None):
+        field = make_field(d)
+        eq = ConicEquation(*(field.element(*t) for t in coeffs))
+        reduce_solution(eq, SolutionTriple(*(field.element(*t) for t in start)))
+    assert points and calls["dot"] == 0
+    assert len(calls["xgcd"]) == calls["gcd"] > 0 and not any(calls["xgcd"])
 
 
 # FieldElement arithmetic: each method that computes with elements.

@@ -14,8 +14,10 @@ lines that each source reaches:
   process.  A plugin re-arms the tracer at each test phase: an alarm that
   fires inside the trace function makes CPython drop the tracer.
 
-Lines are those of function bodies, from the line tables of the compiled
-code objects; module and class bodies run at import and are not counted.
+Lines are those of function bodies, from the line tables of the code
+objects compiled from src/conic_nf before the trace starts, so an edit made
+during a run cannot shift the map; module and class bodies run at import
+and are not counted.
 A function body that runs at import counts as reached by every source.
 
 It prints, per module, the executable lines and how many of them the
@@ -278,10 +280,12 @@ def _owner(functions, line):
     return None
 
 
-def report(program, tier1=None):
-    """Print the map; return the unreached functions missing from UNREACHED
-    and the entries of UNREACHED that name a reached or missing function.
-    tier1 is None when tier-1 was not traced, and its columns are left out."""
+def report(modules, program, tier1=None):
+    """Print the map of modules (_modules(), read before the trace, so that
+    the line tables are those of the traced code); return the unreached
+    functions missing from UNREACHED and the entries of UNREACHED that name a
+    reached or missing function.  tier1 is None when tier-1 was not traced,
+    and its columns are left out."""
 
     def show(name, cells):
         cells = cells if tier1 is not None else (cells[0], cells[1], cells[4])
@@ -290,7 +294,7 @@ def report(program, tier1=None):
     show("module", ("lines", "program", "tier-1", "tier-1 only", "none"))
     totals = [0] * 5
     unreached = []
-    for module, (path, lines, functions) in _modules().items():
+    for module, (path, lines, functions) in modules.items():
         hit_p = {n for n in lines if (path, n) in program}
         hit_t = {n for n in lines if (path, n) in (tier1 or ())}
         row = [len(lines), len(hit_p), len(hit_t), len(hit_t - hit_p), len(lines - hit_p - hit_t)]
@@ -322,10 +326,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not os.path.isdir(PKG):
         parser.error("run from the root of a checkout")
+    modules = _modules()
     imported = _traced(_import_program)
     program = _traced(_program) | imported
     tier1 = _traced(_tier1) | imported if args.tests else None
-    missing, stale = report(program, tier1)
+    missing, stale = report(modules, program, tier1)
     if missing:
         print(f"\n{len(missing)} unreached function(s) with no reason in UNREACHED", file=sys.stderr)
     if stale:
