@@ -3,12 +3,13 @@
 The ring of integers O_K has the integral basis {1, omega}, where
 omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1+sqrt(d))/2 for
 d = 1 (mod 4).  Its integer kernel, IntegerRing, is the one place that
-knows omega's minimal polynomial: arithmetic on (u, v) integer pairs over
-every field, with exact sizes compared in integers (IntSurd over a real
-field), the size test |w| < |b| - e, closed-form square roots, and the
-rank-2 lattice questions of O_K: the rank-2 LLL step that lattice shares
-(_lll_rank2 with DELTA) and the closest element of a coset.  A
-FieldElement is a kernel pair over one positive denominator,
+knows omega's minimal polynomial, sqrt(d) as a pair and the roots of unity
+(FieldDescriptor.sqrt_gen and units are views of it): arithmetic on (u, v)
+integer pairs over every field, with exact sizes compared in integers
+(IntSurd over a real field), the size test |w| < |b| - e, closed-form
+square roots, and the rank-2 lattice questions of O_K: the rank-2 LLL step
+that lattice shares (_lll_rank2 with DELTA) and the closest element of a
+coset.  A FieldElement is a kernel pair over one positive denominator,
 (U + V*omega)/den in lowest terms, and all its arithmetic, its square root
 (elem_sqrt) and the size helpers go through the kernel.  IntSurd is the one
 exact surd; size_sq returns the kernel's key as a Surd, the IntSurd with
@@ -86,26 +87,16 @@ class FieldDescriptor:
         return self.element(0, 1)
 
     def sqrt_gen(self) -> "FieldElement":
-        """The element sqrt(d) in omega-coordinates."""
+        """The element sqrt(d) in omega-coordinates: the kernel's sqrt_d."""
         if self.is_rational:
             raise InvalidD("Q has no sqrt(d)")
-        if self.omega_kind == "sqrt_d":
-            return self.element(0, 1)
-        return self.element(-1, 2)  # sqrt(d) = 2*omega - 1
+        ring = integer_ring(self)
+        return ring.element(ring.sqrt_d)
 
     def units(self) -> list["FieldElement"]:
-        """Roots of unity (all units for Q and imaginary quadratic fields)."""
-        one = self.one()
-        if self.is_rational or (self.d is not None and self.d > 0):
-            return [one, -one]
-        if self.d == -1:
-            i = self.omega()
-            return [one, -one, i, -i]
-        if self.d == -3:
-            z = self.omega()  # primitive 6th root of unity
-            z2 = self.element(-1, 1)  # omega^2 = omega - 1
-            return [one, -one, z, -z, z2, -z2]
-        return [one, -one]
+        """The kernel's roots of unity: all the units over Q and imaginary fields."""
+        ring = integer_ring(self)
+        return [ring.element(e) for e in ring.units]
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -428,11 +419,12 @@ def elements_of(ring, x):
 def size_sq(x: FieldElement) -> Surd:
     """Exact square of elem_size(x): max over archimedean embeddings, the
     kernel's size key of the numerator over 2*den^2."""
-    key, den2 = integer_ring(x.field).size_sq(x.num), 2 * x.den * x.den
+    ring = integer_ring(x.field)
+    key, den2 = ring.size_sq(x.num), 2 * x.den * x.den
     if not isinstance(key, IntSurd):
         return Surd(Fraction(key, den2))
-    # sqrt(disc) is sqrt(d), or 2*sqrt(d) when omega = sqrt(d).
-    s = 2 * key.s if x.field.omega_kind == "sqrt_d" else key.s
+    # sqrt(disc) = 2*sqrt(d)/g1 for sqrt(d) = (g0, g1).
+    s = 2 * key.s // ring.sqrt_d[1]
     return Surd(Fraction(key.r, den2), Fraction(s, den2), x.field.d)
 
 
@@ -556,20 +548,24 @@ class IntegerRing:
 
     The pair (u, v) stands for u + v*omega, with omega^2 = t*omega + k:
     (t, k) is (0, 0) over Q, (0, d) for omega = sqrt(d) and (1, (d-1)/4) for
-    omega = (1+sqrt(d))/2.  Multiplication, conjugation, norm, trace, the
-    trace form and exact sizes work over every field; the lattice step of
-    the descent (lattice, residues) runs on them, and so do the rank-2 LLL
-    step shared with lattice (reduce_basis) and the closest element of a
-    coset of a rank-2 lattice, which decide principality (ideals) and round
-    over a real field.  Over Q and the imaginary fields the norm is
-    positive definite, so every quotient is num/den with den > 0 and rounds
-    in closed form; rounding, division with remainder and gcds exist only
-    there.  nearest_integer, euclid_divmod and gcd_elems delegate here over
-    these fields, and the size reduction in holzer runs on pairs over the
+    omega = (1+sqrt(d))/2.  sqrt_d is sqrt(d), (-1, 2) when t = 1, else (0, 1)
+    (over Q the pair by which format_element writes U/den).  units are the
+    roots of unity: +-1, then those of +-omega, +-(omega - 1) of norm 1 over
+    an imaginary field, as every root of unity there has coordinates in
+    {-1, 0, 1}.  Multiplication, conjugation, norm, trace, the trace form and
+    exact sizes work over every field; the lattice step of the descent
+    (lattice, residues) runs on them, and so do the rank-2 LLL step shared
+    with lattice (reduce_basis) and the closest element of a coset of a
+    rank-2 lattice, which decide principality (ideals) and round over a real
+    field.  Over Q and the imaginary fields the norm is positive definite,
+    so every quotient is num/den with den > 0 and rounds in closed form;
+    rounding, division with remainder and gcds exist only there.
+    nearest_integer, euclid_divmod and gcd_elems delegate here over these
+    fields, and the size reduction in holzer runs on pairs over the
     imaginary fields (on INTS over Q).
     """
 
-    __slots__ = ("field", "t", "k", "units", "real")
+    __slots__ = ("field", "t", "k", "sqrt_d", "units", "real")
     one, zero = (1, 0), (0, 0)
 
     def __init__(self, field: FieldDescriptor):
@@ -581,7 +577,11 @@ class IntegerRing:
             self.t, self.k = 0, field.d
         else:
             self.t, self.k = 1, (field.d - 1) // 4
-        self.units = [self.pair(e) for e in field.units()]
+        self.sqrt_d = (-1, 2) if self.t else (0, 1)
+        self.units = [(1, 0), (-1, 0)]
+        for x in ((0, 1), (-1, 1)) if field.totally_imaginary else ():
+            if self.norm(x) == 1:
+                self.units += [x, (-x[0], -x[1])]
 
     def pair(self, x: FieldElement) -> tuple[int, int]:
         if x.field is not self.field:
@@ -863,7 +863,8 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
     """Parse the element grammar: INT, p/q, s = sqrt(d), w = omega.
 
     The terms are summed in integers: the parts of 1, s and w, keyed by
-    their symbol, over one running denominator e."""
+    their symbol, over one running denominator e; s is the kernel's
+    sqrt_d = g0 + g1*omega."""
     text = text.strip()
     if not text:
         raise ParseError("empty element")
@@ -885,13 +886,10 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
         parts[sym or m.group("sym1")] += (-num if sign == "-" else num) * (e // den)
         pos = m.end()
     r, s, w = parts.values()
-    if field.is_rational:
-        if s or w:
-            raise ParseError("symbols s/w are not valid over Q")
-        return _element(field, (r, 0), e)
-    if field.omega_kind == "sqrt_d":
-        return _element(field, (r, s + w), e)
-    return _element(field, (r - s, 2 * s + w), e)  # sqrt(d) = 2*omega - 1
+    if field.is_rational and (s or w):
+        raise ParseError("symbols s/w are not valid over Q")
+    g0, g1 = integer_ring(field).sqrt_d
+    return _element(field, (r + g0 * s, g1 * s + w), e)
 
 
 def _fmt_rat(n: int, d: int) -> str:
@@ -902,12 +900,11 @@ def _fmt_rat(n: int, d: int) -> str:
 
 def format_element(x: FieldElement) -> str:
     """Render in the wire grammar using s-coordinates (1 and sqrt(d)):
-    x = (p + q*sqrt(d))/e in integers."""
+    x = (p + q*sqrt(d))/e in integers.  With sqrt(d) = g0 + g1*omega,
+    omega = (sqrt(d) - g0)/g1, so p = g1*U - g0*V, q = V and e = g1*den."""
     (U, V), den = x.num, x.den
-    if x.field.is_rational or x.field.omega_kind == "sqrt_d":
-        p, q, e = U, V, den
-    else:
-        p, q, e = 2 * U + V, V, 2 * den
+    g0, g1 = integer_ring(x.field).sqrt_d
+    p, q, e = g1 * U - g0 * V, V, g1 * den
     if q == 0:
         return _fmt_rat(p, e)
     s_term = "s" if abs(q) == e else f"{_fmt_rat(abs(q), e)}s"

@@ -3,8 +3,9 @@
 An ideal is stored as the row lattice of [[a, 0], [b, c]] over the basis
 {1, omega}: generated by the elements a and b + c*omega, with a, c > 0 and
 0 <= b < a.  Over Q an ideal degenerates to (n) with n = a, c = 1, b = 0.
-Membership, products and ideals from generators run on the integer
-kernel's (u, v) pairs.
+Ideal owns this Z-basis (Ideal.basis), which products, principality and the
+lattices of residues and lattice take.  Membership, products and ideals from
+generators run on the integer kernel's (u, v) pairs.
 
 The local data at a prime ideal P (valuations of ideals and elements, the
 powers P^k, the residue of omega modulo P^k) are computed from integers in
@@ -13,7 +14,8 @@ Algebraic Number Theory, 4.8 and 5.2).
 
 A rational prime p splits, stays inert or ramifies as omega's minimal
 polynomial has two roots, none or a double root mod p; splitting_type reads
-the split primes off that root.
+the split primes off that root, a root of d mod p moved by the kernel's
+sqrt_d.
 
 Principality is decided on every field with no search: over an imaginary
 field by the shorter vector of the HNF basis after the kernel's rank-2 LLL
@@ -267,6 +269,11 @@ class Ideal:
     def norm(self) -> int:
         return self.a * self.c
 
+    @property
+    def basis(self) -> list[tuple[int, int]]:
+        """The Z-basis a, b + c*omega as pairs (a alone over Q)."""
+        return [(self.a, 0)] if self.field.is_rational else [(self.a, 0), (self.b, self.c)]
+
     def contains(self, x: FieldElement) -> bool:
         return self.reduce_pair(integer_ring(self.field).pair(x)) == (0, 0)
 
@@ -291,14 +298,7 @@ class Ideal:
         if self.field != other.field:
             raise ValueError("ideals of different fields")
         ring = integer_ring(self.field)
-        return _ideal_of_pairs(
-            ring,
-            [
-                ring.mul(x, y)
-                for x in ((self.a, 0), (self.b, self.c))
-                for y in ((other.a, 0), (other.b, other.c))
-            ],
-        )
+        return _ideal_of_pairs(ring, [ring.mul(x, y) for x in self.basis for y in other.basis])
 
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
@@ -412,12 +412,14 @@ def _omega_root_mod(field: FieldDescriptor, p: int) -> Optional[int]:
     for p not dividing the discriminant.  At p = 2, omega = (1 + sqrt(d))/2
     has x^2 - x - (d - 1)/4, with the roots 0 and 1 when d = 1 (mod 8) and
     none when d = 5 (mod 8)."""
+    ring = integer_ring(field)
     if p == 2:
-        return None if (field.d - 1) // 4 % 2 else 0
+        return None if ring.k % 2 else 0
     s = _sqrt_mod_p(field.d % p, p)
-    if s is None or field.omega_kind == "sqrt_d":
-        return s
-    return (1 + s) * pow(2, p - 2, p) % p
+    if s is None:
+        return None
+    g0, g1 = ring.sqrt_d  # omega = (sqrt(d) - g0)/g1
+    return (s - g0) * pow(g1, -1, p) % p
 
 
 def _sqrt_mod_p(a: int, p: int) -> Optional[int]:
@@ -618,7 +620,7 @@ def is_principal(I: Ideal) -> Optional[FieldElement]:
         if g is not None:
             g = balance(ring, g, norm_one_unit(field))
     else:
-        r1, r2, _ = ring.reduce_basis((I.a, 0), (I.b, I.c))
+        r1, r2, _ = ring.reduce_basis(*I.basis)
         g = next((r for r in (r1, r2) if ring.norm(r) == I.norm), None)
     return None if g is None else ring.element(ring.normalize(g))
 
@@ -640,7 +642,7 @@ def _reduced_cycle(ring: IntegerRing, I: Ideal):
     with sqrt(D) is an integer test against isqrt(D).
     """
     norm, n = ring.norm, I.norm
-    e1, e2 = (I.a, 0), (I.b, I.c)
+    e1, e2 = I.basis
     a, c = norm(e1) // n, norm(e2) // n
     b = norm(ring.add(e1, e2)) // n - a - c
     D = b * b - 4 * a * c

@@ -15,7 +15,8 @@ that data, with no matrix product.  The integer weights only steer it, and
 the pair is picked on the kernel's (u, v) pairs by an exact integer
 comparison.
 short_congruence_pair is a kernel form with the ring first
-(fields.kernel_edge), which converts FieldElements at its edge.  _gso and
+(fields.kernel_edge), which converts FieldElements at its edge; it takes
+the Z-bases of its ideals from Ideal.basis.  _gso and
 pair_measure are the exact rational definitions.
 """
 
@@ -248,11 +249,6 @@ def pair_measure(x: FieldElement, y: FieldElement, norm_a: int) -> Surd:
     return Surd(_dot(x, x), _dot(y, y), rad)
 
 
-def _hnf_basis(I):
-    """The Z-basis a, b + c*omega of the ideal I in HNF (a alone over Q)."""
-    return [(I.a, 0)] if I.field.is_rational else [(I.a, 0), (I.b, I.c)]
-
-
 @kernel_edge
 def short_congruence_pair(ring, A, B, w, M=None):
     """A short pair (x, y), y != 0, of L = {(w*y + m, y) : y in M, m in M*S}
@@ -287,8 +283,8 @@ def short_congruence_pair(ring, A, B, w, M=None):
         X, Y = dot(x, x), dot(y, y)
         return X + s * Y if s * s == norm_a else IntSurd(X, Y, norm_a)
 
-    ys = _hnf_basis(M)
-    zs = ys if field.is_rational else _hnf_basis(Ideal(field, *hnf_rows(map(ring.conj, ys))))
+    ys = M.basis
+    zs = ys if field.is_rational else Ideal(field, *hnf_rows(map(ring.conj, ys))).basis
     gens = [(mul(w, y), y) for y in ys] + [(ring.exact_div(mul(B, z), (M.norm, 0)), zero) for z in zs]
     # The reduced rows, then the first generator; ties go to the least x, then y.
     rows = reduce_pairs(ring, gens, (ring.one, A if A != zero else ring.one, B)) + gens[:1]

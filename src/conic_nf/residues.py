@@ -95,7 +95,7 @@ def _root_mod_prime(ring: IntegerRing, b, P: PrimeIdeal) -> Optional[tuple[int, 
             y = _mod(((b[0] + n) * k, b[1] * k), p)
             if _mod(ring.mul(y, y), p) == b:
                 return y
-    g = (-1, 2) if ring.t else (0, 1)  # sqrt(d)
+    g = ring.sqrt_d
     c = _sqrt_mod_p(b[0] * pow(-ring.norm(g), -1, p), p)
     return _mod((c * g[0], c * g[1]), p)
 
@@ -129,7 +129,7 @@ def _unit_part(ring: IntegerRing, a, P: PrimeIdeal, e: int, s: int):
         h = (p ** (m // 2), 0)
         ginv = 1
         if m % 2:
-            h = ring.mul(h, ring.pair(P.second_gen))
+            h = ring.mul(h, ring.sqrt_d)
             ginv = pow(field.d // p, -1, pk)
         return h, _mod((u // p**m * ginv, v // p**m * ginv), pk)
     if P.f == 2:
@@ -307,7 +307,7 @@ def closest_in_coset(ring, x, M):
     if ring.field.is_rational:
         r = x[0] % M.a
         return min(r, r - M.a, key=lambda u: (u * u, u)), 0
-    return ring.closest(M.reduce_pair(x), (M.a, 0), (M.b, M.c))
+    return ring.closest(M.reduce_pair(x), *M.basis)
 
 
 @kernel_edge

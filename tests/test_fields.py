@@ -1082,3 +1082,39 @@ def test_scalar_divmod_matches_rounding_the_kernel_product():
     for d in (2, 5, 14):
         with pytest.raises(ValueError):
             integer_ring(make_field(d)).divmod((7, 3), (2, 1))
+
+
+def test_the_kernel_owns_sqrt_d_the_roots_of_unity_and_omegas_root_mod_p():
+    # The kernel's sqrt_d and units against the hand-written conventions they
+    # replaced, and ideals._omega_root_mod against the old formula: a root s
+    # of d mod p, moved to (1 + s)/2 when omega = (1 + sqrt(d))/2, and at
+    # p = 2 a root exactly when (d - 1)/4 is even.
+    from conic_nf.ideals import _omega_root_mod, _sqrt_mod_p, is_probable_prime
+
+    assert [format_element(u) for u in Q.units()] == ["1", "-1"]
+    assert integer_ring(Q).units == [(1, 0), (-1, 0)]
+    with pytest.raises(InvalidD):
+        Q.sqrt_gen()
+    for d in (-1, -2, -3, -5, -6, -7, -11, -15, -19, 2, 3, 5, 6, 7, 13, 14, 17, 21):
+        K = make_field(d)
+        ring = integer_ring(K)
+        half = K.omega_kind != "sqrt_d"
+        assert ring.mul(ring.sqrt_d, ring.sqrt_d) == (d, 0)
+        assert ring.sqrt_d == ((-1, 2) if half else (0, 1))
+        assert K.sqrt_gen() == ring.element(ring.sqrt_d) == parse_element(K, "s")
+        one, w = K.element(1), K.omega()
+        expected = {-1: [one, -one, w, -w], -3: [one, -one, w, -w, w - 1, 1 - w]}.get(d, [one, -one])
+        assert K.units() == expected
+        assert [ring.element(e) for e in ring.units] == expected
+        for p in filter(is_probable_prime, range(2, 500)):
+            if K.disc % p == 0:
+                continue
+            if p == 2:
+                old = None if (d - 1) // 4 % 2 else 0
+            else:
+                s = _sqrt_mod_p(d % p, p)
+                old = s if s is None or not half else (1 + s) * pow(2, p - 2, p) % p
+            r = _omega_root_mod(K, p)
+            assert r == old, (d, p)
+            roots = [x for x in range(p) if (x * x - ring.t * x - ring.k) % p == 0]
+            assert (r is None) == (not roots) and (r is None or r in roots), (d, p)

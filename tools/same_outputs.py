@@ -31,6 +31,8 @@ Run from the root of a checkout.  The inputs are drawn once, here:
   products of primes drawn on both sides of 4096, 10^6 and 10^12 + 39,
   perfect powers of primes between 4096 and 10^7, and numbers whose
   cofactor after trial division lies on either side of 4096^2;
+- the kernel's conventions over the 19 fields: sqrt(d) and the roots of
+  unity;
 - the kernel's rank-2 and residuosity questions: ideals.splitting_type for
   every prime below 2,000 over the 19 fields, and at p = 2 over more fields
   with d = 1 and d = 5 (mod 8); ideals.is_principal, factor_ideal and
@@ -45,6 +47,8 @@ src/ and dumps, for every input, check_solvable(...).to_dict(), the
 solve_conic point with DescentTrace.to_list(), the reduce_solution point,
 the corpus or parametrize --json output with its exit code, make_field's
 descriptor (d, disc, omega_kind), or the error's type and text.
+For every sweep field it dumps format_element of sqrt_gen (the error's
+type over Q) and of each root of unity of FieldDescriptor.units, in order.
 For splitting_type it dumps the kind and each prime's (e, f, second
 generator, r); for is_principal the generator or None; for each product
 of prime powers, its factor_ideal and its valuation at every prime over
@@ -345,10 +349,11 @@ def _field_inputs():
 
 
 def _kernel_inputs():
-    """Inputs for splitting_type, is_principal, closest_in_coset over the
-    imaginary fields and surd_sign."""
+    """Inputs for the sweep fields' sqrt_gen and units, splitting_type,
+    is_principal, closest_in_coset over the imaginary fields and surd_sign."""
     rng = random.Random("same-outputs kernel")
-    inputs = [["splitting", d, SPLIT_PRIMES_BELOW] for d in SWEEP_FIELDS]
+    inputs = [["conventions", d] for d in SWEEP_FIELDS]
+    inputs += [["splitting", d, SPLIT_PRIMES_BELOW] for d in SWEEP_FIELDS]
     inputs += [["splitting", d, 3] for d in DYADIC_FIELDS]
     for d in SWEEP_FIELDS[1:] + PRINCIPAL_FIELDS:
         # Each ideal: 1-3 primes over p < 60, picked by index, with exponents 1-3.
@@ -533,6 +538,13 @@ def _dump(checkout, inputs_path):
             ]
         if kind == "local":
             return local(*args)
+        if kind == "conventions":
+            K = make_field(args[0])
+            try:
+                sqrt_d = format_element(K.sqrt_gen())
+            except Exception as exc:  # InvalidD over Q
+                sqrt_d = type(exc).__name__
+            return [sqrt_d, list(map(format_element, K.units()))]
         if kind == "splitting":
             d, bound = args
             K = make_field(d)
